@@ -235,9 +235,10 @@ Status CheckpointFlagsInto(const FlagSet& flags, RunOptions* options,
   return Status::OK();
 }
 
-/// Loads/creates the event stream named by the source flags.
-Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
-  ASEQ_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
+/// Checks the source flags: exactly one of --trace/--stock/--clicks, and
+/// a readable --seed and --gap >= 0.
+Status CheckSourceFlags(const FlagSet& flags) {
+  ASEQ_RETURN_NOT_OK(flags.GetInt("seed", 42).status());
   ASEQ_ASSIGN_OR_RETURN(int64_t gap, flags.GetInt("gap", 6));
   if (gap < 0) {
     return Status::InvalidArgument(
@@ -252,29 +253,97 @@ Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
     return Status::InvalidArgument(
         "pick exactly one source: --trace FILE, --stock N, or --clicks N");
   }
-  std::vector<Event> events;
-  if (flags.Has("trace")) {
-    ASEQ_ASSIGN_OR_RETURN(events,
-                          ReadTraceFile(flags.GetString("trace"), schema));
-  } else if (flags.Has("stock")) {
+  return Status::OK();
+}
+
+/// Generates the --stock/--clicks stream (source flags already checked).
+Result<std::vector<Event>> GenerateEvents(const FlagSet& flags,
+                                          Schema* schema) {
+  ASEQ_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
+  ASEQ_ASSIGN_OR_RETURN(int64_t gap, flags.GetInt("gap", 6));
+  if (flags.Has("stock")) {
     ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("stock", 0));
     if (n <= 0) return Status::InvalidArgument("--stock expects N > 0");
     StockStreamOptions options;
     options.seed = static_cast<uint64_t>(seed);
     options.num_events = static_cast<size_t>(n);
     options.max_gap_ms = gap;
-    events = GenerateStockStream(options, schema);
+    return GenerateStockStream(options, schema);
+  }
+  ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("clicks", 0));
+  if (n <= 0) return Status::InvalidArgument("--clicks expects N > 0");
+  ClickstreamOptions options;
+  options.seed = static_cast<uint64_t>(seed);
+  options.num_events = static_cast<size_t>(n);
+  options.max_gap_ms = gap;
+  return GenerateClickstream(options, schema);
+}
+
+/// Loads the whole event stream named by the source flags into memory
+/// (generate and compare, which need the events as a vector).
+Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
+  ASEQ_RETURN_NOT_OK(CheckSourceFlags(flags));
+  std::vector<Event> events;
+  if (flags.Has("trace")) {
+    ASEQ_ASSIGN_OR_RETURN(events,
+                          ReadTraceFile(flags.GetString("trace"), schema));
   } else {
-    ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("clicks", 0));
-    if (n <= 0) return Status::InvalidArgument("--clicks expects N > 0");
-    ClickstreamOptions options;
-    options.seed = static_cast<uint64_t>(seed);
-    options.num_events = static_cast<size_t>(n);
-    options.max_gap_ms = gap;
-    events = GenerateClickstream(options, schema);
+    ASEQ_ASSIGN_OR_RETURN(events, GenerateEvents(flags, schema));
   }
   AssignSeqNums(&events);
   return events;
+}
+
+/// Opens the event stream named by the source flags for run/workload: a
+/// trace streams through a TraceFileSource (registering names in `*schema`
+/// as it reads them), a generated stream is lent from a VectorSource.
+Result<std::unique_ptr<StreamSource>> OpenSource(const FlagSet& flags,
+                                                 Schema* schema) {
+  ASEQ_RETURN_NOT_OK(CheckSourceFlags(flags));
+  if (flags.Has("trace")) {
+    ASEQ_ASSIGN_OR_RETURN(auto source,
+                          TraceFileSource::Open(flags.GetString("trace"),
+                                                schema));
+    return std::unique_ptr<StreamSource>(std::move(source));
+  }
+  ASEQ_ASSIGN_OR_RETURN(std::vector<Event> events,
+                        GenerateEvents(flags, schema));
+  return std::unique_ptr<StreamSource>(
+      std::make_unique<VectorSource>(std::move(events)));
+}
+
+/// Skips the first `offset` events of `source`: a run restored from
+/// `snapshot` replays only the stream tail.
+Status SkipToOffset(StreamSource* source, uint64_t offset,
+                    const std::string& snapshot) {
+  uint64_t skipped = 0;
+  while (skipped < offset) {
+    const size_t n =
+        source
+            ->BorrowBatch(static_cast<size_t>(std::min<uint64_t>(
+                offset - skipped, kDefaultBatchSize)))
+            .size();
+    if (n == 0) break;
+    skipped += n;
+  }
+  ASEQ_RETURN_NOT_OK(source->status());
+  if (skipped < offset) {
+    return Status::InvalidArgument(
+        "snapshot '" + snapshot + "' was taken at stream offset " +
+        std::to_string(offset) + " but this source has only " +
+        std::to_string(skipped) + " events");
+  }
+  return Status::OK();
+}
+
+/// Validates --limit (result lines `run` prints, default 20).
+Result<size_t> LimitFromFlags(const FlagSet& flags) {
+  ASEQ_ASSIGN_OR_RETURN(int64_t limit, flags.GetInt("limit", 20));
+  if (limit < 0) {
+    return Status::InvalidArgument(
+        "--limit expects N >= 0 (how many of the last results to print)");
+  }
+  return static_cast<size_t>(limit);
 }
 
 Result<CompiledQuery> CompileQuery(const FlagSet& flags, Schema* schema) {
@@ -517,13 +586,84 @@ void MaybeWriteStatsJson(const Observability& obsv, const std::string& label,
   }
 }
 
-void PrintOutput(std::ostream& out, const Output& output) {
-  out << "t=" << output.ts;
-  if (output.group.has_value()) {
-    out << " [" << output.group->ToString() << "]";
+/// What `run` prints of its results — their count and the last `limit`
+/// result lines — collected batch by batch through the run's output sink.
+/// It keeps at most 2x `limit` lines of text (dropping older ones in bulk),
+/// so memory does not grow with the run under the default --limit.
+class ResultTail : public OutputSink {
+ public:
+  explicit ResultTail(size_t limit) : limit_(limit) {}
+
+  void TakeOutputs(std::span<const Output> outputs) override {
+    total_ += outputs.size();
+    if (limit_ == 0) return;
+    for (const Output& o : outputs) {
+      text_ += "t=";
+      text_ += std::to_string(o.ts);
+      if (o.group.has_value()) {
+        text_ += " [";
+        text_ += o.group->ToString();
+        text_ += "]";
+      }
+      text_ += " -> ";
+      text_ += o.value.ToString();
+      text_ += '\n';
+      if (++lines_ == 2 * limit_) {
+        text_.erase(0, LineStart(limit_));
+        lines_ = limit_;
+      }
+    }
   }
-  out << " -> " << output.value.ToString() << "\n";
-}
+
+  size_t total() const { return total_; }
+
+  /// The `... (N earlier results omitted; --limit)` note, then the lines.
+  void Print(std::ostream& out) const {
+    if (total_ > limit_) {
+      out << "... (" << (total_ - limit_)
+          << " earlier results omitted; --limit)\n";
+    }
+    const size_t skip = lines_ > limit_ ? lines_ - limit_ : 0;
+    out << std::string_view(text_).substr(LineStart(skip));
+  }
+
+ private:
+  /// Offset of line `n` (0-based) in text_.
+  size_t LineStart(size_t n) const {
+    size_t pos = 0;
+    for (size_t i = 0; i < n; ++i) pos = text_.find('\n', pos) + 1;
+    return pos;
+  }
+
+  size_t limit_;
+  size_t total_ = 0;
+  size_t lines_ = 0;  // lines held in text_
+  std::string text_;
+};
+
+/// What `workload` prints of its results — per query, the count and the
+/// last value — tallied through the run's output sink.
+class QueryTally : public OutputSink {
+ public:
+  explicit QueryTally(size_t queries) : counts_(queries, 0), last_(queries) {}
+
+  void TakeMultiOutputs(std::span<const MultiOutput> outputs) override {
+    for (const MultiOutput& mo : outputs) {
+      ++counts_[mo.query_index];
+      last_[mo.query_index] = mo.output.value;
+    }
+    total_ += outputs.size();
+  }
+
+  size_t total() const { return total_; }
+  size_t count(size_t query) const { return counts_[query]; }
+  const Value& last(size_t query) const { return last_[query]; }
+
+ private:
+  std::vector<size_t> counts_;
+  std::vector<Value> last_;
+  size_t total_ = 0;
+};
 
 int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   Status known = flags.CheckKnown(
@@ -556,6 +696,11 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << sup_flags.ToString() << "\n";
     return 1;
   }
+  auto limit = LimitFromFlags(flags);
+  if (!limit.ok()) {
+    err << limit.status().ToString() << "\n";
+    return 1;
+  }
   options->stop_requested = &CliStopFlag();
   // Telemetry must be in the options BEFORE MakePolicy: executors copy
   // RunOptions at construction.
@@ -574,11 +719,13 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << query.status().ToString() << "\n";
     return 1;
   }
-  auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
+  auto source = OpenSource(flags, &schema);
+  if (!source.ok()) {
+    err << source.status().ToString() << "\n";
     return 1;
   }
+  ResultTail results(flags.GetBool("quiet") ? 0 : *limit);
+  options->output_sink = &results;
   // All execution goes through a policy: serial for --shards 1 (the
   // default, byte-identical to the old direct path), partition-parallel
   // otherwise. Unshardable queries fall back to serial with a note.
@@ -594,29 +741,30 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "note: sharding disabled (" << fallback_reason
         << "); running serially\n";
   }
+  uint64_t offset = 0;
   if (!restore_from.empty()) {
-    uint64_t offset = 0;
+    // Replay only the tail; the run re-assigns the same seq numbers the
+    // events had in the original run.
     Status restored = (*policy)->Restore(restore_from, &offset);
+    if (restored.ok()) {
+      restored = SkipToOffset(source->get(), offset, restore_from);
+    }
     if (!restored.ok()) {
       err << restored.ToString() << "\n";
       return 1;
     }
-    if (offset > events->size()) {
-      err << "InvalidArgument: snapshot '" << restore_from
-          << "' was taken at stream offset " << offset
-          << " but this source has only " << events->size() << " events\n";
-      return 1;
-    }
-    // Replay only the tail; RunEvents re-assigns the same seq numbers the
-    // events had in the original run.
-    events->erase(events->begin(),
-                  events->begin() + static_cast<ptrdiff_t>(offset));
-    out << "restored from " << restore_from << " at offset " << offset
-        << "; replaying " << events->size() << " remaining events\n";
   }
   if (obsv.emitter != nullptr) obsv.emitter->Start();
-  RunResult result = (*policy)->RunEvents(*events);
+  RunResult result = (*policy)->Run(source->get());
   obsv.Finish((*policy)->shard_busy_seconds());
+  if (Status read = (*source)->status(); !read.ok()) {
+    err << read.ToString() << "\n";
+    return 1;
+  }
+  if (!restore_from.empty()) {
+    out << "restored from " << restore_from << " at offset " << offset
+        << "; replaying " << result.events << " remaining events\n";
+  }
   if (!result.fault_status.ok()) {
     err << "fault: run aborted: " << result.fault_status.ToString() << "\n";
     return 1;
@@ -636,30 +784,16 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     StopWatch watch;
     reordering->Finish(&tail);
     result.elapsed_seconds += watch.ElapsedSeconds();
-    result.outputs.insert(result.outputs.end(), tail.begin(), tail.end());
+    results.TakeOutputs(tail);
     if (reordering->dropped_events() > 0) {
       err << "warning: " << reordering->dropped_events()
           << " events arrived beyond --slack and were dropped\n";
     }
   }
-  if (!flags.GetBool("quiet")) {
-    auto limit_or = flags.GetInt("limit", 20);
-    size_t limit = limit_or.ok() && *limit_or >= 0
-                       ? static_cast<size_t>(*limit_or)
-                       : 20;
-    size_t start = result.outputs.size() > limit
-                       ? result.outputs.size() - limit
-                       : 0;
-    if (start > 0) {
-      out << "... (" << start << " earlier results omitted; --limit)\n";
-    }
-    for (size_t i = start; i < result.outputs.size(); ++i) {
-      PrintOutput(out, result.outputs[i]);
-    }
-  }
+  if (!flags.GetBool("quiet")) results.Print(out);
   out << "engine:        " << (*policy)->name() << "\n";
   out << "query:         " << query->ToString() << "\n";
-  const size_t results_count = result.outputs.size();
+  const size_t results_count = results.total();
   PrintStatsBlock(out, *options, result, (*policy)->stats(),
                   (*policy)->shard_busy_seconds(), &results_count);
   MaybeWriteStatsJson(obsv, "run", (*policy)->name(), result,
@@ -897,9 +1031,9 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "InvalidArgument: no queries in " << path << "\n";
     return 1;
   }
-  auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
+  auto source = OpenSource(flags, &schema);
+  if (!source.ok()) {
+    err << source.status().ToString() << "\n";
     return 1;
   }
 
@@ -952,6 +1086,8 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     return 1;
   }
 
+  QueryTally tally(queries.size());
+  options->output_sink = &tally;
   // All workload execution goes through a policy: serial for --shards 1
   // (the default), partition-parallel otherwise. Workloads that cannot
   // shard fall back to serial with a note.
@@ -967,27 +1103,28 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
         << "); running serially\n";
   }
 
+  uint64_t offset = 0;
   if (!restore_from.empty()) {
-    uint64_t offset = 0;
     Status restored = (*policy)->Restore(restore_from, &offset);
+    if (restored.ok()) {
+      restored = SkipToOffset(source->get(), offset, restore_from);
+    }
     if (!restored.ok()) {
       err << restored.ToString() << "\n";
       return 1;
     }
-    if (offset > events->size()) {
-      err << "InvalidArgument: snapshot '" << restore_from
-          << "' was taken at stream offset " << offset
-          << " but this source has only " << events->size() << " events\n";
-      return 1;
-    }
-    events->erase(events->begin(),
-                  events->begin() + static_cast<ptrdiff_t>(offset));
-    out << "restored from " << restore_from << " at offset " << offset
-        << "; replaying " << events->size() << " remaining events\n";
   }
   if (obsv.emitter != nullptr) obsv.emitter->Start();
-  MultiRunResult result = (*policy)->RunEvents(*events);
+  MultiRunResult result = (*policy)->Run(source->get());
   obsv.Finish((*policy)->shard_busy_seconds());
+  if (Status read = (*source)->status(); !read.ok()) {
+    err << read.ToString() << "\n";
+    return 1;
+  }
+  if (!restore_from.empty()) {
+    out << "restored from " << restore_from << " at offset " << offset
+        << "; replaying " << result.events << " remaining events\n";
+  }
   if (!result.fault_status.ok()) {
     err << "fault: run aborted: " << result.fault_status.ToString() << "\n";
     return 1;
@@ -1001,22 +1138,16 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "warning: checkpointing stopped: "
         << result.checkpoint_status.ToString() << "\n";
   }
-  std::vector<size_t> per_query(queries.size(), 0);
-  std::vector<Value> last(queries.size());
-  for (const MultiOutput& mo : result.outputs) {
-    ++per_query[mo.query_index];
-    last[mo.query_index] = mo.output.value;
-  }
   out << "strategy:      " << (*policy)->name() << "\n";
   out << "queries:       " << queries.size() << "\n";
   PrintStatsBlock(out, *options, result, (*policy)->stats(),
                   (*policy)->shard_busy_seconds(), nullptr);
   MaybeWriteStatsJson(obsv, "workload", (*policy)->name(), result,
                       (*policy)->stats(), (*policy)->shard_busy_seconds(),
-                      result.outputs.size(), err);
+                      tally.total(), err);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out << "  Q" << (qi + 1) << ": " << per_query[qi]
-        << " results, last=" << last[qi].ToString() << "  — "
+    out << "  Q" << (qi + 1) << ": " << tally.count(qi)
+        << " results, last=" << tally.last(qi).ToString() << "  — "
         << queries[qi].ToString() << "\n";
   }
   return 0;

@@ -1,5 +1,6 @@
 #include "cli/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace aseq {
@@ -47,11 +48,19 @@ Result<int64_t> FlagSet::GetInt(const std::string& name, int64_t def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   char* end = nullptr;
+  errno = 0;
   int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     return Status::InvalidArgument("flag --" + name +
                                    " expects an integer, got '" + it->second +
                                    "'");
+  }
+  // strtoll saturates to INT64_MIN/MAX on overflow; never pass that off as
+  // the requested value.
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("flag --" + name + " value '" +
+                                   it->second +
+                                   "' is out of the 64-bit integer range");
   }
   return v;
 }

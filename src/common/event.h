@@ -40,6 +40,10 @@ class Event {
   /// Sets (or overwrites) an attribute value.
   void SetAttr(AttrId attr, Value value);
 
+  /// Removes every attribute but keeps the storage, so an event recycled
+  /// through a parser allocates nothing for numeric attributes.
+  void ClearAttrs() { attrs_.clear(); }
+
   /// Returns the attribute value, or nullptr if absent. Inline: this is
   /// the single hottest call of the admission path (a few compares over a
   /// tiny flat vector — the call overhead used to cost more than the scan).

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,12 +44,35 @@ enum class OverloadPolicy : uint8_t {
   kShed,
 };
 
+/// \brief Receives a run's outputs in global sequence order, in place of
+/// RunResult::outputs (see RunOptions::output_sink).
+class OutputSink {
+ public:
+  virtual ~OutputSink() = default;
+  /// Outputs of a single-query run.
+  virtual void TakeOutputs(std::span<const Output>) {}
+  /// Outputs of a multi-query run.
+  virtual void TakeMultiOutputs(std::span<const MultiOutput>) {}
+
+  /// Dispatch for code generic over the output type.
+  void Take(std::span<const Output> outputs) { TakeOutputs(outputs); }
+  void Take(std::span<const MultiOutput> outputs) {
+    TakeMultiOutputs(outputs);
+  }
+};
+
 /// \brief Knobs for a batched run.
 struct RunOptions {
   /// Collect engine outputs into the result (benchmarks turn this off to
   /// avoid measuring vector growth — the scratch buffer is still reused,
   /// clear-not-shrink, between batches).
   bool collect_outputs = true;
+  /// When set (it must outlive the run), outputs go to the sink instead of
+  /// into the result, and collect_outputs is ignored. A serial run hands
+  /// over each batch's outputs as the batch completes, so it holds none
+  /// of them; a sharded run hands over the merged sequence at its end.
+  /// The CLI keeps only the lines it prints this way.
+  OutputSink* output_sink = nullptr;
   /// Events pulled from the source and handed to OnBatch per refill.
   /// A batch size of 1 degenerates to the per-event path (one OnBatch
   /// call per event).

@@ -96,7 +96,10 @@ ResultT RunSerialLoop(const RunOptions& options, ScratchT* scratch,
              obs::TraceWriter::NumArg("outputs", scratch->size())});
       }
     }
-    if (options.collect_outputs) {
+    if (options.output_sink != nullptr) {
+      options.output_sink->Take(std::span<const typename ScratchT::value_type>(
+          *scratch));
+    } else if (options.collect_outputs) {
       result.outputs.insert(result.outputs.end(), scratch->begin(),
                             scratch->end());
     }

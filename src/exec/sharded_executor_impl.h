@@ -192,6 +192,12 @@ class ShardedExecutorT : public Traits::Policy {
   Status Restore(const std::string& path, uint64_t* stream_offset) override;
 
  private:
+  /// Lanes keep outputs for the end-of-run merge, which fills the result
+  /// or feeds the output sink.
+  bool CollectsOutputs() const {
+    return options_.collect_outputs || options_.output_sink != nullptr;
+  }
+
   struct LaneItem {
     enum class Tag : uint8_t { kOps, kBarrier, kStop };
     Tag tag = Tag::kOps;
@@ -584,7 +590,7 @@ void ShardedExecutorT<Traits>::WorkerMain(size_t shard) {
           ++item_events;
           item_outputs += lane.scratch.size();
         }
-        if (options_.collect_outputs && !lane.scratch.empty()) {
+        if (CollectsOutputs() && !lane.scratch.empty()) {
           lane.outputs.insert(lane.outputs.end(), lane.scratch.begin(),
                               lane.scratch.end());
         }
@@ -1508,10 +1514,13 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
     busy_view_[s] = lanes_[s]->busy_seconds;
   }
 
-  if (options_.collect_outputs) {
-    size_t total = 0;
-    for (const auto& lane : lanes_) total += lane->outputs.size();
-    result.outputs.reserve(total);
+  if (CollectsOutputs()) {
+    OutputSink* sink = options_.output_sink;
+    if (sink == nullptr) {
+      size_t total = 0;
+      for (const auto& lane : lanes_) total += lane->outputs.size();
+      result.outputs.reserve(total);
+    }
     std::vector<size_t> cursor(n, 0);
     for (;;) {
       size_t best = n;
@@ -1527,10 +1536,19 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
       if (best == n) break;
       // One event's outputs all come from its owner shard, in order.
       auto& outs = lanes_[best]->outputs;
+      const size_t first = cursor[best];
       while (cursor[best] < outs.size() &&
              Traits::OutputSeq(outs[cursor[best]]) == best_seq) {
-        result.outputs.push_back(std::move(outs[cursor[best]]));
         ++cursor[best];
+      }
+      const auto begin = outs.begin() + static_cast<ptrdiff_t>(first);
+      const auto end = outs.begin() + static_cast<ptrdiff_t>(cursor[best]);
+      if (sink != nullptr) {
+        sink->Take(std::span<const OutputT>(begin, end));
+      } else {
+        result.outputs.insert(result.outputs.end(),
+                              std::make_move_iterator(begin),
+                              std::make_move_iterator(end));
       }
     }
   }

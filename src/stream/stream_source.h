@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/event.h"
+#include "common/status.h"
 
 namespace aseq {
 
@@ -54,6 +55,12 @@ class StreamSource {
 
   /// Restarts the stream from the beginning.
   virtual void Reset() = 0;
+
+  /// Why the stream ended early: OK for a source that ran to its end (or
+  /// has not ended yet), an error for one whose input failed — e.g. a
+  /// malformed trace line. A consumer checks it once Next/BorrowBatch
+  /// report the end.
+  virtual Status status() const { return Status::OK(); }
 
  private:
   std::vector<Event> borrow_buf_;  // default BorrowBatch staging

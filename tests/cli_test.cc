@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +47,23 @@ TEST(FlagSetTest, BadIntegerIsError) {
   auto fs = FlagSet::Parse({"run", "--seed", "abc"});
   ASSERT_TRUE(fs.ok());
   EXPECT_FALSE(fs->GetInt("seed", 0).ok());
+}
+
+TEST(FlagSetTest, OutOfRangeIntegerIsError) {
+  // strtoll saturates on overflow; the flag must not silently become
+  // INT64_MAX/MIN.
+  auto fs = FlagSet::Parse({"run", "--seed", "99999999999999999999",
+                            "--gap", "-99999999999999999999", "--ok",
+                            "9223372036854775807"});
+  ASSERT_TRUE(fs.ok());
+  auto seed = fs->GetInt("seed", 0);
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seed.status().message().find("out of the 64-bit integer range"),
+            std::string::npos)
+      << seed.status().message();
+  EXPECT_FALSE(fs->GetInt("gap", 0).ok());
+  EXPECT_EQ(*fs->GetInt("ok", 0), INT64_MAX);
 }
 
 TEST(FlagSetTest, PositionalAfterFlagsRejected) {
@@ -348,6 +368,211 @@ TEST(CliTest, ObservabilityFlagValidation) {
                                "/nonexistent-dir/t.json"});
   EXPECT_EQ(bad_dir.code, 1);
   EXPECT_NE(bad_dir.err.find("--trace-out"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// --limit validation
+// --------------------------------------------------------------------------
+
+TEST(CliTest, BadLimitIsRejectedUpFront) {
+  for (const char* bad : {"abc", "-5", "99999999999999999999"}) {
+    CliResult r = RunTool({"run", "--query",
+                           "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s",
+                           "--stock", "500", "--limit", bad});
+    EXPECT_EQ(r.code, 1) << bad;
+    EXPECT_NE(r.err.find("InvalidArgument"), std::string::npos)
+        << bad << ": " << r.err;
+    EXPECT_NE(r.err.find("--limit"), std::string::npos) << bad << ": " << r.err;
+    EXPECT_EQ(r.out.find("t="), std::string::npos) << bad;
+  }
+  CliResult zero = RunTool({"run", "--query",
+                            "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s",
+                            "--stock", "500", "--limit", "0"});
+  EXPECT_EQ(zero.code, 0) << zero.err;
+  EXPECT_EQ(zero.out.find("t="), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Streaming ingest: run/workload read --trace chunk by chunk
+// --------------------------------------------------------------------------
+
+constexpr const char* kGroupedQuery =
+    "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms";
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::vector<std::string> ResultLines(const std::string& out) {
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("t=", 0) == 0) lines.push_back(line);
+  }
+  return lines;
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// A generated stock trace of `n` events (over 1 MiB from ~25k events, so
+/// it spans several read chunks).
+std::string StockTrace(const std::string& name, int n) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  CliResult gen = RunTool({"generate", "--stock", std::to_string(n), "--out",
+                           path, "--seed", "7"});
+  EXPECT_EQ(gen.code, 0) << gen.err;
+  return path;
+}
+
+TEST(CliStreamingTest, MalformedLateLineAbortsWithLineNumber) {
+  const std::string path = StockTrace("aseq_cli_late_error.csv", 30000);
+  ASSERT_GT(std::filesystem::file_size(path), size_t{1} << 20);
+  {
+    std::ofstream f(path, std::ios::app);
+    f << "DELL,not-a-time,price=1\n";
+  }
+  const std::string dir = FreshDir("aseq_cli_late_error_ckpt");
+  for (const char* shards : {"1", "2"}) {
+    CliResult r = RunTool({"run", "--query", kGroupedQuery, "--trace", path,
+                           "--limit", "1000000", "--shards", shards,
+                           "--checkpoint-every", "4096", "--checkpoint-dir",
+                           dir});
+    EXPECT_EQ(r.code, 1) << shards;
+    EXPECT_EQ(r.err,
+              "ParseError: trace line 30001: bad timestamp 'not-a-time'\n")
+        << shards;
+    EXPECT_TRUE(ResultLines(r.out).empty()) << shards;
+  }
+  // The batches before the bad line ran, and their periodic snapshots stay
+  // on disk.
+  EXPECT_TRUE(
+      std::filesystem::exists(dir + "/ckpt-00000000000000028672.aseqckpt"));
+  std::ofstream(::testing::TempDir() + "/aseq_cli_wl_q.txt")
+      << kGroupedQuery << "\n";
+  CliResult wl = RunTool({"workload", "--queries",
+                          ::testing::TempDir() + "/aseq_cli_wl_q.txt",
+                          "--trace", path, "--strategy", "cc"});
+  EXPECT_EQ(wl.code, 1);
+  EXPECT_NE(wl.err.find("trace line 30001: bad timestamp"), std::string::npos)
+      << wl.err;
+  EXPECT_EQ(wl.out.find("results, last="), std::string::npos);
+}
+
+TEST(CliStreamingTest, RestorePastTraceEndIsRejected) {
+  const std::string long_trace = StockTrace("aseq_cli_restore_long.csv", 3000);
+  const std::string dir = FreshDir("aseq_cli_restore_past_end");
+  CliResult full = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                            long_trace, "--quiet", "--checkpoint-every",
+                            "2048", "--checkpoint-dir", dir});
+  ASSERT_EQ(full.code, 0) << full.err;
+  const std::string snap = dir + "/ckpt-00000000000000002048.aseqckpt";
+  ASSERT_TRUE(std::filesystem::exists(snap));
+  const std::string short_trace = StockTrace("aseq_cli_restore_short.csv",
+                                             1000);
+  CliResult r = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                         short_trace, "--restore-from", snap});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "InvalidArgument: snapshot '" + snap +
+                       "' was taken at stream offset 2048 but this source "
+                       "has only 1000 events\n");
+  EXPECT_TRUE(ResultLines(r.out).empty());
+}
+
+TEST(CliStreamingTest, ResumedRunIsSuffixOfUninterruptedRun) {
+  const std::string trace = StockTrace("aseq_cli_resume.csv", 6000);
+  for (const char* shards : {"1", "2"}) {
+    const std::string dir =
+        FreshDir(std::string("aseq_cli_resume_ckpt_") + shards);
+    CliResult full = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                              trace, "--limit", "1000000", "--shards", shards,
+                              "--checkpoint-every", "1024", "--checkpoint-dir",
+                              dir});
+    ASSERT_EQ(full.code, 0) << shards << ": " << full.err;
+    const std::string snap = dir + "/ckpt-00000000000000003072.aseqckpt";
+    ASSERT_TRUE(std::filesystem::exists(snap)) << shards;
+    CliResult resumed = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                                 trace, "--limit", "1000000", "--shards",
+                                 shards, "--restore-from", snap});
+    ASSERT_EQ(resumed.code, 0) << shards << ": " << resumed.err;
+    EXPECT_NE(resumed.out.find("at offset 3072; replaying 2928 remaining "
+                               "events"),
+              std::string::npos)
+        << resumed.out;
+    const std::vector<std::string> all = ResultLines(full.out);
+    const std::vector<std::string> tail = ResultLines(resumed.out);
+    ASSERT_FALSE(tail.empty()) << shards;
+    ASSERT_LT(tail.size(), all.size()) << shards;
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                           all.end() - static_cast<ptrdiff_t>(tail.size())))
+        << shards;
+  }
+}
+
+/// The `  Qi: N results, last=V` lines of a workload run.
+std::vector<std::pair<long, std::string>> QueryCounts(const std::string& out) {
+  std::vector<std::pair<long, std::string>> counts;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) {
+    const size_t at = line.find(" results, last=");
+    if (line.rfind("  Q", 0) != 0 || at == std::string::npos) continue;
+    const size_t colon = line.find(": ");
+    counts.emplace_back(std::stol(line.substr(colon + 2, at - colon - 2)),
+                        line.substr(at));
+  }
+  return counts;
+}
+
+TEST(CliStreamingTest, ResumedWorkloadIsSuffixOfUninterruptedRun) {
+  const std::string trace = StockTrace("aseq_cli_wl_resume.csv", 6000);
+  const std::string queries = ::testing::TempDir() + "/aseq_cli_wl_resume.txt";
+  {
+    std::ofstream f(queries);
+    f << "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms\n"
+      << "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT "
+         "WITHIN 800ms\n";
+  }
+  const std::string dir = FreshDir("aseq_cli_wl_resume_ckpt");
+  CliResult full = RunTool({"workload", "--queries", queries, "--trace", trace,
+                            "--strategy", "cc", "--checkpoint-every", "1024",
+                            "--checkpoint-dir", dir});
+  ASSERT_EQ(full.code, 0) << full.err;
+  const std::string snap = dir + "/ckpt-00000000000000003072.aseqckpt";
+  ASSERT_TRUE(std::filesystem::exists(snap));
+  CliResult resumed = RunTool({"workload", "--queries", queries, "--trace",
+                               trace, "--strategy", "cc", "--restore-from",
+                               snap});
+  ASSERT_EQ(resumed.code, 0) << resumed.err;
+  // The trace's first 3072 event lines (the generator writes no comments)
+  // yield exactly the outputs the snapshot already covered.
+  const std::string head_path = ::testing::TempDir() + "/aseq_cli_wl_head.csv";
+  {
+    std::istringstream in(ReadFile(trace));
+    std::ofstream head(head_path);
+    std::string line;
+    for (int i = 0; i < 3072 && std::getline(in, line); ++i) {
+      head << line << "\n";
+    }
+  }
+  CliResult prefix = RunTool({"workload", "--queries", queries, "--trace",
+                              head_path, "--strategy", "cc"});
+  ASSERT_EQ(prefix.code, 0) << prefix.err;
+  const auto all = QueryCounts(full.out);
+  const auto tail = QueryCounts(resumed.out);
+  const auto head = QueryCounts(prefix.out);
+  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(tail.size(), 2u);
+  ASSERT_EQ(head.size(), 2u);
+  for (size_t q = 0; q < all.size(); ++q) {
+    EXPECT_GT(tail[q].first, 0) << "Q" << q + 1;
+    EXPECT_EQ(head[q].first + tail[q].first, all[q].first) << "Q" << q + 1;
+    EXPECT_EQ(tail[q].second, all[q].second) << "Q" << q + 1;
+  }
 }
 
 }  // namespace

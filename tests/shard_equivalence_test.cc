@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -21,10 +22,12 @@
 
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
+#include "ckpt/snapshot.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
 #include "exec/multi_execution_policy.h"
 #include "exec/shard_router.h"
+#include "fault/fault.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
@@ -630,6 +633,251 @@ TEST(MultiShardFallbackTest, PlanMultiShardingReportsShardable) {
   exec::MultiShardPlan plan = exec::PlanMultiSharding(queries);
   EXPECT_TRUE(plan.shardable) << plan.reason;
   EXPECT_TRUE(plan.reason.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Run(StreamSource*) over a recycling source
+// ---------------------------------------------------------------------------
+//
+// A streaming source (TraceFileSource) lends every batch from one buffer it
+// overwrites on the next refill. VectorSource never does, so the tests
+// above cannot show that no router, replay log or merge step keeps a
+// pointer into a borrowed batch. These runs can: the source poisons the
+// previous batch before each refill.
+
+/// Lends batches of `*events` from one reused buffer, poisoning the
+/// previous batch (type, timestamp, seq and every attribute value) before
+/// it refills the buffer.
+class PoisoningSource : public StreamSource {
+ public:
+  explicit PoisoningSource(const std::vector<Event>* events)
+      : events_(events) {}
+
+  bool Next(Event* out) override {
+    if (pos_ >= events_->size()) return false;
+    *out = (*events_)[pos_++];
+    return true;
+  }
+
+  std::span<Event> BorrowBatch(size_t max) override {
+    for (Event& e : batch_) Poison(&e);
+    ++poisoned_batches_;
+    const size_t n = std::min(max, events_->size() - pos_);
+    if (batch_.size() < n) batch_.resize(n);
+    std::copy_n(events_->begin() + static_cast<ptrdiff_t>(pos_), n,
+                batch_.begin());
+    pos_ += n;
+    return {batch_.data(), n};
+  }
+
+  void Reset() override { pos_ = 0; }
+
+  size_t poisoned_batches() const { return poisoned_batches_; }
+
+ private:
+  static void Poison(Event* e) {
+    std::vector<AttrId> attrs;
+    for (const auto& kv : e->attrs()) attrs.push_back(kv.first);
+    for (AttrId a : attrs) e->SetAttr(a, Value(int64_t{-424242}));
+    e->set_type(kInvalidEventType - 1);
+    e->set_ts(-1);
+    e->set_seq(~SeqNum{0});
+  }
+
+  const std::vector<Event>* events_;
+  std::vector<Event> batch_;
+  size_t pos_ = 0;
+  size_t poisoned_batches_ = 0;
+};
+
+/// Skips the first `offset` events the way the CLI does for a restored
+/// run: by borrowing (and so recycling) batches.
+void SkipEvents(StreamSource* source, uint64_t offset) {
+  uint64_t skipped = 0;
+  while (skipped < offset) {
+    const size_t n =
+        source->BorrowBatch(std::min<uint64_t>(offset - skipped, 100)).size();
+    ASSERT_GT(n, 0u) << "source ended before offset " << offset;
+    skipped += n;
+  }
+}
+
+constexpr const char* kRecyclingQuery =
+    "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT WITHIN 800ms";
+
+TEST(RecyclingSourceTest, SerialAndShardedRunsMatchRunEvents) {
+  auto c = MakeStock(131, 4000);
+  CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
+  auto ref_engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(ref_engine.ok());
+  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+
+  for (size_t shards : {1, 2, 4}) {
+    for (size_t batch_size : {1, 64}) {
+      const std::string context = "recycling shards=" +
+                                  std::to_string(shards) +
+                                  " batch=" + std::to_string(batch_size);
+      RunOptions options;
+      options.num_shards = shards;
+      options.batch_size = batch_size;
+      std::string reason;
+      auto policy = exec::MakePolicy(cq, AseqFactory(cq), options, &reason);
+      ASSERT_TRUE(policy.ok()) << context;
+      ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+      PoisoningSource source(&c->events);
+      RunResult got = (*policy)->Run(&source);
+      EXPECT_GT(source.poisoned_batches(), 1u) << context;
+      EXPECT_EQ(got.events, c->events.size()) << context;
+      ExpectOutputsEqual(ref.outputs, got.outputs, context);
+      ExpectStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+    }
+  }
+}
+
+/// Collects what an output sink is handed.
+struct CollectingSink : OutputSink {
+  void TakeOutputs(std::span<const Output> outputs) override {
+    taken.insert(taken.end(), outputs.begin(), outputs.end());
+  }
+  std::vector<Output> taken;
+};
+
+TEST(RecyclingSourceTest, OutputSinkReceivesTheOutputSequence) {
+  // With RunOptions::output_sink set, the outputs go to the sink, in the
+  // same global order, instead of into the result.
+  auto c = MakeStock(135, 3000);
+  CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
+  auto ref_engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(ref_engine.ok());
+  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  for (size_t shards : {1, 2}) {
+    const std::string context = "sink shards=" + std::to_string(shards);
+    CollectingSink sink;
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    options.output_sink = &sink;
+    auto policy = exec::MakePolicy(cq, AseqFactory(cq), options);
+    ASSERT_TRUE(policy.ok()) << context;
+    PoisoningSource source(&c->events);
+    RunResult got = (*policy)->Run(&source);
+    EXPECT_TRUE(got.outputs.empty()) << context;
+    ExpectOutputsEqual(ref.outputs, sink.taken, context);
+  }
+}
+
+TEST(RecyclingSourceTest, SupervisedCrashReplayMatchesRunEvents) {
+  // The supervisor replays a restarted shard's slice from its replay log;
+  // the log must own copies, since the batches they came from are poisoned
+  // by the time the replay runs.
+  auto c = MakeStock(132, 4000);
+  CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
+  auto ref_engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(ref_engine.ok());
+  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+
+  for (size_t shards : {2, 4}) {
+    const std::string context = "supervised shards=" + std::to_string(shards);
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    options.supervise = true;
+    options.recovery_every = 512;
+    auto policy = exec::MakePolicy(cq, AseqFactory(cq), options);
+    ASSERT_TRUE(policy.ok()) << context;
+    ASSERT_TRUE(fault::Injector::Global().Arm("worker.op@1:500:crash", 9).ok());
+    PoisoningSource source(&c->events);
+    RunResult got = (*policy)->Run(&source);
+    fault::Injector::Global().Disarm();
+    ASSERT_TRUE(got.fault_status.ok()) << context << ": "
+                                       << got.fault_status.ToString();
+    EXPECT_GT((*policy)->stats().fault_restarts, 0u) << context;
+    ExpectOutputsEqual(ref.outputs, got.outputs, context);
+    ExpectStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+  }
+}
+
+TEST(RecyclingSourceTest, RestoreAtMidStreamOffsetMatchesRunEvents) {
+  auto c = MakeStock(133, 4000);
+  CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
+  auto ref_engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(ref_engine.ok());
+  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+
+  for (size_t shards : {1, 2, 4}) {
+    const std::string context = "restore shards=" + std::to_string(shards);
+    const std::string dir = ::testing::TempDir() + "/recycling-restore-" +
+                            std::to_string(shards);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    options.checkpoint_every = 1500;
+    options.checkpoint_dir = dir;
+    auto full = exec::MakePolicy(cq, AseqFactory(cq), options);
+    ASSERT_TRUE(full.ok()) << context;
+    PoisoningSource full_source(&c->events);
+    RunResult full_run = (*full)->Run(&full_source);
+    ASSERT_TRUE(full_run.checkpoint_status.ok()) << context;
+    ASSERT_GT(full_run.checkpoints_written, 0u) << context;
+
+    // The first snapshot lies mid-stream (1536 of 4000 events).
+    RunOptions tail_options;
+    tail_options.num_shards = shards;
+    tail_options.batch_size = 64;
+    auto resumed = exec::MakePolicy(cq, AseqFactory(cq), tail_options);
+    ASSERT_TRUE(resumed.ok()) << context;
+    uint64_t offset = 0;
+    Status restored = (*resumed)->Restore(
+        ckpt::SnapshotPathForOffset(dir, 1536), &offset);
+    ASSERT_TRUE(restored.ok()) << context << ": " << restored.ToString();
+    ASSERT_EQ(offset, 1536u) << context;
+    PoisoningSource tail_source(&c->events);
+    SkipEvents(&tail_source, offset);
+    RunResult tail_run = (*resumed)->Run(&tail_source);
+    EXPECT_EQ(tail_run.events, c->events.size() - offset) << context;
+
+    std::vector<Output> combined;
+    for (const Output& o : ref.outputs) {
+      if (o.seq < offset) combined.push_back(o);
+    }
+    ASSERT_GT(combined.size(), 0u) << context;
+    ASSERT_GT(tail_run.outputs.size(), 0u) << context;
+    combined.insert(combined.end(), tail_run.outputs.begin(),
+                    tail_run.outputs.end());
+    ExpectOutputsEqual(ref.outputs, combined, context);
+    ExpectStatsEqual((*ref_engine)->stats(), (*resumed)->stats(), context);
+  }
+}
+
+TEST(RecyclingSourceTest, ShardedWorkloadMatchesRunEvents) {
+  auto c = MakeStock(134, 3000);
+  std::vector<CompiledQuery> queries = MustCompileAll(
+      &c->schema,
+      {"PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms",
+       "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT "
+       "WITHIN 800ms"});
+  exec::MultiEngineFactory factory = MultiFactory("cc", queries);
+  auto ref_engine = factory();
+  ASSERT_TRUE(ref_engine.ok());
+  MultiRunResult ref = Runtime::RunMultiEvents(c->events, ref_engine->get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+  for (size_t shards : {1, 2, 4}) {
+    const std::string context = "workload shards=" + std::to_string(shards);
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    std::string reason;
+    auto policy = exec::MakeMultiPolicy(queries, factory, options, &reason);
+    ASSERT_TRUE(policy.ok()) << context;
+    ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+    PoisoningSource source(&c->events);
+    MultiRunResult got = (*policy)->Run(&source);
+    ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
+    ExpectStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+  }
 }
 
 }  // namespace
