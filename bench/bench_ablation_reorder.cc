@@ -45,11 +45,13 @@ void BM_WithKSlack(benchmark::State& state) {
   CompiledQuery cq = Compile();
   auto inner = CreateAseqEngine(cq);
   ReorderingEngine engine(std::move(*inner), /*slack_ms=*/state.range(0));
+  RunOptions options;
+  options.collect_outputs = false;
   double total_seconds = 0;
   uint64_t total_events = 0;
   for (auto _ : state) {
     RunResult result =
-        Runtime::RunEvents(Stream().events, &engine, /*collect_outputs=*/false);
+        exec::RunSerial(options, Stream().events, &engine, &SharedBuffers());
     std::vector<Output> tail;
     StopWatch watch;
     engine.Finish(&tail);

@@ -63,24 +63,23 @@ double CpuSeconds() {
 }
 
 /// RunStable (bench_util.h), except each pass is timed with CpuSeconds
-/// around the run loop rather than taking the runner's wall-clock
+/// around the run loop rather than taking the serial core's wall-clock
 /// elapsed_seconds.
 template <typename MakeEngine>
 StableRun RunStableCpu(const std::vector<Event>& events,
                        MakeEngine&& make_engine, size_t batch_size, int warmup,
                        int reps) {
-  BatchRunner& runner = SharedRunner();
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = batch_size;
-  runner.set_options(options);
   VectorSource source(events);
   StableRun out;
   for (int pass = 0; pass < warmup + reps; ++pass) {
     auto engine = make_engine();
     source.Reset();
     const double t0 = CpuSeconds();
-    RunResult result = runner.Run(&source, engine.get());
+    RunResult result =
+        exec::RunSerial(options, &source, engine.get(), &SharedBuffers());
     const double seconds = CpuSeconds() - t0;
     if (pass < warmup) continue;
     out.seconds.push_back(seconds);

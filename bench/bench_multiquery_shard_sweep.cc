@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/multi_execution_policy.h"
+#include "exec/execution_policy.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"

@@ -13,6 +13,7 @@
 #include "common/schema.h"
 #include "engine/engine.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "query/analyzer.h"
 #include "query/compiled_query.h"
 #include "stream/stock_stream.h"
@@ -61,13 +62,12 @@ inline std::unique_ptr<BenchStream> MakeStockStream(size_t num_events,
   return s;
 }
 
-/// The one BatchRunner shared by every harness in a bench binary: its
-/// refill and scratch buffers are allocated once and reused
-/// (clear-not-shrink) across all iterations of all benchmarks, so the
-/// timed region never measures allocator traffic.
-inline BatchRunner& SharedRunner() {
-  static BatchRunner runner;
-  return runner;
+/// The serial-core scratch shared by every harness in a bench binary:
+/// allocated once and reused (clear-not-shrink) across all iterations of
+/// all benchmarks, so the timed region never measures allocator traffic.
+inline SerialBuffers& SharedBuffers() {
+  static SerialBuffers buffers;
+  return buffers;
 }
 
 /// Drives `events` through `engine` once per iteration (batched through
@@ -79,15 +79,14 @@ inline BatchRunner& SharedRunner() {
 inline void RunAndReport(benchmark::State& state,
                          const std::vector<Event>& events, QueryEngine* engine,
                          size_t batch_size = kDefaultBatchSize) {
-  BatchRunner& runner = SharedRunner();
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = batch_size;
-  runner.set_options(options);
   double total_seconds = 0;
   uint64_t total_events = 0;
   for (auto _ : state) {
-    RunResult result = runner.RunEvents(events, engine);
+    RunResult result =
+        exec::RunSerial(options, events, engine, &SharedBuffers());
     total_seconds += result.elapsed_seconds;
     total_events += result.events;
   }
@@ -106,15 +105,14 @@ inline void RunMultiAndReport(benchmark::State& state,
                               const std::vector<Event>& events,
                               MultiQueryEngine* engine,
                               size_t batch_size = kDefaultBatchSize) {
-  BatchRunner& runner = SharedRunner();
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = batch_size;
-  runner.set_options(options);
   double total_seconds = 0;
   uint64_t total_events = 0;
   for (auto _ : state) {
-    MultiRunResult result = runner.RunMultiEvents(events, engine);
+    MultiRunResult result =
+        exec::RunSerial(options, events, engine, &SharedBuffers());
     total_seconds += result.elapsed_seconds;
     total_events += result.events;
   }
@@ -182,17 +180,16 @@ template <typename MakeEngine>
 inline StableRun RunStable(const std::vector<Event>& events,
                            MakeEngine&& make_engine, size_t batch_size,
                            int warmup, int reps) {
-  BatchRunner& runner = SharedRunner();
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = batch_size;
-  runner.set_options(options);
   VectorSource source(events);
   StableRun out;
   for (int pass = 0; pass < warmup + reps; ++pass) {
     auto engine = make_engine();
     source.Reset();
-    RunResult result = runner.Run(&source, engine.get());
+    RunResult result =
+        exec::RunSerial(options, &source, engine.get(), &SharedBuffers());
     if (pass < warmup) continue;
     out.seconds.push_back(result.elapsed_seconds);
     out.events_per_pass = result.events;

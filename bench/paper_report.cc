@@ -21,6 +21,7 @@
 #include "baseline/stack_engine.h"
 #include "bench/bench_util.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/nonshared_engine.h"
@@ -48,25 +49,14 @@ struct Measured {
 };
 
 // All measurements run on the batched pipeline (default batch size), the
-// same path the CLI and the benchmark harnesses use. One shared runner so
-// refill/scratch buffers are reused across every measurement.
-BatchRunner& Runner() {
-  static BatchRunner runner = [] {
-    RunOptions options;
-    options.collect_outputs = false;
-    return BatchRunner(options);
-  }();
-  return runner;
-}
-
-Measured Measure(QueryEngine* engine, const std::vector<Event>& events) {
-  RunResult r = Runner().RunEvents(events, engine);
-  return {r.MillisPerSlide(), engine->stats().objects.peak()};
-}
-
-Measured MeasureMulti(MultiQueryEngine* engine,
-                      const std::vector<Event>& events) {
-  MultiRunResult r = Runner().RunMultiEvents(events, engine);
+// same path the CLI and the benchmark harnesses use, with the output
+// scratch reused across measurements.
+template <class EngineT>
+Measured Measure(EngineT* engine, const std::vector<Event>& events) {
+  static SerialBuffers buffers;
+  RunOptions options;
+  options.collect_outputs = false;
+  auto r = exec::RunSerial(options, events, engine, &buffers);
   return {r.MillisPerSlide(), engine->stats().objects.peak()};
 }
 
@@ -208,10 +198,10 @@ void Fig15(Report* report) {
   auto ecube = EcubeEngine::Create(mb->queries, shared);
   auto aseq = NonSharedEngine::CreateAseq(mb->queries);
   auto cc = ChopConnectEngine::Create(mb->queries, PlanChopConnect(mb->queries));
-  double sase_ms = MeasureMulti(sase.get(), mb->events).ms_per_slide;
-  double ecube_ms = MeasureMulti(ecube->get(), mb->events).ms_per_slide;
-  double aseq_ms = MeasureMulti(aseq->get(), mb->events).ms_per_slide;
-  double cc_ms = MeasureMulti(cc->get(), mb->events).ms_per_slide;
+  double sase_ms = Measure(sase.get(), mb->events).ms_per_slide;
+  double ecube_ms = Measure(ecube->get(), mb->events).ms_per_slide;
+  double aseq_ms = Measure(aseq->get(), mb->events).ms_per_slide;
+  double cc_ms = Measure(cc->get(), mb->events).ms_per_slide;
   std::printf("  %-12s %14.6f ms/slide\n", "SASE", sase_ms);
   std::printf("  %-12s %14.6f\n", "ECube", ecube_ms);
   std::printf("  %-12s %14.6f\n", "A-Seq", aseq_ms);
@@ -236,8 +226,8 @@ void Fig16Prefix(Report* report) {
     auto mb = MakeMultiBench(workload, 8000, 4);
     auto ns = NonSharedEngine::CreateAseq(mb->queries);
     auto pt = PreTreeEngine::Create(mb->queries);
-    double ns_ms = MeasureMulti(ns->get(), mb->events).ms_per_slide;
-    double pt_ms = MeasureMulti(pt->get(), mb->events).ms_per_slide;
+    double ns_ms = Measure(ns->get(), mb->events).ms_per_slide;
+    double pt_ms = Measure(pt->get(), mb->events).ms_per_slide;
     double gain = ns_ms / pt_ms;
     (prefix == 2 ? gain_small : gain_large) = gain;
     std::printf("  %-22s %12.6f %12.6f %7.2fx\n", label, ns_ms, pt_ms, gain);
@@ -261,8 +251,8 @@ void Fig16CC(Report* report) {
     auto ns = NonSharedEngine::CreateAseq(mb->queries);
     auto cc =
         ChopConnectEngine::Create(mb->queries, PlanChopConnect(mb->queries));
-    double ns_ms = MeasureMulti(ns->get(), mb->events).ms_per_slide;
-    double cc_ms = MeasureMulti(cc->get(), mb->events).ms_per_slide;
+    double ns_ms = Measure(ns->get(), mb->events).ms_per_slide;
+    double cc_ms = Measure(cc->get(), mb->events).ms_per_slide;
     double gain = ns_ms / cc_ms;
     (shared == 2 ? gain_short : gain_long) = gain;
     std::printf("  %-22s %12.6f %12.6f %7.2fx\n", label, ns_ms, cc_ms, gain);

@@ -14,7 +14,7 @@
 
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
-#include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "query/analyzer.h"
 #include "stream/generator.h"
 
@@ -51,10 +51,11 @@ int main() {
   }
 
   auto aseq_engine = CreateAseqEngine(*query);
-  RunResult aseq_run = Runtime::RunEvents(events, aseq_engine->get());
+  RunResult aseq_run =
+      exec::RunSerial(RunOptions(), events, aseq_engine->get());
 
   StackEngine stack_engine(*query);
-  RunResult stack_run = Runtime::RunEvents(events, &stack_engine);
+  RunResult stack_run = exec::RunSerial(RunOptions(), events, &stack_engine);
 
   // Both engines deliver a result on every Stylus purchase; show the last
   // few and confirm full agreement.

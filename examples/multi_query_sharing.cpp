@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <map>
 
-#include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/nonshared_engine.h"
@@ -77,7 +77,7 @@ int main() {
 
   // 1. Unshared: one A-Seq engine per query.
   auto nonshared = NonSharedEngine::CreateAseq(compiled);
-  MultiRunResult ns = Runtime::RunMultiEvents(events, nonshared->get());
+  MultiRunResult ns = exec::RunSerial(RunOptions(), events, nonshared->get());
 
   // 2. Prefix sharing on Q1..Q4 (they all start with VKindle).
   std::vector<CompiledQuery> prefix_group(compiled.begin(),
@@ -87,7 +87,7 @@ int main() {
     std::fprintf(stderr, "%s\n", pretree.status().ToString().c_str());
     return 1;
   }
-  MultiRunResult pt = Runtime::RunMultiEvents(events, pretree->get());
+  MultiRunResult pt = exec::RunSerial(RunOptions(), events, pretree->get());
 
   // 3. Chop-Connect over all five queries (the greedy planner picks the
   //    most-shared substring).
@@ -98,7 +98,7 @@ int main() {
     std::fprintf(stderr, "%s\n", cc.status().ToString().c_str());
     return 1;
   }
-  MultiRunResult cr = Runtime::RunMultiEvents(events, cc->get());
+  MultiRunResult cr = exec::RunSerial(RunOptions(), events, cc->get());
 
   // Verify agreement.
   OutputMap ns_map = ToMap(ns.outputs);

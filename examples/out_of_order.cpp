@@ -12,7 +12,7 @@
 #include "aseq/aseq_engine.h"
 #include "common/rng.h"
 #include "engine/reordering_engine.h"
-#include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 
@@ -75,13 +75,14 @@ int main() {
   auto ref_engine = CreateAseqEngine(*query);
   std::vector<Event> sorted = in_order;
   AssignSeqNums(&sorted);
-  RunResult ref = Runtime::RunEvents(sorted, ref_engine->get());
+  RunResult ref = exec::RunSerial(RunOptions(), sorted, ref_engine->get());
 
   // Naive: feed the disordered stream to an in-order engine.
   auto naive_engine = CreateAseqEngine(*query);
   std::vector<Event> disordered_seq = disordered;
   AssignSeqNums(&disordered_seq);
-  RunResult naive = Runtime::RunEvents(disordered_seq, naive_engine->get());
+  RunResult naive =
+      exec::RunSerial(RunOptions(), disordered_seq, naive_engine->get());
 
   // Fixed: K-slack front-end sized to the jitter bound.
   auto inner = CreateAseqEngine(*query);

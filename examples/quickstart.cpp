@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "aseq/aseq_engine.h"
-#include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "query/analyzer.h"
 #include "stream/stream_source.h"
 
@@ -53,7 +53,7 @@ int main() {
 
   // 5. Run. Results are delivered whenever a TRIG instance (here: C)
   //    completes the pattern.
-  RunResult result = Runtime::Run(&source, engine->get());
+  RunResult result = exec::RunSerial(RunOptions(), &source, engine->get());
   for (const Output& output : result.outputs) {
     std::printf("t=%-6lld count=%s\n", static_cast<long long>(output.ts),
                 output.value.ToString().c_str());

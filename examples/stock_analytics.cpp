@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "aseq/aseq_engine.h"
-#include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "stream/trace_io.h"
@@ -33,7 +33,7 @@ void RunAndSummarize(Schema* schema, const std::vector<Event>& events,
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return;
   }
-  RunResult result = Runtime::RunEvents(events, engine->get());
+  RunResult result = exec::RunSerial(RunOptions(), events, engine->get());
   Value last;
   for (const Output& output : result.outputs) last = output.value;
   std::printf("  %-55s -> %8s results, last=%-10s %.5f ms/slide\n", text,

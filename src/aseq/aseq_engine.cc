@@ -104,7 +104,9 @@ Status AseqEngine::Restore(ckpt::Reader* reader) {
   ASEQ_RETURN_NOT_OK(ckpt::ReadStats(reader, &stats));
   ASEQ_RETURN_NOT_OK(counters_.Restore(reader));
   // Stats last: the structural rebuild above must not perturb the restored
-  // object accounting.
+  // object accounting, and it must count exactly what the snapshot says.
+  ASEQ_RETURN_NOT_OK(
+      ckpt::CheckLiveObjects(stats, stats_.objects.current()));
   stats_ = stats;
   return Status::OK();
 }
@@ -257,11 +259,9 @@ void HpcEngine::ExecuteEvent(const Event& e,
         const uint32_t gid = trigger_key.ids[group_part_];
         output.group = store_.interner().ValueOf(gid);
         const uint32_t idx = DenseIdx(gid);
-        acc.count = idx < group_counts_.size()
-                        ? static_cast<uint64_t>(group_counts_[idx])
-                        : 0;
+        acc.count = idx < group_counts_.size() ? group_counts_[idx] : 0;
       } else {
-        acc.count = static_cast<uint64_t>(running_count_);
+        acc.count = running_count_;
       }
       output.value = acc.Finalize(AggFunc::kCount);
     } else if (per_group_) {
@@ -424,13 +424,13 @@ Status HpcEngine::Checkpoint(ckpt::Writer* writer) const {
         part.counters.Checkpoint(w);
         return Status::OK();
       }));
-  writer->WriteI64(running_count_);
+  writer->WriteU64(running_count_);
   // Nonzero group totals, ascending group id. Zero and absent are the same
   // reading (see group_counts_), so nonzero-only is the canonical payload:
   // two logically identical states serialize byte-identically no matter
   // which groups ever held a count. (DenseIdx wraps kNoId to cell 0, and
   // wraps back here — it sorts last, as the old map payload had it.)
-  std::vector<std::pair<uint32_t, int64_t>> groups;
+  std::vector<std::pair<uint32_t, uint64_t>> groups;
   for (uint32_t idx = 0; idx < group_counts_.size(); ++idx) {
     if (group_counts_[idx] != 0) {
       groups.emplace_back(idx - 1u, group_counts_[idx]);
@@ -440,7 +440,7 @@ Status HpcEngine::Checkpoint(ckpt::Writer* writer) const {
   writer->WriteU64(groups.size());
   for (const auto& [gid, count] : groups) {
     writer->WriteU32(gid);
-    writer->WriteI64(count);
+    writer->WriteU64(count);
   }
   // Window clock, verbatim heap order: the pop order of equal deadlines
   // depends on the heap's internal layout, and AdvanceExpiry's
@@ -464,16 +464,16 @@ Status HpcEngine::Restore(ckpt::Reader* reader) {
             query_.window_ms(), &stats_);
         return part.counters.Restore(r);
       }));
-  ASEQ_RETURN_NOT_OK(reader->ReadI64(&running_count_, "running count"));
+  ASEQ_RETURN_NOT_OK(reader->ReadU64(&running_count_, "running count"));
   uint64_t n_groups = 0;
   ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_groups, 12, "group counts"));
   group_counts_.assign(store_.interner().size() + 1, 0);
   uint32_t prev_gid = 0;
   for (uint64_t i = 0; i < n_groups; ++i) {
     uint32_t gid = 0;
-    int64_t count = 0;
+    uint64_t count = 0;
     ASEQ_RETURN_NOT_OK(reader->ReadU32(&gid, "group id"));
-    ASEQ_RETURN_NOT_OK(reader->ReadI64(&count, "group count"));
+    ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "group count"));
     if (gid >= store_.interner().size() || (i > 0 && gid <= prev_gid)) {
       return Status::ParseError(
           "snapshot corrupt: group id out of range or out of order");
@@ -483,8 +483,10 @@ Status HpcEngine::Restore(ckpt::Reader* reader) {
   }
   ASEQ_RETURN_NOT_OK(clock_.Restore(reader, store_.interner().size()));
   // Stats last: the structural rebuild above must not perturb the restored
-  // object accounting; the transient ht_* gauges refresh from the rebuilt
-  // tables.
+  // object accounting, and it must count exactly what the snapshot says;
+  // the transient ht_* gauges refresh from the rebuilt tables.
+  ASEQ_RETURN_NOT_OK(
+      ckpt::CheckLiveObjects(stats, stats_.objects.current()));
   stats_ = stats;
   UpdateHtStats();
   return Status::OK();

@@ -204,8 +204,9 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
     mutate();
     const uint64_t after = part.counters.total_count();
     if (after != before) {
-      const int64_t delta =
-          static_cast<int64_t>(after) - static_cast<int64_t>(before);
+      // Modular, like the counters themselves: a count past 2^63 (or a
+      // restored one) must not overflow a signed difference.
+      const uint64_t delta = after - before;
       if (per_group_) {
         const uint32_t idx = DenseIdx(part.key.ids[group_part_]);
         if (idx >= group_counts_.size()) {
@@ -257,8 +258,8 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   // ids are dense, so a trigger reads its total with one array access and
   // zero means "no full matches", exactly as an absent hash-table entry
   // used to.
-  int64_t running_count_ = 0;
-  std::vector<int64_t> group_counts_;
+  uint64_t running_count_ = 0;
+  std::vector<uint64_t> group_counts_;
   state::WindowClock clock_;
 };
 

@@ -154,6 +154,9 @@ Status CounterSet::Restore(ckpt::Reader* r) {
     prev_exp = entry.exp;
     ASEQ_RETURN_NOT_OK(entry.counter.Restore(r));
     entries_.push_back(std::move(entry));
+    // Counted as OnStart counts it, so the destructor's Remove balances
+    // even when a later part of the restore fails.
+    if (stats_ != nullptr) stats_->objects.Add(1);
   }
   ASEQ_RETURN_NOT_OK(r->ReadU64(&total_count_, "counter set total"));
   return Status::OK();

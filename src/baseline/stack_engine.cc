@@ -604,6 +604,15 @@ Status StackEngine::Restore(ckpt::Reader* reader) {
     }
     parsed.emplace_back(id, std::move(match));
   }
+  // The table grows only by doubling while it holds matches, and every
+  // live match is a counted object, so a real bucket count stays within a
+  // small factor of the peak object count; a corrupt one must not drive
+  // the rehash allocation.
+  if (lazy_buckets / 4 > static_cast<uint64_t>(stats.objects.peak()) + 16) {
+    return Status::ParseError("snapshot corrupt: " +
+                              std::to_string(lazy_buckets) +
+                              " retained-match buckets");
+  }
   lazy_matches_.clear();
   lazy_matches_.rehash(lazy_buckets);
   for (auto it = parsed.rbegin(); it != parsed.rend(); ++it) {
@@ -624,6 +633,29 @@ Status StackEngine::Restore(ckpt::Reader* reader) {
     ASEQ_RETURN_NOT_OK(reader->ReadU64(&item.id, "lazy expiry id"));
     lazy_heap.push_back(item);
   }
+  // PurgeExpired retracts one match from its group per expiration and
+  // drops two objects per stack entry, one per negated instance and one
+  // per live match: the restored state must account for exactly that.
+  if (query_.has_window()) {
+    std::map<Value, uint64_t, ValueTotalLess> expiring;
+    for (const ExpiryItem& item : expiry_heap) ++expiring[item.group];
+    bool consistent = expiring.size() == groups_.size() &&
+                      live_matches_ == expiry_heap.size() + lazy_heap.size();
+    for (const auto& [group, agg] : groups_) {
+      auto it = expiring.find(group);
+      if (it == expiring.end() || it->second != agg.count) consistent = false;
+    }
+    if (!consistent) {
+      return Status::ParseError(
+          "snapshot corrupt: match expirations disagree with the live "
+          "matches and group counts");
+    }
+  }
+  uint64_t live = live_matches_;
+  for (const PosStack& stack : stacks_) live += 2 * stack.entries.size();
+  for (const std::deque<NegEvent>& events : neg_events_) live += events.size();
+  ASEQ_RETURN_NOT_OK(
+      ckpt::CheckLiveObjects(stats, static_cast<int64_t>(live)));
   stats_ = stats;
   return Status::OK();
 }

@@ -265,5 +265,15 @@ Status ReadStats(Reader* r, EngineStats* s) {
   return Status::OK();
 }
 
+Status CheckLiveObjects(const EngineStats& restored, int64_t live) {
+  if (restored.objects.current() != live) {
+    return Status::ParseError(
+        "snapshot corrupt: " + std::to_string(restored.objects.current()) +
+        " live objects recorded but the restored state holds " +
+        std::to_string(live));
+  }
+  return Status::OK();
+}
+
 }  // namespace ckpt
 }  // namespace aseq

@@ -95,6 +95,12 @@ Status ReadPartitionKey(Reader* r, PartitionKey* key);
 void WriteStats(Writer* w, const EngineStats& s);
 Status ReadStats(Reader* r, EngineStats* s);
 
+/// Checks restored stats against `live`, the live-object count the
+/// engine's rebuilt state implies. They differ only in a corrupt payload,
+/// and adopting such a count would later drive the live count negative as
+/// the rebuilt state expires.
+Status CheckLiveObjects(const EngineStats& restored, int64_t live);
+
 /// \brief Read access to a priority_queue's underlying heap array.
 ///
 /// Heaps whose comparator is not a total order (e.g. expiry heaps keyed on

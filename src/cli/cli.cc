@@ -22,7 +22,7 @@
 #include "engine/reordering_engine.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
+#include "exec/serial_executor.h"
 #include "fault/fault.h"
 #include "obs/emitter.h"
 #include "obs/stats_json.h"
@@ -101,6 +101,12 @@ constexpr const char* kUsage =
     "   utilization as one machine-readable JSON document.\n"
     "   Telemetry only observes: outputs and stats stay bit-exact with\n"
     "   the same run with every flag off)\n";
+
+/// Prints `status` as the command's error line; returns `exit_code`.
+int Fail(std::ostream& err, const Status& status, int exit_code = 1) {
+  err << status.ToString() << "\n";
+  return exit_code;
+}
 
 /// Reads --batch-size into RunOptions (default kDefaultBatchSize).
 Result<RunOptions> BatchOptionsFromFlags(const FlagSet& flags) {
@@ -665,82 +671,67 @@ class QueryTally : public OutputSink {
   size_t total_ = 0;
 };
 
-int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"query", "trace", "stock", "clicks", "engine", "slack", "seed", "gap",
-       "limit", "quiet", "emit-on-change", "batch-size", "shards",
-       "checkpoint-every", "checkpoint-dir", "restore-from", "supervise",
-       "watchdog-timeout-ms", "recovery-every", "max-restarts",
-       "overload-policy", "overload-watermark", "fault-spec", "fault-seed",
-       "pin-threads", "metrics-out", "metrics-every-ms", "trace-out",
-       "stats-json"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
-  // Validate every flag combination before any expensive work so a typo'd
-  // invocation fails in microseconds.
-  auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) {
-    err << options.status().ToString() << "\n";
-    return 1;
-  }
+/// What `run` and `workload` share before and after building the policy:
+/// the run options, the snapshot to restore from (empty if none), and the
+/// observability objects behind the telemetry flags.
+struct RunSetup {
+  RunOptions options;
   std::string restore_from;
-  Status ckpt_flags = CheckpointFlagsInto(flags, &*options, &restore_from);
-  if (!ckpt_flags.ok()) {
-    err << ckpt_flags.ToString() << "\n";
-    return 1;
-  }
-  Status sup_flags = SupervisionFlagsInto(flags, &*options);
-  if (!sup_flags.ok()) {
-    err << sup_flags.ToString() << "\n";
-    return 1;
-  }
-  auto limit = LimitFromFlags(flags);
-  if (!limit.ok()) {
-    err << limit.status().ToString() << "\n";
-    return 1;
-  }
-  options->stop_requested = &CliStopFlag();
-  // Telemetry must be in the options BEFORE MakePolicy: executors copy
-  // RunOptions at construction.
   Observability obsv;
-  Status obs_flags = SetupObservability(flags, *options,
-                                        flags.GetString("engine", "aseq"),
-                                        &obsv);
-  if (!obs_flags.ok()) {
-    err << obs_flags.ToString() << "\n";
-    return 1;
+};
+
+/// Parses the flag preamble of `run` and `workload` — batch, checkpoint
+/// and supervision flags, then --limit when `limit` is set, the stop flag,
+/// and observability (labeled `label` in the metrics header) — before any
+/// expensive work, so a typo'd invocation fails in microseconds.
+Status SetupRun(const FlagSet& flags, const std::string& label, size_t* limit,
+                RunSetup* setup) {
+  ASEQ_ASSIGN_OR_RETURN(setup->options, BatchOptionsFromFlags(flags));
+  ASEQ_RETURN_NOT_OK(
+      CheckpointFlagsInto(flags, &setup->options, &setup->restore_from));
+  ASEQ_RETURN_NOT_OK(SupervisionFlagsInto(flags, &setup->options));
+  if (limit != nullptr) {
+    ASEQ_ASSIGN_OR_RETURN(*limit, LimitFromFlags(flags));
   }
-  options->telemetry = obsv.telemetry.get();
-  Schema schema;
-  auto query = CompileQuery(flags, &schema);
-  if (!query.ok()) {
-    err << query.status().ToString() << "\n";
-    return 1;
-  }
-  auto source = OpenSource(flags, &schema);
-  if (!source.ok()) {
-    err << source.status().ToString() << "\n";
-    return 1;
-  }
-  ResultTail results(flags.GetBool("quiet") ? 0 : *limit);
-  options->output_sink = &results;
-  // All execution goes through a policy: serial for --shards 1 (the
-  // default, byte-identical to the old direct path), partition-parallel
-  // otherwise. Unshardable queries fall back to serial with a note.
+  setup->options.stop_requested = &CliStopFlag();
+  // Telemetry must be in the options BEFORE the policy is built:
+  // executors copy RunOptions at construction.
+  ASEQ_RETURN_NOT_OK(
+      SetupObservability(flags, setup->options, label, &setup->obsv));
+  setup->options.telemetry = setup->obsv.telemetry.get();
+  return Status::OK();
+}
+
+/// Runs `run` or `workload` once their flags are parsed. Builds the policy
+/// with `make_policy` before opening the source, so a bad engine or
+/// strategy flag fails before a trace is read or a stream generated; then
+/// restores when --restore-from is set (skipping the source to the
+/// snapshot's offset), runs the source to its end, and reports what both
+/// commands share: the serial-fallback note, a source error, the "restored
+/// from" line, a supervisor fault, an interrupt, a checkpoint warning.
+/// Returns null when the command must exit 1; the reason is then printed.
+template <class EngineT, class MakePolicyFn>
+std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
+    const FlagSet& flags, Schema* schema, RunSetup* setup,
+    const MakePolicyFn& make_policy, RunResultOf<EngineT>* result,
+    std::ostream& out, std::ostream& err) {
+  // Unshardable queries and workloads fall back to serial with a note.
   std::string fallback_reason;
-  auto policy = exec::MakePolicy(
-      *query, [&] { return MakeEngine(flags, *query); }, *options,
-      &fallback_reason);
+  auto policy = make_policy(&fallback_reason);
   if (!policy.ok()) {
     err << policy.status().ToString() << "\n";
-    return 1;
+    return nullptr;
   }
   if (!fallback_reason.empty()) {
     err << "note: sharding disabled (" << fallback_reason
         << "); running serially\n";
   }
+  auto source = OpenSource(flags, schema);
+  if (!source.ok()) {
+    err << source.status().ToString() << "\n";
+    return nullptr;
+  }
+  const std::string& restore_from = setup->restore_from;
   uint64_t offset = 0;
   if (!restore_from.empty()) {
     // Replay only the tail; the run re-assigns the same seq numbers the
@@ -751,35 +742,71 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     }
     if (!restored.ok()) {
       err << restored.ToString() << "\n";
-      return 1;
+      return nullptr;
     }
   }
-  if (obsv.emitter != nullptr) obsv.emitter->Start();
-  RunResult result = (*policy)->Run(source->get());
-  obsv.Finish((*policy)->shard_busy_seconds());
+  if (setup->obsv.emitter != nullptr) setup->obsv.emitter->Start();
+  *result = (*policy)->Run(source->get());
+  setup->obsv.Finish((*policy)->shard_busy_seconds());
   if (Status read = (*source)->status(); !read.ok()) {
     err << read.ToString() << "\n";
-    return 1;
+    return nullptr;
   }
   if (!restore_from.empty()) {
     out << "restored from " << restore_from << " at offset " << offset
-        << "; replaying " << result.events << " remaining events\n";
+        << "; replaying " << result->events << " remaining events\n";
   }
-  if (!result.fault_status.ok()) {
-    err << "fault: run aborted: " << result.fault_status.ToString() << "\n";
-    return 1;
+  if (!result->fault_status.ok()) {
+    err << "fault: run aborted: " << result->fault_status.ToString() << "\n";
+    return nullptr;
   }
-  if (result.interrupted) {
+  if (result->interrupted) {
     out << "interrupted: stop signal received; drained in-flight batches "
            "after "
-        << result.events << " events\n";
+        << result->events << " events\n";
   }
-  if (!result.checkpoint_status.ok()) {
+  if (!result->checkpoint_status.ok()) {
     err << "warning: checkpointing stopped: "
-        << result.checkpoint_status.ToString() << "\n";
+        << result->checkpoint_status.ToString() << "\n";
   }
+  return std::move(policy).value();
+}
+
+int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
+  Status known = flags.CheckKnown(
+      {"query", "trace", "stock", "clicks", "engine", "slack", "seed", "gap",
+       "limit", "quiet", "emit-on-change", "batch-size", "shards",
+       "checkpoint-every", "checkpoint-dir", "restore-from", "supervise",
+       "watchdog-timeout-ms", "recovery-every", "max-restarts",
+       "overload-policy", "overload-watermark", "fault-spec", "fault-seed",
+       "pin-threads", "metrics-out", "metrics-every-ms", "trace-out",
+       "stats-json"});
+  if (!known.ok()) return Fail(err, known, 2);
+  RunSetup setup;
+  size_t limit = 0;
+  Status setup_status =
+      SetupRun(flags, flags.GetString("engine", "aseq"), &limit, &setup);
+  if (!setup_status.ok()) return Fail(err, setup_status);
+  const RunOptions& options = setup.options;
+  Schema schema;
+  auto query = CompileQuery(flags, &schema);
+  if (!query.ok()) return Fail(err, query.status());
+  ResultTail results(flags.GetBool("quiet") ? 0 : limit);
+  setup.options.output_sink = &results;
+  // All execution goes through a policy: serial for --shards 1 (the
+  // default), partition-parallel otherwise.
+  RunResult result;
+  auto policy = RunPolicy<QueryEngine>(
+      flags, &schema, &setup,
+      [&](std::string* fallback_reason) {
+        return exec::MakePolicy(
+            *query, [&] { return MakeEngine(flags, *query); }, options,
+            fallback_reason);
+      },
+      &result, out, err);
+  if (policy == nullptr) return 1;
   if (auto* reordering =
-          dynamic_cast<ReorderingEngine*>((*policy)->serial_engine())) {
+          dynamic_cast<ReorderingEngine*>(policy->serial_engine())) {
     std::vector<Output> tail;
     StopWatch watch;
     reordering->Finish(&tail);
@@ -791,29 +818,23 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     }
   }
   if (!flags.GetBool("quiet")) results.Print(out);
-  out << "engine:        " << (*policy)->name() << "\n";
+  out << "engine:        " << policy->name() << "\n";
   out << "query:         " << query->ToString() << "\n";
   const size_t results_count = results.total();
-  PrintStatsBlock(out, *options, result, (*policy)->stats(),
-                  (*policy)->shard_busy_seconds(), &results_count);
-  MaybeWriteStatsJson(obsv, "run", (*policy)->name(), result,
-                      (*policy)->stats(), (*policy)->shard_busy_seconds(),
+  PrintStatsBlock(out, options, result, policy->stats(),
+                  policy->shard_busy_seconds(), &results_count);
+  MaybeWriteStatsJson(setup.obsv, "run", policy->name(), result,
+                      policy->stats(), policy->shard_busy_seconds(),
                       results_count, err);
   return 0;
 }
 
 int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   Status known = flags.CheckKnown({"query"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
+  if (!known.ok()) return Fail(err, known, 2);
   Schema schema;
   auto query = CompileQuery(flags, &schema);
-  if (!query.ok()) {
-    err << query.status().ToString() << "\n";
-    return 1;
-  }
+  if (!query.ok()) return Fail(err, query.status());
   const CompiledQuery& cq = *query;
   out << "query:      " << cq.ToString() << "\n";
   out << "positive:   " << cq.num_positive() << " event types\n";
@@ -856,10 +877,7 @@ int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 
 int CmdGenerate(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   Status known = flags.CheckKnown({"stock", "clicks", "out", "seed", "gap"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
+  if (!known.ok()) return Fail(err, known, 2);
   std::string path = flags.GetString("out");
   if (path.empty()) {
     err << "InvalidArgument: --out FILE is required\n";
@@ -867,15 +885,9 @@ int CmdGenerate(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   }
   Schema schema;
   auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
-    return 1;
-  }
+  if (!events.ok()) return Fail(err, events.status());
   Status st = WriteTraceFile(path, *events, schema);
-  if (!st.ok()) {
-    err << st.ToString() << "\n";
-    return 1;
-  }
+  if (!st.ok()) return Fail(err, st);
   out << "wrote " << events->size() << " events to " << path << "\n";
   return 0;
 }
@@ -883,29 +895,16 @@ int CmdGenerate(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   Status known = flags.CheckKnown(
       {"query", "trace", "stock", "clicks", "seed", "gap", "batch-size"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
+  if (!known.ok()) return Fail(err, known, 2);
   Schema schema;
   auto query = CompileQuery(flags, &schema);
-  if (!query.ok()) {
-    err << query.status().ToString() << "\n";
-    return 1;
-  }
-  auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
-    return 1;
-  }
+  if (!query.ok()) return Fail(err, query.status());
   auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) {
-    err << options.status().ToString() << "\n";
-    return 1;
-  }
-  BatchRunner runner(*options);
+  if (!options.ok()) return Fail(err, options.status());
+  auto events = LoadEvents(flags, &schema);
+  if (!events.ok()) return Fail(err, events.status());
   StackEngine stack(*query);
-  RunResult stack_run = runner.RunEvents(*events, &stack);
+  RunResult stack_run = exec::RunSerial(*options, *events, &stack);
 
   auto aseq = CreateAseqEngine(*query);
   if (!aseq.ok()) {
@@ -915,7 +914,7 @@ int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
         << stack.stats().objects.peak() << " objects\n";
     return 0;
   }
-  RunResult aseq_run = runner.RunEvents(*events, aseq->get());
+  RunResult aseq_run = exec::RunSerial(*options, *events, aseq->get());
 
   size_t mismatches = 0;
   if (aseq_run.outputs.size() != stack_run.outputs.size()) {
@@ -969,37 +968,12 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
        "max-restarts", "overload-policy", "overload-watermark", "fault-spec",
        "fault-seed", "pin-threads", "metrics-out", "metrics-every-ms",
        "trace-out", "stats-json"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
-  auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) {
-    err << options.status().ToString() << "\n";
-    return 1;
-  }
-  std::string restore_from;
-  Status ckpt_flags = CheckpointFlagsInto(flags, &*options, &restore_from);
-  if (!ckpt_flags.ok()) {
-    err << ckpt_flags.ToString() << "\n";
-    return 1;
-  }
-  Status sup_flags = SupervisionFlagsInto(flags, &*options);
-  if (!sup_flags.ok()) {
-    err << sup_flags.ToString() << "\n";
-    return 1;
-  }
-  options->stop_requested = &CliStopFlag();
-  // Telemetry must be in the options BEFORE MakeMultiPolicy: executors
-  // copy RunOptions at construction.
-  Observability obsv;
-  Status obs_flags = SetupObservability(
-      flags, *options, flags.GetString("strategy", "nonshare"), &obsv);
-  if (!obs_flags.ok()) {
-    err << obs_flags.ToString() << "\n";
-    return 1;
-  }
-  options->telemetry = obsv.telemetry.get();
+  if (!known.ok()) return Fail(err, known, 2);
+  RunSetup setup;
+  Status setup_status = SetupRun(
+      flags, flags.GetString("strategy", "nonshare"), nullptr, &setup);
+  if (!setup_status.ok()) return Fail(err, setup_status);
+  const RunOptions& options = setup.options;
   std::string path = flags.GetString("queries");
   if (path.empty()) {
     err << "InvalidArgument: --queries FILE is required (one query per "
@@ -1031,12 +1005,6 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "InvalidArgument: no queries in " << path << "\n";
     return 1;
   }
-  auto source = OpenSource(flags, &schema);
-  if (!source.ok()) {
-    err << source.status().ToString() << "\n";
-    return 1;
-  }
-
   std::string strategy = flags.GetString("strategy", "nonshare");
   // The factory builds one engine per shard (once, serially); per-strategy
   // plan/routing notes print on the first construction only.
@@ -1087,63 +1055,24 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   }
 
   QueryTally tally(queries.size());
-  options->output_sink = &tally;
+  setup.options.output_sink = &tally;
   // All workload execution goes through a policy: serial for --shards 1
-  // (the default), partition-parallel otherwise. Workloads that cannot
-  // shard fall back to serial with a note.
-  std::string fallback_reason;
-  auto policy = exec::MakeMultiPolicy(queries, factory, *options,
-                                      &fallback_reason);
-  if (!policy.ok()) {
-    err << policy.status().ToString() << "\n";
-    return 1;
-  }
-  if (!fallback_reason.empty()) {
-    err << "note: sharding disabled (" << fallback_reason
-        << "); running serially\n";
-  }
-
-  uint64_t offset = 0;
-  if (!restore_from.empty()) {
-    Status restored = (*policy)->Restore(restore_from, &offset);
-    if (restored.ok()) {
-      restored = SkipToOffset(source->get(), offset, restore_from);
-    }
-    if (!restored.ok()) {
-      err << restored.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (obsv.emitter != nullptr) obsv.emitter->Start();
-  MultiRunResult result = (*policy)->Run(source->get());
-  obsv.Finish((*policy)->shard_busy_seconds());
-  if (Status read = (*source)->status(); !read.ok()) {
-    err << read.ToString() << "\n";
-    return 1;
-  }
-  if (!restore_from.empty()) {
-    out << "restored from " << restore_from << " at offset " << offset
-        << "; replaying " << result.events << " remaining events\n";
-  }
-  if (!result.fault_status.ok()) {
-    err << "fault: run aborted: " << result.fault_status.ToString() << "\n";
-    return 1;
-  }
-  if (result.interrupted) {
-    out << "interrupted: stop signal received; drained in-flight batches "
-           "after "
-        << result.events << " events\n";
-  }
-  if (!result.checkpoint_status.ok()) {
-    err << "warning: checkpointing stopped: "
-        << result.checkpoint_status.ToString() << "\n";
-  }
-  out << "strategy:      " << (*policy)->name() << "\n";
+  // (the default), partition-parallel otherwise.
+  MultiRunResult result;
+  auto policy = RunPolicy<MultiQueryEngine>(
+      flags, &schema, &setup,
+      [&](std::string* fallback_reason) {
+        return exec::MakeMultiPolicy(queries, factory, options,
+                                     fallback_reason);
+      },
+      &result, out, err);
+  if (policy == nullptr) return 1;
+  out << "strategy:      " << policy->name() << "\n";
   out << "queries:       " << queries.size() << "\n";
-  PrintStatsBlock(out, *options, result, (*policy)->stats(),
-                  (*policy)->shard_busy_seconds(), nullptr);
-  MaybeWriteStatsJson(obsv, "workload", (*policy)->name(), result,
-                      (*policy)->stats(), (*policy)->shard_busy_seconds(),
+  PrintStatsBlock(out, options, result, policy->stats(),
+                  policy->shard_busy_seconds(), nullptr);
+  MaybeWriteStatsJson(setup.obsv, "workload", policy->name(), result,
+                      policy->stats(), policy->shard_busy_seconds(),
                       tally.total(), err);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out << "  Q" << (qi + 1) << ": " << tally.count(qi)

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -18,7 +19,7 @@ class Telemetry;
 }  // namespace obs
 
 /// Default ingestion batch size for the batched execution pipeline (CLI
-/// `--batch-size`, BatchRunner, and the bench harnesses). 256 events keeps
+/// `--batch-size`, exec::RunSerial, and the bench harnesses). 256 events keeps
 /// the refill buffer well inside L2 while amortizing per-event overheads.
 inline constexpr size_t kDefaultBatchSize = 256;
 
@@ -190,13 +191,19 @@ struct MultiRunResult : RunResultBase {
   std::vector<MultiOutput> outputs;
 };
 
-/// \brief Reusable buffers of the serial execution core (refill batch plus
-/// output scratch), owned by the caller and reused clear-not-shrink across
-/// batches and across runs — a harness that loops a run per benchmark
-/// iteration allocates only on the first pass. BatchRunner and
-/// exec::SerialExecutor each own one.
+/// The run result of an engine (QueryEngine, MultiQueryEngine, or any
+/// engine deriving from one), for code generic over single- vs multi-query
+/// execution.
+template <class EngineT>
+using RunResultOf =
+    std::conditional_t<std::is_base_of_v<MultiQueryEngine, EngineT>,
+                       MultiRunResult, RunResult>;
+
+/// \brief Reusable output scratch of the serial execution core
+/// (exec::RunSerial), owned by the caller and reused clear-not-shrink
+/// across batches and across runs — a harness that loops a run per
+/// benchmark iteration allocates only on the first pass.
 struct SerialBuffers {
-  std::vector<Event> batch;
   std::vector<Output> scratch;
   std::vector<MultiOutput> multi_scratch;
 };
@@ -205,68 +212,6 @@ struct SerialBuffers {
 /// place. Engines require them; sources that replay pre-built vectors use
 /// this before feeding.
 void AssignSeqNums(std::vector<Event>* events);
-
-/// \brief Batched pipeline driver: pulls event batches from a source,
-/// assigns sequence numbers, and feeds them to an engine through OnBatch.
-///
-/// The loops themselves live in the execution layer (exec::RunSerial*);
-/// BatchRunner binds them to a caller-owned engine and its reusable
-/// buffers. Sharded execution (RunOptions::num_shards > 1) needs one
-/// engine per shard and therefore an engine factory — use
-/// exec::MakePolicy; the engine-pointer entry points here always run the
-/// serial policy.
-class BatchRunner {
- public:
-  BatchRunner() = default;
-  explicit BatchRunner(RunOptions options) : options_(options) {}
-
-  void set_options(RunOptions options) { options_ = options; }
-  const RunOptions& options() const { return options_; }
-
-  /// Runs the whole source through `engine` in batches.
-  RunResult Run(StreamSource* source, QueryEngine* engine);
-
-  /// Runs pre-built events through `engine` in batches, assigning
-  /// sequence numbers start_offset..start_offset+n-1 to the fed copies
-  /// (start_offset is 0 unless the run resumes from a snapshot).
-  RunResult RunEvents(const std::vector<Event>& events, QueryEngine* engine);
-
-  /// Multi-query variants.
-  MultiRunResult RunMulti(StreamSource* source, MultiQueryEngine* engine);
-  MultiRunResult RunMultiEvents(const std::vector<Event>& events,
-                                MultiQueryEngine* engine);
-
- private:
-  RunOptions options_;
-  SerialBuffers buffers_;
-};
-
-/// \brief Per-event compatibility driver.
-///
-/// The static methods preserve the original one-event-per-OnEvent shape
-/// (batch size 1 through OnEvent directly, not OnBatch) — tests use them
-/// as the reference path the batched pipeline must match exactly.
-class Runtime {
- public:
-  /// Runs the whole source through `engine`; collects outputs if
-  /// `collect_outputs` (benchmarks turn it off to avoid measuring vector
-  /// growth).
-  static RunResult Run(StreamSource* source, QueryEngine* engine,
-                       bool collect_outputs = true);
-
-  /// Runs pre-sequenced events through `engine`.
-  static RunResult RunEvents(const std::vector<Event>& events,
-                             QueryEngine* engine,
-                             bool collect_outputs = true);
-
-  /// Multi-query variants.
-  static MultiRunResult RunMulti(StreamSource* source,
-                                 MultiQueryEngine* engine,
-                                 bool collect_outputs = true);
-  static MultiRunResult RunMultiEvents(const std::vector<Event>& events,
-                                       MultiQueryEngine* engine,
-                                       bool collect_outputs = true);
-};
 
 }  // namespace aseq
 

@@ -3,43 +3,78 @@
 #include <utility>
 
 #include "exec/serial_executor.h"
-#include "exec/sharded_executor.h"
 #include "exec/shard_router.h"
+#include "exec/sharded_executor.h"
 
 namespace aseq {
 namespace exec {
 
-Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
-    const CompiledQuery& query, const EngineFactory& factory,
+namespace {
+
+// What differs between a single query and a workload, as overloads the
+// shared MakePolicyT body picks by argument type.
+
+std::string ShardingRefusal(const CompiledQuery& query) {
+  return PlanSharding(query).reason;
+}
+std::string ShardingRefusal(std::span<const CompiledQuery> queries) {
+  return PlanMultiSharding(queries).reason;
+}
+
+/// The engine opts in. Baselines and wrappers (reordering, change
+/// detection), whose buffering is inherently cross-key-sequential, lack
+/// the shardable interface; a multi-query engine may implement it yet
+/// refuse this workload.
+bool EngineShards(QueryEngine* engine) {
+  return dynamic_cast<ShardableEngine*>(engine) != nullptr;
+}
+bool EngineShards(MultiQueryEngine* engine) {
+  auto* shardable = dynamic_cast<MultiShardableEngine*>(engine);
+  return shardable != nullptr && shardable->shardable();
+}
+
+/// Purge markers are needed only when something can expire.
+bool AnyWindow(const CompiledQuery& query) { return query.has_window(); }
+bool AnyWindow(std::span<const CompiledQuery> queries) {
+  for (const CompiledQuery& q : queries) {
+    if (q.has_window()) return true;
+  }
+  return false;
+}
+
+/// Builds the first engine; runs serially for one shard or when sharding
+/// is refused (with the reason); else builds the twins and the sharded
+/// executor.
+template <class Traits, class Queries,
+          class Engine = typename Traits::Engine,
+          class Policy = ExecutionPolicyT<Engine>>
+Result<std::unique_ptr<Policy>> MakePolicyT(
+    const Queries& queries, const EngineFactoryT<Engine>& factory,
     const RunOptions& options, std::string* fallback_reason) {
   if (fallback_reason != nullptr) fallback_reason->clear();
-  ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<QueryEngine> first, factory());
+  ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> first, factory());
   const size_t shards = options.num_shards == 0 ? 1 : options.num_shards;
   if (shards == 1) {
-    return std::unique_ptr<ExecutionPolicy>(
-        new SerialExecutor(options, std::move(first)));
+    return std::unique_ptr<Policy>(
+        new SerialExecutorT<Engine>(options, std::move(first)));
   }
 
-  ShardPlan plan = PlanSharding(query);
-  std::string reason = plan.reason;
-  if (reason.empty() && dynamic_cast<ShardableEngine*>(first.get()) == nullptr) {
-    // The query shards, but this engine configuration does not — a
-    // baseline engine, or a wrapper (reordering, change detection) whose
-    // buffering is inherently cross-key-sequential.
+  std::string reason = ShardingRefusal(queries);
+  if (reason.empty() && !EngineShards(first.get())) {
     reason = "engine '" + first->name() + "' does not support sharding";
   }
   if (!reason.empty()) {
     if (fallback_reason != nullptr) *fallback_reason = reason;
-    return std::unique_ptr<ExecutionPolicy>(
-        new SerialExecutor(options, std::move(first)));
+    return std::unique_ptr<Policy>(
+        new SerialExecutorT<Engine>(options, std::move(first)));
   }
 
-  std::vector<std::unique_ptr<QueryEngine>> engines;
+  std::vector<std::unique_ptr<Engine>> engines;
   engines.reserve(shards);
   engines.push_back(std::move(first));
   for (size_t i = 1; i < shards; ++i) {
-    ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<QueryEngine> twin, factory());
-    if (dynamic_cast<ShardableEngine*>(twin.get()) == nullptr) {
+    ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> twin, factory());
+    if (!EngineShards(twin.get())) {
       return Status::InvalidArgument(
           "engine factory is not deterministic: shard 0 supports sharding "
           "but shard " +
@@ -47,9 +82,25 @@ Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     }
     engines.push_back(std::move(twin));
   }
-  return std::unique_ptr<ExecutionPolicy>(new ShardedExecutor(
-      options, std::move(engines), ShardRouter(query, shards),
-      /*send_markers=*/query.has_window(), factory));
+  return std::unique_ptr<Policy>(new ShardedExecutorT<Traits>(
+      options, std::move(engines), typename Traits::RouterT(queries, shards),
+      /*send_markers=*/AnyWindow(queries), factory));
+}
+
+}  // namespace
+
+Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
+    const CompiledQuery& query, const EngineFactory& factory,
+    const RunOptions& options, std::string* fallback_reason) {
+  return MakePolicyT<SingleShardTraits>(query, factory, options,
+                                        fallback_reason);
+}
+
+Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
+    std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,
+    const RunOptions& options, std::string* fallback_reason) {
+  return MakePolicyT<MultiShardTraits>(queries, factory, options,
+                                       fallback_reason);
 }
 
 }  // namespace exec

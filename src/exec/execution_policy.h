@@ -16,30 +16,44 @@
 namespace aseq {
 namespace exec {
 
-/// Builds one engine instance for the query being executed. The sharded
-/// policy calls this once per shard — every call must return an
-/// identically configured, freshly constructed engine.
-using EngineFactory =
-    std::function<Result<std::unique_ptr<QueryEngine>>()>;
+/// Builds one engine instance for the query or workload being executed.
+/// The sharded policy calls this once per shard — every call must return
+/// an identically configured, freshly constructed engine.
+template <class EngineT>
+using EngineFactoryT = std::function<Result<std::unique_ptr<EngineT>>()>;
+using EngineFactory = EngineFactoryT<QueryEngine>;
+using MultiEngineFactory = EngineFactoryT<MultiQueryEngine>;
 
 /// \brief How a run drives its engine(s): serial on the calling thread, or
 /// hash-partitioned across per-shard engine twins on worker threads.
+/// `EngineT` is QueryEngine for a single query, MultiQueryEngine for a
+/// workload; nothing else differs.
 ///
 /// Whatever the policy, the contract is exact serial equivalence: outputs
-/// in global sequence order and EngineStats byte-identical to the serial
-/// run (modulo the batch counters, exactly as OnBatch vs OnEvent).
-class ExecutionPolicy {
+/// in global sequence order (ties broken by each event's own emission
+/// order) and EngineStats byte-identical to the serial run (modulo the
+/// batch counters, exactly as OnBatch vs OnEvent).
+template <class EngineT>
+class ExecutionPolicyT {
  public:
-  virtual ~ExecutionPolicy() = default;
+  using RunResultT = RunResultOf<EngineT>;
+
+  virtual ~ExecutionPolicyT() = default;
 
   /// Policy + engine description, e.g. "A-Seq(HPC)" (serial) or
-  /// "Sharded[A-Seq(HPC)]" (sharded).
+  /// "Sharded[Hybrid]" (sharded).
   virtual std::string name() const = 0;
   virtual size_t num_shards() const = 0;
 
-  /// Runs the whole source / the pre-built events through the policy.
-  virtual RunResult Run(StreamSource* source) = 0;
-  virtual RunResult RunEvents(const std::vector<Event>& events) = 0;
+  /// Runs the whole source through the policy.
+  virtual RunResultT Run(StreamSource* source) = 0;
+
+  /// Runs pre-built events through the policy; the caller's vector is
+  /// const, so each batch is a copy of its slice (ConstVectorSource).
+  RunResultT RunEvents(const std::vector<Event>& events) {
+    ConstVectorSource source(&events);
+    return Run(&source);
+  }
 
   /// The logical engine's stats: the engine's own for serial, the exact
   /// merged view for sharded.
@@ -51,8 +65,8 @@ class ExecutionPolicy {
 
   /// Per-shard busy seconds of the last run — wall time spent executing
   /// events inside each shard. max(shard_busy_seconds) is the critical
-  /// path, the hardware-independent scaling metric the shard-sweep bench
-  /// reports alongside wall clock.
+  /// path, the hardware-independent scaling metric the shard-sweep benches
+  /// report alongside wall clock.
   virtual std::span<const double> shard_busy_seconds() const = 0;
 
   /// Restores engine state from a snapshot (an engine snapshot for
@@ -64,16 +78,27 @@ class ExecutionPolicy {
 
   /// The engine driven on the calling thread, or null for sharded
   /// policies (per-shard engines are internal).
-  virtual QueryEngine* serial_engine() { return nullptr; }
+  virtual EngineT* serial_engine() { return nullptr; }
 };
 
+using ExecutionPolicy = ExecutionPolicyT<QueryEngine>;
+using MultiExecutionPolicy = ExecutionPolicyT<MultiQueryEngine>;
+
 /// Builds the policy for `options.num_shards`: the sharded executor when
-/// more than one shard is requested and the query shards safely, else the
+/// more than one shard is requested, the query shards safely
+/// (PlanSharding), and the engine opts in (ShardableEngine) — else the
 /// serial executor. When sharding was requested but refused,
 /// `*fallback_reason` (optional) receives why — the answer is then still
 /// exact, just serial; a sharded policy is never allowed to be wrong.
 Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     const CompiledQuery& query, const EngineFactory& factory,
+    const RunOptions& options, std::string* fallback_reason = nullptr);
+
+/// The workload counterpart of MakePolicy: shards when every query shards
+/// safely (PlanMultiSharding) and the engine opts in
+/// (MultiShardableEngine::shardable).
+Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
+    std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,
     const RunOptions& options, std::string* fallback_reason = nullptr);
 
 }  // namespace exec

@@ -1,82 +1,8 @@
 #ifndef ASEQ_EXEC_MULTI_EXECUTION_POLICY_H_
 #define ASEQ_EXEC_MULTI_EXECUTION_POLICY_H_
 
-#include <functional>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "common/status.h"
-#include "engine/engine.h"
-#include "engine/runtime.h"
-#include "query/compiled_query.h"
-#include "stream/stream_source.h"
-
-namespace aseq {
-namespace exec {
-
-/// Builds one multi-query engine instance for the workload being executed.
-/// The sharded policy calls this once per shard — every call must return an
-/// identically configured, freshly constructed engine.
-using MultiEngineFactory =
-    std::function<Result<std::unique_ptr<MultiQueryEngine>>()>;
-
-/// \brief How a run drives its multi-query engine(s): serial on the calling
-/// thread, or hash-partitioned across per-shard engine twins on worker
-/// threads — the workload-level mirror of ExecutionPolicy.
-///
-/// Whatever the policy, the contract is exact serial equivalence: outputs
-/// in global sequence order (ties broken by each event's own emission
-/// order) and EngineStats byte-identical to the serial run (modulo the
-/// batch counters, exactly as OnBatch vs OnEvent).
-class MultiExecutionPolicy {
- public:
-  virtual ~MultiExecutionPolicy() = default;
-
-  /// Policy + engine description, e.g. "Hybrid" (serial) or
-  /// "Sharded[Hybrid]" (sharded).
-  virtual std::string name() const = 0;
-  virtual size_t num_shards() const = 0;
-
-  /// Runs the whole source / the pre-built events through the policy.
-  virtual MultiRunResult Run(StreamSource* source) = 0;
-  virtual MultiRunResult RunEvents(const std::vector<Event>& events) = 0;
-
-  /// The logical engine's stats: the engine's own for serial, the exact
-  /// merged view for sharded.
-  virtual const EngineStats& stats() const = 0;
-
-  /// Per-shard stats of the last run (size num_shards; refreshed at the
-  /// end of each run).
-  virtual std::span<const EngineStats> shard_stats() const = 0;
-
-  /// Per-shard busy seconds of the last run — max(shard_busy_seconds) is
-  /// the critical path, the scaling metric the multi-query shard-sweep
-  /// bench reports alongside wall clock.
-  virtual std::span<const double> shard_busy_seconds() const = 0;
-
-  /// Restores engine state from a snapshot (a multi-query engine snapshot
-  /// for serial, the multi-shard container for sharded) and aims
-  /// subsequent runs at the recorded stream offset.
-  virtual Status Restore(const std::string& path, uint64_t* stream_offset) = 0;
-
-  /// The engine driven on the calling thread, or null for sharded
-  /// policies (per-shard engines are internal).
-  virtual MultiQueryEngine* serial_engine() { return nullptr; }
-};
-
-/// Builds the policy for `options.num_shards`: the sharded multi-query
-/// executor when more than one shard is requested, every query shards
-/// safely (PlanMultiSharding), and the engine opts in
-/// (MultiShardableEngine::shardable) — else the serial executor. When
-/// sharding was requested but refused, `*fallback_reason` (optional)
-/// receives why; the answer is then still exact, just serial.
-Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
-    std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,
-    const RunOptions& options, std::string* fallback_reason = nullptr);
-
-}  // namespace exec
-}  // namespace aseq
+// MultiExecutionPolicy, MultiEngineFactory and MakeMultiPolicy are declared
+// with their single-query counterparts; this header only forwards there.
+#include "exec/execution_policy.h"
 
 #endif  // ASEQ_EXEC_MULTI_EXECUTION_POLICY_H_

@@ -1,6 +1,5 @@
 #include "exec/serial_executor.h"
 
-#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -39,7 +38,7 @@ void MaybeCheckpoint(const RunOptions& options, uint64_t offset,
   while (*next_due <= offset) *next_due += options.checkpoint_every;
 }
 
-/// The serial loop, shared across {stream, events} x {single, multi}:
+/// The serial loop, shared by single- and multi-query runs:
 /// `refill` yields the next batch as a mutable view (empty = stream
 /// exhausted); the loop stamps sequence numbers straight into the viewed
 /// events, so a source that lends its own storage (VectorSource) feeds
@@ -140,129 +139,65 @@ struct StreamRefill {
   }
 };
 
-/// Refill by slicing a caller-owned (const) event vector: the slice is
-/// staged through `batch` because the loop stamps sequence numbers.
-struct EventsRefill {
-  const std::vector<Event>* events;
-  std::vector<Event>* batch;
-  size_t batch_size;
-  size_t pos = 0;
-  std::span<Event> operator()() {
-    const size_t n = std::min(batch_size, events->size() - pos);
-    batch->assign(events->begin() + static_cast<ptrdiff_t>(pos),
-                  events->begin() + static_cast<ptrdiff_t>(pos + n));
-    pos += n;
-    return {batch->data(), n};
-  }
-};
+Status RestoreSnapshot(const std::string& path, QueryEngine* engine,
+                       uint64_t* offset) {
+  return ckpt::RestoreEngineSnapshot(path, engine, offset);
+}
+Status RestoreSnapshot(const std::string& path, MultiQueryEngine* engine,
+                       uint64_t* offset) {
+  return ckpt::RestoreMultiSnapshot(path, engine, offset);
+}
 
 }  // namespace
 
-RunResult RunSerialStream(const RunOptions& options, SerialBuffers* buffers,
-                          StreamSource* source, QueryEngine* engine) {
+RunResult RunSerial(const RunOptions& options, StreamSource* source,
+                    QueryEngine* engine, SerialBuffers* buffers) {
+  SerialBuffers local;
   return RunSerialLoop<RunResult>(
-      options, &buffers->scratch, engine,
+      options, &(buffers != nullptr ? buffers : &local)->scratch, engine,
       StreamRefill{source, options.batch_size},
       [&](const std::string& path, uint64_t offset) {
         return ckpt::SaveEngineSnapshot(path, *engine, offset);
       });
 }
 
-RunResult RunSerialEvents(const RunOptions& options, SerialBuffers* buffers,
-                          const std::vector<Event>& events,
-                          QueryEngine* engine) {
-  return RunSerialLoop<RunResult>(
-      options, &buffers->scratch, engine,
-      EventsRefill{&events, &buffers->batch, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveEngineSnapshot(path, *engine, offset);
-      });
-}
-
-MultiRunResult RunSerialMultiStream(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    StreamSource* source,
-                                    MultiQueryEngine* engine) {
+MultiRunResult RunSerial(const RunOptions& options, StreamSource* source,
+                         MultiQueryEngine* engine, SerialBuffers* buffers) {
+  SerialBuffers local;
   return RunSerialLoop<MultiRunResult>(
-      options, &buffers->multi_scratch, engine,
-      StreamRefill{source, options.batch_size},
+      options, &(buffers != nullptr ? buffers : &local)->multi_scratch,
+      engine, StreamRefill{source, options.batch_size},
       [&](const std::string& path, uint64_t offset) {
         return ckpt::SaveMultiSnapshot(path, *engine, offset);
       });
 }
 
-MultiRunResult RunSerialMultiEvents(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    const std::vector<Event>& events,
-                                    MultiQueryEngine* engine) {
-  return RunSerialLoop<MultiRunResult>(
-      options, &buffers->multi_scratch, engine,
-      EventsRefill{&events, &buffers->batch, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveMultiSnapshot(path, *engine, offset);
-      });
-}
-
-SerialExecutor::SerialExecutor(const RunOptions& options,
-                               std::unique_ptr<QueryEngine> engine)
+template <class EngineT>
+SerialExecutorT<EngineT>::SerialExecutorT(const RunOptions& options,
+                                          std::unique_ptr<EngineT> engine)
     : options_(options), engine_(std::move(engine)) {
   options_.num_shards = 1;
 }
 
-RunResult SerialExecutor::Run(StreamSource* source) {
-  RunResult result =
-      RunSerialStream(options_, &buffers_, source, engine_.get());
+template <class EngineT>
+typename SerialExecutorT<EngineT>::RunResultT SerialExecutorT<EngineT>::Run(
+    StreamSource* source) {
+  RunResultT result = RunSerial(options_, source, engine_.get(), &buffers_);
   stats_view_ = engine_->stats();
   busy_seconds_ = result.elapsed_seconds;
   return result;
 }
 
-RunResult SerialExecutor::RunEvents(const std::vector<Event>& events) {
-  RunResult result =
-      RunSerialEvents(options_, &buffers_, events, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
-}
-
-Status SerialExecutor::Restore(const std::string& path,
-                               uint64_t* stream_offset) {
-  ASEQ_RETURN_NOT_OK(
-      ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset));
+template <class EngineT>
+Status SerialExecutorT<EngineT>::Restore(const std::string& path,
+                                         uint64_t* stream_offset) {
+  ASEQ_RETURN_NOT_OK(RestoreSnapshot(path, engine_.get(), stream_offset));
   options_.start_offset = *stream_offset;
   return Status::OK();
 }
 
-SerialMultiExecutor::SerialMultiExecutor(
-    const RunOptions& options, std::unique_ptr<MultiQueryEngine> engine)
-    : options_(options), engine_(std::move(engine)) {
-  options_.num_shards = 1;
-}
-
-MultiRunResult SerialMultiExecutor::Run(StreamSource* source) {
-  MultiRunResult result =
-      RunSerialMultiStream(options_, &buffers_, source, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
-}
-
-MultiRunResult SerialMultiExecutor::RunEvents(
-    const std::vector<Event>& events) {
-  MultiRunResult result =
-      RunSerialMultiEvents(options_, &buffers_, events, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
-}
-
-Status SerialMultiExecutor::Restore(const std::string& path,
-                                    uint64_t* stream_offset) {
-  ASEQ_RETURN_NOT_OK(
-      ckpt::RestoreMultiSnapshot(path, engine_.get(), stream_offset));
-  options_.start_offset = *stream_offset;
-  return Status::OK();
-}
+template class SerialExecutorT<QueryEngine>;
+template class SerialExecutorT<MultiQueryEngine>;
 
 }  // namespace exec
 }  // namespace aseq

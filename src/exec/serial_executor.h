@@ -6,47 +6,50 @@
 #include <vector>
 
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 
 namespace aseq {
 namespace exec {
 
-// ---- The serial execution core, extracted from BatchRunner. ----
+// ---- The serial execution core: the one run loop that takes an engine. ----
 //
-// These free functions are the one implementation of the batched serial
-// loop: refill `buffers->batch` from the source (or a slice of the event
-// vector), assign sequence numbers, feed OnBatch, collect outputs, and
-// checkpoint at due batch boundaries. BatchRunner and SerialExecutor both
-// delegate here, so the engine-pointer API and the policy API can never
-// drift apart. All buffers are reused clear-not-shrink.
+// RunSerial is the one implementation of the batched serial loop: borrow
+// the next batch from the source, assign sequence numbers (from
+// options.start_offset), feed OnBatch, collect or sink the outputs, and
+// checkpoint at due batch boundaries. SerialExecutorT, the CLI, the
+// benches and the examples all drive engines through it. `buffers`
+// (optional) is caller-owned output scratch reused clear-not-shrink
+// across runs; null uses per-run scratch.
 
-RunResult RunSerialStream(const RunOptions& options, SerialBuffers* buffers,
-                          StreamSource* source, QueryEngine* engine);
-RunResult RunSerialEvents(const RunOptions& options, SerialBuffers* buffers,
-                          const std::vector<Event>& events,
-                          QueryEngine* engine);
-MultiRunResult RunSerialMultiStream(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    StreamSource* source,
-                                    MultiQueryEngine* engine);
-MultiRunResult RunSerialMultiEvents(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    const std::vector<Event>& events,
-                                    MultiQueryEngine* engine);
+RunResult RunSerial(const RunOptions& options, StreamSource* source,
+                    QueryEngine* engine, SerialBuffers* buffers = nullptr);
+MultiRunResult RunSerial(const RunOptions& options, StreamSource* source,
+                         MultiQueryEngine* engine,
+                         SerialBuffers* buffers = nullptr);
 
-/// \brief The single-threaded policy: owns one engine and drives it on the
-/// calling thread through the serial core — exactly the pre-policy
-/// BatchRunner behavior.
-class SerialExecutor : public ExecutionPolicy {
+/// Runs pre-built events through the serial core; each batch is a copy of
+/// its slice (ConstVectorSource), so the caller's events are never
+/// restamped and a vector can be replayed into any number of runs.
+template <class EngineT>
+auto RunSerial(const RunOptions& options, const std::vector<Event>& events,
+               EngineT* engine, SerialBuffers* buffers = nullptr) {
+  ConstVectorSource source(&events);
+  return RunSerial(options, &source, engine, buffers);
+}
+
+/// \brief The single-threaded policy: owns one engine (QueryEngine or
+/// MultiQueryEngine) and drives it on the calling thread through
+/// RunSerial.
+template <class EngineT>
+class SerialExecutorT : public ExecutionPolicyT<EngineT> {
  public:
-  SerialExecutor(const RunOptions& options,
-                 std::unique_ptr<QueryEngine> engine);
+  using RunResultT = typename ExecutionPolicyT<EngineT>::RunResultT;
+
+  SerialExecutorT(const RunOptions& options, std::unique_ptr<EngineT> engine);
 
   std::string name() const override { return engine_->name(); }
   size_t num_shards() const override { return 1; }
 
-  RunResult Run(StreamSource* source) override;
-  RunResult RunEvents(const std::vector<Event>& events) override;
+  RunResultT Run(StreamSource* source) override;
 
   const EngineStats& stats() const override { return engine_->stats(); }
   std::span<const EngineStats> shard_stats() const override {
@@ -58,49 +61,18 @@ class SerialExecutor : public ExecutionPolicy {
 
   Status Restore(const std::string& path, uint64_t* stream_offset) override;
 
-  QueryEngine* serial_engine() override { return engine_.get(); }
+  EngineT* serial_engine() override { return engine_.get(); }
 
  private:
   RunOptions options_;
-  std::unique_ptr<QueryEngine> engine_;
+  std::unique_ptr<EngineT> engine_;
   SerialBuffers buffers_;
   EngineStats stats_view_;   // snapshot of engine stats after the last run
   double busy_seconds_ = 0;  // == elapsed_seconds of the last run
 };
 
-/// \brief The single-threaded multi-query policy: owns one multi-query
-/// engine and drives it on the calling thread through the serial core —
-/// exactly BatchRunner::RunMulti behavior.
-class SerialMultiExecutor : public MultiExecutionPolicy {
- public:
-  SerialMultiExecutor(const RunOptions& options,
-                      std::unique_ptr<MultiQueryEngine> engine);
-
-  std::string name() const override { return engine_->name(); }
-  size_t num_shards() const override { return 1; }
-
-  MultiRunResult Run(StreamSource* source) override;
-  MultiRunResult RunEvents(const std::vector<Event>& events) override;
-
-  const EngineStats& stats() const override { return engine_->stats(); }
-  std::span<const EngineStats> shard_stats() const override {
-    return {&stats_view_, 1};
-  }
-  std::span<const double> shard_busy_seconds() const override {
-    return {&busy_seconds_, 1};
-  }
-
-  Status Restore(const std::string& path, uint64_t* stream_offset) override;
-
-  MultiQueryEngine* serial_engine() override { return engine_.get(); }
-
- private:
-  RunOptions options_;
-  std::unique_ptr<MultiQueryEngine> engine_;
-  SerialBuffers buffers_;
-  EngineStats stats_view_;   // snapshot of engine stats after the last run
-  double busy_seconds_ = 0;  // == elapsed_seconds of the last run
-};
+extern template class SerialExecutorT<QueryEngine>;
+extern template class SerialExecutorT<MultiQueryEngine>;
 
 }  // namespace exec
 }  // namespace aseq

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 #include "exec/shard_router.h"
 #include "exec/sharded_executor_impl.h"
 
@@ -16,13 +15,10 @@ namespace exec {
 /// the query's last positive role matched; markers carry no payload (the
 /// purge covers the whole engine).
 struct SingleShardTraits {
-  using Policy = ExecutionPolicy;
   using Engine = QueryEngine;
   using Shardable = ShardableEngine;
   using OutputT = Output;
-  using RunResultT = RunResult;
   using RouterT = ShardRouter;
-  using FactoryT = EngineFactory;
 
   static SeqNum OutputSeq(const OutputT& o) { return o.seq; }
   static bool IsTrigger(const RouterT::Route& route) { return route.trigger; }
@@ -47,13 +43,10 @@ struct SingleShardTraits {
 /// completed; the marker carries which ones, so engines with per-query
 /// clocks purge exactly the serial set.
 struct MultiShardTraits {
-  using Policy = MultiExecutionPolicy;
   using Engine = MultiQueryEngine;
   using Shardable = MultiShardableEngine;
   using OutputT = MultiOutput;
-  using RunResultT = MultiRunResult;
   using RouterT = MultiShardRouter;
-  using FactoryT = MultiEngineFactory;
 
   static SeqNum OutputSeq(const OutputT& o) { return o.output.seq; }
   static bool IsTrigger(const RouterT::Route& route) {

@@ -8,7 +8,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -26,6 +25,7 @@
 
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
+#include "exec/execution_policy.h"
 #include "exec/spsc_ring.h"
 #include "fault/fault.h"
 #include "metrics/shard_stats.h"
@@ -83,14 +83,11 @@ struct ShardOp {
 /// per-shard SPSC ring.
 ///
 /// `Traits` binds the two instantiations (see exec/sharded_executor.h):
-///   - Policy        the policy interface implemented
-///                   (ExecutionPolicy / MultiExecutionPolicy)
-///   - Engine        QueryEngine / MultiQueryEngine
+///   - Engine        QueryEngine / MultiQueryEngine (the executor
+///                   implements ExecutionPolicyT<Engine>)
 ///   - Shardable     ShardableEngine / MultiShardableEngine
 ///   - OutputT       Output / MultiOutput
-///   - RunResultT    RunResult / MultiRunResult
 ///   - RouterT       ShardRouter / MultiShardRouter
-///   - FactoryT      EngineFactory / MultiEngineFactory
 ///   - OutputSeq     the output's global event seq (merge key)
 ///   - IsTrigger     whether a route completes any (windowed) query
 ///   - StampMarker   copies the route's trigger payload into a marker op
@@ -154,14 +151,14 @@ struct ShardOp {
 /// deterministically sheds the overloaded event's whole partition (kShed,
 /// accounted in shed_* counters; surviving partitions stay exact).
 template <class Traits>
-class ShardedExecutorT : public Traits::Policy {
+class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
  public:
   using Engine = typename Traits::Engine;
   using Shardable = typename Traits::Shardable;
   using OutputT = typename Traits::OutputT;
-  using RunResultT = typename Traits::RunResultT;
+  using RunResultT = typename ExecutionPolicyT<Engine>::RunResultT;
   using RouterT = typename Traits::RouterT;
-  using FactoryT = typename Traits::FactoryT;
+  using FactoryT = EngineFactoryT<Engine>;
 
   /// `engines` must all be freshly constructed twins for the workload,
   /// each implementing `Shardable` (the policy factory guarantees both).
@@ -178,8 +175,10 @@ class ShardedExecutorT : public Traits::Policy {
   }
   size_t num_shards() const override { return engines_.size(); }
 
+  /// The run loop. Batches may be borrowed source storage, so the loop
+  /// stamps sequence numbers in place but copies events into shard ops
+  /// instead of consuming them.
   RunResultT Run(StreamSource* source) override;
-  RunResultT RunEvents(const std::vector<Event>& events) override;
 
   const EngineStats& stats() const override { return merged_; }
   std::span<const EngineStats> shard_stats() const override {
@@ -296,12 +295,6 @@ class ShardedExecutorT : public Traits::Policy {
     uint64_t spins = 0;
   };
 
-  /// The shared run loop; `refill` yields the next batch as a view
-  /// (empty = exhausted). The view may be borrowed source storage, so the
-  /// loop stamps sequence numbers in place but copies events into shard
-  /// ops instead of consuming them.
-  RunResultT RunImpl(const std::function<std::span<Event>()>& refill);
-
   void WorkerMain(size_t shard);
   /// Lock-free wake hint: lock + notify only when the counterpart's
   /// parked flag is up (a missed flag costs at most one kParkPoll).
@@ -396,7 +389,6 @@ class ShardedExecutorT : public Traits::Policy {
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> workers_;
   std::vector<std::vector<ShardOp>> pending_;
-  std::vector<Event> batch_buf_;
 
   // Barrier coordination (checkpoints + recovery points).
   std::mutex coord_mu_;
@@ -1195,8 +1187,8 @@ void ShardedExecutorT<Traits>::StopWorkers() {
 }
 
 template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
-    const std::function<std::span<Event>()>& refill) {
+typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
+    StreamSource* source) {
   const size_t n = engines_.size();
   const bool supervised = options_.supervise;
   obs::Telemetry* const tel = options_.telemetry;
@@ -1283,7 +1275,7 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
       result.interrupted = true;
       break;
     }
-    std::span<Event> batch = refill();
+    std::span<Event> batch = source->BorrowBatch(options_.batch_size);
     if (batch.empty()) break;
     // Stamp the whole batch, then route it in one pass: the router runs
     // the vectorized admission prefilter + one BatchAdmitter sweep over
@@ -1556,28 +1548,6 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq - options_.start_offset;
   return result;
-}
-
-template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::Run(
-    StreamSource* source) {
-  return RunImpl(
-      [&]() { return source->BorrowBatch(options_.batch_size); });
-}
-
-template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::RunEvents(
-    const std::vector<Event>& events) {
-  // The caller's vector is const, and the loop stamps sequence numbers,
-  // so slices stage through batch_buf_.
-  size_t pos = 0;
-  return RunImpl([&]() -> std::span<Event> {
-    const size_t count = std::min(options_.batch_size, events.size() - pos);
-    batch_buf_.assign(events.begin() + static_cast<ptrdiff_t>(pos),
-                      events.begin() + static_cast<ptrdiff_t>(pos + count));
-    pos += count;
-    return {batch_buf_.data(), count};
-  });
 }
 
 template <class Traits>

@@ -505,7 +505,7 @@ Status ChopConnectEngine::CheckpointSegState(const SegState& st,
 }
 
 Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
-                                          ckpt::Reader* reader) const {
+                                          ckpt::Reader* reader) {
   st->entries.clear();
   ASEQ_RETURN_NOT_OK(reader->ReadU64(&st->next_id, "segment next id"));
   uint64_t n_entries = 0;
@@ -519,6 +519,7 @@ Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "entry count"));
     }
     entry.snapshots.resize(seg.hooks.size());
+    int64_t rows = 0;
     for (SnapshotTable& table : entry.snapshots) {
       uint64_t cursor = 0;
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&cursor, "snapshot cursor"));
@@ -537,8 +538,10 @@ Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.count, "row count"));
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.cum, "row cum"));
       }
+      rows += static_cast<int64_t>(table.size());
     }
     st->entries.push_back(std::move(entry));
+    stats_.objects.Add(1 + rows);
   }
   return Status::OK();
 }
@@ -582,6 +585,8 @@ Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
           return Status::OK();
         }));
     ASEQ_RETURN_NOT_OK(clock_.Restore(reader, part_store_.interner().size()));
+    ASEQ_RETURN_NOT_OK(
+        ckpt::CheckLiveObjects(stats, stats_.objects.current()));
     stats_ = stats;
     return Status::OK();
   }
@@ -595,6 +600,7 @@ Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
   for (size_t s = 0; s < segments_.size(); ++s) {
     ASEQ_RETURN_NOT_OK(RestoreSegState(&dyn_[s], segments_[s], reader));
   }
+  ASEQ_RETURN_NOT_OK(ckpt::CheckLiveObjects(stats, stats_.objects.current()));
   stats_ = stats;
   return Status::OK();
 }

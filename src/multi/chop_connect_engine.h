@@ -189,8 +189,9 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   void AdvanceClock(Timestamp now);
 
   Status CheckpointSegState(const SegState& st, ckpt::Writer* writer) const;
+  /// Counts the restored entries into stats_ as creating them does.
   Status RestoreSegState(SegState* st, const Segment& seg,
-                         ckpt::Reader* reader) const;
+                         ckpt::Reader* reader);
 
   std::vector<CompiledQuery> queries_;
   /// Per-query compiled admission programs (src/plan/); the workload shape

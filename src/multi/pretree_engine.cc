@@ -407,7 +407,7 @@ void PreTreeEngine::CheckpointTrieState(const TrieState& st,
 }
 
 Status PreTreeEngine::RestoreTrieState(TrieState* st, const Trie& trie,
-                                       ckpt::Reader* reader) const {
+                                       ckpt::Reader* reader) {
   st->clear();
   uint64_t n_instances = 0;
   ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_instances, 8, "trie instances"));
@@ -419,6 +419,7 @@ Status PreTreeEngine::RestoreTrieState(TrieState* st, const Trie& trie,
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "instance count"));
     }
     st->push_back(std::move(inst));
+    stats_.objects.Add(1);
   }
   return Status::OK();
 }
@@ -458,6 +459,8 @@ Status PreTreeEngine::Restore(ckpt::Reader* reader) {
           return Status::OK();
         }));
     ASEQ_RETURN_NOT_OK(clock_.Restore(reader, part_store_.interner().size()));
+    ASEQ_RETURN_NOT_OK(
+        ckpt::CheckLiveObjects(stats, stats_.objects.current()));
     stats_ = stats;
     return Status::OK();
   }
@@ -471,6 +474,7 @@ Status PreTreeEngine::Restore(ckpt::Reader* reader) {
   for (size_t t = 0; t < tries_.size(); ++t) {
     ASEQ_RETURN_NOT_OK(RestoreTrieState(&dyn_[t], tries_[t], reader));
   }
+  ASEQ_RETURN_NOT_OK(ckpt::CheckLiveObjects(stats, stats_.objects.current()));
   stats_ = stats;
   return Status::OK();
 }

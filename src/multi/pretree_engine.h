@@ -145,8 +145,9 @@ class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
   void AdvanceClock(Timestamp now);
 
   void CheckpointTrieState(const TrieState& st, ckpt::Writer* writer) const;
+  /// Counts the restored instances into stats_ as creating them does.
   Status RestoreTrieState(TrieState* st, const Trie& trie,
-                          ckpt::Reader* reader) const;
+                          ckpt::Reader* reader);
 
   std::vector<CompiledQuery> queries_;
   /// Per-query compiled admission programs (src/plan/); the workload shape

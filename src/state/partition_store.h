@@ -213,6 +213,13 @@ class PartitionStore {
       return Status::ParseError(
           "snapshot corrupt: more partitions than slab slots");
     }
+    // Every other slot comes back as a 4-byte freelist entry, so a corrupt
+    // high-water mark fails here instead of driving the slab allocation.
+    if (slab_end - n_entries > reader->remaining() / 4) {
+      return Status::ParseError("snapshot corrupt: partition slab end " +
+                                std::to_string(slab_end) +
+                                " exceeds the snapshot's freelist");
+    }
     slab_.ResetGeometry(static_cast<uint32_t>(slab_end));
     index_ = Index();
     if (single_part_) {

@@ -22,70 +22,29 @@ class StreamSource {
  public:
   virtual ~StreamSource() = default;
 
-  /// Yields the next event into `*out`; returns false at end of stream.
-  virtual bool Next(Event* out) = 0;
-
-  /// Fills `*out` (cleared first) with up to `max` events in arrival
-  /// order; returns the number yielded (0 at end of stream). The default
-  /// wraps Next; bulk sources override for a single memcpy-style refill.
-  virtual size_t NextBatch(size_t max, std::vector<Event>* out) {
-    out->clear();
-    Event e;
-    while (out->size() < max && Next(&e)) out->push_back(std::move(e));
-    return out->size();
-  }
-
   /// Borrows the next batch: a view of up to `max` events owned by the
-  /// source, valid until the next Next/NextBatch/Borrow/Reset call. The
-  /// view is mutable so the runtime can stamp sequence numbers in place
-  /// — the one per-event write it needs — but callers must not move from
-  /// or otherwise consume the events: a resettable source replays the
-  /// same storage. In-memory sources override this to hand out their
-  /// backing array directly, which deletes the per-batch deep copy from
-  /// the serial hot loop; the default stages through an internal buffer
-  /// (same cost as NextBatch).
-  virtual std::span<Event> BorrowBatch(size_t max) {
-    borrow_buf_.clear();
-    Event e;
-    while (borrow_buf_.size() < max && Next(&e)) {
-      borrow_buf_.push_back(std::move(e));
-    }
-    return {borrow_buf_.data(), borrow_buf_.size()};
-  }
+  /// source (empty at end of stream), valid until the next BorrowBatch or
+  /// Reset call. The view is mutable so the runtime can stamp sequence
+  /// numbers in place — the one per-event write it needs — but callers
+  /// must not move from or otherwise consume the events: a resettable
+  /// source replays the same storage.
+  virtual std::span<Event> BorrowBatch(size_t max) = 0;
 
   /// Restarts the stream from the beginning.
   virtual void Reset() = 0;
 
   /// Why the stream ended early: OK for a source that ran to its end (or
   /// has not ended yet), an error for one whose input failed — e.g. a
-  /// malformed trace line. A consumer checks it once Next/BorrowBatch
-  /// report the end.
+  /// malformed trace line. A consumer checks it once BorrowBatch reports
+  /// the end.
   virtual Status status() const { return Status::OK(); }
-
- private:
-  std::vector<Event> borrow_buf_;  // default BorrowBatch staging
 };
 
-/// \brief A source replaying an in-memory vector of events.
+/// \brief A source replaying an in-memory vector of events it owns.
 class VectorSource : public StreamSource {
  public:
   explicit VectorSource(std::vector<Event> events)
       : events_(std::move(events)) {}
-
-  bool Next(Event* out) override {
-    if (pos_ >= events_.size()) return false;
-    *out = events_[pos_++];
-    return true;
-  }
-
-  size_t NextBatch(size_t max, std::vector<Event>* out) override {
-    out->clear();
-    const size_t n = std::min(max, events_.size() - pos_);
-    out->assign(events_.begin() + static_cast<ptrdiff_t>(pos_),
-                events_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return n;
-  }
 
   /// Zero-copy refill: a window straight into the backing vector. Seq
   /// stamps land in the stored events, which is harmless — every run
@@ -104,6 +63,31 @@ class VectorSource : public StreamSource {
 
  private:
   std::vector<Event> events_;
+  size_t pos_ = 0;
+};
+
+/// \brief A source over a caller-owned const vector of events: each batch
+/// is a copy of the next slice into a batch the source owns, so stamping
+/// sequence numbers never writes through to the caller's events.
+class ConstVectorSource : public StreamSource {
+ public:
+  /// `*events` must outlive the source.
+  explicit ConstVectorSource(const std::vector<Event>* events)
+      : events_(events) {}
+
+  std::span<Event> BorrowBatch(size_t max) override {
+    const size_t n = std::min(max, events_->size() - pos_);
+    batch_.assign(events_->begin() + static_cast<ptrdiff_t>(pos_),
+                  events_->begin() + static_cast<ptrdiff_t>(pos_ + n));
+    pos_ += n;
+    return {batch_.data(), n};
+  }
+
+  void Reset() override { pos_ = 0; }
+
+ private:
+  const std::vector<Event>* events_;
+  std::vector<Event> batch_;
   size_t pos_ = 0;
 };
 

@@ -87,7 +87,7 @@ class TraceLineParser {
 /// Reads through a fixed 1 MiB buffer (grown only for a longer line),
 /// carrying a partial line over to the next chunk, and parses straight
 /// into a batch it owns and reuses: BorrowBatch's view is valid until the
-/// next Next/BorrowBatch/Reset call, and the storage is overwritten then.
+/// next BorrowBatch/Reset call, and the storage is overwritten then.
 /// A malformed line or a read error ends the stream early: BorrowBatch
 /// yields the events before it, then nothing, and status() holds the
 /// error. Consumers must check status() once the stream ends.
@@ -102,9 +102,6 @@ class TraceFileSource final : public StreamSource {
   TraceFileSource(const TraceFileSource&) = delete;
   TraceFileSource& operator=(const TraceFileSource&) = delete;
 
-  /// Parses the next event line into `*out`; false at the end of the
-  /// stream or on an error (then status() says which).
-  bool Next(Event* out) override;
   std::span<Event> BorrowBatch(size_t max) override;
   /// Rewinds to the first line; schema registrations stay.
   void Reset() override;
@@ -119,6 +116,9 @@ class TraceFileSource final : public StreamSource {
 
   /// Yields the next line (without '\n'), valid until the next call.
   bool NextLine(std::string_view* line);
+  /// Parses the next event line into `*out`; false at the end of the
+  /// stream or on an error (then status() says which).
+  bool Next(Event* out);
 
   std::string path_;
   std::unique_ptr<std::FILE, FileCloser> file_;

@@ -5,10 +5,10 @@
 // including sizes that straddle window-expiry boundaries mid-batch.
 //
 // Every engine runs fresh per configuration: the per-event reference via
-// Runtime::RunEvents, then one batched run per size in {1, 3, 7, 64, 1024}
-// via BatchRunner. Any divergence in an output's (ts, seq, group, value)
-// or in (events_processed, outputs, work_units, objects) is a bug in a
-// batched override's hoisting logic.
+// testing_util::RunPerEvent, then one batched run per size in
+// {1, 3, 7, 64, 1024} via exec::RunSerial. Any divergence in an output's
+// (ts, seq, group, value) or in (events_processed, outputs, work_units,
+// objects) is a bug in a batched override's hoisting logic.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "engine/change_detector.h"
 #include "engine/reordering_engine.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
@@ -38,79 +39,34 @@
 namespace aseq {
 namespace {
 
+using testing_util::ExpectMultiOutputsEqual;
+using testing_util::ExpectOutputsEqual;
+using testing_util::ExpectStatsEqual;
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::MustCreateAseq;
+using testing_util::RunPerEvent;
 
 const size_t kBatchSizes[] = {1, 3, 7, 64, 1024};
 
 // ---------------------------------------------------------------------------
-// Comparison helpers
+// The equivalence check
 // ---------------------------------------------------------------------------
-
-void ExpectOutputEqual(const Output& ref, const Output& got, size_t index,
-                       const std::string& context) {
-  EXPECT_EQ(ref.ts, got.ts) << context << " output#" << index;
-  EXPECT_EQ(ref.seq, got.seq) << context << " output#" << index;
-  ASSERT_EQ(ref.group.has_value(), got.group.has_value())
-      << context << " output#" << index;
-  if (ref.group.has_value()) {
-    EXPECT_TRUE(ref.group->Equals(*got.group))
-        << context << " output#" << index << ": group "
-        << ref.group->ToString() << " vs " << got.group->ToString();
-  }
-  EXPECT_TRUE(ref.value.Equals(got.value))
-      << context << " output#" << index << ": " << ref.value.ToString()
-      << " vs " << got.value.ToString();
-}
-
-void ExpectOutputsEqual(const std::vector<Output>& ref,
-                        const std::vector<Output>& got,
-                        const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ExpectOutputEqual(ref[i], got[i], i, context);
-  }
-}
-
-void ExpectMultiOutputsEqual(const std::vector<MultiOutput>& ref,
-                             const std::vector<MultiOutput>& got,
-                             const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].query_index, got[i].query_index)
-        << context << " output#" << i;
-    ExpectOutputEqual(ref[i].output, got[i].output, i, context);
-  }
-}
-
-/// Stats must match exactly except for the batch counters, which exist
-/// only on the batched path by construction.
-void ExpectStatsEqual(const EngineStats& ref, const EngineStats& got,
-                      const std::string& context) {
-  EXPECT_EQ(ref.events_processed, got.events_processed) << context;
-  EXPECT_EQ(ref.outputs, got.outputs) << context;
-  EXPECT_EQ(ref.work_units, got.work_units) << context;
-  EXPECT_EQ(ref.objects.peak(), got.objects.peak()) << context;
-  EXPECT_EQ(ref.objects.current(), got.objects.current()) << context;
-}
 
 /// Runs `factory`-built engines over `events` per-event (reference) and
 /// batched at every size, comparing outputs and stats.
 void CheckSingle(const std::function<std::unique_ptr<QueryEngine>()>& factory,
                  const std::vector<Event>& events, const std::string& label) {
   auto ref_engine = factory();
-  RunResult ref = Runtime::RunEvents(events, ref_engine.get());
+  RunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
   for (size_t batch_size : kBatchSizes) {
     const std::string context =
         label + " @batch=" + std::to_string(batch_size);
     auto engine = factory();
-    BatchRunner runner;
-    {
-      RunOptions options;
-      options.batch_size = batch_size;
-      runner.set_options(options);
-    }
-    RunResult got = runner.RunEvents(events, engine.get());
+    RunOptions options;
+    options.batch_size = batch_size;
+    RunResult got = exec::RunSerial(options, events, engine.get());
     EXPECT_EQ(got.batch_size, batch_size) << context;
     ExpectOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual(ref_engine->stats(), engine->stats(), context);
@@ -122,49 +78,18 @@ void CheckMulti(
     const std::function<std::unique_ptr<MultiQueryEngine>()>& factory,
     const std::vector<Event>& events, const std::string& label) {
   auto ref_engine = factory();
-  MultiRunResult ref = Runtime::RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
   for (size_t batch_size : kBatchSizes) {
     const std::string context =
         label + " @batch=" + std::to_string(batch_size);
     auto engine = factory();
-    BatchRunner runner;
-    {
-      RunOptions options;
-      options.batch_size = batch_size;
-      runner.set_options(options);
-    }
-    MultiRunResult got = runner.RunMultiEvents(events, engine.get());
+    RunOptions options;
+    options.batch_size = batch_size;
+    MultiRunResult got = exec::RunSerial(options, events, engine.get());
     ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual(ref_engine->stats(), engine->stats(), context);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Workloads
-// ---------------------------------------------------------------------------
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = 6;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
-
-std::unique_ptr<QueryEngine> MustCreateAseq(const CompiledQuery& cq) {
-  auto engine = CreateAseqEngine(cq);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  return std::move(engine).value();
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +210,7 @@ TEST(BatchEquivalenceTest, ReorderingEngineOutOfOrder) {
   // Inline CheckSingle so both paths can also drain via Finish() — the
   // outputs produced after end-of-stream must match too.
   auto ref_engine = factory();
-  RunResult ref = Runtime::RunEvents(shuffled, ref_engine.get());
+  RunResult ref = RunPerEvent(shuffled, ref_engine.get());
   ref_engine->Finish(&ref.outputs);
   EXPECT_EQ(ref_engine->dropped_events(), 0u);
   ASSERT_GT(ref.outputs.size(), 0u);
@@ -293,13 +218,9 @@ TEST(BatchEquivalenceTest, ReorderingEngineOutOfOrder) {
     const std::string context =
         "reordering @batch=" + std::to_string(batch_size);
     auto engine = factory();
-    BatchRunner runner;
-    {
-      RunOptions options;
-      options.batch_size = batch_size;
-      runner.set_options(options);
-    }
-    RunResult got = runner.RunEvents(shuffled, engine.get());
+    RunOptions options;
+    options.batch_size = batch_size;
+    RunResult got = exec::RunSerial(options, shuffled, engine.get());
     engine->Finish(&got.outputs);
     ExpectOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual(ref_engine->stats(), engine->stats(), context);
@@ -327,20 +248,16 @@ TEST(BatchEquivalenceTest, ReorderingMultiEngineOutOfOrder) {
                                                    /*slack_ms=*/300);
   };
   auto ref_engine = factory();
-  MultiRunResult ref = Runtime::RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(events, ref_engine.get());
   static_cast<ReorderingMultiEngine*>(ref_engine.get())->Finish(&ref.outputs);
   ASSERT_GT(ref.outputs.size(), 0u);
   for (size_t batch_size : kBatchSizes) {
     const std::string context =
         "reordering-multi @batch=" + std::to_string(batch_size);
     auto engine = factory();
-    BatchRunner runner;
-    {
-      RunOptions options;
-      options.batch_size = batch_size;
-      runner.set_options(options);
-    }
-    MultiRunResult got = runner.RunMultiEvents(events, engine.get());
+    RunOptions options;
+    options.batch_size = batch_size;
+    MultiRunResult got = exec::RunSerial(options, events, engine.get());
     static_cast<ReorderingMultiEngine*>(engine.get())->Finish(&got.outputs);
     ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual(ref_engine->stats(), engine->stats(), context);
@@ -484,15 +401,14 @@ TEST(BatchEquivalenceTest, BatchCountersRecorded) {
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = 64;
-  BatchRunner runner(options);
-  runner.RunEvents(c->events, engine.get());
+  exec::RunSerial(options, c->events, engine.get());
   const EngineStats& stats = engine->stats();
   EXPECT_EQ(stats.batches_processed, (c->events.size() + 63) / 64);
   EXPECT_EQ(stats.max_batch_events, 64u);
 
   // The per-event reference path never touches the batch counters.
   auto ref_engine = MustCreateAseq(cq);
-  Runtime::RunEvents(c->events, ref_engine.get());
+  RunPerEvent(c->events, ref_engine.get());
   EXPECT_EQ(ref_engine->stats().batches_processed, 0u);
   EXPECT_EQ(ref_engine->stats().max_batch_events, 0u);
 }

@@ -10,6 +10,7 @@ namespace {
 
 using testing_util::CountOf;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 using testing_util::StreamBuilder;
 
 TEST(ChangeDetectorTest, EmitsOnExpirationDrop) {
@@ -28,7 +29,7 @@ TEST(ChangeDetectorTest, EmitsOnExpirationDrop) {
                                   .Add("C", 4000)  // count -> 2
                                   .Add("B", 6000)  // a1 expires: count -> 0
                                   .Build();
-  RunResult result = Runtime::RunEvents(events, &engine);
+  RunResult result = RunPerEvent(events, &engine);
   ASSERT_EQ(result.outputs.size(), 3u);
   EXPECT_EQ(CountOf(result.outputs[0]), 1);
   EXPECT_EQ(result.outputs[0].ts, 3000);
@@ -48,7 +49,7 @@ TEST(ChangeDetectorTest, NoOutputWhenValueUnchanged) {
                                   .Add("Z", 3000)  // irrelevant: unchanged
                                   .Add("Z", 4000)
                                   .Build();
-  RunResult result = Runtime::RunEvents(events, &engine);
+  RunResult result = RunPerEvent(events, &engine);
   ASSERT_EQ(result.outputs.size(), 1u);
   EXPECT_EQ(CountOf(result.outputs[0]), 1);
 }
@@ -66,7 +67,7 @@ TEST(ChangeDetectorTest, TrackedPerGroup) {
                                   .Add("B", 3000, {{"g", Value("y")}})
                                   .Add("B", 4000, {{"g", Value("y")}})
                                   .Build();
-  RunResult result = Runtime::RunEvents(events, &engine);
+  RunResult result = RunPerEvent(events, &engine);
   // Changes: x -> 1, y -> 1, y -> 2.
   ASSERT_EQ(result.outputs.size(), 3u);
   EXPECT_TRUE(result.outputs[0].group->Equals(Value("x")));
@@ -84,7 +85,7 @@ TEST(ChangeDetectorTest, InitialZeroIsTheBaselineNotAChange) {
   ChangeDetectingEngine engine(std::move(*inner));
   std::vector<Event> events =
       StreamBuilder(&schema).Add("Z", 1000).Add("Z", 2000).Build();
-  RunResult result = Runtime::RunEvents(events, &engine);
+  RunResult result = RunPerEvent(events, &engine);
   EXPECT_TRUE(result.outputs.empty());
 }
 

@@ -392,6 +392,41 @@ TEST(CliTest, BadLimitIsRejectedUpFront) {
   EXPECT_EQ(zero.out.find("t="), std::string::npos);
 }
 
+TEST(CliTest, EngineFlagsAreRejectedBeforeTheSourceOpens) {
+  // A missing trace would fail with IoError once opened: the flag error
+  // must come first.
+  const std::string missing = "/nonexistent/aseq_trace.csv";
+  const std::string queries = ::testing::TempDir() + "/aseq_cli_early.txt";
+  {
+    std::ofstream f(queries);
+    f << "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s\n";
+  }
+  const std::string q = "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s";
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {{"run", "--query", q, "--trace", missing, "--engine", "bogus"},
+       "--engine"},
+      {{"run", "--query", q, "--trace", missing, "--slack", "-5"}, "--slack"},
+      {{"workload", "--queries", queries, "--trace", missing, "--strategy",
+        "bogus"},
+       "--strategy"},
+      {{"compare", "--query", q, "--trace", missing, "--batch-size", "0"},
+       "--batch-size"},
+  };
+  for (const Case& c : cases) {
+    CliResult r = RunTool(c.args);
+    EXPECT_EQ(r.code, 1) << c.flag << ": " << r.err;
+    EXPECT_EQ(r.err.rfind("InvalidArgument: ", 0), 0u) << c.flag << ": "
+                                                       << r.err;
+    EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("IoError"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << c.flag << ": " << r.out;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Streaming ingest: run/workload read --trace chunk by chunk
 // --------------------------------------------------------------------------

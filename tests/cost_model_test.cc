@@ -7,9 +7,12 @@
 #include "bench/bench_util.h"
 #include "engine/runtime.h"
 #include "query/analyzer.h"
+#include "tests/test_util.h"
 
 namespace aseq {
 namespace {
+
+using testing_util::RunPerEvent;
 
 TEST(CostModelTest, UniformReducesToPowerLaw) {
   // With N instances per type and selectivity s, Eq. 3's dominant term is
@@ -55,7 +58,7 @@ TEST(CostModelTest, PredictsMeasuredGrowthWithinBand) {
     Analyzer analyzer(&schema);
     auto cq = analyzer.Analyze(bench::MakeTickerQuery(l, 1000));
     StackEngine engine(*cq);
-    Runtime::RunEvents(stream->events, &engine, false);
+    RunPerEvent(stream->events, &engine);
     measured[l - 3] = static_cast<double>(engine.stats().work_units);
   }
   double measured_factor = measured[1] / measured[0];

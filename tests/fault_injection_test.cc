@@ -14,6 +14,7 @@
 #include "aseq/aseq_engine.h"
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "fault/fault.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
@@ -22,7 +23,9 @@
 namespace aseq {
 namespace {
 
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 /// Every test disarms on both ends: the injector is process-global and a
 /// leaked arming would fire into an unrelated test.
@@ -155,22 +158,6 @@ TEST_F(FaultInjectionTest, DisarmClearsEverything) {
 // ckpt.write injection through the real snapshot writer
 // ---------------------------------------------------------------------------
 
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
-
 std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -179,14 +166,14 @@ std::string FreshDir(const std::string& name) {
 }
 
 TEST_F(FaultInjectionTest, CkptWriteIoErrorLeavesPriorSnapshotIntact) {
-  auto c = MakeStock(11, 600);
+  auto c = MakeStock(11, 600, 50);
   CompiledQuery cq = MustCompile(
       &c->schema,
       "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms");
   auto engine_or = CreateAseqEngine(cq);
   ASSERT_TRUE(engine_or.ok());
   std::unique_ptr<QueryEngine> engine = std::move(engine_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, engine.get());
+  RunResult ref = RunPerEvent(c->events, engine.get());
 
   const std::string dir = FreshDir("fault-ckpt-io");
   const std::string path = ckpt::SnapshotPathForOffset(dir, c->events.size());
@@ -219,7 +206,7 @@ TEST_F(FaultInjectionTest, CkptWriteIoErrorLeavesPriorSnapshotIntact) {
 }
 
 TEST_F(FaultInjectionTest, CheckpointStatusLatchesOnInjectedError) {
-  auto c = MakeStock(12, 1200);
+  auto c = MakeStock(12, 1200, 50);
   CompiledQuery cq = MustCompile(
       &c->schema,
       "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms");
@@ -234,8 +221,7 @@ TEST_F(FaultInjectionTest, CheckpointStatusLatchesOnInjectedError) {
   // First write succeeds, second fails; the loop latches the error and
   // attempts no further snapshots (so exactly one fault fires).
   ASSERT_TRUE(fault::Injector::Global().Arm("ckpt.write:2:io-error").ok());
-  BatchRunner runner(options);
-  RunResult run = runner.RunEvents(c->events, engine.get());
+  RunResult run = exec::RunSerial(options, c->events, engine.get());
   EXPECT_FALSE(run.checkpoint_status.ok());
   EXPECT_EQ(run.checkpoints_written, 1u);
   EXPECT_EQ(fault::Injector::Global().fired_count(), 1u);
@@ -248,7 +234,7 @@ TEST_F(FaultInjectionTest, CheckpointStatusLatchesOnInjectedError) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, StopFlagInterruptsAndWritesFinalCheckpoint) {
-  auto c = MakeStock(13, 900);
+  auto c = MakeStock(13, 900, 50);
   CompiledQuery cq = MustCompile(
       &c->schema,
       "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms");
@@ -262,8 +248,7 @@ TEST_F(FaultInjectionTest, StopFlagInterruptsAndWritesFinalCheckpoint) {
   options.checkpoint_every = 100000;  // periodic checkpointing never due
   options.checkpoint_dir = dir;
   options.stop_requested = &stop;
-  BatchRunner runner(options);
-  RunResult run = runner.RunEvents(c->events, engine.get());
+  RunResult run = exec::RunSerial(options, c->events, engine.get());
   EXPECT_TRUE(run.interrupted);
   EXPECT_EQ(run.events, 0u);
   // The final snapshot lands at the stop offset even though no periodic
@@ -285,8 +270,8 @@ TEST_F(FaultInjectionTest, StopFlagInterruptsAndWritesFinalCheckpoint) {
   auto ref_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
-  RunResult tail = Runtime::RunEvents(c->events, resumed.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
+  RunResult tail = RunPerEvent(c->events, resumed.get());
   ASSERT_EQ(ref.outputs.size(), tail.outputs.size());
   for (size_t i = 0; i < ref.outputs.size(); ++i) {
     EXPECT_EQ(ref.outputs[i].seq, tail.outputs[i].seq);
@@ -297,7 +282,7 @@ TEST_F(FaultInjectionTest, StopFlagInterruptsAndWritesFinalCheckpoint) {
 }
 
 TEST_F(FaultInjectionTest, UnsetStopFlagRunsToCompletion) {
-  auto c = MakeStock(14, 400);
+  auto c = MakeStock(14, 400, 50);
   CompiledQuery cq = MustCompile(
       &c->schema,
       "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms");
@@ -307,8 +292,7 @@ TEST_F(FaultInjectionTest, UnsetStopFlagRunsToCompletion) {
   std::atomic<bool> stop{false};
   RunOptions options;
   options.stop_requested = &stop;
-  BatchRunner runner(options);
-  RunResult run = runner.RunEvents(c->events, engine.get());
+  RunResult run = exec::RunSerial(options, c->events, engine.get());
   EXPECT_FALSE(run.interrupted);
   EXPECT_EQ(run.events, c->events.size());
 }

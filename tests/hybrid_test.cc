@@ -14,6 +14,7 @@ namespace aseq {
 namespace {
 
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 using OutputKey = std::tuple<size_t, SeqNum, std::string>;
 
@@ -76,7 +77,7 @@ TEST(HybridEngineTest, RoutesMixedWorkloadAndMatchesReferences) {
   EXPECT_EQ(routing[6], "A-Seq(SEM)");
   EXPECT_NE(routing[7].find("StackBased"), std::string::npos) << routing[7];
 
-  MultiRunResult run = Runtime::RunMultiEvents(events, hybrid->get());
+  MultiRunResult run = RunPerEvent(events, hybrid->get());
   auto got = ToMap(run.outputs);
 
   // Reference: the canonical single-query engine per query.
@@ -89,7 +90,7 @@ TEST(HybridEngineTest, RoutesMixedWorkloadAndMatchesReferences) {
       engine = CreateAseqEngine(queries[qi]).MoveValue();
     }
     for (const Output& output :
-         Runtime::RunEvents(events, engine.get()).outputs) {
+         RunPerEvent(events, engine.get()).outputs) {
       std::string group =
           output.group.has_value() ? output.group->ToString() : "";
       ref[{qi, output.seq, group}] = output.value.ToString();

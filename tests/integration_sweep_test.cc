@@ -15,9 +15,12 @@
 #include "engine/runtime.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
+#include "tests/test_util.h"
 
 namespace aseq {
 namespace {
+
+using testing_util::RunPerEvent;
 
 struct SweepCase {
   std::string label;
@@ -50,8 +53,8 @@ TEST_P(AgreementSweepTest, ASeqMatchesStackBaseline) {
   ASSERT_TRUE(aseq.ok()) << aseq.status().ToString();
   StackEngine stack(*compiled);
 
-  RunResult a = Runtime::RunEvents(events, aseq->get());
-  RunResult s = Runtime::RunEvents(events, &stack);
+  RunResult a = RunPerEvent(events, aseq->get());
+  RunResult s = RunPerEvent(events, &stack);
   ASSERT_EQ(a.outputs.size(), s.outputs.size()) << text;
   size_t nonzero = 0;
   for (size_t i = 0; i < a.outputs.size(); ++i) {

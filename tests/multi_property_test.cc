@@ -17,9 +17,12 @@
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/workload.h"
+#include "tests/test_util.h"
 
 namespace aseq {
 namespace {
+
+using testing_util::RunPerEvent;
 
 using OutputMap = std::map<std::pair<size_t, SeqNum>, int64_t>;
 
@@ -30,7 +33,7 @@ OutputMap Reference(const std::vector<CompiledQuery>& queries,
     auto engine = CreateAseqEngine(queries[qi]);
     EXPECT_TRUE(engine.ok());
     for (const Output& output :
-         Runtime::RunEvents(events, engine->get()).outputs) {
+         RunPerEvent(events, engine->get()).outputs) {
       ref[{qi, output.seq}] = output.value.AsInt64();
     }
   }
@@ -94,7 +97,7 @@ TEST_P(MultiPropertyTest, PreTreeOnRandomPrefixWorkload) {
   auto engine = PreTreeEngine::Create(queries);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ExpectEqualMaps(Reference(queries, events),
-                  ToMap(Runtime::RunMultiEvents(events, engine->get()).outputs),
+                  ToMap(RunPerEvent(events, engine->get()).outputs),
                   "pretree seed=" + std::to_string(GetParam()));
 }
 
@@ -125,7 +128,7 @@ TEST_P(MultiPropertyTest, ChopConnectOnRandomPlans) {
     auto engine = ChopConnectEngine::Create(queries, PlanChopConnect(queries));
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ExpectEqualMaps(
-        ref, ToMap(Runtime::RunMultiEvents(events, engine->get()).outputs),
+        ref, ToMap(RunPerEvent(events, engine->get()).outputs),
         "cc-greedy seed=" + std::to_string(GetParam()));
   }
   // ...and a fully random chop of every query (stress multi-connect).
@@ -149,7 +152,7 @@ TEST_P(MultiPropertyTest, ChopConnectOnRandomPlans) {
     auto engine = ChopConnectEngine::Create(queries, plan);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ExpectEqualMaps(
-        ref, ToMap(Runtime::RunMultiEvents(events, engine->get()).outputs),
+        ref, ToMap(RunPerEvent(events, engine->get()).outputs),
         "cc-random seed=" + std::to_string(GetParam()));
   }
 }
@@ -181,7 +184,7 @@ TEST_P(MultiPropertyTest, EcubeOnRandomSubstringWorkload) {
   auto engine = EcubeEngine::Create(queries, shared_types);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ExpectEqualMaps(Reference(queries, events),
-                  ToMap(Runtime::RunMultiEvents(events, engine->get()).outputs),
+                  ToMap(RunPerEvent(events, engine->get()).outputs),
                   "ecube seed=" + std::to_string(GetParam()));
 }
 

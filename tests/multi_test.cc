@@ -22,6 +22,7 @@ namespace {
 
 using testing_util::CountOf;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 using testing_util::StreamBuilder;
 
 std::vector<CompiledQuery> Compile(Schema* schema,
@@ -55,7 +56,7 @@ std::map<std::pair<size_t, SeqNum>, int64_t> ReferenceOutputs(
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     auto engine = CreateAseqEngine(queries[qi]);
     EXPECT_TRUE(engine.ok());
-    RunResult result = Runtime::RunEvents(events, engine->get());
+    RunResult result = RunPerEvent(events, engine->get());
     for (const Output& output : result.outputs) {
       ref[{qi, output.seq}] = output.value.AsInt64();
     }
@@ -96,11 +97,11 @@ TEST(NonSharedEngineTest, MatchesSingleQueryEngines) {
 
   auto engine = NonSharedEngine::CreateAseq(queries);
   ASSERT_TRUE(engine.ok());
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, "nonshared-aseq");
 
   auto stack = NonSharedEngine::CreateStackBased(queries);
-  MultiRunResult result2 = Runtime::RunMultiEvents(events, stack.get());
+  MultiRunResult result2 = RunPerEvent(events, stack.get());
   ExpectMatchesReference(ref, result2.outputs, "nonshared-stack");
 }
 
@@ -140,7 +141,7 @@ TEST(PreTreeEngineTest, PaperFigure9WorkloadShapes) {
   }
   std::vector<Event> events = WorkloadStream(workload, &schema, 5, 500);
   auto ref = ReferenceOutputs(compiled, events);
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, "pretree-fig9");
 }
 
@@ -154,7 +155,7 @@ TEST(PreTreeEngineTest, RandomizedPrefixWorkloads) {
     auto ref = ReferenceOutputs(queries, events);
     auto engine = PreTreeEngine::Create(queries);
     ASSERT_TRUE(engine.ok());
-    MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+    MultiRunResult result = RunPerEvent(events, engine->get());
     ExpectMatchesReference(ref, result.outputs,
                            "pretree seed=" + std::to_string(seed));
   }
@@ -180,7 +181,7 @@ TEST(PreTreeEngineTest, MultipleStartTypes) {
   workload.all_types = {"A", "B", "C", "D", "E"};
   std::vector<Event> events = WorkloadStream(workload, &schema, 9, 300, 30);
   auto ref = ReferenceOutputs(compiled, events);
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, "pretree-multistart");
 }
 
@@ -252,7 +253,7 @@ void RunChopConnectCase(const SharedWorkload& workload, uint64_t seed,
   ChopPlan plan = PlanChopConnect(queries);
   auto engine = ChopConnectEngine::Create(queries, plan);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, context);
 }
 
@@ -294,7 +295,7 @@ TEST(ChopConnectEngineTest, TrivialPlanEqualsNonShared) {
   auto ref = ReferenceOutputs(queries, events);
   auto engine = ChopConnectEngine::Create(queries, TrivialPlan(queries));
   ASSERT_TRUE(engine.ok());
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, "cc-trivial");
 }
 
@@ -329,7 +330,7 @@ TEST(ChopConnectEngineTest, SnapshotExpiryExcludesDeadTags) {
       .Add("D", 5000)   // CNET: snapshot {a1: 1, a2: 1}
       .Add("E", 10000); // TRIG: a1 expired exactly now -> only a2 counts
   MultiRunResult result =
-      Runtime::RunMultiEvents(b.Build(), engine->get());
+      RunPerEvent(b.Build(), engine->get());
   ASSERT_EQ(result.outputs.size(), 1u);
   EXPECT_EQ(result.outputs[0].output.value.AsInt64(), 1);
 
@@ -343,7 +344,7 @@ TEST(ChopConnectEngineTest, SnapshotExpiryExcludesDeadTags) {
       .Add("D", 5000)
       .Add("E", 9999);
   MultiRunResult result2 =
-      Runtime::RunMultiEvents(b2.Build(), engine2->get());
+      RunPerEvent(b2.Build(), engine2->get());
   ASSERT_EQ(result2.outputs.size(), 1u);
   EXPECT_EQ(result2.outputs[0].output.value.AsInt64(), 2);
 }
@@ -373,7 +374,7 @@ TEST(ChopConnectEngineTest, SnapshotTakenBeforeCnetArrivalCounts) {
       .Add("D", 200)   // CNET before any sub1 match exists
       .Add("C", 300)   // sub1 completes only now
       .Add("E", 400);  // (a,b,c,d,e) is NOT a valid sequence (c after d)
-  MultiRunResult result = Runtime::RunMultiEvents(b.Build(), engine->get());
+  MultiRunResult result = RunPerEvent(b.Build(), engine->get());
   ASSERT_EQ(result.outputs.size(), 1u);
   EXPECT_EQ(result.outputs[0].output.value.AsInt64(), 0);
 }
@@ -405,7 +406,7 @@ void RunEcubeCase(const SharedWorkload& workload, uint64_t seed, size_t n,
   }
   auto engine = EcubeEngine::Create(queries, shared);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  MultiRunResult result = Runtime::RunMultiEvents(events, engine->get());
+  MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, context);
 }
 

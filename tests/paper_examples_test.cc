@@ -20,6 +20,7 @@ namespace {
 
 using testing_util::CountOf;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 using testing_util::StreamBuilder;
 
 // Example 2 / Fig. 4 — DPC over pattern (A, B, C, D), unbounded window.
@@ -39,7 +40,7 @@ TEST(PaperExamplesTest, Example2Fig4AtEngineLevel) {
                                   .Add("A", 7)
                                   .Add("D", 8)  // -> 1 + ABC(1) = 2
                                   .Build();
-  std::vector<Output> outputs = Runtime::RunEvents(events, engine->get()).outputs;
+  std::vector<Output> outputs = RunPerEvent(events, engine->get()).outputs;
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_EQ(CountOf(outputs[0]), 1);
   EXPECT_EQ(CountOf(outputs[1]), 2);
@@ -67,7 +68,7 @@ TEST(PaperExamplesTest, Example5Fig8HashedPrefixCounters) {
       .Add("D", 4000, {{"id", Value(1)}})   // id=1 completes: 1
       .Add("D", 4100, {{"id", Value(2)}});  // id=2 has only (A): 0
   std::vector<Output> outputs =
-      Runtime::RunEvents(b.Build(), engine->get()).outputs;
+      RunPerEvent(b.Build(), engine->get()).outputs;
   EXPECT_EQ(hpc->num_partitions(), 3u);
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_EQ(CountOf(outputs[0]), 1);  // ungrouped: total across partitions
@@ -105,7 +106,7 @@ TEST(PaperExamplesTest, Example7Fig9PreTreePipelinesSharedPrefix) {
       .Add("VF", 7000)   // Q2: (vk1,bk1,vf2), (vk1,bk2,vf2), (vk2,bk2,vf2) new
       .Add("BC", 8000);  // Q1 trigger: needs VC after BK: vc1 after bk1 only
   std::vector<MultiOutput> outputs =
-      Runtime::RunMultiEvents(b.Build(), engine->get()).outputs;
+      RunPerEvent(b.Build(), engine->get()).outputs;
   // Outputs: VF@4000 (Q2), VF@7000 (Q2), BC@8000 (Q1).
   ASSERT_EQ(outputs.size(), 3u);
   EXPECT_EQ(outputs[0].query_index, 1u);
@@ -155,7 +156,7 @@ TEST(PaperExamplesTest, Fig10SnapshotMaintenanceHandChecked) {
       .Add("E", 12000); // a1 expired: d1: 2*0; d2: 2*(a2: 1) = 2
   std::vector<Event> events = b.Build();
   std::vector<MultiOutput> outputs =
-      Runtime::RunMultiEvents(events, engine->get()).outputs;
+      RunPerEvent(events, engine->get()).outputs;
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_EQ(outputs[0].output.value.AsInt64(), 5);
   EXPECT_EQ(outputs[1].output.value.AsInt64(), 2);
@@ -181,7 +182,7 @@ TEST(PaperExamplesTest, Section5SumOverCarrierAttribute) {
       .Add("D", 5000);
   // Matches: (a,b,c1,d) weight 10 and (a,b,c2,d) weight 5 -> SUM 15.
   std::vector<Output> outputs =
-      Runtime::RunEvents(b.Build(), engine->get()).outputs;
+      RunPerEvent(b.Build(), engine->get()).outputs;
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_DOUBLE_EQ(outputs[0].value.AsDouble(), 15.0);
 }

@@ -29,7 +29,9 @@
 namespace aseq {
 namespace {
 
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 void ExpectOutputsEqual(const std::vector<Output>& ref,
                         const std::vector<Output>& got,
@@ -48,23 +50,6 @@ void ExpectOutputsEqual(const std::vector<Output>& ref,
         << context << " output#" << i << ": " << ref[i].value.ToString()
         << " vs " << got[i].value.ToString();
   }
-}
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = 6;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
 }
 
 using EngineFactory = std::function<std::unique_ptr<QueryEngine>()>;
@@ -93,7 +78,7 @@ std::vector<size_t> PollOffsets(size_t n) {
 void CheckPoll(const EngineFactory& factory, const std::vector<Event>& events,
                const std::string& label) {
   auto ref_engine = factory();
-  RunResult ref = Runtime::RunEvents(events, ref_engine.get());
+  RunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   auto engine = factory();
@@ -270,7 +255,7 @@ void CheckMultiPoll(const MultiFactory& factory,
                     const std::vector<Event>& events,
                     const std::string& label) {
   auto ref_engine = factory();
-  MultiRunResult ref = Runtime::RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   auto engine = factory();

@@ -29,6 +29,7 @@
 #include "engine/change_detector.h"
 #include "engine/reordering_engine.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
@@ -42,61 +43,19 @@
 namespace aseq {
 namespace {
 
+using testing_util::ExpectMultiOutputsEqual;
+using testing_util::ExpectOutputsEqual;
+using testing_util::ExpectStatsEqual;
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::MustCreateAseq;
+using testing_util::StockCase;
 
 constexpr size_t kBatchSize = 64;
 
 // ---------------------------------------------------------------------------
-// Comparison helpers
+// The kill/restore cycle
 // ---------------------------------------------------------------------------
-
-void ExpectOutputEqual(const Output& ref, const Output& got, size_t index,
-                       const std::string& context) {
-  EXPECT_EQ(ref.ts, got.ts) << context << " output#" << index;
-  EXPECT_EQ(ref.seq, got.seq) << context << " output#" << index;
-  ASSERT_EQ(ref.group.has_value(), got.group.has_value())
-      << context << " output#" << index;
-  if (ref.group.has_value()) {
-    EXPECT_TRUE(ref.group->Equals(*got.group))
-        << context << " output#" << index << ": group "
-        << ref.group->ToString() << " vs " << got.group->ToString();
-  }
-  EXPECT_TRUE(ref.value.Equals(got.value))
-      << context << " output#" << index << ": " << ref.value.ToString()
-      << " vs " << got.value.ToString();
-}
-
-void ExpectOutputsEqual(const std::vector<Output>& ref,
-                        const std::vector<Output>& got,
-                        const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ExpectOutputEqual(ref[i], got[i], i, context);
-  }
-}
-
-void ExpectMultiOutputsEqual(const std::vector<MultiOutput>& ref,
-                             const std::vector<MultiOutput>& got,
-                             const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].query_index, got[i].query_index)
-        << context << " output#" << i;
-    ExpectOutputEqual(ref[i].output, got[i].output, i, context);
-  }
-}
-
-/// Stats must match exactly except the batch counters: a kill mid-batch
-/// splits that batch in two, so batches_processed may differ by one.
-void ExpectStatsEqual(const EngineStats& ref, const EngineStats& got,
-                      const std::string& context) {
-  EXPECT_EQ(ref.events_processed, got.events_processed) << context;
-  EXPECT_EQ(ref.outputs, got.outputs) << context;
-  EXPECT_EQ(ref.work_units, got.work_units) << context;
-  EXPECT_EQ(ref.dropped_events, got.dropped_events) << context;
-  EXPECT_EQ(ref.objects.peak(), got.objects.peak()) << context;
-  EXPECT_EQ(ref.objects.current(), got.objects.current()) << context;
-}
 
 /// Kill points: batch boundaries, mid-batch offsets, and the very first /
 /// last event.
@@ -116,11 +75,11 @@ std::string SnapshotPath(const std::string& label, size_t kill) {
          std::to_string(kill) + ".aseqckpt";
 }
 
-BatchRunner MakeRunner(uint64_t start_offset = 0) {
+RunOptions Options(uint64_t start_offset = 0) {
   RunOptions options;
   options.batch_size = kBatchSize;
   options.start_offset = start_offset;
-  return BatchRunner(options);
+  return options;
 }
 
 /// The full kill/checkpoint/destroy/restore/replay cycle for one engine
@@ -132,8 +91,7 @@ void CheckRecovery(
     const std::function<void(QueryEngine*, std::vector<Output>*)>& finish =
         nullptr) {
   auto ref_engine = factory();
-  BatchRunner ref_runner = MakeRunner();
-  RunResult ref = ref_runner.RunEvents(events, ref_engine.get());
+  RunResult ref = exec::RunSerial(Options(), events, ref_engine.get());
   if (finish) finish(ref_engine.get(), &ref.outputs);
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
@@ -144,8 +102,7 @@ void CheckRecovery(
     auto victim = factory();
     std::vector<Event> prefix(events.begin(),
                               events.begin() + static_cast<ptrdiff_t>(kill));
-    BatchRunner prefix_runner = MakeRunner();
-    RunResult pre = prefix_runner.RunEvents(prefix, victim.get());
+    RunResult pre = exec::RunSerial(Options(), prefix, victim.get());
     const std::string path = SnapshotPath(label, kill);
     Status saved = ckpt::SaveEngineSnapshot(path, *victim, kill);
     ASSERT_TRUE(saved.ok()) << context << ": " << saved.ToString();
@@ -159,8 +116,7 @@ void CheckRecovery(
 
     std::vector<Event> tail(events.begin() + static_cast<ptrdiff_t>(kill),
                             events.end());
-    BatchRunner tail_runner = MakeRunner(offset);
-    RunResult post = tail_runner.RunEvents(tail, revived.get());
+    RunResult post = exec::RunSerial(Options(offset), tail, revived.get());
     if (finish) finish(revived.get(), &post.outputs);
 
     std::vector<Output> combined = pre.outputs;
@@ -178,8 +134,7 @@ void CheckMultiRecovery(
     const std::function<void(MultiQueryEngine*, std::vector<MultiOutput>*)>&
         finish = nullptr) {
   auto ref_engine = factory();
-  BatchRunner ref_runner = MakeRunner();
-  MultiRunResult ref = ref_runner.RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = exec::RunSerial(Options(), events, ref_engine.get());
   if (finish) finish(ref_engine.get(), &ref.outputs);
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
@@ -188,8 +143,7 @@ void CheckMultiRecovery(
     auto victim = factory();
     std::vector<Event> prefix(events.begin(),
                               events.begin() + static_cast<ptrdiff_t>(kill));
-    BatchRunner prefix_runner = MakeRunner();
-    MultiRunResult pre = prefix_runner.RunMultiEvents(prefix, victim.get());
+    MultiRunResult pre = exec::RunSerial(Options(), prefix, victim.get());
     const std::string path = SnapshotPath(label, kill);
     Status saved = ckpt::SaveMultiSnapshot(path, *victim, kill);
     ASSERT_TRUE(saved.ok()) << context << ": " << saved.ToString();
@@ -203,8 +157,8 @@ void CheckMultiRecovery(
 
     std::vector<Event> tail(events.begin() + static_cast<ptrdiff_t>(kill),
                             events.end());
-    BatchRunner tail_runner = MakeRunner(offset);
-    MultiRunResult post = tail_runner.RunMultiEvents(tail, revived.get());
+    MultiRunResult post =
+        exec::RunSerial(Options(offset), tail, revived.get());
     if (finish) finish(revived.get(), &post.outputs);
 
     std::vector<MultiOutput> combined = pre.outputs;
@@ -218,29 +172,6 @@ void CheckMultiRecovery(
 // ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = 6;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
-
-std::unique_ptr<QueryEngine> MustCreateAseq(const CompiledQuery& cq) {
-  auto engine = CreateAseqEngine(cq);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  return std::move(engine).value();
-}
 
 struct MultiCase {
   Schema schema;
@@ -571,8 +502,7 @@ TEST(RecoveryEquivalenceTest, RestoreRejectsWrongEngine) {
   CompiledQuery cq = MustCompile(
       &c->schema, "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 800ms");
   auto aseq = MustCreateAseq(cq);
-  BatchRunner runner = MakeRunner();
-  runner.RunEvents(c->events, aseq.get());
+  exec::RunSerial(Options(), c->events, aseq.get());
   const std::string path = SnapshotPath("wrong-engine", 0);
   ASSERT_TRUE(ckpt::SaveEngineSnapshot(path, *aseq, c->events.size()).ok());
 
@@ -591,8 +521,7 @@ TEST(RecoveryEquivalenceTest, RestoreRejectsWrongSlack) {
   CompiledQuery cq = MustCompile(
       &c->schema, "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 800ms");
   ReorderingEngine original(MustCreateAseq(cq), /*slack_ms=*/200);
-  BatchRunner runner = MakeRunner();
-  runner.RunEvents(c->events, &original);
+  exec::RunSerial(Options(), c->events, &original);
   const std::string path = SnapshotPath("wrong-slack", 0);
   ASSERT_TRUE(
       ckpt::SaveEngineSnapshot(path, original, c->events.size()).ok());

@@ -15,6 +15,7 @@ namespace aseq {
 namespace {
 
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 // --------------------------------------------------------------------------
 // KSlackReorderer
@@ -139,7 +140,7 @@ TEST(ReorderingEngineTest, MatchesInOrderExecution) {
                      });
     AssignSeqNums(&sorted);
     auto ref_engine = CreateAseqEngine(cq);
-    RunResult ref = Runtime::RunEvents(sorted, ref_engine->get());
+    RunResult ref = RunPerEvent(sorted, ref_engine->get());
 
     // Disordered: disjoint swaps two positions apart, so each event is
     // displaced at most 2 slots (<= 60ms with 30ms max gaps).
@@ -188,7 +189,7 @@ TEST(ReorderingMultiEngineTest, MatchesInOrderExecution) {
   std::vector<Event> sorted = base;
   AssignSeqNums(&sorted);
   auto ref = NonSharedEngine::CreateAseq(queries);
-  MultiRunResult ref_run = Runtime::RunMultiEvents(sorted, ref->get());
+  MultiRunResult ref_run = RunPerEvent(sorted, ref->get());
 
   // Disordered input through the multi-engine K-slack wrapper.
   std::vector<Event> shuffled = base;

@@ -2,6 +2,7 @@
 
 #include "aseq/aseq_engine.h"
 #include "engine/runtime.h"
+#include "exec/serial_executor.h"
 #include "stream/stream_source.h"
 #include "tests/test_util.h"
 
@@ -28,7 +29,7 @@ TEST(RuntimeTest, RunDrivesSourceAndCollects) {
   events.emplace_back(schema.RegisterEventType("A"), 1);
   events.emplace_back(schema.RegisterEventType("B"), 2);
   VectorSource source(events);
-  RunResult result = Runtime::Run(&source, engine->get());
+  RunResult result = exec::RunSerial(RunOptions(), &source, engine->get());
   EXPECT_EQ(result.events, 2u);
   ASSERT_EQ(result.outputs.size(), 1u);
   EXPECT_EQ(result.outputs[0].value.AsInt64(), 1);
@@ -41,8 +42,9 @@ TEST(RuntimeTest, CollectOutputsOffStillProcesses) {
   auto engine = CreateAseqEngine(cq);
   std::vector<Event> events =
       StreamBuilder(&schema).Add("A", 1).Add("B", 2).Build();
-  RunResult result =
-      Runtime::RunEvents(events, engine->get(), /*collect_outputs=*/false);
+  RunOptions options;
+  options.collect_outputs = false;
+  RunResult result = exec::RunSerial(options, events, engine->get());
   EXPECT_TRUE(result.outputs.empty());
   EXPECT_EQ(result.events, 2u);
   EXPECT_EQ((*engine)->stats().outputs, 1u);  // the engine still produced it
@@ -67,16 +69,21 @@ TEST(RuntimeTest, OutputToString) {
 }
 
 TEST(RuntimeTest, RunEventsOverridesPreassignedSeqs) {
-  // RunEvents re-sequences, so callers can replay the same vector twice.
+  // The serial core stamps sequence numbers on copies of the caller's
+  // events, so callers can replay the same vector twice, from any offset.
   Schema schema;
   CompiledQuery cq = MustCompile(&schema, "PATTERN SEQ(A, B) WITHIN 10s");
   std::vector<Event> events =
       StreamBuilder(&schema).Add("A", 1).Add("B", 2).Build();
-  for (int round = 0; round < 2; ++round) {
+  for (uint64_t start : {uint64_t{0}, uint64_t{10}}) {
     auto engine = CreateAseqEngine(cq);
-    RunResult result = Runtime::RunEvents(events, engine->get());
+    RunOptions options;
+    options.start_offset = start;
+    RunResult result = exec::RunSerial(options, events, engine->get());
     ASSERT_EQ(result.outputs.size(), 1u);
     EXPECT_EQ(result.outputs[0].value.AsInt64(), 1);
+    EXPECT_EQ(result.outputs[0].seq, start + 1);
+    EXPECT_EQ(events[1].seq(), 1u);
   }
 }
 

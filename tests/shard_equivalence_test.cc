@@ -25,7 +25,6 @@
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 #include "exec/shard_router.h"
 #include "fault/fault.h"
 #include "multi/chop_connect_engine.h"
@@ -40,75 +39,19 @@
 namespace aseq {
 namespace {
 
+using testing_util::ExpectMultiOutputsEqual;
+using testing_util::ExpectOutputsEqual;
+using testing_util::ExpectStatsEqual;
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 const size_t kShardCounts[] = {2, 3, 8};
 const size_t kBatchSizes[] = {1, 64, 256};
 
 // ---------------------------------------------------------------------------
-// Comparison helpers
-// ---------------------------------------------------------------------------
-
-void ExpectOutputEqual(const Output& ref, const Output& got, size_t index,
-                       const std::string& context) {
-  EXPECT_EQ(ref.ts, got.ts) << context << " output#" << index;
-  EXPECT_EQ(ref.seq, got.seq) << context << " output#" << index;
-  ASSERT_EQ(ref.group.has_value(), got.group.has_value())
-      << context << " output#" << index;
-  if (ref.group.has_value()) {
-    EXPECT_TRUE(ref.group->Equals(*got.group))
-        << context << " output#" << index << ": group "
-        << ref.group->ToString() << " vs " << got.group->ToString();
-  }
-  EXPECT_TRUE(ref.value.Equals(got.value))
-      << context << " output#" << index << ": " << ref.value.ToString()
-      << " vs " << got.value.ToString();
-}
-
-void ExpectOutputsEqual(const std::vector<Output>& ref,
-                        const std::vector<Output>& got,
-                        const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ExpectOutputEqual(ref[i], got[i], i, context);
-  }
-}
-
-/// The merged stats must match the serial engine exactly — including the
-/// object-accounting peak, which the executor reconstructs from per-event
-/// timelines — except the batch counters (sharded workers drive engines
-/// per-event, so theirs stay zero by construction).
-void ExpectStatsEqual(const EngineStats& ref, const EngineStats& got,
-                      const std::string& context) {
-  EXPECT_EQ(ref.events_processed, got.events_processed) << context;
-  EXPECT_EQ(ref.outputs, got.outputs) << context;
-  EXPECT_EQ(ref.work_units, got.work_units) << context;
-  EXPECT_EQ(ref.dropped_events, got.dropped_events) << context;
-  EXPECT_EQ(ref.objects.peak(), got.objects.peak()) << context;
-  EXPECT_EQ(ref.objects.current(), got.objects.current()) << context;
-}
-
-// ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n,
-                                     size_t traders = 6) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = traders;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
 
 exec::EngineFactory AseqFactory(const CompiledQuery& cq) {
   return [&cq] { return CreateAseqEngine(cq); };
@@ -121,7 +64,7 @@ void CheckSharded(const CompiledQuery& cq, const std::vector<Event>& events,
   auto ref_result = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_result.ok()) << label << ": " << ref_result.status().ToString();
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_result).value();
-  RunResult ref = Runtime::RunEvents(events, ref_engine.get());
+  RunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   for (size_t shards : kShardCounts) {
@@ -255,7 +198,7 @@ void CheckFallback(const CompiledQuery& cq, const exec::EngineFactory& factory,
   auto ref_result = factory();
   ASSERT_TRUE(ref_result.ok()) << label;
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_result).value();
-  RunResult ref = Runtime::RunEvents(events, ref_engine.get());
+  RunResult ref = RunPerEvent(events, ref_engine.get());
 
   RunOptions options;
   options.num_shards = 4;
@@ -346,17 +289,6 @@ TEST(ShardFallbackTest, PlanShardingReportsShardable) {
 // merged EngineStats including the live-object peak, for every sharing
 // strategy, shard count, and ingestion batch size.
 
-void ExpectMultiOutputsEqual(const std::vector<MultiOutput>& ref,
-                             const std::vector<MultiOutput>& got,
-                             const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].query_index, got[i].query_index)
-        << context << " output#" << i;
-    ExpectOutputEqual(ref[i].output, got[i].output, i, context);
-  }
-}
-
 std::vector<CompiledQuery> MustCompileAll(
     Schema* schema, const std::vector<std::string>& texts) {
   std::vector<CompiledQuery> queries;
@@ -411,7 +343,7 @@ void CheckMultiSharded(const std::vector<CompiledQuery>& queries,
       << label << ": " << ref_engine_or.status().ToString();
   std::unique_ptr<MultiQueryEngine> ref_engine =
       std::move(ref_engine_or).value();
-  MultiRunResult ref = Runtime::RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   for (size_t batch : kBatchSizes) {
@@ -580,7 +512,7 @@ void CheckMultiFallback(const std::vector<CompiledQuery>& queries,
   ASSERT_TRUE(ref_engine_or.ok()) << label;
   std::unique_ptr<MultiQueryEngine> ref_engine =
       std::move(ref_engine_or).value();
-  MultiRunResult ref = Runtime::RunMultiEvents(events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(events, ref_engine.get());
   MultiRunResult got = (*policy)->RunEvents(events);
   ExpectMultiOutputsEqual(ref.outputs, got.outputs, label);
 }
@@ -653,12 +585,6 @@ class PoisoningSource : public StreamSource {
   explicit PoisoningSource(const std::vector<Event>* events)
       : events_(events) {}
 
-  bool Next(Event* out) override {
-    if (pos_ >= events_->size()) return false;
-    *out = (*events_)[pos_++];
-    return true;
-  }
-
   std::span<Event> BorrowBatch(size_t max) override {
     for (Event& e : batch_) Poison(&e);
     ++poisoned_batches_;
@@ -710,7 +636,7 @@ TEST(RecyclingSourceTest, SerialAndShardedRunsMatchRunEvents) {
   CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
   auto ref_engine = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_engine.ok());
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  RunResult ref = RunPerEvent(c->events, ref_engine->get());
   ASSERT_GT(ref.outputs.size(), 0u);
 
   for (size_t shards : {1, 2, 4}) {
@@ -750,7 +676,7 @@ TEST(RecyclingSourceTest, OutputSinkReceivesTheOutputSequence) {
   CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
   auto ref_engine = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_engine.ok());
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  RunResult ref = RunPerEvent(c->events, ref_engine->get());
   for (size_t shards : {1, 2}) {
     const std::string context = "sink shards=" + std::to_string(shards);
     CollectingSink sink;
@@ -775,7 +701,7 @@ TEST(RecyclingSourceTest, SupervisedCrashReplayMatchesRunEvents) {
   CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
   auto ref_engine = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_engine.ok());
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  RunResult ref = RunPerEvent(c->events, ref_engine->get());
 
   for (size_t shards : {2, 4}) {
     const std::string context = "supervised shards=" + std::to_string(shards);
@@ -803,7 +729,7 @@ TEST(RecyclingSourceTest, RestoreAtMidStreamOffsetMatchesRunEvents) {
   CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
   auto ref_engine = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_engine.ok());
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine->get());
+  RunResult ref = RunPerEvent(c->events, ref_engine->get());
 
   for (size_t shards : {1, 2, 4}) {
     const std::string context = "restore shards=" + std::to_string(shards);
@@ -862,7 +788,7 @@ TEST(RecyclingSourceTest, ShardedWorkloadMatchesRunEvents) {
   exec::MultiEngineFactory factory = MultiFactory("cc", queries);
   auto ref_engine = factory();
   ASSERT_TRUE(ref_engine.ok());
-  MultiRunResult ref = Runtime::RunMultiEvents(c->events, ref_engine->get());
+  MultiRunResult ref = RunPerEvent(c->events, ref_engine->get());
   ASSERT_GT(ref.outputs.size(), 0u);
   for (size_t shards : {1, 2, 4}) {
     const std::string context = "workload shards=" + std::to_string(shards);

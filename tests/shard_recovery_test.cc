@@ -17,7 +17,6 @@
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 #include "fault/fault.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
@@ -31,56 +30,16 @@
 namespace aseq {
 namespace {
 
+using testing_util::ExpectMultiOutputsEqual;
+using testing_util::ExpectOutputsEqual;
+using testing_util::ExpectStatsEqual;
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 constexpr size_t kShards = 3;
 constexpr size_t kBatchSize = 64;
 constexpr size_t kCheckpointEvery = 500;
-
-void ExpectOutputsEqual(const std::vector<Output>& ref,
-                        const std::vector<Output>& got,
-                        const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].ts, got[i].ts) << context << " output#" << i;
-    EXPECT_EQ(ref[i].seq, got[i].seq) << context << " output#" << i;
-    ASSERT_EQ(ref[i].group.has_value(), got[i].group.has_value())
-        << context << " output#" << i;
-    if (ref[i].group.has_value()) {
-      EXPECT_TRUE(ref[i].group->Equals(*got[i].group))
-          << context << " output#" << i;
-    }
-    EXPECT_TRUE(ref[i].value.Equals(got[i].value))
-        << context << " output#" << i << ": " << ref[i].value.ToString()
-        << " vs " << got[i].value.ToString();
-  }
-}
-
-void ExpectStatsEqual(const EngineStats& ref, const EngineStats& got,
-                      const std::string& context) {
-  EXPECT_EQ(ref.events_processed, got.events_processed) << context;
-  EXPECT_EQ(ref.outputs, got.outputs) << context;
-  EXPECT_EQ(ref.work_units, got.work_units) << context;
-  EXPECT_EQ(ref.objects.peak(), got.objects.peak()) << context;
-  EXPECT_EQ(ref.objects.current(), got.objects.current()) << context;
-}
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = 6;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
 
 std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/" + name;
@@ -116,7 +75,7 @@ void CheckShardedRecovery(const std::string& query_text,
   auto ref_engine_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_engine_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_engine_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   // Sharded run with periodic checkpoints.
@@ -214,29 +173,6 @@ TEST(ShardRecoveryTest, CheckpointWithBackloggedQueues) {
 // Multi-query workloads: the kill/restore matrix over sharding engines
 // ---------------------------------------------------------------------------
 
-void ExpectMultiOutputsEqual(const std::vector<MultiOutput>& ref,
-                             const std::vector<MultiOutput>& got,
-                             const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].query_index, got[i].query_index)
-        << context << " output#" << i;
-    EXPECT_EQ(ref[i].output.ts, got[i].output.ts)
-        << context << " output#" << i;
-    EXPECT_EQ(ref[i].output.seq, got[i].output.seq)
-        << context << " output#" << i;
-    ASSERT_EQ(ref[i].output.group.has_value(), got[i].output.group.has_value())
-        << context << " output#" << i;
-    if (ref[i].output.group.has_value()) {
-      EXPECT_TRUE(ref[i].output.group->Equals(*got[i].output.group))
-          << context << " output#" << i;
-    }
-    EXPECT_TRUE(ref[i].output.value.Equals(got[i].output.value))
-        << context << " output#" << i << ": " << ref[i].output.value.ToString()
-        << " vs " << got[i].output.value.ToString();
-  }
-}
-
 /// One factory per sharing strategy over a workload every strategy
 /// accepts (positive-only COUNT, shared window, shared GROUP BY).
 exec::MultiEngineFactory MultiFactory(
@@ -301,7 +237,7 @@ void CheckMultiShardedRecovery(const std::string& strategy,
       << label << ": " << ref_engine_or.status().ToString();
   std::unique_ptr<MultiQueryEngine> ref_engine =
       std::move(ref_engine_or).value();
-  MultiRunResult ref = Runtime::RunMultiEvents(c->events, ref_engine.get());
+  MultiRunResult ref = RunPerEvent(c->events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   // Sharded run with periodic checkpoints.
@@ -385,7 +321,7 @@ TEST(ShardRecoveryTest, MultiSerialSnapshotRejectedBySharded) {
   auto engine_or = factory();
   ASSERT_TRUE(engine_or.ok());
   std::unique_ptr<MultiQueryEngine> engine = std::move(engine_or).value();
-  Runtime::RunMultiEvents(c->events, engine.get());
+  RunPerEvent(c->events, engine.get());
   const std::string path =
       ::testing::TempDir() + "/multi-shard-recovery-serial.aseqckpt";
   ASSERT_TRUE(ckpt::SaveMultiSnapshot(path, *engine, c->events.size()).ok());
@@ -441,7 +377,7 @@ TEST(ShardRecoveryTest, SerialSnapshotRejectedBySharded) {
   auto engine_or = CreateAseqEngine(cq);
   ASSERT_TRUE(engine_or.ok());
   std::unique_ptr<QueryEngine> engine = std::move(engine_or).value();
-  Runtime::RunEvents(c->events, engine.get());
+  RunPerEvent(c->events, engine.get());
   const std::string path =
       ::testing::TempDir() + "/shard-recovery-serial.aseqckpt";
   ASSERT_TRUE(ckpt::SaveEngineSnapshot(path, *engine, c->events.size()).ok());

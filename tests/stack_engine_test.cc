@@ -10,10 +10,11 @@ namespace {
 
 using testing_util::CountOf;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 using testing_util::StreamBuilder;
 
 std::vector<Output> Feed(QueryEngine* engine, const std::vector<Event>& events) {
-  return Runtime::RunEvents(events, engine).outputs;
+  return RunPerEvent(events, engine).outputs;
 }
 
 // Sec. 2.2 / Example 1: matches form at TRIG arrivals and the count drops

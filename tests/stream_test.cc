@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "stream/clickstream.h"
 #include "stream/generator.h"
@@ -108,13 +110,34 @@ TEST(VectorSourceTest, YieldsAllAndResets) {
   Schema schema;
   StreamGenerator gen(SmallConfig(2), &schema);
   VectorSource source(gen.GenerateN(25));
-  Event e;
   size_t n = 0;
-  while (source.Next(&e)) ++n;
+  for (std::span<Event> b; !(b = source.BorrowBatch(7)).empty();) {
+    EXPECT_LE(b.size(), 7u);
+    n += b.size();
+  }
   EXPECT_EQ(n, 25u);
-  EXPECT_FALSE(source.Next(&e));
+  EXPECT_TRUE(source.BorrowBatch(7).empty());
   source.Reset();
-  EXPECT_TRUE(source.Next(&e));
+  EXPECT_EQ(source.BorrowBatch(7).size(), 7u);
+}
+
+TEST(ConstVectorSourceTest, CopiesSlicesAndResets) {
+  Schema schema;
+  StreamGenerator gen(SmallConfig(2), &schema);
+  const std::vector<Event> events = gen.GenerateN(25);
+  ConstVectorSource source(&events);
+  size_t n = 0;
+  for (std::span<Event> b; !(b = source.BorrowBatch(7)).empty();) {
+    for (Event& e : b) {
+      EXPECT_EQ(e.ts(), events[n].ts());
+      e.set_seq(1000 + n);  // stamps the copy, never the caller's event
+      EXPECT_NE(events[n].seq(), e.seq());
+      ++n;
+    }
+  }
+  EXPECT_EQ(n, 25u);
+  source.Reset();
+  EXPECT_EQ(source.BorrowBatch(100).size(), 25u);
 }
 
 // --------------------------------------------------------------------------

@@ -16,9 +16,12 @@
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "stream/workload.h"
+#include "tests/test_util.h"
 
 namespace aseq {
 namespace {
+
+using testing_util::RunPerEvent;
 
 std::vector<Event> BigStream(Schema* schema) {
   StockStreamOptions options;
@@ -38,7 +41,7 @@ TEST(StressTest, HundredThousandEventsThroughSem) {
       "PATTERN SEQ(DELL, IPIX, AMAT, QQQ) AGG COUNT WITHIN 2s");
   ASSERT_TRUE(cq.ok());
   auto engine = CreateAseqEngine(*cq);
-  RunResult result = Runtime::RunEvents(events, engine->get());
+  RunResult result = RunPerEvent(events, engine->get());
   EXPECT_EQ(result.events, 100000u);
   EXPECT_GT(result.outputs.size(), 1000u);
   // Peak state stays bounded by the live-start count, far below the
@@ -65,7 +68,7 @@ TEST(StressTest, DeterministicAcrossRuns) {
       auto cq = analyzer.AnalyzeText(text);
       ASSERT_TRUE(cq.ok());
       auto engine = CreateAseqEngine(*cq);
-      runs.push_back(Runtime::RunEvents(events, engine->get()).outputs);
+      runs.push_back(RunPerEvent(events, engine->get()).outputs);
     }
     ASSERT_EQ(runs[0].size(), runs[1].size()) << text;
     for (size_t i = 0; i < runs[0].size(); ++i) {
@@ -83,7 +86,7 @@ TEST(StressTest, StackEngineStateReturnsToWindowLevel) {
       "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 500");
   ASSERT_TRUE(cq.ok());
   StackEngine engine(*cq);
-  Runtime::RunEvents(events, &engine);
+  RunPerEvent(events, &engine);
   // Current live objects are bounded by one window's worth of state,
   // orders of magnitude below the total processed volume.
   EXPECT_LT(engine.stats().objects.current(),
@@ -111,9 +114,9 @@ TEST(StressTest, MultiEnginesSurviveLongRunsAndAgree) {
   auto cc = ChopConnectEngine::Create(queries, PlanChopConnect(queries));
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
 
-  MultiRunResult ns_run = Runtime::RunMultiEvents(events, ns->get());
-  MultiRunResult pt_run = Runtime::RunMultiEvents(events, pt->get());
-  MultiRunResult cc_run = Runtime::RunMultiEvents(events, cc->get());
+  MultiRunResult ns_run = RunPerEvent(events, ns->get());
+  MultiRunResult pt_run = RunPerEvent(events, pt->get());
+  MultiRunResult cc_run = RunPerEvent(events, cc->get());
   ASSERT_EQ(ns_run.outputs.size(), pt_run.outputs.size());
   ASSERT_EQ(ns_run.outputs.size(), cc_run.outputs.size());
   EXPECT_GT(ns_run.outputs.size(), 1000u);
@@ -146,7 +149,7 @@ TEST(StressTest, HpcManyPartitions) {
       "AGG COUNT WITHIN 2s");
   ASSERT_TRUE(cq.ok());
   auto engine = CreateAseqEngine(*cq);
-  RunResult result = Runtime::RunEvents(events, engine->get());
+  RunResult result = RunPerEvent(events, engine->get());
   EXPECT_EQ(result.events, 50000u);
   // Expired partitions must be reclaimed, not accumulate forever.
   HpcEngine* hpc = static_cast<HpcEngine*>(engine->get());

@@ -28,7 +28,10 @@
 namespace aseq {
 namespace {
 
+using testing_util::ExpectOutputsEqual;
+using testing_util::MakeStock;
 using testing_util::MustCompile;
+using testing_util::RunPerEvent;
 
 constexpr size_t kShards = 3;
 constexpr size_t kBatchSize = 64;
@@ -40,42 +43,6 @@ class SupervisorTest : public ::testing::Test {
   void SetUp() override { fault::Injector::Global().Disarm(); }
   void TearDown() override { fault::Injector::Global().Disarm(); }
 };
-
-struct StockCase {
-  Schema schema;
-  std::vector<Event> events;
-};
-
-std::unique_ptr<StockCase> MakeStock(uint64_t seed, size_t n) {
-  auto c = std::make_unique<StockCase>();
-  StockStreamOptions options;
-  options.seed = seed;
-  options.num_events = n;
-  options.max_gap_ms = 8;
-  options.num_traders = 6;
-  c->events = GenerateStockStream(options, &c->schema);
-  AssignSeqNums(&c->events);
-  return c;
-}
-
-void ExpectOutputsEqual(const std::vector<Output>& ref,
-                        const std::vector<Output>& got,
-                        const std::string& context) {
-  ASSERT_EQ(ref.size(), got.size()) << context;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].ts, got[i].ts) << context << " output#" << i;
-    EXPECT_EQ(ref[i].seq, got[i].seq) << context << " output#" << i;
-    ASSERT_EQ(ref[i].group.has_value(), got[i].group.has_value())
-        << context << " output#" << i;
-    if (ref[i].group.has_value()) {
-      EXPECT_TRUE(ref[i].group->Equals(*got[i].group))
-          << context << " output#" << i;
-    }
-    EXPECT_TRUE(ref[i].value.Equals(got[i].value))
-        << context << " output#" << i << ": " << ref[i].value.ToString()
-        << " vs " << got[i].value.ToString();
-  }
-}
 
 std::unique_ptr<exec::ExecutionPolicy> MustMakeSharded(
     const CompiledQuery& cq, const RunOptions& options) {
@@ -109,7 +76,7 @@ void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
   auto ref_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u) << label << ": vacuous workload";
 
   RunOptions options = SupervisedOptions();
@@ -176,7 +143,7 @@ TEST_F(SupervisorTest, SlowShardIsNotMistakenForStalled) {
   auto ref_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
 
   RunOptions options = SupervisedOptions();
   auto policy = MustMakeSharded(cq, options);
@@ -226,7 +193,7 @@ TEST_F(SupervisorTest, DegradeSerialDrainsAndStaysExact) {
   auto ref_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
 
   RunOptions options;
   options.num_shards = kShards;
@@ -359,7 +326,7 @@ TEST_F(SupervisorTest, SupervisionComposesWithCrashAndOverloadInjection) {
   auto ref_or = CreateAseqEngine(cq);
   ASSERT_TRUE(ref_or.ok());
   std::unique_ptr<QueryEngine> ref_engine = std::move(ref_or).value();
-  RunResult ref = Runtime::RunEvents(c->events, ref_engine.get());
+  RunResult ref = RunPerEvent(c->events, ref_engine.get());
 
   RunOptions options = SupervisedOptions();
   options.overload_policy = OverloadPolicy::kDegradeSerial;
