@@ -42,16 +42,12 @@ namespace shard_detail {
 /// stream.
 inline constexpr size_t kMaxQueuedItems = 16;
 
-/// Supervised waits poll at this period so the coordinator can run the
-/// watchdog while parked on a queue or barrier.
-inline constexpr std::chrono::milliseconds kSupervisedPoll{20};
-
-/// Unsupervised parks are timed too: the ring protocol's wake handshake is
-/// best-effort (a parked-flag miss between the release store and the
-/// acquire load is possible by design — making it airtight would need
-/// seq_cst fences on the hot path), so a park bounds the cost of a lost
-/// wakeup to this, and the coordinator polls stop_requested at the same
-/// cadence.
+/// Every park is timed at this one period: the ring protocol's wake
+/// handshake is best-effort (a parked-flag miss between the release store
+/// and the acquire load is possible by design — making it airtight would
+/// need seq_cst fences on the hot path), so a park bounds the cost of a
+/// lost wakeup to this, and the coordinator polls stop_requested (and,
+/// supervised, the watchdog) at the same cadence.
 inline constexpr std::chrono::milliseconds kParkPoll{1};
 
 /// Spin budget before parking, per push/pop attempt. The common stall is a
@@ -101,8 +97,8 @@ struct ShardOp {
 /// as the *park* layer of a spin-then-park protocol: both sides spin a
 /// bounded budget first, then park with a timed wait (the wake handshake
 /// via the parked flags is best-effort; the timed wait bounds a lost
-/// wakeup, keeps supervised waits on the watchdog cadence, and lets the
-/// coordinator poll stop_requested while blocked on a full ring). Routing
+/// wakeup and lets the coordinator poll stop_requested and the watchdog
+/// while blocked on a full ring — see Push and Barrier). Routing
 /// itself is batched: the router admits the whole borrowed batch through
 /// the vectorized admission prefilter in one pass, and the coordinator
 /// publishes each shard's op run as one ring push per shard per batch.
@@ -314,15 +310,15 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
     return options_.stop_requested != nullptr &&
            options_.stop_requested->load(std::memory_order_relaxed);
   }
-  /// Pushes an item, honoring the bounded ring (unsupervised): spins, then
-  /// parks with timed waits. Returns false — leaving the item unqueued —
-  /// only when stop_requested flips while the ring stays full, so SIGINT
-  /// during a full-queue stall exits instead of waiting for a drain that
-  /// may never come.
-  bool Enqueue(size_t shard, LaneItem item);
-  /// Supervised push: bounded waits, restarting the lane if it fails
-  /// while the coordinator is parked on its full ring.
-  Status EnqueueSupervised(size_t shard, LaneItem item);
+  enum class PushResult : uint8_t { kPushed, kStopped, kFailed };
+  /// The coordinator's one ring push, for both modes: TryPush, then a
+  /// bounded spin, then timed parks at kParkPoll. After each park it gives
+  /// up, leaving `item` unqueued, with kStopped on a stop request (marking
+  /// the run stop-stalled, so SIGINT during a full-ring stall exits instead
+  /// of waiting for a drain that may never come), or with kFailed when the
+  /// run is supervised and LaneFailed(shard). It never restarts a lane:
+  /// each caller decides what a failure means.
+  PushResult Push(size_t shard, LaneItem& item);
   /// Publishes pending_[shard] to the lane's ring as one chunked
   /// publication and re-arms pending_ with a recycled vector.
   /// `publish_ns`: the batch's shared publication timestamp for trigger-
@@ -332,17 +328,16 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
   /// caller rotates the sample across shards, one per batch).
   Status FlushPending(size_t shard, uint64_t publish_ns,
                       bool sample_occupancy);
-  /// Parks every worker at a barrier; returns true once all have arrived,
-  /// false when a stop request aborted the park on a full ring (the run
+  /// Parks every worker at a barrier. Returns OK once all have arrived, or
+  /// OK with stop_stalled_ set when a stop request abandoned it (the run
   /// then tears down via quarantine and skips the final checkpoint).
-  bool BarrierAll();
-  /// Supervised barrier: same contract, but failed lanes are restarted
-  /// (with their barrier token re-issued) until every lane arrives.
-  Status BarrierAllSupervised();
+  /// Supervised, failed lanes are restarted until every lane arrives; an
+  /// exhausted restart budget is the error.
+  Status Barrier();
   /// Telemetry for a completed barrier: duration histogram + trace span
   /// (no-op when telemetry is off; `barrier_begin` is then ignored).
   void RecordBarrier(uint64_t barrier_begin);
-  /// Releases workers parked by BarrierAll / BarrierAllSupervised.
+  /// Releases workers parked by Barrier.
   void ResumeAll();
   /// Feeds each lane's new records to the merger (lanes quiescent).
   void DrainMerger();
@@ -371,8 +366,8 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
   /// parked at a barrier.
   Status CaptureRecoveryPoints();
   /// Waits until every lane is empty and idle (degrade-serial overload
-  /// response), restarting failed lanes when supervised; an unsupervised
-  /// stop request aborts the wait (stop_stalled_).
+  /// response), restarting failed lanes when supervised; a stop request
+  /// aborts the wait (stop_stalled_).
   Status DrainAllQueues();
   /// Pushes stop tokens to live lanes and joins every worker thread.
   /// Falls back to quarantine teardown when the run is supervised or a
@@ -637,61 +632,38 @@ void ShardedExecutorT<Traits>::WorkerMain(size_t shard) {
 }
 
 template <class Traits>
-bool ShardedExecutorT<Traits>::Enqueue(size_t shard, LaneItem item) {
+typename ShardedExecutorT<Traits>::PushResult ShardedExecutorT<Traits>::Push(
+    size_t shard, LaneItem& item) {
   Lane& lane = *lanes_[shard];
   if (lane.ring.TryPush(item)) {
     WakeConsumer(lane);
-    return true;
+    return PushResult::kPushed;
   }
   ++rcounters_.full_waits;
   for (size_t spin = 0;;) {
     if (lane.ring.TryPush(item)) {
       WakeConsumer(lane);
-      return true;
+      return PushResult::kPushed;
     }
     if (++spin <= shard_detail::kRingSpinIters) {
       CpuRelax();
       ++rcounters_.spins;
       continue;
     }
-    // A stop request while the ring stays full must not wait for a drain
-    // (the worker may be wedged): bail with the item unqueued; the caller
-    // marks the run stop-stalled.
-    if (StopRequestedNow()) return false;
     {
       std::unique_lock<std::mutex> lk(lane.mu);
       lane.producer_parked.store(true, std::memory_order_release);
-      lane.cv.wait_for(lk, shard_detail::kParkPoll,
-                       [&] { return !lane.ring.Full(); });
-      lane.producer_parked.store(false, std::memory_order_relaxed);
-    }
-    spin = 0;
-  }
-}
-
-template <class Traits>
-Status ShardedExecutorT<Traits>::EnqueueSupervised(size_t shard,
-                                                   LaneItem item) {
-  Lane& lane = *lanes_[shard];
-  for (;;) {
-    if (!lane.dead.load(std::memory_order_acquire) &&
-        lane.ring.TryPush(item)) {
-      WakeConsumer(lane);
-      return Status::OK();
-    }
-    {
-      std::unique_lock<std::mutex> lk(lane.mu);
-      lane.producer_parked.store(true, std::memory_order_release);
-      lane.cv.wait_for(lk, shard_detail::kSupervisedPoll, [&] {
+      lane.cv.wait_for(lk, shard_detail::kParkPoll, [&] {
         return !lane.ring.Full() || lane.dead.load(std::memory_order_relaxed);
       });
       lane.producer_parked.store(false, std::memory_order_relaxed);
     }
-    if (LaneFailed(shard)) {
-      // A restart clears the ring, so the retry above pushes the item
-      // (e.g. a barrier token) right after the replay slice.
-      ASEQ_RETURN_NOT_OK(RestartShard(shard));
+    if (StopRequestedNow()) {
+      stop_stalled_ = true;
+      return PushResult::kStopped;
     }
+    if (options_.supervise && LaneFailed(shard)) return PushResult::kFailed;
+    spin = 0;
   }
 }
 
@@ -708,49 +680,21 @@ Status ShardedExecutorT<Traits>::FlushPending(size_t shard,
     cc.publications.Add(1);
     // Occupancy sampled before the push: what the publication found in
     // front of it — the dataplane's backpressure profile. One rotating
-    // shard per batch (see the occ_rotor in RunImpl) keeps the histogram
+    // shard per batch (see the occ_rotor in Run) keeps the histogram
     // off the per-publication hot path.
     if (sample_occupancy) cc.ring_occupancy.Record(lane.ring.size());
     item.publish_ns = publish_ns;
   }
-  if (!options_.supervise) {
-    if (!Enqueue(shard, std::move(item))) {
-      // Stop request on a full ring: the ops are dropped with the run
-      // marked stop-stalled (interrupted, no final checkpoint).
-      stop_stalled_ = true;
-      return Status::OK();
-    }
-  } else {
-    bool dropped = false;
-    for (;;) {
-      if (!lane.dead.load(std::memory_order_acquire) &&
-          lane.ring.TryPush(item)) {
-        WakeConsumer(lane);
-        break;
-      }
-      {
-        std::unique_lock<std::mutex> lk(lane.mu);
-        lane.producer_parked.store(true, std::memory_order_release);
-        lane.cv.wait_for(lk, shard_detail::kSupervisedPoll, [&] {
-          return !lane.ring.Full() ||
-                 lane.dead.load(std::memory_order_relaxed);
-        });
-        lane.producer_parked.store(false, std::memory_order_relaxed);
-      }
-      if (LaneFailed(shard)) {
-        ASEQ_RETURN_NOT_OK(RestartShard(shard));
-        // The restart replayed everything routed since the recovery
-        // point — including the ops still held in `item` — so pushing
-        // them now would double-feed; drop them and recycle the vector.
-        item.ops.clear();
-        dropped = true;
-        break;
-      }
-    }
-    if (dropped) {
-      pending_[shard] = std::move(item.ops);
-      return Status::OK();
-    }
+  const PushResult pushed = Push(shard, item);
+  if (pushed == PushResult::kFailed) ASEQ_RETURN_NOT_OK(RestartShard(shard));
+  if (pushed != PushResult::kPushed) {
+    // Drop the ops and recycle the vector. Stopped: the run ends
+    // stop-stalled (interrupted, no final checkpoint). Failed: the restart
+    // replays everything routed since the recovery point, these ops
+    // included, so pushing them now would double-feed.
+    item.ops.clear();
+    pending_[shard] = std::move(item.ops);
+    return Status::OK();
   }
   // Re-arm pending_ with a worker-recycled vector when one is available.
   std::vector<ShardOp> replacement;
@@ -760,34 +704,54 @@ Status ShardedExecutorT<Traits>::FlushPending(size_t shard,
 }
 
 template <class Traits>
-bool ShardedExecutorT<Traits>::BarrierAll() {
+Status ShardedExecutorT<Traits>::Barrier() {
   const uint64_t barrier_begin =
       options_.telemetry != nullptr ? obs::MonotonicNanos() : 0;
+  const size_t n = lanes_.size();
   {
     std::lock_guard<std::mutex> lk(coord_mu_);
     barrier_arrived_ = 0;
   }
-  for (size_t s = 0; s < lanes_.size(); ++s) {
-    if (!Enqueue(s, LaneItem{LaneItem::Tag::kBarrier, {}})) {
-      // Stop request on a full ring: abandon the barrier. Lanes that did
-      // get a token park on the epoch; the quarantine teardown wakes them.
-      stop_stalled_ = true;
-      return false;
+  for (size_t s = 0; s < n; ++s) {
+    LaneItem token{LaneItem::Tag::kBarrier, {}};
+    for (;;) {
+      const PushResult pushed = Push(s, token);
+      if (pushed == PushResult::kPushed) break;
+      // Stopped: abandon the barrier. Lanes that did get a token park on
+      // the epoch; the quarantine teardown wakes them.
+      if (pushed == PushResult::kStopped) return Status::OK();
+      // Failed: the restart clears the ring, so the retry pushes the token
+      // right after the replay slice. barrier_pending flips true only once
+      // the token is queued, so the restart does not re-issue it too.
+      ASEQ_RETURN_NOT_OK(RestartShard(s));
     }
+    lanes_[s]->barrier_pending = true;
   }
   std::unique_lock<std::mutex> lk(coord_mu_);
-  while (!coord_cv_.wait_for(lk, shard_detail::kParkPoll, [&] {
-    return barrier_arrived_ == lanes_.size();
-  })) {
-    if (StopRequestedNow() && barrier_arrived_ < lanes_.size()) {
+  while (!coord_cv_.wait_for(lk, shard_detail::kParkPoll,
+                             [&] { return barrier_arrived_ == n; })) {
+    if (StopRequestedNow()) {
       // Tokens are queued but a worker is not arriving (stalled): a stop
       // request must still exit cleanly.
       stop_stalled_ = true;
-      return false;
+      return Status::OK();
     }
+    if (!options_.supervise) continue;
+    lk.unlock();
+    for (size_t s = 0; s < n; ++s) {
+      if (!lanes_[s]->at_barrier.load(std::memory_order_acquire) &&
+          LaneFailed(s)) {
+        // The lane's barrier token died with its queue; RestartShard
+        // re-issues it after the replay slice (barrier_pending is set).
+        ASEQ_RETURN_NOT_OK(RestartShard(s));
+      }
+    }
+    lk.lock();
   }
+  lk.unlock();
+  for (auto& lane : lanes_) lane->barrier_pending = false;
   RecordBarrier(barrier_begin);
-  return true;
+  return Status::OK();
 }
 
 template <class Traits>
@@ -802,45 +766,6 @@ void ShardedExecutorT<Traits>::RecordBarrier(uint64_t barrier_begin) {
         "barrier", obs::TraceWriter::kCoordTid, barrier_begin, end,
         {obs::TraceWriter::NumArg("shards", lanes_.size())});
   }
-}
-
-template <class Traits>
-Status ShardedExecutorT<Traits>::BarrierAllSupervised() {
-  const uint64_t barrier_begin =
-      options_.telemetry != nullptr ? obs::MonotonicNanos() : 0;
-  const size_t n = lanes_.size();
-  {
-    std::lock_guard<std::mutex> lk(coord_mu_);
-    barrier_arrived_ = 0;
-  }
-  for (size_t s = 0; s < n; ++s) {
-    // barrier_pending flips true only once the token is actually queued:
-    // a restart during the enqueue must not re-issue a token that was
-    // never pushed (EnqueueSupervised pushes it right after the restart).
-    ASEQ_RETURN_NOT_OK(
-        EnqueueSupervised(s, LaneItem{LaneItem::Tag::kBarrier, {}}));
-    lanes_[s]->barrier_pending = true;
-  }
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(coord_mu_);
-      if (coord_cv_.wait_for(lk, shard_detail::kSupervisedPoll,
-                             [&] { return barrier_arrived_ == n; })) {
-        break;
-      }
-    }
-    for (size_t s = 0; s < n; ++s) {
-      if (!lanes_[s]->at_barrier.load(std::memory_order_acquire) &&
-          LaneFailed(s)) {
-        // The lane's barrier token died with its queue; RestartShard
-        // re-issues it after the replay slice (barrier_pending is set).
-        ASEQ_RETURN_NOT_OK(RestartShard(s));
-      }
-    }
-  }
-  for (auto& lane : lanes_) lane->barrier_pending = false;
-  RecordBarrier(barrier_begin);
-  return Status::OK();
 }
 
 template <class Traits>
@@ -1043,10 +968,14 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
                     obs::TraceWriter::NumArg("attempt", lane.restart_attempts)});
   }
 
-  // Replay the routed slice since the recovery point. If the fresh worker
-  // dies again mid-replay (another armed fault), abandon — the caller's
-  // detection loop restarts again, and the budget bounds the loop.
+  // Replay the routed slice since the recovery point, then re-issue a
+  // barrier token lost with the cleared queue (or the coordinator's barrier
+  // would never complete). If the fresh worker fails again mid-replay
+  // (another armed fault: dead, or stalled past the watchdog) or a stop
+  // request arrives, abandon — the caller's detection loop restarts again,
+  // and the budget bounds the loop.
   uint64_t replayed = 0;
+  bool abandoned = false;
   const size_t chunk_size =
       options_.batch_size == 0 ? kDefaultBatchSize : options_.batch_size;
   for (size_t i = 0; i < lane.replay_log.size();) {
@@ -1056,22 +985,10 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
     item.ops.assign(lane.replay_log.begin() + static_cast<ptrdiff_t>(i),
                     lane.replay_log.begin() + static_cast<ptrdiff_t>(i + chunk));
     if (options_.telemetry != nullptr) item.publish_ns = obs::MonotonicNanos();
-    bool pushed = false;
-    while (!pushed) {
-      if (lane.dead.load(std::memory_order_acquire)) break;
-      if (lane.ring.TryPush(item)) {
-        WakeConsumer(lane);
-        pushed = true;
-        break;
-      }
-      std::unique_lock<std::mutex> lk(lane.mu);
-      lane.producer_parked.store(true, std::memory_order_release);
-      lane.cv.wait_for(lk, shard_detail::kSupervisedPoll, [&] {
-        return !lane.ring.Full() || lane.dead.load(std::memory_order_relaxed);
-      });
-      lane.producer_parked.store(false, std::memory_order_relaxed);
+    if (Push(shard, item) != PushResult::kPushed) {
+      abandoned = true;
+      break;
     }
-    if (!pushed) break;
     for (size_t j = i; j < i + chunk; ++j) {
       if (lane.replay_log[j].kind == ShardOp::Kind::kEvent) ++replayed;
     }
@@ -1084,26 +1001,9 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
                    {obs::TraceWriter::NumArg("shard", shard),
                     obs::TraceWriter::NumArg("events", replayed)});
   }
-
-  // A barrier token lost with the cleared queue must be re-issued after
-  // the replay slice, or the coordinator's barrier would never complete.
-  if (lane.barrier_pending && !lane.dead.load(std::memory_order_acquire)) {
+  if (lane.barrier_pending && !abandoned) {
     LaneItem token{LaneItem::Tag::kBarrier, {}};
-    bool pushed = false;
-    while (!pushed) {
-      if (lane.dead.load(std::memory_order_acquire)) break;
-      if (lane.ring.TryPush(token)) {
-        WakeConsumer(lane);
-        pushed = true;
-        break;
-      }
-      std::unique_lock<std::mutex> lk(lane.mu);
-      lane.producer_parked.store(true, std::memory_order_release);
-      lane.cv.wait_for(lk, shard_detail::kSupervisedPoll, [&] {
-        return !lane.ring.Full() || lane.dead.load(std::memory_order_relaxed);
-      });
-      lane.producer_parked.store(false, std::memory_order_relaxed);
-    }
+    Push(shard, token);
   }
   return Status::OK();
 }
@@ -1138,8 +1038,8 @@ Status ShardedExecutorT<Traits>::DrainAllQueues() {
       }
     }
     if (drained) return Status::OK();
-    if (!options_.supervise && StopRequestedNow()) {
-      // A stop against a wedged unsupervised worker must not poll forever:
+    if (StopRequestedNow()) {
+      // A stop against a wedged or slow worker must not poll forever:
       // abandon the drain; the run ends interrupted via quarantine.
       stop_stalled_ = true;
       return Status::OK();
@@ -1153,10 +1053,10 @@ void ShardedExecutorT<Traits>::StopWorkers() {
   bool quarantine_teardown = options_.supervise || stop_stalled_;
   if (!quarantine_teardown) {
     for (size_t s = 0; s < lanes_.size(); ++s) {
-      if (!Enqueue(s, LaneItem{LaneItem::Tag::kStop, {}})) {
+      LaneItem token{LaneItem::Tag::kStop, {}};
+      if (Push(s, token) != PushResult::kPushed) {
         // Stop request against a full ring: fall back to quarantine for
         // every lane (workers that already took their token just exit).
-        stop_stalled_ = true;
         quarantine_teardown = true;
         break;
       }
@@ -1264,6 +1164,16 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
   // cost (and no shard aliasing, which a modulo on the publication count
   // would produce).
   size_t occ_rotor = 0;
+  const auto save_checkpoint = [&] {
+    Status s = SaveSnapshotAt(seq);
+    if (s.ok()) {
+      ++result.checkpoints_written;
+      if (tel != nullptr) tel->coord().checkpoints.Add(1);
+      result.last_checkpoint_offset = seq;
+    } else {
+      result.checkpoint_status = std::move(s);
+    }
+  };
   uint64_t next_ckpt = options_.checkpoint_every > 0
                            ? options_.start_offset + options_.checkpoint_every
                            : shard_detail::kNeverDue;
@@ -1371,11 +1281,7 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
                   {obs::TraceWriter::NumArg("seq", seq - batch.size()),
                    obs::TraceWriter::NumArg("events", batch.size())});
     }
-    if (!result.fault_status.ok()) break;
-    if (stop_stalled_) {
-      result.interrupted = true;
-      break;
-    }
+    if (!result.fault_status.ok() || stop_stalled_) break;
     if (supervised) {
       Status cs = CheckLanes();
       if (!cs.ok()) {
@@ -1396,25 +1302,18 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
         result.fault_status = std::move(ds);
         break;
       }
-      if (stop_stalled_) {
-        result.interrupted = true;
-        break;
-      }
+      if (stop_stalled_) break;
     }
 
     const bool ckpt_due = result.checkpoint_status.ok() && seq >= next_ckpt;
     const bool rec_due = seq >= next_rec;
     if (ckpt_due || rec_due) {
-      if (supervised) {
-        Status bs = BarrierAllSupervised();
-        if (!bs.ok()) {
-          result.fault_status = std::move(bs);
-          break;
-        }
-      } else if (!BarrierAll()) {
-        result.interrupted = true;
+      Status bs = Barrier();
+      if (!bs.ok()) {
+        result.fault_status = std::move(bs);
         break;
       }
+      if (stop_stalled_) break;
       DrainMerger();
       if (supervised) {
         Status cs = CaptureRecoveryPoints();
@@ -1424,16 +1323,7 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
           break;
         }
       }
-      if (ckpt_due) {
-        Status s = SaveSnapshotAt(seq);
-        if (s.ok()) {
-          ++result.checkpoints_written;
-          if (tel != nullptr) tel->coord().checkpoints.Add(1);
-          result.last_checkpoint_offset = seq;
-        } else {
-          result.checkpoint_status = std::move(s);
-        }
-      }
+      if (ckpt_due) save_checkpoint();
       ResumeAll();
       if (next_ckpt != shard_detail::kNeverDue) {
         while (next_ckpt <= seq) next_ckpt += options_.checkpoint_every;
@@ -1456,33 +1346,22 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
        result.last_checkpoint_offset < seq);
   if (result.fault_status.ok() && !stop_stalled_ &&
       (supervised || want_final_ckpt)) {
-    Status bs;
-    bool arrived = true;
-    if (supervised) {
-      bs = BarrierAllSupervised();
-    } else {
-      arrived = BarrierAll();
-    }
-    if (bs.ok() && arrived) {
+    Status bs = Barrier();
+    if (!bs.ok()) {
+      result.fault_status = std::move(bs);
+    } else if (!stop_stalled_) {
       if (want_final_ckpt) {
         DrainMerger();
-        Status s = SaveSnapshotAt(seq);
-        if (s.ok()) {
-          ++result.checkpoints_written;
-          if (tel != nullptr) tel->coord().checkpoints.Add(1);
-          result.last_checkpoint_offset = seq;
-        } else {
-          result.checkpoint_status = std::move(s);
-        }
+        save_checkpoint();
       }
       ResumeAll();
-    } else if (!bs.ok()) {
-      result.fault_status = std::move(bs);
     }
-    // !arrived: stop_stalled_ is set; StopWorkers tears down by quarantine.
+    // stop_stalled_: StopWorkers tears down by quarantine.
   }
 
   StopWorkers();
+  // Work stranded by a stop-stalled push, barrier or drain never ran.
+  if (stop_stalled_) result.interrupted = true;
 
   DrainMerger();
   merged_ = ComputeMergedStats();

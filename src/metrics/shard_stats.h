@@ -20,7 +20,10 @@ namespace aseq {
 /// The object counters are NOT summed here — live/peak object accounting
 /// needs the seq-ordered timeline merge below, because the sum of
 /// per-shard peaks overestimates the serial global peak (shards do not
-/// peak at the same instant).
+/// peak at the same instant). The fault_*, shed_*, overload_stalls,
+/// pub_batches and ring_* counters are not summed either: shard engines
+/// never write them, and the sharded coordinator sets them on the merged
+/// view after the merge.
 inline void MergeBulkStats(const EngineStats& shard, EngineStats* merged) {
   merged->events_processed += shard.events_processed;
   merged->outputs += shard.outputs;
@@ -44,21 +47,6 @@ inline void MergeBulkStats(const EngineStats& shard, EngineStats* merged) {
   merged->adm_rejected_local += shard.adm_rejected_local;
   merged->adm_missing_attr += shard.adm_missing_attr;
   merged->adm_generic_cmps += shard.adm_generic_cmps;
-  // Fault/overload counters: owned by the sharded coordinator, which folds
-  // its own totals into the merged view after this sum — shard engines
-  // always carry zeros here, so the sums are inert but keep the merge
-  // total-preserving if that ever changes.
-  merged->fault_injected += shard.fault_injected;
-  merged->fault_restarts += shard.fault_restarts;
-  merged->fault_replayed_events += shard.fault_replayed_events;
-  merged->shed_partitions += shard.shed_partitions;
-  merged->shed_events += shard.shed_events;
-  merged->overload_stalls += shard.overload_stalls;
-  // Dataplane counters: owned by the coordinator/workers, folded in after
-  // this sum like the fault counters above — shard engines carry zeros.
-  merged->pub_batches += shard.pub_batches;
-  merged->ring_full_waits += shard.ring_full_waits;
-  merged->ring_spins += shard.ring_spins;
 }
 
 /// \brief Reconstructs the serial engine's global live/peak object counts

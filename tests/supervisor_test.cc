@@ -69,7 +69,8 @@ RunOptions SupervisedOptions() {
 void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
                                 size_t min_restarts,
                                 const std::string& label,
-                                double watchdog_timeout_ms = 1000) {
+                                double watchdog_timeout_ms = 1000,
+                                size_t recovery_every = 512) {
   auto c = MakeStock(777, 3000);
   CompiledQuery cq = MustCompile(&c->schema, kQuery);
 
@@ -81,6 +82,7 @@ void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
 
   RunOptions options = SupervisedOptions();
   options.watchdog_timeout_ms = watchdog_timeout_ms;
+  options.recovery_every = recovery_every;
   auto policy = MustMakeSharded(cq, options);
   if (!spec.empty()) {
     ASSERT_TRUE(fault::Injector::Global().Arm(spec, seed).ok()) << spec;
@@ -133,6 +135,17 @@ TEST_F(SupervisorTest, StalledShardIsQuarantinedAndRestarted) {
   // watchdog timeout keeps the test fast.
   CheckSupervisedEquivalence("worker.op@1:300:stall", 7, 1, "stall",
                              /*watchdog_timeout_ms=*/50);
+}
+
+TEST_F(SupervisorTest, StallDuringReplayRestartsAgain) {
+  // The first stall's restart replays shard 1's whole slice (recovery
+  // points are never due), far more than its 16-item ring holds, and the
+  // fresh worker stalls again on its first replayed op. The replay push
+  // must see the watchdog, abandon, and let the next restart finish it,
+  // instead of parking forever on the full ring.
+  CheckSupervisedEquivalence("worker.op@1:800:stall:2", 7, 2, "replay-stall",
+                             /*watchdog_timeout_ms=*/50,
+                             /*recovery_every=*/100000);
 }
 
 TEST_F(SupervisorTest, SlowShardIsNotMistakenForStalled) {
@@ -343,7 +356,12 @@ TEST_F(SupervisorTest, SupervisionComposesWithCrashAndOverloadInjection) {
   EXPECT_GE(policy->stats().overload_stalls, 1u);
 }
 
-TEST_F(SupervisorTest, StopDuringFullRingStallExitsPromptly) {
+// Runs once unsupervised and once supervised: both modes share one stop
+// rule (a slow lane keeps heartbeating, so the watchdog never fires).
+class SupervisorStopTest : public SupervisorTest,
+                           public ::testing::WithParamInterface<bool> {};
+
+TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   // A stop request that arrives while the coordinator is parked on a full
   // lane ring (worker too slow to drain) must abort the park instead of
   // waiting for a drain that may never come: the run returns interrupted,
@@ -353,6 +371,7 @@ TEST_F(SupervisorTest, StopDuringFullRingStallExitsPromptly) {
 
   RunOptions options;
   options.num_shards = kShards;
+  options.supervise = GetParam();
   // A small batch multiplies items-per-lane so the throttled lane's ring
   // fills within milliseconds and stays full for the rest of the run.
   options.batch_size = 8;
@@ -382,6 +401,11 @@ TEST_F(SupervisorTest, StopDuringFullRingStallExitsPromptly) {
   // unsanitized; a prompt stop is comfortably inside it.
   EXPECT_LT(elapsed, 10.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, SupervisorStopTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Supervised" : "Unsupervised";
+                         });
 
 }  // namespace
 }  // namespace aseq
