@@ -56,11 +56,6 @@ void AseqEngine::ProcessEvent(const Event& e, std::vector<Output>* out) {
   }
 }
 
-void AseqEngine::OnEvent(const Event& e, std::vector<Output>* out) {
-  counters_.Purge(e.ts());
-  ProcessEvent(e, out);
-}
-
 void AseqEngine::OnBatch(std::span<const Event> batch,
                          std::vector<Output>* out) {
   if (batch.empty()) return;
@@ -276,14 +271,6 @@ void HpcEngine::ExecuteEvent(const Event& e,
     out->push_back(std::move(output));
     ++stats_.outputs;
   }
-}
-
-void HpcEngine::OnEvent(const Event& e, std::vector<Output>* out) {
-  admitter_.AdmitBatch(program_, std::span<const Event>(&e, 1),
-                       &store_.interner(), &stats_);
-  PrefetchIndex();
-  ExecuteEvent(e, admitter_.RecordsFor(0), out);
-  UpdateHtStats();
 }
 
 void HpcEngine::OnBatch(std::span<const Event> batch,

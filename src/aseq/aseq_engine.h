@@ -29,12 +29,11 @@ class AseqEngine : public QueryEngine {
  public:
   explicit AseqEngine(CompiledQuery query);
 
-  void OnEvent(const Event& e, std::vector<Output>* out) override;
-  /// Batched path: hoists the window-expiry check out of the per-event
-  /// loop via a cached next-expiry lower bound (purge calls that would be
-  /// no-ops are skipped, so state and stats stay byte-identical to the
-  /// per-event path) and dispatches roles through a flat per-type table
-  /// instead of a hash probe.
+  /// Hoists the window-expiry check out of the per-event loop via a
+  /// cached next-expiry lower bound (purge calls that would be no-ops are
+  /// skipped, so state and stats do not depend on the batching) and
+  /// dispatches roles through a flat per-type table instead of a hash
+  /// probe.
   void OnBatch(std::span<const Event> batch, std::vector<Output>* out) override;
   std::vector<Output> Poll(Timestamp now) override;
   const EngineStats& stats() const override { return stats_; }
@@ -48,9 +47,6 @@ class AseqEngine : public QueryEngine {
 
   /// Number of live prefix counters (testing hook).
   size_t num_counters() const { return counters_.num_counters(); }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// Role dispatch + trigger handling for one event; the caller has
@@ -82,8 +78,7 @@ class AseqEngine : public QueryEngine {
 /// Value copies or allocations), PrefetchIndex/PrefetchPartitions issue
 /// DRAMHiT-style software prefetches for the flat-table slots the batch
 /// will probe, and ExecuteEvent replays the staged records in arrival
-/// order. OnEvent stages a one-event batch through the same path, so both
-/// paths share one code path and stay exactly equivalent.
+/// order.
 ///
 /// State lives in the partition-state spine (src/state/): a
 /// state::PartitionStore of Partition entries (interned keys, slab slots
@@ -103,7 +98,6 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
  public:
   explicit HpcEngine(CompiledQuery query);
 
-  void OnEvent(const Event& e, std::vector<Output>* out) override;
   void OnBatch(std::span<const Event> batch, std::vector<Output>* out) override;
   std::vector<Output> Poll(Timestamp now) override;
   const EngineStats& stats() const override { return stats_; }
@@ -128,9 +122,6 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   /// purge-and-erase sweep (without the aggregation) otherwise.
   void SyncPurgeTo(Timestamp now) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// One partition: its interned key (plus the key's hash, pinned at

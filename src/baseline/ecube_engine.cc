@@ -285,17 +285,6 @@ void EcubeEngine::CountNewMatches(size_t qi, Timestamp now) {
   recurse(recurse, static_cast<int>(b) - 2, trig.ptr);
 }
 
-void EcubeEngine::OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-  Purge(e.ts());
-  ProcessEvent(e, out);
-  // Keep the cached bound valid for a subsequent OnBatch (new stack
-  // entries expire at e.ts() + window; composites and retained matches
-  // inherit a live entry's expiry, already covered by the bound).
-  if (window_ms_ > 0) {
-    next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
-  }
-}
-
 void EcubeEngine::OnBatch(std::span<const Event> batch,
                           std::vector<MultiOutput>* out) {
   if (batch.empty()) return;
@@ -303,6 +292,8 @@ void EcubeEngine::OnBatch(std::span<const Event> batch,
   for (const Event& e : batch) {
     if (e.ts() >= next_expiry_) Purge(e.ts());
     ProcessEvent(e, out);
+    // New stack entries expire at e.ts() + window; composites and retained
+    // matches inherit a live entry's expiry, already covered by the bound.
     if (windowed) next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
   }
   stats_.NoteBatch(batch.size());
@@ -381,6 +372,9 @@ void EcubeEngine::ProcessEvent(const Event& e, std::vector<MultiOutput>* out) {
     out->push_back(std::move(mo));
     ++stats_.outputs;
   }
+  // The shared composites were scratch: every query now holds its own
+  // reference-copy (charged above), so release their transient charge.
+  stats_.objects.Remove(static_cast<int64_t>(created_scratch_.size()));
 }
 
 Status EcubeEngine::Checkpoint(ckpt::Writer* writer) const {
@@ -428,8 +422,11 @@ Status EcubeEngine::Restore(ckpt::Reader* reader) {
   EngineStats stats;
   ASEQ_RETURN_NOT_OK(ckpt::ReadStats(reader, &stats));
   ASEQ_RETURN_NOT_OK(reader->ReadI64(&next_expiry_, "ecube next expiry"));
-  auto read_stacks = [reader](std::vector<PosStack>* stacks,
-                              const char* what) -> Status {
+  // Live objects the rebuilt state holds: 2 per stack entry, 1 per
+  // composite and per live match (ProcessEvent / RecordMatch charges).
+  int64_t live = 0;
+  auto read_stacks = [reader, &live](std::vector<PosStack>* stacks,
+                                     const char* what) -> Status {
     uint64_t n_stacks = 0;
     ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_stacks, 16, what));
     if (n_stacks != stacks->size()) {
@@ -449,6 +446,7 @@ Status EcubeEngine::Restore(ckpt::Reader* reader) {
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&entry.ptr, "entry ptr"));
         stack.entries.push_back(entry);
       }
+      live += 2 * static_cast<int64_t>(n_entries);
     }
     return Status::OK();
   };
@@ -488,7 +486,14 @@ Status EcubeEngine::Restore(ckpt::Reader* reader) {
       ASEQ_RETURN_NOT_OK(reader->ReadI64(&exp, "match expiry"));
       state.expiry.push(exp);
     }
+    if (state.live_count != n_expiry) {
+      return Status::ParseError(
+          "snapshot corrupt: " + std::to_string(state.live_count) +
+          " live matches but " + std::to_string(n_expiry) + " expirations");
+    }
+    live += static_cast<int64_t>(n_composites + n_expiry);
   }
+  ASEQ_RETURN_NOT_OK(ckpt::CheckLiveObjects(stats, live));
   stats_ = stats;
   return Status::OK();
 }

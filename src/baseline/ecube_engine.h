@@ -37,18 +37,14 @@ class EcubeEngine : public MultiQueryEngine {
   static Result<std::unique_ptr<EcubeEngine>> Create(
       std::vector<CompiledQuery> queries, std::vector<EventTypeId> shared_types);
 
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override;
-  /// Batched path: skips per-event purge scans that a cached next-expiry
-  /// lower bound proves are no-ops.
+  /// Skips per-event purge scans that a cached next-expiry lower bound
+  /// proves are no-ops.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
   const EngineStats& stats() const override { return stats_; }
   Status Checkpoint(ckpt::Writer* writer) const override;
   Status Restore(ckpt::Reader* reader) override;
   std::string name() const override { return "ECube"; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   struct StackEntry {

@@ -109,17 +109,6 @@ Timestamp StackEngine::ComputeNextExpiry() const {
   return min_exp;
 }
 
-void StackEngine::OnEvent(const Event& e, std::vector<Output>* out) {
-  PurgeExpired(e.ts());
-  ProcessEvent(e, out);
-  // Keep the cached bound valid for a subsequent OnBatch: state created
-  // here expires at e.ts() + window or later (retained matches inherit
-  // their start entry's expiry, which the bound already covers).
-  if (query_.has_window()) {
-    next_expiry_ = std::min(next_expiry_, e.ts() + query_.window_ms());
-  }
-}
-
 void StackEngine::OnBatch(std::span<const Event> batch,
                           std::vector<Output>* out) {
   if (batch.empty()) return;
@@ -128,6 +117,8 @@ void StackEngine::OnBatch(std::span<const Event> batch,
   for (const Event& e : batch) {
     if (e.ts() >= next_expiry_) PurgeExpired(e.ts());
     ProcessEvent(e, out);
+    // State created here expires at e.ts() + window or later (retained
+    // matches inherit their start entry's expiry, already covered).
     if (windowed) next_expiry_ = std::min(next_expiry_, e.ts() + win);
   }
   stats_.NoteBatch(batch.size());

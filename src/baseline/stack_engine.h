@@ -46,10 +46,8 @@ class StackEngine : public QueryEngine {
  public:
   explicit StackEngine(CompiledQuery query);
 
-  void OnEvent(const Event& e, std::vector<Output>* out) override;
-  /// Batched path: skips per-event purge calls that a cached next-expiry
-  /// lower bound proves are no-ops (state and stats stay byte-identical to
-  /// the per-event path).
+  /// Skips per-event purge calls that a cached next-expiry lower bound
+  /// proves are no-ops (state and stats do not depend on the batching).
   void OnBatch(std::span<const Event> batch, std::vector<Output>* out) override;
   std::vector<Output> Poll(Timestamp now) override;
   const EngineStats& stats() const override { return stats_; }
@@ -61,9 +59,6 @@ class StackEngine : public QueryEngine {
 
   /// Number of currently retained (non-expired) matches (testing hook).
   size_t num_live_matches() const { return live_matches_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   struct StackEntry {

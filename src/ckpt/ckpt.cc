@@ -275,5 +275,16 @@ Status CheckLiveObjects(const EngineStats& restored, int64_t live) {
   return Status::OK();
 }
 
+Status CheckSampledObjects(const EngineStats& restored, int64_t sampled,
+                           int64_t live) {
+  if (sampled != live) {
+    return Status::ParseError(
+        "snapshot corrupt: last sampled live objects " +
+        std::to_string(sampled) + " but the restored sub-engines hold " +
+        std::to_string(live));
+  }
+  return CheckLiveObjects(restored, live);
+}
+
 }  // namespace ckpt
 }  // namespace aseq

@@ -101,6 +101,12 @@ Status ReadStats(Reader* r, EngineStats* s);
 /// the rebuilt state expires.
 Status CheckLiveObjects(const EngineStats& restored, int64_t live);
 
+/// CheckLiveObjects for the wrapper engines (NonShare, Hybrid), which also
+/// carry `sampled`, their last sample of the sub-engines' combined live
+/// count: it too must equal `live`, the restored sub-engines' sum.
+Status CheckSampledObjects(const EngineStats& restored, int64_t sampled,
+                           int64_t live);
+
 /// \brief Read access to a priority_queue's underlying heap array.
 ///
 /// Heaps whose comparator is not a total order (e.g. expiry heaps keyed on

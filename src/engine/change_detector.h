@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,42 +31,42 @@ class ChangeDetectingEngine : public QueryEngine {
   explicit ChangeDetectingEngine(std::unique_ptr<QueryEngine> inner)
       : inner_(std::move(inner)) {}
 
-  void OnEvent(const Event& e, std::vector<Output>* out) override {
-    if (!primed_) {
-      // The empty-state value (0 / null) is the baseline, not a change.
+  /// The change contract requires one Poll of the inner engine after
+  /// *every* event, so the batch is fed to the inner engine one event at a
+  /// time; there is no per-event work to hoist.
+  void OnBatch(std::span<const Event> batch,
+               std::vector<Output>* out) override {
+    for (const Event& e : batch) {
+      if (!primed_) {
+        // The empty-state value (0 / null) is the baseline, not a change.
+        for (const Output& output : inner_->Poll(e.ts())) {
+          last_[output.group.has_value() ? *output.group : Value()] =
+              output.value;
+        }
+        primed_ = true;
+      }
+      scratch_.clear();
+      inner_->OnEvent(e, &scratch_);
       for (const Output& output : inner_->Poll(e.ts())) {
-        last_[output.group.has_value() ? *output.group : Value()] =
-            output.value;
+        Value key = output.group.has_value() ? *output.group : Value();
+        auto it = last_.find(key);
+        if (it == last_.end()) {
+          // A key seen for the first time was implicitly at the empty
+          // value (0 / null) before; only a non-empty value is a change.
+          last_[key] = output.value;
+          if (IsEmptyValue(output.value)) continue;
+        } else if (it->second.Equals(output.value)) {
+          continue;
+        } else {
+          it->second = output.value;
+        }
+        Output changed = output;
+        changed.ts = e.ts();
+        changed.seq = e.seq();
+        out->push_back(std::move(changed));
       }
-      primed_ = true;
-    }
-    scratch_.clear();
-    inner_->OnEvent(e, &scratch_);
-    for (const Output& output : inner_->Poll(e.ts())) {
-      Value key = output.group.has_value() ? *output.group : Value();
-      auto it = last_.find(key);
-      if (it == last_.end()) {
-        // A key seen for the first time was implicitly at the empty value
-        // (0 / null) before; only a non-empty value is a change.
-        last_[key] = output.value;
-        if (IsEmptyValue(output.value)) continue;
-      } else if (it->second.Equals(output.value)) {
-        continue;
-      } else {
-        it->second = output.value;
-      }
-      Output changed = output;
-      changed.ts = e.ts();
-      changed.seq = e.seq();
-      out->push_back(std::move(changed));
     }
   }
-
-  // OnBatch deliberately keeps the base-class per-event loop: the change
-  // contract requires one Poll of the inner engine after *every* event,
-  // so there is no per-event work to hoist. mutable_stats() stays null
-  // (stats forward to the inner engine, whose own OnBatch does the batch
-  // accounting when driven batched directly).
 
   std::vector<Output> Poll(Timestamp now) override {
     return inner_->Poll(now);

@@ -39,28 +39,28 @@ struct Output {
 ///
 /// Implemented by the A-Seq engines (DPC / SEM / HPC) and by the
 /// stack-based baseline. The window slides on every arrival (the paper's
-/// window semantics), so OnEvent both expires state and processes the
-/// event; TRIG arrivals append results to `out`.
+/// window semantics), so OnBatch both expires state and processes each
+/// event in turn; TRIG arrivals append results to `out`.
 class QueryEngine {
  public:
+  using OutputT = Output;
+
   virtual ~QueryEngine() = default;
 
-  /// Processes one event in arrival order; appends any results to `out`
-  /// (left untouched otherwise). Events must have non-decreasing
-  /// timestamps and strictly increasing sequence numbers.
-  virtual void OnEvent(const Event& e, std::vector<Output>* out) = 0;
-
-  /// Processes a batch of events in arrival order. Exactly equivalent to
-  /// calling OnEvent once per event — byte-identical Output sequences and
-  /// identical EngineStats (modulo the batch counters) — but engines
-  /// override it to amortize per-event overheads: window-expiry checks,
-  /// role/hash lookups, and (HpcEngine) software-prefetched partition
-  /// probes. The default implementation is the per-event loop.
+  /// Processes a batch of events in arrival order; appends any results to
+  /// `out` (left untouched otherwise). Events must have non-decreasing
+  /// timestamps and strictly increasing sequence numbers. The only entry
+  /// point: every batching of a stream — one event per call included —
+  /// yields byte-identical Output sequences and identical EngineStats
+  /// (modulo the batch counters). Engines amortize per-event overheads
+  /// across the batch: window-expiry checks, role/hash lookups, and
+  /// (HpcEngine) software-prefetched partition probes.
   virtual void OnBatch(std::span<const Event> batch,
-                       std::vector<Output>* out) {
-    if (batch.empty()) return;
-    for (const Event& e : batch) OnEvent(e, out);
-    if (EngineStats* stats = mutable_stats()) stats->NoteBatch(batch.size());
+                       std::vector<Output>* out) = 0;
+
+  /// A batch of one event.
+  void OnEvent(const Event& e, std::vector<Output>* out) {
+    OnBatch(std::span<const Event>(&e, 1), out);
   }
 
   /// Reports the current aggregation value(s) as of time `now` (expired
@@ -94,13 +94,6 @@ class QueryEngine {
 
   /// Human-readable engine name ("A-Seq(SEM)", "StackBased", ...).
   virtual std::string name() const = 0;
-
- protected:
-  /// Hook for the default OnBatch to record batch counters. Engines that
-  /// own an EngineStats return it here; wrappers that merely forward
-  /// stats() to an inner engine leave it null so the inner engine's own
-  /// OnBatch (or fallback loop) does the accounting exactly once.
-  virtual EngineStats* mutable_stats() { return nullptr; }
 };
 
 /// \brief Optional capability interface for engines whose grouped state
@@ -178,18 +171,18 @@ class MultiShardableEngine {
 /// workload query against the shared stream in one pass.
 class MultiQueryEngine {
  public:
+  using OutputT = MultiOutput;
+
   virtual ~MultiQueryEngine() = default;
 
-  /// Processes one event for all queries; appends results to `out`.
-  virtual void OnEvent(const Event& e, std::vector<MultiOutput>* out) = 0;
-
-  /// Batched counterpart of OnEvent with the same exact-equivalence
-  /// contract as QueryEngine::OnBatch. Default: per-event loop.
+  /// Processes a batch of events for all queries; appends results to
+  /// `out`. Same contract as QueryEngine::OnBatch.
   virtual void OnBatch(std::span<const Event> batch,
-                       std::vector<MultiOutput>* out) {
-    if (batch.empty()) return;
-    for (const Event& e : batch) OnEvent(e, out);
-    if (EngineStats* stats = mutable_stats()) stats->NoteBatch(batch.size());
+                       std::vector<MultiOutput>* out) = 0;
+
+  /// A batch of one event.
+  void OnEvent(const Event& e, std::vector<MultiOutput>* out) {
+    OnBatch(std::span<const Event>(&e, 1), out);
   }
 
   /// Reports the current aggregation value(s) of every query as of time
@@ -215,10 +208,6 @@ class MultiQueryEngine {
   }
 
   virtual std::string name() const = 0;
-
- protected:
-  /// See QueryEngine::mutable_stats.
-  virtual EngineStats* mutable_stats() { return nullptr; }
 };
 
 }  // namespace aseq

@@ -12,8 +12,10 @@
 
 namespace aseq {
 
-/// \brief Adapter that makes any in-order QueryEngine consume boundedly
-/// out-of-order streams (the paper's Sec. 8 future work).
+/// \brief Adapter that makes any in-order engine consume boundedly
+/// out-of-order streams (the paper's Sec. 8 future work). `EngineT` is
+/// QueryEngine for a single query, MultiQueryEngine for a workload (one
+/// shared K-slack buffer in front of every query).
 ///
 /// Arriving events pass through a KSlackReorderer; released events are
 /// re-sequenced and fed to the wrapped engine. Results are therefore
@@ -22,25 +24,19 @@ namespace aseq {
 ///
 /// Late events past the slack bound are dropped by the reorderer, but never
 /// silently: stats() folds the drop count into EngineStats::dropped_events.
-class ReorderingEngine : public QueryEngine {
+template <class EngineT>
+class ReorderingEngineT : public EngineT {
  public:
-  ReorderingEngine(std::unique_ptr<QueryEngine> inner, Timestamp slack_ms)
+  using OutputT = typename EngineT::OutputT;
+
+  ReorderingEngineT(std::unique_ptr<EngineT> inner, Timestamp slack_ms)
       : inner_(std::move(inner)), reorderer_(slack_ms) {}
 
-  void OnEvent(const Event& e, std::vector<Output>* out) override {
-    released_.clear();
-    reorderer_.Push(e, &released_);
-    for (Event& r : released_) {
-      r.set_seq(next_seq_++);
-      inner_->OnEvent(r, out);
-    }
-  }
-
-  /// Batched path: pushes the whole batch through the reorder buffer,
-  /// then feeds everything released — in the same release order as the
-  /// per-event path — to the inner engine as one batch.
+  /// Pushes the whole batch through the reorder buffer, then feeds
+  /// everything released — in release order — to the inner engine as one
+  /// batch.
   void OnBatch(std::span<const Event> batch,
-               std::vector<Output>* out) override {
+               std::vector<OutputT>* out) override {
     if (batch.empty()) return;
     released_.clear();
     for (const Event& e : batch) reorderer_.Push(e, &released_);
@@ -51,7 +47,7 @@ class ReorderingEngine : public QueryEngine {
   /// Drains the reorder buffer into the wrapped engine through OnBatch —
   /// the same code path as steady-state batches, so the drain cannot
   /// diverge from normal processing.
-  void Finish(std::vector<Output>* out) {
+  void Finish(std::vector<OutputT>* out) {
     released_.clear();
     reorderer_.Flush(&released_);
     for (Event& r : released_) r.set_seq(next_seq_++);
@@ -60,7 +56,7 @@ class ReorderingEngine : public QueryEngine {
 
   /// Current value as of the *released* stream time; buffered events are
   /// not yet reflected.
-  std::vector<Output> Poll(Timestamp now) override {
+  std::vector<OutputT> Poll(Timestamp now) override {
     return inner_->Poll(now);
   }
 
@@ -90,10 +86,10 @@ class ReorderingEngine : public QueryEngine {
 
   uint64_t dropped_events() const { return reorderer_.dropped(); }
   size_t buffered_events() const { return reorderer_.buffered(); }
-  QueryEngine* inner() { return inner_.get(); }
+  EngineT* inner() { return inner_.get(); }
 
  private:
-  std::unique_ptr<QueryEngine> inner_;
+  std::unique_ptr<EngineT> inner_;
   KSlackReorderer reorderer_;
   SeqNum next_seq_ = 0;
   std::vector<Event> released_;
@@ -102,74 +98,7 @@ class ReorderingEngine : public QueryEngine {
   mutable EngineStats stats_cache_;
 };
 
-/// \brief Multi-query counterpart of ReorderingEngine: one shared K-slack
-/// buffer in front of a MultiQueryEngine.
-class ReorderingMultiEngine : public MultiQueryEngine {
- public:
-  ReorderingMultiEngine(std::unique_ptr<MultiQueryEngine> inner,
-                        Timestamp slack_ms)
-      : inner_(std::move(inner)), reorderer_(slack_ms) {}
-
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override {
-    released_.clear();
-    reorderer_.Push(e, &released_);
-    for (Event& r : released_) {
-      r.set_seq(next_seq_++);
-      inner_->OnEvent(r, out);
-    }
-  }
-
-  /// Batched path (see ReorderingEngine::OnBatch).
-  void OnBatch(std::span<const Event> batch,
-               std::vector<MultiOutput>* out) override {
-    if (batch.empty()) return;
-    released_.clear();
-    for (const Event& e : batch) reorderer_.Push(e, &released_);
-    for (Event& r : released_) r.set_seq(next_seq_++);
-    inner_->OnBatch(released_, out);
-  }
-
-  /// Drains the reorder buffer into the wrapped engine through OnBatch
-  /// (see ReorderingEngine::Finish).
-  void Finish(std::vector<MultiOutput>* out) {
-    released_.clear();
-    reorderer_.Flush(&released_);
-    for (Event& r : released_) r.set_seq(next_seq_++);
-    inner_->OnBatch(released_, out);
-  }
-
-  /// Inner engine stats with the reorderer's drop count folded into
-  /// dropped_events.
-  const EngineStats& stats() const override {
-    stats_cache_ = inner_->stats();
-    stats_cache_.dropped_events += reorderer_.dropped();
-    return stats_cache_;
-  }
-
-  Status Checkpoint(ckpt::Writer* writer) const override {
-    reorderer_.Checkpoint(writer);
-    writer->WriteU64(next_seq_);
-    return inner_->Checkpoint(writer);
-  }
-
-  Status Restore(ckpt::Reader* reader) override {
-    ASEQ_RETURN_NOT_OK(reorderer_.Restore(reader));
-    ASEQ_RETURN_NOT_OK(reader->ReadU64(&next_seq_, "reorder next seq"));
-    return inner_->Restore(reader);
-  }
-
-  std::string name() const override { return inner_->name() + "+KSlack"; }
-
-  uint64_t dropped_events() const { return reorderer_.dropped(); }
-  size_t buffered_events() const { return reorderer_.buffered(); }
-
- private:
-  std::unique_ptr<MultiQueryEngine> inner_;
-  KSlackReorderer reorderer_;
-  SeqNum next_seq_ = 0;
-  std::vector<Event> released_;
-  mutable EngineStats stats_cache_;
-};
+using ReorderingEngine = ReorderingEngineT<QueryEngine>;
 
 }  // namespace aseq
 

@@ -11,17 +11,8 @@ namespace exec {
 
 namespace {
 
-// What differs between a single query and a workload, as overloads the
-// shared MakePolicyT body picks by argument type.
-
-std::string ShardingRefusal(const CompiledQuery& query) {
-  return PlanSharding(query).reason;
-}
-std::string ShardingRefusal(std::span<const CompiledQuery> queries) {
-  return PlanMultiSharding(queries).reason;
-}
-
-/// The engine opts in. Baselines and wrappers (reordering, change
+/// The engine opts in (overloaded by engine type; a single query is
+/// otherwise just a workload of one). Baselines and wrappers (reordering, change
 /// detection), whose buffering is inherently cross-key-sequential, lack
 /// the shardable interface; a multi-query engine may implement it yet
 /// refuse this workload.
@@ -34,7 +25,6 @@ bool EngineShards(MultiQueryEngine* engine) {
 }
 
 /// Purge markers are needed only when something can expire.
-bool AnyWindow(const CompiledQuery& query) { return query.has_window(); }
 bool AnyWindow(std::span<const CompiledQuery> queries) {
   for (const CompiledQuery& q : queries) {
     if (q.has_window()) return true;
@@ -45,11 +35,11 @@ bool AnyWindow(std::span<const CompiledQuery> queries) {
 /// Builds the first engine; runs serially for one shard or when sharding
 /// is refused (with the reason); else builds the twins and the sharded
 /// executor.
-template <class Traits, class Queries,
-          class Engine = typename Traits::Engine,
+template <class Traits, class Engine = typename Traits::Engine,
           class Policy = ExecutionPolicyT<Engine>>
 Result<std::unique_ptr<Policy>> MakePolicyT(
-    const Queries& queries, const EngineFactoryT<Engine>& factory,
+    std::span<const CompiledQuery> queries,
+    const EngineFactoryT<Engine>& factory,
     const RunOptions& options, std::string* fallback_reason) {
   if (fallback_reason != nullptr) fallback_reason->clear();
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> first, factory());
@@ -59,7 +49,7 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
         new SerialExecutorT<Engine>(options, std::move(first)));
   }
 
-  std::string reason = ShardingRefusal(queries);
+  std::string reason = PlanSharding(queries).reason;
   if (reason.empty() && !EngineShards(first.get())) {
     reason = "engine '" + first->name() + "' does not support sharding";
   }
@@ -83,7 +73,7 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
     engines.push_back(std::move(twin));
   }
   return std::unique_ptr<Policy>(new ShardedExecutorT<Traits>(
-      options, std::move(engines), typename Traits::RouterT(queries, shards),
+      options, std::move(engines), ShardRouter(queries, shards),
       /*send_markers=*/AnyWindow(queries), factory));
 }
 
@@ -92,8 +82,9 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
 Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     const CompiledQuery& query, const EngineFactory& factory,
     const RunOptions& options, std::string* fallback_reason) {
-  return MakePolicyT<SingleShardTraits>(query, factory, options,
-                                        fallback_reason);
+  return MakePolicyT<SingleShardTraits>(
+      std::span<const CompiledQuery>(&query, 1), factory, options,
+      fallback_reason);
 }
 
 Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(

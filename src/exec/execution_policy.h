@@ -32,7 +32,7 @@ using MultiEngineFactory = EngineFactoryT<MultiQueryEngine>;
 /// Whatever the policy, the contract is exact serial equivalence: outputs
 /// in global sequence order (ties broken by each event's own emission
 /// order) and EngineStats byte-identical to the serial run (modulo the
-/// batch counters, exactly as OnBatch vs OnEvent).
+/// batch counters, which record how the events were batched).
 template <class EngineT>
 class ExecutionPolicyT {
  public:
@@ -95,7 +95,7 @@ Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     const RunOptions& options, std::string* fallback_reason = nullptr);
 
 /// The workload counterpart of MakePolicy: shards when every query shards
-/// safely (PlanMultiSharding) and the engine opts in
+/// safely (PlanSharding over the whole workload) and the engine opts in
 /// (MultiShardableEngine::shardable).
 Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
     std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,

@@ -11,18 +11,14 @@ namespace aseq {
 namespace exec {
 
 /// Trait bindings for the single-query sharded executor: one CompiledQuery,
-/// ShardableEngine twins, scalar Output, ShardRouter. A route triggers when
-/// the query's last positive role matched; markers carry no payload (the
+/// ShardableEngine twins, scalar Output. Markers carry no payload (the
 /// purge covers the whole engine).
 struct SingleShardTraits {
   using Engine = QueryEngine;
   using Shardable = ShardableEngine;
-  using OutputT = Output;
-  using RouterT = ShardRouter;
 
-  static SeqNum OutputSeq(const OutputT& o) { return o.seq; }
-  static bool IsTrigger(const RouterT::Route& route) { return route.trigger; }
-  static void StampMarker(const RouterT::Route& route, ShardOp* op) {
+  static SeqNum OutputSeq(const Output& o) { return o.seq; }
+  static void StampMarker(const ShardRouter::Route& route, ShardOp* op) {
     (void)route;
     (void)op;  // single-query markers carry no per-query payload
   }
@@ -39,20 +35,15 @@ struct SingleShardTraits {
 
 /// Trait bindings for the multi-query (workload) sharded executor:
 /// MultiShardableEngine twins over the whole workload, query-tagged
-/// MultiOutput, MultiShardRouter. A route triggers when any windowed query
-/// completed; the marker carries which ones, so engines with per-query
-/// clocks purge exactly the serial set.
+/// MultiOutput. The marker carries which windowed queries the trigger
+/// completed, so engines with per-query clocks purge exactly the serial
+/// set.
 struct MultiShardTraits {
   using Engine = MultiQueryEngine;
   using Shardable = MultiShardableEngine;
-  using OutputT = MultiOutput;
-  using RouterT = MultiShardRouter;
 
-  static SeqNum OutputSeq(const OutputT& o) { return o.output.seq; }
-  static bool IsTrigger(const RouterT::Route& route) {
-    return !route.trigger_queries.empty();
-  }
-  static void StampMarker(const RouterT::Route& route, ShardOp* op) {
+  static SeqNum OutputSeq(const MultiOutput& o) { return o.output.seq; }
+  static void StampMarker(const ShardRouter::Route& route, ShardOp* op) {
     op->trigger_queries = route.trigger_queries;
   }
   static void SyncPurge(Shardable* shardable, const ShardOp& op) {

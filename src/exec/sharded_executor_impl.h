@@ -26,6 +26,7 @@
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
+#include "exec/shard_router.h"
 #include "exec/spsc_ring.h"
 #include "fault/fault.h"
 #include "metrics/shard_stats.h"
@@ -82,10 +83,7 @@ struct ShardOp {
 ///   - Engine        QueryEngine / MultiQueryEngine (the executor
 ///                   implements ExecutionPolicyT<Engine>)
 ///   - Shardable     ShardableEngine / MultiShardableEngine
-///   - OutputT       Output / MultiOutput
-///   - RouterT       ShardRouter / MultiShardRouter
 ///   - OutputSeq     the output's global event seq (merge key)
-///   - IsTrigger     whether a route completes any (windowed) query
 ///   - StampMarker   copies the route's trigger payload into a marker op
 ///   - SyncPurge     applies a marker through the shardable interface
 ///
@@ -105,9 +103,9 @@ struct ShardOp {
 ///
 /// Serial equivalence, piece by piece:
 ///  - Routing: events go to hash(GROUP BY key) % N — all partitions a
-///    trigger reads share that key (PlanSharding / PlanMultiSharding
-///    guarantees it), so every output is computed from exactly the state
-///    the serial engine would read.
+///    trigger reads share that key (PlanSharding guarantees it), so every
+///    output is computed from exactly the state the serial engine would
+///    read.
 ///  - Purge markers: a serial trigger purges expired state across every
 ///    partition (of the triggered queries, for a workload). The router
 ///    detects triggers with the engines' own admission programs and
@@ -120,10 +118,11 @@ struct ShardOp {
 ///  - Stats: bulk counters are charged on exactly one shard per event and
 ///    sum exactly (metrics/shard_stats.h); live/peak objects are
 ///    reconstructed exactly by StatsTimelineMerger from per-event
-///    (seq, current_after, window_peak) records. Workers therefore drive
-///    engines through OnEvent — per-event observation boundaries are what
-///    make the peak merge exact — so batch counters stay zero, which the
-///    equivalence contract already excludes.
+///    (seq, current_after, window_peak) records. Workers therefore feed
+///    engines one event per OnBatch call (OnEvent) — per-event
+///    observation boundaries are what make the peak merge exact — so each
+///    shard counts one batch per event; the equivalence contract excludes
+///    the batch counters.
 ///  - Checkpoints: at a due batch boundary the coordinator parks all
 ///    workers at a barrier and writes one multi-shard container
 ///    (ckpt::SaveShardedSnapshot) holding every shard's payload plus the
@@ -151,9 +150,8 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
  public:
   using Engine = typename Traits::Engine;
   using Shardable = typename Traits::Shardable;
-  using OutputT = typename Traits::OutputT;
+  using OutputT = typename Engine::OutputT;
   using RunResultT = typename ExecutionPolicyT<Engine>::RunResultT;
-  using RouterT = typename Traits::RouterT;
   using FactoryT = EngineFactoryT<Engine>;
 
   /// `engines` must all be freshly constructed twins for the workload,
@@ -163,7 +161,7 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
   /// a twin after a supervised restart; supervision requires it.
   ShardedExecutorT(const RunOptions& options,
                    std::vector<std::unique_ptr<Engine>> engines,
-                   RouterT router, bool send_markers, FactoryT factory);
+                   ShardRouter router, bool send_markers, FactoryT factory);
   ~ShardedExecutorT() override = default;
 
   std::string name() const override {
@@ -378,7 +376,7 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Shardable*> shardables_;
   FactoryT factory_;
-  RouterT router_;
+  ShardRouter router_;
   bool send_markers_;  // false when nothing ever expires
 
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -411,7 +409,7 @@ class ShardedExecutorT : public ExecutionPolicyT<typename Traits::Engine> {
 template <class Traits>
 ShardedExecutorT<Traits>::ShardedExecutorT(
     const RunOptions& options, std::vector<std::unique_ptr<Engine>> engines,
-    RouterT router, bool send_markers, FactoryT factory)
+    ShardRouter router, bool send_markers, FactoryT factory)
     : options_(options),
       engines_(std::move(engines)),
       factory_(std::move(factory)),
@@ -1246,7 +1244,7 @@ typename ShardedExecutorT<Traits>::RunResultT ShardedExecutorT<Traits>::Run(
         lanes_[route.shard]->replay_log.push_back(
             ShardOp{ShardOp::Kind::kEvent, ts, eseq, e, {}});
       }
-      if (send_markers_ && Traits::IsTrigger(route)) {
+      if (send_markers_ && !route.trigger_queries.empty()) {
         // The serial trigger purges every partition (of each triggered
         // query); non-owner shards replay it as a marker at the same seq,
         // keeping their state and object counts in lockstep.

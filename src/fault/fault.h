@@ -41,7 +41,8 @@ enum class Kind : uint8_t {
 /// \brief The named code locations faults can be armed at.
 ///
 /// The catalog (docs/internals.md §14):
-///   router.route  one hit per event routed by exec::ShardRouter
+///   router.route  one hit per event routed by exec::ShardRouter, fired
+///                 inside RouteBatch in seq order before admission
 ///                 (coordinator thread; honors crash, overload)
 ///   worker.op     one hit per op executed by a ShardedExecutor worker,
 ///                 counted per shard via the spec's @shard selector

@@ -78,8 +78,8 @@ struct EngineStats {
   uint64_t work_units = 0;
   /// Live/peak state objects (see ObjectCounter).
   ObjectCounter objects;
-  /// Batches consumed through OnBatch (a per-event OnEvent feed leaves
-  /// these at zero; batched and per-event runs are otherwise stat-identical).
+  /// Batches consumed through OnBatch (OnEvent counts a batch of one; runs
+  /// that batch a stream differently are otherwise stat-identical).
   uint64_t batches_processed = 0;
   /// Largest batch seen by OnBatch.
   uint64_t max_batch_events = 0;

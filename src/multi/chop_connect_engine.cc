@@ -277,17 +277,6 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi, std::vector<SegState>& dyn,
   return total;
 }
 
-void ChopConnectEngine::OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-  if (grouped_) {
-    ProcessGroupedEvent(e, out);
-    return;
-  }
-  Purge(e.ts());
-  ProcessEvent(e, out);
-  // New segment entries expire at e.ts() + window; keep the bound valid.
-  next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
-}
-
 void ChopConnectEngine::OnBatch(std::span<const Event> batch,
                                 std::vector<MultiOutput>* out) {
   if (batch.empty()) return;
@@ -301,6 +290,7 @@ void ChopConnectEngine::OnBatch(std::span<const Event> batch,
   for (const Event& e : batch) {
     if (e.ts() >= next_expiry_) Purge(e.ts());
     ProcessEvent(e, out);
+    // New segment entries expire at e.ts() + window; keep the bound valid.
     next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
   }
   stats_.NoteBatch(batch.size());

@@ -52,9 +52,8 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   static Result<std::unique_ptr<ChopConnectEngine>> Create(
       std::vector<CompiledQuery> queries, ChopPlan plan);
 
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override;
-  /// Batched path: skips per-segment purge scans that a cached
-  /// next-expiry lower bound proves are no-ops.
+  /// Skips per-segment purge scans that a cached next-expiry lower bound
+  /// proves are no-ops.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
   std::vector<MultiOutput> Poll(Timestamp now) override;
@@ -75,9 +74,6 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   void SyncPurgeTo(Timestamp now,
                    std::span<const size_t> trigger_queries) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// One snapshot row: the count of the query's pattern-prefix (through the

@@ -186,11 +186,6 @@ void HybridMultiEngine::SumWorkUnits() {
   stats_.work_units = work;
 }
 
-void HybridMultiEngine::OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-  ProcessEvent(e, out);
-  SumWorkUnits();
-}
-
 void HybridMultiEngine::OnBatch(std::span<const Event> batch,
                                 std::vector<MultiOutput>* out) {
   if (batch.empty()) return;
@@ -307,8 +302,10 @@ Status HybridMultiEngine::Restore(ckpt::Reader* reader) {
         "snapshot corrupt: " + std::to_string(n_multi) +
         " multi parts but routing built " + std::to_string(multi_parts_.size()));
   }
+  int64_t live = 0;
   for (MultiPart& part : multi_parts_) {
     ASEQ_RETURN_NOT_OK(part.engine->Restore(reader));
+    live += part.engine->stats().objects.current();
   }
   uint64_t n_single = 0;
   ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_single, 8, "single parts"));
@@ -320,7 +317,9 @@ Status HybridMultiEngine::Restore(ckpt::Reader* reader) {
   }
   for (SinglePart& part : single_parts_) {
     ASEQ_RETURN_NOT_OK(part.engine->Restore(reader));
+    live += part.engine->stats().objects.current();
   }
+  ASEQ_RETURN_NOT_OK(ckpt::CheckSampledObjects(stats, last_objects_, live));
   stats_ = stats;
   return Status::OK();
 }

@@ -51,10 +51,9 @@ class HybridMultiEngine : public MultiQueryEngine,
   static Result<std::unique_ptr<HybridMultiEngine>> Create(
       std::vector<CompiledQuery> queries);
 
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override;
-  /// Batched path. Parts still see events one at a time (see
-  /// NonSharedEngine::OnBatch — the combined object peak is sampled per
-  /// event); only the work-unit summation is hoisted per batch.
+  /// Parts see events one at a time (see NonSharedEngine::OnBatch — the
+  /// combined object peak is sampled per event); only the work-unit
+  /// summation is hoisted per batch.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
   /// Polls every part and orders the results by workload query index.
@@ -77,9 +76,6 @@ class HybridMultiEngine : public MultiQueryEngine,
   /// The wrapper samples the combined member-engine total once per event.
   bool objects_sampled_at_boundaries() const override { return true; }
   EngineStats* shard_mutable_stats() override { return &stats_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// A sub-engine handling a subset of the workload; `global_index` maps

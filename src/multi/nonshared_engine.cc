@@ -74,11 +74,6 @@ void NonSharedEngine::SumWorkUnits() {
   stats_.work_units = work;
 }
 
-void NonSharedEngine::OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-  ProcessEvent(e, out);
-  SumWorkUnits();
-}
-
 void NonSharedEngine::OnBatch(std::span<const Event> batch,
                               std::vector<MultiOutput>* out) {
   if (batch.empty()) return;
@@ -155,9 +150,12 @@ Status NonSharedEngine::Restore(ckpt::Reader* reader) {
         "snapshot corrupt: " + std::to_string(n_engines) +
         " sub-engines but the workload has " + std::to_string(engines_.size()));
   }
+  int64_t live = 0;
   for (auto& engine : engines_) {
     ASEQ_RETURN_NOT_OK(engine->Restore(reader));
+    live += engine->stats().objects.current();
   }
+  ASEQ_RETURN_NOT_OK(ckpt::CheckSampledObjects(stats, last_objects_, live));
   stats_ = stats;
   return Status::OK();
 }

@@ -41,11 +41,10 @@ class NonSharedEngine : public MultiQueryEngine, public MultiShardableEngine {
   static std::unique_ptr<NonSharedEngine> CreateStackBased(
       const std::vector<CompiledQuery>& queries);
 
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override;
-  /// Batched path. Sub-engines still see events one at a time (the
-  /// combined object peak is sampled per event and outputs interleave per
-  /// arrival, so deeper batching would change observable stats); the
-  /// per-event work-unit summation is hoisted to once per batch.
+  /// Sub-engines see events one at a time (the combined object peak is
+  /// sampled per event and outputs interleave per arrival, so deeper
+  /// batching would change observable stats); the work-unit summation is
+  /// hoisted to once per batch.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
   /// Polls every sub-engine in query order.
@@ -67,9 +66,6 @@ class NonSharedEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// The wrapper samples the combined sub-engine total once per event.
   bool objects_sampled_at_boundaries() const override { return true; }
   EngineStats* shard_mutable_stats() override { return &stats_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// Feeds one event to every sub-engine and samples the combined

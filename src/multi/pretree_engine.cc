@@ -187,17 +187,6 @@ void PreTreeEngine::AdvanceClock(Timestamp now) {
       });
 }
 
-void PreTreeEngine::OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-  if (grouped_) {
-    ProcessGroupedEvent(e, out);
-    return;
-  }
-  Purge(e.ts());
-  ProcessEvent(e, out);
-  // New instances expire at e.ts() + window; keep the bound valid.
-  next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
-}
-
 void PreTreeEngine::OnBatch(std::span<const Event> batch,
                             std::vector<MultiOutput>* out) {
   if (batch.empty()) return;
@@ -211,6 +200,7 @@ void PreTreeEngine::OnBatch(std::span<const Event> batch,
   for (const Event& e : batch) {
     if (e.ts() >= next_expiry_) Purge(e.ts());
     ProcessEvent(e, out);
+    // New instances expire at e.ts() + window; keep the bound valid.
     next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
   }
   stats_.NoteBatch(batch.size());

@@ -43,9 +43,8 @@ class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
   static Result<std::unique_ptr<PreTreeEngine>> Create(
       std::vector<CompiledQuery> queries);
 
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) override;
-  /// Batched path: skips per-trie expiry scans that a cached next-expiry
-  /// lower bound proves are no-ops.
+  /// Skips per-trie expiry scans that a cached next-expiry lower bound
+  /// proves are no-ops.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
   std::vector<MultiOutput> Poll(Timestamp now) override;
@@ -66,9 +65,6 @@ class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
   void SyncPurgeTo(Timestamp now,
                    std::span<const size_t> trigger_queries) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
 
  private:
   /// "This type starts no trie" sentinel in trie_by_start_.

@@ -244,12 +244,13 @@ TEST(BatchEquivalenceTest, ReorderingMultiEngineOutOfOrder) {
   auto factory = [&]() -> std::unique_ptr<MultiQueryEngine> {
     auto inner = NonSharedEngine::CreateAseq(queries);
     EXPECT_TRUE(inner.ok()) << inner.status().ToString();
-    return std::make_unique<ReorderingMultiEngine>(std::move(inner).value(),
-                                                   /*slack_ms=*/300);
+    return std::make_unique<ReorderingEngineT<MultiQueryEngine>>(
+        std::move(inner).value(), /*slack_ms=*/300);
   };
   auto ref_engine = factory();
   MultiRunResult ref = RunPerEvent(events, ref_engine.get());
-  static_cast<ReorderingMultiEngine*>(ref_engine.get())->Finish(&ref.outputs);
+  static_cast<ReorderingEngineT<MultiQueryEngine>*>(ref_engine.get())
+      ->Finish(&ref.outputs);
   ASSERT_GT(ref.outputs.size(), 0u);
   for (size_t batch_size : kBatchSizes) {
     const std::string context =
@@ -258,7 +259,8 @@ TEST(BatchEquivalenceTest, ReorderingMultiEngineOutOfOrder) {
     RunOptions options;
     options.batch_size = batch_size;
     MultiRunResult got = exec::RunSerial(options, events, engine.get());
-    static_cast<ReorderingMultiEngine*>(engine.get())->Finish(&got.outputs);
+    static_cast<ReorderingEngineT<MultiQueryEngine>*>(engine.get())
+        ->Finish(&got.outputs);
     ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual(ref_engine->stats(), engine->stats(), context);
   }
@@ -406,11 +408,11 @@ TEST(BatchEquivalenceTest, BatchCountersRecorded) {
   EXPECT_EQ(stats.batches_processed, (c->events.size() + 63) / 64);
   EXPECT_EQ(stats.max_batch_events, 64u);
 
-  // The per-event reference path never touches the batch counters.
+  // The per-event reference path feeds batches of one.
   auto ref_engine = MustCreateAseq(cq);
   RunPerEvent(c->events, ref_engine.get());
-  EXPECT_EQ(ref_engine->stats().batches_processed, 0u);
-  EXPECT_EQ(ref_engine->stats().max_batch_events, 0u);
+  EXPECT_EQ(ref_engine->stats().batches_processed, c->events.size());
+  EXPECT_EQ(ref_engine->stats().max_batch_events, 1u);
 }
 
 }  // namespace

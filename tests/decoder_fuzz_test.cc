@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "aseq/aseq_engine.h"
+#include "baseline/ecube_engine.h"
 #include "baseline/stack_engine.h"
 #include "ckpt/snapshot.h"
 #include "exec/execution_policy.h"
@@ -307,32 +308,53 @@ TEST(DecoderFuzzTest, MutatedWorkloadSnapshotsNeverCrash) {
         "PATTERN SEQ(IPIX, AMAT) GROUP BY traderId AGG COUNT WITHIN 800ms"}) {
     queries.push_back(MustCompile(&schema, text));
   }
-  const std::vector<std::pair<std::string, exec::MultiEngineFactory>>
-      engines = {
-          {"cc",
-           [&] {
-             return AsMulti(
-                 ChopConnectEngine::Create(queries, PlanChopConnect(queries)));
-           }},
-          {"hybrid",
-           [&] { return AsMulti(HybridMultiEngine::Create(queries)); }},
-          {"pretree", [&] { return AsMulti(PreTreeEngine::Create(queries)); }},
-          {"nonshare",
-           [&] { return AsMulti(NonSharedEngine::CreateAseq(queries)); }},
-      };
+  // ECube takes ungrouped queries around one shared substring.
+  std::vector<CompiledQuery> substring_queries;
+  for (const char* text :
+       {"PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms",
+        "PATTERN SEQ(QQQ, DELL, IPIX) AGG COUNT WITHIN 800ms"}) {
+    substring_queries.push_back(MustCompile(&schema, text));
+  }
+  const std::vector<EventTypeId> shared = {*schema.FindEventType("DELL"),
+                                           *schema.FindEventType("IPIX")};
+  struct Engine {
+    std::string name;
+    const std::vector<CompiledQuery>* queries;
+    exec::MultiEngineFactory factory;
+  };
+  const std::vector<Engine> engines = {
+      {"cc", &queries,
+       [&] {
+         return AsMulti(
+             ChopConnectEngine::Create(queries, PlanChopConnect(queries)));
+       }},
+      {"hybrid", &queries,
+       [&] { return AsMulti(HybridMultiEngine::Create(queries)); }},
+      {"pretree", &queries,
+       [&] { return AsMulti(PreTreeEngine::Create(queries)); }},
+      {"nonshare", &queries,
+       [&] { return AsMulti(NonSharedEngine::CreateAseq(queries)); }},
+      {"ecube", &substring_queries,
+       [&] {
+         return AsMulti(EcubeEngine::Create(substring_queries, shared));
+       }},
+  };
   std::vector<SnapshotCase<exec::MultiExecutionPolicy>> cases;
   for (size_t shards : {size_t{1}, size_t{2}}) {
-    for (const auto& [name, factory] : engines) {
-      if (shards == 2 && name != "cc" && name != "hybrid") continue;
+    for (const Engine& engine : engines) {
+      if (shards == 2 && engine.name != "cc" && engine.name != "hybrid") {
+        continue;
+      }
       cases.push_back(
-          {name + "/" + std::to_string(shards),
-           [&queries, factory, shards](RunOptions options) {
+          {engine.name + "/" + std::to_string(shards),
+           [qs = engine.queries, factory = engine.factory,
+            shards](RunOptions options) {
              options.num_shards = shards;
-             auto policy = exec::MakeMultiPolicy(queries, factory, options);
+             auto policy = exec::MakeMultiPolicy(*qs, factory, options);
              EXPECT_EQ((*policy)->num_shards(), shards);
              return std::move(policy).value();
            },
-           shards == 1 && (name == "cc" || name == "pretree")});
+           /*engine_payload=*/shards == 1});
     }
   }
   uint64_t seed = 100;

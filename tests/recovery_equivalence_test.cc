@@ -384,12 +384,12 @@ TEST(RecoveryEquivalenceTest, ReorderingMultiEngineMidSlack) {
       [&]() -> std::unique_ptr<MultiQueryEngine> {
         auto inner = NonSharedEngine::CreateAseq(c->queries);
         EXPECT_TRUE(inner.ok()) << inner.status().ToString();
-        return std::make_unique<ReorderingMultiEngine>(
+        return std::make_unique<ReorderingEngineT<MultiQueryEngine>>(
             std::move(inner).value(), /*slack_ms=*/300);
       },
       shuffled, "reordering-multi",
       [](MultiQueryEngine* engine, std::vector<MultiOutput>* out) {
-        static_cast<ReorderingMultiEngine*>(engine)->Finish(out);
+        static_cast<ReorderingEngineT<MultiQueryEngine>*>(engine)->Finish(out);
       });
 }
 

@@ -197,7 +197,8 @@ TEST(ReorderingMultiEngineTest, MatchesInOrderExecution) {
     std::swap(shuffled[i], shuffled[i + 2]);
   }
   auto inner = NonSharedEngine::CreateAseq(queries);
-  ReorderingMultiEngine engine(std::move(*inner), /*slack_ms=*/100);
+  ReorderingEngineT<MultiQueryEngine> engine(std::move(*inner),
+                                             /*slack_ms=*/100);
   EXPECT_EQ(engine.name(), "NonShare(A-Seq)+KSlack");
   std::vector<MultiOutput> outputs;
   SeqNum seq = 0;
@@ -215,6 +216,40 @@ TEST(ReorderingMultiEngineTest, MatchesInOrderExecution) {
     EXPECT_TRUE(outputs[i].output.value.Equals(
         ref_run.outputs[i].output.value))
         << "output#" << i;
+  }
+}
+
+TEST(ReorderingMultiEngineTest, PollForwardsToInnerEngine) {
+  // A polled K-slack workload reports the inner engine's values as of the
+  // released stream time, exactly like the single-query wrapper.
+  Schema schema;
+  std::vector<CompiledQuery> queries;
+  queries.push_back(MustCompile(&schema, "PATTERN SEQ(A, B) WITHIN 400"));
+  queries.push_back(MustCompile(&schema, "PATTERN SEQ(A, C) WITHIN 400"));
+  const EventTypeId types[] = {schema.RegisterEventType("A"),
+                               schema.RegisterEventType("B"),
+                               schema.RegisterEventType("C")};
+  std::vector<Event> events;
+  for (int i = 0; i < 30; ++i) events.emplace_back(types[i % 3], 10 * i);
+  AssignSeqNums(&events);
+  auto ref = NonSharedEngine::CreateAseq(queries);
+  RunPerEvent(events, ref->get());
+
+  auto inner = NonSharedEngine::CreateAseq(queries);
+  ReorderingEngineT<MultiQueryEngine> engine(std::move(*inner),
+                                             /*slack_ms=*/50);
+  std::vector<MultiOutput> outputs;
+  engine.OnBatch(events, &outputs);
+  engine.Finish(&outputs);
+  const Timestamp now = events.back().ts();
+  std::vector<MultiOutput> want = (*ref)->Poll(now);
+  std::vector<MultiOutput> got = engine.Poll(now);
+  ASSERT_EQ(want.size(), 2u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].query_index, want[i].query_index);
+    EXPECT_TRUE(got[i].output.value.Equals(want[i].output.value))
+        << "poll#" << i;
   }
 }
 

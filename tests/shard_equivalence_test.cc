@@ -269,16 +269,6 @@ TEST(ShardFallbackTest, UnshardableEngine) {
       c->events, "does not support sharding", "stack-engine");
 }
 
-TEST(ShardFallbackTest, PlanShardingReportsShardable) {
-  Schema schema;
-  CompiledQuery cq = MustCompile(
-      &schema,
-      "PATTERN SEQ(A, B) GROUP BY ip AGG COUNT WITHIN 10s");
-  exec::ShardPlan plan = exec::PlanSharding(cq);
-  EXPECT_TRUE(plan.shardable) << plan.reason;
-  EXPECT_TRUE(plan.reason.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Multi-query workloads: the sharding engines on the same executor
 // ---------------------------------------------------------------------------
@@ -556,15 +546,20 @@ TEST(MultiShardFallbackTest, UnshardableEngine) {
                      "stack-workload");
 }
 
-TEST(MultiShardFallbackTest, PlanMultiShardingReportsShardable) {
+TEST(ShardFallbackTest, PlanShardingReportsShardable) {
+  // A single query is a workload of one.
   Schema schema;
-  std::vector<CompiledQuery> queries = MustCompileAll(
+  const std::vector<CompiledQuery> one = MustCompileAll(
+      &schema, {"PATTERN SEQ(A, B) GROUP BY ip AGG COUNT WITHIN 10s"});
+  const std::vector<CompiledQuery> two = MustCompileAll(
       &schema,
       {"PATTERN SEQ(A, B) GROUP BY ip AGG COUNT WITHIN 10s",
        "PATTERN SEQ(B, A) GROUP BY ip AGG COUNT WITHIN 10s"});
-  exec::MultiShardPlan plan = exec::PlanMultiSharding(queries);
-  EXPECT_TRUE(plan.shardable) << plan.reason;
-  EXPECT_TRUE(plan.reason.empty());
+  for (const std::vector<CompiledQuery>* queries : {&one, &two}) {
+    exec::ShardPlan plan = exec::PlanSharding(*queries);
+    EXPECT_TRUE(plan.shardable) << queries->size() << ": " << plan.reason;
+    EXPECT_TRUE(plan.reason.empty()) << queries->size();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -230,19 +231,23 @@ TEST_F(SupervisorTest, ShedDropsWholePartitionsExactly) {
   auto c = MakeStock(781, 3000);
   CompiledQuery cq = MustCompile(&c->schema, kQuery);
 
-  // Pick an injection trigger that lands on a keyed event: replicate the
-  // router's hit sequence (disarmed — replica hits must not advance the
-  // real run's counters) and take the first keyed hit at or after 200.
+  // Replicate the router's exact decision sequence (disarmed — replica
+  // hits must not advance the real run's counters), with the seqs the
+  // executor assigns in arrival order. One query interns in event order,
+  // so routing the whole stream as one batch yields the run's key ids.
+  std::vector<Event> stamped = c->events;
+  for (size_t i = 0; i < stamped.size(); ++i) stamped[i].set_seq(i);
+  exec::ShardRouter replica(std::span<const CompiledQuery>(&cq, 1), kShards);
+  const std::span<const exec::ShardRouter::Route> routes =
+      replica.RouteBatch(stamped);
+
+  // Pick an injection trigger that lands on a keyed event: the first keyed
+  // hit at or after 200 (hit n routes the event with seq n - 1).
   uint64_t trigger = 0;
-  {
-    exec::ShardRouter probe(cq, kShards);
-    uint64_t hit = 0;
-    for (Event e : c->events) {
-      ++hit;
-      if (probe.RouteEvent(e).has_key && hit >= 200) {
-        trigger = hit;
-        break;
-      }
+  for (size_t i = 199; i < routes.size(); ++i) {
+    if (routes[i].has_key) {
+      trigger = i + 1;
+      break;
     }
   }
   ASSERT_GT(trigger, 0u) << "no keyed event in the stream";
@@ -269,37 +274,30 @@ TEST_F(SupervisorTest, ShedDropsWholePartitionsExactly) {
   // the full stream's.
   EXPECT_EQ(run.events, c->events.size());
 
-  // Oracle: replay the router's exact decision sequence to derive the
-  // surviving stream (original seqs preserved), then run it serially.
-  // Shed events carry no purge markers — every event of a partition
-  // belongs to exactly one group and engines purge on arrival, so the
-  // filtered serial run is the exact expectation.
+  // Oracle: apply the replicated decisions to derive the surviving stream
+  // (original seqs preserved), then run it serially. Shed events carry no
+  // purge markers — every event of a partition belongs to exactly one
+  // group and engines purge on arrival, so the filtered serial run is the
+  // exact expectation.
   std::unordered_set<uint32_t> shed_keys;
   std::vector<Event> surviving;
   uint64_t expected_shed_events = 0;
   uint64_t expected_shed_partitions = 0;
-  {
-    exec::ShardRouter replica(cq, kShards);
-    uint64_t hit = 0;
-    for (const Event& e : c->events) {
-      ++hit;
-      Event stamped = e;
-      stamped.set_seq(hit - 1);  // the executor assigns arrival order
-      const exec::ShardRouter::Route route = replica.RouteEvent(stamped);
-      if (route.has_key) {
-        if (shed_keys.count(route.key_id) != 0) {
-          ++expected_shed_events;
-          continue;
-        }
-        if (hit == trigger) {
-          shed_keys.insert(route.key_id);
-          ++expected_shed_partitions;
-          ++expected_shed_events;
-          continue;
-        }
+  for (size_t i = 0; i < stamped.size(); ++i) {
+    const exec::ShardRouter::Route& route = routes[i];
+    if (route.has_key) {
+      if (shed_keys.count(route.key_id) != 0) {
+        ++expected_shed_events;
+        continue;
       }
-      surviving.push_back(stamped);
+      if (i + 1 == trigger) {
+        shed_keys.insert(route.key_id);
+        ++expected_shed_partitions;
+        ++expected_shed_events;
+        continue;
+      }
     }
+    surviving.push_back(stamped[i]);
   }
   ASSERT_EQ(expected_shed_partitions, 1u);
   ASSERT_GT(expected_shed_events, 1u) << "trigger key must recur";

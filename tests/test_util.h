@@ -45,10 +45,11 @@ class StreamBuilder {
   std::vector<Event> events_;
 };
 
-/// The per-event reference path the batched pipeline must match exactly:
-/// one OnEvent call per event, on a copy stamped with a fresh sequence
-/// number (0, 1, ...), so the same vector can be replayed into any number
-/// of engines. Deliberately independent of exec::RunSerial.
+/// The batch-of-one reference the batched pipeline must match exactly:
+/// one OnEvent call (a batch of one) per event, on a copy stamped with a
+/// fresh sequence number (0, 1, ...), so the same vector can be replayed
+/// into any number of engines. Deliberately independent of
+/// exec::RunSerial.
 template <class EngineT>
 auto RunPerEvent(const std::vector<Event>& events, EngineT* engine) {
   RunResultOf<EngineT> result;
