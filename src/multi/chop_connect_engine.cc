@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <map>
 
 #include "ckpt/ckpt.h"
 
@@ -13,6 +12,12 @@ namespace {
 
 /// Empty dispatch row for types beyond the dense trigger index's range.
 const std::vector<size_t> kNoTriggers;
+
+/// Orders ChopConnectEngine::due_ as a min-heap on expiration.
+bool DueLater(const std::pair<Timestamp, size_t>& a,
+              const std::pair<Timestamp, size_t>& b) {
+  return a.first > b.first;
+}
 
 }  // namespace
 
@@ -148,6 +153,7 @@ void ChopConnectEngine::Build() {
       hook.junction = j;
       hook.upstream_seg = segs[j - 1];
       hook.upstream_hook = upstream_hook;
+      hook.first_seg = segs[0];
       upstream_hook = static_cast<int>(seg.hooks.size());
       seg.hooks.push_back(hook);
     }
@@ -164,34 +170,54 @@ void ChopConnectEngine::Build() {
   }
 }
 
-void ChopConnectEngine::PurgeSegment(SegState* st, Timestamp now) {
-  while (!st->entries.empty() && st->entries.front().exp <= now) {
-    int64_t rows = 0;
-    for (const SnapshotTable& table : st->entries.front().snapshots) {
-      rows += static_cast<int64_t>(table.size());
+void ChopConnectEngine::PurgeSegment(SegState* st, size_t seg,
+                                     Timestamp now) {
+  const size_t n_types = segments_[seg].types.size();
+  const size_t n_hooks = segments_[seg].hooks.size();
+  size_t n = 0;
+  uint64_t rows = 0;
+  for (; n < st->entries.size() && st->entries[n].exp <= now; ++n) {
+    for (size_t h = 0; h < n_hooks; ++h) {
+      rows += st->tables[n * n_hooks + h].size;
     }
-    stats_.objects.Remove(1 + rows);
-    st->entries.pop_front();
   }
+  if (n == 0) return;
+  stats_.objects.Remove(static_cast<int64_t>(n + rows));
+  st->entries.pop_front(n);
+  st->counts.pop_front(n * n_types);
+  st->tables.pop_front(n * n_hooks);
+  st->rows.pop_front(rows);
 }
 
 void ChopConnectEngine::Purge(Timestamp now) {
-  Timestamp min_exp = std::numeric_limits<Timestamp>::max();
-  for (SegState& st : dyn_) {
-    PurgeSegment(&st, now);
-    if (!st.entries.empty()) {
-      min_exp = std::min(min_exp, st.entries.front().exp);
+  while (!due_.empty() && due_.front().first <= now) {
+    std::pop_heap(due_.begin(), due_.end(), DueLater);
+    const size_t s = due_.back().second;
+    SegState& st = dyn_[s];
+    PurgeSegment(&st, s, now);
+    if (st.entries.empty()) {
+      due_.pop_back();
+    } else {
+      due_.back().first = st.entries[0].exp;
+      std::push_heap(due_.begin(), due_.end(), DueLater);
     }
   }
-  next_expiry_ = min_exp;
+  next_expiry_ =
+      due_.empty() ? std::numeric_limits<Timestamp>::max() : due_.front().first;
+}
+
+void ChopConnectEngine::RebuildDue() {
+  due_.clear();
+  for (size_t s = 0; s < dyn_.size(); ++s) {
+    if (!dyn_[s].entries.empty()) due_.emplace_back(dyn_[s].entries[0].exp, s);
+  }
+  std::make_heap(due_.begin(), due_.end(), DueLater);
 }
 
 Timestamp ChopConnectEngine::PartNextExpiry(const PartState& part) const {
   Timestamp min_exp = state::WindowClock::kNever;
   for (const SegState& st : part.segs) {
-    if (!st.entries.empty()) {
-      min_exp = std::min(min_exp, st.entries.front().exp);
-    }
+    if (!st.entries.empty()) min_exp = std::min(min_exp, st.entries[0].exp);
   }
   return min_exp;
 }
@@ -202,7 +228,9 @@ void ChopConnectEngine::AdvanceClock(Timestamp now) {
         const uint32_t slot = part_store_.Lookup(top.hash, top.key);
         if (slot == state::kNoSlot) return state::WindowClock::kNever;
         PartState& part = part_store_.at(slot);
-        for (SegState& st : part.segs) PurgeSegment(&st, now);
+        for (size_t s = 0; s < part.segs.size(); ++s) {
+          PurgeSegment(&part.segs[s], s, now);
+        }
         const Timestamp next = PartNextExpiry(part);
         if (next == state::WindowClock::kNever) {
           part_store_.Erase(slot);
@@ -212,67 +240,113 @@ void ChopConnectEngine::AdvanceClock(Timestamp now) {
       });
 }
 
-ChopConnectEngine::SnapshotTable ChopConnectEngine::ComputeSnapshot(
-    const Hook& hook, std::vector<SegState>& dyn, Timestamp now) {
-  SnapshotTable table;
-  SegState& up = dyn[hook.upstream_seg];
+void ChopConnectEngine::ComputeSnapshot(const Hook& hook,
+                                        const std::vector<SegState>& dyn,
+                                        Timestamp now, SegState* st) {
+  // Reading another segment while appending to *st keeps no pointer
+  // across a reallocation of the rows it reads.
+  assert(&dyn[hook.upstream_seg] != st && &dyn[hook.first_seg] != st);
+  FlatFifo<SnapRow>& rows = st->rows;
+  const size_t begin = rows.size();
   if (hook.upstream_hook < 0) {
     // Upstream is the query's first segment: tags are its START entries
     // (already in arrival == expiration order).
-    table.rows.reserve(up.entries.size());
+    const SegState& up = dyn[hook.upstream_seg];
+    const size_t n_types = segments_[hook.upstream_seg].types.size();
+    const uint64_t* count = up.counts.data() + (n_types - 1);
     stats_.work_units += up.entries.size();
-    for (const SegEntry& entry : up.entries) {
-      uint64_t c = entry.counts.back();
-      if (c > 0) {
-        table.rows.push_back(SnapRow{entry.id, entry.exp, c, 0});
+    for (size_t i = 0; i < up.entries.size(); ++i, count += n_types) {
+      if (*count > 0) {
+        rows.push_back(SnapRow{up.entries[i].id, up.entries[i].exp, *count, 0});
       }
     }
-    table.BuildSuffix();
-    return table;
+  } else {
+    MultiConnect(hook, dyn, now, &rows);
   }
+  uint64_t cum = 0;
+  for (size_t i = rows.size(); i > begin; --i) {
+    cum += rows[i - 1].count;
+    rows[i - 1].cum = cum;
+  }
+  st->tables.push_back(
+      TableRef{rows.popped() + begin, rows.size() - begin, 0});
+}
+
+void ChopConnectEngine::MultiConnect(const Hook& hook,
+                                     const std::vector<SegState>& dyn,
+                                     Timestamp now, FlatFifo<SnapRow>* rows) {
   // Multi-connect (Fig. 11): combine the upstream segment's counters with
-  // their snapshots, summing per full-sequence START tag. Tags increase in
-  // arrival order, so the std::map keeps rows in expiration order.
-  std::map<uint64_t, SnapRow> acc;
-  for (const SegEntry& entry : up.entries) {
-    uint64_t mult = entry.counts.back();
+  // their snapshots, summing per full-sequence START tag. A live row's tag
+  // is the id of a live entry of the query's first segment, and carries
+  // that entry's expiration; ids there are consecutive, so the accumulator
+  // is dense over [lo, lo + span) and its slot order is tag order, i.e.
+  // expiration order.
+  const SegState& first = dyn[hook.first_seg];
+  const size_t span = first.entries.size();
+  const uint64_t lo = first.next_id - span;
+  if (acc_.size() < span) acc_.resize(span);
+
+  const SegState& up = dyn[hook.upstream_seg];
+  const size_t n_types = segments_[hook.upstream_seg].types.size();
+  const size_t n_hooks = segments_[hook.upstream_seg].hooks.size();
+  const size_t upstream_hook = static_cast<size_t>(hook.upstream_hook);
+  const uint64_t* mult = up.counts.data() + (n_types - 1);
+  for (size_t i = 0; i < up.entries.size(); ++i, mult += n_types) {
     ++stats_.work_units;
-    if (mult == 0) continue;
-    const SnapshotTable& upstream =
-        entry.snapshots[static_cast<size_t>(hook.upstream_hook)];
-    for (const SnapRow& row : upstream.rows) {
-      ++stats_.work_units;
-      if (row.exp <= now || row.count == 0) continue;
-      SnapRow& out = acc[row.tag];
-      out.tag = row.tag;
-      out.exp = row.exp;
-      out.count += row.count * mult;
-      out.cum = 0;
+    if (*mult == 0) continue;
+    const TableRef& table = up.tables[i * n_hooks + upstream_hook];
+    stats_.work_units += table.size;
+    const SnapRow* row = up.RowsOf(table);
+    const SnapRow* end = row + table.size;
+    // Rows are in expiration order: skip the expired prefix at once.
+    row = std::partition_point(
+        row, end, [now](const SnapRow& r) { return r.exp <= now; });
+    for (; row != end; ++row) {
+      // Tags outside the span occur only in a restored state whose rows
+      // disagree with its first segment; they are dropped, not indexed.
+      const uint64_t slot = row->tag - lo;
+      if (row->count == 0 || slot >= span) continue;
+      AccSlot& acc = acc_[slot];
+      acc.count += row->count * *mult;
+      acc.present = true;
     }
   }
-  table.rows.reserve(acc.size());
-  for (const auto& [tag, row] : acc) table.rows.push_back(row);
-  table.BuildSuffix();
-  return table;
+  for (size_t slot = 0; slot < span; ++slot) {
+    AccSlot& acc = acc_[slot];
+    if (!acc.present) continue;
+    rows->push_back(SnapRow{lo + slot, first.entries[slot].exp, acc.count, 0});
+    acc = AccSlot();
+  }
+}
+
+uint64_t ChopConnectEngine::LiveSum(const SegState& st, TableRef* table,
+                                    Timestamp now) {
+  const SnapRow* rows = st.RowsOf(*table);
+  while (table->cursor < table->size && rows[table->cursor].exp <= now) {
+    ++table->cursor;
+  }
+  return table->cursor < table->size ? rows[table->cursor].cum : 0;
 }
 
 uint64_t ChopConnectEngine::QueryTotal(size_t qi, std::vector<SegState>& dyn,
                                        Timestamp now) {
   const std::vector<size_t>& segs = plan_.query_segments[qi];
   SegState& last = dyn[segs.back()];
+  const size_t n_types = segments_[segs.back()].types.size();
+  const uint64_t* tail = last.counts.data() + (n_types - 1);
   uint64_t total = 0;
   if (segs.size() == 1) {
-    for (const SegEntry& entry : last.entries) {
-      total += entry.counts.back();
+    for (size_t i = 0; i < last.entries.size(); ++i, tail += n_types) {
+      total += *tail;
     }
     return total;
   }
+  const size_t n_hooks = segments_[segs.back()].hooks.size();
   const size_t hook = static_cast<size_t>(final_hook_[qi]);
-  for (SegEntry& entry : last.entries) {
+  for (size_t i = 0; i < last.entries.size(); ++i, tail += n_types) {
     ++stats_.work_units;
-    uint64_t tail = entry.counts.back();
-    if (tail == 0) continue;
-    total += tail * entry.snapshots[hook].LiveSum(now);
+    if (*tail == 0) continue;
+    total += *tail * LiveSum(last, &last.tables[i * n_hooks + hook], now);
   }
   return total;
 }
@@ -331,7 +405,9 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
     // key owns is purged here; the rest purge lazily at trigger time via
     // the clock. (A trigger event purges its own partition here too, so
     // the later clock advance sees it already clean.)
-    for (SegState& st : part.segs) PurgeSegment(&st, e.ts());
+    for (size_t s = 0; s < part.segs.size(); ++s) {
+      PurgeSegment(&part.segs[s], s, e.ts());
+    }
     const bool was_empty = PartNextExpiry(part) == state::WindowClock::kNever;
     ApplyUpdates(e, part.segs);
     // An entry landing in an empty partition establishes a new earliest
@@ -364,50 +440,44 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
 
 void ChopConnectEngine::ApplyUpdates(const Event& e,
                                      std::vector<SegState>& dyn) {
+  const EventTypeId type = e.type();
+  if (type >= update_index_.size()) return;
+  const std::vector<std::pair<size_t, size_t>>& updates = update_index_[type];
   // CNET pre-pass (Lemma 7): snapshots use counts from *before* this
-  // arrival's updates.
-  struct PendingSnapshot {
-    size_t seg;
-    size_t hook;
-    SnapshotTable table;
-  };
-  std::vector<PendingSnapshot> pending;
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    Segment& seg = segments_[s];
-    if (seg.types[0] != e.type() || seg.hooks.empty()) continue;
-    for (size_t h = 0; h < seg.hooks.size(); ++h) {
-      pending.push_back(
-          PendingSnapshot{s, h, ComputeSnapshot(seg.hooks[h], dyn, e.ts())});
+  // arrival's updates. Each table lands in the flat storage of the segment
+  // the type starts, ahead of the entry the update pass below creates there.
+  for (const auto& [s, pos] : updates) {
+    if (pos != 0) continue;
+    for (const Hook& hook : segments_[s].hooks) {
+      ComputeSnapshot(hook, dyn, e.ts(), &dyn[s]);
     }
   }
 
   // Apply updates / create counters.
-  if (e.type() < update_index_.size()) {
-    for (const auto& [s, pos] : update_index_[e.type()]) {
-      SegState& st = dyn[s];
-      if (pos == 0) {
-        SegEntry entry;
-        entry.id = st.next_id++;
-        entry.exp = e.ts() + window_ms_;
-        entry.counts.assign(segments_[s].types.size(), 0);
-        entry.counts[0] = 1;
-        entry.snapshots.resize(segments_[s].hooks.size());
-        int64_t rows = 0;
-        for (PendingSnapshot& p : pending) {
-          if (p.seg == s) {
-            rows += static_cast<int64_t>(p.table.size());
-            entry.snapshots[p.hook] = std::move(p.table);
-          }
-        }
-        st.entries.push_back(std::move(entry));
-        stats_.objects.Add(1 + rows);
-        ++stats_.work_units;
-      } else {
-        for (SegEntry& entry : st.entries) {
-          entry.counts[pos] += entry.counts[pos - 1];
-        }
-        stats_.work_units += st.entries.size();
+  for (const auto& [s, pos] : updates) {
+    SegState& st = dyn[s];
+    const size_t n_types = segments_[s].types.size();
+    if (pos == 0) {
+      if (!grouped_ && st.entries.empty()) {
+        due_.emplace_back(e.ts() + window_ms_, s);
+        std::push_heap(due_.begin(), due_.end(), DueLater);
       }
+      st.entries.push_back(EntryHead{st.next_id++, e.ts() + window_ms_});
+      st.counts.push_back(1);
+      for (size_t p = 1; p < n_types; ++p) st.counts.push_back(0);
+      const size_t n_hooks = segments_[s].hooks.size();
+      uint64_t rows = 0;
+      for (size_t h = st.tables.size() - n_hooks; h < st.tables.size(); ++h) {
+        rows += st.tables[h].size;
+      }
+      stats_.objects.Add(static_cast<int64_t>(1 + rows));
+      ++stats_.work_units;
+    } else {
+      uint64_t* count = st.counts.data();
+      for (size_t i = 0; i < st.entries.size(); ++i, count += n_types) {
+        count[pos] += count[pos - 1];
+      }
+      stats_.work_units += st.entries.size();
     }
   }
 }
@@ -473,21 +543,28 @@ void ChopConnectEngine::SyncPurgeTo(Timestamp now,
 }
 
 Status ChopConnectEngine::CheckpointSegState(const SegState& st,
+                                             const Segment& seg,
                                              ckpt::Writer* writer) const {
+  const size_t n_types = seg.types.size();
+  const size_t n_hooks = seg.hooks.size();
   writer->WriteU64(st.next_id);
   writer->WriteU64(st.entries.size());
-  for (const SegEntry& entry : st.entries) {
-    writer->WriteU64(entry.id);
-    writer->WriteI64(entry.exp);
-    for (uint64_t count : entry.counts) writer->WriteU64(count);
-    for (const SnapshotTable& table : entry.snapshots) {
+  for (size_t i = 0; i < st.entries.size(); ++i) {
+    writer->WriteU64(st.entries[i].id);
+    writer->WriteI64(st.entries[i].exp);
+    for (size_t p = 0; p < n_types; ++p) {
+      writer->WriteU64(st.counts[i * n_types + p]);
+    }
+    for (size_t h = 0; h < n_hooks; ++h) {
+      const TableRef& table = st.tables[i * n_hooks + h];
       writer->WriteU64(table.cursor);
-      writer->WriteU64(table.rows.size());
-      for (const SnapRow& row : table.rows) {
-        writer->WriteU64(row.tag);
-        writer->WriteI64(row.exp);
-        writer->WriteU64(row.count);
-        writer->WriteU64(row.cum);
+      writer->WriteU64(table.size);
+      const SnapRow* rows = st.RowsOf(table);
+      for (size_t r = 0; r < table.size; ++r) {
+        writer->WriteU64(rows[r].tag);
+        writer->WriteI64(rows[r].exp);
+        writer->WriteU64(rows[r].count);
+        writer->WriteU64(rows[r].cum);
       }
     }
   }
@@ -496,42 +573,101 @@ Status ChopConnectEngine::CheckpointSegState(const SegState& st,
 
 Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
                                           ckpt::Reader* reader) {
-  st->entries.clear();
+  *st = SegState();
   ASEQ_RETURN_NOT_OK(reader->ReadU64(&st->next_id, "segment next id"));
   uint64_t n_entries = 0;
   ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_entries, 16, "segment entries"));
   for (uint64_t i = 0; i < n_entries; ++i) {
-    SegEntry entry;
-    ASEQ_RETURN_NOT_OK(reader->ReadU64(&entry.id, "entry id"));
-    ASEQ_RETURN_NOT_OK(reader->ReadI64(&entry.exp, "entry expiry"));
-    entry.counts.resize(seg.types.size());
-    for (uint64_t& count : entry.counts) {
-      ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "entry count"));
+    EntryHead head;
+    ASEQ_RETURN_NOT_OK(reader->ReadU64(&head.id, "entry id"));
+    ASEQ_RETURN_NOT_OK(reader->ReadI64(&head.exp, "entry expiry"));
+    if (head.id >= st->next_id ||
+        (i > 0 && head.id <= st->entries[i - 1].id)) {
+      return Status::ParseError(
+          "snapshot corrupt: entry id " + std::to_string(head.id) +
+          " is not strictly ascending below the segment's next id " +
+          std::to_string(st->next_id));
     }
-    entry.snapshots.resize(seg.hooks.size());
-    int64_t rows = 0;
-    for (SnapshotTable& table : entry.snapshots) {
-      uint64_t cursor = 0;
-      ASEQ_RETURN_NOT_OK(reader->ReadU64(&cursor, "snapshot cursor"));
-      uint64_t n_rows = 0;
-      ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_rows, 32, "snapshot rows"));
-      if (cursor > n_rows) {
+    st->entries.push_back(head);
+    for (size_t p = 0; p < seg.types.size(); ++p) {
+      uint64_t count = 0;
+      ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "entry count"));
+      st->counts.push_back(count);
+    }
+    uint64_t rows = 0;
+    for (size_t h = 0; h < seg.hooks.size(); ++h) {
+      TableRef table{st->rows.popped() + st->rows.size(), 0, 0};
+      ASEQ_RETURN_NOT_OK(reader->ReadU64(&table.cursor, "snapshot cursor"));
+      ASEQ_RETURN_NOT_OK(reader->ReadCount(&table.size, 32, "snapshot rows"));
+      if (table.cursor > table.size) {
         return Status::ParseError(
-            "snapshot corrupt: snapshot cursor " + std::to_string(cursor) +
-            " beyond its " + std::to_string(n_rows) + " row(s)");
+            "snapshot corrupt: snapshot cursor " +
+            std::to_string(table.cursor) + " beyond its " +
+            std::to_string(table.size) + " row(s)");
       }
-      table.cursor = cursor;
-      table.rows.resize(n_rows);
-      for (SnapRow& row : table.rows) {
+      for (uint64_t r = 0; r < table.size; ++r) {
+        SnapRow row;
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.tag, "row tag"));
         ASEQ_RETURN_NOT_OK(reader->ReadI64(&row.exp, "row expiry"));
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.count, "row count"));
         ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.cum, "row cum"));
+        if (r > 0) {
+          const SnapRow& prev = st->rows[st->rows.size() - 1];
+          if (row.tag <= prev.tag || row.exp < prev.exp) {
+            return Status::ParseError(
+                "snapshot corrupt: snapshot row (tag " +
+                std::to_string(row.tag) + ", expiry " +
+                std::to_string(row.exp) + ") out of order after (tag " +
+                std::to_string(prev.tag) + ", expiry " +
+                std::to_string(prev.exp) + ")");
+          }
+        }
+        st->rows.push_back(row);
       }
-      rows += static_cast<int64_t>(table.size());
+      // Each row's cum is its suffix sum (wrapping, as BuildSuffix adds).
+      const SnapRow* table_rows = st->RowsOf(table);
+      uint64_t cum = 0;
+      for (uint64_t r = table.size; r > 0; --r) {
+        cum += table_rows[r - 1].count;
+        if (table_rows[r - 1].cum != cum) {
+          return Status::ParseError(
+              "snapshot corrupt: snapshot row cum " +
+              std::to_string(table_rows[r - 1].cum) +
+              " differs from its suffix sum " + std::to_string(cum));
+        }
+      }
+      st->tables.push_back(table);
+      rows += table.size;
     }
-    st->entries.push_back(std::move(entry));
-    stats_.objects.Add(1 + rows);
+    stats_.objects.Add(static_cast<int64_t>(1 + rows));
+  }
+  return Status::OK();
+}
+
+Status ChopConnectEngine::RestoreScope(std::vector<SegState>* dyn,
+                                       ckpt::Reader* reader) {
+  for (size_t s = 0; s < segments_.size(); ++s) {
+    ASEQ_RETURN_NOT_OK(RestoreSegState(&(*dyn)[s], segments_[s], reader));
+  }
+  // A hook's row tags are entry ids of the query's first segment, so each
+  // lies below that segment's next id (tags ascend: check the last row).
+  for (size_t s = 0; s < segments_.size(); ++s) {
+    const SegState& st = (*dyn)[s];
+    const std::vector<Hook>& hooks = segments_[s].hooks;
+    for (size_t i = 0; i < st.entries.size(); ++i) {
+      for (size_t h = 0; h < hooks.size(); ++h) {
+        const TableRef& table = st.tables[i * hooks.size() + h];
+        if (table.size == 0) continue;
+        const uint64_t tag = st.RowsOf(table)[table.size - 1].tag;
+        const uint64_t next_id = (*dyn)[hooks[h].first_seg].next_id;
+        if (tag >= next_id) {
+          return Status::ParseError(
+              "snapshot corrupt: snapshot row tag " + std::to_string(tag) +
+              " at or beyond its first segment's next id " +
+              std::to_string(next_id));
+        }
+      }
+    }
   }
   return Status::OK();
 }
@@ -544,8 +680,9 @@ Status ChopConnectEngine::Checkpoint(ckpt::Writer* writer) const {
     // per-segment state in plan order. The clock rides verbatim.
     ASEQ_RETURN_NOT_OK(part_store_.Checkpoint(
         writer, [this](const PartState& part, ckpt::Writer* w) -> Status {
-          for (const SegState& st : part.segs) {
-            ASEQ_RETURN_NOT_OK(CheckpointSegState(st, w));
+          for (size_t s = 0; s < segments_.size(); ++s) {
+            ASEQ_RETURN_NOT_OK(
+                CheckpointSegState(part.segs[s], segments_[s], w));
           }
           return Status::OK();
         }));
@@ -553,8 +690,8 @@ Status ChopConnectEngine::Checkpoint(ckpt::Writer* writer) const {
     return Status::OK();
   }
   writer->WriteU64(dyn_.size());
-  for (const SegState& st : dyn_) {
-    ASEQ_RETURN_NOT_OK(CheckpointSegState(st, writer));
+  for (size_t s = 0; s < segments_.size(); ++s) {
+    ASEQ_RETURN_NOT_OK(CheckpointSegState(dyn_[s], segments_[s], writer));
   }
   return Status::OK();
 }
@@ -569,10 +706,7 @@ Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
                     uint64_t hash, ckpt::Reader* r) -> Status {
           PartState& part =
               part_store_.RestoreEmplaceAt(slot, key, hash, segments_.size());
-          for (size_t s = 0; s < segments_.size(); ++s) {
-            ASEQ_RETURN_NOT_OK(RestoreSegState(&part.segs[s], segments_[s], r));
-          }
-          return Status::OK();
+          return RestoreScope(&part.segs, r);
         }));
     ASEQ_RETURN_NOT_OK(clock_.Restore(reader, part_store_.interner().size()));
     ASEQ_RETURN_NOT_OK(
@@ -587,9 +721,8 @@ Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
         "snapshot corrupt: " + std::to_string(n_segments) +
         " segments but the plan builds " + std::to_string(segments_.size()));
   }
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    ASEQ_RETURN_NOT_OK(RestoreSegState(&dyn_[s], segments_[s], reader));
-  }
+  ASEQ_RETURN_NOT_OK(RestoreScope(&dyn_, reader));
+  RebuildDue();
   ASEQ_RETURN_NOT_OK(ckpt::CheckLiveObjects(stats, stats_.objects.current()));
   stats_ = stats;
   return Status::OK();

@@ -1,7 +1,6 @@
 #ifndef ASEQ_MULTI_CHOP_CONNECT_ENGINE_H_
 #define ASEQ_MULTI_CHOP_CONNECT_ENGINE_H_
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -86,49 +85,36 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
     uint64_t cum;  // count of this row + all later (younger) rows
   };
 
-  /// The SnapShot table of Fig. 10, with rows in expiration order (tags are
-  /// assigned in arrival order under one shared window) plus an inline
-  /// suffix-sum (`cum`) so the live total is O(1) amortized as rows expire —
-  /// this keeps the per-TRIG connect cost linear in the number of
-  /// last-segment counters, matching the paper's cost analysis.
-  struct SnapshotTable {
-    std::vector<SnapRow> rows;
-    size_t cursor = 0;  // first possibly-live row
-
-    void BuildSuffix() {
-      uint64_t cum = 0;
-      for (size_t i = rows.size(); i > 0; --i) {
-        cum += rows[i - 1].count;
-        rows[i - 1].cum = cum;
-      }
-    }
-
-    /// Total count over non-expired rows at `now` (monotone in `now`).
-    uint64_t LiveSum(Timestamp now) {
-      while (cursor < rows.size() && rows[cursor].exp <= now) ++cursor;
-      return cursor < rows.size() ? rows[cursor].cum : 0;
-    }
-
-    size_t size() const { return rows.size(); }
+  /// Where one SnapShot table of Fig. 10 lives in its segment's row FIFO:
+  /// `size` rows from the logical row offset `begin`, in expiration order
+  /// (tags are assigned in arrival order under one shared window), each
+  /// with an inline suffix sum (`cum`) so the live total is O(1) amortized
+  /// as rows expire — this keeps the per-TRIG connect cost linear in the
+  /// number of last-segment counters, matching the paper's cost analysis.
+  struct TableRef {
+    uint64_t begin;
+    uint64_t size;
+    uint64_t cursor;  // first possibly-live row, relative to `begin`
   };
 
   /// A connection point: segment `seg` is the `junction`-th (>= 1) segment
   /// of query `query`; `upstream_seg` precedes it; `upstream_hook` is the
   /// hook index of junction-1 within the upstream segment (-1 when the
-  /// upstream is the query's first segment).
+  /// upstream is the query's first segment). Every row tag of the hook's
+  /// tables is an entry id of `first_seg`, the query's first segment.
   struct Hook {
     size_t query;
     size_t junction;
     size_t upstream_seg;
     int upstream_hook;
+    size_t first_seg;
   };
 
-  /// One live per-START prefix counter of a segment.
-  struct SegEntry {
+  /// The id and expiration of one live per-START prefix counter of a
+  /// segment.
+  struct EntryHead {
     uint64_t id;
     Timestamp exp;
-    std::vector<uint64_t> counts;          // per segment position
-    std::vector<SnapshotTable> snapshots;  // parallel to Segment::hooks
   };
 
   /// The static shape of a shared segment (one per plan segment,
@@ -138,11 +124,55 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
     std::vector<Hook> hooks;
   };
 
+  /// A FIFO of records in one flat vector: appended at the back, popped
+  /// from the front, and compacted in place once the popped prefix is as
+  /// long as the live part — amortized O(1) per record, and no allocation
+  /// once the vector has grown to the live size.
+  template <typename T>
+  class FlatFifo {
+   public:
+    size_t size() const { return data_.size() - head_; }
+    bool empty() const { return head_ == data_.size(); }
+    T* data() { return data_.data() + head_; }
+    const T* data() const { return data_.data() + head_; }
+    T& operator[](size_t i) { return data_[head_ + i]; }
+    const T& operator[](size_t i) const { return data_[head_ + i]; }
+    /// Records ever popped: the logical index of the front record.
+    uint64_t popped() const { return popped_; }
+
+    void push_back(const T& value) { data_.push_back(value); }
+    void pop_front(size_t n) {
+      head_ += n;
+      popped_ += n;
+      if (head_ >= data_.size() - head_) {
+        data_.erase(data_.begin(),
+                    data_.begin() + static_cast<ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<T> data_;
+    size_t head_ = 0;
+    uint64_t popped_ = 0;
+  };
+
   /// The dynamic state of one segment within one counting scope (the
-  /// whole engine when ungrouped; one group partition when grouped).
+  /// whole engine when ungrouped; one group partition when grouped). Live
+  /// entries, oldest first, are laid out flat: entry i owns `entries[i]`,
+  /// the counts `counts[i * n_types ...]` (one per segment position), the
+  /// tables `tables[i * n_hooks ...]` (parallel to Segment::hooks) and
+  /// their rows, which follow one another in `rows`.
   struct SegState {
-    std::deque<SegEntry> entries;
+    FlatFifo<EntryHead> entries;
+    FlatFifo<uint64_t> counts;
+    FlatFifo<TableRef> tables;
+    FlatFifo<SnapRow> rows;
     uint64_t next_id = 0;
+
+    const SnapRow* RowsOf(const TableRef& t) const {
+      return rows.data() + (t.begin - rows.popped());
+    }
   };
 
   /// One group partition: its interned key (plus pinned hash; see
@@ -156,12 +186,23 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
         : key(k), hash(h), segs(n_segs) {}
   };
 
+  /// One slot of the multi-connect accumulator. `present` is tracked apart
+  /// from `count` so that a sum that wraps to 0 still emits its row.
+  struct AccSlot {
+    uint64_t count = 0;
+    bool present = false;
+  };
+
   ChopConnectEngine(std::vector<CompiledQuery> queries, ChopPlan plan);
   void Build();
 
-  void PurgeSegment(SegState* st, Timestamp now);
-  /// Purges every segment and recomputes next_expiry_ (ungrouped mode).
+  /// Pops the segment's entries due at `now`.
+  void PurgeSegment(SegState* st, size_t seg, Timestamp now);
+  /// Purges the segments whose front entry is due and recomputes
+  /// next_expiry_ (ungrouped mode).
   void Purge(Timestamp now);
+  /// Rebuilds due_ from dyn_ (ungrouped mode, after a restore).
+  void RebuildDue();
   /// Snapshot pre-pass and counter updates for one event against one
   /// counting scope (caller already purged `dyn`). No triggers — those are
   /// mode-specific and owned by the Process*Event callers.
@@ -172,8 +213,17 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// partition-local purge), applies updates there, then handles triggers
   /// (clock advance + per-group report).
   void ProcessGroupedEvent(const Event& e, std::vector<MultiOutput>* out);
-  SnapshotTable ComputeSnapshot(const Hook& hook, std::vector<SegState>& dyn,
-                                Timestamp now);
+  /// Appends the hook's snapshot table for an arrival at `now` to the
+  /// flat storage of the hook's segment, `*st` (a member of `dyn` that no
+  /// hook of this arrival reads: types are distinct within a query).
+  void ComputeSnapshot(const Hook& hook, const std::vector<SegState>& dyn,
+                       Timestamp now, SegState* st);
+  /// Multi-connect (Fig. 11) half of ComputeSnapshot: appends the rows.
+  void MultiConnect(const Hook& hook, const std::vector<SegState>& dyn,
+                    Timestamp now, FlatFifo<SnapRow>* rows);
+  /// Total count over the table's non-expired rows at `now` (monotone in
+  /// `now`: advances the table's cursor).
+  static uint64_t LiveSum(const SegState& st, TableRef* table, Timestamp now);
   uint64_t QueryTotal(size_t qi, std::vector<SegState>& dyn, Timestamp now);
 
   /// Earliest live entry expiration across a partition's segments, or
@@ -184,10 +234,15 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// full purge sweep.
   void AdvanceClock(Timestamp now);
 
-  Status CheckpointSegState(const SegState& st, ckpt::Writer* writer) const;
-  /// Counts the restored entries into stats_ as creating them does.
+  Status CheckpointSegState(const SegState& st, const Segment& seg,
+                            ckpt::Writer* writer) const;
+  /// Counts the restored entries into stats_ as creating them does, and
+  /// rejects entries and tables that break the FIFO order invariants.
   Status RestoreSegState(SegState* st, const Segment& seg,
                          ckpt::Reader* reader);
+  /// Restores one counting scope's segments, then checks every row tag
+  /// against its owning first segment's next id.
+  Status RestoreScope(std::vector<SegState>* dyn, ckpt::Reader* reader);
 
   std::vector<CompiledQuery> queries_;
   /// Per-query compiled admission programs (src/plan/); the workload shape
@@ -210,7 +265,8 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   state::PartitionStore<PartState> part_store_;
   state::WindowClock clock_;
   /// Per type (dense, EventTypeId-indexed): (segment, position) updates,
-  /// positions descending per segment; position 0 entries create counters.
+  /// positions descending per segment; position 0 entries create counters
+  /// (and are the CNET instances of the segment's hooks).
   std::vector<std::vector<std::pair<size_t, size_t>>> update_index_;
   /// Per type (dense): queries it triggers (type == last type of the
   /// query's last segment).
@@ -222,6 +278,12 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// Lower bound on the earliest live entry expiration, ungrouped mode
   /// (see StackEngine::next_expiry_).
   Timestamp next_expiry_ = std::numeric_limits<Timestamp>::max();
+  /// Ungrouped mode: min-heap of (front entry expiration, segment), one
+  /// item per non-empty segment, so a purge visits only due segments.
+  std::vector<std::pair<Timestamp, size_t>> due_;
+  /// Reused multi-connect accumulator, indexed by tag minus the lowest
+  /// live id of the hook's first segment.
+  std::vector<AccSlot> acc_;
 };
 
 }  // namespace aseq

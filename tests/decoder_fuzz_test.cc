@@ -317,6 +317,18 @@ TEST(DecoderFuzzTest, MutatedWorkloadSnapshotsNeverCrash) {
   }
   const std::vector<EventTypeId> shared = {*schema.FindEventType("DELL"),
                                            *schema.FindEventType("IPIX")};
+  // Ungrouped queries that chop into three segments each, so the snapshot
+  // carries multi-connect rows (the private tails' tables).
+  std::vector<CompiledQuery> three_segment_queries;
+  for (const char* text :
+       {"PATTERN SEQ(QQQ, DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms",
+        "PATTERN SEQ(INTC, DELL, IPIX, MSFT) AGG COUNT WITHIN 800ms"}) {
+    three_segment_queries.push_back(MustCompile(&schema, text));
+  }
+  const ChopPlan three_segment_plan = PlanChopConnect(three_segment_queries);
+  for (const auto& segs : three_segment_plan.query_segments) {
+    ASSERT_EQ(segs.size(), 3u);
+  }
   struct Engine {
     std::string name;
     const std::vector<CompiledQuery>* queries;
@@ -327,6 +339,11 @@ TEST(DecoderFuzzTest, MutatedWorkloadSnapshotsNeverCrash) {
        [&] {
          return AsMulti(
              ChopConnectEngine::Create(queries, PlanChopConnect(queries)));
+       }},
+      {"cc3", &three_segment_queries,
+       [&] {
+         return AsMulti(ChopConnectEngine::Create(three_segment_queries,
+                                                  three_segment_plan));
        }},
       {"hybrid", &queries,
        [&] { return AsMulti(HybridMultiEngine::Create(queries)); }},

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -7,8 +8,10 @@
 
 #include "aseq/aseq_engine.h"
 #include "baseline/ecube_engine.h"
+#include "ckpt/ckpt.h"
 #include "common/rng.h"
 #include "engine/runtime.h"
+#include "exec/execution_policy.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/nonshared_engine.h"
@@ -21,6 +24,8 @@ namespace aseq {
 namespace {
 
 using testing_util::CountOf;
+using testing_util::ExpectMultiOutputsEqual;
+using testing_util::ExpectStatsEqual;
 using testing_util::MustCompile;
 using testing_util::RunPerEvent;
 using testing_util::StreamBuilder;
@@ -379,6 +384,87 @@ TEST(ChopConnectEngineTest, SnapshotTakenBeforeCnetArrivalCounts) {
   EXPECT_EQ(result.outputs[0].output.value.AsInt64(), 0);
 }
 
+TEST(ChopConnectEngineTest, RestoreRejectsBrokenTableInvariants) {
+  // One query chopped [A B][C D][E F]. After the stream below the last
+  // segment holds one entry (E) whose one table, a multi-connect, has two
+  // rows: tags 0 and 1 (the two A's), so the engine payload ends with
+  //   id, exp, count x2, cursor, n_rows = 2, (tag, exp, count, cum) x2.
+  Schema schema;
+  Analyzer analyzer(&schema);
+  Query q;
+  q.pattern = Pattern::FromNames({"A", "B", "C", "D", "E", "F"});
+  q.agg = AggregateSpec::Count();
+  q.window_ms = 10000;
+  std::vector<CompiledQuery> queries = {std::move(analyzer.Analyze(q)).value()};
+  auto type = [&](const char* name) { return *schema.FindEventType(name); };
+  ChopPlan plan;
+  plan.segments = {{type("A"), type("B")},
+                   {type("C"), type("D")},
+                   {type("E"), type("F")}};
+  plan.query_segments = {{0, 1, 2}};
+  auto engine = ChopConnectEngine::Create(queries, plan);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  StreamBuilder b(&schema);
+  b.Add("A", 0).Add("A", 10).Add("B", 20).Add("C", 30).Add("D", 40).Add(
+      "E", 50);
+  RunPerEvent(b.Build(), engine->get());
+  ckpt::Writer writer;
+  ASSERT_TRUE((*engine)->Checkpoint(&writer).ok());
+  const std::string valid = writer.buffer();
+
+  auto u64_at = [](const std::string& bytes, size_t from_end) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = v << 8 | static_cast<uint8_t>(bytes[bytes.size() - from_end + i]);
+    }
+    return v;
+  };
+  auto with_u64 = [](std::string bytes, size_t from_end, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - from_end + i] = static_cast<char>(v >> (8 * i));
+    }
+    return bytes;
+  };
+  // Offsets from the end of the payload.
+  const size_t kCum1 = 8, kExp1 = 24, kTag1 = 32, kCum0 = 40, kExp0 = 56,
+               kTag0 = 64, kRows = 72, kEntryId = 112, kNextId = 128;
+  ASSERT_EQ(u64_at(valid, kRows), 2u);
+  ASSERT_EQ(u64_at(valid, kTag0), 0u);
+  ASSERT_EQ(u64_at(valid, kTag1), 1u);
+  ASSERT_EQ(u64_at(valid, kExp0), 10000u);
+  ASSERT_EQ(u64_at(valid, kExp1), 10010u);
+  ASSERT_EQ(u64_at(valid, kCum0), 2u);
+  ASSERT_EQ(u64_at(valid, kCum1), 1u);
+  ASSERT_EQ(u64_at(valid, kEntryId), 0u);
+  ASSERT_EQ(u64_at(valid, kNextId), 1u);
+
+  auto restore = [&](const std::string& bytes) {
+    auto fresh = ChopConnectEngine::Create(queries, plan);
+    ckpt::Reader reader(bytes);
+    return (*fresh)->Restore(&reader);
+  };
+  ASSERT_TRUE(restore(valid).ok());
+  const struct {
+    const char* what;
+    std::string bytes;
+    const char* message;
+  } broken[] = {
+      {"repeated tag", with_u64(valid, kTag1, 0), "out of order"},
+      {"expiry goes back", with_u64(valid, kExp1, 9999), "out of order"},
+      {"tag past the first segment's next id",
+       with_u64(valid, kTag1, uint64_t{1} << 40), "next id"},
+      {"cum off its suffix sum", with_u64(valid, kCum0, 3), "suffix sum"},
+      {"entry id at the segment's next id", with_u64(valid, kEntryId, 1),
+       "strictly ascending"},
+  };
+  for (const auto& c : broken) {
+    Status status = restore(c.bytes);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << c.what;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.what << ": " << status.ToString();
+  }
+}
+
 TEST(ChopConnectEngineTest, RejectsBadPlans) {
   Schema schema;
   SharedWorkload workload = MakeSubstringSharedWorkload(2, 1, 2, 1, 1200);
@@ -388,6 +474,209 @@ TEST(ChopConnectEngineTest, RejectsBadPlans) {
   ChopPlan wrong = TrivialPlan(queries);
   wrong.query_segments[0] = {1};  // wrong segment for query 0
   EXPECT_FALSE(ChopConnectEngine::Create(queries, wrong).ok());
+}
+
+// --------------------------------------------------------------------------
+// ChopConnectEngine in the benchmark's shape: k = 20 queries, private
+// prefix 2, shared substring 3, private tail 2, one 2 s window, 0-2 ms gaps
+// (perfbench's substr20_cc). Every private-tail START runs the Fig. 11
+// multi-connect over the shared segment's snapshots.
+// --------------------------------------------------------------------------
+
+constexpr size_t kSubstrEvents = 20000;
+
+/// The substr20 workload, optionally GROUP BY a small-domain attribute `g`.
+struct SubstrCase {
+  Schema schema;
+  SharedWorkload workload;
+  std::vector<CompiledQuery> queries;
+  std::vector<Event> events;
+};
+
+std::unique_ptr<SubstrCase> MakeSubstrCase(size_t k, bool grouped,
+                                           uint64_t seed) {
+  auto c = std::make_unique<SubstrCase>();
+  c->workload = MakeSubstringSharedWorkload(k, 2, 3, 2, 2000);
+  if (grouped) {
+    for (Query& q : c->workload.queries) {
+      q.group_by = GroupBy{"g", kInvalidAttr};
+    }
+  }
+  StreamConfig config =
+      MakeWorkloadStreamConfig(c->workload, seed, kSubstrEvents, 0, 2);
+  if (grouped) config.attrs.push_back(AttrSpec::IntUniform("g", 0, 2));
+  StreamGenerator gen(config, &c->schema);
+  c->events = gen.Generate();
+  AssignSeqNums(&c->events);
+  c->queries = Compile(&c->schema, c->workload.queries);
+  return c;
+}
+
+std::unique_ptr<MultiQueryEngine> MustCreateChop(
+    const std::vector<CompiledQuery>& queries, const ChopPlan& plan) {
+  auto engine = ChopConnectEngine::Create(queries, plan);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return engine.ok() ? std::move(engine).value() : nullptr;
+}
+
+std::unique_ptr<MultiQueryEngine> MustCreateNonShare(
+    const std::vector<CompiledQuery>& queries) {
+  auto engine = NonSharedEngine::CreateAseq(queries);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return engine.ok() ? std::move(engine).value() : nullptr;
+}
+
+/// Expects a nonzero count among `outputs`, so a comparison is not vacuous.
+void ExpectSomeMatch(const std::vector<MultiOutput>& outputs,
+                     const std::string& context) {
+  size_t nonzero = 0;
+  for (const MultiOutput& mo : outputs) {
+    if (mo.output.value.AsInt64() != 0) ++nonzero;
+  }
+  EXPECT_GT(nonzero, 0u) << context << ": vacuous workload";
+}
+
+TEST(ChopConnectSubstrTest, MatchesNonSharePerEventAndPoll) {
+  auto c = MakeSubstrCase(20, /*grouped=*/false, 2);
+  ChopPlan plan = PlanChopConnect(c->queries);
+  ASSERT_EQ(plan.segments.size(), 41u);  // 20 prefixes, 1 shared, 20 tails
+  for (const auto& segs : plan.query_segments) ASSERT_EQ(segs.size(), 3u);
+  auto cc = MustCreateChop(c->queries, plan);
+  auto nonshare = MustCreateNonShare(c->queries);
+  ASSERT_TRUE(cc && nonshare);
+
+  MultiRunResult ref = RunPerEvent(c->events, nonshare.get());
+  MultiRunResult got = RunPerEvent(c->events, cc.get());
+  ExpectSomeMatch(ref.outputs, "substr20");
+  ExpectMultiOutputsEqual(ref.outputs, got.outputs, "substr20 per-event");
+
+  // Poll at the last arrival, then half a window later, as rows expire.
+  const Timestamp last = c->events.back().ts();
+  for (Timestamp now : {last, last + 1000, last + 1999}) {
+    ExpectMultiOutputsEqual(nonshare->Poll(now), cc->Poll(now),
+                            "substr20 poll@" + std::to_string(now));
+  }
+}
+
+TEST(ChopConnectSubstrTest, CheckpointRestoreMidStream) {
+  auto c = MakeSubstrCase(20, /*grouped=*/false, 3);
+  ChopPlan plan = PlanChopConnect(c->queries);
+  auto live = MustCreateChop(c->queries, plan);
+  auto revived = MustCreateChop(c->queries, plan);
+  ASSERT_TRUE(live && revived);
+  const size_t half = c->events.size() / 2;
+  std::vector<Event> head(c->events.begin(),
+                          c->events.begin() + static_cast<ptrdiff_t>(half));
+  std::vector<Event> tail(c->events.begin() + static_cast<ptrdiff_t>(half),
+                          c->events.end());
+  RunPerEvent(head, live.get());
+
+  ckpt::Writer writer;
+  ASSERT_TRUE(live->Checkpoint(&writer).ok());
+  ckpt::Reader reader(writer.buffer());
+  Status restored = revived->Restore(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  // The restored state re-serializes to the same bytes.
+  ckpt::Writer again;
+  ASSERT_TRUE(revived->Checkpoint(&again).ok());
+  EXPECT_EQ(writer.buffer(), again.buffer());
+
+  MultiRunResult ref = RunPerEvent(tail, live.get());
+  MultiRunResult got = RunPerEvent(tail, revived.get());
+  ExpectSomeMatch(ref.outputs, "substr20 resumed");
+  ExpectMultiOutputsEqual(ref.outputs, got.outputs, "substr20 resumed");
+  ExpectStatsEqual(live->stats(), revived->stats(), "substr20 resumed");
+}
+
+TEST(ChopConnectSubstrTest, GroupedMatchesNonShareAndShards) {
+  auto c = MakeSubstrCase(20, /*grouped=*/true, 4);
+  ChopPlan plan = PlanChopConnect(c->queries);
+  auto cc = MustCreateChop(c->queries, plan);
+  auto nonshare = MustCreateNonShare(c->queries);
+  ASSERT_TRUE(cc && nonshare);
+  MultiRunResult ref = RunPerEvent(c->events, nonshare.get());
+  MultiRunResult got = RunPerEvent(c->events, cc.get());
+  ExpectSomeMatch(ref.outputs, "grouped substr20");
+  ExpectMultiOutputsEqual(ref.outputs, got.outputs, "grouped substr20");
+
+  exec::MultiEngineFactory factory =
+      [&]() -> Result<std::unique_ptr<MultiQueryEngine>> {
+    ASEQ_ASSIGN_OR_RETURN(auto e, ChopConnectEngine::Create(c->queries, plan));
+    return std::unique_ptr<MultiQueryEngine>(std::move(e));
+  };
+  RunOptions serial_options;
+  auto serial = exec::MakeMultiPolicy(c->queries, factory, serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  MultiRunResult serial_run = (*serial)->RunEvents(c->events);
+  RunOptions options;
+  options.num_shards = 2;
+  std::string reason;
+  auto sharded = exec::MakeMultiPolicy(c->queries, factory, options, &reason);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ((*sharded)->num_shards(), 2u) << reason;
+  MultiRunResult sharded_run = (*sharded)->RunEvents(c->events);
+  ExpectMultiOutputsEqual(ref.outputs, serial_run.outputs,
+                          "grouped substr20 serial policy");
+  ExpectMultiOutputsEqual(ref.outputs, sharded_run.outputs,
+                          "grouped substr20 --shards 2");
+  ExpectStatsEqual((*serial)->stats(), (*sharded)->stats(),
+                   "grouped substr20 --shards 2");
+}
+
+/// Chops every query of `queries` at random cut points into at least
+/// `min_segments` segments; equal type runs share one plan segment.
+ChopPlan RandomChop(const std::vector<CompiledQuery>& queries,
+                    size_t min_segments, Rng* rng) {
+  ChopPlan plan;
+  for (const CompiledQuery& q : queries) {
+    const std::vector<EventTypeId>& types = q.positive_types();
+    std::vector<bool> cut(types.size(), false);  // cut before position i
+    size_t n_cuts = 0;
+    while (n_cuts + 1 < min_segments) {
+      const size_t at = 1 + rng->NextUInt(types.size() - 1);
+      if (!cut[at]) {
+        cut[at] = true;
+        ++n_cuts;
+      }
+    }
+    for (size_t at = 1; at < types.size(); ++at) {
+      if (rng->NextUInt(3) == 0) cut[at] = true;
+    }
+    std::vector<size_t> segs;
+    std::vector<EventTypeId> run;
+    for (size_t i = 0; i <= types.size(); ++i) {
+      if (i > 0 && (i == types.size() || cut[i])) {
+        auto it = std::find(plan.segments.begin(), plan.segments.end(), run);
+        segs.push_back(static_cast<size_t>(it - plan.segments.begin()));
+        if (it == plan.segments.end()) plan.segments.push_back(run);
+        run.clear();
+      }
+      if (i < types.size()) run.push_back(types[i]);
+    }
+    plan.query_segments.push_back(std::move(segs));
+  }
+  return plan;
+}
+
+TEST(ChopConnectSubstrTest, RandomChopIntoFourOrMoreSegments) {
+  auto c = MakeSubstrCase(6, /*grouped=*/false, 5);
+  auto nonshare = MustCreateNonShare(c->queries);
+  ASSERT_TRUE(nonshare);
+  MultiRunResult ref = RunPerEvent(c->events, nonshare.get());
+  ExpectSomeMatch(ref.outputs, "random chop");
+  Rng rng(17);
+  for (int trial = 0; trial < 4; ++trial) {
+    ChopPlan plan = RandomChop(c->queries, 4, &rng);
+    const std::string context = "random chop #" + std::to_string(trial) +
+                                ": " + plan.ToString(c->schema);
+    for (const auto& segs : plan.query_segments) {
+      ASSERT_GE(segs.size(), 4u) << context;
+    }
+    auto cc = MustCreateChop(c->queries, plan);
+    ASSERT_TRUE(cc) << context;
+    MultiRunResult got = RunPerEvent(c->events, cc.get());
+    ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
+  }
 }
 
 // --------------------------------------------------------------------------
