@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <thread>
 
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
@@ -302,14 +303,16 @@ Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
 
 /// Opens the event stream named by the source flags for run/workload: a
 /// trace streams through a TraceFileSource (registering names in `*schema`
-/// as it reads them), a generated stream is lent from a VectorSource.
+/// as it reads them) parsed on `parse_threads` threads, a generated stream
+/// is lent from a VectorSource.
 Result<std::unique_ptr<StreamSource>> OpenSource(const FlagSet& flags,
-                                                 Schema* schema) {
+                                                 Schema* schema,
+                                                 size_t parse_threads) {
   ASEQ_RETURN_NOT_OK(CheckSourceFlags(flags));
   if (flags.Has("trace")) {
     ASEQ_ASSIGN_OR_RETURN(auto source,
                           TraceFileSource::Open(flags.GetString("trace"),
-                                                schema));
+                                                schema, parse_threads));
     return std::unique_ptr<StreamSource>(std::move(source));
   }
   ASEQ_ASSIGN_OR_RETURN(std::vector<Event> events,
@@ -579,14 +582,15 @@ void MaybeWriteStatsJson(const Observability& obsv, const std::string& label,
                          const std::string& engine_name,
                          const RunResultBase& result, const EngineStats& stats,
                          std::span<const double> busy_seconds,
-                         size_t results_count, std::ostream& err) {
+                         const IngestStats& ingest, size_t results_count,
+                         std::ostream& err) {
   if (obsv.stats_json_path.empty()) return;
   std::vector<double> busy(busy_seconds.begin(), busy_seconds.end());
   std::vector<obs::StatsJsonEntry> entries;
   entries.push_back({label, &stats, results_count});
   if (!obs::WriteStatsJson(obsv.stats_json_path, engine_name,
                            result.num_shards, result.elapsed_seconds * 1e3,
-                           busy, entries)) {
+                           busy, ingest, entries)) {
     err << "warning: failed writing --stats-json file '"
         << obsv.stats_json_path << "'\n";
   }
@@ -672,12 +676,14 @@ class QueryTally : public OutputSink {
 };
 
 /// What `run` and `workload` share before and after building the policy:
-/// the run options, the snapshot to restore from (empty if none), and the
-/// observability objects behind the telemetry flags.
+/// the run options, the snapshot to restore from (empty if none), the
+/// observability objects behind the telemetry flags, and what the trace
+/// source's ingest layer did (zero for a generated stream).
 struct RunSetup {
   RunOptions options;
   std::string restore_from;
   Observability obsv;
+  IngestStats ingest;
 };
 
 /// Parses the flag preamble of `run` and `workload` — batch, checkpoint
@@ -726,7 +732,12 @@ std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
     err << "note: sharding disabled (" << fallback_reason
         << "); running serially\n";
   }
-  auto source = OpenSource(flags, schema);
+  // A serial run parses the trace on the spare cores; a sharded one
+  // inline, since its shard workers hold the cores (docs/internals.md §18).
+  auto source =
+      OpenSource(flags, schema,
+                 TraceParseThreads((*policy)->num_shards(),
+                                   std::thread::hardware_concurrency()));
   if (!source.ok()) {
     err << source.status().ToString() << "\n";
     return nullptr;
@@ -748,6 +759,9 @@ std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
   if (setup->obsv.emitter != nullptr) setup->obsv.emitter->Start();
   *result = (*policy)->Run(source->get());
   setup->obsv.Finish((*policy)->shard_busy_seconds());
+  if (const auto* trace = dynamic_cast<const TraceFileSource*>(source->get())) {
+    setup->ingest = trace->ingest_stats();
+  }
   if (Status read = (*source)->status(); !read.ok()) {
     err << read.ToString() << "\n";
     return nullptr;
@@ -825,7 +839,7 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
                   policy->shard_busy_seconds(), &results_count);
   MaybeWriteStatsJson(setup.obsv, "run", policy->name(), result,
                       policy->stats(), policy->shard_busy_seconds(),
-                      results_count, err);
+                      setup.ingest, results_count, err);
   return 0;
 }
 
@@ -1073,7 +1087,7 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
                   policy->shard_busy_seconds(), nullptr);
   MaybeWriteStatsJson(setup.obsv, "workload", policy->name(), result,
                       policy->stats(), policy->shard_busy_seconds(),
-                      tally.total(), err);
+                      setup.ingest, tally.total(), err);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     out << "  Q" << (qi + 1) << ": " << tally.count(qi)
         << " results, last=" << tally.last(qi).ToString() << "  — "

@@ -62,6 +62,8 @@ class Event {
   }
 
   const std::vector<std::pair<AttrId, Value>>& attrs() const { return attrs_; }
+  /// Mutable attribute pairs: the trace reader rewrites ids in place.
+  std::vector<std::pair<AttrId, Value>>& mutable_attrs() { return attrs_; }
 
   /// Debug rendering: "Type@ts{attr=value,...}" using names from `schema`.
   std::string ToString(const Schema& schema) const;

@@ -195,6 +195,24 @@ struct EngineStats {
   }
 };
 
+/// \brief What a trace source's ingest layer did in a run (src/stream/
+/// trace_io.h): the `ingest` object of --stats-json. Observe-only.
+struct IngestStats {
+  /// Parser threads the source ran (0: every chunk parsed inline).
+  uint64_t parse_threads = 0;
+  /// Chunks the consumer took, in order.
+  uint64_t chunks = 0;
+  /// Trace bytes read.
+  uint64_t bytes = 0;
+  /// Time BorrowBatch spent waiting for a parser to finish a chunk.
+  double consumer_wait_s = 0;
+  /// Parse time summed over every thread that parsed (inline parses too).
+  double parse_busy_s = 0;
+  /// Chunks whose events carried chunk-local name ids the consumer
+  /// rewrote (names first seen before the parsers' name table had them).
+  uint64_t remapped_chunks = 0;
+};
+
 /// \brief Wall-clock stopwatch (steady clock).
 class StopWatch {
  public:

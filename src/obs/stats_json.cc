@@ -88,16 +88,27 @@ std::string UtilizationJson(const std::vector<double>& busy_seconds) {
   return os.str();
 }
 
+std::string IngestStatsToJson(const IngestStats& ingest) {
+  std::ostringstream os;
+  os << "{\"parse_threads\":" << ingest.parse_threads
+     << ",\"chunks\":" << ingest.chunks << ",\"bytes\":" << ingest.bytes
+     << ",\"consumer_wait_s\":" << FormatDouble(ingest.consumer_wait_s)
+     << ",\"parse_busy_s\":" << FormatDouble(ingest.parse_busy_s)
+     << ",\"remapped_chunks\":" << ingest.remapped_chunks << "}";
+  return os.str();
+}
+
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
                     const std::vector<double>& busy_seconds,
+                    const IngestStats& ingest,
                     const std::vector<StatsJsonEntry>& entries) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.is_open()) return false;
   out << "{\"engine\":\"" << EscapeJson(engine) << "\",\"shards\":" << shards
       << ",\"elapsed_ms\":" << FormatDouble(elapsed_ms)
       << ",\"utilization\":" << UtilizationJson(busy_seconds)
-      << ",\"queries\":[";
+      << ",\"ingest\":" << IngestStatsToJson(ingest) << ",\"queries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i) out << ",";
     out << "{\"label\":\"" << EscapeJson(entries[i].label)

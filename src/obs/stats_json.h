@@ -21,14 +21,21 @@ struct StatsJsonEntry {
 /// zero so consumers get a stable schema.
 std::string EngineStatsToJson(const EngineStats& stats);
 
+/// Renders IngestStats as a JSON object (no trailing newline):
+///   {"parse_threads":N,"chunks":N,"bytes":N,"consumer_wait_s":S,
+///    "parse_busy_s":S,"remapped_chunks":N}
+std::string IngestStatsToJson(const IngestStats& ingest);
+
 /// Writes the one-shot end-of-run JSON document:
 ///   {"engine":..., "shards":N, "elapsed_ms":..., "utilization":{...},
-///    "queries":[{"label":...,"results":...,"stats":{...}}, ...]}
+///    "ingest":{...}, "queries":[{"label":...,"results":...,"stats":{...}},
+///    ...]}
 /// `busy_seconds` may be empty (serial run: no per-shard spans).
 /// Returns false if the file could not be written.
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
                     const std::vector<double>& busy_seconds,
+                    const IngestStats& ingest,
                     const std::vector<StatsJsonEntry>& entries);
 
 /// Formats the per-shard utilization object used by both WriteStatsJson and

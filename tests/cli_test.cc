@@ -1,16 +1,27 @@
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "aseq/aseq_engine.h"
 #include "cli/cli.h"
 #include "cli/flags.h"
+#include "exec/execution_policy.h"
 #include "fault/fault.h"
+#include "query/analyzer.h"
+#include "stream/trace_io.h"
 
 namespace aseq {
 namespace {
@@ -608,6 +619,204 @@ TEST(CliStreamingTest, ResumedWorkloadIsSuffixOfUninterruptedRun) {
     EXPECT_EQ(head[q].first + tail[q].first, all[q].first) << "Q" << q + 1;
     EXPECT_EQ(tail[q].second, all[q].second) << "Q" << q + 1;
   }
+}
+
+// --------------------------------------------------------------------------
+// Parallel ingest: a serial --trace run parses on parser threads; its
+// results, snapshots and stats match an inline parse
+// --------------------------------------------------------------------------
+
+/// Creates a FIFO at `path` (replacing any file there).
+void MakeFifo(const std::string& path) {
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+}
+
+/// Writes `content` into the FIFO at `path` from a thread, calling
+/// `halfway` (if set) after the first `split` bytes. The reader may close
+/// early: writes then fail (SIGPIPE is ignored) and the thread ends.
+std::thread FeedFifo(const std::string& path, std::string content,
+                     size_t split = 0, void (*halfway)() = nullptr) {
+  std::signal(SIGPIPE, SIG_IGN);
+  return std::thread([path, content = std::move(content), split, halfway] {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) return;
+    std::fwrite(content.data(), 1, split, f);
+    std::fflush(f);
+    if (halfway != nullptr) halfway();
+    std::fwrite(content.data() + split, 1, content.size() - split, f);
+    std::fclose(f);
+  });
+}
+
+/// Joins a FeedFifo writer once the run is over. A run that failed before
+/// opening the FIFO leaves the writer blocked in its open; opening and
+/// closing the read end releases it (its writes then fail).
+void JoinWriter(const std::string& path, std::thread* writer) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  if (fd >= 0) ::close(fd);
+  writer->join();
+  std::filesystem::remove(path);
+}
+
+TEST(CliIngestTest, FifoTraceGivesTheFileResults) {
+  const std::string trace = StockTrace("aseq_cli_fifo.csv", 20000);
+  CliResult file = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                            "--limit", "1000000"});
+  ASSERT_EQ(file.code, 0) << file.err;
+  const std::string fifo = ::testing::TempDir() + "/aseq_cli_trace.fifo";
+  MakeFifo(fifo);
+  std::thread writer = FeedFifo(fifo, ReadFile(trace));
+  CliResult piped = RunTool({"run", "--query", kGroupedQuery, "--trace", fifo,
+                             "--limit", "1000000"});
+  JoinWriter(fifo, &writer);
+  ASSERT_EQ(piped.code, 0) << piped.err;
+  EXPECT_FALSE(ResultLines(file.out).empty());
+  EXPECT_EQ(ResultLines(piped.out), ResultLines(file.out));
+}
+
+/// The snapshot files in `dir`: name -> bytes.
+std::map<std::string, std::string> Snapshots(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = ReadFile(entry.path().string());
+  }
+  return files;
+}
+
+TEST(CliIngestTest, CheckpointsMatchAnInlineParse) {
+  // 20k events span eight 128 KiB chunks.
+  const std::string trace = StockTrace("aseq_cli_ckpt_parallel.csv", 20000);
+  ASSERT_GT(std::filesystem::file_size(trace), 4 * kTraceChunkBytes);
+  const std::string cli_dir = FreshDir("aseq_cli_ckpt_parallel");
+  CliResult full = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                            "--limit", "1000000", "--checkpoint-every", "1024",
+                            "--checkpoint-dir", cli_dir});
+  ASSERT_EQ(full.code, 0) << full.err;
+  // The same run through the library with the trace parsed inline, set up
+  // as `aseq run` sets it up: the query compiled before the source opens.
+  const std::string inline_dir = FreshDir("aseq_cli_ckpt_inline");
+  {
+    Schema schema;
+    Analyzer analyzer(&schema);
+    auto query = analyzer.AnalyzeText(kGroupedQuery);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    RunOptions options;
+    options.checkpoint_every = 1024;
+    options.checkpoint_dir = inline_dir;
+    options.collect_outputs = false;
+    auto policy = exec::MakePolicy(
+        *query, [&] { return CreateAseqEngine(*query); }, options);
+    ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+    auto source = TraceFileSource::Open(trace, &schema, 0);
+    ASSERT_TRUE(source.ok());
+    RunResult result = (*policy)->Run(source->get());
+    ASSERT_TRUE((*source)->status().ok());
+    ASSERT_TRUE(result.checkpoint_status.ok());
+    EXPECT_EQ(result.events, 20000u);
+  }
+  const auto parallel = Snapshots(cli_dir);
+  const auto inline_parse = Snapshots(inline_dir);
+  ASSERT_EQ(parallel.size(), 19u);  // offsets 1024 .. 19456
+  ASSERT_EQ(parallel.size(), inline_parse.size());
+  for (auto a = parallel.begin(), b = inline_parse.begin();
+       a != parallel.end(); ++a, ++b) {
+    EXPECT_EQ(a->first, b->first);
+    EXPECT_TRUE(a->second == b->second) << a->first << " differs";
+  }
+  // A resumed run (parsing in parallel too) ends the same way.
+  const std::string snap = cli_dir + "/ckpt-00000000000000010240.aseqckpt";
+  ASSERT_TRUE(parallel.count("ckpt-00000000000000010240.aseqckpt"));
+  CliResult resumed = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                               trace, "--limit", "1000000", "--restore-from",
+                               snap});
+  ASSERT_EQ(resumed.code, 0) << resumed.err;
+  const std::vector<std::string> all = ResultLines(full.out);
+  const std::vector<std::string> tail = ResultLines(resumed.out);
+  ASSERT_FALSE(tail.empty());
+  ASSERT_LT(tail.size(), all.size());
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                         all.end() - static_cast<ptrdiff_t>(tail.size())));
+}
+
+TEST(CliIngestTest, StopRequestWithParsersAheadExitsCleanly) {
+  const std::string trace = StockTrace("aseq_cli_stop.csv", 20000);
+  CliResult full = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                            "--limit", "1000000"});
+  ASSERT_EQ(full.code, 0) << full.err;
+  // Half the trace goes into a FIFO, then the stop request, then the rest:
+  // the run cannot reach the end before it sees the request, and its
+  // parsers have read ahead by then.
+  const std::string content = ReadFile(trace);
+  const size_t split = content.find('\n', content.size() / 2) + 1;
+  const std::string fifo = ::testing::TempDir() + "/aseq_cli_stop.fifo";
+  MakeFifo(fifo);
+  const std::string dir = FreshDir("aseq_cli_stop_ckpt");
+  std::thread writer = FeedFifo(fifo, content, split, [] {
+    CliStopFlag().store(true, std::memory_order_relaxed);
+  });
+  CliResult stopped = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                               fifo, "--limit", "1000000", "--checkpoint-every",
+                               "1000000", "--checkpoint-dir", dir});
+  JoinWriter(fifo, &writer);
+  CliStopFlag().store(false, std::memory_order_relaxed);
+  ASSERT_EQ(stopped.code, 0) << stopped.err;
+  EXPECT_NE(stopped.out.find("interrupted: stop signal received"),
+            std::string::npos)
+      << stopped.out;
+  // What ran is a prefix of the full run, and the final snapshot is on
+  // disk at the offset where it stopped.
+  const std::vector<std::string> all = ResultLines(full.out);
+  const std::vector<std::string> head = ResultLines(stopped.out);
+  ASSERT_LT(head.size(), all.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), all.begin()));
+  EXPECT_EQ(Snapshots(dir).size(), 1u);
+}
+
+/// The value of `"key":` in the JSON text `doc` (a number, as text).
+std::string JsonField(const std::string& doc, const std::string& key) {
+  const size_t at = doc.find("\"" + key + "\":");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + key.size() + 3;
+  return doc.substr(begin, doc.find_first_of(",}", begin) - begin);
+}
+
+TEST(CliIngestTest, StatsJsonReportsTheIngestLayer) {
+  const std::string trace = StockTrace("aseq_cli_ingest_stats.csv", 20000);
+  const std::string bytes =
+      std::to_string(std::filesystem::file_size(trace));
+  const std::string stats = ::testing::TempDir() + "/aseq_cli_ingest.json";
+  for (const char* shards : {"1", "2"}) {
+    CliResult r = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                           "--quiet", "--shards", shards, "--stats-json",
+                           stats});
+    ASSERT_EQ(r.code, 0) << r.err;
+    const std::string doc = ReadFile(stats);
+    ASSERT_NE(doc.find("\"ingest\":{"), std::string::npos) << doc;
+    // The plan's thread count: the spare cores serially, inline sharded.
+    EXPECT_EQ(JsonField(doc, "parse_threads"),
+              std::to_string(TraceParseThreads(
+                  std::stoul(shards), std::thread::hardware_concurrency())))
+        << shards;
+    // Chunks of up to 128 KiB with parser threads, 4 KiB inline, each cut
+    // at its last line end (stock lines are under 64 bytes).
+    const size_t block = JsonField(doc, "parse_threads") == "0"
+                             ? kInlineTraceChunkBytes
+                             : kTraceChunkBytes;
+    const size_t chunks = std::stoul(JsonField(doc, "chunks"));
+    EXPECT_GE(chunks, std::stoul(bytes) / block + 1) << shards;
+    EXPECT_LE(chunks, std::stoul(bytes) / (block - 64) + 1) << shards;
+    EXPECT_EQ(JsonField(doc, "bytes"), bytes) << shards;
+    EXPECT_GT(std::stod(JsonField(doc, "parse_busy_s")), 0.0) << shards;
+    EXPECT_GE(std::stod(JsonField(doc, "consumer_wait_s")), 0.0) << shards;
+    EXPECT_GE(std::stoul(JsonField(doc, "remapped_chunks")), 1u) << shards;
+    EXPECT_NE(doc.find("\"events_processed\":20000"), std::string::npos);
+  }
+  // A generated stream has no trace to ingest: the object is all zeros.
+  CliResult gen = RunTool({"run", "--query", kGroupedQuery, "--stock", "500",
+                           "--quiet", "--stats-json", stats});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  EXPECT_EQ(JsonField(ReadFile(stats), "chunks"), "0");
 }
 
 }  // namespace

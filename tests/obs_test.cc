@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/emitter.h"
+#include "obs/stats_json.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
 
@@ -405,6 +406,33 @@ TEST(TraceWriterTest, CloseIsIdempotentAndDropsLateEvents) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str().find("late"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(StatsJsonTest, IngestObjectCarriesEveryField) {
+  IngestStats ingest;
+  ingest.parse_threads = 3;
+  ingest.chunks = 383;
+  ingest.bytes = 50132993;
+  ingest.consumer_wait_s = 0.25;
+  ingest.parse_busy_s = 1.5;
+  ingest.remapped_chunks = 4;
+  EXPECT_EQ(IngestStatsToJson(ingest),
+            "{\"parse_threads\":3,\"chunks\":383,\"bytes\":50132993,"
+            "\"consumer_wait_s\":0.250000,\"parse_busy_s\":1.500000,"
+            "\"remapped_chunks\":4}");
+  // The document carries it between the utilization and the queries.
+  const std::string path = TempPath("stats_ingest");
+  EngineStats stats;
+  ASSERT_TRUE(WriteStatsJson(path, "A-Seq", 1, 12.5, {}, ingest,
+                             {{"run", &stats, 7}}));
+  std::stringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  const std::string doc = buf.str();
+  const size_t at = doc.find("\"ingest\":" + IngestStatsToJson(ingest));
+  ASSERT_NE(at, std::string::npos) << doc;
+  EXPECT_LT(doc.find("\"utilization\":"), at);
+  EXPECT_GT(doc.find("\"queries\":[{\"label\":\"run\",\"results\":7"), at);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <set>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "stream/clickstream.h"
@@ -248,6 +253,62 @@ TEST(TraceIoTest, FileRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->size(), 20u);
   EXPECT_FALSE(ReadTraceFile("/nonexistent/path.csv", &schema2).ok());
+}
+
+TEST(TraceIoTest, ParseThreadsFollowThePlan) {
+  EXPECT_EQ(TraceParseThreads(1, 4), 3u);
+  EXPECT_EQ(TraceParseThreads(1, 16), 3u);
+  EXPECT_EQ(TraceParseThreads(1, 3), 2u);
+  EXPECT_EQ(TraceParseThreads(1, 2), 1u);
+  // A 1-core host (or an unknown core count) parses inline.
+  EXPECT_EQ(TraceParseThreads(1, 1), 0u);
+  EXPECT_EQ(TraceParseThreads(1, 0), 0u);
+  // So does a sharded run: its shard workers hold the cores.
+  EXPECT_EQ(TraceParseThreads(2, 4), 0u);
+  EXPECT_EQ(TraceParseThreads(8, 16), 0u);
+}
+
+/// Writes `content` into a new FIFO at `path` from a thread; the caller
+/// joins it after opening the read end.
+std::thread FeedFifo(const std::string& path, std::string content) {
+  ::unlink(path.c_str());
+  EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  return std::thread([path, content = std::move(content)] {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) return;
+    std::fwrite(content.data(), 1, content.size(), f);
+    std::fclose(f);
+  });
+}
+
+TEST(TraceIoTest, StreamsAFifoAndResetOnItIsAnIoError) {
+  std::string trace;
+  for (int i = 0; i < 5000; ++i) {
+    trace += (i % 2 ? "A," : "B,") + std::to_string(i) + ",v=" +
+             std::to_string(i % 13) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "/aseq_trace_fifo";
+  for (size_t threads : {0, 3}) {
+    std::thread writer = FeedFifo(path, trace);
+    Schema schema;
+    auto source = TraceFileSource::Open(path, &schema, threads, 4096);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    size_t n = 0;
+    for (std::span<Event> b; !(b = (*source)->BorrowBatch(100)).empty();) {
+      n += b.size();
+    }
+    writer.join();
+    EXPECT_TRUE((*source)->status().ok()) << (*source)->status().ToString();
+    EXPECT_EQ(n, 5000u);
+    // A pipe cannot be rewound: the replay fails loudly instead of
+    // resuming from wherever the pipe is.
+    (*source)->Reset();
+    EXPECT_EQ((*source)->status().code(), StatusCode::kIoError);
+    EXPECT_NE((*source)->status().message().find("not seekable"),
+              std::string::npos);
+    EXPECT_TRUE((*source)->BorrowBatch(100).empty());
+  }
+  ::unlink(path.c_str());
 }
 
 // --------------------------------------------------------------------------

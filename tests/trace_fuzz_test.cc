@@ -1,23 +1,28 @@
 // Differential and seeded mutation-fuzz tests for the trace decoder.
 //
 // ParseTrace (whole string, staged schema) and TraceFileSource (file read
-// through a fixed buffer, parsed into a recycled batch) share one line
-// parser; over the same bytes they must yield identical events — type,
-// timestamp, attributes in order, doubles bit-exact — or the identical
-// error. The inputs straddle read-chunk boundaries, mix CRLF, comments,
-// blank lines and an unterminated last line, and are mutated by seeded
-// byte flips, truncations and insertions; none may crash (CI runs this
-// suite under ASan/UBSan). An edge-token table pins the value and error
-// each tricky token decodes to.
+// in chunks, parsed inline or on 1 or 3 parser threads, handed over in
+// chunk order) share one parsing kernel; over the same bytes they must
+// yield identical events — type, timestamp, attributes in order, doubles
+// bit-exact — the same schema id order, or the identical error. The
+// inputs straddle chunk boundaries (the default chunk and small ones
+// passed through Open's chunk-size seam), mix CRLF, comments, blank lines
+// and an unterminated last line, and are mutated by seeded byte flips,
+// truncations and insertions; none may crash or hang (CI runs this suite
+// under ASan/UBSan and ThreadSanitizer). An edge-token table pins the
+// value and error each tricky token decodes to.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/schema.h"
@@ -27,11 +32,14 @@
 namespace aseq {
 namespace {
 
-/// The read buffer TraceFileSource fills per fread.
-constexpr size_t kChunkBytes = size_t{1} << 20;
+/// The bytes TraceFileSource reads per chunk when parser threads parse
+/// them (kTraceChunkBytes, 128 KiB); inline it reads kInlineTraceChunkBytes.
+constexpr size_t kChunkBytes = kTraceChunkBytes;
 
 std::string WriteTemp(const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/aseq_trace_fuzz.csv";
+  // Per process: two builds' suites may run side by side on one machine.
+  const std::string path = ::testing::TempDir() + "/aseq_trace_fuzz_" +
+                           std::to_string(::getpid()) + ".csv";
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
   return path;
@@ -72,31 +80,78 @@ void ExpectSameEvent(const Event& a, const Event& b, size_t index,
   }
 }
 
-/// Drains a TraceFileSource over `content` through BorrowBatch with
-/// `batch` events per call (1 = one event at a time). Returns the source's
-/// final status; `*events` gets copies of everything yielded.
-Status DrainSource(const std::string& content, size_t batch, Schema* schema,
-                   std::vector<Event>* events) {
-  auto source = TraceFileSource::Open(WriteTemp(content), schema);
+/// How a TraceFileSource is drained: parser threads, chunk size (0: the
+/// source's default) and events per BorrowBatch (1 = one event at a time).
+struct DrainConfig {
+  size_t threads = 0;
+  size_t chunk_bytes = 0;
+  size_t batch = 256;
+};
+
+/// Drains a TraceFileSource over `content` as `config` says. Returns the
+/// source's final status; `*events` gets copies of everything yielded.
+/// Every batch but the last must be full.
+Status DrainSource(const std::string& content, const DrainConfig& config,
+                   Schema* schema, std::vector<Event>* events) {
+  auto source = TraceFileSource::Open(WriteTemp(content), schema,
+                                      config.threads, config.chunk_bytes);
   if (!source.ok()) return source.status();
-  for (;;) {
-    std::span<Event> view = (*source)->BorrowBatch(batch);
+  for (bool short_batch = false;;) {
+    std::span<Event> view = (*source)->BorrowBatch(config.batch);
     if (view.empty()) break;
+    EXPECT_FALSE(short_batch) << "a short batch before the end";
+    short_batch = view.size() < config.batch;
     events->insert(events->end(), view.begin(), view.end());
   }
   return (*source)->status();
 }
 
+/// The source configurations every input is drained with: inline parsing
+/// at the default and at the parallel chunk size and every batch size, then
+/// re-chunked into `small_chunk`-byte chunks parsed inline, on one and on
+/// three threads, and three threads at their default chunk size.
+std::vector<DrainConfig> DrainConfigs(size_t small_chunk) {
+  return {{0, 0, 1},           {0, 0, 256},         {0, kChunkBytes, 7},
+          {0, small_chunk, 7}, {1, small_chunk, 1}, {1, small_chunk, 256},
+          {3, small_chunk, 7}, {3, 0, 256}};
+}
+
+/// Asserts that `schema` names the same types and attributes, with the
+/// same ids, as `ref`.
+void ExpectSameIds(const Schema& schema, const Schema& ref,
+                   const std::string& ctx) {
+  ASSERT_EQ(schema.num_event_types(), ref.num_event_types()) << ctx;
+  ASSERT_EQ(schema.num_attributes(), ref.num_attributes()) << ctx;
+  for (EventTypeId t = 0; t < schema.num_event_types(); ++t) {
+    ASSERT_EQ(schema.EventTypeName(t), ref.EventTypeName(t)) << ctx;
+  }
+  for (AttrId a = 0; a < schema.num_attributes(); ++a) {
+    ASSERT_EQ(schema.AttributeName(a), ref.AttributeName(a)) << ctx;
+  }
+}
+
 /// The differential check: ParseTrace and TraceFileSource agree on
-/// `content` — same events and schema, or the same error.
-void CheckAgree(const std::string& content, const std::string& context) {
-  Schema ref_schema;
+/// `content` in every DrainConfigs(small_chunk) configuration — same
+/// events and schema ids, or the same error. `names` are registered in
+/// every schema first, as a compiled query registers its names.
+void CheckAgree(const std::string& content, const std::string& context,
+                size_t small_chunk = 64,
+                const std::vector<std::string>& names = {}) {
+  Schema base;
+  for (const std::string& n : names) {
+    base.RegisterEventType(n);
+    base.RegisterAttribute(n);
+  }
+  Schema ref_schema = base;
   auto ref = ParseTrace(content, &ref_schema);
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{256}}) {
-    const std::string ctx = context + " batch=" + std::to_string(batch);
-    Schema schema;
+  for (const DrainConfig& config : DrainConfigs(small_chunk)) {
+    const std::string ctx =
+        context + " threads=" + std::to_string(config.threads) +
+        " chunk=" + std::to_string(config.chunk_bytes) +
+        " batch=" + std::to_string(config.batch);
+    Schema schema = base;
     std::vector<Event> events;
-    Status status = DrainSource(content, batch, &schema, &events);
+    Status status = DrainSource(content, config, &schema, &events);
     if (!ref.ok()) {
       ASSERT_FALSE(status.ok()) << ctx << ": source accepted what ParseTrace "
                                 << "rejected: " << ref.status().ToString();
@@ -109,14 +164,7 @@ void CheckAgree(const std::string& content, const std::string& context) {
       ExpectSameEvent((*ref)[i], events[i], i, ctx);
     }
     // Both register names in first-seen order, so ids line up.
-    ASSERT_EQ(schema.num_event_types(), ref_schema.num_event_types()) << ctx;
-    ASSERT_EQ(schema.num_attributes(), ref_schema.num_attributes()) << ctx;
-    for (EventTypeId t = 0; t < schema.num_event_types(); ++t) {
-      ASSERT_EQ(schema.EventTypeName(t), ref_schema.EventTypeName(t)) << ctx;
-    }
-    for (AttrId a = 0; a < schema.num_attributes(); ++a) {
-      ASSERT_EQ(schema.AttributeName(a), ref_schema.AttributeName(a)) << ctx;
-    }
+    ExpectSameIds(schema, ref_schema, ctx);
   }
 }
 
@@ -146,9 +194,9 @@ std::string MakeTrace(size_t lines, uint64_t seed) {
 TEST(TraceFuzzTest, ChunkStraddlingTraceAgrees) {
   const std::string trace = MakeTrace(60000, 1);
   ASSERT_GT(trace.size(), 2 * kChunkBytes);
-  CheckAgree(trace, "multi-chunk");
+  CheckAgree(trace, "multi-chunk", 4096);
   // No final newline: the last line still counts.
-  CheckAgree(trace.substr(0, trace.size() - 1), "no-final-newline");
+  CheckAgree(trace.substr(0, trace.size() - 1), "no-final-newline", 4096);
   Schema schema;
   auto parsed = ParseTrace(trace, &schema);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -167,7 +215,7 @@ TEST(TraceFuzzTest, LateErrorInMultiChunkTraceAgrees) {
   std::string trace = MakeTrace(40000, 2);
   ASSERT_GT(trace.size(), kChunkBytes);
   trace += "DELL,oops\n";
-  CheckAgree(trace, "late-error");
+  CheckAgree(trace, "late-error", 4096);
   Schema schema;
   auto parsed = ParseTrace(trace, &schema);
   ASSERT_FALSE(parsed.ok());
@@ -202,23 +250,242 @@ TEST(TraceFuzzTest, FormattingCornersAgree) {
 
 TEST(TraceFuzzTest, ResetReplaysTheSameStream) {
   const std::string trace = MakeTrace(3000, 3);
+  for (const DrainConfig& config : DrainConfigs(1024)) {
+    const std::string ctx = "reset threads=" + std::to_string(config.threads) +
+                            " chunk=" + std::to_string(config.chunk_bytes);
+    Schema schema;
+    auto source = TraceFileSource::Open(WriteTemp(trace), &schema,
+                                        config.threads, config.chunk_bytes);
+    ASSERT_TRUE(source.ok());
+    std::vector<Event> first, second;
+    for (std::span<Event> b; !(b = (*source)->BorrowBatch(64)).empty();) {
+      first.insert(first.end(), b.begin(), b.end());
+    }
+    (*source)->Reset();
+    // A reset mid-stream, with parsers ahead, replays from the start too.
+    ASSERT_EQ((*source)->BorrowBatch(100).size(), 100u) << ctx;
+    (*source)->Reset();
+    for (std::span<Event> b; !(b = (*source)->BorrowBatch(100)).empty();) {
+      second.insert(second.end(), b.begin(), b.end());
+    }
+    ASSERT_TRUE((*source)->status().ok()) << ctx;
+    ASSERT_EQ(first.size(), 3000u) << ctx;
+    ASSERT_EQ(first.size(), second.size()) << ctx;
+    for (size_t i = 0; i < first.size(); ++i) {
+      ExpectSameEvent(first[i], second[i], i, ctx);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The chunked reader's own cases: boundaries, late names, parsers ahead
+// ---------------------------------------------------------------------------
+
+/// `n` <= 90 lines of exactly 16 bytes each, `A,ts,val=dddddd\n`,
+/// timestamps 10, 11, ..., so a 64-byte chunk holds exactly lines
+/// 4k+1 .. 4k+4.
+std::string FixedWidthTrace(size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    char line[32];
+    std::snprintf(line, sizeof line, "A,%02zu,val=%06zu\n", 10 + i, i);
+    out += line;
+  }
+  return out;
+}
+
+TEST(TraceChunkTest, ChunkerCutsWholeLinesInReadOrder) {
+  const std::string trace = FixedWidthTrace(10) + "B,99," +
+                            std::string(200, 'x') + "=1\nC,99";
+  std::FILE* file = std::fopen(WriteTemp(trace).c_str(), "rb");
+  ASSERT_NE(file, nullptr);
+  TraceChunker chunker(file, "t", 64);
+  std::string joined;
+  std::vector<size_t> sizes;
+  TraceChunk chunk;
+  for (uint64_t i = 0; chunker.Next(&chunk); ++i) {
+    EXPECT_EQ(chunk.index, i);
+    sizes.push_back(chunk.size);
+    joined.append(chunk.view());
+  }
+  EXPECT_TRUE(chunker.status().ok());
+  EXPECT_TRUE(chunker.exhausted());
+  EXPECT_EQ(joined, trace);
+  EXPECT_EQ(chunker.bytes(), trace.size());
+  // Four 16-byte lines fill each 64-byte chunk. The 208-byte line grows
+  // its chunk to 256 bytes, which reach the end of the stream and so take
+  // the unterminated last line too.
+  EXPECT_EQ(sizes, (std::vector<size_t>{64, 64, 32, 212}));
+  ASSERT_TRUE(chunker.Rewind().ok());
+  ASSERT_TRUE(chunker.Next(&chunk));
+  EXPECT_EQ(chunk.index, 0u);
+  EXPECT_EQ(chunk.view(), trace.substr(0, 64));
+  std::fclose(file);
+}
+
+TEST(TraceChunkTest, ParserGivesUnpublishedNamesChunkLocalIds) {
+  Schema names;
+  const EventTypeId b = names.RegisterEventType("B");
+  const AttrId v = names.RegisterAttribute("v");
+  TraceChunkParser parser;
+  TraceChunk chunk;
+  parser.Parse("# c\nA,5,w=1,v=2\nB,6,v=3.5\nA,7,w=x\n", names, &chunk);
+  ASSERT_EQ(chunk.error_line, 0u) << chunk.error;
+  EXPECT_EQ(chunk.lines, 4u);
+  ASSERT_EQ(chunk.num_events, 3u);
+  ASSERT_EQ(chunk.new_names.size(), 2u);  // A (line 2), then w (line 2)
+  EXPECT_TRUE(chunk.new_names[0].is_type);
+  EXPECT_EQ(chunk.new_names[0].name, "A");
+  EXPECT_FALSE(chunk.new_names[1].is_type);
+  EXPECT_EQ(chunk.new_names[1].name, "w");
+  EXPECT_EQ(chunk.new_names[1].line, 2u);
+  const Event& first = chunk.events[0];
+  EXPECT_EQ(first.type(), TraceChunk::kLocalId | 0);
+  EXPECT_EQ(first.attrs()[0].first, TraceChunk::kLocalId | 1);
+  EXPECT_EQ(first.attrs()[1].first, v);
+  EXPECT_EQ(chunk.events[1].type(), b);
+  EXPECT_EQ(chunk.events[2].type(), TraceChunk::kLocalId | 0);
+  EXPECT_EQ(chunk.first_ts_line, 2u);
+  EXPECT_EQ(chunk.first_ts, 5);
+  EXPECT_EQ(chunk.last_ts, 7);
+  // Parsing stops at the first malformed line; its number is chunk-local.
+  parser.Parse("B,1\nB,0\nB,oops\n", names, &chunk);
+  EXPECT_EQ(chunk.num_events, 1u);
+  EXPECT_EQ(chunk.error_line, 2u);
+  EXPECT_EQ(chunk.error, std::string(
+      "out-of-order timestamp (the stream must be in arrival order)"));
+}
+
+TEST(TraceChunkTest, OutOfOrderTimestampAtAChunkBoundary) {
+  // Line 5 opens the second 64-byte chunk and goes back in time; a
+  // chunk's own parse cannot see that, the in-order hand-off must.
+  std::string trace = FixedWidthTrace(12);
+  trace.replace(4 * 16, 16, "A,05,val=00004\r\n");
+  ASSERT_EQ(trace.size(), 12u * 16);
+  // The same line with a bad attribute too: the order is checked first.
+  std::string bad_attr = trace;
+  bad_attr.replace(4 * 16, 16, "A,05,v=1,zzzzz\r\n");
+  for (const std::string& input : {trace, bad_attr}) {
+    Schema ref_schema;
+    auto ref = ParseTrace(input, &ref_schema);
+    ASSERT_FALSE(ref.ok());
+    EXPECT_EQ(ref.status().message(),
+              "trace line 5: out-of-order timestamp (the stream must be in "
+              "arrival order)");
+    for (size_t threads : {0, 1, 3}) {
+      Schema schema;
+      std::vector<Event> events;
+      Status status = DrainSource(input, {threads, 64, 3}, &schema, &events);
+      EXPECT_EQ(status.ToString(), ref.status().ToString()) << threads;
+      EXPECT_EQ(events.size(), 4u) << threads;
+    }
+    CheckAgree(input, "boundary-order");
+  }
+  // A comment opening the chunk moves the first timestamp to line 6.
+  std::string commented = FixedWidthTrace(12);
+  commented.replace(4 * 16, 32, "# fifteen bytes\nA,05,val=00005\r\n");
+  CheckAgree(commented, "boundary-order-after-comment");
   Schema schema;
-  auto source = TraceFileSource::Open(WriteTemp(trace), &schema);
-  ASSERT_TRUE(source.ok());
-  std::vector<Event> first, second;
-  for (std::span<Event> b; !(b = (*source)->BorrowBatch(64)).empty();) {
-    first.insert(first.end(), b.begin(), b.end());
+  EXPECT_NE(ParseTrace(commented, &schema).status().message().find(
+                "trace line 6: out-of-order"),
+            std::string::npos);
+}
+
+TEST(TraceChunkTest, FirstErrorInFileOrderWinsOverLaterParsedChunks) {
+  // Chunk 1 (lines 5-8) has a bad timestamp; chunk 2 (lines 9-12) another
+  // error. Three parsers get well ahead before the consumer reaches
+  // chunk 1, and the earlier error still wins.
+  std::string trace = FixedWidthTrace(40);
+  trace.replace(6 * 16, 16, "A,zz,val=000006\n");
+  trace.replace(9 * 16, 16, "A,99,v=1,junkk\r\n");
+  Schema ref_schema;
+  auto ref = ParseTrace(trace, &ref_schema);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.status().message(), "trace line 7: bad timestamp 'zz'");
+  for (size_t threads : {0, 1, 3}) {
+    Schema schema;
+    auto source = TraceFileSource::Open(WriteTemp(trace), &schema, threads,
+                                        64);
+    ASSERT_TRUE(source.ok());
+    ASSERT_EQ((*source)->BorrowBatch(2).size(), 2u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<Event> events;
+    for (std::span<Event> b; !(b = (*source)->BorrowBatch(5)).empty();) {
+      events.insert(events.end(), b.begin(), b.end());
+    }
+    EXPECT_EQ(events.size(), 4u) << threads;  // lines 3-6
+    EXPECT_EQ((*source)->status().ToString(), ref.status().ToString())
+        << threads;
+    // The stream stays ended.
+    EXPECT_TRUE((*source)->BorrowBatch(5).empty());
   }
-  (*source)->Reset();
-  for (std::span<Event> b; !(b = (*source)->BorrowBatch(100)).empty();) {
-    second.insert(second.end(), b.begin(), b.end());
+}
+
+TEST(TraceChunkTest, CommentOnlyChunksAndLongLines) {
+  std::string trace = "# " + std::string(300, '-') + "\r\n";
+  for (int i = 0; i < 20; ++i) trace += "#\r\n\r\n";
+  trace += "DELL,1,price=1.5\r\n";
+  trace += "IPIX,2,note=" + std::string(500, 'y') + ",v=2\r\n";
+  for (int i = 0; i < 20; ++i) trace += "  # c " + std::to_string(i) + "\n";
+  trace += "AMAT,3\r\n";
+  CheckAgree(trace, "comment-chunks", 16);
+  CheckAgree(trace, "comment-chunks", 64);
+}
+
+TEST(TraceChunkTest, NamesFirstSeenInLateChunksKeepTheirIdOrder) {
+  // New types and attributes keep arriving until the last chunks, in an
+  // order that differs between the two id spaces, and some names are
+  // registered before the trace is read (as a compiled query's are).
+  std::string trace;
+  for (int i = 0; i < 3000; ++i) {
+    trace += "T" + std::to_string(i % (1 + i / 100)) + "," +
+             std::to_string(i) + ",a" + std::to_string(i % (1 + i / 150)) +
+             "=" + std::to_string(i) + ",volume=" + std::to_string(i % 7) +
+             "\n";
   }
-  ASSERT_TRUE((*source)->status().ok());
-  ASSERT_EQ(first.size(), 3000u);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    ExpectSameEvent(first[i], second[i], i, "reset");
+  CheckAgree(trace, "late-names", 256, {"T5", "a3", "volume"});
+  CheckAgree(trace, "late-names", 2048);
+}
+
+TEST(TraceChunkTest, DestroyingTheSourceMidStreamJoinsItsParsers) {
+  const std::string path = WriteTemp(MakeTrace(20000, 5));
+  for (size_t threads : {1, 3}) {
+    for (size_t consumed : {0, 1, 300}) {
+      Schema schema;
+      auto source = TraceFileSource::Open(path, &schema, threads, 512);
+      ASSERT_TRUE(source.ok());
+      for (size_t i = 0; i < consumed; ++i) {
+        ASSERT_FALSE((*source)->BorrowBatch(7).empty());
+      }
+      source->reset();  // must wake and join parsers blocked on full slots
+    }
   }
+}
+
+TEST(TraceChunkTest, IngestStatsCountChunksAndBytes) {
+  const std::string trace = FixedWidthTrace(40);
+  for (size_t threads : {0, 3}) {
+    Schema schema;
+    std::vector<Event> events;
+    auto source = TraceFileSource::Open(WriteTemp(trace), &schema, threads,
+                                        64);
+    ASSERT_TRUE(source.ok());
+    while (!(*source)->BorrowBatch(9).empty()) {
+    }
+    const IngestStats stats = (*source)->ingest_stats();
+    EXPECT_EQ(stats.parse_threads, threads);
+    EXPECT_EQ(stats.chunks, 10u);
+    EXPECT_EQ(stats.bytes, trace.size());
+    EXPECT_GE(stats.remapped_chunks, 1u);  // the first chunk's new names
+    EXPECT_GE(stats.parse_busy_s, 0.0);
+    EXPECT_GE(stats.consumer_wait_s, 0.0);
+  }
+  // A trace that fits in one chunk starts no parser thread.
+  Schema schema;
+  auto small = TraceFileSource::Open(WriteTemp("A,1\nB,2\n"), &schema, 3);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ((*small)->BorrowBatch(10).size(), 2u);
+  EXPECT_EQ((*small)->ingest_stats().parse_threads, 0u);
 }
 
 /// Seeded trace mutations: the shared mutator, inserting one of the bytes
@@ -264,7 +531,7 @@ TEST(TraceFuzzTest, SeededMutationsOfMultiChunkTrace) {
     const size_t at = kChunkBytes - 40 + rng() % 80;
     std::string window = input.substr(at, 64);
     input.replace(at, 64, Mutate(window, &rng));
-    CheckAgree(input, "chunk-mutation#" + std::to_string(i));
+    CheckAgree(input, "chunk-mutation#" + std::to_string(i), 4096);
     if (HasFatalFailure()) return;
   }
 }
