@@ -238,9 +238,9 @@ Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
                            payload.buffer());
 }
 
-Status SaveMultiSnapshot(const std::string& path,
-                         const MultiQueryEngine& engine,
-                         uint64_t stream_offset) {
+Status SaveEngineSnapshot(const std::string& path,
+                          const MultiQueryEngine& engine,
+                          uint64_t stream_offset) {
   Writer payload;
   ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
   return WriteSnapshotFile(path, engine.name(), stream_offset,
@@ -254,8 +254,9 @@ Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
       [engine](Reader* r) { return engine->Restore(r); }, stream_offset);
 }
 
-Status RestoreMultiSnapshot(const std::string& path, MultiQueryEngine* engine,
-                            uint64_t* stream_offset) {
+Status RestoreEngineSnapshot(const std::string& path,
+                             MultiQueryEngine* engine,
+                             uint64_t* stream_offset) {
   return PayloadToEngine(
       path, engine->name(),
       [engine](Reader* r) { return engine->Restore(r); }, stream_offset);

@@ -70,17 +70,18 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
 /// Checkpoints `engine` (plus the stream offset) into a snapshot file.
 Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
                           uint64_t stream_offset);
-Status SaveMultiSnapshot(const std::string& path,
-                         const MultiQueryEngine& engine,
-                         uint64_t stream_offset);
+Status SaveEngineSnapshot(const std::string& path,
+                          const MultiQueryEngine& engine,
+                          uint64_t stream_offset);
 
 /// Restores a snapshot into a freshly constructed engine for the same
 /// query. Fails without modifying `engine` if the file is invalid or was
 /// taken by a different engine (name mismatch).
 Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
                              uint64_t* stream_offset);
-Status RestoreMultiSnapshot(const std::string& path, MultiQueryEngine* engine,
-                            uint64_t* stream_offset);
+Status RestoreEngineSnapshot(const std::string& path,
+                             MultiQueryEngine* engine,
+                             uint64_t* stream_offset);
 
 /// \brief Multi-shard snapshot container (sharded execution).
 ///

@@ -684,6 +684,14 @@ struct RunSetup {
   std::string restore_from;
   Observability obsv;
   IngestStats ingest;
+  /// --fault-spec armed the process-wide injector: the destructor disarms
+  /// it, so no exit path (a finished run, a later flag error) leaves it
+  /// armed for the next command in the process.
+  bool faults_armed = false;
+
+  ~RunSetup() {
+    if (faults_armed) fault::Injector::Global().Disarm();
+  }
 };
 
 /// Parses the flag preamble of `run` and `workload` — batch, checkpoint
@@ -696,6 +704,7 @@ Status SetupRun(const FlagSet& flags, const std::string& label, size_t* limit,
   ASEQ_RETURN_NOT_OK(
       CheckpointFlagsInto(flags, &setup->options, &setup->restore_from));
   ASEQ_RETURN_NOT_OK(SupervisionFlagsInto(flags, &setup->options));
+  setup->faults_armed = !flags.GetString("fault-spec").empty();
   if (limit != nullptr) {
     ASEQ_ASSIGN_OR_RETURN(*limit, LimitFromFlags(flags));
   }

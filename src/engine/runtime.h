@@ -130,6 +130,11 @@ struct RunOptions {
   /// interrupted and the final checkpoint is skipped (queued work could
   /// not drain, so a snapshot at the stop offset would be inconsistent).
   const std::atomic<bool>* stop_requested = nullptr;
+  /// True once `stop_requested` is set (a relaxed poll).
+  bool StopRequested() const {
+    return stop_requested != nullptr &&
+           stop_requested->load(std::memory_order_relaxed);
+  }
   /// Pin each shard worker to a core (sharded runs, Linux
   /// pthread_setaffinity_np): worker s gets core s. No-op with a warning
   /// when the machine has fewer cores than the run has shards (pinning

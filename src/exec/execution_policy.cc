@@ -24,19 +24,10 @@ bool EngineShards(MultiQueryEngine* engine) {
   return shardable != nullptr && shardable->shardable();
 }
 
-/// Purge markers are needed only when something can expire.
-bool AnyWindow(std::span<const CompiledQuery> queries) {
-  for (const CompiledQuery& q : queries) {
-    if (q.has_window()) return true;
-  }
-  return false;
-}
-
 /// Builds the first engine; runs serially for one shard or when sharding
 /// is refused (with the reason); else builds the twins and the sharded
 /// executor.
-template <class Traits, class Engine = typename Traits::Engine,
-          class Policy = ExecutionPolicyT<Engine>>
+template <class Engine, class Policy = ExecutionPolicyT<Engine>>
 Result<std::unique_ptr<Policy>> MakePolicyT(
     std::span<const CompiledQuery> queries,
     const EngineFactoryT<Engine>& factory,
@@ -72,9 +63,8 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
     }
     engines.push_back(std::move(twin));
   }
-  return std::unique_ptr<Policy>(new ShardedExecutorT<Traits>(
-      options, std::move(engines), ShardRouter(queries, shards),
-      /*send_markers=*/AnyWindow(queries), factory));
+  return std::unique_ptr<Policy>(new ShardedExecutorT<Engine>(
+      options, std::move(engines), ShardRouter(queries, shards), factory));
 }
 
 }  // namespace
@@ -82,7 +72,7 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
 Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     const CompiledQuery& query, const EngineFactory& factory,
     const RunOptions& options, std::string* fallback_reason) {
-  return MakePolicyT<SingleShardTraits>(
+  return MakePolicyT<QueryEngine>(
       std::span<const CompiledQuery>(&query, 1), factory, options,
       fallback_reason);
 }
@@ -90,7 +80,7 @@ Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
 Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
     std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,
     const RunOptions& options, std::string* fallback_reason) {
-  return MakePolicyT<MultiShardTraits>(queries, factory, options,
+  return MakePolicyT<MultiQueryEngine>(queries, factory, options,
                                        fallback_reason);
 }
 

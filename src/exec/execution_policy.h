@@ -59,10 +59,6 @@ class ExecutionPolicyT {
   /// merged view for sharded.
   virtual const EngineStats& stats() const = 0;
 
-  /// Per-shard stats of the last run (size num_shards; refreshed at the
-  /// end of each run).
-  virtual std::span<const EngineStats> shard_stats() const = 0;
-
   /// Per-shard busy seconds of the last run — wall time spent executing
   /// events inside each shard. max(shard_busy_seconds) is the critical
   /// path, the hardware-independent scaling metric the shard-sweep benches

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ckpt/snapshot.h"
+#include "exec/checkpoint_cadence.h"
 #include "metrics/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
@@ -13,55 +14,32 @@ namespace exec {
 
 namespace {
 
-/// Writes a snapshot when the stream offset crosses the next checkpoint
-/// threshold. `save` is called with (path, offset); shared between the
-/// single- and multi-query loops. After the first I/O failure the status
-/// is latched and no further snapshots are attempted.
-template <typename SaveFn>
-void MaybeCheckpoint(const RunOptions& options, uint64_t offset,
-                     uint64_t* next_due, RunResultBase* result, SaveFn&& save) {
-  if (options.checkpoint_every == 0 || !result->checkpoint_status.ok() ||
-      offset < *next_due) {
-    return;
-  }
-  Status s = save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, offset),
-                  offset);
-  if (s.ok()) {
-    ++result->checkpoints_written;
-    if (options.telemetry != nullptr) {
-      options.telemetry->coord().checkpoints.Add(1);
-    }
-    result->last_checkpoint_offset = offset;
-  } else {
-    result->checkpoint_status = std::move(s);
-  }
-  while (*next_due <= offset) *next_due += options.checkpoint_every;
-}
-
-/// The serial loop, shared by single- and multi-query runs:
-/// `refill` yields the next batch as a mutable view (empty = stream
-/// exhausted); the loop stamps sequence numbers straight into the viewed
-/// events, so a source that lends its own storage (VectorSource) feeds
-/// the engine with zero per-batch copies. `scratch`/`result->outputs`
-/// are the matching Output types.
-template <typename ResultT, typename EngineT, typename ScratchT,
-          typename RefillFn, typename SaveFn>
-ResultT RunSerialLoop(const RunOptions& options, ScratchT* scratch,
-                      EngineT* engine, RefillFn&& refill, SaveFn&& save) {
-  ResultT result;
+/// The serial loop, shared by single- and multi-query runs. The loop
+/// stamps sequence numbers straight into the borrowed batch, so a source
+/// that lends its own storage (VectorSource) feeds the engine with zero
+/// per-batch copies. `scratch` holds the engine's Output type.
+template <typename EngineT, typename ScratchT>
+RunResultOf<EngineT> RunSerialLoop(const RunOptions& options,
+                                   StreamSource* source, EngineT* engine,
+                                   ScratchT* scratch) {
+  RunResultOf<EngineT> result;
   result.batch_size = options.batch_size;
   SeqNum seq = options.start_offset;
-  uint64_t next_ckpt = options.start_offset + options.checkpoint_every;
+  CheckpointCadence ckpt(options, options.checkpoint_every);
+  const auto save = [&] {
+    return ckpt::SaveEngineSnapshot(
+        ckpt::SnapshotPathForOffset(options.checkpoint_dir, seq), *engine,
+        seq);
+  };
   StopWatch watch;
   for (;;) {
     // Stop-flag check before refill: no batch is pulled and then dropped,
     // so the final checkpoint covers exactly the events already fed.
-    if (options.stop_requested != nullptr &&
-        options.stop_requested->load(std::memory_order_relaxed)) {
+    if (options.StopRequested()) {
       result.interrupted = true;
       break;
     }
-    std::span<Event> batch = refill();
+    std::span<Event> batch = source->BorrowBatch(options.batch_size);
     if (batch.empty()) break;
     for (Event& e : batch) e.set_seq(seq++);
     scratch->clear();
@@ -102,50 +80,14 @@ ResultT RunSerialLoop(const RunOptions& options, ScratchT* scratch,
       result.outputs.insert(result.outputs.end(), scratch->begin(),
                             scratch->end());
     }
-    MaybeCheckpoint(options, seq, &next_ckpt, &result,
-                    [&](const std::string& path, uint64_t offset) {
-                      return save(path, offset);
-                    });
+    if (ckpt.Due(seq)) ckpt.Record(seq, save(), &result);
   }
-  // Graceful stop: write one final snapshot at the current offset so a
-  // later --restore-from resumes without replaying anything.
-  if (result.interrupted && !options.checkpoint_dir.empty() &&
-      result.checkpoint_status.ok() &&
-      (result.checkpoints_written == 0 ||
-       result.last_checkpoint_offset < seq)) {
-    Status s =
-        save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, seq), seq);
-    if (s.ok()) {
-      ++result.checkpoints_written;
-      if (options.telemetry != nullptr) {
-        options.telemetry->coord().checkpoints.Add(1);
-      }
-      result.last_checkpoint_offset = seq;
-    } else {
-      result.checkpoint_status = std::move(s);
-    }
-  }
+  // Graceful stop: one final snapshot at the stop offset, so a later
+  // --restore-from resumes without replaying anything.
+  if (ckpt.FinalDue(seq, result)) ckpt.Record(seq, save(), &result);
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq - options.start_offset;
   return result;
-}
-
-/// Refill by borrowing from a StreamSource.
-struct StreamRefill {
-  StreamSource* source;
-  size_t batch_size;
-  std::span<Event> operator()() const {
-    return source->BorrowBatch(batch_size);
-  }
-};
-
-Status RestoreSnapshot(const std::string& path, QueryEngine* engine,
-                       uint64_t* offset) {
-  return ckpt::RestoreEngineSnapshot(path, engine, offset);
-}
-Status RestoreSnapshot(const std::string& path, MultiQueryEngine* engine,
-                       uint64_t* offset) {
-  return ckpt::RestoreMultiSnapshot(path, engine, offset);
 }
 
 }  // namespace
@@ -153,23 +95,16 @@ Status RestoreSnapshot(const std::string& path, MultiQueryEngine* engine,
 RunResult RunSerial(const RunOptions& options, StreamSource* source,
                     QueryEngine* engine, SerialBuffers* buffers) {
   SerialBuffers local;
-  return RunSerialLoop<RunResult>(
-      options, &(buffers != nullptr ? buffers : &local)->scratch, engine,
-      StreamRefill{source, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveEngineSnapshot(path, *engine, offset);
-      });
+  return RunSerialLoop(options, source, engine,
+                       &(buffers != nullptr ? buffers : &local)->scratch);
 }
 
 MultiRunResult RunSerial(const RunOptions& options, StreamSource* source,
                          MultiQueryEngine* engine, SerialBuffers* buffers) {
   SerialBuffers local;
-  return RunSerialLoop<MultiRunResult>(
-      options, &(buffers != nullptr ? buffers : &local)->multi_scratch,
-      engine, StreamRefill{source, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveMultiSnapshot(path, *engine, offset);
-      });
+  return RunSerialLoop(
+      options, source, engine,
+      &(buffers != nullptr ? buffers : &local)->multi_scratch);
 }
 
 template <class EngineT>
@@ -183,7 +118,6 @@ template <class EngineT>
 typename SerialExecutorT<EngineT>::RunResultT SerialExecutorT<EngineT>::Run(
     StreamSource* source) {
   RunResultT result = RunSerial(options_, source, engine_.get(), &buffers_);
-  stats_view_ = engine_->stats();
   busy_seconds_ = result.elapsed_seconds;
   return result;
 }
@@ -191,7 +125,8 @@ typename SerialExecutorT<EngineT>::RunResultT SerialExecutorT<EngineT>::Run(
 template <class EngineT>
 Status SerialExecutorT<EngineT>::Restore(const std::string& path,
                                          uint64_t* stream_offset) {
-  ASEQ_RETURN_NOT_OK(RestoreSnapshot(path, engine_.get(), stream_offset));
+  ASEQ_RETURN_NOT_OK(
+      ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset));
   options_.start_offset = *stream_offset;
   return Status::OK();
 }

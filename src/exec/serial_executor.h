@@ -52,9 +52,6 @@ class SerialExecutorT : public ExecutionPolicyT<EngineT> {
   RunResultT Run(StreamSource* source) override;
 
   const EngineStats& stats() const override { return engine_->stats(); }
-  std::span<const EngineStats> shard_stats() const override {
-    return {&stats_view_, 1};
-  }
   std::span<const double> shard_busy_seconds() const override {
     return {&busy_seconds_, 1};
   }
@@ -67,7 +64,6 @@ class SerialExecutorT : public ExecutionPolicyT<EngineT> {
   RunOptions options_;
   std::unique_ptr<EngineT> engine_;
   SerialBuffers buffers_;
-  EngineStats stats_view_;   // snapshot of engine stats after the last run
   double busy_seconds_ = 0;  // == elapsed_seconds of the last run
 };
 

@@ -1,72 +1,185 @@
 #ifndef ASEQ_EXEC_SHARDED_EXECUTOR_H_
 #define ASEQ_EXEC_SHARDED_EXECUTOR_H_
 
-#include <utility>
+#include <memory>
+#include <span>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "exec/checkpoint_cadence.h"
 #include "exec/execution_policy.h"
+#include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
-#include "exec/sharded_executor_impl.h"
+#include "exec/shard_supervisor.h"
+#include "metrics/shard_stats.h"
 
 namespace aseq {
 namespace exec {
 
-/// Trait bindings for the single-query sharded executor: one CompiledQuery,
-/// ShardableEngine twins, scalar Output. Markers carry no payload (the
-/// purge covers the whole engine).
-struct SingleShardTraits {
-  using Engine = QueryEngine;
-  using Shardable = ShardableEngine;
+/// \brief The partition-parallel policy, for one query (QueryEngine) or a
+/// whole workload (MultiQueryEngine): N engine twins, each owning the
+/// partitions whose GROUP BY key hashes to it, each pumped by one worker
+/// over its lane of the dataplane (exec/shard_lanes.h). This class is the
+/// coordinator: it routes, runs each worker's per-op engine loop, merges
+/// outputs and stats exactly, and saves and restores snapshots.
+///
+/// Serial equivalence, piece by piece:
+///  - Routing: events go to hash(GROUP BY key) % N — all partitions a
+///    trigger reads share that key (PlanSharding guarantees it), so every
+///    output is computed from exactly the state the serial engine would
+///    read. The router admits each borrowed batch in one pass, and each
+///    shard's op run is published as one ring push per batch.
+///  - Purge markers: a serial trigger purges expired state across every
+///    partition (of the triggered queries, for a workload). The router
+///    detects triggers with the engines' own admission programs and the
+///    coordinator enqueues a purge marker, in seq order, to every non-owner
+///    shard; SyncPurgeTo applies exactly the serial cross-partition purge.
+///    Unbounded queries skip markers (nothing ever expires).
+///  - Outputs: each event's outputs come from exactly one shard, tagged
+///    with the event's global seq; a k-way merge by seq restores the
+///    serial order byte-identical.
+///  - Stats: bulk counters are charged on exactly one shard per event and
+///    sum exactly (metrics/shard_stats.h); live/peak objects are
+///    reconstructed exactly by StatsTimelineMerger from per-event
+///    (seq, current_after, window_peak) records. Workers therefore feed
+///    engines one event per OnBatch call (OnEvent) — per-event
+///    observation boundaries are what make the peak merge exact — so each
+///    shard counts one batch per event; the equivalence contract excludes
+///    the batch counters.
+///  - Checkpoints: at a due batch boundary the coordinator parks all
+///    workers at a barrier and writes one multi-shard container
+///    (ckpt::SaveShardedSnapshot) holding every shard's payload plus the
+///    merged stats; restore refills the twins and re-seeds the merge.
+///
+/// Supervision (RunOptions::supervise) lives in exec/shard_supervisor.h;
+/// the coordinator's part of a restart is the engine rebuild.
+///
+/// Overload control (RunOptions::overload_policy): when a lane's bounded
+/// ring reaches its high-watermark (or the router.route fault point
+/// injects overload), the coordinator either keeps blocking (kBlock, the
+/// default), drains every queue through a barrier before routing on
+/// (kDegradeSerial), or deterministically sheds the overloaded event's
+/// whole partition (kShed, accounted in shed_* counters; surviving
+/// partitions stay exact).
+template <class Engine>
+class ShardedExecutorT : public ExecutionPolicyT<Engine> {
+ public:
+  using OutputT = typename Engine::OutputT;
+  using RunResultT = typename ExecutionPolicyT<Engine>::RunResultT;
 
-  static SeqNum OutputSeq(const Output& o) { return o.seq; }
-  static void StampMarker(const ShardRouter::Route& route, ShardOp* op) {
-    (void)route;
-    (void)op;  // single-query markers carry no per-query payload
-  }
-  static void SyncPurge(Shardable* shardable, const ShardOp& op) {
-    shardable->SyncPurgeTo(op.ts);
-  }
-  /// Single-query engines count objects at add/remove granularity, so
-  /// their mid-event peaks are real serial observations.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    (void)shardable;
-    return false;
-  }
-};
+  /// `engines` must all be freshly constructed shardable twins for the
+  /// workload (the policy factory guarantees both). `router` is the
+  /// matching pre-built router. `factory` rebuilds a twin after a
+  /// supervised restart.
+  ShardedExecutorT(const RunOptions& options,
+                   std::vector<std::unique_ptr<Engine>> engines,
+                   ShardRouter router, EngineFactoryT<Engine> factory);
 
-/// Trait bindings for the multi-query (workload) sharded executor:
-/// MultiShardableEngine twins over the whole workload, query-tagged
-/// MultiOutput. The marker carries which windowed queries the trigger
-/// completed, so engines with per-query clocks purge exactly the serial
-/// set.
-struct MultiShardTraits {
-  using Engine = MultiQueryEngine;
-  using Shardable = MultiShardableEngine;
+  std::string name() const override {
+    return "Sharded[" + engines_[0]->name() + "]";
+  }
+  size_t num_shards() const override { return engines_.size(); }
 
-  static SeqNum OutputSeq(const MultiOutput& o) { return o.output.seq; }
-  static void StampMarker(const ShardRouter::Route& route, ShardOp* op) {
-    op->trigger_queries = route.trigger_queries;
+  /// The run loop. Batches may be borrowed source storage, so the loop
+  /// stamps sequence numbers in place but copies events into shard ops
+  /// instead of consuming them.
+  RunResultT Run(StreamSource* source) override;
+
+  const EngineStats& stats() const override { return merged_; }
+  std::span<const double> shard_busy_seconds() const override {
+    return busy_view_;
   }
-  static void SyncPurge(Shardable* shardable, const ShardOp& op) {
-    shardable->SyncPurgeTo(op.ts, op.trigger_queries);
+
+  Status Restore(const std::string& path, uint64_t* stream_offset) override;
+
+ private:
+  /// A worker's run state. The coordinator touches it only while the
+  /// worker is parked at a barrier or joined (including the joined window
+  /// of a supervised restart). Cache-line aligned: each worker writes its
+  /// own per op, and neighbours in states_ must not share a line.
+  struct alignas(64) ShardState {
+    std::vector<OutputT> outputs;
+    std::vector<StatsTimelineMerger::Record> records;
+    size_t records_consumed = 0;
+    std::vector<OutputT> scratch;
+    double busy_seconds = 0;
+  };
+
+  /// Coordinator-owned counters, folded into the merged stats at the end
+  /// of the run.
+  struct Counters {
+    uint64_t pub_batches = 0;
+    uint64_t shed_partitions = 0;
+    uint64_t shed_events = 0;
+    uint64_t overload_stalls = 0;
+  };
+
+  /// Lanes keep outputs for the end-of-run merge, which fills the result
+  /// or feeds the output sink.
+  bool CollectsOutputs() const {
+    return options_.collect_outputs || options_.output_sink != nullptr;
   }
-  /// Wrapper engines (NonShare, Hybrid) sample the combined sub-engine
-  /// total once per event, so their window_peak is not a serial
-  /// observation — merge boundary totals only.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    return shardable->objects_sampled_at_boundaries();
-  }
+  void WorkerMain(size_t shard);
+  /// Publishes pending_[shard] as one ring push and re-arms pending_ with
+  /// a recycled vector. `publish_ns`: the batch's shared publication
+  /// timestamp for trigger-latency telemetry (0 when off).
+  /// `sample_occupancy`: record this lane's ring depth into the
+  /// coordinator's occupancy histogram (one rotating shard per batch).
+  Status FlushPending(size_t shard, uint64_t publish_ns,
+                      bool sample_occupancy);
+  /// Parks every worker at a barrier, restarting failed lanes
+  /// (supervised). OK with lanes_.stop_stalled() set when a stop request
+  /// abandoned it; an exhausted restart budget is the error.
+  Status Barrier();
+  /// The checkpoint/recovery barrier: parks the workers (recorded in
+  /// telemetry as a barrier), then — with them quiescent — feeds the
+  /// merger, captures recovery points when `recover`, writes the snapshot
+  /// when `save`, and resumes them.
+  Status Quiesce(uint64_t seq, bool recover, bool save,
+                 CheckpointCadence* ckpt, RunResultBase* result);
+  /// Restarts a failed lane: the supervisor's quarantine and budget, the
+  /// engine rebuild from the lane's recovery point, respawn, replay.
+  Status RestartShard(size_t shard);
+  Status CaptureRecoveryPoints();
+  /// Feeds each lane's new records to the merger (lanes quiescent).
+  void DrainMerger();
+  /// Bulk-sums engine stats + the merger's object view.
+  EngineStats ComputeMergedStats() const;
+  /// Writes the multi-shard snapshot container at `seq` (workers parked).
+  Status SaveSnapshotAt(uint64_t seq);
+
+  RunOptions options_;
+  std::vector<std::unique_ptr<Engine>> engines_;
+  EngineFactoryT<Engine> factory_;
+  ShardRouter router_;
+
+  std::vector<ShardState> states_;
+  std::vector<std::vector<ShardOp>> pending_;
+  // The dataplane consults the supervisor as its watchdog, and the
+  // supervisor restarts through the dataplane; each stores a pointer to
+  // the other (null supervisor = unsupervised). The lanes own the worker
+  // threads, so they come after everything a worker touches.
+  ShardSupervisor supervisor_;
+  ShardLanes lanes_;
+
+  Counters counters_;
+  std::unordered_set<uint32_t> shed_keys_;
+  StatsTimelineMerger merger_;
+  EngineStats merged_;
+  std::vector<double> busy_view_;
 };
 
 /// The single-query partition-parallel policy (docs/internals.md §13).
-using ShardedExecutor = ShardedExecutorT<SingleShardTraits>;
+using ShardedExecutor = ShardedExecutorT<QueryEngine>;
 
 /// The multi-query partition-parallel policy: the same executor over a
 /// shared GROUP BY attribute, one engine-twin set for the whole workload
 /// (docs/internals.md §15).
-using MultiShardedExecutor = ShardedExecutorT<MultiShardTraits>;
+using MultiShardedExecutor = ShardedExecutorT<MultiQueryEngine>;
 
-extern template class ShardedExecutorT<SingleShardTraits>;
-extern template class ShardedExecutorT<MultiShardTraits>;
+extern template class ShardedExecutorT<QueryEngine>;
+extern template class ShardedExecutorT<MultiQueryEngine>;
 
 }  // namespace exec
 }  // namespace aseq

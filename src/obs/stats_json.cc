@@ -5,30 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace_writer.h"
+
 namespace aseq {
 namespace obs {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -105,13 +86,13 @@ bool WriteStatsJson(const std::string& path, const std::string& engine,
                     const std::vector<StatsJsonEntry>& entries) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.is_open()) return false;
-  out << "{\"engine\":\"" << EscapeJson(engine) << "\",\"shards\":" << shards
+  out << "{\"engine\":\"" << JsonEscape(engine) << "\",\"shards\":" << shards
       << ",\"elapsed_ms\":" << FormatDouble(elapsed_ms)
       << ",\"utilization\":" << UtilizationJson(busy_seconds)
       << ",\"ingest\":" << IngestStatsToJson(ingest) << ",\"queries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i) out << ",";
-    out << "{\"label\":\"" << EscapeJson(entries[i].label)
+    out << "{\"label\":\"" << JsonEscape(entries[i].label)
         << "\",\"results\":" << entries[i].results << ",\"stats\":"
         << (entries[i].stats ? EngineStatsToJson(*entries[i].stats) : "{}")
         << "}";

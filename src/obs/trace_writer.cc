@@ -1,13 +1,18 @@
 #include "obs/trace_writer.h"
 
+#include <cstdio>
 #include <sstream>
 
 namespace aseq {
 namespace obs {
 namespace {
 
-// JSON string escaping for names and string arg values.
-std::string Escape(const std::string& s) {
+// Raw-number sentinel: values prefixed with '\x01' are emitted unquoted.
+constexpr char kRawNumber = '\x01';
+
+}  // namespace
+
+std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -29,11 +34,6 @@ std::string Escape(const std::string& s) {
   }
   return out;
 }
-
-// Raw-number sentinel: values prefixed with '\x01' are emitted unquoted.
-constexpr char kRawNumber = '\x01';
-
-}  // namespace
 
 TraceWriter::TraceWriter(const std::string& path, uint64_t epoch_ns,
                          size_t num_shards)
@@ -74,11 +74,11 @@ void TraceWriter::WriteArgsLocked(const Args& args) {
   for (const auto& [k, v] : args) {
     if (!first) out_ << ",";
     first = false;
-    out_ << "\"" << Escape(k) << "\":";
+    out_ << "\"" << JsonEscape(k) << "\":";
     if (!v.empty() && v[0] == kRawNumber) {
       out_ << v.substr(1);
     } else {
-      out_ << "\"" << Escape(v) << "\"";
+      out_ << "\"" << JsonEscape(v) << "\"";
     }
   }
   out_ << "}";
@@ -93,7 +93,7 @@ void TraceWriter::Span(const char* name, int64_t tid, uint64_t begin_ns,
   const uint64_t dur = end_ns >= begin_ns ? end_ns - begin_ns : 0;
   if (!first_) out_ << ",\n";
   first_ = false;
-  out_ << "{\"name\":\"" << Escape(name) << "\",\"ph\":\"X\",\"pid\":1"
+  out_ << "{\"name\":\"" << JsonEscape(name) << "\",\"ph\":\"X\",\"pid\":1"
        << ",\"tid\":" << tid << ",\"ts\":" << rel / 1000 << "."
        << (rel % 1000) / 100 << ",\"dur\":" << dur / 1000 << "."
        << (dur % 1000) / 100;
@@ -109,7 +109,7 @@ void TraceWriter::Instant(const char* name, int64_t tid, uint64_t at_ns,
   const uint64_t rel = at_ns >= epoch_ns_ ? at_ns - epoch_ns_ : 0;
   if (!first_) out_ << ",\n";
   first_ = false;
-  out_ << "{\"name\":\"" << Escape(name) << "\",\"ph\":\"i\",\"s\":\"p\""
+  out_ << "{\"name\":\"" << JsonEscape(name) << "\",\"ph\":\"i\",\"s\":\"p\""
        << ",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << rel / 1000 << "."
        << (rel % 1000) / 100;
   if (!args.empty()) WriteArgsLocked(args);

@@ -11,6 +11,10 @@
 namespace aseq {
 namespace obs {
 
+/// Escapes `s` for a JSON string literal (quote, backslash, control
+/// characters). Shared by the trace and the --stats-json writer.
+std::string JsonEscape(const std::string& s);
+
 /// \brief Streams chrome://tracing "JSON array format" events to a file.
 ///
 /// The file is a single JSON array of event objects; the trace viewer

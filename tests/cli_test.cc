@@ -316,9 +316,37 @@ TEST(CliTest, StatsBlockGoldenOrderShardedSupervised) {
   // The utilization line carries the min/max busy + imbalance readout.
   EXPECT_NE(r.out.find("shard busy "), std::string::npos);
   EXPECT_NE(r.out.find("imbalance "), std::string::npos);
-  // The injector is process-global; leaving it armed would add a "faults"
-  // line to every later RunTool in this binary.
+}
+
+TEST(CliTest, FaultSpecIsDisarmedOnEveryExitPath) {
+  // The injector is process-global: a command that armed it must disarm it
+  // whether the run finished or a later flag was rejected, or every later
+  // command in the process would run with faults (and a "faults" line).
   fault::Injector::Global().Disarm();
+  CliResult done = RunTool(
+      {"run", "--query",
+       "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms",
+       "--stock", "2000", "--shards", "2", "--supervise", "--fault-spec",
+       "worker.op@0:100:crash", "--quiet"});
+  ASSERT_EQ(done.code, 0) << done.err;
+  EXPECT_NE(done.out.find("faults:"), std::string::npos) << done.out;
+  EXPECT_FALSE(fault::Injector::Global().armed()) << "after a finished run";
+
+  CliResult rejected = RunTool(
+      {"run", "--query", "PATTERN SEQ(DELL, IPIX)", "--stock", "10",
+       "--fault-spec", "worker.op@0:100:crash", "--metrics-out",
+       ::testing::TempDir() + "/aseq_cli_disarm.jsonl", "--metrics-every-ms",
+       "0"});
+  EXPECT_EQ(rejected.code, 1);
+  EXPECT_NE(rejected.err.find("--metrics-every-ms"), std::string::npos)
+      << rejected.err;
+  EXPECT_FALSE(fault::Injector::Global().armed()) << "after a flag error";
+
+  CliResult clean = RunTool({"run", "--query",
+                             "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s",
+                             "--stock", "500", "--quiet"});
+  ASSERT_EQ(clean.code, 0) << clean.err;
+  EXPECT_EQ(clean.out.find("faults:"), std::string::npos) << clean.out;
 }
 
 TEST(CliTest, StatsBlockGoldenOrderWorkload) {

@@ -294,10 +294,10 @@ void CheckMultiPollAfterRestore(const MultiFactory& factory,
 
   const std::string path =
       ::testing::TempDir() + "/poll-equiv-" + label + ".aseqckpt";
-  ASSERT_TRUE(ckpt::SaveMultiSnapshot(path, *engine, kill).ok()) << label;
+  ASSERT_TRUE(ckpt::SaveEngineSnapshot(path, *engine, kill).ok()) << label;
   auto twin = factory();
   uint64_t offset = 0;
-  Status restored = ckpt::RestoreMultiSnapshot(path, twin.get(), &offset);
+  Status restored = ckpt::RestoreEngineSnapshot(path, twin.get(), &offset);
   ASSERT_TRUE(restored.ok()) << label << ": " << restored.ToString();
   ASSERT_EQ(offset, kill) << label;
   std::remove(path.c_str());

@@ -145,13 +145,13 @@ void CheckMultiRecovery(
                               events.begin() + static_cast<ptrdiff_t>(kill));
     MultiRunResult pre = exec::RunSerial(Options(), prefix, victim.get());
     const std::string path = SnapshotPath(label, kill);
-    Status saved = ckpt::SaveMultiSnapshot(path, *victim, kill);
+    Status saved = ckpt::SaveEngineSnapshot(path, *victim, kill);
     ASSERT_TRUE(saved.ok()) << context << ": " << saved.ToString();
     victim.reset();
 
     auto revived = factory();
     uint64_t offset = 0;
-    Status restored = ckpt::RestoreMultiSnapshot(path, revived.get(), &offset);
+    Status restored = ckpt::RestoreEngineSnapshot(path, revived.get(), &offset);
     ASSERT_TRUE(restored.ok()) << context << ": " << restored.ToString();
     ASSERT_EQ(offset, kill) << context;
 

@@ -86,13 +86,6 @@ void CheckSharded(const CompiledQuery& cq, const std::vector<Event>& events,
       EXPECT_EQ(got.num_shards, shards) << context;
       ExpectOutputsEqual(ref.outputs, got.outputs, context);
       ExpectStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
-
-      // The per-shard breakdown must sum back to the merged bulk view.
-      uint64_t shard_events = 0;
-      for (const EngineStats& s : (*policy)->shard_stats()) {
-        shard_events += s.events_processed;
-      }
-      EXPECT_EQ(shard_events, (*policy)->stats().events_processed) << context;
     }
   }
 }
@@ -361,12 +354,6 @@ void CheckMultiSharded(const std::vector<CompiledQuery>& queries,
       MultiRunResult got = (*policy)->RunEvents(events);
       ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
       ExpectStatsEqual((*serial)->stats(), (*policy)->stats(), context);
-
-      uint64_t shard_events = 0;
-      for (const EngineStats& s : (*policy)->shard_stats()) {
-        shard_events += s.events_processed;
-      }
-      EXPECT_EQ(shard_events, (*serial)->stats().events_processed) << context;
     }
   }
 }

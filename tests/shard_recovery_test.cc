@@ -324,7 +324,7 @@ TEST(ShardRecoveryTest, MultiSerialSnapshotRejectedBySharded) {
   RunPerEvent(c->events, engine.get());
   const std::string path =
       ::testing::TempDir() + "/multi-shard-recovery-serial.aseqckpt";
-  ASSERT_TRUE(ckpt::SaveMultiSnapshot(path, *engine, c->events.size()).ok());
+  ASSERT_TRUE(ckpt::SaveEngineSnapshot(path, *engine, c->events.size()).ok());
 
   RunOptions options;
   options.num_shards = kShards;

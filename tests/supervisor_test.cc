@@ -223,8 +223,15 @@ TEST_F(SupervisorTest, DegradeSerialDrainsAndStaysExact) {
 
   ASSERT_TRUE(run.fault_status.ok()) << run.fault_status.ToString();
   ExpectOutputsEqual(ref.outputs, run.outputs, "degrade-serial");
-  EXPECT_GE(policy->stats().overload_stalls, 1u);
-  EXPECT_EQ(policy->stats().shed_events, 0u);
+  const EngineStats& stats = policy->stats();
+  const EngineStats& want = ref_engine->stats();
+  EXPECT_EQ(want.events_processed, stats.events_processed);
+  EXPECT_EQ(want.outputs, stats.outputs);
+  EXPECT_EQ(want.work_units, stats.work_units);
+  EXPECT_EQ(want.objects.current(), stats.objects.current());
+  EXPECT_EQ(want.objects.peak(), stats.objects.peak());
+  EXPECT_GE(stats.overload_stalls, 1u);
+  EXPECT_EQ(stats.shed_events, 0u);
 }
 
 TEST_F(SupervisorTest, ShedDropsWholePartitionsExactly) {
@@ -397,6 +404,44 @@ TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   EXPECT_GE(policy->stats().ring_full_waits, 1u);
   // Whole-stream drain at ~150us/op would take ~10x this bound even
   // unsanitized; a prompt stop is comfortably inside it.
+  EXPECT_LT(elapsed, 10.0);
+}
+
+TEST_P(SupervisorStopTest, StopDuringDegradeDrainExitsPromptly) {
+  // Every routed event signals overload, so every batch ends in a
+  // degrade-serial drain, and shard 0 drains slowly: a stop request lands
+  // while the coordinator waits for a drain and must end the run
+  // (interrupted) instead of waiting out the stream.
+  auto c = MakeStock(784, 3000);
+  CompiledQuery cq = MustCompile(&c->schema, kQuery);
+
+  RunOptions options;
+  options.num_shards = kShards;
+  options.supervise = GetParam();
+  options.batch_size = 8;
+  options.overload_policy = OverloadPolicy::kDegradeSerial;
+  std::atomic<bool> stop{false};
+  options.stop_requested = &stop;
+  auto policy = MustMakeSharded(cq, options);
+  ASSERT_TRUE(fault::Injector::Global()
+                  .Arm("worker.op@0:1:slow:100000000,"
+                       "router.route:1:overload:100000000",
+                       7)
+                  .ok());
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    stop.store(true);
+  });
+  StopWatch watch;
+  RunResult run = policy->RunEvents(c->events);
+  const double elapsed = watch.ElapsedSeconds();
+  stopper.join();
+  fault::Injector::Global().Disarm();
+
+  ASSERT_TRUE(run.fault_status.ok()) << run.fault_status.ToString();
+  EXPECT_TRUE(run.interrupted);
+  EXPECT_LT(run.events, c->events.size());
+  EXPECT_GE(policy->stats().overload_stalls, 1u);
   EXPECT_LT(elapsed, 10.0);
 }
 
