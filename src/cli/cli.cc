@@ -741,12 +741,10 @@ std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
     err << "note: sharding disabled (" << fallback_reason
         << "); running serially\n";
   }
-  // A serial run parses the trace on the spare cores; a sharded one
-  // inline, since its shard workers hold the cores (docs/internals.md §18).
-  auto source =
-      OpenSource(flags, schema,
-                 TraceParseThreads((*policy)->num_shards(),
-                                   std::thread::hardware_concurrency()));
+  // Serial or sharded, the trace parses on the spare cores
+  // (docs/internals.md §18).
+  auto source = OpenSource(
+      flags, schema, TraceParseThreads(std::thread::hardware_concurrency()));
   if (!source.ok()) {
     err << source.status().ToString() << "\n";
     return nullptr;

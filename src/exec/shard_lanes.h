@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -23,15 +24,41 @@ class ShardSupervisor;
 
 /// One unit of shard work: an event for the owner shard, or a purge marker
 /// replaying a trigger's cross-partition purge on a non-owner shard.
-/// `trigger_queries` is meaningful for multi-query markers only (which
-/// workload queries the trigger completed) and stays empty otherwise.
+/// `trigger_queries` is meaningful for markers only: which workload
+/// queries the trigger completed (empty for a single query's markers).
+///
+/// Ops live in recycled storage (LaneItem), so they are filled by the
+/// Assign calls, which overwrite every field a worker reads and keep the
+/// event's attribute capacity.
 struct ShardOp {
   enum class Kind : uint8_t { kEvent, kPurgeMarker };
   Kind kind = Kind::kEvent;
-  Timestamp ts = 0;
-  SeqNum seq = 0;
-  Event event;  // meaningful for kEvent only
-  std::vector<size_t> trigger_queries;  // meaningful for multi markers only
+  /// The event; a marker uses only its ts and seq (the trigger's).
+  Event event;
+  std::vector<size_t> trigger_queries;
+
+  /// An event op. A slim op (`with_attrs` false) carries only the event's
+  /// type, ts and seq: for a type no query names, every engine returns on
+  /// the type check before it reads an attribute.
+  void AssignEvent(const Event& e, bool with_attrs) {
+    kind = Kind::kEvent;
+    if (with_attrs) {
+      event = e;
+      return;
+    }
+    event.set_type(e.type());
+    event.set_ts(e.ts());
+    event.set_seq(e.seq());
+    event.ClearAttrs();
+  }
+  /// A purge marker for the trigger `e`.
+  void AssignMarker(const Event& e, std::span<const size_t> queries) {
+    kind = Kind::kPurgeMarker;
+    event.set_ts(e.ts());
+    event.set_seq(e.seq());
+    event.ClearAttrs();
+    trigger_queries.assign(queries.begin(), queries.end());
+  }
 };
 
 /// One ring slot: a chunk of ops (one publication), or a barrier or stop
@@ -39,11 +66,24 @@ struct ShardOp {
 struct LaneItem {
   enum class Tag : uint8_t { kOps, kBarrier, kStop };
   Tag tag = Tag::kOps;
+  /// Op storage; the first `live` ops are the item's work. The rest are
+  /// stale ops kept for their capacity: a drained vector travels back
+  /// through the lane's free ring uncleared, and the coordinator
+  /// overwrites its ops in place (Append), so a steady-state run
+  /// allocates and frees nothing per op.
   std::vector<ShardOp> ops;
+  size_t live = 0;
   /// Publication timestamp (obs::MonotonicNanos at ring push), stamped
   /// only when telemetry is on — the base of the trigger-to-output
   /// latency histogram. Zero when telemetry is off.
   uint64_t publish_ns = 0;
+
+  /// The next op slot: a recycled one when the storage has it.
+  ShardOp& Append() {
+    if (live == ops.size()) ops.emplace_back();
+    return ops[live++];
+  }
+  std::span<const ShardOp> live_ops() const { return {ops.data(), live}; }
 };
 
 /// How a coordinator push or barrier ended. kStopped: a stop request
@@ -98,8 +138,8 @@ class ShardLanes {
     /// Work ring: the coordinator publishes, the worker drains.
     SpscRing<LaneItem> ring{kMaxQueuedItems};
     /// Reverse ring, worker → coordinator: drained op vectors recycled
-    /// back to the router, clear-not-shrink. Best-effort — a full ring
-    /// just lets the vector deallocate.
+    /// back to the router uncleared (LaneItem::ops). Best-effort — a full
+    /// ring just lets the vector deallocate.
     SpscRing<std::vector<ShardOp>> free_ring{kMaxQueuedItems};
     std::mutex mu;
     std::condition_variable cv;

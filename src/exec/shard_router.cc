@@ -111,6 +111,7 @@ std::span<const ShardRouter::Route> ShardRouter::RouteBatch(
   const bool armed = fault::Injector::Global().armed();
   for (size_t i = 0; i < batch.size(); ++i) {
     Route& route = routes_[i];
+    route.relevant = false;
     route.has_key = false;
     route.key_id = 0;
     route.inject_overload = false;
@@ -142,6 +143,7 @@ std::span<const ShardRouter::Route> ShardRouter::RouteBatch(
                          /*stats=*/nullptr, &prefilter_);
     for (size_t i = 0; i < batch.size(); ++i) {
       Route& route = routes_[i];
+      if (prefilter_.Relevant(i)) route.relevant = true;
       bool triggered = false;
       for (const plan::AdmissionRecord& rec : admitter_.RecordsFor(i)) {
         if (!route.has_key) {

@@ -66,6 +66,10 @@ class ShardRouter {
     /// state on any shard; they spread round-robin by seq for balanced
     /// event accounting.
     size_t shard = 0;
+    /// True when some query's pattern names the event's type (the union
+    /// of the queries' prefilter masks). Only such an event needs its
+    /// attributes on the shard: every other one is a slim op there.
+    bool relevant = false;
     /// True when some query staged a probe and the GROUP BY key extracted;
     /// key_id then holds the router's dense id for that key. The shed
     /// overload policy drops whole partitions by key_id — events without

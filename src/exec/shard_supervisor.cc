@@ -43,7 +43,7 @@ bool ShardSupervisor::LaneFailed(size_t shard) {
 void ShardSupervisor::SetRecoveryPoint(size_t shard, RecoveryPoint point) {
   LaneState& st = lanes_state_[shard];
   st.point = std::move(point);
-  st.replay_log.clear();
+  st.replay_log.live = 0;
   st.restart_attempts = 0;
 }
 
@@ -93,12 +93,13 @@ void ShardSupervisor::Replay(size_t shard) {
   bool abandoned = false;
   const size_t chunk_size =
       options_.batch_size == 0 ? kDefaultBatchSize : options_.batch_size;
-  const std::vector<ShardOp>& log = st.replay_log;
+  const std::span<const ShardOp> log = st.replay_log.live_ops();
   for (size_t i = 0; i < log.size();) {
     const size_t chunk = std::min(chunk_size, log.size() - i);
     LaneItem item;
     item.ops.assign(log.begin() + static_cast<ptrdiff_t>(i),
                     log.begin() + static_cast<ptrdiff_t>(i + chunk));
+    item.live = chunk;
     if (options_.telemetry != nullptr) item.publish_ns = obs::MonotonicNanos();
     if (lanes_->Push(shard, item) != PushResult::kPushed) {
       abandoned = true;

@@ -49,8 +49,9 @@ class ShardSupervisor {
   /// idle, not at a barrier, heartbeat frozen) past the watchdog timeout.
   bool LaneFailed(size_t shard);
 
-  /// Every op routed to the lane since its recovery point, in order.
-  std::vector<ShardOp>& replay_log(size_t shard) {
+  /// Every op routed to the lane since its recovery point, in order: the
+  /// log's live ops, in recycled storage like a ring item's.
+  LaneItem& replay_log(size_t shard) {
     return lanes_state_[shard].replay_log;
   }
 
@@ -76,7 +77,7 @@ class ShardSupervisor {
  private:
   struct LaneState {
     RecoveryPoint point;
-    std::vector<ShardOp> replay_log;
+    LaneItem replay_log;
     /// Restarts burned since the last recovery point.
     size_t restart_attempts = 0;
     /// Last observed heartbeat and when it changed.

@@ -31,10 +31,10 @@ MultiShardableEngine* AsShardable(MultiQueryEngine* engine) {
 /// Applies a purge marker. A single query's marker purges the whole engine;
 /// a workload's purges the queries its trigger completed.
 void SyncPurge(ShardableEngine* shardable, const ShardOp& op) {
-  shardable->SyncPurgeTo(op.ts);
+  shardable->SyncPurgeTo(op.event.ts());
 }
 void SyncPurge(MultiShardableEngine* shardable, const ShardOp& op) {
-  shardable->SyncPurgeTo(op.ts, op.trigger_queries);
+  shardable->SyncPurgeTo(op.event.ts(), op.trigger_queries);
 }
 
 /// Single-query engines count objects at add/remove granularity, so their
@@ -88,7 +88,7 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
     // update per drained item instead of one per op.
     uint64_t item_events = 0;
     uint64_t item_outputs = 0;
-    for (ShardOp& op : item.ops) {
+    for (const ShardOp& op : item.live_ops()) {
       if (check_faults && lanes_.HitWorkerFault(shard)) return;
       ObjectCounter& objects = stats->objects;
       objects.BeginPeakWindow();
@@ -117,7 +117,7 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
       // Record only state changes: the merge needs every current
       // transition and every mid-event maximum above the entry count.
       if (after != before || window_peak > before) {
-        st.records.push_back({op.seq, after, window_peak});
+        st.records.push_back({op.event.seq(), after, window_peak});
       }
       lane.progress.fetch_add(1, std::memory_order_relaxed);
     }
@@ -130,11 +130,11 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
       const uint64_t busy = watch.ElapsedNanos();
       st.busy_seconds += static_cast<double>(busy) * 1e-9;
       ++tally.items;
-      tally.ops += item.ops.size();
+      tally.ops += item.live;
       tally.events += item_events;
       tally.outputs += item_outputs;
       tally.busy_ns += busy;
-      cell->op_service_ns.Record(busy / item.ops.size());
+      cell->op_service_ns.Record(busy / item.live);
       if (item_outputs > 0) {
         // Trigger-to-output latency: the batch's publication to the
         // completion of the item that produced the outputs. The absolute
@@ -147,9 +147,9 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
         tally.Flush(lane.ring.size());
       }
     }
-    // Recycle the drained op vector to the router (best-effort: a full
-    // free ring just lets the capacity go).
-    item.ops.clear();
+    // Recycle the drained ops to the router uncleared, so the coordinator
+    // overwrites them in place (best-effort: a full free ring just lets
+    // the capacity go).
     lane.free_ring.TryPush(item.ops);
   }
 }
@@ -158,9 +158,11 @@ template <class Engine>
 Status ShardedExecutorT<Engine>::FlushPending(size_t shard,
                                               uint64_t publish_ns,
                                               bool sample_occupancy) {
-  if (pending_[shard].empty()) return Status::OK();
+  LaneItem& pending = pending_[shard];
+  if (pending.live == 0) return Status::OK();
   ++counters_.pub_batches;
-  LaneItem item{LaneItem::Tag::kOps, std::move(pending_[shard])};
+  LaneItem item{LaneItem::Tag::kOps, std::move(pending.ops), pending.live};
+  pending.live = 0;
   if (options_.telemetry != nullptr) {
     obs::CoordCell& cc = options_.telemetry->coord();
     cc.publications.Add(1);
@@ -174,18 +176,15 @@ Status ShardedExecutorT<Engine>::FlushPending(size_t shard,
   const PushResult pushed = lanes_.Push(shard, item);
   if (pushed == PushResult::kFailed) ASEQ_RETURN_NOT_OK(RestartShard(shard));
   if (pushed != PushResult::kPushed) {
-    // Drop the ops and recycle the vector. Stopped: the run ends
+    // Drop the ops and keep their storage. Stopped: the run ends
     // stop-stalled (interrupted, no final checkpoint). Failed: the restart
     // replays everything routed since the recovery point, these ops
     // included, so pushing them now would double-feed.
-    item.ops.clear();
-    pending_[shard] = std::move(item.ops);
+    pending.ops = std::move(item.ops);
     return Status::OK();
   }
   // Re-arm pending_ with a worker-recycled vector when one is available.
-  std::vector<ShardOp> replacement;
-  lanes_.lane(shard).free_ring.TryPop(&replacement);
-  pending_[shard] = std::move(replacement);
+  lanes_.lane(shard).free_ring.TryPop(&pending.ops);
   return Status::OK();
 }
 
@@ -234,7 +233,7 @@ Status ShardedExecutorT<Engine>::RestartShard(size_t shard) {
   st.records_consumed = point->records;
   // Ops routed but not yet flushed are already in the replay log; dropping
   // them here keeps the replay from double-feeding them.
-  pending_[shard].clear();
+  pending_[shard].live = 0;
   // Rebuild the engine twin from the recovery snapshot (engine Checkpoint
   // payloads carry stats, so the merged view stays exact).
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> fresh, factory_());
@@ -385,10 +384,8 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
     }
     bool overload_hit = false;
     for (size_t bi = 0; bi < batch.size(); ++bi) {
-      Event& e = batch[bi];
+      const Event& e = batch[bi];
       const auto& route = routes[bi];
-      const Timestamp ts = e.ts();
-      const SeqNum eseq = e.seq();
       if (options_.overload_policy != OverloadPolicy::kBlock) {
         const bool overloaded =
             route.inject_overload ||
@@ -412,7 +409,7 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
               trace->Instant("shed", obs::TraceWriter::kCoordTid,
                              obs::MonotonicNanos(),
                              {obs::TraceWriter::NumArg("key", route.key_id),
-                              obs::TraceWriter::NumArg("seq", eseq)});
+                              obs::TraceWriter::NumArg("seq", e.seq())});
             }
             continue;
           }
@@ -420,29 +417,29 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
           overload_hit = true;
         }
       }
-      // Copy, not move: the batch may be borrowed source storage that a
-      // Reset replay will serve again.
-      pending_[route.shard].push_back(
-          ShardOp{ShardOp::Kind::kEvent, ts, eseq, e, {}});
-      if (supervised) {
-        supervisor_.replay_log(route.shard)
-            .push_back(ShardOp{ShardOp::Kind::kEvent, ts, eseq, e, {}});
-      }
+      // Copied into a recycled op, not moved: the batch may be borrowed
+      // source storage that a Reset replay will serve again, and the op's
+      // event reuses its attribute capacity. An event of a type no query
+      // names ships slim.
+      ShardOp& op = pending_[route.shard].Append();
+      op.AssignEvent(e, route.relevant);
+      if (supervised) supervisor_.replay_log(route.shard).Append() = op;
       if (!route.trigger_queries.empty()) {
         // The serial trigger purges every partition (of each triggered
         // query); non-owner shards replay it as a marker at the same seq,
         // keeping their state and object counts in lockstep. Unbounded
         // queries never trigger markers: nothing of theirs expires, so the
         // router leaves them out of trigger_queries.
+        // A single query's marker carries no payload.
+        const std::span<const size_t> payload =
+            std::is_same_v<Engine, MultiQueryEngine>
+                ? std::span<const size_t>(route.trigger_queries)
+                : std::span<const size_t>();
         for (size_t s = 0; s < n; ++s) {
           if (s == route.shard) continue;
-          ShardOp marker{ShardOp::Kind::kPurgeMarker, ts, eseq, Event(), {}};
-          // A single query's marker carries no payload.
-          if constexpr (std::is_same_v<Engine, MultiQueryEngine>) {
-            marker.trigger_queries = route.trigger_queries;
-          }
-          if (supervised) supervisor_.replay_log(s).push_back(marker);
-          pending_[s].push_back(std::move(marker));
+          ShardOp& marker = pending_[s].Append();
+          marker.AssignMarker(e, payload);
+          if (supervised) supervisor_.replay_log(s).Append() = marker;
         }
       }
     }

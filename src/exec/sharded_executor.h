@@ -30,6 +30,12 @@ namespace exec {
 ///    output is computed from exactly the state the serial engine would
 ///    read. The router admits each borrowed batch in one pass, and each
 ///    shard's op run is published as one ring push per batch.
+///  - Shard ops: events are copied, not moved, into ops (the batch may be
+///    borrowed source storage; lanes and replay logs outlive the loan).
+///    The copy lands in recycled op storage and reuses the slot's
+///    attribute capacity, and an event whose type no query names ships
+///    slim (type, ts, seq): every engine returns on the type check before
+///    it reads an attribute, so the engines see the same OnEvent calls.
 ///  - Purge markers: a serial trigger purges expired state across every
 ///    partition (of the triggered queries, for a workload). The router
 ///    detects triggers with the engines' own admission programs and the
@@ -82,8 +88,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   size_t num_shards() const override { return engines_.size(); }
 
   /// The run loop. Batches may be borrowed source storage, so the loop
-  /// stamps sequence numbers in place but copies events into shard ops
-  /// instead of consuming them.
+  /// stamps sequence numbers in place but copies events into recycled
+  /// shard ops instead of consuming them.
   RunResultT Run(StreamSource* source) override;
 
   const EngineStats& stats() const override { return merged_; }
@@ -122,8 +128,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   }
   void WorkerMain(size_t shard);
   /// Publishes pending_[shard] as one ring push and re-arms pending_ with
-  /// a recycled vector. `publish_ns`: the batch's shared publication
-  /// timestamp for trigger-latency telemetry (0 when off).
+  /// worker-recycled op storage. `publish_ns`: the batch's shared
+  /// publication timestamp for trigger-latency telemetry (0 when off).
   /// `sample_occupancy`: record this lane's ring depth into the
   /// coordinator's occupancy histogram (one rotating shard per batch).
   Status FlushPending(size_t shard, uint64_t publish_ns,
@@ -155,7 +161,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   ShardRouter router_;
 
   std::vector<ShardState> states_;
-  std::vector<std::vector<ShardOp>> pending_;
+  /// Each shard's ops routed since its last publication.
+  std::vector<LaneItem> pending_;
   // The dataplane consults the supervisor as its watchdog, and the
   // supervisor restarts through the dataplane; each stores a pointer to
   // the other (null supervisor = unsupervised). The lanes own the worker

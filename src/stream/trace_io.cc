@@ -134,8 +134,8 @@ bool CommitNames(TraceChunk* chunk, Schema* schema,
 
 }  // namespace
 
-size_t TraceParseThreads(size_t num_shards, unsigned hardware_threads) {
-  if (num_shards > 1 || hardware_threads < 2) return 0;
+size_t TraceParseThreads(unsigned hardware_threads) {
+  if (hardware_threads < 2) return 0;
   return std::min<size_t>(hardware_threads - 1, 3);
 }
 
@@ -403,9 +403,7 @@ Result<std::unique_ptr<TraceFileSource>> TraceFileSource::Open(
   if (file == nullptr) {
     return Status::IoError("cannot open trace file: " + path);
   }
-  if (chunk_bytes == 0) {
-    chunk_bytes = parse_threads > 0 ? kTraceChunkBytes : kInlineTraceChunkBytes;
-  }
+  if (chunk_bytes == 0) chunk_bytes = kTraceChunkBytes;
   return std::unique_ptr<TraceFileSource>(
       new TraceFileSource(path, file, schema, parse_threads, chunk_bytes));
 }

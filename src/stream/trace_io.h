@@ -51,20 +51,14 @@ namespace aseq {
 /// ParseTrace and ReadTraceFile run the same kernel and commit schema
 /// registrations only when every line parsed.
 
-/// Bytes per trace chunk when parser threads parse the chunks (a chunk
-/// holding one longer line grows to fit it).
+/// Bytes per trace chunk (a chunk holding one longer line grows to fit
+/// it).
 inline constexpr size_t kTraceChunkBytes = size_t{128} << 10;
-/// Bytes per chunk when the consumer parses inline: a small block keeps
-/// parsing interleaved with the run (and in cache), so a sharded
-/// coordinator does not stall its shard workers for a whole 128 KiB parse
-/// (docs/internals.md §18 has the measurement).
-inline constexpr size_t kInlineTraceChunkBytes = size_t{4} << 10;
 
-/// Parser threads for a trace feeding a run with `num_shards` engine shards
-/// on a host with `hardware_threads` cores: a serial run parses on up to 3
-/// of the spare cores; a sharded run (whose shard workers already hold the
-/// cores) and a 1-core host parse inline (0).
-size_t TraceParseThreads(size_t num_shards, unsigned hardware_threads);
+/// Parser threads for a trace on a host with `hardware_threads` cores:
+/// every run, serial or sharded, parses on up to 3 of the spare cores; a
+/// 1-core host parses inline (0).
+size_t TraceParseThreads(unsigned hardware_threads);
 
 /// \brief A block of whole trace lines and what parsing it produced.
 ///
@@ -202,8 +196,7 @@ class TraceFileSource final : public StreamSource {
  public:
   /// Opens `path`; IoError when it cannot be opened. Names are registered
   /// in `*schema` (which must outlive the source) in the order lines first
-  /// use them. `chunk_bytes` is a test seam; 0 picks kTraceChunkBytes
-  /// with parser threads and kInlineTraceChunkBytes without.
+  /// use them. `chunk_bytes` is a test seam; 0 picks kTraceChunkBytes.
   static Result<std::unique_ptr<TraceFileSource>> Open(
       const std::string& path, Schema* schema, size_t parse_threads = 0,
       size_t chunk_bytes = 0);

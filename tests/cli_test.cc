@@ -821,19 +821,17 @@ TEST(CliIngestTest, StatsJsonReportsTheIngestLayer) {
     ASSERT_EQ(r.code, 0) << r.err;
     const std::string doc = ReadFile(stats);
     ASSERT_NE(doc.find("\"ingest\":{"), std::string::npos) << doc;
-    // The plan's thread count: the spare cores serially, inline sharded.
+    // The plan's thread count: the spare cores, serial or sharded.
     EXPECT_EQ(JsonField(doc, "parse_threads"),
-              std::to_string(TraceParseThreads(
-                  std::stoul(shards), std::thread::hardware_concurrency())))
+              std::to_string(
+                  TraceParseThreads(std::thread::hardware_concurrency())))
         << shards;
-    // Chunks of up to 128 KiB with parser threads, 4 KiB inline, each cut
-    // at its last line end (stock lines are under 64 bytes).
-    const size_t block = JsonField(doc, "parse_threads") == "0"
-                             ? kInlineTraceChunkBytes
-                             : kTraceChunkBytes;
+    // Chunks of up to 128 KiB, each cut at its last line end (stock lines
+    // are under 64 bytes).
     const size_t chunks = std::stoul(JsonField(doc, "chunks"));
-    EXPECT_GE(chunks, std::stoul(bytes) / block + 1) << shards;
-    EXPECT_LE(chunks, std::stoul(bytes) / (block - 64) + 1) << shards;
+    EXPECT_GE(chunks, std::stoul(bytes) / kTraceChunkBytes + 1) << shards;
+    EXPECT_LE(chunks, std::stoul(bytes) / (kTraceChunkBytes - 64) + 1)
+        << shards;
     EXPECT_EQ(JsonField(doc, "bytes"), bytes) << shards;
     EXPECT_GT(std::stod(JsonField(doc, "parse_busy_s")), 0.0) << shards;
     EXPECT_GE(std::stod(JsonField(doc, "consumer_wait_s")), 0.0) << shards;

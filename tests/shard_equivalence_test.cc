@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <functional>
 #include <iterator>
@@ -25,6 +26,7 @@
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
+#include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
 #include "fault/fault.h"
 #include "multi/chop_connect_engine.h"
@@ -43,6 +45,7 @@ using testing_util::ExpectMultiOutputsEqual;
 using testing_util::ExpectOutputsEqual;
 using testing_util::ExpectStatsEqual;
 using testing_util::MakeStock;
+using testing_util::MustCreateAseq;
 using testing_util::MustCompile;
 using testing_util::RunPerEvent;
 
@@ -785,6 +788,284 @@ TEST(RecyclingSourceTest, ShardedWorkloadMatchesRunEvents) {
     MultiRunResult got = (*policy)->Run(&source);
     ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
     ExpectStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Slim and recycled ops
+// ---------------------------------------------------------------------------
+//
+// The coordinator ships an event whose type no query names as a slim op
+// (type, ts and seq only) and overwrites recycled op slots in place. The
+// engines must see exactly the serial OnEvent calls: same outputs, same
+// stats — admission counters and batch counters included — on a trace
+// where most events are of unused types and some events of used types
+// fail a local predicate or lack the GROUP BY key.
+
+using exec::LaneItem;
+using exec::ShardOp;
+
+/// `n` events over 4 used ticker types and 8 unused ones (~70% unused).
+/// One in ten events lacks traderId; one in four carries a heap-allocated
+/// string note, so attribute lists differ in length and storage.
+std::vector<Event> SparseTrace(Schema* schema, uint64_t seed, size_t n) {
+  std::vector<EventTypeId> used;
+  for (const char* t : {"DELL", "IPIX", "AMAT", "QQQ"}) {
+    used.push_back(schema->RegisterEventType(t));
+  }
+  std::vector<EventTypeId> unused;
+  for (int i = 0; i < 8; ++i) {
+    unused.push_back(schema->RegisterEventType("U" + std::to_string(i)));
+  }
+  const AttrId trader = schema->RegisterAttribute("traderId");
+  const AttrId price = schema->RegisterAttribute("price");
+  const AttrId volume = schema->RegisterAttribute("volume");
+  const AttrId note = schema->RegisterAttribute("note");
+  std::mt19937_64 rng(seed);
+  std::vector<Event> events;
+  events.reserve(n);
+  Timestamp ts = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ts += static_cast<Timestamp>(rng() % 6);
+    const EventTypeId type =
+        rng() % 10 < 3 ? used[rng() % used.size()] : unused[rng() % 8];
+    Event e(type, ts);
+    if (rng() % 10 != 0) e.SetAttr(trader, Value(int64_t(rng() % 6)));
+    e.SetAttr(price, Value(static_cast<double>(rng() % 100)));
+    e.SetAttr(volume, Value(int64_t(rng() % 1000)));
+    if (rng() % 4 == 0) {
+      e.SetAttr(note, Value(std::string(40, static_cast<char>('a' + i % 26))));
+    }
+    events.push_back(std::move(e));
+  }
+  AssignSeqNums(&events);
+  return events;
+}
+
+/// ExpectStatsEqual plus the fields outside the checkpointed contract that
+/// a sharded run still reproduces against the per-event reference: the
+/// batch counters (workers feed batches of one) and the admission counters
+/// (each event is admitted on its owner shard only).
+void ExpectAllStatsEqual(const EngineStats& ref, const EngineStats& got,
+                         const std::string& context) {
+  ExpectStatsEqual(ref, got, context);
+  EXPECT_EQ(ref.batches_processed, got.batches_processed) << context;
+  EXPECT_EQ(ref.max_batch_events, got.max_batch_events) << context;
+  EXPECT_EQ(ref.adm_admitted, got.adm_admitted) << context;
+  EXPECT_EQ(ref.adm_rejected_local, got.adm_rejected_local) << context;
+  EXPECT_EQ(ref.adm_missing_attr, got.adm_missing_attr) << context;
+  EXPECT_EQ(ref.adm_generic_cmps, got.adm_generic_cmps) << context;
+}
+
+/// What the spy engines saw, summed over every shard.
+struct SpyCounts {
+  std::atomic<uint64_t> slim{0};
+  std::atomic<uint64_t> full{0};
+  std::atomic<uint64_t> wrong{0};
+};
+
+/// An HPC engine that checks every event it is fed against the source
+/// trace before running it: an event of a type the query names must carry
+/// exactly its source attributes, any other event none at all (a slim op,
+/// with no attribute left over from the slot's previous event).
+class SpyEngine : public HpcEngine {
+ public:
+  SpyEngine(const CompiledQuery& cq, const std::vector<Event>* source,
+            SpyCounts* counts)
+      : HpcEngine(cq), source_(source), counts_(counts) {
+    for (const auto& [type, roles] : cq.roles()) {
+      if (!roles.empty()) named_.push_back(type);
+    }
+  }
+
+  void OnBatch(std::span<const Event> batch,
+               std::vector<Output>* out) override {
+    for (const Event& e : batch) {
+      const Event& src = (*source_)[e.seq()];
+      const bool named =
+          std::find(named_.begin(), named_.end(), e.type()) != named_.end();
+      const bool ok = e.type() == src.type() && e.ts() == src.ts() &&
+                      (named ? e.attrs() == src.attrs() : e.attrs().empty());
+      if (!ok) counts_->wrong.fetch_add(1);
+      (named ? counts_->full : counts_->slim).fetch_add(1);
+    }
+    HpcEngine::OnBatch(batch, out);
+  }
+
+ private:
+  const std::vector<Event>* source_;
+  SpyCounts* counts_;
+  std::vector<EventTypeId> named_;
+};
+
+constexpr const char* kSparseQuery =
+    "PATTERN SEQ(DELL, IPIX, AMAT) WHERE DELL.price > 30 GROUP BY traderId "
+    "AGG COUNT WITHIN 400ms";
+
+TEST(SlimOpTest, RecycledSlotCarriesNoStaleAttributes) {
+  Schema schema;
+  const std::vector<Event> events = SparseTrace(&schema, 7, 64);
+  LaneItem item;
+  // A first pass fills the slots with full events, as a worker hands them
+  // back: uncleared.
+  for (const Event& e : events) item.Append().AssignEvent(e, true);
+  const size_t slots = item.ops.size();
+  item.live = 0;
+  for (const Event& e : events) {
+    ShardOp& op = item.Append();
+    const size_t capacity = op.event.attrs().capacity();
+    op.AssignEvent(e, /*with_attrs=*/false);
+    EXPECT_EQ(op.kind, ShardOp::Kind::kEvent);
+    EXPECT_EQ(op.event.type(), e.type());
+    EXPECT_EQ(op.event.ts(), e.ts());
+    EXPECT_EQ(op.event.seq(), e.seq());
+    EXPECT_TRUE(op.event.attrs().empty()) << e.seq();
+    EXPECT_EQ(op.event.attrs().capacity(), capacity) << "capacity kept";
+  }
+  // A marker in a slot that held an event carries no event attributes.
+  item.live = 0;
+  const std::vector<size_t> queries = {0, 2};
+  ShardOp& marker = item.Append();
+  marker.AssignMarker(events[5], queries);
+  EXPECT_EQ(marker.kind, ShardOp::Kind::kPurgeMarker);
+  EXPECT_EQ(marker.event.ts(), events[5].ts());
+  EXPECT_EQ(marker.event.seq(), events[5].seq());
+  EXPECT_EQ(marker.trigger_queries, queries);
+  EXPECT_TRUE(marker.event.attrs().empty());
+  // And a full event in a slot that held a longer one carries only its own.
+  ShardOp& full = item.Append();
+  full.AssignEvent(events[0], true);
+  EXPECT_EQ(full.event.attrs(), events[0].attrs());
+  EXPECT_EQ(item.ops.size(), slots) << "no slot was allocated";
+  EXPECT_EQ(item.live_ops().size(), 2u);
+}
+
+TEST(SlimOpTest, GroupedPredicateQueryMatchesSerial) {
+  Schema schema;
+  const std::vector<Event> events = SparseTrace(&schema, 31, 6000);
+  CompiledQuery cq = MustCompile(&schema, kSparseQuery);
+  auto ref_engine = MustCreateAseq(cq);
+  RunResult ref = RunPerEvent(events, ref_engine.get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+  ASSERT_GT(ref_engine->stats().adm_rejected_local, 0u);
+  ASSERT_GT(ref_engine->stats().adm_missing_attr, 0u);
+
+  for (size_t shards : {2, 3}) {
+    for (size_t batch_size : {1, 64, 256}) {
+      const std::string context = "sparse shards=" + std::to_string(shards) +
+                                  " batch=" + std::to_string(batch_size);
+      SpyCounts counts;
+      exec::EngineFactory factory =
+          [&]() -> Result<std::unique_ptr<QueryEngine>> {
+        return std::unique_ptr<QueryEngine>(
+            std::make_unique<SpyEngine>(cq, &events, &counts));
+      };
+      RunOptions options;
+      options.num_shards = shards;
+      options.batch_size = batch_size;
+      std::string reason;
+      auto policy = exec::MakePolicy(cq, factory, options, &reason);
+      ASSERT_TRUE(policy.ok()) << context;
+      ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+      RunResult got = (*policy)->RunEvents(events);
+      ExpectOutputsEqual(ref.outputs, got.outputs, context);
+      ExpectAllStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
+      EXPECT_EQ(counts.wrong.load(), 0u) << context;
+      EXPECT_GT(counts.slim.load(), counts.full.load()) << context;
+      EXPECT_EQ(counts.slim.load() + counts.full.load(), events.size())
+          << context;
+    }
+  }
+}
+
+TEST(SlimOpTest, SupervisedReplayOfSlimOpsMatchesSerial) {
+  // A crashed shard is rebuilt and fed its replay log, which holds slim
+  // ops like the rings do.
+  Schema schema;
+  const std::vector<Event> events = SparseTrace(&schema, 32, 6000);
+  CompiledQuery cq = MustCompile(&schema, kSparseQuery);
+  auto ref_engine = MustCreateAseq(cq);
+  RunResult ref = RunPerEvent(events, ref_engine.get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+
+  for (size_t shards : {2, 4}) {
+    const std::string context = "sparse supervised shards=" +
+                                std::to_string(shards);
+    SpyCounts counts;
+    exec::EngineFactory factory =
+        [&]() -> Result<std::unique_ptr<QueryEngine>> {
+      return std::unique_ptr<QueryEngine>(
+          std::make_unique<SpyEngine>(cq, &events, &counts));
+    };
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    options.supervise = true;
+    options.recovery_every = 1024;
+    auto policy = exec::MakePolicy(cq, factory, options);
+    ASSERT_TRUE(policy.ok()) << context;
+    ASSERT_TRUE(fault::Injector::Global().Arm("worker.op@1:700:crash", 9).ok());
+    PoisoningSource source(&events);
+    RunResult got = (*policy)->Run(&source);
+    fault::Injector::Global().Disarm();
+    ASSERT_TRUE(got.fault_status.ok()) << context << ": "
+                                       << got.fault_status.ToString();
+    EXPECT_GT((*policy)->stats().fault_restarts, 0u) << context;
+    EXPECT_GT((*policy)->stats().fault_replayed_events, 0u) << context;
+    ExpectOutputsEqual(ref.outputs, got.outputs, context);
+    ExpectStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
+    EXPECT_EQ(counts.wrong.load(), 0u) << context;
+    // Replayed events are fed twice.
+    EXPECT_GT(counts.slim.load() + counts.full.load(), events.size())
+        << context;
+  }
+}
+
+TEST(SlimOpTest, SparseWorkloadMatchesSerialUnderEveryStrategy) {
+  Schema schema;
+  const std::vector<Event> events = SparseTrace(&schema, 33, 5000);
+  // Chop-Connect and PreTree accept no local predicates; they run the same
+  // shape without them (unused types and keyless events stay).
+  const std::vector<CompiledQuery> plain = MustCompileAll(
+      &schema,
+      {"PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 300ms",
+       "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT "
+       "WITHIN 300ms"});
+  const std::vector<CompiledQuery> filtered = MustCompileAll(
+      &schema,
+      {"PATTERN SEQ(DELL, IPIX) WHERE DELL.price > 30 GROUP BY traderId AGG "
+       "COUNT WITHIN 300ms",
+       "PATTERN SEQ(DELL, !QQQ, AMAT) WHERE AMAT.volume < 800 GROUP BY "
+       "traderId AGG COUNT WITHIN 300ms"});
+  for (const char* strategy : kSharingStrategies) {
+    const std::string name = strategy;
+    const std::vector<CompiledQuery>& queries =
+        name == "cc" || name == "pretree" ? plain : filtered;
+    exec::MultiEngineFactory factory = MultiFactory(name, queries);
+    auto ref_engine = factory();
+    ASSERT_TRUE(ref_engine.ok()) << name << ": "
+                                 << ref_engine.status().ToString();
+    MultiRunResult ref = RunPerEvent(events, ref_engine->get());
+    ASSERT_GT(ref.outputs.size(), 0u) << name;
+    if (&queries == &filtered) {
+      ASSERT_GT((*ref_engine)->stats().adm_rejected_local, 0u) << name;
+      ASSERT_GT((*ref_engine)->stats().adm_missing_attr, 0u) << name;
+    }
+    for (size_t shards : {2, 3}) {
+      const std::string context =
+          "sparse workload " + name + " shards=" + std::to_string(shards);
+      RunOptions options;
+      options.num_shards = shards;
+      options.batch_size = 64;
+      std::string reason;
+      auto policy = exec::MakeMultiPolicy(queries, factory, options, &reason);
+      ASSERT_TRUE(policy.ok()) << context;
+      ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+      PoisoningSource source(&events);
+      MultiRunResult got = (*policy)->Run(&source);
+      ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
+      ExpectAllStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+    }
   }
 }
 

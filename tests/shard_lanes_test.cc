@@ -18,7 +18,7 @@ namespace exec {
 namespace {
 
 LaneItem OpsItem(size_t ops) {
-  return LaneItem{LaneItem::Tag::kOps, std::vector<ShardOp>(ops)};
+  return LaneItem{LaneItem::Tag::kOps, std::vector<ShardOp>(ops), ops};
 }
 
 /// Fills shard 0's ring to capacity with no worker to drain it.
@@ -78,7 +78,7 @@ TEST(ShardLanesTest, BarrierWaitsForEveryQueuedItem) {
   for (size_t s = 0; s < 2; ++s) {
     lanes.Spawn(s, [&lanes, &popped, s] {
       LaneItem item;
-      while (lanes.Pop(s, &item)) popped[s].fetch_add(item.ops.size());
+      while (lanes.Pop(s, &item)) popped[s].fetch_add(item.live);
     });
   }
   for (size_t i = 0; i < 40; ++i) {

@@ -256,16 +256,14 @@ TEST(TraceIoTest, FileRoundTrip) {
 }
 
 TEST(TraceIoTest, ParseThreadsFollowThePlan) {
-  EXPECT_EQ(TraceParseThreads(1, 4), 3u);
-  EXPECT_EQ(TraceParseThreads(1, 16), 3u);
-  EXPECT_EQ(TraceParseThreads(1, 3), 2u);
-  EXPECT_EQ(TraceParseThreads(1, 2), 1u);
+  // Serial and sharded runs alike parse on up to 3 spare cores.
+  EXPECT_EQ(TraceParseThreads(4), 3u);
+  EXPECT_EQ(TraceParseThreads(16), 3u);
+  EXPECT_EQ(TraceParseThreads(3), 2u);
+  EXPECT_EQ(TraceParseThreads(2), 1u);
   // A 1-core host (or an unknown core count) parses inline.
-  EXPECT_EQ(TraceParseThreads(1, 1), 0u);
-  EXPECT_EQ(TraceParseThreads(1, 0), 0u);
-  // So does a sharded run: its shard workers hold the cores.
-  EXPECT_EQ(TraceParseThreads(2, 4), 0u);
-  EXPECT_EQ(TraceParseThreads(8, 16), 0u);
+  EXPECT_EQ(TraceParseThreads(1), 0u);
+  EXPECT_EQ(TraceParseThreads(0), 0u);
 }
 
 /// Writes `content` into a new FIFO at `path` from a thread; the caller

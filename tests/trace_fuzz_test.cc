@@ -32,8 +32,7 @@
 namespace aseq {
 namespace {
 
-/// The bytes TraceFileSource reads per chunk when parser threads parse
-/// them (kTraceChunkBytes, 128 KiB); inline it reads kInlineTraceChunkBytes.
+/// The bytes TraceFileSource reads per chunk (kTraceChunkBytes, 128 KiB).
 constexpr size_t kChunkBytes = kTraceChunkBytes;
 
 std::string WriteTemp(const std::string& content) {
