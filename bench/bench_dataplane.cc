@@ -39,23 +39,14 @@
 // written but never checked — its wall time on a shared single-core
 // runner is scheduler noise.
 //
-// Usage:
-//   bench_dataplane [--quick] [--reps N] [--warmup N] [--only WORKLOAD]
-//                   [--out FILE] [--label NAME]
-//                   [--check BENCH_dataplane.json] [--tolerance 0.2]
-//
-// --out writes flat JSON entries keyed "<mode>/<label>/<workload>" with an
-// "events_per_sec" field (one event = one dispatched op), the same format
-// the other perf-smoke gauges commit.
+// Flags, --out and --check are the shared gate harness (bench_util.h);
+// "events_per_sec" counts dispatched ops.
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <fstream>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -490,37 +481,19 @@ Measurement MeasureShardedE2e(bool quick, int warmup, int reps) {
   return m;
 }
 
-std::string FormatEntry(const std::string& key, const Measurement& m) {
+GateEntry Entry(const std::string& name, const Measurement& m) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "  \"%s\": {\"events_per_sec\": %.1f, \"median_seconds\": %.6f, "
+      "\"events_per_sec\": %.1f, \"median_seconds\": %.6f, "
       "\"min_seconds\": %.6f, \"max_seconds\": %.6f, \"events\": %llu, "
-      "\"critical_path_events_per_sec\": %.1f}",
-      key.c_str(), m.events_per_sec, m.median_seconds, m.min_seconds,
-      m.max_seconds, static_cast<unsigned long long>(m.events),
+      "\"critical_path_events_per_sec\": %.1f",
+      m.events_per_sec, m.median_seconds, m.min_seconds, m.max_seconds,
+      static_cast<unsigned long long>(m.events),
       m.critical_path_events_per_sec);
-  return buf;
-}
-
-/// Reads the flat JSON written by --out (same shape as the other gauges):
-/// key -> events_per_sec.
-std::map<std::string, double> ReadCommitted(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream f(path);
-  std::string line;
-  while (std::getline(f, line)) {
-    const size_t kq0 = line.find('"');
-    if (kq0 == std::string::npos) continue;
-    const size_t kq1 = line.find('"', kq0 + 1);
-    if (kq1 == std::string::npos) continue;
-    const std::string key = line.substr(kq0 + 1, kq1 - kq0 - 1);
-    const char* tag = "\"events_per_sec\": ";
-    const size_t vp = line.find(tag);
-    if (vp == std::string::npos) continue;
-    out[key] = std::strtod(line.c_str() + vp + std::strlen(tag), nullptr);
-  }
-  return out;
+  // sharded_e2e is written but never checked: its wall time on a shared
+  // runner is scheduler noise.
+  return {name, buf, m.events_per_sec, name != "sharded_e2e"};
 }
 
 }  // namespace
@@ -528,90 +501,50 @@ std::map<std::string, double> ReadCommitted(const std::string& path) {
 }  // namespace aseq
 
 int main(int argc, char** argv) {
-  using aseq::bench::Measurement;
-
-  bool quick = false;
-  int reps = 5;
-  int warmup = 1;
-  double tolerance = 0.2;
-  std::string out_path;
-  std::string check_path;
-  std::string label = "current";
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--reps") {
-      reps = std::atoi(next());
-    } else if (arg == "--warmup") {
-      warmup = std::atoi(next());
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
-      check_path = next();
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (arg == "--only") {
-      only = next();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  const std::string mode = quick ? "quick" : "full";
-  if (quick && reps == 5) reps = 3;
-  const size_t rounds = quick ? 4000 : 16000;
+  using namespace aseq::bench;
+  const GateFlags flags = ParseGateFlags(argc, argv, /*quick_reps=*/3,
+                                         /*full_reps=*/5);
+  const int reps = flags.reps;
+  const int warmup = flags.warmup;
+  const size_t rounds = flags.quick ? 4000 : 16000;
 
   std::printf("dataplane dispatch gauge: mode=%s reps=%d warmup=%d lanes=%zu "
               "burst=%zu ops/item=%zu\n",
-              mode.c_str(), reps, warmup, aseq::bench::kLanes,
-              aseq::bench::kBurst, aseq::bench::kOpsPerItem);
+              flags.mode().c_str(), reps, warmup, kLanes, kBurst,
+              kOpsPerItem);
   std::vector<std::pair<std::string, Measurement>> results;
-  auto want = [&](const char* name) { return only.empty() || only == name; };
-  if (want("dispatch_mutex")) {
+  if (flags.Wants("dispatch_mutex")) {
     results.emplace_back("dispatch_mutex",
-                         aseq::bench::MeasureDispatch(aseq::bench::MutexPass,
-                                                      rounds, warmup, reps));
+                         MeasureDispatch(MutexPass, rounds, warmup, reps));
   }
-  if (want("dispatch_ring")) {
+  if (flags.Wants("dispatch_ring")) {
     results.emplace_back("dispatch_ring",
-                         aseq::bench::MeasureDispatch(aseq::bench::RingPass,
-                                                      rounds, warmup, reps));
+                         MeasureDispatch(RingPass, rounds, warmup, reps));
   }
   double metrics_ratio = 0;
-  if (want("dispatch_ring_clock") && want("dispatch_ring_metrics")) {
+  if (flags.Wants("dispatch_ring_clock") &&
+      flags.Wants("dispatch_ring_metrics")) {
     // The overhead pair always measures together (interleaved) so the
     // gate ratio is immune to frequency drift between the two sides.
-    aseq::bench::PairedResult paired =
-        aseq::bench::MeasurePaired(rounds, warmup, reps);
+    PairedResult paired = MeasurePaired(rounds, warmup, reps);
     results.emplace_back("dispatch_ring_clock", paired.clock);
     results.emplace_back("dispatch_ring_metrics", paired.metrics);
     metrics_ratio = paired.gate_ratio;
-  } else if (want("dispatch_ring_clock")) {
+  } else if (flags.Wants("dispatch_ring_clock")) {
     results.emplace_back(
         "dispatch_ring_clock",
-        aseq::bench::MeasureDispatch(aseq::bench::RingClockPass, rounds,
-                                     warmup, reps));
-  } else if (want("dispatch_ring_metrics")) {
+        MeasureDispatch(RingClockPass, rounds, warmup, reps));
+  } else if (flags.Wants("dispatch_ring_metrics")) {
     results.emplace_back(
         "dispatch_ring_metrics",
-        aseq::bench::MeasureDispatch(aseq::bench::RingMetricsPass, rounds,
-                                     warmup, reps));
+        MeasureDispatch(RingMetricsPass, rounds, warmup, reps));
   }
-  if (want("sharded_e2e")) {
+  if (flags.Wants("sharded_e2e")) {
     results.emplace_back("sharded_e2e",
-                         aseq::bench::MeasureShardedE2e(quick, warmup, reps));
+                         MeasureShardedE2e(flags.quick, warmup, reps));
   }
+  std::vector<GateEntry> entries;
+  double mutex_eps = 0, ring_eps = 0;
   for (const auto& [name, m] : results) {
     std::printf("  %-14s median %9.6f s  %12.0f ev/s", name.c_str(),
                 m.median_seconds, m.events_per_sec);
@@ -620,80 +553,43 @@ int main(int argc, char** argv) {
                   m.critical_path_events_per_sec);
     }
     std::printf("\n");
+    if (name == "dispatch_mutex") mutex_eps = m.events_per_sec;
+    if (name == "dispatch_ring") ring_eps = m.events_per_sec;
+    entries.push_back(Entry(name, m));
   }
 
   // The acceptance ratio: the ring dataplane must dispatch >= 1.2x the
   // mutex/CV dataplane at 8 lanes. Informative on every run; a gate
   // (exit 1) under --check.
-  double ratio = 0;
-  {
-    double mutex_eps = 0, ring_eps = 0;
-    for (const auto& [name, m] : results) {
-      if (name == "dispatch_mutex") mutex_eps = m.events_per_sec;
-      if (name == "dispatch_ring") ring_eps = m.events_per_sec;
-    }
-    if (mutex_eps > 0 && ring_eps > 0) {
-      ratio = ring_eps / mutex_eps;
-      std::printf("  ring/mutex dispatch ratio: %.2fx (gate >= 1.20x)\n",
-                  ratio);
-    }
-    // PR 9 telemetry overhead: metrics-on must keep >= 97% of the
-    // metrics-off throughput (<= 3% overhead), median of paired reps.
-    if (metrics_ratio > 0) {
-      std::printf("  metrics/clock dispatch ratio: %.3fx (gate >= 0.970x, "
-                  "overhead %.1f%%)\n",
-                  metrics_ratio, (1.0 - metrics_ratio) * 100.0);
-    }
+  const double ratio =
+      mutex_eps > 0 && ring_eps > 0 ? ring_eps / mutex_eps : 0;
+  if (ratio > 0) {
+    std::printf("  ring/mutex dispatch ratio: %.2fx (gate >= 1.20x)\n",
+                ratio);
+  }
+  // Telemetry overhead: metrics-on must keep >= 97% of the
+  // metrics-off throughput (<= 3% overhead), median of paired reps.
+  if (metrics_ratio > 0) {
+    std::printf("  metrics/clock dispatch ratio: %.3fx (gate >= 0.970x, "
+                "overhead %.1f%%)\n",
+                metrics_ratio, (1.0 - metrics_ratio) * 100.0);
   }
 
-  if (!out_path.empty()) {
-    std::ofstream f(out_path, std::ios::trunc);
-    f << "{\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      f << aseq::bench::FormatEntry(
-               mode + "/" + label + "/" + results[i].first, results[i].second)
-        << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    f << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
+  bool ok = FinishGate(flags, entries);
+  if (!flags.check_path.empty() && ratio > 0 && ratio < 1.2) {
+    std::fprintf(stderr,
+                 "FAIL: ring/mutex dispatch ratio %.2fx is below the "
+                 "1.20x acceptance gate\n",
+                 ratio);
+    ok = false;
   }
-
-  if (!check_path.empty()) {
-    bool ok = true;
-    if (ratio > 0 && ratio < 1.2) {
-      std::fprintf(stderr,
-                   "FAIL: ring/mutex dispatch ratio %.2fx is below the "
-                   "1.20x acceptance gate\n",
-                   ratio);
-      ok = false;
-    }
-    if (metrics_ratio > 0 && metrics_ratio < 0.97) {
-      std::fprintf(stderr,
-                   "FAIL: metrics/clock dispatch ratio %.3fx is below the "
-                   "0.970x acceptance gate (telemetry overhead > 3%%)\n",
-                   metrics_ratio);
-      ok = false;
-    }
-    auto committed = aseq::bench::ReadCommitted(check_path);
-    for (const auto& [name, m] : results) {
-      if (name == "sharded_e2e") continue;  // scheduler noise, never gated
-      const std::string key = mode + "/current/" + name;
-      auto it = committed.find(key);
-      if (it == committed.end()) {
-        std::fprintf(stderr, "FAIL: %s has no committed entry %s\n",
-                     check_path.c_str(), key.c_str());
-        ok = false;
-        continue;
-      }
-      const double floor = it->second * (1.0 - tolerance);
-      const bool pass = m.events_per_sec >= floor;
-      std::printf("  check %-32s %12.0f ev/s vs committed %12.0f (floor "
-                  "%12.0f): %s\n",
-                  key.c_str(), m.events_per_sec, it->second, floor,
-                  pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
+  if (!flags.check_path.empty() && metrics_ratio > 0 &&
+      metrics_ratio < 0.97) {
+    std::fprintf(stderr,
+                 "FAIL: metrics/clock dispatch ratio %.3fx is below the "
+                 "0.970x acceptance gate (telemetry overhead > 3%%)\n",
+                 metrics_ratio);
+    ok = false;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -9,28 +9,18 @@
 // but busy time still splits), and the acceptance gate is >= 1.3x for
 // every sharing strategy.
 //
-// Usage:
-//   bench_multiquery_shard_sweep [--quick] [--reps N] [--warmup N]
-//                                [--only STRATEGY] [--out FILE]
-//                                [--label NAME]
-//                                [--check BENCH_multiquery.json]
-//                                [--tolerance 0.2]
-//
-// --out appends/writes flat JSON entries keyed "<mode>/<label>/<strategy>".
-// --check re-runs the sweep and fails (exit 1) if any strategy's
-// speedup_at_8 falls below the 1.3x acceptance floor, or has no committed
-// "<mode>/current/<strategy>" entry in the given file — the CI perf smoke
-// gate for the sharded multi-query runtime. Unlike the throughput gates,
-// the floor is absolute, not committed-relative: critical-path speedup is
-// a busy-time ratio, hardware-independent but noisy enough on shared CI
-// boxes that a tight relative floor would flake (the committed number is
-// printed for comparison). --tolerance widens nothing here; it is
-// accepted for flag-compatibility with the other gates.
+// Flags, --out and --check are the shared gate harness (bench_util.h).
+// --check fails if any strategy's speedup_at_8 falls below the 1.3x
+// acceptance floor, or has no committed "<mode>/current/<strategy>" entry
+// in BENCH_multiquery.json — the CI perf smoke gate for the sharded
+// multi-query runtime. Unlike the throughput gates, the floor is
+// absolute, not committed-relative: critical-path speedup is a busy-time
+// ratio, hardware-independent but noisy enough on shared CI boxes that a
+// tight relative floor would flake (the committed number is printed for
+// comparison). --tolerance widens nothing here.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,11 +28,7 @@
 
 #include "bench/bench_util.h"
 #include "exec/execution_policy.h"
-#include "multi/chop_connect_engine.h"
-#include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
-#include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 
 namespace aseq {
@@ -75,33 +61,6 @@ std::vector<std::string> WorkloadTexts() {
       "PATTERN SEQ(IPIX, DELL) GROUP BY traderId AGG COUNT WITHIN 2s",
       "PATTERN SEQ(AMAT, DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 2s",
       "PATTERN SEQ(DELL, AMAT) GROUP BY traderId AGG COUNT WITHIN 2s",
-  };
-}
-
-exec::MultiEngineFactory MakeFactory(const std::string& strategy,
-                                     const std::vector<CompiledQuery>& qs) {
-  if (strategy == "cc") {
-    return [&qs]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e,
-                            ChopConnectEngine::Create(qs, PlanChopConnect(qs)));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  if (strategy == "pretree") {
-    return [&qs]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, PreTreeEngine::Create(qs));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  if (strategy == "hybrid") {
-    return [&qs]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, HybridMultiEngine::Create(qs));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  return [&qs]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-    ASEQ_ASSIGN_OR_RETURN(auto e, NonSharedEngine::CreateAseq(qs));
-    return std::unique_ptr<MultiQueryEngine>(std::move(e));
   };
 }
 
@@ -154,7 +113,8 @@ double RunOnce(const std::vector<CompiledQuery>& queries,
 Measurement RunStrategy(const std::string& strategy,
                         const std::vector<CompiledQuery>& queries, int warmup,
                         int reps) {
-  exec::MultiEngineFactory factory = MakeFactory(strategy, queries);
+  exec::MultiEngineFactory factory =
+      std::move(MakeStrategyFactory(strategy, queries)).value();
   Measurement m;
 
   RunOptions serial_options;
@@ -203,40 +163,20 @@ Measurement RunStrategy(const std::string& strategy,
   return m;
 }
 
-std::string FormatEntry(const std::string& key, const Measurement& m) {
+GateEntry Entry(const std::string& name, const Measurement& m) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "  \"%s\": {\"serial_busy_seconds\": %.4f, \"serial_ms_per_slide\": "
-      "%.6f, \"events_per_sec\": %.1f, \"busy_at_8\": %.4f, \"speedup_at_2\": "
+      "\"serial_busy_seconds\": %.4f, \"serial_ms_per_slide\": %.6f, "
+      "\"events_per_sec\": %.1f, \"busy_at_8\": %.4f, \"speedup_at_2\": "
       "%.3f, \"speedup_at_4\": %.3f, \"speedup_at_8\": %.3f, \"events\": "
-      "%llu, \"outputs\": %llu}",
-      key.c_str(), m.serial_busy_seconds, m.serial_ms_per_slide,
-      m.events_per_sec, m.busy_by_shards.at(8), m.speedup_by_shards.at(2),
+      "%llu, \"outputs\": %llu",
+      m.serial_busy_seconds, m.serial_ms_per_slide, m.events_per_sec,
+      m.busy_by_shards.at(8), m.speedup_by_shards.at(2),
       m.speedup_by_shards.at(4), m.speedup_by_shards.at(8),
       static_cast<unsigned long long>(m.events),
       static_cast<unsigned long long>(m.outputs));
-  return buf;
-}
-
-/// Reads the flat JSON written by --out: one "<key>": {...} entry per
-/// line. Returns key -> speedup_at_8.
-std::map<std::string, double> ReadCommitted(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream f(path);
-  std::string line;
-  while (std::getline(f, line)) {
-    const size_t kq0 = line.find('"');
-    if (kq0 == std::string::npos) continue;
-    const size_t kq1 = line.find('"', kq0 + 1);
-    if (kq1 == std::string::npos) continue;
-    const std::string key = line.substr(kq0 + 1, kq1 - kq0 - 1);
-    const char* tag = "\"speedup_at_8\": ";
-    const size_t vp = line.find(tag);
-    if (vp == std::string::npos) continue;
-    out[key] = std::strtod(line.c_str() + vp + std::strlen(tag), nullptr);
-  }
-  return out;
+  return {name, buf, m.speedup_by_shards.at(8)};
 }
 
 }  // namespace
@@ -244,66 +184,24 @@ std::map<std::string, double> ReadCommitted(const std::string& path) {
 }  // namespace aseq
 
 int main(int argc, char** argv) {
-  using aseq::bench::Measurement;
-
-  bool quick = false;
-  int reps = 3;
-  int warmup = 1;
-  double tolerance = 0.2;
-  std::string out_path;
-  std::string check_path;
-  std::string label = "current";
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--reps") {
-      reps = std::atoi(next());
-    } else if (arg == "--warmup") {
-      warmup = std::atoi(next());
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
-      check_path = next();
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (arg == "--only") {
-      only = next();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  const std::string mode = quick ? "quick" : "full";
-  if (!quick && reps == 3) reps = 4;
-  aseq::bench::g_num_events = quick ? 60000 : 150000;
-
+  using namespace aseq::bench;
+  const GateFlags flags = ParseGateFlags(argc, argv, /*quick_reps=*/3,
+                                         /*full_reps=*/4);
+  g_num_events = flags.quick ? 60000 : 150000;
   std::printf("multi-query shard sweep: mode=%s reps=%d warmup=%d\n",
-              mode.c_str(), reps, warmup);
+              flags.mode().c_str(), flags.reps, flags.warmup);
 
-  aseq::Schema schema = aseq::bench::Stream().schema;
+  aseq::Schema schema = Stream().schema;
   aseq::Analyzer analyzer(&schema);
   std::vector<aseq::CompiledQuery> queries;
-  for (const std::string& text : aseq::bench::WorkloadTexts()) {
+  for (const std::string& text : WorkloadTexts()) {
     queries.push_back(std::move(analyzer.AnalyzeText(text)).value());
   }
 
-  const char* const kStrategies[] = {"nonshare", "pretree", "cc", "hybrid"};
-  std::vector<std::pair<std::string, Measurement>> results;
-  for (const char* strategy : kStrategies) {
-    if (!only.empty() && only != strategy) continue;
-    Measurement m =
-        aseq::bench::RunStrategy(strategy, queries, warmup, reps);
+  std::vector<GateEntry> entries;
+  for (const char* strategy : {"nonshare", "pretree", "cc", "hybrid"}) {
+    if (!flags.Wants(strategy)) continue;
+    Measurement m = RunStrategy(strategy, queries, flags.warmup, flags.reps);
     std::printf(
         "  %-9s serial %7.4fs (%8.0f ev/s)  x2 %.2f  x4 %.2f  x8 %.2f  "
         "outputs=%llu\n",
@@ -311,44 +209,8 @@ int main(int argc, char** argv) {
         m.speedup_by_shards.at(2), m.speedup_by_shards.at(4),
         m.speedup_by_shards.at(8),
         static_cast<unsigned long long>(m.outputs));
-    results.emplace_back(strategy, m);
+    entries.push_back(Entry(strategy, m));
   }
-
-  if (!out_path.empty()) {
-    std::ofstream f(out_path, std::ios::trunc);
-    f << "{\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      f << aseq::bench::FormatEntry(
-               mode + "/" + label + "/" + results[i].first, results[i].second)
-        << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    f << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    auto committed = aseq::bench::ReadCommitted(check_path);
-    bool ok = true;
-    for (const auto& [name, m] : results) {
-      const std::string key = mode + "/current/" + name;
-      auto it = committed.find(key);
-      if (it == committed.end()) {
-        std::fprintf(stderr, "FAIL: %s has no committed entry %s\n",
-                     check_path.c_str(), key.c_str());
-        ok = false;
-        continue;
-      }
-      (void)tolerance;
-      const double floor = aseq::bench::kSpeedupFloor;
-      const double got = m.speedup_by_shards.at(8);
-      const bool pass = got >= floor;
-      std::printf(
-          "  check %-28s speedup_at_8 %.2f vs committed %.2f (floor %.2f): "
-          "%s\n",
-          key.c_str(), got, it->second, floor, pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
-  }
-  return 0;
+  // The floor is absolute: --tolerance widens nothing here.
+  return FinishGate(flags, entries, "speedup_at_8", kSpeedupFloor) ? 0 : 1;
 }

@@ -19,22 +19,12 @@
 // Noise control: every measurement is median-of-N over fresh engines with
 // discarded warm-up passes (bench/bench_util.h).
 //
-// Usage:
-//   bench_partition_store [--quick] [--reps N] [--warmup N]
-//                         [--only WORKLOAD] [--out FILE] [--label NAME]
-//                         [--check BENCH_partition_store.json]
-//                         [--tolerance 0.2]
-//
-// --out appends/writes flat JSON entries keyed "<mode>/<label>/<workload>".
-// --check re-runs the sweep and fails (exit 1) if any workload's
-// events_per_sec regressed more than --tolerance vs the committed
-// "<mode>/current/<workload>" entry — the CI perf smoke gate.
+// Flags, --out and --check are the shared gate harness (bench_util.h):
+// --check fails if any workload's events_per_sec regressed more than
+// --tolerance vs the committed "<mode>/current/<workload>" entry of
+// BENCH_partition_store.json — the CI perf smoke gate.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -116,39 +106,19 @@ Measurement RunWorkload(const Workload& w, int warmup, int reps) {
   return m;
 }
 
-std::string FormatEntry(const std::string& key, const Measurement& m) {
+GateEntry Entry(const std::string& name, const Measurement& m) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "  \"%s\": {\"median_ms_per_slide\": %.6f, \"events_per_sec\": %.1f, "
+      "\"median_ms_per_slide\": %.6f, \"events_per_sec\": %.1f, "
       "\"min_seconds\": %.4f, \"max_seconds\": %.4f, \"events\": %llu, "
       "\"outputs\": %llu, \"peak_objects\": %lld, \"avg_probe_len\": %.3f, "
-      "\"load_factor\": %.3f}",
-      key.c_str(), m.median_ms_per_slide, m.events_per_sec, m.min_seconds,
-      m.max_seconds, static_cast<unsigned long long>(m.events),
+      "\"load_factor\": %.3f",
+      m.median_ms_per_slide, m.events_per_sec, m.min_seconds, m.max_seconds,
+      static_cast<unsigned long long>(m.events),
       static_cast<unsigned long long>(m.outputs),
       static_cast<long long>(m.peak_objects), m.avg_probe_len, m.load_factor);
-  return buf;
-}
-
-/// Reads the flat JSON written by --out: one "<key>": {...} entry per
-/// line. Returns key -> events_per_sec.
-std::map<std::string, double> ReadCommitted(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream f(path);
-  std::string line;
-  while (std::getline(f, line)) {
-    const size_t kq0 = line.find('"');
-    if (kq0 == std::string::npos) continue;
-    const size_t kq1 = line.find('"', kq0 + 1);
-    if (kq1 == std::string::npos) continue;
-    const std::string key = line.substr(kq0 + 1, kq1 - kq0 - 1);
-    const char* tag = "\"events_per_sec\": ";
-    const size_t vp = line.find(tag);
-    if (vp == std::string::npos) continue;
-    out[key] = std::strtod(line.c_str() + vp + std::strlen(tag), nullptr);
-  }
-  return out;
+  return {name, buf, m.events_per_sec};
 }
 
 }  // namespace
@@ -156,56 +126,15 @@ std::map<std::string, double> ReadCommitted(const std::string& path) {
 }  // namespace aseq
 
 int main(int argc, char** argv) {
-  using aseq::bench::Measurement;
-  using aseq::bench::Workload;
-
-  bool quick = false;
-  int reps = 5;
-  int warmup = 1;
-  double tolerance = 0.2;
-  std::string out_path;
-  std::string check_path;
-  std::string label = "current";
-  std::string only;  // run just this workload (profiling aid)
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--reps") {
-      reps = std::atoi(next());
-    } else if (arg == "--warmup") {
-      warmup = std::atoi(next());
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
-      check_path = next();
-    } else if (arg == "--label") {
-      label = next();
-    } else if (arg == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (arg == "--only") {
-      only = next();
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  const std::string mode = quick ? "quick" : "full";
-  if (quick && reps == 5) reps = 3;
-
+  using namespace aseq::bench;
+  const GateFlags flags = ParseGateFlags(argc, argv, /*quick_reps=*/3,
+                                         /*full_reps=*/5);
   std::printf("partition-store sweep: mode=%s reps=%d warmup=%d\n",
-              mode.c_str(), reps, warmup);
-  std::vector<std::pair<std::string, Measurement>> results;
-  for (const Workload& w : aseq::bench::MakeWorkloads(quick)) {
-    if (!only.empty() && w.name != only) continue;
-    Measurement m = aseq::bench::RunWorkload(w, warmup, reps);
+              flags.mode().c_str(), flags.reps, flags.warmup);
+  std::vector<GateEntry> entries;
+  for (const Workload& w : MakeWorkloads(flags.quick)) {
+    if (!flags.Wants(w.name)) continue;
+    Measurement m = RunWorkload(w, flags.warmup, flags.reps);
     std::printf(
         "  %-14s median %8.4f ms/slide  %10.0f ev/s  outputs=%llu "
         "peak_obj=%lld probe_len=%.2f load=%.2f\n",
@@ -213,43 +142,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(m.outputs),
         static_cast<long long>(m.peak_objects), m.avg_probe_len,
         m.load_factor);
-    results.emplace_back(w.name, m);
+    entries.push_back(Entry(w.name, m));
   }
-
-  if (!out_path.empty()) {
-    std::ofstream f(out_path, std::ios::trunc);
-    f << "{\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      f << aseq::bench::FormatEntry(mode + "/" + label + "/" +
-                                        results[i].first,
-                                    results[i].second)
-        << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    f << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    auto committed = aseq::bench::ReadCommitted(check_path);
-    bool ok = true;
-    for (const auto& [name, m] : results) {
-      const std::string key = mode + "/current/" + name;
-      auto it = committed.find(key);
-      if (it == committed.end()) {
-        std::fprintf(stderr, "FAIL: %s has no committed entry %s\n",
-                     check_path.c_str(), key.c_str());
-        ok = false;
-        continue;
-      }
-      const double floor = it->second * (1.0 - tolerance);
-      const bool pass = m.events_per_sec >= floor;
-      std::printf("  check %-32s %10.0f ev/s vs committed %10.0f (floor "
-                  "%10.0f): %s\n",
-                  key.c_str(), m.events_per_sec, it->second, floor,
-                  pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
-  }
-  return 0;
+  return FinishGate(flags, entries) ? 0 : 1;
 }

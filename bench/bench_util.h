@@ -1,10 +1,13 @@
 #ifndef ASEQ_BENCH_BENCH_UTIL_H_
 #define ASEQ_BENCH_BENCH_UTIL_H_
 
-#include <benchmark/benchmark.h>
+#include <ctime>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,61 +73,6 @@ inline SerialBuffers& SharedBuffers() {
   return buffers;
 }
 
-/// Drives `events` through `engine` once per iteration (batched through
-/// OnBatch with `batch_size` events per call) and reports the paper's
-/// metrics on the benchmark state: `ms_per_slide` (average execution time
-/// per window slide — the window slides on every arrival) and
-/// `peak_objects` (peak live-object count, the paper's memory metric),
-/// plus the `batch_size` driving the run.
-inline void RunAndReport(benchmark::State& state,
-                         const std::vector<Event>& events, QueryEngine* engine,
-                         size_t batch_size = kDefaultBatchSize) {
-  RunOptions options;
-  options.collect_outputs = false;
-  options.batch_size = batch_size;
-  double total_seconds = 0;
-  uint64_t total_events = 0;
-  for (auto _ : state) {
-    RunResult result =
-        exec::RunSerial(options, events, engine, &SharedBuffers());
-    total_seconds += result.elapsed_seconds;
-    total_events += result.events;
-  }
-  state.counters["ms_per_slide"] = benchmark::Counter(
-      total_events == 0 ? 0
-                        : total_seconds * 1e3 / static_cast<double>(total_events));
-  state.counters["peak_objects"] =
-      benchmark::Counter(static_cast<double>(engine->stats().objects.peak()));
-  state.counters["events"] = benchmark::Counter(static_cast<double>(total_events));
-  state.counters["batch_size"] =
-      benchmark::Counter(static_cast<double>(batch_size));
-}
-
-/// Multi-query variant of RunAndReport.
-inline void RunMultiAndReport(benchmark::State& state,
-                              const std::vector<Event>& events,
-                              MultiQueryEngine* engine,
-                              size_t batch_size = kDefaultBatchSize) {
-  RunOptions options;
-  options.collect_outputs = false;
-  options.batch_size = batch_size;
-  double total_seconds = 0;
-  uint64_t total_events = 0;
-  for (auto _ : state) {
-    MultiRunResult result =
-        exec::RunSerial(options, events, engine, &SharedBuffers());
-    total_seconds += result.elapsed_seconds;
-    total_events += result.events;
-  }
-  state.counters["ms_per_slide"] = benchmark::Counter(
-      total_events == 0 ? 0
-                        : total_seconds * 1e3 / static_cast<double>(total_events));
-  state.counters["peak_objects"] =
-      benchmark::Counter(static_cast<double>(engine->stats().objects.peak()));
-  state.counters["batch_size"] =
-      benchmark::Counter(static_cast<double>(batch_size));
-}
-
 // ---- Noise control: warm-up passes + median-of-N reporting. -------------
 //
 // Engines are stateful, so repetitions must not re-feed a stream into the
@@ -171,15 +119,26 @@ struct StableRun {
   }
 };
 
+/// Process CPU time. A gate that times its passes on this clock measures
+/// the work under test instead of the scheduler: on a contended host the
+/// wall clock swings ±15% run-to-run on an identical binary.
+inline double CpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 /// Feeds `events` through `warmup + reps` freshly built engines (one per
-/// pass, from `make_engine`) and times the `reps` post-warm-up passes.
-/// The stream is staged into a VectorSource once, so each timed pass
-/// borrows batches straight out of the source's storage
+/// pass, from `make_engine`) and times the `reps` post-warm-up passes, on
+/// the serial core's wall clock or, with `cpu_time`, on CpuSeconds around
+/// the run loop. The stream is staged into a VectorSource once, so each
+/// timed pass borrows batches straight out of the source's storage
 /// (StreamSource::BorrowBatch) — the run loop never copies an event.
 template <typename MakeEngine>
 inline StableRun RunStable(const std::vector<Event>& events,
                            MakeEngine&& make_engine, size_t batch_size,
-                           int warmup, int reps) {
+                           int warmup, int reps, bool cpu_time = false) {
   RunOptions options;
   options.collect_outputs = false;
   options.batch_size = batch_size;
@@ -188,10 +147,13 @@ inline StableRun RunStable(const std::vector<Event>& events,
   for (int pass = 0; pass < warmup + reps; ++pass) {
     auto engine = make_engine();
     source.Reset();
+    const double cpu0 = cpu_time ? CpuSeconds() : 0;
     RunResult result =
         exec::RunSerial(options, &source, engine.get(), &SharedBuffers());
+    const double seconds =
+        cpu_time ? CpuSeconds() - cpu0 : result.elapsed_seconds;
     if (pass < warmup) continue;
-    out.seconds.push_back(result.elapsed_seconds);
+    out.seconds.push_back(seconds);
     out.events_per_pass = result.events;
     const EngineStats& stats = engine->stats();
     out.outputs = stats.outputs;
@@ -204,13 +166,145 @@ inline StableRun RunStable(const std::vector<Event>& events,
   return out;
 }
 
-/// Prints the figure banner once per binary.
-inline void PrintFigureBanner(const char* figure, const char* description) {
-  std::printf("==============================================================\n");
-  std::printf("%s — %s\n", figure, description);
-  std::printf("Counters: ms_per_slide = avg execution time per window slide;\n");
-  std::printf("          peak_objects = peak live objects (paper's memory metric)\n");
-  std::printf("==============================================================\n");
+// ---- Perf gates: one command line, one --out writer, one --check. -----
+//
+// The CI perf-smoke binaries share this harness:
+//
+//   BIN [--quick] [--reps N] [--warmup N] [--only NAME] [--out FILE]
+//       [--label NAME] [--check FILE] [--tolerance F]
+//
+// --out writes flat JSON, one `"<mode>/<label>/<name>": {...}` entry per
+// line. --check compares each entry's gated value with the committed
+// "<mode>/current/<name>" entry of FILE and fails (exit 1) when it is
+// missing or below its floor: committed * (1 - tolerance), or a gate's
+// own absolute floor.
+
+struct GateFlags {
+  bool quick = false;
+  int reps = 0;
+  int warmup = 1;
+  double tolerance = 0.2;
+  std::string out_path;
+  std::string check_path;
+  std::string label = "current";
+  std::string only;  // run just this workload (profiling aid)
+
+  std::string mode() const { return quick ? "quick" : "full"; }
+  bool Wants(const std::string& name) const {
+    return only.empty() || only == name;
+  }
+};
+
+/// Parses the gate command line; exits 2 on an unknown flag or a missing
+/// value. Without --reps, reps is `quick_reps` under --quick, else
+/// `full_reps`.
+inline GateFlags ParseGateFlags(int argc, char** argv, int quick_reps,
+                                int full_reps) {
+  GateFlags f;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (arg == "--quick") {
+      f.quick = true;
+    } else if (arg == "--reps") {
+      f.reps = std::atoi(next());
+    } else if (arg == "--warmup") {
+      f.warmup = std::atoi(next());
+    } else if (arg == "--out") {
+      f.out_path = next();
+    } else if (arg == "--check") {
+      f.check_path = next();
+    } else if (arg == "--label") {
+      f.label = next();
+    } else if (arg == "--tolerance") {
+      f.tolerance = std::strtod(next(), nullptr);
+    } else if (arg == "--only") {
+      f.only = next();
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      std::exit(2);
+    }
+  }
+  if (f.reps == 0) f.reps = f.quick ? quick_reps : full_reps;
+  return f;
+}
+
+/// One gate result.
+struct GateEntry {
+  std::string name;
+  std::string fields;   // the JSON object's body, fields in output order
+  double gated = 0;     // the value --check compares
+  bool checked = true;  // false: written by --out, never checked
+};
+
+/// Reads the flat JSON written by --out: key -> the value of `field`.
+inline std::map<std::string, double> ReadCommitted(const std::string& path,
+                                                   const std::string& field) {
+  std::map<std::string, double> out;
+  std::ifstream f(path);
+  const std::string tag = "\"" + field + "\": ";
+  std::string line;
+  while (std::getline(f, line)) {
+    const size_t kq0 = line.find('"');
+    if (kq0 == std::string::npos) continue;
+    const size_t kq1 = line.find('"', kq0 + 1);
+    const size_t vp = line.find(tag);
+    if (kq1 == std::string::npos || vp == std::string::npos) continue;
+    out[line.substr(kq0 + 1, kq1 - kq0 - 1)] =
+        std::strtod(line.c_str() + vp + tag.size(), nullptr);
+  }
+  return out;
+}
+
+/// Writes --out, then runs --check against `field` of the committed
+/// entries: each checked entry's gated value must reach
+/// committed * (1 - tolerance), or `absolute_floor` when it is positive.
+/// Returns false on any failure.
+inline bool FinishGate(const GateFlags& flags,
+                       const std::vector<GateEntry>& entries,
+                       const std::string& field = "events_per_sec",
+                       double absolute_floor = 0) {
+  const std::string mode = flags.mode();
+  if (!flags.out_path.empty()) {
+    std::ofstream f(flags.out_path, std::ios::trunc);
+    f << "{\n";
+    for (size_t i = 0; i < entries.size(); ++i) {
+      f << "  \"" << mode << "/" << flags.label << "/" << entries[i].name
+        << "\": {" << entries[i].fields << "}"
+        << (i + 1 < entries.size() ? ",\n" : "\n");
+    }
+    f << "}\n";
+    std::printf("wrote %s\n", flags.out_path.c_str());
+  }
+  if (flags.check_path.empty()) return true;
+  const auto committed = ReadCommitted(flags.check_path, field);
+  bool ok = true;
+  for (const GateEntry& e : entries) {
+    if (!e.checked) continue;
+    const std::string key = mode + "/current/" + e.name;
+    auto it = committed.find(key);
+    if (it == committed.end()) {
+      std::fprintf(stderr, "FAIL: %s has no committed entry %s\n",
+                   flags.check_path.c_str(), key.c_str());
+      ok = false;
+      continue;
+    }
+    const double floor = absolute_floor > 0
+                             ? absolute_floor
+                             : it->second * (1.0 - flags.tolerance);
+    const bool pass = e.gated >= floor;
+    std::printf("  check %-38s %s %.4g vs committed %.4g (floor %.4g): %s\n",
+                key.c_str(), field.c_str(), e.gated, it->second, floor,
+                pass ? "ok" : "REGRESSED");
+    ok = ok && pass;
+  }
+  return ok;
 }
 
 /// Builds a COUNT query over the first `length` stock tickers.

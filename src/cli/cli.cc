@@ -13,11 +13,8 @@
 #include "ckpt/snapshot.h"
 #include "common/string_util.h"
 #include "common/version.h"
-#include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
-#include "multi/pretree_engine.h"
 #include "cli/flags.h"
 #include "engine/change_detector.h"
 #include "engine/reordering_engine.h"
@@ -990,9 +987,9 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
        "fault-seed", "pin-threads", "metrics-out", "metrics-every-ms",
        "trace-out", "stats-json"});
   if (!known.ok()) return Fail(err, known, 2);
+  const std::string strategy = flags.GetString("strategy", "nonshare");
   RunSetup setup;
-  Status setup_status = SetupRun(
-      flags, flags.GetString("strategy", "nonshare"), nullptr, &setup);
+  Status setup_status = SetupRun(flags, strategy, nullptr, &setup);
   if (!setup_status.ok()) return Fail(err, setup_status);
   const RunOptions& options = setup.options;
   std::string path = flags.GetString("queries");
@@ -1026,54 +1023,25 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "InvalidArgument: no queries in " << path << "\n";
     return 1;
   }
-  std::string strategy = flags.GetString("strategy", "nonshare");
-  // The factory builds one engine per shard (once, serially); per-strategy
-  // plan/routing notes print on the first construction only.
-  bool plan_printed = false;
-  exec::MultiEngineFactory factory;
-  if (strategy == "nonshare") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, NonSharedEngine::CreateAseq(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "sase") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      return std::unique_ptr<MultiQueryEngine>(
-          NonSharedEngine::CreateStackBased(queries));
-    };
-  } else if (strategy == "pretree") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, PreTreeEngine::Create(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "cc") {
-    factory = [&queries, &schema, &out,
-               &plan_printed]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ChopPlan plan = PlanChopConnect(queries);
-      if (!plan_printed) {
-        plan_printed = true;
-        out << "plan: " << plan.ToString(schema) << "\n";
+  auto made = MakeStrategyFactory(strategy, queries);
+  if (!made.ok()) return Fail(err, made.status());
+  // The factory builds one engine per shard (once, serially); the cc plan
+  // and the hybrid routing print on the first construction only.
+  bool first = true;
+  exec::MultiEngineFactory factory = [&, make = std::move(made).value()] {
+    const bool print = std::exchange(first, false);
+    if (print && strategy == "cc") {
+      out << "plan: " << PlanChopConnect(queries).ToString(schema) << "\n";
+    }
+    auto e = make();
+    if (print && strategy == "hybrid" && e.ok()) {
+      const auto& routing = static_cast<HybridMultiEngine&>(**e).routing();
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        out << "  Q" << (qi + 1) << " -> " << routing[qi] << "\n";
       }
-      ASEQ_ASSIGN_OR_RETURN(auto e, ChopConnectEngine::Create(queries, plan));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "hybrid") {
-    factory = [&queries, &out,
-               &plan_printed]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, HybridMultiEngine::Create(queries));
-      if (!plan_printed) {
-        plan_printed = true;
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          out << "  Q" << (qi + 1) << " -> " << e->routing()[qi] << "\n";
-        }
-      }
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else {
-    err << "InvalidArgument: --strategy must be "
-           "nonshare|sase|pretree|cc|hybrid\n";
-    return 1;
-  }
+    }
+    return e;
+  };
 
   QueryTally tally(queries.size());
   setup.options.output_sink = &tally;

@@ -324,4 +324,32 @@ Status HybridMultiEngine::Restore(ckpt::Reader* reader) {
   return Status::OK();
 }
 
+Result<MultiEngineFactory> MakeStrategyFactory(
+    const std::string& strategy, const std::vector<CompiledQuery>& qs) {
+  // Wraps one engine's Create into a factory of the workload engine type.
+  auto wrap = [](auto make) -> MultiEngineFactory {
+    return [make]() -> Result<std::unique_ptr<MultiQueryEngine>> {
+      auto made = make();
+      if (!made.ok()) return made.status();
+      return std::unique_ptr<MultiQueryEngine>(std::move(made).value());
+    };
+  };
+  const std::pair<const char*, MultiEngineFactory> table[] = {
+      {"nonshare", wrap([&qs] { return NonSharedEngine::CreateAseq(qs); })},
+      {"sase", wrap([&qs] {
+         return Result(NonSharedEngine::CreateStackBased(qs));
+       })},
+      {"pretree", wrap([&qs] { return PreTreeEngine::Create(qs); })},
+      {"cc", wrap([&qs] {
+         return ChopConnectEngine::Create(qs, PlanChopConnect(qs));
+       })},
+      {"hybrid", wrap([&qs] { return HybridMultiEngine::Create(qs); })},
+  };
+  for (const auto& [name, factory] : table) {
+    if (strategy == name) return factory;
+  }
+  return Status::InvalidArgument(
+      "--strategy must be nonshare|sase|pretree|cc|hybrid");
+}
+
 }  // namespace aseq

@@ -1,6 +1,7 @@
 #ifndef ASEQ_MULTI_HYBRID_ENGINE_H_
 #define ASEQ_MULTI_HYBRID_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -106,6 +107,18 @@ class HybridMultiEngine : public MultiQueryEngine,
   std::vector<MultiOutput> multi_scratch_;
   std::vector<Output> single_scratch_;
 };
+
+/// Builds one workload engine per call; the sharded policy calls it once
+/// per shard.
+using MultiEngineFactory =
+    std::function<Result<std::unique_ptr<MultiQueryEngine>>()>;
+
+/// The sharing strategies by name: nonshare (A-Seq per query), sase
+/// (stack-based per query), pretree, cc (Chop-Connect under
+/// PlanChopConnect's plan) and hybrid. The factory holds `qs` by
+/// reference. An unknown name is InvalidArgument.
+Result<MultiEngineFactory> MakeStrategyFactory(
+    const std::string& strategy, const std::vector<CompiledQuery>& qs);
 
 }  // namespace aseq
 

@@ -17,11 +17,7 @@
 #include "baseline/stack_engine.h"
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
-#include "multi/chop_connect_engine.h"
-#include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
-#include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
@@ -216,34 +212,15 @@ void ExpectMultiOutputsEqual(const std::vector<MultiOutput>& ref,
 
 using MultiFactory = std::function<std::unique_ptr<MultiQueryEngine>()>;
 
-/// One factory per sharing strategy (expectation-failing, like
-/// AseqFactory, so the test aborts loudly on a rejected workload).
+/// One factory per sharing strategy (MakeStrategyFactory), expectation-
+/// failing like AseqFactory, so the test aborts loudly on a rejected
+/// workload.
 MultiFactory MakeMultiFactory(const std::string& strategy,
                               const std::vector<CompiledQuery>& queries) {
-  if (strategy == "cc") {
-    return [&queries]() -> std::unique_ptr<MultiQueryEngine> {
-      auto e = ChopConnectEngine::Create(queries, PlanChopConnect(queries));
-      EXPECT_TRUE(e.ok()) << e.status().ToString();
-      return std::move(e).value();
-    };
-  }
-  if (strategy == "pretree") {
-    return [&queries]() -> std::unique_ptr<MultiQueryEngine> {
-      auto e = PreTreeEngine::Create(queries);
-      EXPECT_TRUE(e.ok()) << e.status().ToString();
-      return std::move(e).value();
-    };
-  }
-  if (strategy == "hybrid") {
-    return [&queries]() -> std::unique_ptr<MultiQueryEngine> {
-      auto e = HybridMultiEngine::Create(queries);
-      EXPECT_TRUE(e.ok()) << e.status().ToString();
-      return std::move(e).value();
-    };
-  }
-  EXPECT_EQ(strategy, "nonshare") << "unknown strategy";
-  return [&queries]() -> std::unique_ptr<MultiQueryEngine> {
-    auto e = NonSharedEngine::CreateAseq(queries);
+  auto made = MakeStrategyFactory(strategy, queries);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return [make = std::move(made).value()] {
+    Result<std::unique_ptr<MultiQueryEngine>> e = make();
     EXPECT_TRUE(e.ok()) << e.status().ToString();
     return std::move(e).value();
   };

@@ -29,11 +29,8 @@
 #include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
 #include "fault/fault.h"
-#include "multi/chop_connect_engine.h"
-#include "multi/chop_plan.h"
 #include "multi/hybrid_engine.h"
 #include "multi/nonshared_engine.h"
-#include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
@@ -285,34 +282,14 @@ std::vector<CompiledQuery> MustCompileAll(
   return queries;
 }
 
-/// One factory per sharing strategy, closing over the workload by
-/// reference (the workload outlives every policy built from it).
+/// One factory per sharing strategy (MakeStrategyFactory), closing over
+/// the workload by reference (the workload outlives every policy built
+/// from it).
 exec::MultiEngineFactory MultiFactory(
     const std::string& strategy, const std::vector<CompiledQuery>& queries) {
-  if (strategy == "cc") {
-    return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(
-          auto e, ChopConnectEngine::Create(queries, PlanChopConnect(queries)));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  if (strategy == "pretree") {
-    return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, PreTreeEngine::Create(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  if (strategy == "hybrid") {
-    return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, HybridMultiEngine::Create(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  }
-  EXPECT_EQ(strategy, "nonshare") << "unknown strategy";
-  return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-    ASEQ_ASSIGN_OR_RETURN(auto e, NonSharedEngine::CreateAseq(queries));
-    return std::unique_ptr<MultiQueryEngine>(std::move(e));
-  };
+  auto factory = MakeStrategyFactory(strategy, queries);
+  EXPECT_TRUE(factory.ok()) << factory.status().ToString();
+  return std::move(factory).value();
 }
 
 /// Sharded-vs-serial check for one workload and one sharing strategy:

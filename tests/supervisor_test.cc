@@ -20,8 +20,10 @@
 #include "aseq/aseq_engine.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
+#include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
 #include "fault/fault.h"
+#include "obs/telemetry.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
@@ -382,18 +384,35 @@ TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   options.batch_size = 8;
   std::atomic<bool> stop{false};
   options.stop_requested = &stop;
+  // Telemetry only observes: shard 0's worker publishes its ring occupancy
+  // into its cell every WorkerTally::kFlushItems drained items.
+  obs::Telemetry telemetry(kShards);
+  options.telemetry = &telemetry;
   auto policy = MustMakeSharded(cq, options);
   // Every op on shard 0 sleeps 50-250us: draining one queued item takes
   // ~1ms while the router can publish hundreds of items per millisecond.
   ASSERT_TRUE(
       fault::Injector::Global().Arm("worker.op@0:1:slow:100000000", 7).ok());
+  // The stop fires once shard 0's ring has been seen full, not after a
+  // fixed delay: on a loaded host a fixed delay can stop the run before
+  // any push finds the ring full. The deadline only bounds a run that
+  // never fills the ring (the checks below then fail).
+  std::atomic<bool> finished{false};
   std::thread stopper([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!finished.load() &&
+           telemetry.shard(0).ring_occupancy.value() <
+               exec::ShardLanes::kMaxQueuedItems &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     stop.store(true);
   });
   StopWatch watch;
   RunResult run = policy->RunEvents(c->events);
   const double elapsed = watch.ElapsedSeconds();
+  finished.store(true);
   stopper.join();
   fault::Injector::Global().Disarm();
 
