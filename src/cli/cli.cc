@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <span>
-#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "aseq/aseq_engine.h"
@@ -40,65 +41,169 @@ std::atomic<bool>& CliStopFlag() {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: aseq <run|explain|generate|compare> [flags]\n"
-    "  aseq run      --query \"PATTERN SEQ(A,B) AGG COUNT WITHIN 1s\"\n"
-    "                (--trace FILE | --stock N | --clicks N)\n"
-    "                [--engine aseq|stack] [--slack MS] [--seed S]\n"
-    "                [--gap MS] [--limit N] [--quiet] [--emit-on-change]\n"
-    "                [--batch-size N] [--shards N]\n"
-    "                [--checkpoint-every N --checkpoint-dir DIR]\n"
-    "                [--restore-from SNAPSHOT]\n"
-    "  aseq explain  --query \"...\"\n"
-    "  aseq generate (--stock N | --clicks N) --out FILE [--seed S] [--gap MS]\n"
-    "  aseq compare  --query \"...\" (--trace FILE | --stock N | --clicks N)\n"
-    "                [--batch-size N]\n"
-    "  aseq workload --queries FILE (--trace FILE | --stock N | --clicks N)\n"
-    "                [--strategy nonshare|sase|pretree|cc|hybrid]\n"
-    "                [--seed S] [--gap MS] [--batch-size N] [--shards N]\n"
-    "                [--checkpoint-every N --checkpoint-dir DIR]\n"
-    "                [--restore-from SNAPSHOT]\n"
-    "  (--batch-size controls the ingestion batch fed to OnBatch; default "
-    "256, 1 = per-event)\n"
-    "  (--checkpoint-every N snapshots engine state every N events into\n"
-    "   --checkpoint-dir; --restore-from resumes a killed run from a\n"
-    "   snapshot, replaying the trace tail from the recorded offset)\n"
-    "  (--shards N > 1 runs the partition-parallel executor: events are\n"
-    "   hash-routed by GROUP BY key to N engine shards on worker threads,\n"
-    "   with results identical to the serial run; queries that cannot\n"
-    "   shard safely fall back to serial with a note. workload shards the\n"
-    "   whole multi-query engine the same way when every query groups by\n"
-    "   one shared attribute)\n"
-    "  (run and workload also accept the supervised-runtime flags,\n"
-    "   --shards >= 2:\n"
-    "   --supervise enables the shard watchdog — dead or stalled workers\n"
-    "   are restarted from the last recovery point and their event slice\n"
-    "   replayed, keeping output bit-exact; tune with\n"
-    "   --watchdog-timeout-ms MS, --recovery-every N, --max-restarts N.\n"
-    "   --overload-policy block|degrade-serial|shed picks the response to\n"
-    "   a shard queue at its high-watermark (--overload-watermark N\n"
-    "   queued items, default 12): keep blocking (default),\n"
-    "   drain all queues before routing on, or deterministically drop the\n"
-    "   overloaded partition (accounted in shed counters; surviving\n"
-    "   partitions stay exact).\n"
-    "   --pin-threads pins each shard worker to a core (Linux; no-op with\n"
-    "   a warning when the machine has fewer cores than shards).\n"
-    "   --fault-spec point[@lane]:trigger[:kind[:repeat]],... arms\n"
-    "   deterministic fault injection (points: router.route, worker.op,\n"
-    "   ckpt.write, admit.batch; kinds: crash, stall, slow, io-error,\n"
-    "   overload) with --fault-seed S; SIGINT/SIGTERM drain in-flight\n"
-    "   batches, write a final checkpoint when enabled, and exit 0)\n"
-    "  (observability, run and workload:\n"
-    "   --metrics-out FILE appends JSON-lines telemetry — per-shard\n"
-    "   counters, latency histogram percentiles, and ring-occupancy\n"
-    "   gauges — every --metrics-every-ms MS (default 1000);\n"
-    "   --trace-out FILE writes a chrome://tracing JSON file with batch\n"
-    "   and barrier spans plus supervisor instants (quarantine, restart,\n"
-    "   replay, shed, overload-degrade, fault-injected, checkpoint);\n"
-    "   --stats-json FILE dumps the end-of-run EngineStats + per-shard\n"
-    "   utilization as one machine-readable JSON document.\n"
-    "   Telemetry only observes: outputs and stats stay bit-exact with\n"
-    "   the same run with every flag off)\n";
+// ---- The flag table --------------------------------------------------------
+//
+// Every flag of every command is one row of kFlags. The per-command
+// unknown-flag check, the typed and range-checked reads, the "requires"
+// pairs (which include --supervise and a non-block --overload-policy
+// needing --shards >= 2) and the usage text all derive from it. Rules that
+// span more flags or need outside state stay plain code: exactly one
+// source (in CheckFlags), the --restore-from file probe, and the required
+// --query, --queries and --out.
+
+/// The commands that read a stream.
+constexpr const char* kSources = "run generate compare workload";
+/// The long-running commands: sharding, supervision, checkpoints,
+/// telemetry.
+constexpr const char* kRuns = "run workload";
+
+enum Kind { kInt, kBool, kString, kEnum };
+
+constexpr int64_t kNoMax = INT64_MAX;
+/// Size caps that reject what no host could allocate before anything is
+/// allocated: --batch-size sizes the reused batch buffer, --stock and
+/// --clicks the generated stream, which is held in memory.
+constexpr int64_t kMaxBatchSize = int64_t{1} << 20;
+constexpr int64_t kMaxGenerated = 100'000'000;
+/// A day: kMaxGenerated events this far apart still fit int64 timestamps.
+constexpr int64_t kMaxGapMs = 86'400'000;
+
+/// One row of the flag table.
+struct FlagSpec {
+  const char* name;
+  Kind kind;
+  /// Usage placeholder (N, FILE, ...); for kEnum the '|'-separated choices.
+  const char* arg;
+  /// What an absent flag reads as ("" = nothing).
+  const char* def;
+  /// The commands that accept it, space-separated.
+  const char* commands;
+  const char* help;
+  /// kInt: the accepted range.
+  int64_t min = 0;
+  int64_t max = 0;
+  /// A flag that must be set whenever this one is. A flag counts as set
+  /// when given with a value other than its default.
+  const char* needs = nullptr;
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"query", kString, "TEXT", "", "run explain compare",
+     "the query, e.g. \"PATTERN SEQ(A,B) AGG COUNT WITHIN 1s\""},
+    {"queries", kString, "FILE", "", "workload",
+     "the workload: one query per line, # comments"},
+    {"trace", kString, "FILE", "", "run compare workload",
+     "source: a CSV trace (src/stream/trace_io.h)"},
+    {"stock", kInt, "N", "", kSources,
+     "source: a synthetic stock stream of N events", 1, kMaxGenerated},
+    {"clicks", kInt, "N", "", kSources,
+     "source: a synthetic clickstream of N events", 1, kMaxGenerated},
+    {"seed", kInt, "S", "42", kSources, "generator seed", INT64_MIN, kNoMax},
+    {"gap", kInt, "MS", "6", kSources,
+     "maximum inter-event gap of generated streams", 0, kMaxGapMs},
+    {"out", kString, "FILE", "", "generate", "the trace file to write"},
+    {"engine", kEnum, "aseq|stack", "aseq", "run",
+     "A-Seq, or the stack-based baseline"},
+    {"slack", kInt, "MS", "0", "run",
+     "K-slack disorder bound for out-of-order input (0 = off)", 0, kNoMax},
+    {"limit", kInt, "N", "20", "run", "print the last N results", 0, kNoMax},
+    {"quiet", kBool, "", "false", "run", "print no result lines"},
+    {"emit-on-change", kBool, "", "false", "run",
+     "report whenever the value changes, also when window expiry drops it"},
+    {"strategy", kEnum, "nonshare|sase|pretree|cc|hybrid", "nonshare",
+     "workload", "how the workload's queries share work"},
+    {"batch-size", kInt, "N", "256", "run compare workload",
+     "events per OnBatch call (1 = per-event)", 1, kMaxBatchSize},
+    {"shards", kInt, "N", "1", kRuns,
+     "engine shards, hash-routed by GROUP BY key (1 = serial)", 1, 64},
+    {"pin-threads", kBool, "", "false", kRuns,
+     "pin each shard worker to a core (Linux; else a warning)"},
+    {"checkpoint-every", kInt, "N", "0", kRuns,
+     "snapshot engine state every N events", 0, kNoMax, "checkpoint-dir"},
+    {"checkpoint-dir", kString, "DIR", "", kRuns,
+     "where snapshots go (ckpt-<offset>.aseqckpt)", 0, 0, "checkpoint-every"},
+    {"restore-from", kString, "SNAPSHOT", "", kRuns,
+     "resume from a snapshot, replaying the stream from its offset"},
+    {"supervise", kBool, "", "false", kRuns,
+     "restart dead or stalled shard workers, replaying their slice", 0, 0,
+     "shards"},
+    {"watchdog-timeout-ms", kInt, "MS", "1000", kRuns,
+     "silence after which a busy shard is restarted", 1, kNoMax},
+    {"recovery-every", kInt, "N", "4096", kRuns,
+     "events between in-memory recovery points (0 = first only)", 0, kNoMax},
+    {"max-restarts", kInt, "N", "4", kRuns,
+     "restarts per shard per recovery interval", 0, kNoMax},
+    {"overload-policy", kEnum, "block|degrade-serial|shed", "block", kRuns,
+     "at the watermark: wait, drain all queues, or drop the partition", 0, 0,
+     "shards"},
+    {"overload-watermark", kInt, "N", "12", kRuns,
+     "queued items per shard at which the overload policy acts", 1, kNoMax},
+    {"fault-spec", kString, "SPEC", "", kRuns,
+     "inject faults: point[@lane]:trigger[:kind[:repeat]],... (fault.h)"},
+    {"fault-seed", kInt, "S", "42", kRuns, "fault injection seed", INT64_MIN,
+     kNoMax, "fault-spec"},
+    {"metrics-out", kString, "FILE", "", kRuns,
+     "append JSON-lines telemetry (counters, latencies, ring gauges)"},
+    {"metrics-every-ms", kInt, "MS", "1000", kRuns,
+     "interval between metric snapshots", 1, kNoMax, "metrics-out"},
+    {"trace-out", kString, "FILE", "", kRuns,
+     "write a chrome://tracing file of spans and supervisor instants"},
+    {"stats-json", kString, "FILE", "", kRuns, "end-of-run stats as JSON"},
+};
+
+/// The row of flag `name`, or null when no flag has that name.
+const FlagSpec* Find(std::string_view name) {
+  for (const FlagSpec& f : kFlags) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+/// A flag's value, or its default when absent.
+std::string Str(const FlagSet& flags, const char* name) {
+  return flags.GetString(name, Find(name)->def);
+}
+
+/// An int flag's value (CheckFlags range-checked it), or its default.
+int64_t Int(const FlagSet& flags, const char* name) {
+  return std::strtoll(Str(flags, name).c_str(), nullptr, 10);
+}
+
+/// Set: given with a value other than its default; a bool flag is set
+/// when true. CheckFlags has checked the value.
+bool IsSet(const FlagSet& flags, const char* name) {
+  const FlagSpec& f = *Find(name);
+  const std::string value = Str(flags, name);
+  if (f.kind == kBool) return value == "true" || value == "1";
+  return f.kind == kInt ? Int(flags, name) != std::strtoll(f.def, nullptr, 10)
+                        : value != f.def;
+}
+
+/// An int flag's accepted range, as text.
+std::string RangeText(const FlagSpec& f) {
+  if (f.min == INT64_MIN) return "in the int64 range";
+  if (f.max == kNoMax) return ">= " + std::to_string(f.min);
+  return "in [" + std::to_string(f.min) + ", " + std::to_string(f.max) + "]";
+}
+
+/// Checks the value of the given flag `f` against its row.
+Status CheckValue(const FlagSet& flags, const FlagSpec& f) {
+  const std::string value = flags.GetString(f.name);
+  const std::string choices = f.kind == kBool ? "true|false|1|0" : f.arg;
+  std::string expects = "one of " + choices;
+  if (f.kind == kInt) {
+    auto v = flags.GetInt(f.name, 0);
+    if (v.ok() && *v >= f.min && *v <= f.max) return Status::OK();
+    expects = "an integer " + RangeText(f);
+  } else if (f.kind == kString ||
+             (value.find('|') == std::string::npos &&
+              ("|" + choices + "|").find("|" + value + "|") !=
+                  std::string::npos)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("--" + std::string(f.name) + " expects " +
+                                 expects + ", got '" + value + "'");
+}
 
 /// Prints `status` as the command's error line; returns `exit_code`.
 int Fail(std::ostream& err, const Status& status, int exit_code = 1) {
@@ -106,193 +211,101 @@ int Fail(std::ostream& err, const Status& status, int exit_code = 1) {
   return exit_code;
 }
 
-/// Reads --batch-size into RunOptions (default kDefaultBatchSize).
-Result<RunOptions> BatchOptionsFromFlags(const FlagSet& flags) {
-  ASEQ_ASSIGN_OR_RETURN(
-      int64_t batch,
-      flags.GetInt("batch-size", static_cast<int64_t>(kDefaultBatchSize)));
-  if (batch <= 0) {
-    return Status::InvalidArgument(
-        "--batch-size expects N > 0 (e.g. --batch-size 256; 1 = per-event)");
+/// Whether the flag `f` is one the command `command` takes.
+bool TakenBy(const FlagSpec& f, const std::string& command) {
+  return (" " + std::string(f.commands) + " ").find(" " + command + " ") !=
+         std::string::npos;
+}
+
+/// Checks `flags` against the flag table for `command`, before the
+/// command does any work: an unknown flag exits 2; a malformed or
+/// out-of-range value, a set flag whose required flag is not set, or not
+/// exactly one source for a command that reads one, exits 1. Returns 0
+/// when the flags pass.
+int CheckFlags(const FlagSet& flags, const std::string& command,
+               std::ostream& err) {
+  for (const auto& [name, value] : flags.given()) {
+    const FlagSpec* f = Find(name);
+    if (f == nullptr || !TakenBy(*f, command)) {
+      return Fail(err, Status::InvalidArgument("unknown flag --" + name), 2);
+    }
   }
+  for (const auto& [name, value] : flags.given()) {
+    if (Status st = CheckValue(flags, *Find(name)); !st.ok()) {
+      return Fail(err, st);
+    }
+  }
+  for (const auto& [name, value] : flags.given()) {
+    const FlagSpec& f = *Find(name);
+    const FlagSpec* needs = f.needs ? Find(f.needs) : nullptr;
+    if (needs != nullptr && IsSet(flags, f.name) &&
+        !IsSet(flags, needs->name)) {
+      std::string wants = "--" + std::string(needs->name) + " " + needs->arg;
+      if (*needs->def != '\0') {
+        wants += std::string(" (not ") + needs->def + ")";
+      }
+      return Fail(err, Status::InvalidArgument(
+                           "--" + name + (f.kind == kBool ? "" : " " + value) +
+                           " requires " + wants));
+    }
+  }
+  if (TakenBy(*Find("stock"), command) &&
+      flags.Has("trace") + flags.Has("stock") + flags.Has("clicks") != 1) {
+    return Fail(err, Status::InvalidArgument(
+                         "pick exactly one source: --trace FILE, --stock N, "
+                         "or --clicks N"));
+  }
+  return 0;
+}
+
+/// The RunOptions the flags select; a flag the command does not take reads
+/// as its default.
+RunOptions OptionsFromFlags(const FlagSet& flags) {
   RunOptions options;
-  options.batch_size = static_cast<size_t>(batch);
-  ASEQ_ASSIGN_OR_RETURN(int64_t shards, flags.GetInt("shards", 1));
-  if (shards < 1 || shards > 64) {
-    return Status::InvalidArgument(
-        "--shards expects 1 <= N <= 64 (1 = serial; e.g. --shards 8)");
-  }
-  options.num_shards = static_cast<size_t>(shards);
+  options.batch_size = Int(flags, "batch-size");
+  options.num_shards = Int(flags, "shards");
   // Harmless for serial runs (the executor ignores it), so no --shards
   // coupling to validate.
-  options.pin_threads = flags.GetBool("pin-threads");
+  options.pin_threads = IsSet(flags, "pin-threads");
+  options.checkpoint_every = Int(flags, "checkpoint-every");
+  options.checkpoint_dir = flags.GetString("checkpoint-dir");
+  options.supervise = IsSet(flags, "supervise");
+  options.watchdog_timeout_ms = Int(flags, "watchdog-timeout-ms");
+  options.recovery_every = Int(flags, "recovery-every");
+  options.max_restarts = Int(flags, "max-restarts");
+  const std::string policy = Str(flags, "overload-policy");
+  options.overload_policy = policy == "shed" ? OverloadPolicy::kShed
+                            : policy == "degrade-serial"
+                                ? OverloadPolicy::kDegradeSerial
+                                : OverloadPolicy::kBlock;
+  options.overload_high_watermark = Int(flags, "overload-watermark");
   return options;
 }
 
-/// Parses the supervised-runtime flag group (watchdog, overload policy,
-/// fault injection) into `options` and arms the process-global injector.
-/// Supervision and the non-blocking overload policies live in the sharded
-/// executor, so they require --shards >= 2.
-Status SupervisionFlagsInto(const FlagSet& flags, RunOptions* options) {
-  options->supervise = flags.GetBool("supervise");
-  ASEQ_ASSIGN_OR_RETURN(int64_t wd, flags.GetInt("watchdog-timeout-ms", 1000));
-  if (wd <= 0) {
-    return Status::InvalidArgument(
-        "--watchdog-timeout-ms expects MS > 0 (how long a non-idle shard "
-        "may go silent before it is restarted; default 1000)");
-  }
-  options->watchdog_timeout_ms = static_cast<double>(wd);
-  ASEQ_ASSIGN_OR_RETURN(int64_t rec, flags.GetInt("recovery-every", 4096));
-  if (rec < 0) {
-    return Status::InvalidArgument(
-        "--recovery-every expects N >= 0 events between in-memory recovery "
-        "points (0 = only the initial one; default 4096)");
-  }
-  options->recovery_every = static_cast<size_t>(rec);
-  ASEQ_ASSIGN_OR_RETURN(int64_t budget, flags.GetInt("max-restarts", 4));
-  if (budget < 0) {
-    return Status::InvalidArgument(
-        "--max-restarts expects N >= 0 restarts per shard per recovery "
-        "interval (default 4)");
-  }
-  options->max_restarts = static_cast<size_t>(budget);
-  const std::string policy = flags.GetString("overload-policy", "block");
-  if (policy == "block") {
-    options->overload_policy = OverloadPolicy::kBlock;
-  } else if (policy == "degrade-serial") {
-    options->overload_policy = OverloadPolicy::kDegradeSerial;
-  } else if (policy == "shed") {
-    options->overload_policy = OverloadPolicy::kShed;
-  } else {
-    return Status::InvalidArgument(
-        "--overload-policy must be block, degrade-serial, or shed");
-  }
-  ASEQ_ASSIGN_OR_RETURN(int64_t watermark,
-                        flags.GetInt("overload-watermark", 12));
-  if (watermark <= 0) {
-    return Status::InvalidArgument(
-        "--overload-watermark expects N > 0 queued items per shard before "
-        "the overload policy engages (default 12)");
-  }
-  options->overload_high_watermark = static_cast<size_t>(watermark);
-  if ((options->supervise ||
-       options->overload_policy != OverloadPolicy::kBlock) &&
-      options->num_shards < 2) {
-    return Status::InvalidArgument(
-        "--supervise and --overload-policy degrade-serial|shed require "
-        "--shards N >= 2 (both live in the sharded executor)");
-  }
-  const std::string spec = flags.GetString("fault-spec");
-  if (!spec.empty()) {
-    ASEQ_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("fault-seed", 42));
-    ASEQ_RETURN_NOT_OK(
-        fault::Injector::Global().Arm(spec, static_cast<uint64_t>(seed)));
-  } else if (flags.Has("fault-seed")) {
-    return Status::InvalidArgument(
-        "--fault-seed has no effect without --fault-spec "
-        "(point[@lane]:trigger[:kind[:repeat]],...)");
-  }
-  return Status::OK();
-}
-
-/// Validates the checkpoint/restore flag combination up front — before any
-/// trace is loaded or engine built — so misuse fails immediately with a
-/// usage hint instead of after minutes of processing. Fills the checkpoint
-/// fields of `options` and the snapshot path (empty if not restoring).
-Status CheckpointFlagsInto(const FlagSet& flags, RunOptions* options,
-                           std::string* restore_from) {
-  ASEQ_ASSIGN_OR_RETURN(int64_t every, flags.GetInt("checkpoint-every", 0));
-  if (every < 0) {
-    return Status::InvalidArgument(
-        "--checkpoint-every expects N >= 0 events (0 disables; e.g. "
-        "--checkpoint-every 100000 --checkpoint-dir ckpts)");
-  }
-  std::string dir = flags.GetString("checkpoint-dir");
-  if (every > 0 && dir.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-every requires --checkpoint-dir DIR to write "
-        "snapshots into (e.g. --checkpoint-dir ckpts)");
-  }
-  if (every == 0 && !dir.empty()) {
-    return Status::InvalidArgument(
-        "--checkpoint-dir has no effect without --checkpoint-every N "
-        "(N > 0 enables periodic snapshots)");
-  }
-  options->checkpoint_every = static_cast<size_t>(every);
-  options->checkpoint_dir = dir;
-  restore_from->clear();
-  if (flags.Has("restore-from")) {
-    *restore_from = flags.GetString("restore-from");
-    if (restore_from->empty()) {
-      return Status::InvalidArgument(
-          "--restore-from expects a snapshot FILE (written by a previous "
-          "run's --checkpoint-every; see --checkpoint-dir)");
-    }
-    std::ifstream probe(*restore_from, std::ios::binary);
-    if (!probe) {
-      return Status::InvalidArgument(
-          "--restore-from: cannot open snapshot '" + *restore_from +
-          "' (does the file exist? snapshots are named "
-          "ckpt-<offset>.aseqckpt under --checkpoint-dir)");
-    }
-  }
-  return Status::OK();
-}
-
-/// Checks the source flags: exactly one of --trace/--stock/--clicks, and
-/// a readable --seed and --gap >= 0.
-Status CheckSourceFlags(const FlagSet& flags) {
-  ASEQ_RETURN_NOT_OK(flags.GetInt("seed", 42).status());
-  ASEQ_ASSIGN_OR_RETURN(int64_t gap, flags.GetInt("gap", 6));
-  if (gap < 0) {
-    return Status::InvalidArgument(
-        "--gap expects MS >= 0 (maximum inter-event gap for generated "
-        "streams)");
-  }
-  int sources = 0;
-  if (flags.Has("trace")) ++sources;
-  if (flags.Has("stock")) ++sources;
-  if (flags.Has("clicks")) ++sources;
-  if (sources != 1) {
-    return Status::InvalidArgument(
-        "pick exactly one source: --trace FILE, --stock N, or --clicks N");
-  }
-  return Status::OK();
-}
-
-/// Generates the --stock/--clicks stream (source flags already checked).
-Result<std::vector<Event>> GenerateEvents(const FlagSet& flags,
-                                          Schema* schema) {
-  ASEQ_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
-  ASEQ_ASSIGN_OR_RETURN(int64_t gap, flags.GetInt("gap", 6));
-  if (flags.Has("stock")) {
-    ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("stock", 0));
-    if (n <= 0) return Status::InvalidArgument("--stock expects N > 0");
-    StockStreamOptions options;
-    options.seed = static_cast<uint64_t>(seed);
-    options.num_events = static_cast<size_t>(n);
-    options.max_gap_ms = gap;
-    return GenerateStockStream(options, schema);
-  }
-  ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("clicks", 0));
-  if (n <= 0) return Status::InvalidArgument("--clicks expects N > 0");
-  ClickstreamOptions options;
-  options.seed = static_cast<uint64_t>(seed);
-  options.num_events = static_cast<size_t>(n);
-  options.max_gap_ms = gap;
-  return GenerateClickstream(options, schema);
+/// Generates the --stock/--clicks stream.
+std::vector<Event> GenerateEvents(const FlagSet& flags, Schema* schema) {
+  auto options = [&](auto generator, const char* count) {
+    generator.seed = static_cast<uint64_t>(Int(flags, "seed"));
+    generator.num_events = Int(flags, count);
+    generator.max_gap_ms = Int(flags, "gap");
+    return generator;
+  };
+  return flags.Has("stock")
+             ? GenerateStockStream(options(StockStreamOptions{}, "stock"),
+                                   schema)
+             : GenerateClickstream(options(ClickstreamOptions{}, "clicks"),
+                                   schema);
 }
 
 /// Loads the whole event stream named by the source flags into memory
 /// (generate and compare, which need the events as a vector).
 Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
-  ASEQ_RETURN_NOT_OK(CheckSourceFlags(flags));
   std::vector<Event> events;
   if (flags.Has("trace")) {
     ASEQ_ASSIGN_OR_RETURN(events,
                           ReadTraceFile(flags.GetString("trace"), schema));
   } else {
-    ASEQ_ASSIGN_OR_RETURN(events, GenerateEvents(flags, schema));
+    events = GenerateEvents(flags, schema);
   }
   AssignSeqNums(&events);
   return events;
@@ -305,17 +318,14 @@ Result<std::vector<Event>> LoadEvents(const FlagSet& flags, Schema* schema) {
 Result<std::unique_ptr<StreamSource>> OpenSource(const FlagSet& flags,
                                                  Schema* schema,
                                                  size_t parse_threads) {
-  ASEQ_RETURN_NOT_OK(CheckSourceFlags(flags));
   if (flags.Has("trace")) {
     ASEQ_ASSIGN_OR_RETURN(auto source,
                           TraceFileSource::Open(flags.GetString("trace"),
                                                 schema, parse_threads));
     return std::unique_ptr<StreamSource>(std::move(source));
   }
-  ASEQ_ASSIGN_OR_RETURN(std::vector<Event> events,
-                        GenerateEvents(flags, schema));
   return std::unique_ptr<StreamSource>(
-      std::make_unique<VectorSource>(std::move(events)));
+      std::make_unique<VectorSource>(GenerateEvents(flags, schema)));
 }
 
 /// Skips the first `offset` events of `source`: a run restored from
@@ -342,16 +352,6 @@ Status SkipToOffset(StreamSource* source, uint64_t offset,
   return Status::OK();
 }
 
-/// Validates --limit (result lines `run` prints, default 20).
-Result<size_t> LimitFromFlags(const FlagSet& flags) {
-  ASEQ_ASSIGN_OR_RETURN(int64_t limit, flags.GetInt("limit", 20));
-  if (limit < 0) {
-    return Status::InvalidArgument(
-        "--limit expects N >= 0 (how many of the last results to print)");
-  }
-  return static_cast<size_t>(limit);
-}
-
 Result<CompiledQuery> CompileQuery(const FlagSet& flags, Schema* schema) {
   std::string text = flags.GetString("query");
   if (text.empty()) {
@@ -363,25 +363,16 @@ Result<CompiledQuery> CompileQuery(const FlagSet& flags, Schema* schema) {
 
 Result<std::unique_ptr<QueryEngine>> MakeEngine(const FlagSet& flags,
                                                 const CompiledQuery& query) {
-  std::string kind = flags.GetString("engine", "aseq");
   std::unique_ptr<QueryEngine> engine;
-  if (kind == "aseq") {
-    ASEQ_ASSIGN_OR_RETURN(engine, CreateAseqEngine(query));
-  } else if (kind == "stack") {
+  if (Str(flags, "engine") == "stack") {
     engine = std::make_unique<StackEngine>(query);
   } else {
-    return Status::InvalidArgument("--engine must be 'aseq' or 'stack'");
+    ASEQ_ASSIGN_OR_RETURN(engine, CreateAseqEngine(query));
   }
-  if (flags.GetBool("emit-on-change")) {
+  if (IsSet(flags, "emit-on-change")) {
     engine = std::make_unique<ChangeDetectingEngine>(std::move(engine));
   }
-  ASEQ_ASSIGN_OR_RETURN(int64_t slack, flags.GetInt("slack", 0));
-  if (slack < 0) {
-    return Status::InvalidArgument(
-        "--slack expects MS >= 0 (the K-slack disorder bound; 0 disables "
-        "reordering)");
-  }
-  if (slack > 0) {
+  if (const int64_t slack = Int(flags, "slack"); slack > 0) {
     engine = std::make_unique<ReorderingEngine>(std::move(engine), slack);
   }
   return engine;
@@ -436,16 +427,6 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
   const std::string metrics_path = flags.GetString("metrics-out");
   const std::string trace_path = flags.GetString("trace-out");
   o->stats_json_path = flags.GetString("stats-json");
-  ASEQ_ASSIGN_OR_RETURN(int64_t every, flags.GetInt("metrics-every-ms", 1000));
-  if (every <= 0) {
-    return Status::InvalidArgument(
-        "--metrics-every-ms expects MS > 0 between metric snapshots "
-        "(default 1000)");
-  }
-  if (flags.Has("metrics-every-ms") && metrics_path.empty()) {
-    return Status::InvalidArgument(
-        "--metrics-every-ms has no effect without --metrics-out FILE");
-  }
   if (metrics_path.empty() && trace_path.empty()) return Status::OK();
 
   o->telemetry = std::make_unique<obs::Telemetry>(options.num_shards);
@@ -460,8 +441,8 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
   }
   if (!metrics_path.empty()) {
     o->emitter = std::make_unique<obs::MetricsEmitter>(
-        metrics_path, static_cast<uint64_t>(every), o->telemetry.get(),
-        "\"label\":\"" + label + "\"");
+        metrics_path, static_cast<uint64_t>(Int(flags, "metrics-every-ms")),
+        o->telemetry.get(), "\"label\":\"" + label + "\"");
     if (!o->emitter->ok()) {
       return Status::IoError("cannot open --metrics-out file '" +
                              metrics_path + "'");
@@ -505,17 +486,18 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
 /// stable, documented order (docs/internals.md §17; the golden test in
 /// cli_test.cc locks it):
 ///   events, batch size, shards*, results*, ms/slide, peak objects,
-///   admission, utilization*, dataplane*, supervisor*, overload*,
+///   admission*, utilization*, dataplane*, supervisor*, overload*,
 ///   faults*, checkpoints*
 /// Starred lines print only when their feature is active: shards when
-/// sharding was requested; results for single-query runs; utilization and
-/// dataplane when the run actually sharded; supervisor under --supervise;
+/// sharding was requested; results for single-query runs; admission when
+/// the engine keeps the adm_* counters (`admission_counted`); utilization
+/// and dataplane when the run actually sharded; supervisor under --supervise;
 /// overload under a non-block policy; faults when the injector is armed;
 /// checkpoints when periodic checkpointing is on.
 void PrintStatsBlock(std::ostream& out, const RunOptions& options,
                      const RunResultBase& result, const EngineStats& stats,
                      std::span<const double> busy_seconds,
-                     const size_t* results_count) {
+                     const size_t* results_count, bool admission_counted) {
   out << "events:        " << result.events << "\n";
   out << "batch size:    " << result.batch_size << "\n";
   if (options.num_shards > 1) {
@@ -526,9 +508,11 @@ void PrintStatsBlock(std::ostream& out, const RunOptions& options,
   }
   out << "ms/slide:      " << result.MillisPerSlide() << "\n";
   out << "peak objects:  " << stats.objects.peak() << "\n";
-  out << "admission:     " << stats.adm_admitted << " admitted, "
-      << stats.adm_rejected_local << " rejected, " << stats.adm_missing_attr
-      << " missing-attr, " << stats.adm_generic_cmps << " generic cmps\n";
+  if (admission_counted) {
+    out << "admission:     " << stats.adm_admitted << " admitted, "
+        << stats.adm_rejected_local << " rejected, " << stats.adm_missing_attr
+        << " missing-attr, " << stats.adm_generic_cmps << " generic cmps\n";
+  }
   if (result.num_shards > 1 && !busy_seconds.empty()) {
     const double max_busy =
         *std::max_element(busy_seconds.begin(), busy_seconds.end());
@@ -691,19 +675,25 @@ struct RunSetup {
   }
 };
 
-/// Parses the flag preamble of `run` and `workload` — batch, checkpoint
-/// and supervision flags, then --limit when `limit` is set, the stop flag,
-/// and observability (labeled `label` in the metrics header) — before any
+/// Builds the run options of `run` and `workload` from their checked flags
+/// — probing the --restore-from snapshot, arming --fault-spec, and setting
+/// up observability (labeled `label` in the metrics header) — before any
 /// expensive work, so a typo'd invocation fails in microseconds.
-Status SetupRun(const FlagSet& flags, const std::string& label, size_t* limit,
+Status SetupRun(const FlagSet& flags, const std::string& label,
                 RunSetup* setup) {
-  ASEQ_ASSIGN_OR_RETURN(setup->options, BatchOptionsFromFlags(flags));
-  ASEQ_RETURN_NOT_OK(
-      CheckpointFlagsInto(flags, &setup->options, &setup->restore_from));
-  ASEQ_RETURN_NOT_OK(SupervisionFlagsInto(flags, &setup->options));
-  setup->faults_armed = !flags.GetString("fault-spec").empty();
-  if (limit != nullptr) {
-    ASEQ_ASSIGN_OR_RETURN(*limit, LimitFromFlags(flags));
+  setup->options = OptionsFromFlags(flags);
+  setup->restore_from = flags.GetString("restore-from");
+  if (flags.Has("restore-from") &&
+      !std::ifstream(setup->restore_from, std::ios::binary)) {
+    return Status::InvalidArgument(
+        "--restore-from: cannot open snapshot '" + setup->restore_from +
+        "' (does the file exist? snapshots are named "
+        "ckpt-<offset>.aseqckpt under --checkpoint-dir)");
+  }
+  if (const std::string spec = flags.GetString("fault-spec"); !spec.empty()) {
+    ASEQ_RETURN_NOT_OK(fault::Injector::Global().Arm(
+        spec, static_cast<uint64_t>(Int(flags, "fault-seed"))));
+    setup->faults_armed = true;
   }
   setup->options.stop_requested = &CliStopFlag();
   // Telemetry must be in the options BEFORE the policy is built:
@@ -715,8 +705,8 @@ Status SetupRun(const FlagSet& flags, const std::string& label, size_t* limit,
 }
 
 /// Runs `run` or `workload` once their flags are parsed. Builds the policy
-/// with `make_policy` before opening the source, so a bad engine or
-/// strategy flag fails before a trace is read or a stream generated; then
+/// with `make_policy` before opening the source, so a query the engine
+/// cannot run fails before a trace is read or a stream generated; then
 /// restores when --restore-from is set (skipping the source to the
 /// snapshot's offset), runs the source to its end, and reports what both
 /// commands share: the serial-fallback note, a source error, the "restored
@@ -791,25 +781,14 @@ std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
 }
 
 int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"query", "trace", "stock", "clicks", "engine", "slack", "seed", "gap",
-       "limit", "quiet", "emit-on-change", "batch-size", "shards",
-       "checkpoint-every", "checkpoint-dir", "restore-from", "supervise",
-       "watchdog-timeout-ms", "recovery-every", "max-restarts",
-       "overload-policy", "overload-watermark", "fault-spec", "fault-seed",
-       "pin-threads", "metrics-out", "metrics-every-ms", "trace-out",
-       "stats-json"});
-  if (!known.ok()) return Fail(err, known, 2);
   RunSetup setup;
-  size_t limit = 0;
-  Status setup_status =
-      SetupRun(flags, flags.GetString("engine", "aseq"), &limit, &setup);
+  Status setup_status = SetupRun(flags, Str(flags, "engine"), &setup);
   if (!setup_status.ok()) return Fail(err, setup_status);
   const RunOptions& options = setup.options;
   Schema schema;
   auto query = CompileQuery(flags, &schema);
   if (!query.ok()) return Fail(err, query.status());
-  ResultTail results(flags.GetBool("quiet") ? 0 : limit);
+  ResultTail results(IsSet(flags, "quiet") ? 0 : Int(flags, "limit"));
   setup.options.output_sink = &results;
   // All execution goes through a policy: serial for --shards 1 (the
   // default), partition-parallel otherwise.
@@ -835,12 +814,13 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
           << " events arrived beyond --slack and were dropped\n";
     }
   }
-  if (!flags.GetBool("quiet")) results.Print(out);
+  if (!IsSet(flags, "quiet")) results.Print(out);
   out << "engine:        " << policy->name() << "\n";
   out << "query:         " << query->ToString() << "\n";
   const size_t results_count = results.total();
   PrintStatsBlock(out, options, result, policy->stats(),
-                  policy->shard_busy_seconds(), &results_count);
+                  policy->shard_busy_seconds(), &results_count,
+                  /*admission_counted=*/true);
   MaybeWriteStatsJson(setup.obsv, "run", policy->name(), result,
                       policy->stats(), policy->shard_busy_seconds(),
                       setup.ingest, results_count, err);
@@ -848,8 +828,6 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown({"query"});
-  if (!known.ok()) return Fail(err, known, 2);
   Schema schema;
   auto query = CompileQuery(flags, &schema);
   if (!query.ok()) return Fail(err, query.status());
@@ -894,12 +872,9 @@ int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdGenerate(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown({"stock", "clicks", "out", "seed", "gap"});
-  if (!known.ok()) return Fail(err, known, 2);
   std::string path = flags.GetString("out");
   if (path.empty()) {
-    err << "InvalidArgument: --out FILE is required\n";
-    return 1;
+    return Fail(err, Status::InvalidArgument("--out FILE is required"));
   }
   Schema schema;
   auto events = LoadEvents(flags, &schema);
@@ -911,18 +886,14 @@ int CmdGenerate(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"query", "trace", "stock", "clicks", "seed", "gap", "batch-size"});
-  if (!known.ok()) return Fail(err, known, 2);
   Schema schema;
   auto query = CompileQuery(flags, &schema);
   if (!query.ok()) return Fail(err, query.status());
-  auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) return Fail(err, options.status());
+  const RunOptions options = OptionsFromFlags(flags);
   auto events = LoadEvents(flags, &schema);
   if (!events.ok()) return Fail(err, events.status());
   StackEngine stack(*query);
-  RunResult stack_run = exec::RunSerial(*options, *events, &stack);
+  RunResult stack_run = exec::RunSerial(options, *events, &stack);
 
   auto aseq = CreateAseqEngine(*query);
   if (!aseq.ok()) {
@@ -932,7 +903,7 @@ int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
         << stack.stats().objects.peak() << " objects\n";
     return 0;
   }
-  RunResult aseq_run = exec::RunSerial(*options, *events, aseq->get());
+  RunResult aseq_run = exec::RunSerial(options, *events, aseq->get());
 
   size_t mismatches = 0;
   if (aseq_run.outputs.size() != stack_run.outputs.size()) {
@@ -979,29 +950,20 @@ int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"queries", "trace", "stock", "clicks", "strategy", "seed", "gap",
-       "batch-size", "shards", "checkpoint-every", "checkpoint-dir",
-       "restore-from", "supervise", "watchdog-timeout-ms", "recovery-every",
-       "max-restarts", "overload-policy", "overload-watermark", "fault-spec",
-       "fault-seed", "pin-threads", "metrics-out", "metrics-every-ms",
-       "trace-out", "stats-json"});
-  if (!known.ok()) return Fail(err, known, 2);
-  const std::string strategy = flags.GetString("strategy", "nonshare");
+  const std::string strategy = Str(flags, "strategy");
   RunSetup setup;
-  Status setup_status = SetupRun(flags, strategy, nullptr, &setup);
+  Status setup_status = SetupRun(flags, strategy, &setup);
   if (!setup_status.ok()) return Fail(err, setup_status);
   const RunOptions& options = setup.options;
   std::string path = flags.GetString("queries");
   if (path.empty()) {
-    err << "InvalidArgument: --queries FILE is required (one query per "
-           "line; # comments)\n";
-    return 1;
+    return Fail(err, Status::InvalidArgument(
+                         "--queries FILE is required (one query per line; "
+                         "# comments)"));
   }
   std::ifstream in(path);
   if (!in) {
-    err << "IoError: cannot open queries file: " << path << "\n";
-    return 1;
+    return Fail(err, Status::IoError("cannot open queries file: " + path));
   }
   Schema schema;
   Analyzer analyzer(&schema);
@@ -1020,14 +982,16 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     queries.push_back(std::move(cq).value());
   }
   if (queries.empty()) {
-    err << "InvalidArgument: no queries in " << path << "\n";
-    return 1;
+    return Fail(err, Status::InvalidArgument("no queries in " + path));
   }
   auto made = MakeStrategyFactory(strategy, queries);
   if (!made.ok()) return Fail(err, made.status());
   // The factory builds one engine per shard (once, serially); the cc plan
   // and the hybrid routing print on the first construction only.
   bool first = true;
+  // PreTree and Chop-Connect run no compiled admission, so only per-query
+  // engines keep the adm_* counters.
+  bool admission_counted = strategy == "nonshare" || strategy == "sase";
   exec::MultiEngineFactory factory = [&, make = std::move(made).value()] {
     const bool print = std::exchange(first, false);
     if (print && strategy == "cc") {
@@ -1035,9 +999,10 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     }
     auto e = make();
     if (print && strategy == "hybrid" && e.ok()) {
-      const auto& routing = static_cast<HybridMultiEngine&>(**e).routing();
+      const auto& hybrid = static_cast<HybridMultiEngine&>(**e);
+      admission_counted = !hybrid.shares();
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        out << "  Q" << (qi + 1) << " -> " << routing[qi] << "\n";
+        out << "  Q" << (qi + 1) << " -> " << hybrid.routing()[qi] << "\n";
       }
     }
     return e;
@@ -1059,7 +1024,7 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   out << "strategy:      " << policy->name() << "\n";
   out << "queries:       " << queries.size() << "\n";
   PrintStatsBlock(out, options, result, policy->stats(),
-                  policy->shard_busy_seconds(), nullptr);
+                  policy->shard_busy_seconds(), nullptr, admission_counted);
   MaybeWriteStatsJson(setup.obsv, "workload", policy->name(), result,
                       policy->stats(), policy->shard_busy_seconds(),
                       setup.ingest, tally.total(), err);
@@ -1071,17 +1036,49 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+using CommandFn = int (*)(const FlagSet&, std::ostream&, std::ostream&);
+
+/// The commands that take flags, by name.
+constexpr std::pair<const char*, CommandFn> kCommands[] = {
+    {"run", CmdRun},         {"explain", CmdExplain}, {"generate", CmdGenerate},
+    {"compare", CmdCompare}, {"workload", CmdWorkload}};
+
+/// The usage text, derived from the command and flag tables: each flag
+/// with its commands, range, default and required flag, then its help.
+std::string Usage() {
+  std::string text = "usage: aseq <command> [flags]   (commands:";
+  for (const auto& [name, run] : kCommands) text += " " + std::string(name);
+  text += " version)\n";
+  for (const FlagSpec& f : kFlags) {
+    text += "  --" + std::string(f.name) + (*f.arg ? " " : "") + f.arg +
+            "  (" + f.commands + ";";
+    if (f.kind == kInt) text += " " + RangeText(f) + ";";
+    if (f.kind != kBool && *f.def != '\0') {
+      text += " default " + std::string(f.def) + ";";
+    }
+    if (f.needs != nullptr) text += " needs --" + std::string(f.needs) + ";";
+    text.back() = ')';
+    text += "\n      " + std::string(f.help) + "\n";
+  }
+  return text +
+         "\"needs --X\": --X must be given a value other than its default.\n"
+         "run, compare and workload read exactly one source: --trace, "
+         "--stock or --clicks.\nSIGINT/SIGTERM drain in-flight batches, "
+         "write a final checkpoint when checkpointing,\nand exit 0. "
+         "Telemetry flags never change outputs.\n";
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
   auto flags = FlagSet::Parse(args);
   if (!flags.ok()) {
-    err << flags.status().ToString() << "\n" << kUsage;
+    err << flags.status().ToString() << "\n" << Usage();
     return 2;
   }
   if (flags->positional().size() != 1) {
-    err << kUsage;
+    err << Usage();
     return 2;
   }
   const std::string& cmd = flags->positional()[0];
@@ -1090,12 +1087,12 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
         << kPaperCitation << "\n";
     return 0;
   }
-  if (cmd == "run") return CmdRun(*flags, out, err);
-  if (cmd == "explain") return CmdExplain(*flags, out, err);
-  if (cmd == "generate") return CmdGenerate(*flags, out, err);
-  if (cmd == "compare") return CmdCompare(*flags, out, err);
-  if (cmd == "workload") return CmdWorkload(*flags, out, err);
-  err << "unknown command '" << cmd << "'\n" << kUsage;
+  for (const auto& [name, run] : kCommands) {
+    if (cmd != name) continue;
+    const int bad = CheckFlags(*flags, cmd, err);
+    return bad != 0 ? bad : run(*flags, out, err);
+  }
+  err << "unknown command '" << cmd << "'\n" << Usage();
   return 2;
 }
 

@@ -18,34 +18,11 @@ std::atomic<bool>& CliStopFlag();
 /// \brief Entry point of the `aseq` command-line tool (testable: all I/O
 /// goes through the provided streams).
 ///
-/// Commands:
-///
-///   aseq run --query "PATTERN SEQ(A,B) ... " [source flags] [run flags]
-///       Runs a query and prints each aggregation result.
-///       Source (one of):
-///         --trace FILE        CSV trace (see src/stream/trace_io.h)
-///         --stock N           synthetic stock stream of N events
-///         --clicks N          synthetic clickstream of N events
-///       Run flags:
-///         --engine aseq|stack (default aseq)
-///         --slack MS          tolerate out-of-order input via K-slack
-///         --seed S            generator seed (default 42)
-///         --gap MS            max inter-arrival gap for generators
-///         --limit N           print at most the last N results (default 20)
-///         --quiet             suppress per-result lines
-///         --emit-on-change    report whenever the value changes (including
-///                             drops caused purely by window expiration)
-///
-///   aseq explain --query "..."
-///       Prints the compiled query: roles, predicate classification,
-///       partitioning, and which engine would execute it.
-///
-///   aseq generate (--stock N | --clicks N) --out FILE [--seed S] [--gap MS]
-///       Writes a synthetic trace in the CSV trace format.
-///
-///   aseq compare --query "..." [source flags]
-///       Runs A-Seq and the stack baseline side by side, verifies they
-///       agree, and reports ms/slide and peak objects for both.
+/// Commands: run, explain, generate, compare, workload and version. The
+/// flags, which commands take them, their ranges and defaults live in one
+/// table in cli.cc; `aseq` with no command prints the usage derived from
+/// it. Exit codes: 0 on success, 2 for a usage error or a flag the
+/// command does not take, 1 for a bad flag value or a failed run.
 ///
 /// Returns the process exit code.
 int RunCli(const std::vector<std::string>& args, std::ostream& out,

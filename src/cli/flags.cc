@@ -65,26 +65,4 @@ Result<int64_t> FlagSet::GetInt(const std::string& name, int64_t def) const {
   return v;
 }
 
-bool FlagSet::GetBool(const std::string& name) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return false;
-  return it->second == "true" || it->second == "1" || it->second.empty();
-}
-
-Status FlagSet::CheckKnown(const std::vector<std::string>& known) const {
-  for (const auto& [name, value] : flags_) {
-    bool found = false;
-    for (const std::string& k : known) {
-      if (k == name) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument("unknown flag --" + name);
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace aseq

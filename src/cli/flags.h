@@ -14,7 +14,8 @@ namespace aseq {
 ///
 /// Understands `--name value`, `--name=value`, and bare `--name` (boolean);
 /// everything before the first `--flag` is collected as positional
-/// arguments (the command words).
+/// arguments (the command words). It knows no flag names: the aseq CLI
+/// checks names, values and defaults against its flag table (cli.cc).
 class FlagSet {
  public:
   /// Parses argv (excluding argv[0]).
@@ -28,14 +29,12 @@ class FlagSet {
   std::string GetString(const std::string& name,
                         const std::string& def = "") const;
 
-  /// Integer flag with default; parse errors surface via CheckInt.
+  /// Integer flag with default; a value that is not a 64-bit integer is
+  /// InvalidArgument.
   Result<int64_t> GetInt(const std::string& name, int64_t def) const;
 
-  /// Boolean flag: present (with no value or "true"/"1") means true.
-  bool GetBool(const std::string& name) const;
-
-  /// Returns an error listing any flag not in `known` (typo protection).
-  Status CheckKnown(const std::vector<std::string>& known) const;
+  /// Every flag given, name -> value (a bare flag's value is "true").
+  const std::map<std::string, std::string>& given() const { return flags_; }
 
  private:
   std::vector<std::string> positional_;

@@ -69,6 +69,10 @@ class HybridMultiEngine : public MultiQueryEngine,
   /// Human-readable routing decisions ("Q1 -> PreTree", ...), one per
   /// workload query, in workload order.
   const std::vector<std::string>& routing() const { return routing_; }
+  /// True when some queries run in a shared PreTree or Chop-Connect part.
+  /// Those parts run no compiled admission, so stats()'s adm_* counters
+  /// then cover only the per-query parts.
+  bool shares() const { return !multi_parts_.empty(); }
 
   /// MultiShardableEngine: shards iff every routed part does.
   bool shardable() const override;

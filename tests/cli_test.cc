@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,7 +50,7 @@ TEST(FlagSetTest, ParsesPositionalAndFlags) {
   ASSERT_EQ(fs->positional().size(), 1u);
   EXPECT_EQ(fs->positional()[0], "run");
   EXPECT_EQ(fs->GetString("query"), "PATTERN SEQ(A)");
-  EXPECT_TRUE(fs->GetBool("quiet"));
+  EXPECT_EQ(fs->GetString("quiet"), "true");
   EXPECT_EQ(*fs->GetInt("seed", 0), 7);
   EXPECT_EQ(*fs->GetInt("missing", 42), 42);
 }
@@ -85,12 +86,13 @@ TEST(FlagSetTest, PositionalAfterFlagsRejected) {
   EXPECT_EQ(fs->GetString("quiet"), "oops");
 }
 
-TEST(FlagSetTest, CheckKnownFlagsTyposCaught) {
-  auto fs = FlagSet::Parse({"run", "--sede", "7"});
+TEST(FlagSetTest, GivenListsEveryFlag) {
+  // The CLI's unknown-flag check walks given(), so a typo must show up.
+  auto fs = FlagSet::Parse({"run", "--sede", "7", "--quiet"});
   ASSERT_TRUE(fs.ok());
-  Status st = fs->CheckKnown({"seed"});
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("sede"), std::string::npos);
+  const std::map<std::string, std::string> expected = {{"quiet", "true"},
+                                                       {"sede", "7"}};
+  EXPECT_EQ(fs->given(), expected);
 }
 
 // --------------------------------------------------------------------------
@@ -101,6 +103,66 @@ TEST(CliTest, NoCommandPrintsUsage) {
   CliResult r = RunTool({});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
+}
+
+// Golden lists: the flags each command accepts. A flag table edit that
+// adds a flag to a command or drops one must update them deliberately.
+const std::map<std::string, std::vector<std::string>>& AcceptedFlags() {
+  static const auto* accepted =
+      new std::map<std::string, std::vector<std::string>>{
+          {"run",
+           {"query", "trace", "stock", "clicks", "engine", "slack", "seed",
+            "gap", "limit", "quiet", "emit-on-change", "batch-size", "shards",
+            "checkpoint-every", "checkpoint-dir", "restore-from", "supervise",
+            "watchdog-timeout-ms", "recovery-every", "max-restarts",
+            "overload-policy", "overload-watermark", "fault-spec",
+            "fault-seed", "pin-threads", "metrics-out", "metrics-every-ms",
+            "trace-out", "stats-json"}},
+          {"explain", {"query"}},
+          {"generate", {"stock", "clicks", "out", "seed", "gap"}},
+          {"compare",
+           {"query", "trace", "stock", "clicks", "seed", "gap", "batch-size"}},
+          {"workload",
+           {"queries", "trace", "stock", "clicks", "strategy", "seed", "gap",
+            "batch-size", "shards", "checkpoint-every", "checkpoint-dir",
+            "restore-from", "supervise", "watchdog-timeout-ms",
+            "recovery-every", "max-restarts", "overload-policy",
+            "overload-watermark", "fault-spec", "fault-seed", "pin-threads",
+            "metrics-out", "metrics-every-ms", "trace-out", "stats-json"}},
+      };
+  return *accepted;
+}
+
+TEST(CliTest, EachCommandAcceptsItsFlagSet) {
+  std::set<std::string> all;
+  for (const auto& [command, flags] : AcceptedFlags()) {
+    all.insert(flags.begin(), flags.end());
+  }
+  ASSERT_EQ(all.size(), 32u);
+  for (const auto& [command, flags] : AcceptedFlags()) {
+    const std::set<std::string> accepted(flags.begin(), flags.end());
+    for (const std::string& flag : all) {
+      // --zzz is unknown to every command. Unknown flags are reported in
+      // name order, so the probed flag is named only when it is unknown
+      // too; either way nothing runs.
+      CliResult r = RunTool({command, "--" + flag, "1", "--zzz"});
+      EXPECT_EQ(r.code, 2) << command << " --" << flag << ": " << r.err;
+      const std::string named =
+          accepted.count(flag) != 0 ? "--zzz" : "--" + flag;
+      EXPECT_EQ(r.err, "InvalidArgument: unknown flag " + named + "\n")
+          << command << " --" << flag;
+      EXPECT_TRUE(r.out.empty()) << command << " --" << flag;
+    }
+  }
+  // The usage text has one "  --name ..." line per flag.
+  std::set<std::string> documented;
+  std::istringstream usage(RunTool({}).err);
+  for (std::string line; std::getline(usage, line);) {
+    if (line.rfind("  --", 0) == 0) {
+      documented.insert(line.substr(4, line.find(' ', 4) - 4));
+    }
+  }
+  EXPECT_EQ(documented, all);
 }
 
 TEST(CliTest, VersionCommand) {
@@ -363,6 +425,18 @@ TEST(CliTest, StatsBlockGoldenOrderWorkload) {
       "strategy", "queries", "events", "batch size", "shards", "ms/slide",
       "peak objects", "admission", "utilization", "dataplane"};
   EXPECT_EQ(StatsLabels(r.out), expected) << r.out;
+  // PreTree and Chop-Connect keep no admission counters, so they print no
+  // admission line (the cc plan line comes first).
+  for (const char* strategy : {"pretree", "cc"}) {
+    CliResult shared = RunTool({"workload", "--queries", path, "--stock",
+                                "2000", "--strategy", strategy});
+    ASSERT_EQ(shared.code, 0) << strategy << ": " << shared.err;
+    std::vector<std::string> labels = {"strategy", "queries", "events",
+                                       "batch size", "ms/slide",
+                                       "peak objects"};
+    if (std::string(strategy) == "cc") labels.insert(labels.begin(), "plan");
+    EXPECT_EQ(StatsLabels(shared.out), labels) << shared.out;
+  }
 }
 
 TEST(CliTest, MetricsAndTraceFlagsProduceFiles) {
@@ -454,6 +528,34 @@ TEST(CliTest, EngineFlagsAreRejectedBeforeTheSourceOpens) {
        "--strategy"},
       {{"compare", "--query", q, "--trace", missing, "--batch-size", "0"},
        "--batch-size"},
+      // Out of range, and sizes that would abort in an allocation.
+      {{"run", "--query", q, "--trace", missing, "--shards", "65"},
+       "--shards"},
+      {{"run", "--query", q, "--trace", missing, "--batch-size",
+        "1000000000000"},
+       "--batch-size"},
+      {{"workload", "--queries", queries, "--trace", missing,
+        "--batch-size", "2000000"},
+       "--batch-size"},
+      {{"generate", "--stock", "1000000000000", "--out", missing}, "--stock"},
+      {{"compare", "--query", q, "--clicks", "1000000000000"}, "--clicks"},
+      // Gaps this large would overflow the generated timestamps.
+      {{"generate", "--stock", "5", "--gap", "9223372036854775807", "--out",
+        missing},
+       "--gap"},
+      {{"run", "--query", q, "--trace", missing, "--overload-watermark", "0"},
+       "--overload-watermark"},
+      // A bool takes true/false/1/0 or no value; anything else is an error.
+      {{"run", "--query", q, "--trace", missing, "--quiet", "maybe"},
+       "--quiet"},
+      {{"run", "--query", q, "--trace", missing, "--supervise=yes"},
+       "--supervise"},
+      // A set flag needs the flag it requires.
+      {{"run", "--query", q, "--trace", missing, "--supervise"},
+       "--shards"},
+      {{"workload", "--queries", queries, "--trace", missing,
+        "--checkpoint-dir", "ckpts"},
+       "--checkpoint-every"},
   };
   for (const Case& c : cases) {
     CliResult r = RunTool(c.args);
