@@ -9,13 +9,14 @@
 //   ./build/bench/paper_report                    # scaled-down streams
 //   ASEQ_BENCH_FULL=1 ./build/bench/paper_report  # the paper's 120k events
 //
-// Every point is one pass of the batched pipeline (default batch size
-// unless a table sweeps it), except Fig. 12's A-Seq column: the median of
-// five passes after a warm-up pass. ms/sl is the average execution time per
-// window slide (the window slides on every arrival); objs is the peak
-// live-object count, the paper's memory metric.
+// Every point runs the batched pipeline (default batch size unless a table
+// sweeps it). An ungated point is one pass; both sides of every gated
+// comparison are the fastest of interleaved passes (FastestOf). ms/sl is
+// the average execution time per window slide (the window slides on every
+// arrival); objs is the peak live-object count, the paper's memory metric.
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +66,55 @@ Measured Measure(EngineT* engine, const std::vector<Event>& events,
   return {r.MillisPerSlide(), engine->stats().objects.peak()};
 }
 
+/// One side of a gated comparison: `run` builds a fresh engine and times
+/// one pass over its stream.
+struct Side {
+  std::function<Measured()> run;
+  int passes;
+};
+
+/// Passes per gated side; a stack-based side that takes ~1 s a pass gets
+/// kSlowPasses, which keeps the whole report within ~1.5x of one pass each.
+constexpr int kGatePasses = 5;
+constexpr int kSlowPasses = 2;
+
+template <class MakeEngine>
+Side SideOf(MakeEngine make, const std::vector<Event>& events,
+            int passes = kGatePasses) {
+  return {[make, &events] {
+            auto engine = make();
+            return Measure(engine.get(), events);
+          },
+          passes};
+}
+
+/// Fresh-engine factories for SideOf; `cq` must outlive the side.
+auto StackOf(const CompiledQuery& cq) {
+  return [&cq] { return std::make_unique<StackEngine>(cq); };
+}
+auto AseqOf(const CompiledQuery& cq) {
+  return [&cq] { return std::move(CreateAseqEngine(cq)).value(); };
+}
+
+/// Times `sides` as interleaved passes — round r runs, in order, every side
+/// that wants more than r passes — and returns each side's fastest pass.
+/// Host contention only adds time, so a load spike slows the passes it
+/// hits instead of tilting one side of a check, and the minimum of each
+/// side is the estimate it disturbs least.
+std::vector<Measured> FastestOf(const std::vector<Side>& sides) {
+  std::vector<Measured> best(sides.size());
+  int rounds = 0;
+  for (const Side& side : sides) rounds = std::max(rounds, side.passes);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t i = 0; i < sides.size(); ++i) {
+      if (r >= sides[i].passes) continue;
+      const Measured m = sides[i].run();
+      if (r == 0 || m.ms_per_slide < best[i].ms_per_slide) best[i] = m;
+    }
+  }
+  return best;
+}
+
 CompiledQuery Compile(const BenchStream& stream, const Query& query) {
   Schema schema = stream.schema;  // copy: analysis must not mutate shared
   Analyzer analyzer(&schema);
@@ -84,25 +134,26 @@ void Fig12(Report* report) {
   std::printf("  %-4s %14s %14s %10s %12s %12s\n", "l", "stack ms/sl",
               "aseq ms/sl", "speedup", "stack objs", "aseq objs");
   auto stream = MakeStockStream(ScaledEvents(3000), 8);
+  std::vector<CompiledQuery> queries;
+  std::vector<Side> sides;
+  for (size_t l = 2; l <= 5; ++l) {
+    queries.push_back(Compile(*stream, MakeTickerQuery(l, 1000)));
+  }
+  for (const CompiledQuery& cq : queries) {
+    sides.push_back(SideOf(StackOf(cq), stream->events, kSlowPasses));
+    sides.push_back(SideOf(AseqOf(cq), stream->events));
+  }
+  const std::vector<Measured> m = FastestOf(sides);
   std::vector<double> stack_ms, aseq_ms;
   std::vector<int64_t> stack_obj, aseq_obj;
-  for (size_t l = 2; l <= 5; ++l) {
-    CompiledQuery cq = Compile(*stream, MakeTickerQuery(l, 1000));
-    StackEngine stack(cq);
-    Measured s = Measure(&stack, stream->events);
-    // An A-Seq pass here takes well under a millisecond, so a single pass
-    // times the scheduler as much as the engine: warm up once, then take
-    // the median of five fresh-engine passes.
-    const StableRun stable = RunStable(
-        stream->events,
-        [&] { return std::move(CreateAseqEngine(cq)).value(); },
-        kDefaultBatchSize, /*warmup=*/1, /*reps=*/5);
-    const Measured a{stable.MedianMsPerSlide(), stable.peak_objects};
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Measured& s = m[2 * i];
+    const Measured& a = m[2 * i + 1];
     stack_ms.push_back(s.ms_per_slide);
     aseq_ms.push_back(a.ms_per_slide);
     stack_obj.push_back(s.peak_objects);
     aseq_obj.push_back(a.peak_objects);
-    std::printf("  %-4zu %14.6f %14.6f %9.0fx %12lld %12lld\n", l,
+    std::printf("  %-4zu %14.6f %14.6f %9.0fx %12lld %12lld\n", i + 2,
                 s.ms_per_slide, a.ms_per_slide,
                 s.ms_per_slide / a.ms_per_slide,
                 static_cast<long long>(s.peak_objects),
@@ -125,23 +176,32 @@ void Fig13(Report* report) {
   std::printf("  %-6s %14s %14s %12s %12s\n", "win", "stack ms/sl",
               "aseq ms/sl", "stack objs", "aseq objs");
   auto stream = MakeStockStream(ScaledEvents(3000), 8);
+  std::vector<CompiledQuery> queries;
+  std::vector<Side> sides;
+  for (Timestamp win = 100; win <= 1000; win += 100) {
+    queries.push_back(Compile(*stream, MakeTickerQuery(3, win)));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    // The checks compare the sweep's ends, win=100ms and win=1000ms.
+    const int passes = i == 0 || i + 1 == queries.size() ? kGatePasses : 1;
+    sides.push_back(SideOf(StackOf(queries[i]), stream->events, passes));
+    sides.push_back(SideOf(AseqOf(queries[i]), stream->events, passes));
+  }
+  const std::vector<Measured> m = FastestOf(sides);
   std::vector<double> stack_ms, aseq_ms;
   std::vector<int64_t> aseq_obj;
-  for (Timestamp win = 100; win <= 1000; win += 100) {
-    CompiledQuery cq = Compile(*stream, MakeTickerQuery(3, win));
-    StackEngine stack(cq);
-    Measured s = Measure(&stack, stream->events);
-    auto engine = CreateAseqEngine(cq);
-    Measured a = Measure(engine->get(), stream->events);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Measured& s = m[2 * i];
+    const Measured& a = m[2 * i + 1];
     stack_ms.push_back(s.ms_per_slide);
     aseq_ms.push_back(a.ms_per_slide);
     aseq_obj.push_back(a.peak_objects);
     std::printf("  %-6lld %14.6f %14.6f %12lld %12lld\n",
-                static_cast<long long>(win), s.ms_per_slide, a.ms_per_slide,
+                static_cast<long long>(queries[i].window_ms()),
+                s.ms_per_slide, a.ms_per_slide,
                 static_cast<long long>(s.peak_objects),
                 static_cast<long long>(a.peak_objects));
   }
-  // The checks compare the sweep's ends, win=100ms and win=1000ms.
   report->Check(stack_ms.back() > 8 * stack_ms.front(),
                 "baseline degrades steeply with window (>8x, 100->1000ms)");
   report->Check(aseq_ms.back() < 8 * aseq_ms.front(),
@@ -156,14 +216,21 @@ void Fig14a(Report* report) {
   std::printf("\nFig. 14(a) — A-Seq scalability (l=6..10, win=2000ms)\n");
   std::printf("  %-4s %14s %12s\n", "l", "aseq ms/sl", "objs");
   auto stream = MakeStockStream(ScaledEvents(30000), 6);
-  std::vector<double> ms;
+  std::vector<CompiledQuery> queries;
+  std::vector<Side> sides;
   for (size_t l = 6; l <= 10; ++l) {
-    CompiledQuery cq = Compile(*stream, MakeTickerQuery(l, 2000));
-    auto engine = CreateAseqEngine(cq);
-    Measured a = Measure(engine->get(), stream->events);
-    ms.push_back(a.ms_per_slide);
-    std::printf("  %-4zu %14.6f %12lld\n", l, a.ms_per_slide,
-                static_cast<long long>(a.peak_objects));
+    queries.push_back(Compile(*stream, MakeTickerQuery(l, 2000)));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const int passes = i == 0 || i + 1 == queries.size() ? kGatePasses : 1;
+    sides.push_back(SideOf(AseqOf(queries[i]), stream->events, passes));
+  }
+  const std::vector<Measured> m = FastestOf(sides);
+  std::vector<double> ms;
+  for (size_t i = 0; i < m.size(); ++i) {
+    ms.push_back(m[i].ms_per_slide);
+    std::printf("  %-4zu %14.6f %12lld\n", i + 6, m[i].ms_per_slide,
+                static_cast<long long>(m[i].peak_objects));
   }
   report->Check(ms.back() < 3 * ms.front(),
                 "no significant degradation up to l=10 (<3x over l=6)");
@@ -181,13 +248,12 @@ void Fig14b(Report* report) {
   CompiledQuery c1 = Compile(*stream, q1);
   CompiledQuery c2 = Compile(*stream, q2);
 
-  auto a1 = CreateAseqEngine(c1);
-  auto a2 = CreateAseqEngine(c2);
-  StackEngine s1(c1), s2(c2);
-  double am1 = Measure(a1->get(), stream->events).ms_per_slide;
-  double am2 = Measure(a2->get(), stream->events).ms_per_slide;
-  double sm1 = Measure(&s1, stream->events).ms_per_slide;
-  double sm2 = Measure(&s2, stream->events).ms_per_slide;
+  const std::vector<Measured> m = FastestOf(
+      {SideOf(AseqOf(c1), stream->events), SideOf(AseqOf(c2), stream->events),
+       SideOf(StackOf(c1), stream->events),
+       SideOf(StackOf(c2), stream->events)});
+  const double am1 = m[0].ms_per_slide, am2 = m[1].ms_per_slide;
+  const double sm1 = m[2].ms_per_slide, sm2 = m[3].ms_per_slide;
   std::printf("  %-12s %14s %14s\n", "engine", "q1 (pos)", "q2 (!QQQ)");
   std::printf("  %-12s %14.6f %14.6f\n", "A-Seq", am1, am2);
   std::printf("  %-12s %14.6f %14.6f\n", "StackBased", sm1, sm2);
@@ -206,14 +272,19 @@ void Fig15(Report* report) {
   for (const std::string& name : workload.shared_types) {
     shared.push_back(*mb->schema.FindEventType(name));
   }
-  auto sase = NonSharedEngine::CreateStackBased(mb->queries);
-  auto ecube = EcubeEngine::Create(mb->queries, shared);
-  auto aseq = NonSharedEngine::CreateAseq(mb->queries);
-  auto cc = ChopConnectEngine::Create(mb->queries, PlanChopConnect(mb->queries));
-  double sase_ms = Measure(sase.get(), mb->events).ms_per_slide;
-  double ecube_ms = Measure(ecube->get(), mb->events).ms_per_slide;
-  double aseq_ms = Measure(aseq->get(), mb->events).ms_per_slide;
-  double cc_ms = Measure(cc->get(), mb->events).ms_per_slide;
+  const std::vector<CompiledQuery>& queries = mb->queries;
+  const ChopPlan plan = PlanChopConnect(queries);
+  const std::vector<Measured> m = FastestOf(
+      {SideOf([&] { return NonSharedEngine::CreateStackBased(queries); },
+              mb->events, kSlowPasses),
+       SideOf([&] { return EcubeEngine::Create(queries, shared).value(); },
+              mb->events, kSlowPasses),
+       SideOf([&] { return NonSharedEngine::CreateAseq(queries).value(); },
+              mb->events),
+       SideOf([&] { return ChopConnectEngine::Create(queries, plan).value(); },
+              mb->events)});
+  const double sase_ms = m[0].ms_per_slide, ecube_ms = m[1].ms_per_slide;
+  const double aseq_ms = m[2].ms_per_slide, cc_ms = m[3].ms_per_slide;
   std::printf("  %-12s %14s\n", "engine", "ms/sl");
   std::printf("  %-12s %14.6f\n", "SASE", sase_ms);
   std::printf("  %-12s %14.6f\n", "ECube", ecube_ms);
@@ -234,31 +305,37 @@ void GainHeader(const char* title, const char* strategy) {
 }
 
 /// Measures `workload` on an 8000-event stream, prints the row and returns
-/// the gain (nonshare time / `strategy` time).
+/// the gain (nonshare time / `strategy` time). A gated row passes
+/// kGatePasses.
 double GainRow(const std::string& label, const SharedWorkload& workload,
-               const char* strategy) {
+               const char* strategy, int passes = 1) {
   auto mb = MakeMultiBench(workload, ScaledEvents(8000), 4);
-  auto ns = MakeStrategyFactory("nonshare", mb->queries).value()();
-  auto shared = MakeStrategyFactory(strategy, mb->queries).value()();
-  const double ns_ms = Measure(ns->get(), mb->events).ms_per_slide;
-  const double shared_ms = Measure(shared->get(), mb->events).ms_per_slide;
+  auto side = [&](const char* name) {
+    MultiEngineFactory factory =
+        MakeStrategyFactory(name, mb->queries).value();
+    return SideOf([factory] { return factory().value(); }, mb->events,
+                  passes);
+  };
+  const std::vector<Measured> m = FastestOf({side("nonshare"), side(strategy)});
+  const double ns_ms = m[0].ms_per_slide;
+  const double shared_ms = m[1].ms_per_slide;
   const double gain = ns_ms / shared_ms;
   std::printf("  %-22s %12.6f %12.6f %7.2fx\n", label.c_str(), ns_ms,
               shared_ms, gain);
   return gain;
 }
 
-// The gated pairs are measured back to back, so a shift in host load
-// between two rows cannot flip a check; the sweeps follow ungated.
+// The gated rows come first, each the fastest of kGatePasses interleaved
+// passes per side; the sweeps follow ungated, one pass a point.
 
 void Fig16Prefix(Report* report) {
   GainHeader("Fig. 16(a)/(b) — prefix sharing", "pretree");
-  const double gain_small = GainRow("3 queries, prefix 2",
-                                    MakePrefixSharedWorkload(3, 2, 4, 2000),
-                                    "pretree");
-  const double gain_large = GainRow("6 queries, prefix 5",
-                                    MakePrefixSharedWorkload(6, 5, 7, 2000),
-                                    "pretree");
+  const double gain_small =
+      GainRow("3 queries, prefix 2", MakePrefixSharedWorkload(3, 2, 4, 2000),
+              "pretree", kGatePasses);
+  const double gain_large =
+      GainRow("6 queries, prefix 5", MakePrefixSharedWorkload(6, 5, 7, 2000),
+              "pretree", kGatePasses);
   report->Check(gain_small > 1.3, "prefix sharing wins on the small workload");
   report->Check(gain_large > gain_small,
                 "gain grows with more sharing (queries x prefix length)");
@@ -281,10 +358,10 @@ void Fig16CC(Report* report) {
   GainHeader("Fig. 16(c)/(d) — Chop-Connect sharing", "cc");
   const double gain_short = GainRow(
       "3 queries, shared 2", MakeSubstringSharedWorkload(3, 2, 2, 0, 2000),
-      "cc");
+      "cc", kGatePasses);
   const double gain_long = GainRow(
       "3 queries, shared 6", MakeSubstringSharedWorkload(3, 2, 6, 0, 2000),
-      "cc");
+      "cc", kGatePasses);
   report->Check(gain_long > gain_short,
                 "CC gain grows with the shared-substring length");
   report->Check(gain_long > 1.1, "CC wins for long shared substrings");
@@ -309,9 +386,10 @@ void Fig16CC(Report* report) {
   // differ ~6x, far more than host load moves one row.
   double gain_k2 = 0, gain_k20 = 0;
   for (size_t k : {2, 6, 20}) {
-    const double gain =
-        GainRow(std::to_string(k) + " queries, 3 segs",
-                MakeSubstringSharedWorkload(k, 2, 3, 2, 2000), "cc");
+    const double gain = GainRow(
+        std::to_string(k) + " queries, 3 segs",
+        MakeSubstringSharedWorkload(k, 2, 3, 2, 2000), "cc",
+        k == 6 ? 1 : kGatePasses);
     if (k == 2) gain_k2 = gain;
     if (k == 20) gain_k20 = gain;
   }

@@ -30,7 +30,9 @@ namespace ckpt {
 ///   1  node-based partition map (bucket-count + insertion-order payload)
 ///   2  flat partition store: interner table + slab geometry + verbatim
 ///      expiry heap; sharded containers additionally carry router state
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+///   3  Chop-Connect snapshot tables as dense cell runs (first tag, cell
+///      count, cells) and position-major segment counts
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.

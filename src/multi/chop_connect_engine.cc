@@ -1,7 +1,6 @@
 #include "multi/chop_connect_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 
 #include "ckpt/ckpt.h"
@@ -131,7 +130,6 @@ void ChopConnectEngine::Build() {
   for (size_t s = 0; s < plan_.segments.size(); ++s) {
     segments_[s].types = plan_.segments[s];
   }
-  dyn_.resize(segments_.size());
   final_hook_.assign(queries_.size(), -1);
   auto trigger_row = [this](EventTypeId t) -> std::vector<size_t>& {
     if (t >= trigger_index_.size()) trigger_index_.resize(t + 1);
@@ -154,6 +152,7 @@ void ChopConnectEngine::Build() {
       hook.upstream_seg = segs[j - 1];
       hook.upstream_hook = upstream_hook;
       hook.first_seg = segs[0];
+      hook.suffix = j + 1 == segs.size();
       upstream_hook = static_cast<int>(seg.hooks.size());
       seg.hooks.push_back(hook);
     }
@@ -168,25 +167,26 @@ void ChopConnectEngine::Build() {
       update_row(types[pos - 1]).emplace_back(s, pos - 1);
     }
   }
+  dyn_ = std::vector<SegState>(segments_.begin(), segments_.end());
 }
 
-void ChopConnectEngine::PurgeSegment(SegState* st, size_t seg,
-                                     Timestamp now) {
-  const size_t n_types = segments_[seg].types.size();
-  const size_t n_hooks = segments_[seg].hooks.size();
+void ChopConnectEngine::PurgeSegment(SegState* st, Timestamp now) {
   size_t n = 0;
-  uint64_t rows = 0;
-  for (; n < st->entries.size() && st->entries[n].exp <= now; ++n) {
-    for (size_t h = 0; h < n_hooks; ++h) {
-      rows += st->tables[n * n_hooks + h].size;
-    }
-  }
+  while (n < st->size() && st->exps[n] <= now) ++n;
   if (n == 0) return;
-  stats_.objects.Remove(static_cast<int64_t>(n + rows));
-  st->entries.pop_front(n);
-  st->counts.pop_front(n * n_types);
-  st->tables.pop_front(n * n_hooks);
-  st->rows.pop_front(rows);
+  uint64_t objects = n;
+  for (HookTables& hook : st->hooks) {
+    uint64_t cells = 0;
+    for (size_t i = 0; i < n; ++i) {
+      cells += hook.tables[i].size;
+      objects += hook.tables[i].nonzero;
+    }
+    hook.tables.pop_front(n);
+    hook.cells.pop_front(cells);
+  }
+  for (FlatFifo<uint64_t>& column : st->counts) column.pop_front(n);
+  st->exps.pop_front(n);
+  stats_.objects.Remove(static_cast<int64_t>(objects));
 }
 
 void ChopConnectEngine::Purge(Timestamp now) {
@@ -194,11 +194,11 @@ void ChopConnectEngine::Purge(Timestamp now) {
     std::pop_heap(due_.begin(), due_.end(), DueLater);
     const size_t s = due_.back().second;
     SegState& st = dyn_[s];
-    PurgeSegment(&st, s, now);
-    if (st.entries.empty()) {
+    PurgeSegment(&st, now);
+    if (st.exps.empty()) {
       due_.pop_back();
     } else {
-      due_.back().first = st.entries[0].exp;
+      due_.back().first = st.exps[0];
       std::push_heap(due_.begin(), due_.end(), DueLater);
     }
   }
@@ -209,7 +209,7 @@ void ChopConnectEngine::Purge(Timestamp now) {
 void ChopConnectEngine::RebuildDue() {
   due_.clear();
   for (size_t s = 0; s < dyn_.size(); ++s) {
-    if (!dyn_[s].entries.empty()) due_.emplace_back(dyn_[s].entries[0].exp, s);
+    if (!dyn_[s].exps.empty()) due_.emplace_back(dyn_[s].exps[0], s);
   }
   std::make_heap(due_.begin(), due_.end(), DueLater);
 }
@@ -217,7 +217,7 @@ void ChopConnectEngine::RebuildDue() {
 Timestamp ChopConnectEngine::PartNextExpiry(const PartState& part) const {
   Timestamp min_exp = state::WindowClock::kNever;
   for (const SegState& st : part.segs) {
-    if (!st.entries.empty()) min_exp = std::min(min_exp, st.entries[0].exp);
+    if (!st.exps.empty()) min_exp = std::min(min_exp, st.exps[0]);
   }
   return min_exp;
 }
@@ -228,9 +228,7 @@ void ChopConnectEngine::AdvanceClock(Timestamp now) {
         const uint32_t slot = part_store_.Lookup(top.hash, top.key);
         if (slot == state::kNoSlot) return state::WindowClock::kNever;
         PartState& part = part_store_.at(slot);
-        for (size_t s = 0; s < part.segs.size(); ++s) {
-          PurgeSegment(&part.segs[s], s, now);
-        }
+        for (SegState& st : part.segs) PurgeSegment(&st, now);
         const Timestamp next = PartNextExpiry(part);
         if (next == state::WindowClock::kNever) {
           part_store_.Erase(slot);
@@ -242,111 +240,107 @@ void ChopConnectEngine::AdvanceClock(Timestamp now) {
 
 void ChopConnectEngine::ComputeSnapshot(const Hook& hook,
                                         const std::vector<SegState>& dyn,
-                                        Timestamp now, SegState* st) {
-  // Reading another segment while appending to *st keeps no pointer
-  // across a reallocation of the rows it reads.
-  assert(&dyn[hook.upstream_seg] != st && &dyn[hook.first_seg] != st);
-  FlatFifo<SnapRow>& rows = st->rows;
-  const size_t begin = rows.size();
-  if (hook.upstream_hook < 0) {
-    // Upstream is the query's first segment: tags are its START entries
-    // (already in arrival == expiration order).
-    const SegState& up = dyn[hook.upstream_seg];
-    const size_t n_types = segments_[hook.upstream_seg].types.size();
-    const uint64_t* count = up.counts.data() + (n_types - 1);
-    stats_.work_units += up.entries.size();
-    for (size_t i = 0; i < up.entries.size(); ++i, count += n_types) {
-      if (*count > 0) {
-        rows.push_back(SnapRow{up.entries[i].id, up.entries[i].exp, *count, 0});
-      }
-    }
-  } else {
-    MultiConnect(hook, dyn, now, &rows);
+                                        HookTables* dst) {
+  if (hook.upstream_hook >= 0) {
+    MultiConnect(hook, dyn, dst);
+    return;
   }
-  uint64_t cum = 0;
-  for (size_t i = rows.size(); i > begin; --i) {
-    cum += rows[i - 1].count;
-    rows[i - 1].cum = cum;
-  }
-  st->tables.push_back(
-      TableRef{rows.popped() + begin, rows.size() - begin, 0});
+  // Upstream is the query's first segment: a cell per START entry, its
+  // tail count.
+  const SegState& up = dyn[hook.upstream_seg];
+  stats_.work_units += up.size();
+  AppendTable(up.counts.back().data(), up.lo(), up.size(), hook.suffix, dst);
 }
 
 void ChopConnectEngine::MultiConnect(const Hook& hook,
                                      const std::vector<SegState>& dyn,
-                                     Timestamp now, FlatFifo<SnapRow>* rows) {
+                                     HookTables* dst) {
   // Multi-connect (Fig. 11): combine the upstream segment's counters with
-  // their snapshots, summing per full-sequence START tag. A live row's tag
-  // is the id of a live entry of the query's first segment, and carries
-  // that entry's expiration; ids there are consecutive, so the accumulator
-  // is dense over [lo, lo + span) and its slot order is tag order, i.e.
-  // expiration order.
+  // their count tables, summing per full-sequence START tag. Live tags are
+  // the first segment's live ids [lo, lo + span), so each upstream entry
+  // adds its multiplier times the live overlap of its table into acc_.
   const SegState& first = dyn[hook.first_seg];
-  const size_t span = first.entries.size();
-  const uint64_t lo = first.next_id - span;
+  const uint64_t lo = first.lo();
+  const size_t span = first.size();
   if (acc_.size() < span) acc_.resize(span);
 
   const SegState& up = dyn[hook.upstream_seg];
-  const size_t n_types = segments_[hook.upstream_seg].types.size();
-  const size_t n_hooks = segments_[hook.upstream_seg].hooks.size();
-  const size_t upstream_hook = static_cast<size_t>(hook.upstream_hook);
-  const uint64_t* mult = up.counts.data() + (n_types - 1);
-  for (size_t i = 0; i < up.entries.size(); ++i, mult += n_types) {
-    ++stats_.work_units;
-    if (*mult == 0) continue;
-    const TableRef& table = up.tables[i * n_hooks + upstream_hook];
-    stats_.work_units += table.size;
-    const SnapRow* row = up.RowsOf(table);
-    const SnapRow* end = row + table.size;
-    // Rows are in expiration order: skip the expired prefix at once.
-    row = std::partition_point(
-        row, end, [now](const SnapRow& r) { return r.exp <= now; });
-    for (; row != end; ++row) {
-      // Tags outside the span occur only in a restored state whose rows
-      // disagree with its first segment; they are dropped, not indexed.
-      const uint64_t slot = row->tag - lo;
-      if (row->count == 0 || slot >= span) continue;
-      AccSlot& acc = acc_[slot];
-      acc.count += row->count * *mult;
-      acc.present = true;
+  const HookTables& in = up.hooks[static_cast<size_t>(hook.upstream_hook)];
+  const uint64_t* mult = up.counts.back().data();
+  const uint64_t* cells = in.cells.data();
+  size_t used_lo = span;
+  size_t used_hi = 0;
+  stats_.work_units += up.size();
+  for (size_t i = 0; i < up.size(); ++i) {
+    const Table& table = in.tables[i];
+    // Cells below lo are expired; every tag lies below lo + span.
+    const uint64_t skip = lo > table.first ? lo - table.first : 0;
+    if (mult[i] != 0 && skip < table.size) {
+      const size_t at = table.first + skip - lo;
+      const size_t n = table.size - skip;
+      const uint64_t* src = cells + skip;
+      uint64_t* sum = acc_.data() + at;
+      for (size_t k = 0; k < n; ++k) sum[k] += src[k] * mult[i];
+      used_lo = std::min(used_lo, at);
+      used_hi = std::max(used_hi, at + n);
+      stats_.work_units += n;
     }
+    cells += table.size;
   }
-  for (size_t slot = 0; slot < span; ++slot) {
-    AccSlot& acc = acc_[slot];
-    if (!acc.present) continue;
-    rows->push_back(SnapRow{lo + slot, first.entries[slot].exp, acc.count, 0});
-    acc = AccSlot();
+  if (used_lo > used_hi) used_lo = used_hi;
+  AppendTable(acc_.data() + used_lo, lo + used_lo, used_hi - used_lo,
+              hook.suffix, dst);
+  std::fill(acc_.data() + used_lo, acc_.data() + used_hi, 0);
+}
+
+void ChopConnectEngine::AppendTable(const uint64_t* counts, uint64_t first,
+                                    size_t n, bool suffix, HookTables* dst) {
+  size_t begin = 0;
+  while (begin < n && counts[begin] == 0) ++begin;
+  while (n > begin && counts[n - 1] == 0) --n;
+  dst->tables.push_back(Table{first + begin, n - begin,
+                              NonzeroCounts(counts + begin, n - begin, false)});
+  dst->cells.append(counts + begin, n - begin);
+  if (!suffix) return;
+  uint64_t* cell = dst->cells.data() + dst->cells.size();
+  uint64_t cum = 0;
+  for (size_t k = begin; k < n; ++k) {
+    --cell;
+    cum += *cell;
+    *cell = cum;
   }
 }
 
-uint64_t ChopConnectEngine::LiveSum(const SegState& st, TableRef* table,
-                                    Timestamp now) {
-  const SnapRow* rows = st.RowsOf(*table);
-  while (table->cursor < table->size && rows[table->cursor].exp <= now) {
-    ++table->cursor;
+uint64_t ChopConnectEngine::NonzeroCounts(const uint64_t* cells, size_t n,
+                                          bool suffix) {
+  uint64_t nonzero = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t next = suffix && k + 1 < n ? cells[k + 1] : 0;
+    nonzero += cells[k] != next;
   }
-  return table->cursor < table->size ? rows[table->cursor].cum : 0;
+  return nonzero;
 }
 
-uint64_t ChopConnectEngine::QueryTotal(size_t qi, std::vector<SegState>& dyn,
-                                       Timestamp now) {
+uint64_t ChopConnectEngine::QueryTotal(size_t qi,
+                                       const std::vector<SegState>& dyn) {
   const std::vector<size_t>& segs = plan_.query_segments[qi];
-  SegState& last = dyn[segs.back()];
-  const size_t n_types = segments_[segs.back()].types.size();
-  const uint64_t* tail = last.counts.data() + (n_types - 1);
+  const SegState& last = dyn[segs.back()];
+  const uint64_t* tail = last.counts.back().data();
   uint64_t total = 0;
   if (segs.size() == 1) {
-    for (size_t i = 0; i < last.entries.size(); ++i, tail += n_types) {
-      total += *tail;
-    }
+    for (size_t i = 0; i < last.size(); ++i) total += tail[i];
     return total;
   }
-  const size_t n_hooks = segments_[segs.back()].hooks.size();
-  const size_t hook = static_cast<size_t>(final_hook_[qi]);
-  for (size_t i = 0; i < last.entries.size(); ++i, tail += n_types) {
-    ++stats_.work_units;
-    if (*tail == 0) continue;
-    total += *tail * LiveSum(last, &last.tables[i * n_hooks + hook], now);
+  // A suffix table's live total is its cell at the first live tag.
+  const HookTables& fin = last.hooks[static_cast<size_t>(final_hook_[qi])];
+  const uint64_t lo = dyn[segs.front()].lo();
+  const uint64_t* cells = fin.cells.data();
+  stats_.work_units += last.size();
+  for (size_t i = 0; i < last.size(); ++i) {
+    const Table& table = fin.tables[i];
+    const uint64_t skip = lo > table.first ? lo - table.first : 0;
+    if (skip < table.size) total += tail[i] * cells[skip];
+    cells += table.size;
   }
   return total;
 }
@@ -396,7 +390,7 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
   uint32_t slot = part_store_.Lookup(hash, key);
   if (slot == state::kNoSlot && creates) {
     auto [slot_ref, inserted] = part_store_.Upsert(hash, key);
-    *slot_ref = part_store_.Emplace(key, hash, segments_.size());
+    *slot_ref = part_store_.Emplace(key, hash, segments_);
     slot = *slot_ref;
   }
   if (slot != state::kNoSlot) {
@@ -405,9 +399,7 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
     // key owns is purged here; the rest purge lazily at trigger time via
     // the clock. (A trigger event purges its own partition here too, so
     // the later clock advance sees it already clean.)
-    for (size_t s = 0; s < part.segs.size(); ++s) {
-      PurgeSegment(&part.segs[s], s, e.ts());
-    }
+    for (SegState& st : part.segs) PurgeSegment(&st, e.ts());
     const bool was_empty = PartNextExpiry(part) == state::WindowClock::kNever;
     ApplyUpdates(e, part.segs);
     // An entry landing in an empty partition establishes a new earliest
@@ -430,7 +422,7 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
   PartState* part = slot == state::kNoSlot ? nullptr : &part_store_.at(slot);
   for (size_t qi : trigs) {
     const uint64_t total =
-        part == nullptr ? 0 : QueryTotal(qi, part->segs, e.ts());
+        part == nullptr ? 0 : QueryTotal(qi, part->segs);
     out->push_back(MultiOutput{
         qi, Output{e.ts(), e.seq(), part_store_.interner().ValueOf(gid),
                    Value(static_cast<int64_t>(total))}});
@@ -444,40 +436,39 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
   if (type >= update_index_.size()) return;
   const std::vector<std::pair<size_t, size_t>>& updates = update_index_[type];
   // CNET pre-pass (Lemma 7): snapshots use counts from *before* this
-  // arrival's updates. Each table lands in the flat storage of the segment
-  // the type starts, ahead of the entry the update pass below creates there.
+  // arrival's updates. Each table lands in the segment the type starts,
+  // ahead of the entry the update pass below creates there.
   for (const auto& [s, pos] : updates) {
     if (pos != 0) continue;
-    for (const Hook& hook : segments_[s].hooks) {
-      ComputeSnapshot(hook, dyn, e.ts(), &dyn[s]);
+    const std::vector<Hook>& hooks = segments_[s].hooks;
+    for (size_t h = 0; h < hooks.size(); ++h) {
+      ComputeSnapshot(hooks[h], dyn, &dyn[s].hooks[h]);
     }
   }
 
   // Apply updates / create counters.
   for (const auto& [s, pos] : updates) {
     SegState& st = dyn[s];
-    const size_t n_types = segments_[s].types.size();
     if (pos == 0) {
-      if (!grouped_ && st.entries.empty()) {
+      if (!grouped_ && st.exps.empty()) {
         due_.emplace_back(e.ts() + window_ms_, s);
         std::push_heap(due_.begin(), due_.end(), DueLater);
       }
-      st.entries.push_back(EntryHead{st.next_id++, e.ts() + window_ms_});
-      st.counts.push_back(1);
-      for (size_t p = 1; p < n_types; ++p) st.counts.push_back(0);
-      const size_t n_hooks = segments_[s].hooks.size();
-      uint64_t rows = 0;
-      for (size_t h = st.tables.size() - n_hooks; h < st.tables.size(); ++h) {
-        rows += st.tables[h].size;
+      st.exps.push_back(e.ts() + window_ms_);
+      ++st.next_id;
+      st.counts[0].push_back(1);
+      for (size_t p = 1; p < st.counts.size(); ++p) st.counts[p].push_back(0);
+      uint64_t objects = 1;
+      for (const HookTables& hook : st.hooks) {
+        objects += hook.tables.back().nonzero;
       }
-      stats_.objects.Add(static_cast<int64_t>(1 + rows));
+      stats_.objects.Add(static_cast<int64_t>(objects));
       ++stats_.work_units;
     } else {
-      uint64_t* count = st.counts.data();
-      for (size_t i = 0; i < st.entries.size(); ++i, count += n_types) {
-        count[pos] += count[pos - 1];
-      }
-      stats_.work_units += st.entries.size();
+      uint64_t* count = st.counts[pos].data();
+      const uint64_t* prev = st.counts[pos - 1].data();
+      for (size_t i = 0; i < st.size(); ++i) count[i] += prev[i];
+      stats_.work_units += st.size();
     }
   }
 }
@@ -499,7 +490,7 @@ void ChopConnectEngine::ProcessEvent(const Event& e,
     // on the variant move-assignment the field-wise form compiles to).
     out->push_back(MultiOutput{
         qi, Output{e.ts(), e.seq(), std::nullopt,
-                   Value(static_cast<int64_t>(QueryTotal(qi, dyn_, e.ts())))}});
+                   Value(static_cast<int64_t>(QueryTotal(qi, dyn_)))}});
     ++stats_.outputs;
   }
 }
@@ -511,7 +502,7 @@ std::vector<MultiOutput> ChopConnectEngine::Poll(Timestamp now) {
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
       outputs.push_back(MultiOutput{
           qi, Output{now, 0, std::nullopt,
-                     Value(static_cast<int64_t>(QueryTotal(qi, dyn_, now)))}});
+                     Value(static_cast<int64_t>(QueryTotal(qi, dyn_)))}});
     }
     return outputs;
   }
@@ -527,7 +518,7 @@ std::vector<MultiOutput> ChopConnectEngine::Poll(Timestamp now) {
           qi,
           Output{now, 0,
                  part_store_.interner().ValueOf(part.key.ids[0]),
-                 Value(static_cast<int64_t>(QueryTotal(qi, part.segs, now)))}});
+                 Value(static_cast<int64_t>(QueryTotal(qi, part.segs)))}});
     }
   }
   return outputs;
@@ -543,29 +534,20 @@ void ChopConnectEngine::SyncPurgeTo(Timestamp now,
 }
 
 Status ChopConnectEngine::CheckpointSegState(const SegState& st,
-                                             const Segment& seg,
                                              ckpt::Writer* writer) const {
-  const size_t n_types = seg.types.size();
-  const size_t n_hooks = seg.hooks.size();
   writer->WriteU64(st.next_id);
-  writer->WriteU64(st.entries.size());
-  for (size_t i = 0; i < st.entries.size(); ++i) {
-    writer->WriteU64(st.entries[i].id);
-    writer->WriteI64(st.entries[i].exp);
-    for (size_t p = 0; p < n_types; ++p) {
-      writer->WriteU64(st.counts[i * n_types + p]);
-    }
-    for (size_t h = 0; h < n_hooks; ++h) {
-      const TableRef& table = st.tables[i * n_hooks + h];
-      writer->WriteU64(table.cursor);
+  writer->WriteU64(st.size());
+  for (size_t i = 0; i < st.size(); ++i) writer->WriteI64(st.exps[i]);
+  for (const FlatFifo<uint64_t>& column : st.counts) {
+    for (size_t i = 0; i < st.size(); ++i) writer->WriteU64(column[i]);
+  }
+  for (const HookTables& hook : st.hooks) {
+    const uint64_t* cells = hook.cells.data();
+    for (size_t i = 0; i < st.size(); ++i) {
+      const Table& table = hook.tables[i];
+      writer->WriteU64(table.first);
       writer->WriteU64(table.size);
-      const SnapRow* rows = st.RowsOf(table);
-      for (size_t r = 0; r < table.size; ++r) {
-        writer->WriteU64(rows[r].tag);
-        writer->WriteI64(rows[r].exp);
-        writer->WriteU64(rows[r].count);
-        writer->WriteU64(rows[r].cum);
-      }
+      for (uint64_t k = 0; k < table.size; ++k) writer->WriteU64(*cells++);
     }
   }
   return Status::OK();
@@ -573,74 +555,56 @@ Status ChopConnectEngine::CheckpointSegState(const SegState& st,
 
 Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
                                           ckpt::Reader* reader) {
-  *st = SegState();
+  *st = SegState(seg);
   ASEQ_RETURN_NOT_OK(reader->ReadU64(&st->next_id, "segment next id"));
-  uint64_t n_entries = 0;
-  ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_entries, 16, "segment entries"));
-  for (uint64_t i = 0; i < n_entries; ++i) {
-    EntryHead head;
-    ASEQ_RETURN_NOT_OK(reader->ReadU64(&head.id, "entry id"));
-    ASEQ_RETURN_NOT_OK(reader->ReadI64(&head.exp, "entry expiry"));
-    if (head.id >= st->next_id ||
-        (i > 0 && head.id <= st->entries[i - 1].id)) {
+  // Each entry takes its expiry, its counts and a table head per hook.
+  uint64_t n = 0;
+  ASEQ_RETURN_NOT_OK(reader->ReadCount(
+      &n, 8 * (1 + seg.types.size() + 2 * seg.hooks.size()),
+      "segment entries"));
+  if (n > st->next_id) {
+    return Status::ParseError(
+        "snapshot corrupt: " + std::to_string(n) +
+        " segment entries but only " + std::to_string(st->next_id) +
+        " ids assigned");
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    Timestamp exp = 0;
+    ASEQ_RETURN_NOT_OK(reader->ReadI64(&exp, "entry expiry"));
+    if (i > 0 && exp < st->exps[i - 1]) {
       return Status::ParseError(
-          "snapshot corrupt: entry id " + std::to_string(head.id) +
-          " is not strictly ascending below the segment's next id " +
-          std::to_string(st->next_id));
+          "snapshot corrupt: entry expiry " + std::to_string(exp) +
+          " below its predecessor's " + std::to_string(st->exps[i - 1]));
     }
-    st->entries.push_back(head);
-    for (size_t p = 0; p < seg.types.size(); ++p) {
+    st->exps.push_back(exp);
+  }
+  for (FlatFifo<uint64_t>& column : st->counts) {
+    for (uint64_t i = 0; i < n; ++i) {
       uint64_t count = 0;
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "entry count"));
-      st->counts.push_back(count);
+      column.push_back(count);
     }
-    uint64_t rows = 0;
-    for (size_t h = 0; h < seg.hooks.size(); ++h) {
-      TableRef table{st->rows.popped() + st->rows.size(), 0, 0};
-      ASEQ_RETURN_NOT_OK(reader->ReadU64(&table.cursor, "snapshot cursor"));
-      ASEQ_RETURN_NOT_OK(reader->ReadCount(&table.size, 32, "snapshot rows"));
-      if (table.cursor > table.size) {
-        return Status::ParseError(
-            "snapshot corrupt: snapshot cursor " +
-            std::to_string(table.cursor) + " beyond its " +
-            std::to_string(table.size) + " row(s)");
-      }
-      for (uint64_t r = 0; r < table.size; ++r) {
-        SnapRow row;
-        ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.tag, "row tag"));
-        ASEQ_RETURN_NOT_OK(reader->ReadI64(&row.exp, "row expiry"));
-        ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.count, "row count"));
-        ASEQ_RETURN_NOT_OK(reader->ReadU64(&row.cum, "row cum"));
-        if (r > 0) {
-          const SnapRow& prev = st->rows[st->rows.size() - 1];
-          if (row.tag <= prev.tag || row.exp < prev.exp) {
-            return Status::ParseError(
-                "snapshot corrupt: snapshot row (tag " +
-                std::to_string(row.tag) + ", expiry " +
-                std::to_string(row.exp) + ") out of order after (tag " +
-                std::to_string(prev.tag) + ", expiry " +
-                std::to_string(prev.exp) + ")");
-          }
-        }
-        st->rows.push_back(row);
-      }
-      // Each row's cum is its suffix sum (wrapping, as BuildSuffix adds).
-      const SnapRow* table_rows = st->RowsOf(table);
-      uint64_t cum = 0;
-      for (uint64_t r = table.size; r > 0; --r) {
-        cum += table_rows[r - 1].count;
-        if (table_rows[r - 1].cum != cum) {
-          return Status::ParseError(
-              "snapshot corrupt: snapshot row cum " +
-              std::to_string(table_rows[r - 1].cum) +
-              " differs from its suffix sum " + std::to_string(cum));
-        }
-      }
-      st->tables.push_back(table);
-      rows += table.size;
-    }
-    stats_.objects.Add(static_cast<int64_t>(1 + rows));
   }
+  uint64_t objects = n;
+  for (size_t h = 0; h < seg.hooks.size(); ++h) {
+    HookTables& hook = st->hooks[h];
+    for (uint64_t i = 0; i < n; ++i) {
+      Table table{0, 0, 0};
+      ASEQ_RETURN_NOT_OK(reader->ReadU64(&table.first, "table first tag"));
+      ASEQ_RETURN_NOT_OK(reader->ReadCount(&table.size, 8, "table cells"));
+      const size_t at = hook.cells.size();
+      for (uint64_t k = 0; k < table.size; ++k) {
+        uint64_t cell = 0;
+        ASEQ_RETURN_NOT_OK(reader->ReadU64(&cell, "table cell"));
+        hook.cells.push_back(cell);
+      }
+      table.nonzero = NonzeroCounts(hook.cells.data() + at, table.size,
+                                    seg.hooks[h].suffix);
+      objects += table.nonzero;
+      hook.tables.push_back(table);
+    }
+  }
+  stats_.objects.Add(static_cast<int64_t>(objects));
   return Status::OK();
 }
 
@@ -649,21 +613,20 @@ Status ChopConnectEngine::RestoreScope(std::vector<SegState>* dyn,
   for (size_t s = 0; s < segments_.size(); ++s) {
     ASEQ_RETURN_NOT_OK(RestoreSegState(&(*dyn)[s], segments_[s], reader));
   }
-  // A hook's row tags are entry ids of the query's first segment, so each
-  // lies below that segment's next id (tags ascend: check the last row).
+  // A hook's tags are entry ids of the query's first segment, so each lies
+  // below that segment's next id.
   for (size_t s = 0; s < segments_.size(); ++s) {
     const SegState& st = (*dyn)[s];
     const std::vector<Hook>& hooks = segments_[s].hooks;
-    for (size_t i = 0; i < st.entries.size(); ++i) {
-      for (size_t h = 0; h < hooks.size(); ++h) {
-        const TableRef& table = st.tables[i * hooks.size() + h];
-        if (table.size == 0) continue;
-        const uint64_t tag = st.RowsOf(table)[table.size - 1].tag;
-        const uint64_t next_id = (*dyn)[hooks[h].first_seg].next_id;
-        if (tag >= next_id) {
+    for (size_t h = 0; h < hooks.size(); ++h) {
+      const uint64_t next_id = (*dyn)[hooks[h].first_seg].next_id;
+      for (size_t i = 0; i < st.size(); ++i) {
+        const Table& table = st.hooks[h].tables[i];
+        if (table.first > next_id || table.size > next_id - table.first) {
           return Status::ParseError(
-              "snapshot corrupt: snapshot row tag " + std::to_string(tag) +
-              " at or beyond its first segment's next id " +
+              "snapshot corrupt: table of " + std::to_string(table.size) +
+              " cell(s) from tag " + std::to_string(table.first) +
+              " reaches past its first segment's next id " +
               std::to_string(next_id));
         }
       }
@@ -681,8 +644,7 @@ Status ChopConnectEngine::Checkpoint(ckpt::Writer* writer) const {
     ASEQ_RETURN_NOT_OK(part_store_.Checkpoint(
         writer, [this](const PartState& part, ckpt::Writer* w) -> Status {
           for (size_t s = 0; s < segments_.size(); ++s) {
-            ASEQ_RETURN_NOT_OK(
-                CheckpointSegState(part.segs[s], segments_[s], w));
+            ASEQ_RETURN_NOT_OK(CheckpointSegState(part.segs[s], w));
           }
           return Status::OK();
         }));
@@ -691,7 +653,7 @@ Status ChopConnectEngine::Checkpoint(ckpt::Writer* writer) const {
   }
   writer->WriteU64(dyn_.size());
   for (size_t s = 0; s < segments_.size(); ++s) {
-    ASEQ_RETURN_NOT_OK(CheckpointSegState(dyn_[s], segments_[s], writer));
+    ASEQ_RETURN_NOT_OK(CheckpointSegState(dyn_[s], writer));
   }
   return Status::OK();
 }
@@ -705,7 +667,7 @@ Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
         reader, [&](uint32_t slot, const container::InternedKey& key,
                     uint64_t hash, ckpt::Reader* r) -> Status {
           PartState& part =
-              part_store_.RestoreEmplaceAt(slot, key, hash, segments_.size());
+              part_store_.RestoreEmplaceAt(slot, key, hash, segments_);
           return RestoreScope(&part.segs, r);
         }));
     ASEQ_RETURN_NOT_OK(clock_.Restore(reader, part_store_.interner().size()));

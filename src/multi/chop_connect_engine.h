@@ -24,17 +24,21 @@ namespace aseq {
 /// their segments:
 ///
 ///  * A **CNET** instance — the START of a non-first segment of some query —
-///    receives a **SnapShot** (Fig. 10): rows (tag, expiration, count) of
-///    the query's pattern-so-far per full-sequence START, computed from the
-///    upstream segment's live counters (and, recursively, their snapshots —
-///    the multi-connect of Fig. 11) *before* this arrival's updates apply
+///    receives a **SnapShot** (Fig. 10): the count of the query's
+///    pattern-so-far per full-sequence START, computed from the upstream
+///    segment's live counters (and, recursively, their snapshots — the
+///    multi-connect of Fig. 11) *before* this arrival's updates apply
 ///    (Lemma 7: only sub-matches constructed before the CNET arrival
-///    connect).
+///    connect). A START's tag is its entry id in the query's first
+///    segment; those ids are consecutive, so a snapshot is a dense run of
+///    cells over consecutive tags, and a cell is live iff its tag is at or
+///    above the first segment's lowest live id (entries expire in id
+///    order under the one shared window).
 ///  * A **TRIG** instance of a query's last segment reports
-///    `sum over last-segment counters c of c.tail * (live snapshot rows of
-///    c)` — expired rows (whose full-sequence START left the window) are
-///    skipped, which is how Chop-Connect inherits SEM's expiration handling
-///    without per-match state.
+///    `sum over last-segment counters c of c.tail * (live cells of c)`.
+///    The final junction's tables hold suffix sums, so the live total is
+///    one indexed load — which is how Chop-Connect inherits SEM's
+///    expiration handling without per-match state.
 ///
 /// Scope (the paper's multi-query experiments): COUNT, positive-only
 /// patterns, no predicates, one common sliding window. Workloads are
@@ -75,46 +79,21 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   EngineStats* shard_mutable_stats() override { return &stats_; }
 
  private:
-  /// One snapshot row: the count of the query's pattern-prefix (through the
-  /// upstream segments) whose full-sequence START is `tag`, expiring at
-  /// `exp`.
-  struct SnapRow {
-    uint64_t tag;
-    Timestamp exp;
-    uint64_t count;
-    uint64_t cum;  // count of this row + all later (younger) rows
-  };
-
-  /// Where one SnapShot table of Fig. 10 lives in its segment's row FIFO:
-  /// `size` rows from the logical row offset `begin`, in expiration order
-  /// (tags are assigned in arrival order under one shared window), each
-  /// with an inline suffix sum (`cum`) so the live total is O(1) amortized
-  /// as rows expire — this keeps the per-TRIG connect cost linear in the
-  /// number of last-segment counters, matching the paper's cost analysis.
-  struct TableRef {
-    uint64_t begin;
-    uint64_t size;
-    uint64_t cursor;  // first possibly-live row, relative to `begin`
-  };
-
   /// A connection point: segment `seg` is the `junction`-th (>= 1) segment
   /// of query `query`; `upstream_seg` precedes it; `upstream_hook` is the
   /// hook index of junction-1 within the upstream segment (-1 when the
-  /// upstream is the query's first segment). Every row tag of the hook's
+  /// upstream is the query's first segment). Every cell tag of the hook's
   /// tables is an entry id of `first_seg`, the query's first segment.
+  /// Tables at the query's final junction (`suffix`) hold suffix sums, read
+  /// by QueryTotal; the others hold counts, read by the next junction's
+  /// multi-connect.
   struct Hook {
     size_t query;
     size_t junction;
     size_t upstream_seg;
     int upstream_hook;
     size_t first_seg;
-  };
-
-  /// The id and expiration of one live per-START prefix counter of a
-  /// segment.
-  struct EntryHead {
-    uint64_t id;
-    Timestamp exp;
+    bool suffix;
   };
 
   /// The static shape of a shared segment (one per plan segment,
@@ -137,13 +116,14 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
     const T* data() const { return data_.data() + head_; }
     T& operator[](size_t i) { return data_[head_ + i]; }
     const T& operator[](size_t i) const { return data_[head_ + i]; }
-    /// Records ever popped: the logical index of the front record.
-    uint64_t popped() const { return popped_; }
+    const T& back() const { return data_.back(); }
 
     void push_back(const T& value) { data_.push_back(value); }
+    void append(const T* values, size_t n) {
+      data_.insert(data_.end(), values, values + n);
+    }
     void pop_front(size_t n) {
       head_ += n;
-      popped_ += n;
       if (head_ >= data_.size() - head_) {
         data_.erase(data_.begin(),
                     data_.begin() + static_cast<ptrdiff_t>(head_));
@@ -154,25 +134,40 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
    private:
     std::vector<T> data_;
     size_t head_ = 0;
-    uint64_t popped_ = 0;
+  };
+
+  /// One SnapShot table of Fig. 10: the cells of the consecutive tags
+  /// [first, first + size), trimmed to its nonzero ends. `nonzero` is the
+  /// number of nonzero counts among them (its live objects).
+  struct Table {
+    uint64_t first;
+    uint64_t size;
+    uint64_t nonzero;
+  };
+
+  /// One hook's tables, one per entry of its segment (oldest first); their
+  /// cells follow one another in `cells`.
+  struct HookTables {
+    FlatFifo<Table> tables;
+    FlatFifo<uint64_t> cells;
   };
 
   /// The dynamic state of one segment within one counting scope (the
   /// whole engine when ungrouped; one group partition when grouped). Live
-  /// entries, oldest first, are laid out flat: entry i owns `entries[i]`,
-  /// the counts `counts[i * n_types ...]` (one per segment position), the
-  /// tables `tables[i * n_hooks ...]` (parallel to Segment::hooks) and
-  /// their rows, which follow one another in `rows`.
+  /// entries, oldest first, have the consecutive ids [lo(), next_id): entry
+  /// i expires at `exps[i]`, holds the count `counts[p][i]` of each segment
+  /// position p (position-major, so an update is one contiguous add), and
+  /// owns `hooks[h].tables[i]` for each hook of the segment.
   struct SegState {
-    FlatFifo<EntryHead> entries;
-    FlatFifo<uint64_t> counts;
-    FlatFifo<TableRef> tables;
-    FlatFifo<SnapRow> rows;
-    uint64_t next_id = 0;
+    explicit SegState(const Segment& seg)
+        : counts(seg.types.size()), hooks(seg.hooks.size()) {}
+    size_t size() const { return exps.size(); }
+    uint64_t lo() const { return next_id - exps.size(); }
 
-    const SnapRow* RowsOf(const TableRef& t) const {
-      return rows.data() + (t.begin - rows.popped());
-    }
+    FlatFifo<Timestamp> exps;
+    std::vector<FlatFifo<uint64_t>> counts;
+    std::vector<HookTables> hooks;
+    uint64_t next_id = 0;
   };
 
   /// One group partition: its interned key (plus pinned hash; see
@@ -182,22 +177,16 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
     uint64_t hash = 0;
     std::vector<SegState> segs;
 
-    PartState(const container::InternedKey& k, uint64_t h, size_t n_segs)
-        : key(k), hash(h), segs(n_segs) {}
-  };
-
-  /// One slot of the multi-connect accumulator. `present` is tracked apart
-  /// from `count` so that a sum that wraps to 0 still emits its row.
-  struct AccSlot {
-    uint64_t count = 0;
-    bool present = false;
+    PartState(const container::InternedKey& k, uint64_t h,
+              const std::vector<Segment>& segments)
+        : key(k), hash(h), segs(segments.begin(), segments.end()) {}
   };
 
   ChopConnectEngine(std::vector<CompiledQuery> queries, ChopPlan plan);
   void Build();
 
   /// Pops the segment's entries due at `now`.
-  void PurgeSegment(SegState* st, size_t seg, Timestamp now);
+  void PurgeSegment(SegState* st, Timestamp now);
   /// Purges the segments whose front entry is due and recomputes
   /// next_expiry_ (ungrouped mode).
   void Purge(Timestamp now);
@@ -213,18 +202,24 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// partition-local purge), applies updates there, then handles triggers
   /// (clock advance + per-group report).
   void ProcessGroupedEvent(const Event& e, std::vector<MultiOutput>* out);
-  /// Appends the hook's snapshot table for an arrival at `now` to the
-  /// flat storage of the hook's segment, `*st` (a member of `dyn` that no
+  /// Appends the hook's snapshot table for an arrival to `*dst`, the
+  /// hook's tables in the segment it belongs to (a member of `dyn` that no
   /// hook of this arrival reads: types are distinct within a query).
   void ComputeSnapshot(const Hook& hook, const std::vector<SegState>& dyn,
-                       Timestamp now, SegState* st);
-  /// Multi-connect (Fig. 11) half of ComputeSnapshot: appends the rows.
+                       HookTables* dst);
+  /// Multi-connect (Fig. 11) half of ComputeSnapshot: sums the upstream
+  /// counters times their live cells into acc_, then appends the table.
   void MultiConnect(const Hook& hook, const std::vector<SegState>& dyn,
-                    Timestamp now, FlatFifo<SnapRow>* rows);
-  /// Total count over the table's non-expired rows at `now` (monotone in
-  /// `now`: advances the table's cursor).
-  static uint64_t LiveSum(const SegState& st, TableRef* table, Timestamp now);
-  uint64_t QueryTotal(size_t qi, std::vector<SegState>& dyn, Timestamp now);
+                    HookTables* dst);
+  /// Appends the table of the tags [first, first + n) holding `counts`,
+  /// trimmed to its nonzero ends, as suffix sums when `suffix`.
+  static void AppendTable(const uint64_t* counts, uint64_t first, size_t n,
+                          bool suffix, HookTables* dst);
+  /// Number of nonzero counts in a table's `n` cells.
+  static uint64_t NonzeroCounts(const uint64_t* cells, size_t n, bool suffix);
+  /// Query `qi`'s live match count. `dyn` must be purged to the report
+  /// time: the liveness rule compares tags with the first segment's `lo`.
+  uint64_t QueryTotal(size_t qi, const std::vector<SegState>& dyn);
 
   /// Earliest live entry expiration across a partition's segments, or
   /// WindowClock::kNever when it holds no entries.
@@ -234,14 +229,13 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// full purge sweep.
   void AdvanceClock(Timestamp now);
 
-  Status CheckpointSegState(const SegState& st, const Segment& seg,
-                            ckpt::Writer* writer) const;
+  Status CheckpointSegState(const SegState& st, ckpt::Writer* writer) const;
   /// Counts the restored entries into stats_ as creating them does, and
-  /// rejects entries and tables that break the FIFO order invariants.
+  /// rejects entries that break the FIFO order invariants.
   Status RestoreSegState(SegState* st, const Segment& seg,
                          ckpt::Reader* reader);
-  /// Restores one counting scope's segments, then checks every row tag
-  /// against its owning first segment's next id.
+  /// Restores one counting scope's segments, then checks every table's
+  /// tags against its owning first segment's next id.
   Status RestoreScope(std::vector<SegState>* dyn, ckpt::Reader* reader);
 
   std::vector<CompiledQuery> queries_;
@@ -282,8 +276,8 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// item per non-empty segment, so a purge visits only due segments.
   std::vector<std::pair<Timestamp, size_t>> due_;
   /// Reused multi-connect accumulator, indexed by tag minus the lowest
-  /// live id of the hook's first segment.
-  std::vector<AccSlot> acc_;
+  /// live id of the hook's first segment; all zero between connects.
+  std::vector<uint64_t> acc_;
 };
 
 }  // namespace aseq

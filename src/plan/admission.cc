@@ -135,7 +135,7 @@ CmpInsn AdmissionProgram::CompileCmp(const Comparison& cmp) const {
   // Typed specialization applies when exactly one operand is an attribute
   // reference and the other a literal of a concrete type; the typed form
   // still falls back to EvalCmp at runtime if the attribute's value is not
-  // of the literal's type (missing attr, cross-type numeric, ...).
+  // of the literal's kind (missing attr, string vs numeric, ...).
   const Operand* attr_op = nullptr;
   const Operand* lit_op = nullptr;
   if (cmp.lhs.is_attr_ref() && !cmp.rhs.is_attr_ref()) {
@@ -150,12 +150,12 @@ CmpInsn AdmissionProgram::CompileCmp(const Comparison& cmp) const {
   if (attr_op == nullptr) return insn;  // attr-vs-attr or literal-vs-literal
   switch (lit_op->literal.type()) {
     case ValueType::kInt64:
-      insn.kind = CmpInsn::Kind::kInt64Lit;
+      insn.int_lit = true;
       insn.i64 = lit_op->literal.AsInt64();
-      break;
+      [[fallthrough]];
     case ValueType::kDouble:
-      insn.kind = CmpInsn::Kind::kDoubleLit;
-      insn.f64 = lit_op->literal.AsDouble();
+      insn.kind = CmpInsn::Kind::kNumericLit;
+      insn.f64 = lit_op->literal.ToDouble();
       break;
     case ValueType::kString:
       insn.kind = CmpInsn::Kind::kStringLit;
@@ -220,15 +220,16 @@ bool AdmissionProgram::AdmitRole(const Event& e, const RoleProgram& rp,
       }
       const Value* v = cached_val;
       switch (insn->kind) {
-        case CmpInsn::Kind::kInt64Lit:
-          if (v != nullptr && v->type() == ValueType::kInt64) {
+        case CmpInsn::Kind::kNumericLit:
+          // Value::Equals/LessThan's rule: int64 vs int64 literal compares
+          // as int64, every other numeric pair as doubles.
+          if (v != nullptr && v->type() == ValueType::kInt64 &&
+              insn->int_lit) {
             pass = TruthCmp(insn->truth, v->AsInt64(), insn->i64);
             break;
           }
-          goto fallback;
-        case CmpInsn::Kind::kDoubleLit:
-          if (v != nullptr && v->type() == ValueType::kDouble) {
-            pass = TruthCmp(insn->truth, v->AsDouble(), insn->f64);
+          if (v != nullptr && v->is_numeric()) {
+            pass = TruthCmp(insn->truth, v->ToDouble(), insn->f64);
             break;
           }
           goto fallback;
@@ -242,9 +243,8 @@ bool AdmissionProgram::AdmitRole(const Event& e, const RoleProgram& rp,
           goto fallback;
         default:
         fallback:
-          // Runtime type differs from the literal's: the generic path owns
-          // the cross-type semantics (numeric magnitude comparison,
-          // unordered-combination rules).
+          // Runtime kind differs from the literal's: the generic path owns
+          // the unordered-combination rules.
           if (stats != nullptr) ++stats->adm_generic_cmps;
           pass = EvalCmp(insn->src->op, OperandValue(insn->src->lhs, e),
                          OperandValue(insn->src->rhs, e));

@@ -23,18 +23,20 @@ namespace plan {
 /// element and a literal of a concrete type is specialized to a typed,
 /// branch-light form: the evaluator checks the event attribute's runtime
 /// type once and compares raw int64/double/string payloads directly,
-/// bypassing EvalCmp's Value dispatch. Everything else — attr-vs-attr terms
-/// on the same element, null literals, and typed terms whose runtime
-/// attribute type does not match the literal (int64 attr vs double literal
-/// and the like) — evaluates through the generic EvalCmp fallback, which
-/// preserves the interpreted semantics bit-exactly (cross-type numeric
-/// magnitude comparison, unordered combinations false for all but `!=`).
+/// bypassing EvalCmp's Value dispatch. A numeric literal serves int64 and
+/// double attributes alike, by Value::Equals/LessThan's cross-type rule: an
+/// int64 attribute against an int64 literal compares as int64, every other
+/// numeric pair as doubles. Everything else — attr-vs-attr terms on the
+/// same element, null literals, and typed terms whose runtime attribute is
+/// missing or of another kind (string attr vs numeric literal and the
+/// like) — evaluates through the generic EvalCmp fallback, which preserves
+/// the interpreted semantics bit-exactly (unordered combinations false for
+/// all but `!=`).
 struct CmpInsn {
   enum class Kind : uint8_t {
-    kInt64Lit,   // attr vs int64 literal (typed iff attr is int64 at runtime)
-    kDoubleLit,  // attr vs double literal (typed iff attr is double)
-    kStringLit,  // attr vs string literal (typed iff attr is a string)
-    kGeneric,    // anything else: EvalCmp on the original operands
+    kNumericLit,  // attr vs numeric literal (typed iff attr is numeric)
+    kStringLit,   // attr vs string literal (typed iff attr is a string)
+    kGeneric,     // anything else: EvalCmp on the original operands
   };
 
   Kind kind = Kind::kGeneric;
@@ -51,9 +53,11 @@ struct CmpInsn {
   uint8_t truth = 0;
   /// Typed forms: the referenced attribute.
   AttrId attr = kInvalidAttr;
-  /// Literal payload for the matching typed kind. The string literal
-  /// borrows the query's own literal storage (the program never outlives
-  /// its CompiledQuery).
+  /// Literal payload for the matching typed kind: a numeric literal as a
+  /// double, and also as an int64 when `int_lit` (its type is int64). The
+  /// string literal borrows the query's own literal storage (the program
+  /// never outlives its CompiledQuery).
+  bool int_lit = false;
   int64_t i64 = 0;
   double f64 = 0;
   const std::string* str = nullptr;

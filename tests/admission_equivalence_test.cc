@@ -185,10 +185,10 @@ std::string RandomQueryText(std::mt19937* rng) {
     const std::string op = kOps[pick(6)];
     std::string lit;
     switch (pick(4)) {
-      case 0:  // int literal → kInt64Lit opcode
+      case 0:  // int literal → kNumericLit opcode (int64 payload)
         lit = std::to_string(pick(5));
         break;
-      case 1:  // double literal → kDoubleLit opcode (often vs int attrs)
+      case 1:  // double literal → kNumericLit opcode (often vs int attrs)
         lit = std::to_string(pick(4)) + ".5";
         break;
       case 2:  // string literal → kStringLit opcode
@@ -528,12 +528,33 @@ TEST(AdmissionEquivalence, TypedPathsAndGenericFallback) {
        true, true, false},
       {"PATTERN SEQ(A, B) WHERE 5 > A.x WITHIN 1s", "x", Value(int64_t{5}),
        true, false, false},
-      // Int attr vs double literal: cross-type numeric → generic fallback,
-      // magnitude semantics (3 > 2.5).
+      // Int attr vs double literal: cross-type numeric stays typed and
+      // compares as doubles, magnitude semantics (3 > 2.5).
       {"PATTERN SEQ(A, B) WHERE A.x > 2.5 WITHIN 1s", "x", Value(int64_t{3}),
-       true, true, true},
+       true, true, false},
       {"PATTERN SEQ(A, B) WHERE A.x > 2.5 WITHIN 1s", "x", Value(int64_t{2}),
-       true, false, true},
+       true, false, false},
+      {"PATTERN SEQ(A, B) WHERE A.x = 3.0 WITHIN 1s", "x", Value(int64_t{3}),
+       true, true, false},
+      // Above 2^53 an int attr vs an integral double literal compares as
+      // doubles too: 2^53 + 1 widens to 2^53, so it equals the literal.
+      {"PATTERN SEQ(A, B) WHERE A.x = 9007199254740992.0 WITHIN 1s", "x",
+       Value(int64_t{9007199254740993}), true, true, false},
+      // Double attr vs int literal: typed, compared as doubles (the shape
+      // of `DELL.price > 10` on a stock trace).
+      {"PATTERN SEQ(A, B) WHERE A.y > 10 WITHIN 1s", "y", Value(10.5), true,
+       true, false},
+      {"PATTERN SEQ(A, B) WHERE A.y > 10 WITHIN 1s", "y", Value(9.5), true,
+       false, false},
+      {"PATTERN SEQ(A, B) WHERE 10 >= A.y WITHIN 1s", "y", Value(10.0), true,
+       true, false},
+      {"PATTERN SEQ(A, B) WHERE A.y != 10 WITHIN 1s", "y", Value(10.0), true,
+       false, false},
+      // ... and NaN against an int literal keeps EvalCmp's unordered rules.
+      {"PATTERN SEQ(A, B) WHERE A.y <= 10 WITHIN 1s", "y", Value(kNaN), true,
+       true, false},
+      {"PATTERN SEQ(A, B) WHERE A.y > 10 WITHIN 1s", "y", Value(kNaN), true,
+       false, false},
       // String attr vs int literal: unordered — every ordered op false,
       // `!=` true.
       {"PATTERN SEQ(A, B) WHERE A.x < 5 WITHIN 1s", "x", Value("hi"), true,

@@ -381,5 +381,120 @@ TEST(DecoderFuzzTest, MutatedWorkloadSnapshotsNeverCrash) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Chop-Connect snapshot tables: targeted corruption
+// ---------------------------------------------------------------------------
+
+TEST(DecoderFuzzTest, ChopConnectTableCorruptionRejected) {
+  // One query chopped [A B][C D][E F]. After the stream below the last
+  // segment holds one entry (E) whose one table, a multi-connect at the
+  // final junction, holds the suffix sums 2, 1 of tags 0 and 1 (the two
+  // A's), so the engine payload ends with
+  //   next id, n = 1, exp, count x2, first tag = 0, size = 2, cell x2,
+  // after the 72 bytes of the middle segment and, before those, the first
+  // segment's next id, n = 2, exp x2, count x4.
+  Schema schema;
+  Analyzer analyzer(&schema);
+  Query q;
+  q.pattern = Pattern::FromNames({"A", "B", "C", "D", "E", "F"});
+  q.agg = AggregateSpec::Count();
+  q.window_ms = 10000;
+  std::vector<CompiledQuery> queries = {std::move(analyzer.Analyze(q)).value()};
+  auto type = [&](const char* name) { return *schema.FindEventType(name); };
+  ChopPlan plan;
+  plan.segments = {{type("A"), type("B")},
+                   {type("C"), type("D")},
+                   {type("E"), type("F")}};
+  plan.query_segments = {{0, 1, 2}};
+  auto engine = ChopConnectEngine::Create(queries, plan);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  testing_util::StreamBuilder b(&schema);
+  b.Add("A", 0).Add("A", 10).Add("B", 20).Add("C", 30).Add("D", 40).Add(
+      "E", 50);
+  testing_util::RunPerEvent(b.Build(), engine->get());
+  ckpt::Writer writer;
+  ASSERT_TRUE((*engine)->Checkpoint(&writer).ok());
+  const std::string valid = writer.buffer();
+
+  auto u64_at = [](const std::string& bytes, size_t from_end) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = v << 8 | static_cast<uint8_t>(bytes[bytes.size() - from_end + i]);
+    }
+    return v;
+  };
+  auto with_u64 = [](std::string bytes, size_t from_end, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - from_end + i] = static_cast<char>(v >> (8 * i));
+    }
+    return bytes;
+  };
+  // Offsets from the end of the payload.
+  const size_t kCell1 = 8, kCell0 = 16, kSize = 24, kFirst = 32, kExp = 56,
+               kEntries = 64, kNextId = 72, kFirstSegExp1 = 184;
+  ASSERT_EQ(u64_at(valid, kCell1), 1u);
+  ASSERT_EQ(u64_at(valid, kCell0), 2u);
+  ASSERT_EQ(u64_at(valid, kSize), 2u);
+  ASSERT_EQ(u64_at(valid, kFirst), 0u);
+  ASSERT_EQ(u64_at(valid, kExp), 10050u);
+  ASSERT_EQ(u64_at(valid, kEntries), 1u);
+  ASSERT_EQ(u64_at(valid, kNextId), 1u);
+  ASSERT_EQ(u64_at(valid, kFirstSegExp1), 10010u);
+
+  auto restore = [&](const std::string& bytes) {
+    auto fresh = ChopConnectEngine::Create(queries, plan);
+    ckpt::Reader reader(bytes);
+    Status status = (*fresh)->Restore(&reader);
+    return status.ok() ? reader.ExpectEnd() : status;
+  };
+  ASSERT_TRUE(restore(valid).ok());
+  const struct {
+    const char* what;
+    std::string bytes;
+    const char* message;
+  } broken[] = {
+      {"table cut inside its cells", valid.substr(0, valid.size() - 8),
+       "table cells"},
+      // Each entry's table heads count toward its minimum size.
+      {"table cut inside its head", valid.substr(0, valid.size() - 20),
+       "segment entries"},
+      {"table reaching past the first segment's next id",
+       with_u64(valid, kFirst, 1), "next id"},
+      {"first tag past the first segment's next id",
+       with_u64(valid, kFirst, uint64_t{1} << 40), "next id"},
+      {"over-limit cell count", with_u64(valid, kSize, uint64_t{1} << 40),
+       "table cells"},
+      {"cell count one past the payload", with_u64(valid, kSize, 3),
+       "table cells"},
+      {"more entries than ids assigned", with_u64(valid, kNextId, 0),
+       "ids assigned"},
+      {"expiry goes back", with_u64(valid, kFirstSegExp1, 9999),
+       "predecessor"},
+  };
+  for (const auto& c : broken) {
+    Status status = restore(c.bytes);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << c.what;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.what << ": " << status.ToString();
+  }
+
+  // A snapshot of the version-2 layout (row tables) is refused by its
+  // version field before any payload byte is read.
+  const std::string path = ::testing::TempDir() + "/aseq_cc_v2.ckpt";
+  ASSERT_TRUE(
+      ckpt::WriteSnapshotFile(path, (*engine)->name(), 6, valid).ok());
+  std::string file = ReadBytes(path);
+  ASSERT_EQ(static_cast<uint8_t>(file[8]), ckpt::kSnapshotFormatVersion);
+  file[8] = 2;
+  WriteBytes(path, file);
+  ckpt::SnapshotInfo info;
+  std::string payload;
+  Status status = ckpt::ReadSnapshotFile(path, &info, &payload);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("format version 2"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace aseq

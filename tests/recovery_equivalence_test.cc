@@ -180,8 +180,11 @@ struct MultiCase {
   std::vector<Event> events;
 };
 
+/// `group_domain` > 0 adds an int attribute `g` uniform over
+/// [0, group_domain) for GROUP BY workloads.
 std::unique_ptr<MultiCase> MakeMulti(SharedWorkload workload, uint64_t seed,
-                                     size_t n) {
+                                     size_t n, int64_t max_gap = 50,
+                                     int64_t group_domain = 0) {
   auto c = std::make_unique<MultiCase>();
   c->workload = std::move(workload);
   Analyzer analyzer(&c->schema);
@@ -190,7 +193,11 @@ std::unique_ptr<MultiCase> MakeMulti(SharedWorkload workload, uint64_t seed,
     EXPECT_TRUE(cq.ok()) << cq.status().ToString();
     c->queries.push_back(std::move(cq).value());
   }
-  StreamConfig config = MakeWorkloadStreamConfig(c->workload, seed, n, 0, 50);
+  StreamConfig config =
+      MakeWorkloadStreamConfig(c->workload, seed, n, 0, max_gap);
+  if (group_domain > 0) {
+    config.attrs.push_back(AttrSpec::IntUniform("g", 0, group_domain - 1));
+  }
   StreamGenerator gen(config, &c->schema);
   c->events = gen.Generate();
   AssignSeqNums(&c->events);
@@ -418,6 +425,33 @@ TEST(RecoveryEquivalenceTest, ChopConnectEngine) {
         return std::move(engine).value();
       },
       c->events, "chop-connect");
+}
+
+TEST(RecoveryEquivalenceTest, ChopConnectGroupedThreeSegments) {
+  // perfbench's substr20_cc shape (private prefix, shared substring,
+  // private tail) with every query GROUP BY g: each snapshot carries, per
+  // group partition, the shared segment's count tables and the tails'
+  // suffix tables.
+  SharedWorkload workload = MakeSubstringSharedWorkload(3, 2, 3, 2, 1500);
+  for (Query& q : workload.queries) q.group_by = GroupBy{"g", kInvalidAttr};
+  auto c = MakeMulti(std::move(workload), 80, 1200, /*max_gap=*/4,
+                     /*group_domain=*/3);
+  ChopPlan plan = PlanChopConnect(c->queries);
+  for (const auto& segs : plan.query_segments) ASSERT_EQ(segs.size(), 3u);
+  auto factory = [&]() -> std::unique_ptr<MultiQueryEngine> {
+    auto engine = ChopConnectEngine::Create(c->queries, plan);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_TRUE((*engine)->shardable());
+    return std::move(engine).value();
+  };
+  auto probe = factory();
+  MultiRunResult ref = exec::RunSerial(Options(), c->events, probe.get());
+  size_t nonzero = 0;
+  for (const MultiOutput& mo : ref.outputs) {
+    nonzero += mo.output.value.AsInt64() != 0 ? 1 : 0;
+  }
+  ASSERT_GT(nonzero, 0u) << "no three-segment match: vacuous workload";
+  CheckMultiRecovery(factory, c->events, "chop-connect-grouped3");
 }
 
 TEST(RecoveryEquivalenceTest, EcubeEngine) {
