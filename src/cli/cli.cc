@@ -569,9 +569,10 @@ void MaybeWriteStatsJson(const Observability& obsv, const std::string& label,
   std::vector<double> busy(busy_seconds.begin(), busy_seconds.end());
   std::vector<obs::StatsJsonEntry> entries;
   entries.push_back({label, &stats, results_count});
-  if (!obs::WriteStatsJson(obsv.stats_json_path, engine_name,
-                           result.num_shards, result.elapsed_seconds * 1e3,
-                           busy, ingest, entries)) {
+  if (!obs::WriteStatsJson(
+          obsv.stats_json_path, engine_name, result.num_shards,
+          result.elapsed_seconds * 1e3, busy, ingest, entries,
+          result.num_shards > 1 ? &result.coordinator : nullptr)) {
     err << "warning: failed writing --stats-json file '"
         << obsv.stats_json_path << "'\n";
   }

@@ -178,6 +178,8 @@ struct RunResultBase {
   /// exhausted, or a worker that cannot be rebuilt), or OK. A non-OK
   /// status means the run aborted early and its results are partial.
   Status fault_status = Status::OK();
+  /// Coordinator phase times of a sharded run (zero for serial runs).
+  CoordinatorStats coordinator;
 
   /// Average execution time per window slide in milliseconds — the paper's
   /// primary metric (the window slides once per event).

@@ -63,12 +63,51 @@ void ShardLanes::ResetForRun() {
   push_spins_ = 0;
 }
 
+SharedBatch* SharedBatchPool::Acquire() {
+  SharedBatch* batch;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++acquires_;
+    if (free_.empty()) {
+      all_.push_back(std::make_unique<SharedBatch>());
+      batch = all_.back().get();
+      batch->pool_ = this;
+    } else {
+      batch = free_.back();
+      free_.pop_back();
+    }
+  }
+  batch->size_ = 0;
+  batch->triggers_.clear();
+  batch->trigger_queries_.clear();
+  batch->refs_.store(1, std::memory_order_relaxed);
+  return batch;
+}
+
+void SharedBatchPool::Return(SharedBatch* batch) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++returns_;
+  free_.push_back(batch);
+}
+
+SharedBatchPool::Counts SharedBatchPool::counts() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return {all_.size(), acquires_, returns_, free_.size()};
+}
+
+void ShardLanes::ReleaseQueued(size_t shard) {
+  LaneItem item;
+  while (lanes_[shard].ring.TryPop(&item)) {
+    if (item.batch != nullptr) SharedBatchPool::Release(item.batch);
+  }
+}
+
 void ShardLanes::ResetAfterJoin(size_t shard) {
   // Single-threaded: the worker is joined or not yet spawned, and the SPSC
   // protocol does not cover concurrent Clears.
   Lane& lane = lanes_[shard];
-  lane.ring.Clear();
-  lane.free_ring.Clear();
+  ReleaseQueued(shard);
+  lane.done.Clear();
   lane.consumer_parked.store(false, std::memory_order_relaxed);
   lane.producer_parked.store(false, std::memory_order_relaxed);
   lane.idle.store(false, std::memory_order_relaxed);
@@ -129,7 +168,7 @@ PushResult ShardLanes::Barrier(size_t* failed) {
   }
   for (size_t s = 0; s < n; ++s) {
     if (lanes_[s].barrier_pending) continue;
-    LaneItem token{LaneItem::Tag::kBarrier, {}};
+    LaneItem token{.tag = LaneItem::Tag::kBarrier};
     const PushResult pushed = Push(s, token);
     if (pushed != PushResult::kPushed) {
       // Stopped: lanes that did get a token park on the epoch until the
@@ -192,7 +231,7 @@ void ShardLanes::StopWorkers() {
   for (size_t s = 0; !quarantine && s < lanes_.size(); ++s) {
     // A stop request against a full ring falls back to quarantine for
     // every lane (workers that already took their token just exit).
-    LaneItem token{LaneItem::Tag::kStop, {}};
+    LaneItem token{.tag = LaneItem::Tag::kStop};
     quarantine = Push(s, token) != PushResult::kPushed;
   }
   JoinWorkers(quarantine);
@@ -281,6 +320,15 @@ bool ShardLanes::Pop(size_t shard, LaneItem* item) {
     });
     lane.at_barrier.store(false, std::memory_order_release);
   }
+}
+
+bool ShardLanes::Finish(size_t shard, LaneItem& item) {
+  Lane& lane = lanes_[shard];
+  while (!lane.done.TryPush(item)) {
+    if (lane.quarantine.load(std::memory_order_relaxed)) return false;
+    CpuRelax();
+  }
+  return true;
 }
 
 bool ShardLanes::HitWorkerFault(size_t shard) {

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -22,68 +23,126 @@ namespace exec {
 
 class ShardSupervisor;
 
-/// One unit of shard work: an event for the owner shard, or a purge marker
-/// replaying a trigger's cross-partition purge on a non-owner shard.
-/// `trigger_queries` is meaningful for markers only: which workload
-/// queries the trigger completed (empty for a single query's markers).
-///
-/// Ops live in recycled storage (LaneItem), so they are filled by the
-/// Assign calls, which overwrite every field a worker reads and keep the
-/// event's attribute capacity.
-struct ShardOp {
-  enum class Kind : uint8_t { kEvent, kPurgeMarker };
-  Kind kind = Kind::kEvent;
-  /// The event; a marker uses only its ts and seq (the trigger's).
-  Event event;
-  std::vector<size_t> trigger_queries;
+/// Op word flag: the word's low bits index the shared batch's trigger
+/// table (a purge marker) instead of its events.
+inline constexpr uint32_t kMarkerOp = 1u << 31;
 
-  /// An event op. A slim op (`with_attrs` false) carries only the event's
-  /// type, ts and seq: for a type no query names, every engine returns on
-  /// the type check before it reads an attribute.
-  void AssignEvent(const Event& e, bool with_attrs) {
-    kind = Kind::kEvent;
-    if (with_attrs) {
-      event = e;
-      return;
-    }
-    event.set_type(e.type());
-    event.set_ts(e.ts());
-    event.set_seq(e.seq());
-    event.ClearAttrs();
+class SharedBatchPool;
+
+/// \brief The events of one source batch that some lane needs, copied once
+/// by the coordinator and read by every lane it is published to. Lanes
+/// address it with 32-bit op words (LaneItem::ops): an event index, or
+/// kMarkerOp plus a trigger index for a purge marker.
+///
+/// Batches are recycled through their SharedBatchPool: event slots keep
+/// their attribute capacity across uses, so a copy allocates nothing once
+/// the pool is warm. A batch is reference-counted (SharedBatchPool::Ref /
+/// Release) and returns to the pool when its last holder lets go.
+struct SharedBatch {
+  /// A trigger event whose cross-partition purge the non-owner lanes
+  /// replay. Its query list is stored once here, however many lanes get
+  /// the marker.
+  struct Trigger {
+    uint32_t event = 0;
+    uint32_t first_query = 0;
+    uint32_t num_queries = 0;
+  };
+
+  const Event& event(uint32_t index) const { return events_[index]; }
+  const Trigger& trigger(uint32_t index) const { return triggers_[index]; }
+  std::span<const size_t> queries(const Trigger& t) const {
+    return {trigger_queries_.data() + t.first_query, t.num_queries};
   }
-  /// A purge marker for the trigger `e`.
-  void AssignMarker(const Event& e, std::span<const size_t> queries) {
-    kind = Kind::kPurgeMarker;
-    event.set_ts(e.ts());
-    event.set_seq(e.seq());
-    event.ClearAttrs();
-    trigger_queries.assign(queries.begin(), queries.end());
+  size_t size() const { return size_; }
+
+  /// Copies `e` into the next event slot and returns its index.
+  uint32_t Append(const Event& e) {
+    if (size_ == events_.size()) events_.emplace_back();
+    events_[size_] = e;
+    return static_cast<uint32_t>(size_++);
   }
+  /// Records event `index` as a trigger of `queries`; returns the op word
+  /// of its purge marker.
+  uint32_t AddTrigger(uint32_t index, std::span<const size_t> queries) {
+    triggers_.push_back({index, static_cast<uint32_t>(trigger_queries_.size()),
+                         static_cast<uint32_t>(queries.size())});
+    trigger_queries_.insert(trigger_queries_.end(), queries.begin(),
+                            queries.end());
+    return kMarkerOp | static_cast<uint32_t>(triggers_.size() - 1);
+  }
+
+ private:
+  friend class SharedBatchPool;
+
+  /// The first size_ slots are live; the rest keep their capacity.
+  std::vector<Event> events_;
+  size_t size_ = 0;
+  std::vector<Trigger> triggers_;
+  std::vector<size_t> trigger_queries_;
+  std::atomic<uint32_t> refs_{0};
+  SharedBatchPool* pool_ = nullptr;
 };
 
-/// One ring slot: a chunk of ops (one publication), or a barrier or stop
-/// token.
+/// \brief Owns every SharedBatch of a sharded executor and recycles them.
+/// Acquire is coordinator-only; Release may run on any thread (the last
+/// holder of a batch is usually a worker), so the free list is locked —
+/// once per batch, not per event.
+class SharedBatchPool {
+ public:
+  /// An empty batch holding one reference (the caller's).
+  SharedBatch* Acquire();
+  static void Ref(SharedBatch* batch) {
+    batch->refs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Drops one reference; the last one returns the batch to its pool.
+  static void Release(SharedBatch* batch) {
+    if (batch->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      batch->pool_->Return(batch);
+    }
+  }
+
+  /// Pool accounting: batches ever allocated, Acquire calls, returns, and
+  /// batches currently idle. With no batch in flight, acquires == returns
+  /// and idle == created.
+  struct Counts {
+    size_t created = 0;
+    uint64_t acquires = 0;
+    uint64_t returns = 0;
+    size_t idle = 0;
+  };
+  Counts counts() const;
+
+ private:
+  void Return(SharedBatch* batch);
+
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<SharedBatch>> all_;
+  std::vector<SharedBatch*> free_;
+  uint64_t acquires_ = 0;
+  uint64_t returns_ = 0;
+};
+
+/// One ring slot: one lane's op words for one source batch (one
+/// publication), or a barrier or stop token.
 struct LaneItem {
   enum class Tag : uint8_t { kOps, kBarrier, kStop };
   Tag tag = Tag::kOps;
-  /// Op storage; the first `live` ops are the item's work. The rest are
-  /// stale ops kept for their capacity: a drained vector travels back
-  /// through the lane's free ring uncleared, and the coordinator
-  /// overwrites its ops in place (Append), so a steady-state run
-  /// allocates and frees nothing per op.
-  std::vector<ShardOp> ops;
-  size_t live = 0;
+  /// The batch the op words index. A queued item holds one reference; the
+  /// worker drops it once the item ran.
+  SharedBatch* batch = nullptr;
+  /// Op words, in seq order. The vector travels back to the coordinator
+  /// with the drained item and is reused.
+  std::vector<uint32_t> ops = {};
+  /// The executor's result slot for this item: the worker writes the
+  /// item's outputs and object records there.
+  uint32_t slot = 0;
+  /// One past the source batch's last seq: once the item is drained, the
+  /// lane has finished every seq below it.
+  SeqNum end_seq = 0;
   /// Publication timestamp (obs::MonotonicNanos at ring push), stamped
   /// only when telemetry is on — the base of the trigger-to-output
   /// latency histogram. Zero when telemetry is off.
   uint64_t publish_ns = 0;
-
-  /// The next op slot: a recycled one when the storage has it.
-  ShardOp& Append() {
-    if (live == ops.size()) ops.emplace_back();
-    return ops[live++];
-  }
-  std::span<const ShardOp> live_ops() const { return {ops.data(), live}; }
 };
 
 /// How a coordinator push or barrier ended. kStopped: a stop request
@@ -120,10 +179,12 @@ struct WorkerTally {
 /// degrade-serial drain); stop tokens or quarantine end a worker.
 class ShardLanes {
  public:
-  /// Bounded-queue depth per lane (ring capacity): enough to keep workers
-  /// fed ahead of the router, small enough that a fast router cannot
-  /// buffer the stream.
-  static constexpr size_t kMaxQueuedItems = 16;
+  /// Bounded-queue depth per lane (ring capacity): deep enough that a
+  /// worker descheduled for a millisecond does not stall the router (an
+  /// item is one source batch, so 64 items are 16k events at the default
+  /// batch size), small enough that a fast router cannot buffer the
+  /// stream. The memory it bounds is the shared batches in flight.
+  static constexpr size_t kMaxQueuedItems = 64;
   /// Every park is timed at this one period: a lost wakeup costs at most
   /// this, and the coordinator polls stop_requested (and, supervised, the
   /// watchdog) at the same cadence.
@@ -132,15 +193,20 @@ class ShardLanes {
   /// a counterpart mid-item, gone within microseconds; parking for those
   /// would trade two atomic ops for a futex round-trip.
   static constexpr size_t kRingSpinIters = 128;
+  /// Return-ring depth, and so the number of result slots per lane. The
+  /// coordinator collects a lane's drained items before each push to it,
+  /// so at most kMaxQueuedItems + 2 of its items are ever outstanding
+  /// (queued, running, or drained and not yet collected).
+  static constexpr size_t kDoneSlots = 2 * kMaxQueuedItems;
 
   /// One shard's queues, park layer and worker signals.
   struct Lane {
     /// Work ring: the coordinator publishes, the worker drains.
     SpscRing<LaneItem> ring{kMaxQueuedItems};
-    /// Reverse ring, worker → coordinator: drained op vectors recycled
-    /// back to the router uncleared (LaneItem::ops). Best-effort — a full
-    /// ring just lets the vector deallocate.
-    SpscRing<std::vector<ShardOp>> free_ring{kMaxQueuedItems};
+    /// Return ring, worker → coordinator: drained items, which tell the
+    /// coordinator that their result slot is filled and bring the op
+    /// vector back for reuse. Never full (see kDoneSlots).
+    SpscRing<LaneItem> done{kDoneSlots};
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<bool> consumer_parked{false};
@@ -182,9 +248,13 @@ class ShardLanes {
 
   /// Per-run reset, before any worker is spawned.
   void ResetForRun();
-  /// Post-join reset of one lane: empty rings, cleared worker flags. An
-  /// owed barrier token stays owed.
+  /// Post-join reset of one lane: empty rings (queued items drop their
+  /// batch references), cleared worker flags. An owed barrier token stays
+  /// owed.
   void ResetAfterJoin(size_t shard);
+  /// Post-join: drops the batch references of items still queued on the
+  /// lane (a stop-stalled or aborted run never ran them).
+  void ReleaseQueued(size_t shard);
   /// Starts the shard's worker running `body` and applies --pin-threads.
   void Spawn(size_t shard, std::function<void()> body);
   /// The coordinator's one ring push: TryPush, a bounded spin, then timed
@@ -217,6 +287,11 @@ class ShardLanes {
   /// StopWorkers).
   uint64_t full_waits() const { return full_waits_; }
   uint64_t spins() const;
+  /// The next drained item of the lane, if any (coordinator side of the
+  /// return ring).
+  bool Collect(size_t shard, LaneItem* item) {
+    return lanes_[shard].done.TryPop(item);
+  }
 
   // ---- Worker side. ----
 
@@ -224,6 +299,10 @@ class ShardLanes {
   /// (the worker parks until ResumeAll). Returns false when the worker
   /// must exit: a stop token or quarantine.
   bool Pop(size_t shard, LaneItem* item);
+  /// Hands a drained item back to the coordinator. The return ring has
+  /// room by construction; the bounded wait only guards that invariant.
+  /// False when quarantine ended the wait (the item is dropped).
+  bool Finish(size_t shard, LaneItem& item);
   /// One `worker.op` fault hit: slow sleeps; supervised, crash and stall
   /// make the worker die or hang until quarantined. True when the worker
   /// must return at once.

@@ -1,5 +1,6 @@
 #include "exec/shard_router.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -102,74 +103,110 @@ ShardRouter::ShardRouter(std::span<const CompiledQuery> queries,
                  static_cast<size_t>(q.partition_spec().group_part),
                  q.has_window(), plan::AdmissionProgram(q)});
   }
+  prefilters_.resize(queries_.size());
 }
 
 std::span<const ShardRouter::Route> ShardRouter::RouteBatch(
     std::span<const Event> batch) {
-  // Reset the route scratch in place (trigger vectors keep their capacity).
-  routes_.resize(batch.size());
-  const bool armed = fault::Injector::Global().armed();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Route& route = routes_[i];
-    route.relevant = false;
-    route.has_key = false;
-    route.key_id = 0;
-    route.inject_overload = false;
-    route.trigger_queries.clear();
-    if (armed) {
-      // Per *event*, in seq order, before any admission: fault-spec
-      // offsets count routed events.
-      if (auto fired =
-              fault::Injector::Global().Hit(fault::Point::kRouterRoute)) {
-        if (fired->kind == fault::Kind::kCrash) {
-          // Coordinator death: the process is gone; recovery is the
-          // restore-from-snapshot path, exercised by the CI fault smoke.
-          std::_Exit(fault::kCrashExitCode);
-        }
-        if (fired->kind == fault::Kind::kOverload) route.inject_overload = true;
+  unrouted_overload_ = false;
+  overload_hits_.clear();
+  if (fault::Injector::Global().armed()) {
+    // Per *event*, in seq order, before any admission: fault-spec offsets
+    // count every event.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      auto fired = fault::Injector::Global().Hit(fault::Point::kRouterRoute);
+      if (!fired) continue;
+      if (fired->kind == fault::Kind::kCrash) {
+        // Coordinator death: the process is gone; recovery is the
+        // restore-from-snapshot path, exercised by the CI fault smoke.
+        std::_Exit(fault::kCrashExitCode);
+      }
+      if (fired->kind == fault::Kind::kOverload) {
+        overload_hits_.push_back(static_cast<uint32_t>(i));
       }
     }
-    route.shard = static_cast<size_t>(batch[i].seq() % num_shards_);
+  }
+  // The union of the queries' relevance masks picks the routed events.
+  const size_t words = (batch.size() + 63) / 64;
+  union_.assign(words, 0);
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (prefilters_[qi].Scan(queries_[qi].program, batch) == 0) continue;
+    const std::span<const uint64_t> mask = prefilters_[qi].mask();
+    for (size_t w = 0; w < words; ++w) union_[w] |= mask[w];
+  }
+  word_base_.resize(words);
+  size_t routed = 0;
+  for (size_t w = 0; w < words; ++w) {
+    word_base_[w] = static_cast<uint32_t>(routed);
+    for (uint64_t bits = union_[w]; bits != 0; bits &= bits - 1) {
+      const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (routed == routes_.size()) routes_.emplace_back();
+      Route& route = routes_[routed++];
+      route.index = static_cast<uint32_t>(i);
+      route.shard = static_cast<size_t>(batch[i].seq() % num_shards_);
+      route.has_key = false;
+      route.key_id = 0;
+      route.inject_overload = false;
+      route.trigger_queries.clear();
+    }
+  }
+  // The route of relevant event `i`: routes before its word, plus the
+  // relevant events below it within the word.
+  auto route_of = [&](size_t i) -> Route& {
+    const uint64_t below = union_[i >> 6] & ((uint64_t{1} << (i & 63)) - 1);
+    return routes_[word_base_[i >> 6] + std::popcount(below)];
+  };
+  for (uint32_t i : overload_hits_) {
+    if ((union_[i >> 6] >> (i & 63)) & 1) {
+      route_of(i).inject_overload = true;
+    } else {
+      unrouted_overload_ = true;
+    }
   }
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     PerQuery& pq = queries_[qi];
+    plan::BatchPrefilter& prefilter = prefilters_[qi];
     // Whole-query early-out: a batch with no event of any type the query
     // plays is invisible to it — skip its admission pass entirely.
-    if (prefilter_.Scan(pq.program, batch) == 0) continue;
+    if (prefilter.relevant_count() == 0) continue;
     // Exactly the engines' staging condition: a record exists iff the
     // local predicates pass and the partition key extracts. No interner is
     // passed — the router speaks its *own* id space, interned below.
     admitter_.AdmitBatch(pq.program, batch, /*interner=*/nullptr,
-                         /*stats=*/nullptr, &prefilter_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Route& route = routes_[i];
-      if (prefilter_.Relevant(i)) route.relevant = true;
-      bool triggered = false;
-      for (const plan::AdmissionRecord& rec : admitter_.RecordsFor(i)) {
-        if (!route.has_key) {
-          // Every role of every query extracts the same GROUP BY value
-          // (PlanSharding: one shared attribute, and the group part covers
-          // every element), so whichever record comes first fixes the one
-          // owner shard; the part hash is a pure function of the value.
-          // Interning gives a dense id per distinct key, so
-          // `id % num_shards` spreads keys round-robin in first-seen order
-          // — immune to hash clustering — at the cost of making the table
-          // part of the checkpointed router state (see Checkpoint).
-          route.has_key = true;
-          route.key_id = interner_.InternHashed(rec.part_hashes[pq.group_part],
-                                                *rec.part_vals[pq.group_part]);
-          route.shard = route.key_id % num_shards_;
+                         /*stats=*/nullptr, &prefilter);
+    const std::span<const uint64_t> mask = prefilter.mask();
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        Route& route = route_of(i);
+        bool triggered = false;
+        for (const plan::AdmissionRecord& rec : admitter_.RecordsFor(i)) {
+          if (!route.has_key) {
+            // Every role of every query extracts the same GROUP BY value
+            // (PlanSharding: one shared attribute, and the group part
+            // covers every element), so whichever record comes first fixes
+            // the one owner shard; the part hash is a pure function of the
+            // value. Interning gives a dense id per distinct key, so
+            // `id % num_shards` spreads keys round-robin in first-seen
+            // order — immune to hash clustering — at the cost of making
+            // the table part of the checkpointed router state (see
+            // Checkpoint).
+            route.has_key = true;
+            route.key_id = interner_.InternHashed(
+                rec.part_hashes[pq.group_part], *rec.part_vals[pq.group_part]);
+            route.shard = route.key_id % num_shards_;
+          }
+          const Role& role = rec.role->role;
+          if (!role.negated && role.position == pq.length) {
+            triggered = true;
+            break;  // key already fixed (every staged record extracts it)
+          }
         }
-        const Role& role = rec.role->role;
-        if (!role.negated && role.position == pq.length) {
-          triggered = true;
-          break;  // key already fixed (every staged record extracts it)
-        }
+        if (triggered && pq.windowed) route.trigger_queries.push_back(qi);
       }
-      if (triggered && pq.windowed) route.trigger_queries.push_back(qi);
     }
   }
-  return routes_;
+  return {routes_.data(), routed};
 }
 
 void ShardRouter::Checkpoint(ckpt::Writer* writer) const {

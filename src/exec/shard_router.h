@@ -60,16 +60,16 @@ class ShardRouter {
   /// storage) and must pass PlanSharding.
   ShardRouter(std::span<const CompiledQuery> queries, size_t num_shards);
 
+  /// One event some query's pattern names (the union of the queries'
+  /// prefilter masks). Every other event touches no engine state on any
+  /// shard — each engine returns on its type check — so it is not routed.
   struct Route {
-    /// Owner shard. Events that stage no probe (type not in any pattern,
-    /// failed local predicates, missing key attribute) touch no partition
-    /// state on any shard; they spread round-robin by seq for balanced
-    /// event accounting.
+    /// The event's position in the routed batch.
+    uint32_t index = 0;
+    /// Owner shard. Events that stage no probe (failed local predicates,
+    /// missing key attribute) touch no partition state on any shard; they
+    /// spread round-robin by seq for balanced event accounting.
     size_t shard = 0;
-    /// True when some query's pattern names the event's type (the union
-    /// of the queries' prefilter masks). Only such an event needs its
-    /// attributes on the shard: every other one is a slim op there.
-    bool relevant = false;
     /// True when some query staged a probe and the GROUP BY key extracted;
     /// key_id then holds the router's dense id for that key. The shed
     /// overload policy drops whole partitions by key_id — events without
@@ -90,14 +90,21 @@ class ShardRouter {
 
   /// \brief Routes a whole borrowed batch; events must carry their final
   /// seq numbers. Per-event `router.route` fault hits run first, in seq
-  /// order (fault-spec offsets count routed events). Then each query gets
-  /// one vectorized admission prefilter and one BatchAdmitter pass — a
-  /// query with no relevant event in the batch is skipped entirely.
+  /// order (fault-spec offsets count every event, routed or not). Then
+  /// each query gets one vectorized admission prefilter and one
+  /// BatchAdmitter pass — a query with no relevant event in the batch is
+  /// skipped entirely — and only prefilter-relevant events are visited.
   /// Interning is query-major over the batch (all of query 0's records,
   /// then query 1's, ...): deterministic, self-consistent within a run and
-  /// across its checkpoints, and for one query plain event order. The
-  /// returned span is valid until the next RouteBatch call.
+  /// across its checkpoints, and for one query plain event order. Returns
+  /// one Route per relevant event, in batch order, valid until the next
+  /// RouteBatch call.
   std::span<const Route> RouteBatch(std::span<const Event> batch);
+
+  /// True when the last RouteBatch injected overload (router.route fault)
+  /// on an event it did not route: no lane receives it, so only the
+  /// degrade-serial drain reacts.
+  bool unrouted_overload() const { return unrouted_overload_; }
 
   /// \brief Router state round-trip for sharded snapshots.
   ///
@@ -126,10 +133,16 @@ class ShardRouter {
   /// runs with a null interner): the router interns only the GROUP BY part
   /// value, and its id order is durable state.
   plan::BatchAdmitter admitter_;
-  /// Per-batch type-relevance bitmask.
-  plan::BatchPrefilter prefilter_;
-  /// RouteBatch scratch, clear-not-shrink.
+  /// Per-query type-relevance bitmasks of the current batch.
+  std::vector<plan::BatchPrefilter> prefilters_;
+  /// RouteBatch scratch, clear-not-shrink: the union of the masks, routes
+  /// before each mask word (so an event's route is one popcount away),
+  /// the routes, and the indexes of injected-overload events.
+  std::vector<uint64_t> union_;
+  std::vector<uint32_t> word_base_;
   std::vector<Route> routes_;
+  std::vector<uint32_t> overload_hits_;
+  bool unrouted_overload_ = false;
   /// GROUP BY values → dense ids, in first-routed order. Independent of
   /// any engine-side interner: routing only needs its *own* ids to be
   /// stable, and shard engines never see them.

@@ -40,11 +40,32 @@ bool ShardSupervisor::LaneFailed(size_t shard) {
              .count() > options_.watchdog_timeout_ms;
 }
 
+void ShardSupervisor::Log(size_t shard, SharedBatch* batch,
+                          std::span<const uint32_t> ops, SeqNum end_seq) {
+  LaneState& st = lanes_state_[shard];
+  if (st.logged == st.log.size()) st.log.emplace_back();
+  LogEntry& entry = st.log[st.logged++];
+  SharedBatchPool::Ref(batch);
+  entry.batch = batch;
+  entry.ops.assign(ops.begin(), ops.end());
+  entry.end_seq = end_seq;
+}
+
 void ShardSupervisor::SetRecoveryPoint(size_t shard, RecoveryPoint point) {
   LaneState& st = lanes_state_[shard];
   st.point = std::move(point);
-  st.replay_log.live = 0;
+  for (size_t i = 0; i < st.logged; ++i) {
+    SharedBatchPool::Release(st.log[i].batch);
+    st.log[i].batch = nullptr;
+  }
+  st.logged = 0;
   st.restart_attempts = 0;
+}
+
+void ShardSupervisor::ClearLogs() {
+  for (size_t s = 0; s < lanes_state_.size(); ++s) {
+    SetRecoveryPoint(s, RecoveryPoint{});
+  }
 }
 
 Result<const ShardSupervisor::RecoveryPoint*> ShardSupervisor::BeginRestart(
@@ -77,7 +98,8 @@ Result<const ShardSupervisor::RecoveryPoint*> ShardSupervisor::BeginRestart(
   return &st.point;
 }
 
-void ShardSupervisor::Replay(size_t shard) {
+void ShardSupervisor::Replay(
+    size_t shard, const std::function<PushResult(const LogEntry&)>& publish) {
   LaneState& st = lanes_state_[shard];
   st.last_progress =
       lanes_->lane(shard).progress.load(std::memory_order_relaxed);
@@ -91,24 +113,15 @@ void ShardSupervisor::Replay(size_t shard) {
   }
   uint64_t replayed = 0;
   bool abandoned = false;
-  const size_t chunk_size =
-      options_.batch_size == 0 ? kDefaultBatchSize : options_.batch_size;
-  const std::span<const ShardOp> log = st.replay_log.live_ops();
-  for (size_t i = 0; i < log.size();) {
-    const size_t chunk = std::min(chunk_size, log.size() - i);
-    LaneItem item;
-    item.ops.assign(log.begin() + static_cast<ptrdiff_t>(i),
-                    log.begin() + static_cast<ptrdiff_t>(i + chunk));
-    item.live = chunk;
-    if (options_.telemetry != nullptr) item.publish_ns = obs::MonotonicNanos();
-    if (lanes_->Push(shard, item) != PushResult::kPushed) {
+  for (size_t i = 0; i < st.logged; ++i) {
+    const LogEntry& entry = st.log[i];
+    if (publish(entry) != PushResult::kPushed) {
       abandoned = true;
       break;
     }
-    for (size_t j = i; j < i + chunk; ++j) {
-      if (log[j].kind == ShardOp::Kind::kEvent) ++replayed;
+    for (uint32_t op : entry.ops) {
+      if ((op & kMarkerOp) == 0) ++replayed;
     }
-    i += chunk;
   }
   replayed_events_ += replayed;
   if (trace != nullptr) {
@@ -120,7 +133,7 @@ void ShardSupervisor::Replay(size_t shard) {
   // Re-issue a barrier token lost with the cleared ring, or the
   // coordinator's barrier would never complete.
   if (!abandoned && lanes_->lane(shard).barrier_pending) {
-    LaneItem token{LaneItem::Tag::kBarrier, {}};
+    LaneItem token{.tag = LaneItem::Tag::kBarrier};
     lanes_->Push(shard, token);
   }
 }

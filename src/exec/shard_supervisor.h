@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,18 +25,27 @@ namespace exec {
 /// its engine twin is rebuilt from the lane's last recovery point (an
 /// in-memory engine snapshot captured at every barrier) and its routed op
 /// slice since that point is replayed, so outputs and stats end bit-exact
-/// with an unfailed run. A restart is BeginRestart, the coordinator's
-/// engine rebuild and respawn, then Replay. Restarts back off
-/// exponentially and are budgeted per recovery interval; exhausting the
-/// budget aborts the run.
+/// with an unfailed run. The replay log pins the shared batches of that
+/// slice (one reference per entry) next to the lane's op words. A restart
+/// is BeginRestart, the coordinator's engine rebuild and respawn, then
+/// Replay. Restarts back off exponentially and are budgeted per recovery
+/// interval; exhausting the budget aborts the run.
 class ShardSupervisor {
  public:
   /// What a lane rolls back to: the engine's Checkpoint payload and the
-  /// lane's output/stats-record counts when it was taken.
+  /// seq it was taken at (every output and object record of the lane
+  /// below it was already collected).
   struct RecoveryPoint {
     std::string snapshot;
-    size_t outputs = 0;
-    size_t records = 0;
+    SeqNum seq = 0;
+  };
+
+  /// One publication to the lane since its recovery point: the shared
+  /// batch (pinned) and the lane's op words for it.
+  struct LogEntry {
+    SharedBatch* batch = nullptr;
+    std::vector<uint32_t> ops;
+    SeqNum end_seq = 0;
   };
 
   ShardSupervisor(size_t num_shards, const RunOptions& options,
@@ -49,15 +60,16 @@ class ShardSupervisor {
   /// idle, not at a barrier, heartbeat frozen) past the watchdog timeout.
   bool LaneFailed(size_t shard);
 
-  /// Every op routed to the lane since its recovery point, in order: the
-  /// log's live ops, in recycled storage like a ring item's.
-  LaneItem& replay_log(size_t shard) {
-    return lanes_state_[shard].replay_log;
-  }
+  /// Logs a publication to the lane and pins its batch until the next
+  /// recovery point.
+  void Log(size_t shard, SharedBatch* batch, std::span<const uint32_t> ops,
+           SeqNum end_seq);
 
   /// Sets the lane's recovery point (workers parked at a barrier): clears
   /// its replay log and refills its restart budget.
   void SetRecoveryPoint(size_t shard, RecoveryPoint point);
+  /// Unpins every logged batch (end of run).
+  void ClearLogs();
 
   /// Quarantines and joins the failed worker, charges the lane's restart
   /// budget, backs off, and resets the lane. Returns the recovery point to
@@ -65,11 +77,13 @@ class ShardSupervisor {
   Result<const RecoveryPoint*> BeginRestart(size_t shard);
 
   /// After the coordinator respawned the worker: re-arms the watchdog and
-  /// replays the lane's routed slice, then its owed barrier token. If the
-  /// fresh worker fails again mid-replay, or a stop request arrives, it
-  /// abandons; the caller's next failure check restarts again, and the
-  /// budget bounds the loop.
-  void Replay(size_t shard);
+  /// replays the lane's routed slice through `publish` (one call per log
+  /// entry, in order), then its owed barrier token. If the fresh worker
+  /// fails again mid-replay, or a stop request arrives, it abandons; the
+  /// caller's next failure check restarts again, and the budget bounds the
+  /// loop.
+  void Replay(size_t shard,
+              const std::function<PushResult(const LogEntry&)>& publish);
 
   uint64_t restarts() const { return restarts_; }
   uint64_t replayed_events() const { return replayed_events_; }
@@ -77,7 +91,10 @@ class ShardSupervisor {
  private:
   struct LaneState {
     RecoveryPoint point;
-    LaneItem replay_log;
+    /// The first `logged` entries are live; the rest keep their op
+    /// vectors' capacity.
+    std::vector<LogEntry> log;
+    size_t logged = 0;
     /// Restarts burned since the last recovery point.
     size_t restart_attempts = 0;
     /// Last observed heartbeat and when it changed.

@@ -18,8 +18,18 @@ namespace {
 // What differs between the single-query and the workload executor,
 // overloaded on the engine and output types.
 
-SeqNum OutputSeq(const Output& o) { return o.seq; }
-SeqNum OutputSeq(const MultiOutput& o) { return o.output.seq; }
+SeqNum SeqOf(const Output& o) { return o.seq; }
+SeqNum SeqOf(const MultiOutput& o) { return o.output.seq; }
+SeqNum SeqOf(const StatsTimelineMerger::Record& r) { return r.seq; }
+
+/// The first element at or above `seq` of a seq-ascending vector of
+/// outputs or object records.
+template <class V>
+auto FirstFrom(V& v, SeqNum seq) {
+  return std::partition_point(v.begin(), v.end(), [seq](const auto& x) {
+    return SeqOf(x) < seq;
+  });
+}
 
 ShardableEngine* AsShardable(QueryEngine* engine) {
   return dynamic_cast<ShardableEngine*>(engine);
@@ -30,11 +40,18 @@ MultiShardableEngine* AsShardable(MultiQueryEngine* engine) {
 
 /// Applies a purge marker. A single query's marker purges the whole engine;
 /// a workload's purges the queries its trigger completed.
-void SyncPurge(ShardableEngine* shardable, const ShardOp& op) {
-  shardable->SyncPurgeTo(op.event.ts());
+void SyncPurge(ShardableEngine* shardable, Timestamp now,
+               std::span<const size_t> /*queries*/) {
+  shardable->SyncPurgeTo(now);
 }
-void SyncPurge(MultiShardableEngine* shardable, const ShardOp& op) {
-  shardable->SyncPurgeTo(op.event.ts(), op.trigger_queries);
+void SyncPurge(MultiShardableEngine* shardable, Timestamp now,
+               std::span<const size_t> queries) {
+  shardable->SyncPurgeTo(now, queries);
+}
+
+/// Seconds between two obs::MonotonicNanos readings.
+double Seconds(uint64_t begin, uint64_t end) {
+  return static_cast<double>(end - begin) * 1e-9;
 }
 
 /// Single-query engines count objects at add/remove granularity, so their
@@ -57,6 +74,7 @@ ShardedExecutorT<Engine>::ShardedExecutorT(
       factory_(std::move(factory)),
       router_(std::move(router)),
       states_(engines_.size()),
+      ledgers_(engines_.size()),
       pending_(engines_.size()),
       supervisor_(engines_.size(), options_, &lanes_),
       lanes_(engines_.size(), options_,
@@ -64,6 +82,7 @@ ShardedExecutorT<Engine>::ShardedExecutorT(
       busy_view_(engines_.size(), 0) {
   assert(engines_.size() > 1);
   options_.num_shards = engines_.size();
+  for (ShardState& st : states_) st.slots.resize(ShardLanes::kDoneSlots);
 }
 
 template <class Engine>
@@ -75,6 +94,7 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
   EngineStats* stats = shardable->shard_mutable_stats();
   const bool boundary_objects = BoundaryObjects(shardable);
   const bool check_faults = fault::Injector::Global().armed();
+  const bool collect = CollectsOutputs();
   // Telemetry cell for this shard (null = off). The worker is the cell's
   // only writer; the per-op sites reuse timing the busy-seconds accounting
   // already pays for.
@@ -83,29 +103,42 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
   for (;;) {
     LaneItem item;
     if (!lanes_.Pop(shard, &item)) return;
+    const SharedBatch& batch = *item.batch;
+    ItemResult& result = st.slots[item.slot];
     StopWatch watch;
     // Per-item accumulators for the per-op telemetry counts: one tally
     // update per drained item instead of one per op.
     uint64_t item_events = 0;
     uint64_t item_outputs = 0;
-    for (const ShardOp& op : item.live_ops()) {
-      if (check_faults && lanes_.HitWorkerFault(shard)) return;
+    for (const uint32_t op : item.ops) {
+      if (check_faults && lanes_.HitWorkerFault(shard)) {
+        // The item dies with the worker (a restart replays it); only its
+        // batch reference is let go.
+        SharedBatchPool::Release(item.batch);
+        return;
+      }
       ObjectCounter& objects = stats->objects;
       objects.BeginPeakWindow();
       const int64_t before = objects.current();
-      if (op.kind == ShardOp::Kind::kEvent) {
+      SeqNum seq;
+      if ((op & kMarkerOp) == 0) {
+        const Event& e = batch.event(op);
+        seq = e.seq();
         st.scratch.clear();
-        engine->OnEvent(op.event, &st.scratch);
+        engine->OnEvent(e, &st.scratch);
         if (cell != nullptr) {
           ++item_events;
           item_outputs += st.scratch.size();
         }
-        if (CollectsOutputs() && !st.scratch.empty()) {
-          st.outputs.insert(st.outputs.end(), st.scratch.begin(),
-                            st.scratch.end());
+        if (collect && !st.scratch.empty()) {
+          result.outputs.insert(result.outputs.end(), st.scratch.begin(),
+                                st.scratch.end());
         }
       } else {
-        SyncPurge(shardable, op);
+        const SharedBatch::Trigger& trigger = batch.trigger(op & ~kMarkerOp);
+        const Event& e = batch.event(trigger.event);
+        seq = e.seq();
+        SyncPurge(shardable, e.ts(), batch.queries(trigger));
       }
       const int64_t after = objects.current();
       int64_t window_peak = objects.window_peak();
@@ -117,10 +150,12 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
       // Record only state changes: the merge needs every current
       // transition and every mid-event maximum above the entry count.
       if (after != before || window_peak > before) {
-        st.records.push_back({op.event.seq(), after, window_peak});
+        result.records.push_back({seq, after, window_peak});
       }
       lane.progress.fetch_add(1, std::memory_order_relaxed);
     }
+    SharedBatchPool::Release(item.batch);
+    item.batch = nullptr;
     if (cell == nullptr) {
       st.busy_seconds += watch.ElapsedSeconds();
     } else {
@@ -130,11 +165,11 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
       const uint64_t busy = watch.ElapsedNanos();
       st.busy_seconds += static_cast<double>(busy) * 1e-9;
       ++tally.items;
-      tally.ops += item.live;
+      tally.ops += item.ops.size();
       tally.events += item_events;
       tally.outputs += item_outputs;
       tally.busy_ns += busy;
-      cell->op_service_ns.Record(busy / item.live);
+      cell->op_service_ns.Record(busy / item.ops.size());
       if (item_outputs > 0) {
         // Trigger-to-output latency: the batch's publication to the
         // completion of the item that produced the outputs. The absolute
@@ -147,22 +182,34 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
         tally.Flush(lane.ring.size());
       }
     }
-    // Recycle the drained ops to the router uncleared, so the coordinator
-    // overwrites them in place (best-effort: a full free ring just lets
-    // the capacity go).
-    lane.free_ring.TryPush(item.ops);
+    if (!lanes_.Finish(shard, item)) return;
   }
 }
 
 template <class Engine>
+PushResult ShardedExecutorT<Engine>::PushItem(size_t shard, LaneItem& item) {
+  Collect(shard);
+  LaneLedger& ledger = ledgers_[shard];
+  assert(ledger.published - ledger.collected < ShardLanes::kDoneSlots);
+  item.slot = static_cast<uint32_t>(ledger.published % ShardLanes::kDoneSlots);
+  const PushResult pushed = lanes_.Push(shard, item);
+  if (pushed == PushResult::kPushed) ++ledger.published;
+  return pushed;
+}
+
+template <class Engine>
 Status ShardedExecutorT<Engine>::FlushPending(size_t shard,
+                                              SharedBatch* batch,
+                                              SeqNum end_seq,
                                               uint64_t publish_ns,
                                               bool sample_occupancy) {
-  LaneItem& pending = pending_[shard];
-  if (pending.live == 0) return Status::OK();
+  std::vector<uint32_t>& pending = pending_[shard];
+  if (pending.empty()) return Status::OK();
   ++counters_.pub_batches;
-  LaneItem item{LaneItem::Tag::kOps, std::move(pending.ops), pending.live};
-  pending.live = 0;
+  if (options_.supervise) supervisor_.Log(shard, batch, pending, end_seq);
+  SharedBatchPool::Ref(batch);
+  LaneItem item{.batch = batch, .ops = std::move(pending)};
+  item.end_seq = end_seq;
   if (options_.telemetry != nullptr) {
     obs::CoordCell& cc = options_.telemetry->coord();
     cc.publications.Add(1);
@@ -173,19 +220,115 @@ Status ShardedExecutorT<Engine>::FlushPending(size_t shard,
     }
     item.publish_ns = publish_ns;
   }
-  const PushResult pushed = lanes_.Push(shard, item);
-  if (pushed == PushResult::kFailed) ASEQ_RETURN_NOT_OK(RestartShard(shard));
+  const PushResult pushed = PushItem(shard, item);
   if (pushed != PushResult::kPushed) {
     // Drop the ops and keep their storage. Stopped: the run ends
     // stop-stalled (interrupted, no final checkpoint). Failed: the restart
-    // replays everything routed since the recovery point, these ops
+    // replays everything logged since the recovery point, these ops
     // included, so pushing them now would double-feed.
-    pending.ops = std::move(item.ops);
+    SharedBatchPool::Release(batch);
+    pending = std::move(item.ops);
+    pending.clear();
+    if (pushed == PushResult::kFailed) return RestartShard(shard);
     return Status::OK();
   }
-  // Re-arm pending_ with a worker-recycled vector when one is available.
-  lanes_.lane(shard).free_ring.TryPop(&pending.ops);
+  if (!spare_ops_.empty()) {
+    pending = std::move(spare_ops_.back());
+    spare_ops_.pop_back();
+  }
   return Status::OK();
+}
+
+template <class Engine>
+void ShardedExecutorT<Engine>::Collect(size_t shard) {
+  LaneLedger& ledger = ledgers_[shard];
+  LaneItem item;
+  while (lanes_.Collect(shard, &item)) {
+    ItemResult& result = states_[shard].slots[item.slot];
+    // A restarted lane replays from its recovery point; whatever it
+    // regenerates below merged_upto_ already went out.
+    ledger.outputs.insert(
+        ledger.outputs.end(),
+        std::make_move_iterator(FirstFrom(result.outputs, merged_upto_)),
+        std::make_move_iterator(result.outputs.end()));
+    ledger.records.insert(ledger.records.end(),
+                          FirstFrom(result.records, merged_upto_),
+                          result.records.end());
+    result.outputs.clear();
+    result.records.clear();
+    ++ledger.collected;
+    ledger.done_below = item.end_seq;
+    item.ops.clear();
+    spare_ops_.push_back(std::move(item.ops));
+  }
+}
+
+template <class Engine>
+SeqNum ShardedExecutorT<Engine>::Watermark(SeqNum seq) const {
+  SeqNum w = seq;
+  for (const LaneLedger& ledger : ledgers_) {
+    if (ledger.collected < ledger.published) {
+      w = std::min(w, ledger.done_below);
+    }
+  }
+  return w;
+}
+
+template <class Engine>
+void ShardedExecutorT<Engine>::MergeBelow(SeqNum upto, RunResultT* result) {
+  if (upto <= merged_upto_) return;
+  const size_t n = ledgers_.size();
+  // Object records: everything below `upto` is present on every lane, as
+  // StatsTimelineMerger::Consume requires.
+  record_spans_.clear();
+  for (LaneLedger& ledger : ledgers_) {
+    record_spans_.emplace_back(
+        ledger.records.data(),
+        static_cast<size_t>(FirstFrom(ledger.records, upto) -
+                            ledger.records.begin()));
+  }
+  merger_.Consume(record_spans_);
+  for (size_t s = 0; s < n; ++s) {
+    auto& records = ledgers_[s].records;
+    records.erase(records.begin(),
+                  records.begin() + static_cast<ptrdiff_t>(record_spans_[s].size()));
+  }
+  merged_upto_ = upto;
+  if (!CollectsOutputs()) return;
+  OutputSink* sink = options_.output_sink;
+  cursors_.assign(n, 0);
+  for (;;) {
+    size_t best = n;
+    SeqNum best_seq = upto;
+    for (size_t s = 0; s < n; ++s) {
+      const auto& outs = ledgers_[s].outputs;
+      if (cursors_[s] < outs.size() && SeqOf(outs[cursors_[s]]) < best_seq) {
+        best_seq = SeqOf(outs[cursors_[s]]);
+        best = s;
+      }
+    }
+    if (best == n) break;
+    // One event's outputs all come from its owner shard, in order.
+    auto& outs = ledgers_[best].outputs;
+    const size_t first = cursors_[best];
+    while (cursors_[best] < outs.size() &&
+           SeqOf(outs[cursors_[best]]) == best_seq) {
+      ++cursors_[best];
+    }
+    const auto begin = outs.begin() + static_cast<ptrdiff_t>(first);
+    const auto end = outs.begin() + static_cast<ptrdiff_t>(cursors_[best]);
+    if (sink != nullptr) {
+      sink->Take(std::span<const OutputT>(begin, end));
+    } else {
+      result->outputs.insert(result->outputs.end(),
+                             std::make_move_iterator(begin),
+                             std::make_move_iterator(end));
+    }
+  }
+  for (size_t s = 0; s < n; ++s) {
+    auto& outs = ledgers_[s].outputs;
+    outs.erase(outs.begin(), outs.begin() + static_cast<ptrdiff_t>(cursors_[s]));
+  }
 }
 
 template <class Engine>
@@ -199,7 +342,7 @@ Status ShardedExecutorT<Engine>::Barrier() {
 template <class Engine>
 Status ShardedExecutorT<Engine>::Quiesce(uint64_t seq, bool recover,
                                          bool save, CheckpointCadence* ckpt,
-                                         RunResultBase* result) {
+                                         RunResultT* result) {
   const uint64_t begin =
       options_.telemetry != nullptr ? obs::MonotonicNanos() : 0;
   ASEQ_RETURN_NOT_OK(Barrier());
@@ -216,8 +359,10 @@ Status ShardedExecutorT<Engine>::Quiesce(uint64_t seq, bool recover,
           {obs::TraceWriter::NumArg("shards", engines_.size())});
     }
   }
-  DrainMerger();
-  Status status = recover ? CaptureRecoveryPoints() : Status::OK();
+  // Every item queued before the tokens is drained and in a return ring.
+  for (size_t s = 0; s < engines_.size(); ++s) Collect(s);
+  MergeBelow(seq, result);
+  Status status = recover ? CaptureRecoveryPoints(seq) : Status::OK();
   if (status.ok() && save) ckpt->Record(seq, SaveSnapshotAt(seq), result);
   lanes_.ResumeAll();
   return status;
@@ -227,13 +372,22 @@ template <class Engine>
 Status ShardedExecutorT<Engine>::RestartShard(size_t shard) {
   ASEQ_ASSIGN_OR_RETURN(const ShardSupervisor::RecoveryPoint* point,
                         supervisor_.BeginRestart(shard));
-  ShardState& st = states_[shard];
-  st.outputs.resize(point->outputs);
-  st.records.resize(point->records);
-  st.records_consumed = point->records;
+  // The failed worker's results since the recovery point are dropped: the
+  // replay regenerates them (its queued items went with the cleared rings).
+  for (ItemResult& result : states_[shard].slots) {
+    result.outputs.clear();
+    result.records.clear();
+  }
+  LaneLedger& ledger = ledgers_[shard];
+  ledger.published = ledger.collected = 0;
+  ledger.done_below = point->seq;
+  ledger.outputs.erase(FirstFrom(ledger.outputs, point->seq),
+                       ledger.outputs.end());
+  ledger.records.erase(FirstFrom(ledger.records, point->seq),
+                       ledger.records.end());
   // Ops routed but not yet flushed are already in the replay log; dropping
   // them here keeps the replay from double-feeding them.
-  pending_[shard].live = 0;
+  pending_[shard].clear();
   // Rebuild the engine twin from the recovery snapshot (engine Checkpoint
   // payloads carry stats, so the merged view stays exact).
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> fresh, factory_());
@@ -247,39 +401,44 @@ Status ShardedExecutorT<Engine>::RestartShard(size_t shard) {
   ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
   engines_[shard] = std::move(fresh);
   lanes_.Spawn(shard, [this, shard] { WorkerMain(shard); });
-  supervisor_.Replay(shard);
+  supervisor_.Replay(shard, [&](const ShardSupervisor::LogEntry& entry) {
+    LaneItem item{.batch = entry.batch};
+    if (!spare_ops_.empty()) {
+      item.ops = std::move(spare_ops_.back());
+      spare_ops_.pop_back();
+    }
+    item.ops.assign(entry.ops.begin(), entry.ops.end());
+    item.end_seq = entry.end_seq;
+    if (options_.telemetry != nullptr) item.publish_ns = obs::MonotonicNanos();
+    SharedBatchPool::Ref(entry.batch);
+    const PushResult pushed = PushItem(shard, item);
+    if (pushed != PushResult::kPushed) SharedBatchPool::Release(entry.batch);
+    return pushed;
+  });
   return Status::OK();
 }
 
 template <class Engine>
-Status ShardedExecutorT<Engine>::CaptureRecoveryPoints() {
+Status ShardedExecutorT<Engine>::CaptureRecoveryPoints(SeqNum seq) {
   for (size_t s = 0; s < engines_.size(); ++s) {
     ckpt::Writer writer;
     ASEQ_RETURN_NOT_OK(engines_[s]->Checkpoint(&writer));
-    supervisor_.SetRecoveryPoint(
-        s, {writer.buffer(), states_[s].outputs.size(),
-            states_[s].records.size()});
+    supervisor_.SetRecoveryPoint(s, {writer.buffer(), seq});
   }
   return Status::OK();
-}
-
-template <class Engine>
-void ShardedExecutorT<Engine>::DrainMerger() {
-  std::vector<std::span<const StatsTimelineMerger::Record>> spans;
-  spans.reserve(states_.size());
-  for (ShardState& st : states_) {
-    spans.push_back(std::span<const StatsTimelineMerger::Record>(
-        st.records.data() + st.records_consumed,
-        st.records.size() - st.records_consumed));
-    st.records_consumed = st.records.size();
-  }
-  merger_.Consume(spans);
 }
 
 template <class Engine>
 EngineStats ShardedExecutorT<Engine>::ComputeMergedStats() const {
   EngineStats merged;
   for (const auto& e : engines_) MergeBulkStats(e->stats(), &merged);
+  // An unshipped event is what a shard's batch-of-one OnEvent would have
+  // charged for it: one event, one batch of one.
+  merged.events_processed += unshipped_;
+  merged.batches_processed += unshipped_;
+  if (unshipped_ > 0) {
+    merged.max_batch_events = std::max<uint64_t>(merged.max_batch_events, 1);
+  }
   merged.objects.RestoreCounts(merger_.merged_current(),
                                merger_.merged_peak());
   return merged;
@@ -311,16 +470,18 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
   RunResultT result;
   result.batch_size = options_.batch_size;
   result.num_shards = n;
+  CoordinatorStats& coord = result.coordinator;
 
   // Per-run state, clear-not-shrink; no worker is spawned yet.
   lanes_.ResetForRun();
   supervisor_.ResetForRun();
-  for (ShardState& st : states_) {
-    st.outputs.clear();
-    st.records.clear();
-    st.records_consumed = 0;
-    st.busy_seconds = 0;
+  for (ShardState& st : states_) st.busy_seconds = 0;
+  for (LaneLedger& ledger : ledgers_) {
+    ledger.published = ledger.collected = 0;
+    ledger.outputs.clear();
+    ledger.records.clear();
   }
+  merged_upto_ = options_.start_offset;
   counters_ = Counters{};
   shed_keys_.clear();
   const uint64_t fired_at_start = fault::Injector::Global().fired_count();
@@ -339,7 +500,7 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
     // The initial recovery point: a restart before the first barrier must
     // rebuild the engines' *current* state — which, after a Restore(), is
     // not the fresh-constructed one.
-    Status cs = CaptureRecoveryPoints();
+    Status cs = CaptureRecoveryPoints(options_.start_offset);
     if (!cs.ok()) {
       result.fault_status = std::move(cs);
       return result;
@@ -372,7 +533,7 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
     // the vectorized admission prefilter + one BatchAdmitter sweep over
     // the borrowed batch instead of a per-event walk.
     for (Event& e : batch) e.set_seq(seq++);
-    const uint64_t batch_begin = tel != nullptr ? obs::MonotonicNanos() : 0;
+    const uint64_t batch_begin = obs::MonotonicNanos();
     const auto routes =
         router_.RouteBatch(std::span<const Event>(batch.data(), batch.size()));
     if (tel != nullptr) {
@@ -382,10 +543,14 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
       tel->coord().batches.Add(1);
       tel->coord().events.Add(batch.size());
     }
-    bool overload_hit = false;
-    for (size_t bi = 0; bi < batch.size(); ++bi) {
-      const Event& e = batch[bi];
-      const auto& route = routes[bi];
+    const uint64_t unshipped = batch.size() - routes.size();
+    unshipped_ += unshipped;
+    coord.unshipped_events += unshipped;
+    // An injected overload on an unrouted event can only drain.
+    bool overload_hit = router_.unrouted_overload();
+    SharedBatch* shared = nullptr;
+    for (const ShardRouter::Route& route : routes) {
+      const Event& e = batch[route.index];
       if (options_.overload_policy != OverloadPolicy::kBlock) {
         const bool overloaded =
             route.inject_overload ||
@@ -417,13 +582,12 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
           overload_hit = true;
         }
       }
-      // Copied into a recycled op, not moved: the batch may be borrowed
-      // source storage that a Reset replay will serve again, and the op's
-      // event reuses its attribute capacity. An event of a type no query
-      // names ships slim.
-      ShardOp& op = pending_[route.shard].Append();
-      op.AssignEvent(e, route.relevant);
-      if (supervised) supervisor_.replay_log(route.shard).Append() = op;
+      // Copied once, not moved: the batch may be borrowed source storage
+      // that a Reset replay will serve again, and the shared batch's slot
+      // reuses its attribute capacity.
+      if (shared == nullptr) shared = pool_.Acquire();
+      const uint32_t index = shared->Append(e);
+      pending_[route.shard].push_back(index);
       if (!route.trigger_queries.empty()) {
         // The serial trigger purges every partition (of each triggered
         // query); non-owner shards replay it as a marker at the same seq,
@@ -435,31 +599,42 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
             std::is_same_v<Engine, MultiQueryEngine>
                 ? std::span<const size_t>(route.trigger_queries)
                 : std::span<const size_t>();
+        const uint32_t marker = shared->AddTrigger(index, payload);
         for (size_t s = 0; s < n; ++s) {
-          if (s == route.shard) continue;
-          ShardOp& marker = pending_[s].Append();
-          marker.AssignMarker(e, payload);
-          if (supervised) supervisor_.replay_log(s).Append() = marker;
+          if (s != route.shard) pending_[s].push_back(marker);
         }
       }
     }
-    // One chunked publication per shard per batch; one shared timestamp
-    // covers all of them (the trigger-latency epoch is the batch's
-    // publication, not each shard's push).
-    const uint64_t publish_ns = tel != nullptr ? obs::MonotonicNanos() : 0;
-    const size_t occ_shard = occ_rotor++ % n;
-    for (size_t s = 0; s < n; ++s) {
-      Status fs = FlushPending(s, publish_ns, s == occ_shard);
-      if (!fs.ok()) {
-        result.fault_status = std::move(fs);
-        break;
+    // One publication per shard per batch; one shared timestamp covers all
+    // of them (the trigger-latency epoch is the batch's publication, not
+    // each shard's push).
+    const uint64_t publish_begin = obs::MonotonicNanos();
+    coord.route_s += Seconds(batch_begin, publish_begin);
+    if (shared != nullptr) {
+      const uint64_t publish_ns = tel != nullptr ? publish_begin : 0;
+      const size_t occ_shard = occ_rotor++ % n;
+      for (size_t s = 0; s < n; ++s) {
+        Status fs = FlushPending(s, shared, seq, publish_ns, s == occ_shard);
+        if (!fs.ok()) {
+          result.fault_status = std::move(fs);
+          break;
+        }
       }
+      // The coordinator's own reference: held across the pushes so a fast
+      // worker cannot return the batch to the pool mid-publication.
+      SharedBatchPool::Release(shared);
     }
+    const uint64_t merge_begin = obs::MonotonicNanos();
+    coord.publish_s += Seconds(publish_begin, merge_begin);
+    for (size_t s = 0; s < n; ++s) Collect(s);
+    MergeBelow(Watermark(seq), &result);
+    const uint64_t merge_end = obs::MonotonicNanos();
+    coord.merge_s += Seconds(merge_begin, merge_end);
     if (trace != nullptr) {
-      // The coordinator-side batch span: routing through publication
+      // The coordinator-side batch span: routing through the merge
       // (worker-side execution shows up in the shard rows).
       trace->Span("batch", obs::TraceWriter::kCoordTid, batch_begin,
-                  obs::MonotonicNanos(),
+                  merge_end,
                   {obs::TraceWriter::NumArg("seq", seq - batch.size()),
                    obs::TraceWriter::NumArg("events", batch.size())});
     }
@@ -519,7 +694,17 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
   // Work stranded by a stop-stalled push or barrier never ran.
   if (lanes_.stop_stalled()) result.interrupted = true;
 
-  DrainMerger();
+  // Workers are joined: merge whatever they finished, and let go of every
+  // batch reference still held (unrun items, unflushed ops, replay logs).
+  const uint64_t merge_begin = obs::MonotonicNanos();
+  for (size_t s = 0; s < n; ++s) {
+    lanes_.ReleaseQueued(s);
+    Collect(s);
+    pending_[s].clear();
+  }
+  MergeBelow(std::numeric_limits<SeqNum>::max(), &result);
+  coord.merge_s += Seconds(merge_begin, obs::MonotonicNanos());
+  supervisor_.ClearLogs();
   merged_ = ComputeMergedStats();
   merged_.fault_injected =
       fault::Injector::Global().fired_count() - fired_at_start;
@@ -533,45 +718,6 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
   // Workers are joined, so their plain spin counters are visible.
   merged_.ring_spins = lanes_.spins();
   for (size_t s = 0; s < n; ++s) busy_view_[s] = states_[s].busy_seconds;
-
-  if (CollectsOutputs()) {
-    OutputSink* sink = options_.output_sink;
-    if (sink == nullptr) {
-      size_t total = 0;
-      for (const ShardState& st : states_) total += st.outputs.size();
-      result.outputs.reserve(total);
-    }
-    std::vector<size_t> cursor(n, 0);
-    for (;;) {
-      size_t best = n;
-      SeqNum best_seq = std::numeric_limits<SeqNum>::max();
-      for (size_t s = 0; s < n; ++s) {
-        const auto& outs = states_[s].outputs;
-        if (cursor[s] < outs.size() &&
-            OutputSeq(outs[cursor[s]]) < best_seq) {
-          best_seq = OutputSeq(outs[cursor[s]]);
-          best = s;
-        }
-      }
-      if (best == n) break;
-      // One event's outputs all come from its owner shard, in order.
-      auto& outs = states_[best].outputs;
-      const size_t first = cursor[best];
-      while (cursor[best] < outs.size() &&
-             OutputSeq(outs[cursor[best]]) == best_seq) {
-        ++cursor[best];
-      }
-      const auto begin = outs.begin() + static_cast<ptrdiff_t>(first);
-      const auto end = outs.begin() + static_cast<ptrdiff_t>(cursor[best]);
-      if (sink != nullptr) {
-        sink->Take(std::span<const OutputT>(begin, end));
-      } else {
-        result.outputs.insert(result.outputs.end(),
-                              std::make_move_iterator(begin),
-                              std::make_move_iterator(end));
-      }
-    }
-  }
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq - options_.start_offset;
   return result;
@@ -590,6 +736,14 @@ Status ShardedExecutorT<Engine>::Restore(const std::string& path,
   ckpt::Reader router_reader(router_state);
   ASEQ_RETURN_NOT_OK(router_.Restore(&router_reader));
   ASEQ_RETURN_NOT_OK(router_reader.ExpectEnd());
+  // The events no shard saw are the merged count minus the shards' own.
+  uint64_t shipped = 0;
+  for (const auto& e : engines_) shipped += e->stats().events_processed;
+  if (merged.events_processed < shipped) {
+    return Status::ParseError(
+        "snapshot corrupt: merged event count below the shards' sum");
+  }
+  unshipped_ = merged.events_processed - shipped;
   merged_ = merged;
   options_.start_offset = *stream_offset;
   return Status::OK();

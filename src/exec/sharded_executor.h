@@ -28,14 +28,21 @@ namespace exec {
 ///  - Routing: events go to hash(GROUP BY key) % N — all partitions a
 ///    trigger reads share that key (PlanSharding guarantees it), so every
 ///    output is computed from exactly the state the serial engine would
-///    read. The router admits each borrowed batch in one pass, and each
-///    shard's op run is published as one ring push per batch.
-///  - Shard ops: events are copied, not moved, into ops (the batch may be
-///    borrowed source storage; lanes and replay logs outlive the loan).
-///    The copy lands in recycled op storage and reuses the slot's
-///    attribute capacity, and an event whose type no query names ships
-///    slim (type, ts, seq): every engine returns on the type check before
-///    it reads an attribute, so the engines see the same OnEvent calls.
+///    read. The router admits each borrowed batch in one pass and routes
+///    only events some query's pattern names.
+///  - Shared batches: each routed event is copied once (the batch may be
+///    borrowed source storage; lanes and replay logs outlive the loan)
+///    into a recycled, reference-counted SharedBatch, and each lane gets
+///    one ring item per source batch: the batch handle plus its 32-bit op
+///    words (an event index, or a purge-marker flag plus a trigger index
+///    whose query list the batch stores once). A batch returns to its pool
+///    once every lane it was published to drained its item and no replay
+///    log pins it.
+///  - Unshipped events: an event of a type no query names reaches no lane.
+///    On a shard it would only have counted one event and one batch of
+///    one (every engine returns on its type check), so the coordinator
+///    charges exactly that to the merged stats, and a restore recovers the
+///    count as the snapshot's merged events minus the shards' own.
 ///  - Purge markers: a serial trigger purges expired state across every
 ///    partition (of the triggered queries, for a workload). The router
 ///    detects triggers with the engines' own admission programs and the
@@ -43,16 +50,19 @@ namespace exec {
 ///    shard; SyncPurgeTo applies exactly the serial cross-partition purge.
 ///    Unbounded queries skip markers (nothing ever expires).
 ///  - Outputs: each event's outputs come from exactly one shard, tagged
-///    with the event's global seq; a k-way merge by seq restores the
-///    serial order byte-identical.
+///    with the event's global seq. Workers hand each drained item's
+///    outputs back with the item; the coordinator merges them by seq into
+///    the sink (or result) up to the lowest seq every lane has finished,
+///    once per batch, which restores the serial order byte-identical
+///    without holding the run's outputs.
 ///  - Stats: bulk counters are charged on exactly one shard per event and
 ///    sum exactly (metrics/shard_stats.h); live/peak objects are
 ///    reconstructed exactly by StatsTimelineMerger from per-event
-///    (seq, current_after, window_peak) records. Workers therefore feed
-///    engines one event per OnBatch call (OnEvent) — per-event
-///    observation boundaries are what make the peak merge exact — so each
-///    shard counts one batch per event; the equivalence contract excludes
-///    the batch counters.
+///    (seq, current_after, window_peak) records, streamed back and merged
+///    like the outputs. Workers therefore feed engines one event per
+///    OnBatch call (OnEvent) — per-event observation boundaries are what
+///    make the peak merge exact — so each shard counts one batch per
+///    event; the equivalence contract excludes the batch counters.
 ///  - Checkpoints: at a due batch boundary the coordinator parks all
 ///    workers at a barrier and writes one multi-shard container
 ///    (ckpt::SaveShardedSnapshot) holding every shard's payload plus the
@@ -88,8 +98,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   size_t num_shards() const override { return engines_.size(); }
 
   /// The run loop. Batches may be borrowed source storage, so the loop
-  /// stamps sequence numbers in place but copies events into recycled
-  /// shard ops instead of consuming them.
+  /// stamps sequence numbers in place but copies routed events into
+  /// recycled shared batches instead of consuming them.
   RunResultT Run(StreamSource* source) override;
 
   const EngineStats& stats() const override { return merged_; }
@@ -99,17 +109,40 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
 
   Status Restore(const std::string& path, uint64_t* stream_offset) override;
 
+  /// The executor's shared-batch pool (tests check that every batch comes
+  /// home).
+  const SharedBatchPool& batch_pool() const { return pool_; }
+
  private:
-  /// A worker's run state. The coordinator touches it only while the
-  /// worker is parked at a barrier or joined (including the joined window
-  /// of a supervised restart). Cache-line aligned: each worker writes its
-  /// own per op, and neighbours in states_ must not share a line.
-  struct alignas(64) ShardState {
+  using Record = StatsTimelineMerger::Record;
+
+  /// What a worker produced for one drained item.
+  struct ItemResult {
     std::vector<OutputT> outputs;
-    std::vector<StatsTimelineMerger::Record> records;
-    size_t records_consumed = 0;
+    std::vector<Record> records;
+  };
+
+  /// A worker's run state. The worker fills the result slot of each item
+  /// it drains; the coordinator empties a slot once it collected the item
+  /// (the return ring orders the two), and touches the rest only while
+  /// the worker is parked at a barrier or joined. Cache-line aligned:
+  /// each worker writes its own per op, and neighbours in states_ must not
+  /// share a line.
+  struct alignas(64) ShardState {
+    std::vector<ItemResult> slots;  // ShardLanes::kDoneSlots
     std::vector<OutputT> scratch;
     double busy_seconds = 0;
+  };
+
+  /// The coordinator's view of one lane: items in flight, and the outputs
+  /// and records collected but not yet merged (seq-ascending).
+  struct LaneLedger {
+    uint64_t published = 0;
+    uint64_t collected = 0;
+    /// While items are in flight, every seq below this is finished.
+    SeqNum done_below = 0;
+    std::vector<OutputT> outputs;
+    std::vector<Record> records;
   };
 
   /// Coordinator-owned counters, folded into the merged stats at the end
@@ -121,36 +154,46 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
     uint64_t overload_stalls = 0;
   };
 
-  /// Lanes keep outputs for the end-of-run merge, which fills the result
-  /// or feeds the output sink.
+  /// Workers keep outputs for the merge, which fills the result or feeds
+  /// the output sink.
   bool CollectsOutputs() const {
     return options_.collect_outputs || options_.output_sink != nullptr;
   }
   void WorkerMain(size_t shard);
-  /// Publishes pending_[shard] as one ring push and re-arms pending_ with
-  /// worker-recycled op storage. `publish_ns`: the batch's shared
-  /// publication timestamp for trigger-latency telemetry (0 when off).
-  /// `sample_occupancy`: record this lane's ring depth into the
-  /// coordinator's occupancy histogram (one rotating shard per batch).
-  Status FlushPending(size_t shard, uint64_t publish_ns,
-                      bool sample_occupancy);
+  /// Pushes an ops item onto the lane's ring in the next result slot,
+  /// collecting the lane's drained items first (which bounds the items in
+  /// flight by the result slots).
+  PushResult PushItem(size_t shard, LaneItem& item);
+  /// Publishes pending_[shard] (the lane's op words for `batch`) as one
+  /// ring push, logged for replay when supervised. `publish_ns`: the
+  /// batch's shared publication timestamp for trigger-latency telemetry
+  /// (0 when off). `sample_occupancy`: record this lane's ring depth into
+  /// the coordinator's occupancy histogram (one rotating shard per batch).
+  Status FlushPending(size_t shard, SharedBatch* batch, SeqNum end_seq,
+                      uint64_t publish_ns, bool sample_occupancy);
+  /// Moves the results of the lane's drained items into its ledger.
+  void Collect(size_t shard);
+  /// The lowest seq some lane has not finished, given that every batch
+  /// below `seq` was published.
+  SeqNum Watermark(SeqNum seq) const;
+  /// Feeds the merger and the sink (or result) everything collected below
+  /// `upto`, in seq order.
+  void MergeBelow(SeqNum upto, RunResultT* result);
   /// Parks every worker at a barrier, restarting failed lanes
   /// (supervised). OK with lanes_.stop_stalled() set when a stop request
   /// abandoned it; an exhausted restart budget is the error.
   Status Barrier();
   /// The checkpoint/recovery barrier: parks the workers (recorded in
-  /// telemetry as a barrier), then — with them quiescent — feeds the
-  /// merger, captures recovery points when `recover`, writes the snapshot
-  /// when `save`, and resumes them.
+  /// telemetry as a barrier), then — with them quiescent — merges
+  /// everything below `seq`, captures recovery points when `recover`,
+  /// writes the snapshot when `save`, and resumes them.
   Status Quiesce(uint64_t seq, bool recover, bool save,
-                 CheckpointCadence* ckpt, RunResultBase* result);
+                 CheckpointCadence* ckpt, RunResultT* result);
   /// Restarts a failed lane: the supervisor's quarantine and budget, the
   /// engine rebuild from the lane's recovery point, respawn, replay.
   Status RestartShard(size_t shard);
-  Status CaptureRecoveryPoints();
-  /// Feeds each lane's new records to the merger (lanes quiescent).
-  void DrainMerger();
-  /// Bulk-sums engine stats + the merger's object view.
+  Status CaptureRecoveryPoints(SeqNum seq);
+  /// Bulk-sums engine stats + unshipped events + the merger's object view.
   EngineStats ComputeMergedStats() const;
   /// Writes the multi-shard snapshot container at `seq` (workers parked).
   Status SaveSnapshotAt(uint64_t seq);
@@ -161,18 +204,28 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   ShardRouter router_;
 
   std::vector<ShardState> states_;
-  /// Each shard's ops routed since its last publication.
-  std::vector<LaneItem> pending_;
+  std::vector<LaneLedger> ledgers_;
+  /// Each shard's op words routed since its last publication.
+  std::vector<std::vector<uint32_t>> pending_;
+  /// Op vectors of collected items, reused by later publications.
+  std::vector<std::vector<uint32_t>> spare_ops_;
+  /// Outputs and records below this seq went to the sink and merger.
+  SeqNum merged_upto_ = 0;
+  /// Events of types no query names, charged to the merged stats.
+  uint64_t unshipped_ = 0;
   // The dataplane consults the supervisor as its watchdog, and the
   // supervisor restarts through the dataplane; each stores a pointer to
   // the other (null supervisor = unsupervised). The lanes own the worker
   // threads, so they come after everything a worker touches.
+  SharedBatchPool pool_;
   ShardSupervisor supervisor_;
   ShardLanes lanes_;
 
   Counters counters_;
   std::unordered_set<uint32_t> shed_keys_;
   StatsTimelineMerger merger_;
+  std::vector<std::span<const Record>> record_spans_;
+  std::vector<size_t> cursors_;
   EngineStats merged_;
   std::vector<double> busy_view_;
 };

@@ -213,6 +213,22 @@ struct IngestStats {
   uint64_t remapped_chunks = 0;
 };
 
+/// \brief Where a sharded run's coordinator thread spent its time: the
+/// `coordinator` object of --stats-json. One clock read per phase per
+/// batch; observe-only.
+struct CoordinatorStats {
+  /// Routing and op assembly: admission, shard choice, the copy of each
+  /// routed event into its shared batch.
+  double route_s = 0;
+  /// Ring publication, including waits on a full ring.
+  double publish_s = 0;
+  /// Collecting drained items and merging their outputs and object
+  /// records into the sink and the stats merger.
+  double merge_s = 0;
+  /// Events of types no query names: never shipped to a lane.
+  uint64_t unshipped_events = 0;
+};
+
 /// \brief Wall-clock stopwatch (steady clock).
 class StopWatch {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -79,17 +80,47 @@ std::string IngestStatsToJson(const IngestStats& ingest) {
   return os.str();
 }
 
+std::string CoordinatorStatsToJson(const CoordinatorStats& coordinator) {
+  std::ostringstream os;
+  os << "{\"route_s\":" << FormatDouble(coordinator.route_s)
+     << ",\"publish_s\":" << FormatDouble(coordinator.publish_s)
+     << ",\"merge_s\":" << FormatDouble(coordinator.merge_s)
+     << ",\"unshipped_events\":" << coordinator.unshipped_events << "}";
+  return os.str();
+}
+
+double PeakRssMb() {
+#if defined(__linux__)
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    // "VmHWM:     14652 kB"
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+#endif
+  return -1;
+}
+
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
                     const std::vector<double>& busy_seconds,
                     const IngestStats& ingest,
-                    const std::vector<StatsJsonEntry>& entries) {
+                    const std::vector<StatsJsonEntry>& entries,
+                    const CoordinatorStats* coordinator) {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.is_open()) return false;
   out << "{\"engine\":\"" << JsonEscape(engine) << "\",\"shards\":" << shards
-      << ",\"elapsed_ms\":" << FormatDouble(elapsed_ms)
-      << ",\"utilization\":" << UtilizationJson(busy_seconds)
-      << ",\"ingest\":" << IngestStatsToJson(ingest) << ",\"queries\":[";
+      << ",\"elapsed_ms\":" << FormatDouble(elapsed_ms);
+  const double peak_rss_mb = PeakRssMb();
+  if (peak_rss_mb >= 0) out << ",\"peak_rss_mb\":" << FormatDouble(peak_rss_mb);
+  out << ",\"utilization\":" << UtilizationJson(busy_seconds)
+      << ",\"ingest\":" << IngestStatsToJson(ingest);
+  if (coordinator != nullptr) {
+    out << ",\"coordinator\":" << CoordinatorStatsToJson(*coordinator);
+  }
+  out << ",\"queries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i) out << ",";
     out << "{\"label\":\"" << JsonEscape(entries[i].label)

@@ -26,17 +26,28 @@ std::string EngineStatsToJson(const EngineStats& stats);
 ///    "parse_busy_s":S,"remapped_chunks":N}
 std::string IngestStatsToJson(const IngestStats& ingest);
 
+/// Renders CoordinatorStats as a JSON object (no trailing newline):
+///   {"route_s":S,"publish_s":S,"merge_s":S,"unshipped_events":N}
+std::string CoordinatorStatsToJson(const CoordinatorStats& coordinator);
+
+/// The process's own peak resident set in MB (VmHWM of /proc/self/status),
+/// or a negative value where that is not available (non-Linux hosts).
+double PeakRssMb();
+
 /// Writes the one-shot end-of-run JSON document:
-///   {"engine":..., "shards":N, "elapsed_ms":..., "utilization":{...},
-///    "ingest":{...}, "queries":[{"label":...,"results":...,"stats":{...}},
-///    ...]}
+///   {"engine":..., "shards":N, "elapsed_ms":..., "peak_rss_mb":...,
+///    "utilization":{...}, "ingest":{...}, "coordinator":{...},
+///    "queries":[{"label":...,"results":...,"stats":{...}}, ...]}
 /// `busy_seconds` may be empty (serial run: no per-shard spans).
-/// Returns false if the file could not be written.
+/// `coordinator` is written for sharded runs (non-null) only, and
+/// `peak_rss_mb` only where PeakRssMb() knows it. Returns false if the file
+/// could not be written.
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
                     const std::vector<double>& busy_seconds,
                     const IngestStats& ingest,
-                    const std::vector<StatsJsonEntry>& entries);
+                    const std::vector<StatsJsonEntry>& entries,
+                    const CoordinatorStats* coordinator = nullptr);
 
 /// Formats the per-shard utilization object used by both WriteStatsJson and
 /// the metrics emitter's end-of-run summary line:

@@ -436,6 +436,45 @@ TEST(StatsJsonTest, IngestObjectCarriesEveryField) {
   std::remove(path.c_str());
 }
 
+TEST(StatsJsonTest, CoordinatorObjectAndOwnPeakRss) {
+  CoordinatorStats coordinator;
+  coordinator.route_s = 0.125;
+  coordinator.publish_s = 0.5;
+  coordinator.merge_s = 0.0625;
+  coordinator.unshipped_events = 699286;
+  EXPECT_EQ(CoordinatorStatsToJson(coordinator),
+            "{\"route_s\":0.125000,\"publish_s\":0.500000,"
+            "\"merge_s\":0.062500,\"unshipped_events\":699286}");
+  const std::string path = TempPath("stats_coord");
+  EngineStats stats;
+  // A sharded run writes the object; a serial one (null) leaves it out.
+  const CoordinatorStats* const runs[] = {&coordinator, nullptr};
+  for (const CoordinatorStats* c : runs) {
+    ASSERT_TRUE(WriteStatsJson(path, "Sharded[A-Seq(HPC)]", 2, 12.5, {},
+                               IngestStats{}, {{"run", &stats, 7}}, c));
+    std::stringstream buf;
+    buf << std::ifstream(path).rdbuf();
+    const std::string doc = buf.str();
+    const size_t at = doc.find("\"coordinator\":");
+    if (c == nullptr) {
+      EXPECT_EQ(at, std::string::npos) << doc;
+    } else {
+      ASSERT_NE(at, std::string::npos) << doc;
+      EXPECT_LT(doc.find("\"ingest\":"), at);
+      EXPECT_GT(doc.find("\"queries\":"), at);
+    }
+#if defined(__linux__)
+    // The process's own high-water mark: this test process holds at least
+    // its gtest binary, so well above zero.
+    const size_t rss = doc.find("\"peak_rss_mb\":");
+    ASSERT_NE(rss, std::string::npos) << doc;
+    EXPECT_GT(std::stod(doc.substr(rss + 14)), 1.0) << doc;
+#endif
+  }
+  EXPECT_GT(PeakRssMb(), 1.0);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace aseq

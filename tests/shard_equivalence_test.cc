@@ -13,12 +13,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aseq/aseq_engine.h"
@@ -28,6 +30,7 @@
 #include "exec/execution_policy.h"
 #include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
+#include "exec/sharded_executor.h"
 #include "fault/fault.h"
 #include "multi/hybrid_engine.h"
 #include "multi/nonshared_engine.h"
@@ -769,18 +772,20 @@ TEST(RecyclingSourceTest, ShardedWorkloadMatchesRunEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Slim and recycled ops
+// Shared batches and index ops
 // ---------------------------------------------------------------------------
 //
-// The coordinator ships an event whose type no query names as a slim op
-// (type, ts and seq only) and overwrites recycled op slots in place. The
-// engines must see exactly the serial OnEvent calls: same outputs, same
-// stats — admission counters and batch counters included — on a trace
-// where most events are of unused types and some events of used types
-// fail a local predicate or lack the GROUP BY key.
+// The coordinator copies each event some query names once into a recycled
+// shared batch and ships each lane 32-bit op words indexing it; an event of
+// a type no query names is never shipped, and the coordinator charges it
+// to the merged stats itself. The engines must see exactly the serial
+// OnEvent calls for the events they get: same outputs, same stats —
+// admission counters and batch counters included — on a trace where most
+// events are of unused types and some events of used types fail a local
+// predicate or lack the GROUP BY key.
 
-using exec::LaneItem;
-using exec::ShardOp;
+using exec::SharedBatch;
+using exec::SharedBatchPool;
 
 /// `n` events over 4 used ticker types and 8 unused ones (~70% unused).
 /// One in ten events lacks traderId; one in four carries a heap-allocated
@@ -819,32 +824,37 @@ std::vector<Event> SparseTrace(Schema* schema, uint64_t seed, size_t n) {
   return events;
 }
 
-/// ExpectStatsEqual plus the fields outside the checkpointed contract that
-/// a sharded run still reproduces against the per-event reference: the
-/// batch counters (workers feed batches of one) and the admission counters
-/// (each event is admitted on its owner shard only).
-void ExpectAllStatsEqual(const EngineStats& ref, const EngineStats& got,
-                         const std::string& context) {
+/// ExpectStatsEqual plus the batch counters, which are checkpointed and
+/// which a sharded run reproduces against the per-event reference (workers
+/// feed batches of one; the coordinator charges an unshipped event as one).
+void ExpectBatchStatsEqual(const EngineStats& ref, const EngineStats& got,
+                           const std::string& context) {
   ExpectStatsEqual(ref, got, context);
   EXPECT_EQ(ref.batches_processed, got.batches_processed) << context;
   EXPECT_EQ(ref.max_batch_events, got.max_batch_events) << context;
+}
+
+/// ExpectBatchStatsEqual plus the admission counters: each event is
+/// admitted on its owner shard only. They are not checkpointed, so only an
+/// uninterrupted run reproduces them.
+void ExpectAllStatsEqual(const EngineStats& ref, const EngineStats& got,
+                         const std::string& context) {
+  ExpectBatchStatsEqual(ref, got, context);
   EXPECT_EQ(ref.adm_admitted, got.adm_admitted) << context;
   EXPECT_EQ(ref.adm_rejected_local, got.adm_rejected_local) << context;
   EXPECT_EQ(ref.adm_missing_attr, got.adm_missing_attr) << context;
   EXPECT_EQ(ref.adm_generic_cmps, got.adm_generic_cmps) << context;
 }
 
-/// What the spy engines saw, summed over every shard.
+/// What the spy engines were fed, summed over every shard.
 struct SpyCounts {
-  std::atomic<uint64_t> slim{0};
-  std::atomic<uint64_t> full{0};
+  std::atomic<uint64_t> fed{0};
   std::atomic<uint64_t> wrong{0};
 };
 
 /// An HPC engine that checks every event it is fed against the source
-/// trace before running it: an event of a type the query names must carry
-/// exactly its source attributes, any other event none at all (a slim op,
-/// with no attribute left over from the slot's previous event).
+/// trace before running it: only events of a type the query names reach a
+/// shard, each carrying exactly its source attributes.
 class SpyEngine : public HpcEngine {
  public:
   SpyEngine(const CompiledQuery& cq, const std::vector<Event>* source,
@@ -861,12 +871,23 @@ class SpyEngine : public HpcEngine {
       const Event& src = (*source_)[e.seq()];
       const bool named =
           std::find(named_.begin(), named_.end(), e.type()) != named_.end();
-      const bool ok = e.type() == src.type() && e.ts() == src.ts() &&
-                      (named ? e.attrs() == src.attrs() : e.attrs().empty());
+      const bool ok = named && e.type() == src.type() && e.ts() == src.ts() &&
+                      e.attrs() == src.attrs();
       if (!ok) counts_->wrong.fetch_add(1);
-      (named ? counts_->full : counts_->slim).fetch_add(1);
+      counts_->fed.fetch_add(1);
     }
     HpcEngine::OnBatch(batch, out);
+  }
+
+  /// Events of `events` whose type `cq` names.
+  static uint64_t NamedCount(const CompiledQuery& cq,
+                             const std::vector<Event>& events) {
+    uint64_t named = 0;
+    for (const Event& e : events) {
+      const auto it = cq.roles().find(e.type());
+      if (it != cq.roles().end() && !it->second.empty()) ++named;
+    }
+    return named;
   }
 
  private:
@@ -875,49 +896,74 @@ class SpyEngine : public HpcEngine {
   std::vector<EventTypeId> named_;
 };
 
+exec::EngineFactory SpyFactory(const CompiledQuery& cq,
+                               const std::vector<Event>* events,
+                               SpyCounts* counts) {
+  return [&cq, events, counts]() -> Result<std::unique_ptr<QueryEngine>> {
+    return std::unique_ptr<QueryEngine>(
+        std::make_unique<SpyEngine>(cq, events, counts));
+  };
+}
+
+/// The pool of a sharded single-query policy.
+const SharedBatchPool& PoolOf(exec::ExecutionPolicy* policy) {
+  auto* sharded = dynamic_cast<exec::ShardedExecutor*>(policy);
+  EXPECT_NE(sharded, nullptr);
+  return sharded->batch_pool();
+}
+
+/// Every batch the run acquired came back exactly once: a batch returned
+/// twice would show as an extra return and an idle count above created.
+void ExpectPoolHome(const SharedBatchPool& pool, const std::string& context) {
+  const SharedBatchPool::Counts counts = pool.counts();
+  EXPECT_GT(counts.acquires, 0u) << context;
+  EXPECT_EQ(counts.acquires, counts.returns) << context;
+  EXPECT_EQ(counts.idle, counts.created) << context;
+}
+
 constexpr const char* kSparseQuery =
     "PATTERN SEQ(DELL, IPIX, AMAT) WHERE DELL.price > 30 GROUP BY traderId "
     "AGG COUNT WITHIN 400ms";
 
-TEST(SlimOpTest, RecycledSlotCarriesNoStaleAttributes) {
+TEST(SharedBatchTest, RecycledSlotsHoldExactCopies) {
   Schema schema;
   const std::vector<Event> events = SparseTrace(&schema, 7, 64);
-  LaneItem item;
-  // A first pass fills the slots with full events, as a worker hands them
-  // back: uncleared.
-  for (const Event& e : events) item.Append().AssignEvent(e, true);
-  const size_t slots = item.ops.size();
-  item.live = 0;
-  for (const Event& e : events) {
-    ShardOp& op = item.Append();
-    const size_t capacity = op.event.attrs().capacity();
-    op.AssignEvent(e, /*with_attrs=*/false);
-    EXPECT_EQ(op.kind, ShardOp::Kind::kEvent);
-    EXPECT_EQ(op.event.type(), e.type());
-    EXPECT_EQ(op.event.ts(), e.ts());
-    EXPECT_EQ(op.event.seq(), e.seq());
-    EXPECT_TRUE(op.event.attrs().empty()) << e.seq();
-    EXPECT_EQ(op.event.attrs().capacity(), capacity) << "capacity kept";
-  }
-  // A marker in a slot that held an event carries no event attributes.
-  item.live = 0;
+  SharedBatchPool pool;
+  SharedBatch* batch = pool.Acquire();
+  // A first use fills the slots with every event.
+  for (const Event& e : events) batch->Append(e);
   const std::vector<size_t> queries = {0, 2};
-  ShardOp& marker = item.Append();
-  marker.AssignMarker(events[5], queries);
-  EXPECT_EQ(marker.kind, ShardOp::Kind::kPurgeMarker);
-  EXPECT_EQ(marker.event.ts(), events[5].ts());
-  EXPECT_EQ(marker.event.seq(), events[5].seq());
-  EXPECT_EQ(marker.trigger_queries, queries);
-  EXPECT_TRUE(marker.event.attrs().empty());
-  // And a full event in a slot that held a longer one carries only its own.
-  ShardOp& full = item.Append();
-  full.AssignEvent(events[0], true);
-  EXPECT_EQ(full.event.attrs(), events[0].attrs());
-  EXPECT_EQ(item.ops.size(), slots) << "no slot was allocated";
-  EXPECT_EQ(item.live_ops().size(), 2u);
+  batch->AddTrigger(5, queries);
+  SharedBatchPool::Release(batch);
+  // The recycled batch starts empty; a slot that held a longer event holds
+  // only the new one's attributes.
+  SharedBatch* again = pool.Acquire();
+  ASSERT_EQ(again, batch);
+  EXPECT_EQ(again->size(), 0u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[events.size() - 1 - i];
+    const uint32_t index = again->Append(e);
+    EXPECT_EQ(index, i);
+    EXPECT_EQ(again->event(index).type(), e.type());
+    EXPECT_EQ(again->event(index).ts(), e.ts());
+    EXPECT_EQ(again->event(index).seq(), e.seq());
+    EXPECT_EQ(again->event(index).attrs(), e.attrs()) << e.seq();
+  }
+  // One trigger table entry per trigger, whatever the number of markers;
+  // its op word carries the marker flag.
+  const uint32_t marker = again->AddTrigger(3, queries);
+  EXPECT_EQ(marker, exec::kMarkerOp | 0u) << "the old trigger table is gone";
+  const SharedBatch::Trigger& trigger = again->trigger(marker & ~exec::kMarkerOp);
+  EXPECT_EQ(trigger.event, 3u);
+  EXPECT_EQ(std::vector<size_t>(again->queries(trigger).begin(),
+                                again->queries(trigger).end()),
+            queries);
+  SharedBatchPool::Release(again);
+  EXPECT_EQ(pool.counts().created, 1u);
+  EXPECT_EQ(pool.counts().acquires, pool.counts().returns);
 }
 
-TEST(SlimOpTest, GroupedPredicateQueryMatchesSerial) {
+TEST(IndexOpTest, GroupedPredicateQueryMatchesSerial) {
   Schema schema;
   const std::vector<Event> events = SparseTrace(&schema, 31, 6000);
   CompiledQuery cq = MustCompile(&schema, kSparseQuery);
@@ -926,62 +972,118 @@ TEST(SlimOpTest, GroupedPredicateQueryMatchesSerial) {
   ASSERT_GT(ref.outputs.size(), 0u);
   ASSERT_GT(ref_engine->stats().adm_rejected_local, 0u);
   ASSERT_GT(ref_engine->stats().adm_missing_attr, 0u);
+  const uint64_t named = SpyEngine::NamedCount(cq, events);
+  ASSERT_LT(named * 2, events.size()) << "most events must be unused types";
 
-  for (size_t shards : {2, 3}) {
+  for (size_t shards : {2, 4}) {
     for (size_t batch_size : {1, 64, 256}) {
       const std::string context = "sparse shards=" + std::to_string(shards) +
                                   " batch=" + std::to_string(batch_size);
       SpyCounts counts;
-      exec::EngineFactory factory =
-          [&]() -> Result<std::unique_ptr<QueryEngine>> {
-        return std::unique_ptr<QueryEngine>(
-            std::make_unique<SpyEngine>(cq, &events, &counts));
-      };
       RunOptions options;
       options.num_shards = shards;
       options.batch_size = batch_size;
       std::string reason;
-      auto policy = exec::MakePolicy(cq, factory, options, &reason);
+      auto policy = exec::MakePolicy(cq, SpyFactory(cq, &events, &counts),
+                                     options, &reason);
       ASSERT_TRUE(policy.ok()) << context;
       ASSERT_TRUE(reason.empty()) << context << ": " << reason;
-      RunResult got = (*policy)->RunEvents(events);
+      PoisoningSource source(&events);
+      RunResult got = (*policy)->Run(&source);
       ExpectOutputsEqual(ref.outputs, got.outputs, context);
       ExpectAllStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
       EXPECT_EQ(counts.wrong.load(), 0u) << context;
-      EXPECT_GT(counts.slim.load(), counts.full.load()) << context;
-      EXPECT_EQ(counts.slim.load() + counts.full.load(), events.size())
+      EXPECT_EQ(counts.fed.load(), named) << context;
+      EXPECT_EQ(got.coordinator.unshipped_events, events.size() - named)
           << context;
+      ExpectPoolHome(PoolOf(policy->get()), context);
     }
   }
 }
 
-TEST(SlimOpTest, SupervisedReplayOfSlimOpsMatchesSerial) {
-  // A crashed shard is rebuilt and fed its replay log, which holds slim
-  // ops like the rings do.
+TEST(IndexOpTest, RestoreMidRunMatchesSerial) {
+  // The unshipped-event count lives in the snapshot's merged stats: a
+  // resumed run must charge the events no shard saw before the snapshot.
   Schema schema;
-  const std::vector<Event> events = SparseTrace(&schema, 32, 6000);
+  const std::vector<Event> events = SparseTrace(&schema, 34, 6000);
   CompiledQuery cq = MustCompile(&schema, kSparseQuery);
   auto ref_engine = MustCreateAseq(cq);
   RunResult ref = RunPerEvent(events, ref_engine.get());
   ASSERT_GT(ref.outputs.size(), 0u);
 
   for (size_t shards : {2, 4}) {
+    const std::string context = "sparse restore shards=" +
+                                std::to_string(shards);
+    const std::string dir = ::testing::TempDir() + "/sparse-restore-" +
+                            std::to_string(shards);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SpyCounts counts;
+    RunOptions options;
+    options.num_shards = shards;
+    options.batch_size = 64;
+    options.checkpoint_every = 2500;
+    options.checkpoint_dir = dir;
+    auto full = exec::MakePolicy(cq, SpyFactory(cq, &events, &counts),
+                                 options);
+    ASSERT_TRUE(full.ok()) << context;
+    PoisoningSource full_source(&events);
+    RunResult full_run = (*full)->Run(&full_source);
+    ASSERT_TRUE(full_run.checkpoint_status.ok()) << context;
+    ExpectAllStatsEqual(ref_engine->stats(), (*full)->stats(), context);
+
+    RunOptions tail_options;
+    tail_options.num_shards = shards;
+    tail_options.batch_size = 64;
+    auto resumed = exec::MakePolicy(cq, SpyFactory(cq, &events, &counts),
+                                    tail_options);
+    ASSERT_TRUE(resumed.ok()) << context;
+    uint64_t offset = 0;
+    Status restored = (*resumed)->Restore(
+        ckpt::SnapshotPathForOffset(dir, 2560), &offset);
+    ASSERT_TRUE(restored.ok()) << context << ": " << restored.ToString();
+    ASSERT_EQ(offset, 2560u) << context;
+    PoisoningSource tail_source(&events);
+    SkipEvents(&tail_source, offset);
+    RunResult tail_run = (*resumed)->Run(&tail_source);
+
+    std::vector<Output> combined;
+    for (const Output& o : ref.outputs) {
+      if (o.seq < offset) combined.push_back(o);
+    }
+    combined.insert(combined.end(), tail_run.outputs.begin(),
+                    tail_run.outputs.end());
+    ExpectOutputsEqual(ref.outputs, combined, context);
+    ExpectBatchStatsEqual(ref_engine->stats(), (*resumed)->stats(), context);
+    EXPECT_EQ(counts.wrong.load(), 0u) << context;
+    ExpectPoolHome(PoolOf(resumed->get()), context);
+  }
+}
+
+TEST(IndexOpTest, SupervisedReplayMatchesSerial) {
+  // A crashed shard is rebuilt and fed its replay log: the pinned shared
+  // batches plus the lane's op words since the recovery point.
+  Schema schema;
+  const std::vector<Event> events = SparseTrace(&schema, 32, 6000);
+  CompiledQuery cq = MustCompile(&schema, kSparseQuery);
+  auto ref_engine = MustCreateAseq(cq);
+  RunResult ref = RunPerEvent(events, ref_engine.get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+  const uint64_t named = SpyEngine::NamedCount(cq, events);
+
+  for (size_t shards : {2, 4}) {
     const std::string context = "sparse supervised shards=" +
                                 std::to_string(shards);
     SpyCounts counts;
-    exec::EngineFactory factory =
-        [&]() -> Result<std::unique_ptr<QueryEngine>> {
-      return std::unique_ptr<QueryEngine>(
-          std::make_unique<SpyEngine>(cq, &events, &counts));
-    };
     RunOptions options;
     options.num_shards = shards;
     options.batch_size = 64;
     options.supervise = true;
     options.recovery_every = 1024;
-    auto policy = exec::MakePolicy(cq, factory, options);
+    auto policy = exec::MakePolicy(cq, SpyFactory(cq, &events, &counts),
+                                   options);
     ASSERT_TRUE(policy.ok()) << context;
-    ASSERT_TRUE(fault::Injector::Global().Arm("worker.op@1:700:crash", 9).ok());
+    ASSERT_TRUE(fault::Injector::Global().Arm("worker.op@1:250:crash", 9).ok());
     PoisoningSource source(&events);
     RunResult got = (*policy)->Run(&source);
     fault::Injector::Global().Disarm();
@@ -990,15 +1092,181 @@ TEST(SlimOpTest, SupervisedReplayOfSlimOpsMatchesSerial) {
     EXPECT_GT((*policy)->stats().fault_restarts, 0u) << context;
     EXPECT_GT((*policy)->stats().fault_replayed_events, 0u) << context;
     ExpectOutputsEqual(ref.outputs, got.outputs, context);
-    ExpectStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
+    ExpectBatchStatsEqual(ref_engine->stats(), (*policy)->stats(), context);
     EXPECT_EQ(counts.wrong.load(), 0u) << context;
     // Replayed events are fed twice.
-    EXPECT_GT(counts.slim.load() + counts.full.load(), events.size())
-        << context;
+    EXPECT_GT(counts.fed.load(), named) << context;
+    ExpectPoolHome(PoolOf(policy->get()), context);
   }
 }
 
-TEST(SlimOpTest, SparseWorkloadMatchesSerialUnderEveryStrategy) {
+/// Lends `*events` in batches of 64 and records, as it lends each batch,
+/// how many outputs a sink had received by then. Before lending batch
+/// `pause_at` it waits (bounded) until `*fed` reaches `fed_goal`.
+class WatchedSource : public StreamSource {
+ public:
+  WatchedSource(const std::vector<Event>* events, const size_t* taken,
+                const std::atomic<uint64_t>* fed, size_t pause_at,
+                uint64_t fed_goal)
+      : events_(events),
+        taken_(taken),
+        fed_(fed),
+        pause_at_(pause_at),
+        fed_goal_(fed_goal) {}
+
+  std::span<Event> BorrowBatch(size_t max) override {
+    if (taken_at_borrow_.size() == pause_at_) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (fed_->load() < fed_goal_ &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    taken_at_borrow_.push_back(*taken_);
+    const size_t n = std::min(max, events_->size() - pos_);
+    batch_.assign(events_->begin() + static_cast<ptrdiff_t>(pos_),
+                  events_->begin() + static_cast<ptrdiff_t>(pos_ + n));
+    pos_ += n;
+    return {batch_.data(), n};
+  }
+  void Reset() override { pos_ = 0; }
+
+  const std::vector<size_t>& taken_at_borrow() const {
+    return taken_at_borrow_;
+  }
+
+ private:
+  const std::vector<Event>* events_;
+  const size_t* taken_;
+  const std::atomic<uint64_t>* fed_;
+  size_t pause_at_;
+  uint64_t fed_goal_;
+  std::vector<Event> batch_;
+  size_t pos_ = 0;
+  std::vector<size_t> taken_at_borrow_;
+};
+
+struct CountingSink : OutputSink {
+  void TakeOutputs(std::span<const Output> outputs) override {
+    taken.insert(taken.end(), outputs.begin(), outputs.end());
+    count = taken.size();
+  }
+  std::vector<Output> taken;
+  size_t count = 0;
+};
+
+/// An HPC engine that counts the events it was fed, over every shard.
+class FedCountingEngine : public HpcEngine {
+ public:
+  FedCountingEngine(const CompiledQuery& cq, std::atomic<uint64_t>* fed)
+      : HpcEngine(cq), fed_(fed) {}
+  void OnBatch(std::span<const Event> batch,
+               std::vector<Output>* out) override {
+    HpcEngine::OnBatch(batch, out);
+    fed_->fetch_add(batch.size());
+  }
+
+ private:
+  std::atomic<uint64_t>* fed_;
+};
+
+TEST(SharedBatchPoolTest, IdleLaneNeitherHoldsBatchesNorStallsTheMerge) {
+  // Unbounded query (no purge markers) and one GROUP BY key for the first
+  // 3000 events: shard 1 gets no ops for ~47 batches. Outputs must still
+  // stream to the sink while the run goes on, and every batch come home.
+  Schema schema;
+  const EventTypeId a = schema.RegisterEventType("A");
+  const EventTypeId b = schema.RegisterEventType("B");
+  const EventTypeId unused = schema.RegisterEventType("U");
+  const AttrId key = schema.RegisterAttribute("k");
+  std::mt19937_64 rng(41);
+  std::vector<Event> events;
+  for (size_t i = 0; i < 4000; ++i) {
+    const uint64_t r = rng() % 4;
+    Event e(r == 0 ? a : r == 1 ? b : unused, static_cast<Timestamp>(i));
+    e.SetAttr(key, Value(int64_t(i < 3000 ? 0 : rng() % 4)));
+    events.push_back(std::move(e));
+  }
+  AssignSeqNums(&events);
+  CompiledQuery cq =
+      MustCompile(&schema, "PATTERN SEQ(A, B) GROUP BY k AGG COUNT");
+  auto ref_engine = MustCreateAseq(cq);
+  RunResult ref = RunPerEvent(events, ref_engine.get());
+  ASSERT_GT(ref.outputs.size(), 0u);
+  // Batch 40 is lent once shard 0 ran every event of batches 0-39 (all of
+  // key 0, so all on shard 0), while shard 1 has had nothing to do.
+  constexpr size_t kPauseAt = 40;
+  uint64_t fed_goal = 0;
+  for (size_t i = 0; i < kPauseAt * 64; ++i) {
+    if (events[i].type() != unused) ++fed_goal;
+  }
+
+  std::atomic<uint64_t> fed{0};
+  CountingSink sink;
+  RunOptions options;
+  options.num_shards = 2;
+  options.batch_size = 64;
+  options.output_sink = &sink;
+  std::string reason;
+  auto policy = exec::MakePolicy(
+      cq,
+      [&]() -> Result<std::unique_ptr<QueryEngine>> {
+        return std::unique_ptr<QueryEngine>(
+            std::make_unique<FedCountingEngine>(cq, &fed));
+      },
+      options, &reason);
+  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(reason.empty()) << reason;
+  WatchedSource source(&events, &sink.count, &fed, kPauseAt, fed_goal);
+  RunResult got = (*policy)->Run(&source);
+  ExpectOutputsEqual(ref.outputs, sink.taken, "idle lane");
+  ExpectAllStatsEqual(ref_engine->stats(), (*policy)->stats(), "idle lane");
+  ExpectPoolHome(PoolOf(policy->get()), "idle lane");
+  ASSERT_GE(fed.load(), fed_goal);
+  // Publishing batch 40 collects shard 0's drained items, and the merge
+  // below the watermark reaches the sink before batch 41 is lent: the idle
+  // shard 1 holds nothing back.
+  ASSERT_GT(source.taken_at_borrow().size(), kPauseAt + 1);
+  EXPECT_EQ(source.taken_at_borrow()[0], 0u);
+  EXPECT_GT(source.taken_at_borrow()[kPauseAt + 1], 0u)
+      << "outputs waited for the idle lane";
+}
+
+TEST(SharedBatchPoolTest, SupervisedRestartsReturnEveryPinnedBatch) {
+  // Crashes on both lanes, a short recovery interval: restarts replay
+  // pinned batches, recovery points unpin them, and every batch comes home
+  // exactly once.
+  auto c = MakeStock(136, 5000);
+  CompiledQuery cq = MustCompile(&c->schema, kRecyclingQuery);
+  auto ref_engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(ref_engine.ok());
+  RunResult ref = RunPerEvent(c->events, ref_engine->get());
+  for (const char* spec :
+       {"worker.op@0:400:crash", "worker.op@1:300:crash,worker.op@0:900:crash"}) {
+    const std::string context = std::string("pool ") + spec;
+    RunOptions options;
+    options.num_shards = 2;
+    options.batch_size = 32;
+    options.supervise = true;
+    options.recovery_every = 700;
+    auto policy = exec::MakePolicy(cq, AseqFactory(cq), options);
+    ASSERT_TRUE(policy.ok()) << context;
+    ASSERT_TRUE(fault::Injector::Global().Arm(spec, 9).ok()) << context;
+    PoisoningSource source(&c->events);
+    RunResult got = (*policy)->Run(&source);
+    fault::Injector::Global().Disarm();
+    ASSERT_TRUE(got.fault_status.ok()) << context << ": "
+                                       << got.fault_status.ToString();
+    EXPECT_GT((*policy)->stats().fault_restarts, 0u) << context;
+    EXPECT_GT((*policy)->stats().fault_replayed_events, 0u) << context;
+    ExpectOutputsEqual(ref.outputs, got.outputs, context);
+    ExpectBatchStatsEqual((*ref_engine)->stats(), (*policy)->stats(), context);
+    ExpectPoolHome(PoolOf(policy->get()), context);
+  }
+}
+
+TEST(IndexOpTest, SparseWorkloadMatchesSerialUnderEveryStrategy) {
   Schema schema;
   const std::vector<Event> events = SparseTrace(&schema, 33, 5000);
   // Chop-Connect and PreTree accept no local predicates; they run the same

@@ -18,7 +18,7 @@ namespace exec {
 namespace {
 
 LaneItem OpsItem(size_t ops) {
-  return LaneItem{LaneItem::Tag::kOps, std::vector<ShardOp>(ops), ops};
+  return LaneItem{.ops = std::vector<uint32_t>(ops)};
 }
 
 /// Fills shard 0's ring to capacity with no worker to drain it.
@@ -78,7 +78,7 @@ TEST(ShardLanesTest, BarrierWaitsForEveryQueuedItem) {
   for (size_t s = 0; s < 2; ++s) {
     lanes.Spawn(s, [&lanes, &popped, s] {
       LaneItem item;
-      while (lanes.Pop(s, &item)) popped[s].fetch_add(item.live);
+      while (lanes.Pop(s, &item)) popped[s].fetch_add(item.ops.size());
     });
   }
   for (size_t i = 0; i < 40; ++i) {
@@ -125,6 +125,64 @@ TEST(ShardLanesTest, PopExitsOnQuarantineWithoutDraining) {
   });
   lanes.Reap(0);
   EXPECT_EQ(popped.load(), 0u);
+}
+
+TEST(ShardLanesTest, DrainedItemsComeBackInOrderThroughTheReturnRing) {
+  RunOptions options;
+  ShardLanes lanes(1, options, nullptr);
+  lanes.ResetForRun();
+  lanes.Spawn(0, [&lanes] {
+    LaneItem item;
+    while (lanes.Pop(0, &item)) {
+      if (!lanes.Finish(0, item)) return;
+    }
+  });
+  for (uint32_t i = 0; i < ShardLanes::kMaxQueuedItems; ++i) {
+    LaneItem item = OpsItem(i + 1);
+    item.slot = i;
+    item.end_seq = 10 * (i + 1);
+    ASSERT_EQ(lanes.Push(0, item), PushResult::kPushed);
+  }
+  size_t failed = 0;
+  ASSERT_EQ(lanes.Barrier(&failed), PushResult::kPushed);
+  LaneItem back;
+  for (uint32_t i = 0; i < ShardLanes::kMaxQueuedItems; ++i) {
+    ASSERT_TRUE(lanes.Collect(0, &back)) << i;
+    EXPECT_EQ(back.slot, i);
+    EXPECT_EQ(back.end_seq, 10u * (i + 1));
+    EXPECT_EQ(back.ops.size(), i + 1u) << "op storage travels back";
+  }
+  EXPECT_FALSE(lanes.Collect(0, &back));
+  lanes.ResumeAll();
+  lanes.StopWorkers();
+}
+
+TEST(ShardLanesTest, ResetReleasesTheBatchesOfQueuedItems) {
+  // A restart clears the lane's ring: the items it held never run, so the
+  // reset must drop their batch references or the batch never comes home.
+  RunOptions options;
+  ShardLanes lanes(1, options, nullptr);
+  lanes.ResetForRun();
+  SharedBatchPool pool;
+  SharedBatch* batch = pool.Acquire();
+  for (size_t i = 0; i < 3; ++i) {
+    SharedBatchPool::Ref(batch);
+    LaneItem item = OpsItem(1);
+    item.batch = batch;
+    ASSERT_EQ(lanes.Push(0, item), PushResult::kPushed);
+  }
+  SharedBatchPool::Release(batch);  // the acquirer's reference
+  EXPECT_EQ(pool.counts().returns, 0u) << "queued items still hold it";
+  lanes.ResetAfterJoin(0);
+  EXPECT_EQ(pool.counts().acquires, 1u);
+  EXPECT_EQ(pool.counts().returns, 1u);
+  EXPECT_EQ(pool.counts().idle, pool.counts().created);
+  // A reacquired batch starts empty and is the recycled one.
+  SharedBatch* again = pool.Acquire();
+  EXPECT_EQ(again, batch);
+  EXPECT_EQ(again->size(), 0u);
+  SharedBatchPool::Release(again);
+  EXPECT_EQ(pool.counts().returns, 2u);
 }
 
 }  // namespace

@@ -73,7 +73,8 @@ void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
                                 size_t min_restarts,
                                 const std::string& label,
                                 double watchdog_timeout_ms = 1000,
-                                size_t recovery_every = 512) {
+                                size_t recovery_every = 512,
+                                size_t batch_size = kBatchSize) {
   auto c = MakeStock(777, 3000);
   CompiledQuery cq = MustCompile(&c->schema, kQuery);
 
@@ -86,6 +87,7 @@ void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
   RunOptions options = SupervisedOptions();
   options.watchdog_timeout_ms = watchdog_timeout_ms;
   options.recovery_every = recovery_every;
+  options.batch_size = batch_size;
   auto policy = MustMakeSharded(cq, options);
   if (!spec.empty()) {
     ASSERT_TRUE(fault::Injector::Global().Arm(spec, seed).ok()) << spec;
@@ -117,38 +119,40 @@ void CheckSupervisedEquivalence(const std::string& spec, uint64_t seed,
 // ---------------------------------------------------------------------------
 
 TEST_F(SupervisorTest, CrashedShardRestartsBitExact) {
-  CheckSupervisedEquivalence("worker.op@1:200:crash", 7, 1, "crash-early");
+  CheckSupervisedEquivalence("worker.op@1:70:crash", 7, 1, "crash-early");
 }
 
 TEST_F(SupervisorTest, CrashAfterRecoveryPointReplaysOnlyTheSlice) {
-  // Shard 2 owns roughly a third of the 3000 events; op 900 lands late in
-  // its lane, past several 512-event recovery barriers, so the restart
-  // replays from a mid-stream snapshot, not from scratch.
-  CheckSupervisedEquivalence("worker.op@2:900:crash", 7, 1, "crash-late");
+  // Only DELL and IPIX events reach a shard: each lane runs ~400 ops over
+  // the 3000 events (its third of them plus purge markers). Op 300 lands
+  // late in shard 2's lane, past several 512-event recovery barriers, so
+  // the restart replays from a mid-stream snapshot, not from scratch.
+  CheckSupervisedEquivalence("worker.op@2:300:crash", 7, 1, "crash-late");
 }
 
 TEST_F(SupervisorTest, MultipleShardsCrashIndependently) {
   CheckSupervisedEquivalence(
-      "worker.op@0:150:crash,worker.op@2:400:crash,worker.op@1:700:crash", 7,
+      "worker.op@0:50:crash,worker.op@2:135:crash,worker.op@1:235:crash", 7,
       3, "multi-crash");
 }
 
 TEST_F(SupervisorTest, StalledShardIsQuarantinedAndRestarted) {
   // The stalled worker stops heartbeating with work outstanding; a short
   // watchdog timeout keeps the test fast.
-  CheckSupervisedEquivalence("worker.op@1:300:stall", 7, 1, "stall",
+  CheckSupervisedEquivalence("worker.op@1:100:stall", 7, 1, "stall",
                              /*watchdog_timeout_ms=*/50);
 }
 
 TEST_F(SupervisorTest, StallDuringReplayRestartsAgain) {
   // The first stall's restart replays shard 1's whole slice (recovery
-  // points are never due), far more than its 16-item ring holds, and the
-  // fresh worker stalls again on its first replayed op. The replay push
-  // must see the watchdog, abandon, and let the next restart finish it,
-  // instead of parking forever on the full ring.
-  CheckSupervisedEquivalence("worker.op@1:800:stall:2", 7, 2, "replay-stall",
+  // points are never due) — at 8-event batches, well over the 64 items
+  // its ring holds — and the fresh worker stalls again on its first
+  // replayed op. The replay push must see the watchdog, abandon,
+  // and let the next restart finish it, instead of parking forever on the
+  // full ring.
+  CheckSupervisedEquivalence("worker.op@1:270:stall:2", 7, 2, "replay-stall",
                              /*watchdog_timeout_ms=*/50,
-                             /*recovery_every=*/100000);
+                             /*recovery_every=*/100000, /*batch_size=*/8);
 }
 
 TEST_F(SupervisorTest, SlowShardIsNotMistakenForStalled) {
@@ -247,14 +251,18 @@ TEST_F(SupervisorTest, ShedDropsWholePartitionsExactly) {
   std::vector<Event> stamped = c->events;
   for (size_t i = 0; i < stamped.size(); ++i) stamped[i].set_seq(i);
   exec::ShardRouter replica(std::span<const CompiledQuery>(&cq, 1), kShards);
-  const std::span<const exec::ShardRouter::Route> routes =
-      replica.RouteBatch(stamped);
+  // The router returns routes for relevant events only; index them by
+  // event (null: an event no query names, which is never keyed).
+  std::vector<const exec::ShardRouter::Route*> routes(stamped.size(), nullptr);
+  for (const exec::ShardRouter::Route& route : replica.RouteBatch(stamped)) {
+    routes[route.index] = &route;
+  }
 
   // Pick an injection trigger that lands on a keyed event: the first keyed
   // hit at or after 200 (hit n routes the event with seq n - 1).
   uint64_t trigger = 0;
   for (size_t i = 199; i < routes.size(); ++i) {
-    if (routes[i].has_key) {
+    if (routes[i] != nullptr && routes[i]->has_key) {
       trigger = i + 1;
       break;
     }
@@ -293,14 +301,14 @@ TEST_F(SupervisorTest, ShedDropsWholePartitionsExactly) {
   uint64_t expected_shed_events = 0;
   uint64_t expected_shed_partitions = 0;
   for (size_t i = 0; i < stamped.size(); ++i) {
-    const exec::ShardRouter::Route& route = routes[i];
-    if (route.has_key) {
-      if (shed_keys.count(route.key_id) != 0) {
+    const exec::ShardRouter::Route* route = routes[i];
+    if (route != nullptr && route->has_key) {
+      if (shed_keys.count(route->key_id) != 0) {
         ++expected_shed_events;
         continue;
       }
       if (i + 1 == trigger) {
-        shed_keys.insert(route.key_id);
+        shed_keys.insert(route->key_id);
         ++expected_shed_partitions;
         ++expected_shed_events;
         continue;
