@@ -28,7 +28,7 @@
 
 #include "bench/bench_util.h"
 #include "exec/execution_policy.h"
-#include "multi/hybrid_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 
 namespace aseq {

@@ -30,8 +30,7 @@
 #include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 
 namespace aseq {
@@ -275,11 +274,11 @@ void Fig15(Report* report) {
   const std::vector<CompiledQuery>& queries = mb->queries;
   const ChopPlan plan = PlanChopConnect(queries);
   const std::vector<Measured> m = FastestOf(
-      {SideOf([&] { return NonSharedEngine::CreateStackBased(queries); },
+      {SideOf([&] { return CompositeEngine::CreateSase(queries); },
               mb->events, kSlowPasses),
        SideOf([&] { return EcubeEngine::Create(queries, shared).value(); },
               mb->events, kSlowPasses),
-       SideOf([&] { return NonSharedEngine::CreateAseq(queries).value(); },
+       SideOf([&] { return CompositeEngine::CreateNonShare(queries).value(); },
               mb->events),
        SideOf([&] { return ChopConnectEngine::Create(queries, plan).value(); },
               mb->events)});
@@ -311,7 +310,7 @@ double GainRow(const std::string& label, const SharedWorkload& workload,
                const char* strategy, int passes = 1) {
   auto mb = MakeMultiBench(workload, ScaledEvents(8000), 4);
   auto side = [&](const char* name) {
-    MultiEngineFactory factory =
+    exec::MultiEngineFactory factory =
         MakeStrategyFactory(name, mb->queries).value();
     return SideOf([factory] { return factory().value(); }, mb->events,
                   passes);

@@ -19,7 +19,7 @@
 #include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/clickstream.h"
@@ -76,7 +76,7 @@ int main() {
   }
 
   // 1. Unshared: one A-Seq engine per query.
-  auto nonshared = NonSharedEngine::CreateAseq(compiled);
+  auto nonshared = CompositeEngine::CreateNonShare(compiled);
   MultiRunResult ns = exec::RunSerial(RunOptions(), events, nonshared->get());
 
   // 2. Prefix sharing on Q1..Q4 (they all start with VKindle).

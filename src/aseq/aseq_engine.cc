@@ -213,12 +213,12 @@ void HpcEngine::ExecuteEvent(const Event& e,
       }
       Partition& part = store_.at(*slot_ref);
       MutatePartition(part, [&] { part.counters.Purge(e.ts()); });
-      // A start landing in an empty windowed partition establishes a new
-      // earliest expiration; put it on the expiry heap.
-      const bool was_empty =
-          part.counters.windowed() && part.counters.num_counters() == 0;
       MutatePartition(part, [&] { part.counters.OnStart(e, rec.carrier); });
-      if (was_empty) EnqueueExpiry(part);
+      // A new partition goes on the expiry clock once. A live partition
+      // that was emptied by a purge keeps its queued entry: that entry is
+      // already due, so the next trigger revisits the partition and
+      // reschedules it at its new earliest expiration.
+      if (inserted) EnqueueExpiry(part);
       if (role.position == length_) {
         trigger = true;
         trigger_key = part.key;
@@ -318,7 +318,7 @@ AggAccum HpcEngine::ScanTotal(Timestamp now, bool match_group, uint32_t gid) {
 
 void HpcEngine::ErasePartition(uint32_t slot) { store_.Erase(slot); }
 
-void HpcEngine::SyncPurgeTo(Timestamp now) {
+void HpcEngine::SyncPurgeTo(Timestamp now, std::span<const size_t>) {
   if (!query_.has_window()) return;  // nothing ever expires
   if (count_fast_path()) {
     AdvanceExpiry(now);

@@ -117,10 +117,15 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
 
   size_t num_partitions() const { return store_.size(); }
 
+  /// Entries on the COUNT fast path's expiry clock: at most one per live
+  /// partition (a Poll's erasing scan can leave extra ones behind).
+  size_t clock_size() const { return clock_.size(); }
+
   /// ShardableEngine: replays the cross-partition purge a trigger at `now`
   /// performs — AdvanceExpiry on the COUNT fast path, ScanTotal's
-  /// purge-and-erase sweep (without the aggregation) otherwise.
-  void SyncPurgeTo(Timestamp now) override;
+  /// purge-and-erase sweep (without the aggregation) otherwise. The query
+  /// list is always {0}.
+  void SyncPurgeTo(Timestamp now, std::span<const size_t>) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
 
  private:
@@ -213,7 +218,9 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   }
 
   /// Pushes `part`'s next expiration onto the clock (windowed mode, COUNT
-  /// fast path; a no-op when nothing can expire).
+  /// fast path; a no-op when nothing can expire). Called once, when the
+  /// partition is inserted: its entry then stays queued, rescheduled by
+  /// each revisit, until a revisit finds it empty and erases it.
   void EnqueueExpiry(const Partition& part);
 
   /// Purges every partition whose earliest expiration is due at `now`,

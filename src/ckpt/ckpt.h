@@ -101,9 +101,9 @@ Status ReadStats(Reader* r, EngineStats* s);
 /// the rebuilt state expires.
 Status CheckLiveObjects(const EngineStats& restored, int64_t live);
 
-/// CheckLiveObjects for the wrapper engines (NonShare, Hybrid), which also
-/// carry `sampled`, their last sample of the sub-engines' combined live
-/// count: it too must equal `live`, the restored sub-engines' sum.
+/// CheckLiveObjects for the composite engine (nonshare, sase, hybrid),
+/// which also carries `sampled`, its last sample of the parts' combined
+/// live count: it too must equal `live`, the restored parts' sum.
 Status CheckSampledObjects(const EngineStats& restored, int64_t sampled,
                            int64_t live);
 

@@ -32,7 +32,9 @@ namespace ckpt {
 ///      expiry heap; sharded containers additionally carry router state
 ///   3  Chop-Connect snapshot tables as dense cell runs (first tag, cell
 ///      count, cells) and position-major segment counts
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+///   4  one composite payload for nonshare, sase and hybrid: the parts in
+///      one counted list (hybrid wrote shared and per-query parts as two)
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.

@@ -15,7 +15,7 @@
 #include "common/string_util.h"
 #include "common/version.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
+#include "multi/composite_engine.h"
 #include "cli/flags.h"
 #include "engine/change_detector.h"
 #include "engine/reordering_engine.h"
@@ -990,20 +990,25 @@ int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   // The factory builds one engine per shard (once, serially); the cc plan
   // and the hybrid routing print on the first construction only.
   bool first = true;
-  // PreTree and Chop-Connect run no compiled admission, so only per-query
-  // engines keep the adm_* counters.
-  bool admission_counted = strategy == "nonshare" || strategy == "sase";
+  // PreTree and Chop-Connect run no compiled admission, so only a
+  // composite whose parts are all per-query engines keeps the adm_*
+  // counters.
+  bool admission_counted = false;
   exec::MultiEngineFactory factory = [&, make = std::move(made).value()] {
     const bool print = std::exchange(first, false);
     if (print && strategy == "cc") {
       out << "plan: " << PlanChopConnect(queries).ToString(schema) << "\n";
     }
     auto e = make();
-    if (print && strategy == "hybrid" && e.ok()) {
-      const auto& hybrid = static_cast<HybridMultiEngine&>(**e);
-      admission_counted = !hybrid.shares();
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        out << "  Q" << (qi + 1) << " -> " << hybrid.routing()[qi] << "\n";
+    const auto* composite =
+        e.ok() ? dynamic_cast<const CompositeEngine*>(e->get()) : nullptr;
+    if (print && composite != nullptr) {
+      admission_counted = !composite->shares();
+      if (strategy == "hybrid") {
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          out << "  Q" << (qi + 1) << " -> " << composite->routing()[qi]
+              << "\n";
+        }
       }
     }
     return e;

@@ -98,24 +98,42 @@ class QueryEngine {
 
 /// \brief Optional capability interface for engines whose grouped state
 /// can be hash-partitioned across independent twin instances (see
-/// exec::ShardedExecutor). Engines opt in by also deriving from this; the
-/// executor discovers support with a dynamic_cast and falls back to serial
-/// execution when the cast fails (wrappers and baselines never shard).
+/// exec::ShardedExecutor), single-query and workload engines alike.
+/// Engines opt in by also deriving from this; the executor discovers
+/// support with a dynamic_cast plus shardable() and falls back to serial
+/// execution otherwise (the reordering and change-detection wrappers and
+/// the stack-based baseline never shard).
 ///
 /// A shardable engine promises that events whose GROUP BY key values
 /// differ touch disjoint state *except* for window expiry: a trigger
-/// event purges expired state across every partition, not only its own.
-/// SyncPurgeTo replicates exactly that cross-partition purge — no output,
-/// no work-unit charge, only object expiry — so a shard that observes a
+/// event purges expired state across every partition of the engines
+/// owning the triggered queries, not only its own key's. SyncPurgeTo
+/// replicates exactly that cross-partition purge — no output, no
+/// work-unit charge, only object expiry — so a shard that observes a
 /// purge marker for a trigger it does not own ends up byte-identical to
 /// its slice of the serial engine.
 class ShardableEngine {
  public:
   virtual ~ShardableEngine() = default;
 
-  /// Applies the cross-partition purges a trigger event with timestamp
-  /// `now` performs on state the trigger's own key does not cover.
-  virtual void SyncPurgeTo(Timestamp now) = 0;
+  /// True when this instance's query or workload actually supports
+  /// partitioned execution (a workload engine answers per workload, e.g.
+  /// "every query groups by one shared attribute").
+  virtual bool shardable() const { return true; }
+
+  /// Applies the cross-partition purges that the trigger event at `now`
+  /// performs for the triggered workload query indexes `trigger_queries`
+  /// (ascending) on state the trigger's own key does not cover. A
+  /// single-query engine has only query 0 and ignores the list.
+  virtual void SyncPurgeTo(Timestamp now,
+                           std::span<const size_t> trigger_queries) = 0;
+
+  /// True when this engine's object counter advances once per event (a
+  /// single Add of the combined delta, as the composite engine does), so
+  /// its window_peak never carries a real intra-event maximum. The sharded
+  /// executor then merges boundary totals only — a per-shard mid-event
+  /// high would be a point the serial engine never observed.
+  virtual bool objects_sampled_at_boundaries() const { return false; }
 
   /// Mutable stats access for the executor's per-event object-peak
   /// windows (ObjectCounter::BeginPeakWindow) — the merge needs mid-event
@@ -127,44 +145,6 @@ class ShardableEngine {
 struct MultiOutput {
   size_t query_index = 0;
   Output output;
-};
-
-/// \brief Optional capability interface for multi-query engines whose
-/// shared state can be hash-partitioned by a common GROUP BY key across
-/// independent twin instances (the multi-query counterpart of
-/// ShardableEngine; see exec::ShardedExecutor).
-///
-/// The promise generalizes the single-query one: events whose group key
-/// values differ touch disjoint state, *except* that a trigger event
-/// purges expired state across every partition of the engines owning the
-/// triggered queries. SyncPurgeTo replicates exactly that cross-partition
-/// purge for the queries that actually triggered — no output, no
-/// work-unit charge, only object expiry.
-class MultiShardableEngine {
- public:
-  virtual ~MultiShardableEngine() = default;
-
-  /// True when this instance's workload actually supports partitioned
-  /// execution (e.g. every query groups by one shared attribute). Engines
-  /// implement the interface unconditionally and answer per workload, so
-  /// the execution policy can probe with one dynamic_cast plus this call.
-  virtual bool shardable() const = 0;
-
-  /// Applies the cross-partition purges that the trigger event at `now`
-  /// performs for the given triggered workload query indexes (ascending)
-  /// on state the trigger's own key does not cover.
-  virtual void SyncPurgeTo(Timestamp now,
-                           std::span<const size_t> trigger_queries) = 0;
-
-  /// True when this engine's object counter advances once per event (a
-  /// single Add of the combined delta, as the wrapper engines do), so its
-  /// window_peak never carries a real intra-event maximum. The sharded
-  /// executor then merges boundary totals only — a per-shard mid-event
-  /// high would be a point the serial engine never observed.
-  virtual bool objects_sampled_at_boundaries() const { return false; }
-
-  /// See ShardableEngine::shard_mutable_stats.
-  virtual EngineStats* shard_mutable_stats() = 0;
 };
 
 /// \brief Multi-query evaluation engine interface (Sec. 4): processes every

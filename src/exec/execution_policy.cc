@@ -11,16 +11,13 @@ namespace exec {
 
 namespace {
 
-/// The engine opts in (overloaded by engine type; a single query is
-/// otherwise just a workload of one). Baselines and wrappers (reordering, change
-/// detection), whose buffering is inherently cross-key-sequential, lack
-/// the shardable interface; a multi-query engine may implement it yet
-/// refuse this workload.
-bool EngineShards(QueryEngine* engine) {
-  return dynamic_cast<ShardableEngine*>(engine) != nullptr;
-}
-bool EngineShards(MultiQueryEngine* engine) {
-  auto* shardable = dynamic_cast<MultiShardableEngine*>(engine);
+/// The engine opts in: it implements ShardableEngine and accepts this
+/// query or workload. The reordering and change-detection wrappers, whose
+/// buffering is inherently cross-key-sequential, and the stack-based
+/// baseline lack the interface.
+template <class Engine>
+bool EngineShards(Engine* engine) {
+  auto* shardable = dynamic_cast<ShardableEngine*>(engine);
   return shardable != nullptr && shardable->shardable();
 }
 

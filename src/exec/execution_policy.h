@@ -82,8 +82,8 @@ using MultiExecutionPolicy = ExecutionPolicyT<MultiQueryEngine>;
 
 /// Builds the policy for `options.num_shards`: the sharded executor when
 /// more than one shard is requested, the query shards safely
-/// (PlanSharding), and the engine opts in (ShardableEngine) — else the
-/// serial executor. When sharding was requested but refused,
+/// (PlanSharding), and the engine opts in (ShardableEngine::shardable) —
+/// else the serial executor. When sharding was requested but refused,
 /// `*fallback_reason` (optional) receives why — the answer is then still
 /// exact, just serial; a sharded policy is never allowed to be wrong.
 Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
@@ -91,8 +91,7 @@ Result<std::unique_ptr<ExecutionPolicy>> MakePolicy(
     const RunOptions& options, std::string* fallback_reason = nullptr);
 
 /// The workload counterpart of MakePolicy: shards when every query shards
-/// safely (PlanSharding over the whole workload) and the engine opts in
-/// (MultiShardableEngine::shardable).
+/// safely (PlanSharding over the whole workload) and the engine opts in.
 Result<std::unique_ptr<MultiExecutionPolicy>> MakeMultiPolicy(
     std::span<const CompiledQuery> queries, const MultiEngineFactory& factory,
     const RunOptions& options, std::string* fallback_reason = nullptr);

@@ -16,7 +16,7 @@ namespace exec {
 namespace {
 
 // What differs between the single-query and the workload executor,
-// overloaded on the engine and output types.
+// overloaded on the output type.
 
 SeqNum SeqOf(const Output& o) { return o.seq; }
 SeqNum SeqOf(const MultiOutput& o) { return o.output.seq; }
@@ -31,36 +31,9 @@ auto FirstFrom(V& v, SeqNum seq) {
   });
 }
 
-ShardableEngine* AsShardable(QueryEngine* engine) {
-  return dynamic_cast<ShardableEngine*>(engine);
-}
-MultiShardableEngine* AsShardable(MultiQueryEngine* engine) {
-  return dynamic_cast<MultiShardableEngine*>(engine);
-}
-
-/// Applies a purge marker. A single query's marker purges the whole engine;
-/// a workload's purges the queries its trigger completed.
-void SyncPurge(ShardableEngine* shardable, Timestamp now,
-               std::span<const size_t> /*queries*/) {
-  shardable->SyncPurgeTo(now);
-}
-void SyncPurge(MultiShardableEngine* shardable, Timestamp now,
-               std::span<const size_t> queries) {
-  shardable->SyncPurgeTo(now, queries);
-}
-
 /// Seconds between two obs::MonotonicNanos readings.
 double Seconds(uint64_t begin, uint64_t end) {
   return static_cast<double>(end - begin) * 1e-9;
-}
-
-/// Single-query engines count objects at add/remove granularity, so their
-/// mid-event peaks are real serial observations. Wrapper engines (NonShare,
-/// Hybrid) sample the combined sub-engine total once per event, so their
-/// window_peak is not — merge boundary totals only.
-bool BoundaryObjects(const ShardableEngine* /*shardable*/) { return false; }
-bool BoundaryObjects(const MultiShardableEngine* shardable) {
-  return shardable->objects_sampled_at_boundaries();
 }
 
 }  // namespace
@@ -90,9 +63,9 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
   ShardLanes::Lane& lane = lanes_.lane(shard);
   ShardState& st = states_[shard];
   Engine* engine = engines_[shard].get();
-  auto* shardable = AsShardable(engine);
+  auto* shardable = dynamic_cast<ShardableEngine*>(engine);
   EngineStats* stats = shardable->shard_mutable_stats();
-  const bool boundary_objects = BoundaryObjects(shardable);
+  const bool boundary_objects = shardable->objects_sampled_at_boundaries();
   const bool check_faults = fault::Injector::Global().armed();
   const bool collect = CollectsOutputs();
   // Telemetry cell for this shard (null = off). The worker is the cell's
@@ -138,7 +111,7 @@ void ShardedExecutorT<Engine>::WorkerMain(size_t shard) {
         const SharedBatch::Trigger& trigger = batch.trigger(op & ~kMarkerOp);
         const Event& e = batch.event(trigger.event);
         seq = e.seq();
-        SyncPurge(shardable, e.ts(), batch.queries(trigger));
+        shardable->SyncPurgeTo(e.ts(), batch.queries(trigger));
       }
       const int64_t after = objects.current();
       int64_t window_peak = objects.window_peak();
@@ -391,7 +364,7 @@ Status ShardedExecutorT<Engine>::RestartShard(size_t shard) {
   // Rebuild the engine twin from the recovery snapshot (engine Checkpoint
   // payloads carry stats, so the merged view stays exact).
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> fresh, factory_());
-  if (AsShardable(fresh.get()) == nullptr) {
+  if (dynamic_cast<ShardableEngine*>(fresh.get()) == nullptr) {
     return Status::Internal(
         "engine factory stopped producing shardable engines during a "
         "supervised restart");

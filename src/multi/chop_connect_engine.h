@@ -48,8 +48,8 @@ namespace aseq {
 /// with HPC-style partition-local purging driven by a state::WindowClock.
 /// Grouped instances are shardable: the group key partitions the whole
 /// engine state, and the only cross-partition coupling is the clock
-/// advance at trigger time (MultiShardableEngine::SyncPurgeTo).
-class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
+/// advance at trigger time (ShardableEngine::SyncPurgeTo).
+class ChopConnectEngine : public MultiQueryEngine, public ShardableEngine {
  public:
   /// Validates the plan against the queries and builds the engine.
   static Result<std::unique_ptr<ChopConnectEngine>> Create(
@@ -70,7 +70,7 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// Number of live group partitions (grouped mode; testing hook).
   size_t num_partitions() const { return part_store_.size(); }
 
-  /// MultiShardableEngine: grouped workloads shard by the group key.
+  /// ShardableEngine: grouped workloads shard by the group key.
   bool shardable() const override { return grouped_; }
   /// Replays the clock advance a trigger at `now` performs (grouped mode
   /// only; triggered queries all share this engine's one clock).

@@ -34,10 +34,10 @@ namespace aseq {
 /// independent copy of the per-trie instance state in a
 /// state::PartitionStore keyed by the group value, with HPC-style
 /// partition-local purging driven by a state::WindowClock. Grouped
-/// instances are shardable (MultiShardableEngine): the group key
+/// instances are shardable (ShardableEngine): the group key
 /// partitions the whole engine state, and the only cross-partition
 /// coupling is the clock advance at trigger time.
-class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
+class PreTreeEngine : public MultiQueryEngine, public ShardableEngine {
  public:
   /// Validates the workload and builds the tries.
   static Result<std::unique_ptr<PreTreeEngine>> Create(
@@ -58,7 +58,7 @@ class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// Number of live group partitions (grouped mode; testing hook).
   size_t num_partitions() const { return part_store_.size(); }
 
-  /// MultiShardableEngine: grouped workloads shard by the group key.
+  /// ShardableEngine: grouped workloads shard by the group key.
   bool shardable() const override { return grouped_; }
   /// Replays the clock advance a trigger at `now` performs (grouped mode
   /// only; triggered queries all share this engine's one clock).

@@ -441,6 +441,29 @@ TEST(HpcEngineTest, PartitionsExpireAndAreDropped) {
   EXPECT_EQ(hpc->num_partitions(), 0u);  // all expired partitions dropped
 }
 
+TEST(HpcEngineTest, ExpiryClockStaysBoundedWithoutTriggers) {
+  // The trigger type C never occurs, so the clock is never drained. Each
+  // key's partition empties (its START expired) before the key's next
+  // START refills it; the refill must not queue a second entry.
+  Schema schema;
+  CompiledQuery cq = MustCompile(
+      &schema, "PATTERN SEQ(A, B, C) GROUP BY k AGG COUNT WITHIN 1s");
+  auto engine = CreateAseqEngine(cq);
+  ASSERT_TRUE(engine.ok());
+  HpcEngine* hpc = static_cast<HpcEngine*>(engine->get());
+  StreamBuilder builder(&schema);
+  for (int i = 0; i < 400; ++i) {
+    builder.Add(i % 3 == 2 ? "B" : "A", 300 * i, {{"k", Value(i % 4)}});
+  }
+  std::vector<Output> outputs;
+  for (const Event& e : builder.Build()) {
+    hpc->OnEvent(e, &outputs);
+    ASSERT_LE(hpc->clock_size(), hpc->num_partitions()) << "at t=" << e.ts();
+  }
+  EXPECT_TRUE(outputs.empty());
+  EXPECT_EQ(hpc->num_partitions(), 4u);
+}
+
 TEST(HpcEngineTest, PollReportsGroups) {
   Schema schema;
   CompiledQuery cq = MustCompile(

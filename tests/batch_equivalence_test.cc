@@ -28,8 +28,7 @@
 #include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
@@ -242,7 +241,7 @@ TEST(BatchEquivalenceTest, ReorderingMultiEngineOutOfOrder) {
   std::vector<Event> events = Shuffle(gen.Generate(), 7);
 
   auto factory = [&]() -> std::unique_ptr<MultiQueryEngine> {
-    auto inner = NonSharedEngine::CreateAseq(queries);
+    auto inner = CompositeEngine::CreateNonShare(queries);
     EXPECT_TRUE(inner.ok()) << inner.status().ToString();
     return std::make_unique<ReorderingEngineT<MultiQueryEngine>>(
         std::move(inner).value(), /*slack_ms=*/300);
@@ -337,7 +336,7 @@ TEST(BatchEquivalenceTest, NonSharedEngine) {
   auto c = MakeMulti(MakePrefixSharedWorkload(3, 2, 4, 2000), 44, 1500);
   CheckMulti(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        auto engine = NonSharedEngine::CreateAseq(c->queries);
+        auto engine = CompositeEngine::CreateNonShare(c->queries);
         EXPECT_TRUE(engine.ok()) << engine.status().ToString();
         return std::move(engine).value();
       },
@@ -348,7 +347,7 @@ TEST(BatchEquivalenceTest, NonSharedStackEngine) {
   auto c = MakeMulti(MakePrefixSharedWorkload(2, 2, 3, 1000), 45, 1000);
   CheckMulti(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        return NonSharedEngine::CreateStackBased(c->queries);
+        return CompositeEngine::CreateSase(c->queries);
       },
       c->events, "nonshared-stack");
 }
@@ -384,7 +383,7 @@ TEST(BatchEquivalenceTest, HybridEngine) {
   }
   CheckMulti(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        auto engine = HybridMultiEngine::Create(queries);
+        auto engine = CompositeEngine::CreateHybrid(queries);
         EXPECT_TRUE(engine.ok()) << engine.status().ToString();
         return std::move(engine).value();
       },

@@ -287,13 +287,32 @@ TEST(CliTest, WorkloadRunsAllStrategies) {
     f << "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 1s\n";
     f << "PATTERN SEQ(DELL, IPIX, QQQ) AGG COUNT WITHIN 1s\n";
   }
+  // Only per-query engines run compiled admission, so the admission: row
+  // is printed exactly when no query runs in a shared part; the hybrid
+  // puts both queries (same START) into one PreTree.
   for (const char* strategy : {"nonshare", "sase", "pretree", "cc", "hybrid"}) {
     CliResult r = RunTool({"workload", "--queries", path, "--stock", "1500",
                            "--strategy", strategy});
     EXPECT_EQ(r.code, 0) << strategy << ": " << r.err;
     EXPECT_NE(r.out.find("queries:       2"), std::string::npos) << strategy;
     EXPECT_NE(r.out.find("Q1:"), std::string::npos) << strategy;
+    const bool per_query = std::string(strategy) == "nonshare" ||
+                           std::string(strategy) == "sase";
+    EXPECT_EQ(r.out.find("\nadmission:") != std::string::npos, per_query)
+        << strategy;
   }
+  // A hybrid that shares nothing (the windows differ) keeps the row.
+  std::string unshared = ::testing::TempDir() + "/aseq_cli_unshared.txt";
+  {
+    std::ofstream f(unshared);
+    f << "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 1s\n";
+    f << "PATTERN SEQ(DELL, IPIX, QQQ) AGG COUNT WITHIN 2s\n";
+  }
+  CliResult r = RunTool({"workload", "--queries", unshared, "--stock", "1500",
+                         "--strategy", "hybrid"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("Q2 -> A-Seq(SEM)"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("\nadmission:"), std::string::npos) << r.out;
 }
 
 TEST(CliTest, WorkloadRejectsBadInputs) {

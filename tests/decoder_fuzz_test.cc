@@ -31,8 +31,7 @@
 #include "exec/execution_policy.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "tests/fuzz_util.h"
@@ -346,11 +345,11 @@ TEST(DecoderFuzzTest, MutatedWorkloadSnapshotsNeverCrash) {
                                                   three_segment_plan));
        }},
       {"hybrid", &queries,
-       [&] { return AsMulti(HybridMultiEngine::Create(queries)); }},
+       [&] { return AsMulti(CompositeEngine::CreateHybrid(queries)); }},
       {"pretree", &queries,
        [&] { return AsMulti(PreTreeEngine::Create(queries)); }},
       {"nonshare", &queries,
-       [&] { return AsMulti(NonSharedEngine::CreateAseq(queries)); }},
+       [&] { return AsMulti(CompositeEngine::CreateNonShare(queries)); }},
       {"ecube", &substring_queries,
        [&] {
          return AsMulti(EcubeEngine::Create(substring_queries, shared));

@@ -5,7 +5,7 @@
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
 #include "engine/runtime.h"
-#include "multi/hybrid_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
@@ -64,7 +64,7 @@ TEST(HybridEngineTest, RoutesMixedWorkloadAndMatchesReferences) {
     queries.push_back(std::move(cq).value());
   }
 
-  auto hybrid = HybridMultiEngine::Create(queries);
+  auto hybrid = CompositeEngine::CreateHybrid(queries);
   ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
   const auto& routing = (*hybrid)->routing();
   ASSERT_EQ(routing.size(), 8u);
@@ -113,7 +113,7 @@ TEST(HybridEngineTest, SingleQueryWorkload) {
   Schema schema;
   std::vector<CompiledQuery> queries = {
       MustCompile(&schema, "PATTERN SEQ(A, B) WITHIN 1s")};
-  auto hybrid = HybridMultiEngine::Create(queries);
+  auto hybrid = CompositeEngine::CreateHybrid(queries);
   ASSERT_TRUE(hybrid.ok());
   EXPECT_EQ((*hybrid)->routing()[0], "A-Seq(SEM)");
 }
@@ -123,7 +123,7 @@ TEST(HybridEngineTest, UnboundedWindowsStayPerQuery) {
   std::vector<CompiledQuery> queries = {
       MustCompile(&schema, "PATTERN SEQ(A, B)"),
       MustCompile(&schema, "PATTERN SEQ(A, C)")};
-  auto hybrid = HybridMultiEngine::Create(queries);
+  auto hybrid = CompositeEngine::CreateHybrid(queries);
   ASSERT_TRUE(hybrid.ok());
   // Sharing engines require windows; both route to DPC.
   EXPECT_EQ((*hybrid)->routing()[0], "A-Seq(DPC)");
@@ -137,7 +137,7 @@ TEST(HybridEngineTest, MixedWindowsFormSeparateGroups) {
       MustCompile(&schema, "PATTERN SEQ(A, B, D) WITHIN 1s"),
       MustCompile(&schema, "PATTERN SEQ(A, B, E) WITHIN 2s"),
   };
-  auto hybrid = HybridMultiEngine::Create(queries);
+  auto hybrid = CompositeEngine::CreateHybrid(queries);
   ASSERT_TRUE(hybrid.ok());
   const auto& routing = (*hybrid)->routing();
   EXPECT_NE(routing[0].find("win=1000"), std::string::npos);
@@ -147,7 +147,7 @@ TEST(HybridEngineTest, MixedWindowsFormSeparateGroups) {
 }
 
 TEST(HybridEngineTest, EmptyWorkloadRejected) {
-  EXPECT_FALSE(HybridMultiEngine::Create({}).ok());
+  EXPECT_FALSE(CompositeEngine::CreateHybrid({}).ok());
 }
 
 }  // namespace

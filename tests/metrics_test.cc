@@ -23,7 +23,7 @@ TEST(ObjectCounterTest, TracksCurrentAndPeak) {
 }
 
 TEST(ObjectCounterTest, NegativeDeltasViaAdd) {
-  // NonSharedEngine feeds deltas through Add; negative deltas must not
+  // CompositeEngine feeds deltas through Add; negative deltas must not
   // disturb the peak.
   ObjectCounter counter;
   counter.Add(10);

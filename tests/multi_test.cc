@@ -14,7 +14,7 @@
 #include "exec/execution_policy.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/workload.h"
@@ -90,7 +90,7 @@ void ExpectMatchesReference(
 }
 
 // --------------------------------------------------------------------------
-// NonSharedEngine
+// NonShare and SASE: CompositeEngine's per-query plans
 // --------------------------------------------------------------------------
 
 TEST(NonSharedEngineTest, MatchesSingleQueryEngines) {
@@ -100,12 +100,12 @@ TEST(NonSharedEngineTest, MatchesSingleQueryEngines) {
   std::vector<Event> events = WorkloadStream(workload, &schema, 11, 400);
   auto ref = ReferenceOutputs(queries, events);
 
-  auto engine = NonSharedEngine::CreateAseq(queries);
+  auto engine = CompositeEngine::CreateNonShare(queries);
   ASSERT_TRUE(engine.ok());
   MultiRunResult result = RunPerEvent(events, engine->get());
   ExpectMatchesReference(ref, result.outputs, "nonshared-aseq");
 
-  auto stack = NonSharedEngine::CreateStackBased(queries);
+  auto stack = CompositeEngine::CreateSase(queries);
   MultiRunResult result2 = RunPerEvent(events, stack.get());
   ExpectMatchesReference(ref, result2.outputs, "nonshared-stack");
 }
@@ -440,7 +440,7 @@ std::unique_ptr<MultiQueryEngine> MustCreateChop(
 
 std::unique_ptr<MultiQueryEngine> MustCreateNonShare(
     const std::vector<CompiledQuery>& queries) {
-  auto engine = NonSharedEngine::CreateAseq(queries);
+  auto engine = CompositeEngine::CreateNonShare(queries);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
 }

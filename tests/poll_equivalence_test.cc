@@ -17,7 +17,7 @@
 #include "baseline/stack_engine.h"
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
-#include "multi/hybrid_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"

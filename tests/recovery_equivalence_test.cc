@@ -32,8 +32,7 @@
 #include "exec/serial_executor.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
@@ -389,7 +388,7 @@ TEST(RecoveryEquivalenceTest, ReorderingMultiEngineMidSlack) {
   std::vector<Event> shuffled = Shuffle(c->events, 19);
   CheckMultiRecovery(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        auto inner = NonSharedEngine::CreateAseq(c->queries);
+        auto inner = CompositeEngine::CreateNonShare(c->queries);
         EXPECT_TRUE(inner.ok()) << inner.status().ToString();
         return std::make_unique<ReorderingEngineT<MultiQueryEngine>>(
             std::move(inner).value(), /*slack_ms=*/300);
@@ -473,7 +472,7 @@ TEST(RecoveryEquivalenceTest, NonSharedAseqEngine) {
   auto c = MakeMulti(MakePrefixSharedWorkload(3, 2, 4, 2000), 77, 1000);
   CheckMultiRecovery(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        auto engine = NonSharedEngine::CreateAseq(c->queries);
+        auto engine = CompositeEngine::CreateNonShare(c->queries);
         EXPECT_TRUE(engine.ok()) << engine.status().ToString();
         return std::move(engine).value();
       },
@@ -484,7 +483,7 @@ TEST(RecoveryEquivalenceTest, NonSharedStackEngine) {
   auto c = MakeMulti(MakePrefixSharedWorkload(2, 2, 3, 1000), 78, 800);
   CheckMultiRecovery(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        return NonSharedEngine::CreateStackBased(c->queries);
+        return CompositeEngine::CreateSase(c->queries);
       },
       c->events, "nonshared-stack");
 }
@@ -520,7 +519,7 @@ TEST(RecoveryEquivalenceTest, HybridEngine) {
   }
   CheckMultiRecovery(
       [&]() -> std::unique_ptr<MultiQueryEngine> {
-        auto engine = HybridMultiEngine::Create(queries);
+        auto engine = CompositeEngine::CreateHybrid(queries);
         EXPECT_TRUE(engine.ok()) << engine.status().ToString();
         return std::move(engine).value();
       },

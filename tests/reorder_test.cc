@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "engine/reordering_engine.h"
 #include "engine/runtime.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 #include "stream/reorder.h"
 #include "tests/test_util.h"
@@ -188,7 +188,7 @@ TEST(ReorderingMultiEngineTest, MatchesInOrderExecution) {
   // Reference: in-order execution.
   std::vector<Event> sorted = base;
   AssignSeqNums(&sorted);
-  auto ref = NonSharedEngine::CreateAseq(queries);
+  auto ref = CompositeEngine::CreateNonShare(queries);
   MultiRunResult ref_run = RunPerEvent(sorted, ref->get());
 
   // Disordered input through the multi-engine K-slack wrapper.
@@ -196,7 +196,7 @@ TEST(ReorderingMultiEngineTest, MatchesInOrderExecution) {
   for (size_t i = 0; i + 3 < shuffled.size(); i += 3) {
     std::swap(shuffled[i], shuffled[i + 2]);
   }
-  auto inner = NonSharedEngine::CreateAseq(queries);
+  auto inner = CompositeEngine::CreateNonShare(queries);
   ReorderingEngineT<MultiQueryEngine> engine(std::move(*inner),
                                              /*slack_ms=*/100);
   EXPECT_EQ(engine.name(), "NonShare(A-Seq)+KSlack");
@@ -232,10 +232,10 @@ TEST(ReorderingMultiEngineTest, PollForwardsToInnerEngine) {
   std::vector<Event> events;
   for (int i = 0; i < 30; ++i) events.emplace_back(types[i % 3], 10 * i);
   AssignSeqNums(&events);
-  auto ref = NonSharedEngine::CreateAseq(queries);
+  auto ref = CompositeEngine::CreateNonShare(queries);
   RunPerEvent(events, ref->get());
 
-  auto inner = NonSharedEngine::CreateAseq(queries);
+  auto inner = CompositeEngine::CreateNonShare(queries);
   ReorderingEngineT<MultiQueryEngine> engine(std::move(*inner),
                                              /*slack_ms=*/50);
   std::vector<MultiOutput> outputs;

@@ -32,8 +32,7 @@
 #include "exec/shard_router.h"
 #include "exec/sharded_executor.h"
 #include "fault/fault.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
@@ -510,7 +509,7 @@ TEST(MultiShardFallbackTest, UnshardableEngine) {
   exec::MultiEngineFactory factory =
       [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
     return std::unique_ptr<MultiQueryEngine>(
-        NonSharedEngine::CreateStackBased(queries));
+        CompositeEngine::CreateSase(queries));
   };
   CheckMultiFallback(queries, factory, c->events, "does not support sharding",
                      "stack-workload");

@@ -20,8 +20,7 @@
 #include "fault/fault.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/hybrid_engine.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
@@ -192,13 +191,13 @@ exec::MultiEngineFactory MultiFactory(
   }
   if (strategy == "hybrid") {
     return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, HybridMultiEngine::Create(queries));
+      ASEQ_ASSIGN_OR_RETURN(auto e, CompositeEngine::CreateHybrid(queries));
       return std::unique_ptr<MultiQueryEngine>(std::move(e));
     };
   }
   EXPECT_EQ(strategy, "nonshare") << "unknown strategy";
   return [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-    ASEQ_ASSIGN_OR_RETURN(auto e, NonSharedEngine::CreateAseq(queries));
+    ASEQ_ASSIGN_OR_RETURN(auto e, CompositeEngine::CreateNonShare(queries));
     return std::unique_ptr<MultiQueryEngine>(std::move(e));
   };
 }

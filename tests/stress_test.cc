@@ -11,7 +11,7 @@
 #include "engine/runtime.h"
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
-#include "multi/nonshared_engine.h"
+#include "multi/composite_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
 #include "stream/stock_stream.h"
@@ -108,7 +108,7 @@ TEST(StressTest, MultiEnginesSurviveLongRunsAndAgree) {
   std::vector<Event> events = gen.Generate();
   AssignSeqNums(&events);
 
-  auto ns = NonSharedEngine::CreateAseq(queries);
+  auto ns = CompositeEngine::CreateNonShare(queries);
   auto pt = PreTreeEngine::Create(queries);
   ASSERT_TRUE(pt.ok()) << pt.status().ToString();
   auto cc = ChopConnectEngine::Create(queries, PlanChopConnect(queries));
