@@ -9,6 +9,7 @@
 #include "aseq/aseq_engine.h"
 #include "baseline/ecube_engine.h"
 #include "ckpt/ckpt.h"
+#include "ckpt/snapshot.h"
 #include "common/rng.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
@@ -733,6 +734,196 @@ TEST(ChopConnectSubstrTest, RandomChopIntoFourOrMoreSegments) {
     ASSERT_TRUE(cc) << context;
     MultiRunResult got = RunPerEvent(c->events, cc.get());
     ExpectMultiOutputsEqual(ref.outputs, got.outputs, context);
+  }
+}
+
+// --------------------------------------------------------------------------
+// PreTree and Chop-Connect: one workload shape, one snapshot format
+// --------------------------------------------------------------------------
+
+/// An engine's verdict on a workload: OK (empty `message`), or the status
+/// code and message text, the text of query `query` appended when >= 0.
+struct Verdict {
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  int query = -1;
+};
+
+void ExpectVerdict(const Status& status, const Verdict& want,
+                   const std::vector<CompiledQuery>& queries,
+                   const std::string& context) {
+  if (want.message.empty()) {
+    EXPECT_TRUE(status.ok()) << context << ": " << status.ToString();
+    return;
+  }
+  const std::string text =
+      want.message +
+      (want.query >= 0 ? queries[static_cast<size_t>(want.query)].ToString()
+                       : "");
+  EXPECT_EQ(status.code(), want.code) << context << ": " << status.ToString();
+  EXPECT_EQ(status.message(), text) << context;
+}
+
+TEST(SharedCountShapeTest, EnginesAndHybridAgreeOnEachShape) {
+  constexpr StatusCode kUnsup = StatusCode::kUnsupported;
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const std::string kPreCount =
+      "PreTree sharing supports COUNT over positive-only patterns: ";
+  const std::string kCcCount =
+      "Chop-Connect supports COUNT over positive-only patterns: ";
+  const std::string kPrePart =
+      "PreTree sharing supports partitioning only as GROUP BY one attribute "
+      "shared by every workload query: ";
+  const std::string kCcPart =
+      "Chop-Connect supports partitioning only as GROUP BY one attribute "
+      "shared by every workload query: ";
+  const Verdict kPreWindow{
+      kInvalid, "PreTree workload queries must share one positive window"};
+  const Verdict kCcWindow{
+      kInvalid, "Chop-Connect workload queries must share one positive window"};
+  struct Shape {
+    const char* name;
+    std::vector<std::string> queries;
+    Verdict pretree;
+    Verdict cc;
+  };
+  const std::vector<Shape> shapes = {
+      {"plain",
+       {"PATTERN SEQ(A, B, C) WITHIN 1s", "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {},
+       {}},
+      {"group by",
+       {"PATTERN SEQ(A, B, C) GROUP BY g WITHIN 1s",
+        "PATTERN SEQ(A, B, D) GROUP BY g WITHIN 1s"},
+       {},
+       {}},
+      {"negation",
+       {"PATTERN SEQ(A, !X, C) WITHIN 1s", "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {kUnsup, kPreCount, 0},
+       {kUnsup, kCcCount, 0}},
+      {"no window",
+       {"PATTERN SEQ(A, B, C)", "PATTERN SEQ(A, B, D)"},
+       kPreWindow,
+       kCcWindow},
+      {"mixed windows",
+       {"PATTERN SEQ(A, B, C) WITHIN 1s", "PATTERN SEQ(A, B, D) WITHIN 2s"},
+       kPreWindow,
+       kCcWindow},
+      {"sum",
+       {"PATTERN SEQ(A, B, C) AGG SUM(C.v) WITHIN 1s",
+        "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {kUnsup, kPreCount, 0},
+       {kUnsup, kCcCount, 0}},
+      {"where",
+       {"PATTERN SEQ(A, B, C) WITHIN 1s",
+        "PATTERN SEQ(A, B, D) WHERE A.x > 5 WITHIN 1s"},
+       {kUnsup, "PreTree sharing does not support WHERE: ", 1},
+       {kUnsup, "Chop-Connect does not support WHERE: ", 1}},
+      {"join",
+       {"PATTERN SEQ(A, B, C) WHERE A.x < B.x WITHIN 1s",
+        "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {kUnsup, kPreCount, 0},
+       {kUnsup, kCcCount, 0}},
+      {"equivalence only",
+       {"PATTERN SEQ(A, B, C) WHERE A.x = B.x = C.x WITHIN 1s",
+        "PATTERN SEQ(A, B, D) WHERE A.x = B.x = D.x WITHIN 1s"},
+       {kUnsup, kPrePart, 0},
+       {kUnsup, kCcPart, 0}},
+      {"two-part key",
+       {"PATTERN SEQ(A, B, C) WHERE A.x = B.x = C.x GROUP BY g WITHIN 1s",
+        "PATTERN SEQ(A, B, D) GROUP BY g WITHIN 1s"},
+       {kUnsup, kPrePart, 0},
+       {kUnsup, kCcPart, 0}},
+      {"duplicate types",
+       {"PATTERN SEQ(A, B, A) WITHIN 1s", "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {},
+       {kUnsup, "Chop-Connect requires distinct event types per pattern: ",
+        0}},
+      {"mixed grouping",
+       {"PATTERN SEQ(A, B, C) GROUP BY g WITHIN 1s",
+        "PATTERN SEQ(A, B, D) WITHIN 1s"},
+       {kUnsup, "PreTree workloads must be uniformly grouped or ungrouped: ",
+        1},
+       {kUnsup,
+        "Chop-Connect workloads must be uniformly grouped or ungrouped: ", 1}},
+  };
+  for (const Shape& shape : shapes) {
+    Schema schema;
+    std::vector<CompiledQuery> queries;
+    for (const std::string& text : shape.queries) {
+      queries.push_back(MustCompile(&schema, text));
+    }
+    ASSERT_FALSE(HasFailure()) << shape.name;
+    const Status pretree = PreTreeEngine::Create(queries).status();
+    const Status cc =
+        ChopConnectEngine::Create(queries, TrivialPlan(queries)).status();
+    ExpectVerdict(pretree, shape.pretree, queries,
+                  std::string(shape.name) + " pretree");
+    ExpectVerdict(cc, shape.cc, queries, std::string(shape.name) + " cc");
+
+    // Both queries share a START type, so Hybrid shares them exactly when
+    // the shape is one both sharing engines run.
+    auto hybrid = CompositeEngine::CreateHybrid(queries);
+    ASSERT_TRUE(hybrid.ok()) << shape.name << ": "
+                             << hybrid.status().ToString();
+    const bool shareable = pretree.ok() && cc.ok();
+    for (const std::string& route : (*hybrid)->routing()) {
+      const bool shared = route.rfind("PreTree(", 0) == 0 ||
+                          route.rfind("ChopConnect(", 0) == 0;
+      EXPECT_EQ(shared, shareable) << shape.name << ": routed to " << route;
+    }
+  }
+}
+
+/// FNV-1a of the payload `engine` checkpoints after `events`.
+uint64_t SnapshotHash(MultiQueryEngine* engine,
+                      const std::vector<Event>& events) {
+  RunPerEvent(events, engine);
+  ckpt::Writer writer;
+  EXPECT_TRUE(engine->Checkpoint(&writer).ok());
+  return ckpt::Fnv1a64(writer.buffer());
+}
+
+TEST(SharedCountShapeTest, SnapshotBytesArePinned) {
+  // Format v4 payloads of both sharing engines, ungrouped and GROUP BY,
+  // after a fixed generated stream that leaves live state behind. A
+  // changed hash means a changed snapshot format.
+  struct Pin {
+    const char* name;
+    bool cc;
+    bool grouped;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"pretree", false, false, 0xa89e104583f2faacull},
+      {"pretree grouped", false, true, 0xe693cc518304b90full},
+      {"cc", true, false, 0x20d2403eb44d61a6ull},
+      {"cc grouped", true, true, 0x08286f941a15ebd0ull},
+  };
+  for (const Pin& pin : pins) {
+    Schema schema;
+    // PreTree: one shared prefix; Chop-Connect: a shared middle substring.
+    SharedWorkload workload =
+        MakeSubstringSharedWorkload(4, pin.cc ? 2 : 0, 3, 2, 2000);
+    if (pin.grouped) {
+      for (Query& q : workload.queries) q.group_by = GroupBy{"g", kInvalidAttr};
+    }
+    StreamConfig config = MakeWorkloadStreamConfig(workload, 7, 3000, 0, 2);
+    if (pin.grouped) config.attrs.push_back(AttrSpec::IntUniform("g", 0, 3));
+    StreamGenerator gen(config, &schema);
+    std::vector<Event> events = gen.Generate();
+    AssignSeqNums(&events);
+    std::vector<CompiledQuery> queries = Compile(&schema, workload.queries);
+    std::unique_ptr<MultiQueryEngine> engine;
+    if (pin.cc) {
+      engine = MustCreateChop(queries, PlanChopConnect(queries));
+    } else {
+      auto pretree = PreTreeEngine::Create(queries);
+      ASSERT_TRUE(pretree.ok()) << pretree.status().ToString();
+      engine = std::move(pretree).value();
+    }
+    ASSERT_TRUE(engine) << pin.name;
+    EXPECT_EQ(SnapshotHash(engine.get(), events), pin.hash) << pin.name;
   }
 }
 
