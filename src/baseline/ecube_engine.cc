@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "ckpt/ckpt.h"
+#include "multi/shared_count_engine.h"
 
 namespace aseq {
 
@@ -43,36 +44,27 @@ Result<std::unique_ptr<EcubeEngine>> EcubeEngine::Create(
   }
   Timestamp window = queries[0].window_ms();
   for (const CompiledQuery& q : queries) {
-    if (q.agg().func != AggFunc::kCount || q.partitioned() ||
-        q.has_join_predicates() || q.pattern().has_negation()) {
+    const CountShape shape = CheckCountShape(q);
+    if (shape == CountShape::kAggregate || q.partitioned()) {
       return Status::Unsupported(
           "ECube baseline supports COUNT over positive-only unpartitioned "
           "patterns: " +
           q.ToString());
     }
-    for (const auto& preds : q.local_predicates()) {
-      if (!preds.empty()) {
-        return Status::Unsupported("ECube baseline does not support WHERE: " +
-                                   q.ToString());
-      }
+    if (shape == CountShape::kWhere) {
+      return Status::Unsupported("ECube baseline does not support WHERE: " +
+                                 q.ToString());
     }
-    if (q.window_ms() != window || window <= 0) {
+    if (shape == CountShape::kWindow || q.window_ms() != window) {
       return Status::InvalidArgument(
           "ECube workload queries must share one positive window");
     }
-    // All types within a query must be distinct.
-    const auto& types = q.positive_types();
-    for (size_t i = 0; i < types.size(); ++i) {
-      for (size_t j = i + 1; j < types.size(); ++j) {
-        if (types[i] == types[j]) {
-          return Status::Unsupported(
-              "ECube baseline requires distinct event types per pattern: " +
-              q.ToString());
-        }
-      }
+    if (!HasDistinctTypes(q)) {
+      return Status::Unsupported(
+          "ECube baseline requires distinct event types per pattern: " +
+          q.ToString());
     }
-    int at = FindSubstringOnce(types, shared_types);
-    if (at < 0) {
+    if (FindSubstringOnce(q.positive_types(), shared_types) < 0) {
       return Status::InvalidArgument(
           "shared substring must occur contiguously exactly once in " +
           q.ToString());
@@ -87,12 +79,10 @@ EcubeEngine::EcubeEngine(std::vector<CompiledQuery> queries,
     : queries_(std::move(queries)), shared_types_(std::move(shared_types)) {
   window_ms_ = queries_[0].window_ms();
   for (const CompiledQuery& q : queries_) {
-    plan::AdmissionProgram program(q);
     for (EventTypeId t : q.positive_types()) {
       if (t >= type_relevant_.size()) type_relevant_.resize(t + 1, 0);
-      if (program.Relevant(t)) type_relevant_[t] = 1;
+      type_relevant_[t] = 1;
     }
-    programs_.push_back(std::move(program));
   }
   shared_stacks_.resize(shared_types_.size());
   shared_dfs_.resize(shared_types_.size());

@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
-#include "plan/admission.h"
 #include "query/compiled_query.h"
 
 namespace aseq {
@@ -108,12 +107,8 @@ class EcubeEngine : public MultiQueryEngine {
 
   EngineStats stats_;
   std::vector<CompiledQuery> queries_;
-  /// Per-query compiled admission programs (src/plan/). ECube's workload
-  /// shape has no predicates, so the programs serve as the dense type-level
-  /// relevance test; borrow queries_'s storage — declared after it.
-  std::vector<plan::AdmissionProgram> programs_;
-  /// Union of the programs' relevance, EventTypeId-indexed: an event whose
-  /// type is outside every query's pattern touches no stack and is skipped
+  /// The queries' positive types, EventTypeId-indexed: an event whose type
+  /// is outside every query's pattern touches no stack and is skipped
   /// after the event count.
   std::vector<uint8_t> type_relevant_;
   std::vector<EventTypeId> shared_types_;

@@ -1,16 +1,18 @@
 #include "multi/chop_connect_engine.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "ckpt/ckpt.h"
 
 namespace aseq {
 
-namespace {
+using chop::Hook;
+using chop::HookTables;
+using chop::SegState;
+using chop::Segment;
+using chop::Table;
 
-/// Empty dispatch row for types beyond the dense trigger index's range.
-const std::vector<size_t> kNoTriggers;
+namespace {
 
 /// Orders ChopConnectEngine::due_ as a min-heap on expiration.
 bool DueLater(const std::pair<Timestamp, size_t>& a,
@@ -20,84 +22,21 @@ bool DueLater(const std::pair<Timestamp, size_t>& a,
 
 }  // namespace
 
-ChopConnectEngine::ChopConnectEngine(std::vector<CompiledQuery> queries,
-                                     ChopPlan plan)
-    : queries_(std::move(queries)), plan_(std::move(plan)) {
-  for (const CompiledQuery& q : queries_) {
-    plan::AdmissionProgram program(q);
-    for (EventTypeId t : q.positive_types()) {
-      if (t >= type_relevant_.size()) type_relevant_.resize(t + 1, 0);
-      if (program.Relevant(t)) type_relevant_[t] = 1;
-    }
-    programs_.push_back(std::move(program));
-  }
-}
-
 Result<std::unique_ptr<ChopConnectEngine>> ChopConnectEngine::Create(
     std::vector<CompiledQuery> queries, ChopPlan plan) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("Chop-Connect needs at least one query");
-  }
-  if (plan.query_segments.size() != queries.size()) {
+  if (!queries.empty() && plan.query_segments.size() != queries.size()) {
     return Status::InvalidArgument(
         "plan must assign segments to every workload query");
   }
-  Timestamp window = queries[0].window_ms();
-  const bool grouped = queries[0].partitioned();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
+  ASEQ_RETURN_NOT_OK(CheckWorkload(queries, [&](size_t qi) -> Status {
     const CompiledQuery& q = queries[qi];
-    if (q.agg().func != AggFunc::kCount || q.has_join_predicates() ||
-        q.pattern().has_negation()) {
+    if (!HasDistinctTypes(q)) {
       return Status::Unsupported(
-          "Chop-Connect supports COUNT over positive-only patterns: " +
+          "Chop-Connect requires distinct event types per pattern: " +
           q.ToString());
-    }
-    if (q.partitioned() != grouped) {
-      return Status::Unsupported(
-          "Chop-Connect workloads must be uniformly grouped or ungrouped: " +
-          q.ToString());
-    }
-    if (grouped) {
-      // The one partitioning shape the shared state decomposes under: every
-      // query GROUP BY the same single attribute (one interned key part,
-      // per-group output, no extra equivalence parts).
-      const PartitionSpec& spec = q.partition_spec();
-      if (!spec.per_group_output || spec.parts.size() != 1 ||
-          spec.group_part != 0 ||
-          spec.parts[0].attr != queries[0].partition_spec().parts[0].attr) {
-        return Status::Unsupported(
-            "Chop-Connect supports partitioning only as GROUP BY one "
-            "attribute shared by every workload query: " +
-            q.ToString());
-      }
-    }
-    for (const auto& preds : q.local_predicates()) {
-      if (!preds.empty()) {
-        return Status::Unsupported(
-            "Chop-Connect does not support WHERE: " + q.ToString());
-      }
-    }
-    if (q.window_ms() != window || window <= 0) {
-      return Status::InvalidArgument(
-          "Chop-Connect workload queries must share one positive window");
-    }
-    // Distinct types within a query keep role handling unambiguous.
-    const auto& types = q.positive_types();
-    for (size_t i = 0; i < types.size(); ++i) {
-      for (size_t j = i + 1; j < types.size(); ++j) {
-        if (types[i] == types[j]) {
-          return Status::Unsupported(
-              "Chop-Connect requires distinct event types per pattern: " +
-              q.ToString());
-        }
-      }
     }
     // The plan's segment concatenation must reproduce the pattern.
     std::vector<EventTypeId> concat;
-    if (qi >= plan.query_segments.size()) {
-      return Status::InvalidArgument("plan missing query " +
-                                     std::to_string(qi));
-    }
     for (size_t seg : plan.query_segments[qi]) {
       if (seg >= plan.segments.size()) {
         return Status::InvalidArgument("plan references unknown segment");
@@ -108,19 +47,15 @@ Result<std::unique_ptr<ChopConnectEngine>> ChopConnectEngine::Create(
       concat.insert(concat.end(), plan.segments[seg].begin(),
                     plan.segments[seg].end());
     }
-    if (concat != types) {
+    if (concat != q.positive_types()) {
       return Status::InvalidArgument(
           "plan segments do not concatenate to the pattern of " +
           q.ToString());
     }
-  }
+    return Status::OK();
+  }));
   std::unique_ptr<ChopConnectEngine> engine(
       new ChopConnectEngine(std::move(queries), std::move(plan)));
-  engine->window_ms_ = window;
-  engine->grouped_ = grouped;
-  if (grouped) {
-    engine->group_attr_ = engine->queries_[0].partition_spec().parts[0].attr;
-  }
   engine->Build();
   return engine;
 }
@@ -131,10 +66,6 @@ void ChopConnectEngine::Build() {
     segments_[s].types = plan_.segments[s];
   }
   final_hook_.assign(queries_.size(), -1);
-  auto trigger_row = [this](EventTypeId t) -> std::vector<size_t>& {
-    if (t >= trigger_index_.size()) trigger_index_.resize(t + 1);
-    return trigger_index_[t];
-  };
   auto update_row =
       [this](EventTypeId t) -> std::vector<std::pair<size_t, size_t>>& {
     if (t >= update_index_.size()) update_index_.resize(t + 1);
@@ -158,16 +89,18 @@ void ChopConnectEngine::Build() {
     }
     if (segs.size() > 1) final_hook_[qi] = upstream_hook;
     // Trigger type: last type of the last segment.
-    trigger_row(segments_[segs.back()].types.back()).push_back(qi);
+    AddTrigger(segments_[segs.back()].types.back(), qi);
   }
-  // Update index per type (dense, EventTypeId-indexed).
+  // Update index per type (dense, EventTypeId-indexed); a segment's first
+  // type creates its entries.
   for (size_t s = 0; s < segments_.size(); ++s) {
     const auto& types = segments_[s].types;
     for (size_t pos = types.size(); pos > 0; --pos) {
       update_row(types[pos - 1]).emplace_back(s, pos - 1);
     }
+    if (!types.empty()) MarkCreates(types[0]);
   }
-  dyn_ = std::vector<SegState>(segments_.begin(), segments_.end());
+  dyn_ = NewScope();
 }
 
 void ChopConnectEngine::PurgeSegment(SegState* st, Timestamp now) {
@@ -184,12 +117,21 @@ void ChopConnectEngine::PurgeSegment(SegState* st, Timestamp now) {
     hook.tables.pop_front(n);
     hook.cells.pop_front(cells);
   }
-  for (FlatFifo<uint64_t>& column : st->counts) column.pop_front(n);
+  for (chop::FlatFifo<uint64_t>& column : st->counts) column.pop_front(n);
   st->exps.pop_front(n);
   stats_.objects.Remove(static_cast<int64_t>(objects));
 }
 
-void ChopConnectEngine::Purge(Timestamp now) {
+Timestamp ChopConnectEngine::PurgeScope(Scope& scope, Timestamp now) {
+  Timestamp next = state::WindowClock::kNever;
+  for (SegState& st : scope) {
+    PurgeSegment(&st, now);
+    if (!st.exps.empty()) next = std::min(next, st.exps[0]);
+  }
+  return next;
+}
+
+Timestamp ChopConnectEngine::PurgeUngrouped(Timestamp now) {
   while (!due_.empty() && due_.front().first <= now) {
     std::pop_heap(due_.begin(), due_.end(), DueLater);
     const size_t s = due_.back().second;
@@ -202,11 +144,10 @@ void ChopConnectEngine::Purge(Timestamp now) {
       std::push_heap(due_.begin(), due_.end(), DueLater);
     }
   }
-  next_expiry_ =
-      due_.empty() ? std::numeric_limits<Timestamp>::max() : due_.front().first;
+  return due_.empty() ? state::WindowClock::kNever : due_.front().first;
 }
 
-void ChopConnectEngine::RebuildDue() {
+void ChopConnectEngine::AfterUngroupedRestore() {
   due_.clear();
   for (size_t s = 0; s < dyn_.size(); ++s) {
     if (!dyn_[s].exps.empty()) due_.emplace_back(dyn_[s].exps[0], s);
@@ -214,57 +155,33 @@ void ChopConnectEngine::RebuildDue() {
   std::make_heap(due_.begin(), due_.end(), DueLater);
 }
 
-Timestamp ChopConnectEngine::PartNextExpiry(const PartState& part) const {
-  Timestamp min_exp = state::WindowClock::kNever;
-  for (const SegState& st : part.segs) {
-    if (!st.exps.empty()) min_exp = std::min(min_exp, st.exps[0]);
-  }
-  return min_exp;
-}
-
-void ChopConnectEngine::AdvanceClock(Timestamp now) {
-  clock_.AdvanceTo(
-      now, [&](const state::WindowClock::Entry& top) -> Timestamp {
-        const uint32_t slot = part_store_.Lookup(top.hash, top.key);
-        if (slot == state::kNoSlot) return state::WindowClock::kNever;
-        PartState& part = part_store_.at(slot);
-        for (SegState& st : part.segs) PurgeSegment(&st, now);
-        const Timestamp next = PartNextExpiry(part);
-        if (next == state::WindowClock::kNever) {
-          part_store_.Erase(slot);
-          return state::WindowClock::kNever;
-        }
-        return next;
-      });
-}
-
 void ChopConnectEngine::ComputeSnapshot(const Hook& hook,
-                                        const std::vector<SegState>& dyn,
+                                        const Scope& scope,
                                         HookTables* dst) {
   if (hook.upstream_hook >= 0) {
-    MultiConnect(hook, dyn, dst);
+    MultiConnect(hook, scope, dst);
     return;
   }
   // Upstream is the query's first segment: a cell per START entry, its
   // tail count.
-  const SegState& up = dyn[hook.upstream_seg];
+  const SegState& up = scope[hook.upstream_seg];
   stats_.work_units += up.size();
   AppendTable(up.counts.back().data(), up.lo(), up.size(), hook.suffix, dst);
 }
 
 void ChopConnectEngine::MultiConnect(const Hook& hook,
-                                     const std::vector<SegState>& dyn,
+                                     const Scope& scope,
                                      HookTables* dst) {
   // Multi-connect (Fig. 11): combine the upstream segment's counters with
   // their count tables, summing per full-sequence START tag. Live tags are
   // the first segment's live ids [lo, lo + span), so each upstream entry
   // adds its multiplier times the live overlap of its table into acc_.
-  const SegState& first = dyn[hook.first_seg];
+  const SegState& first = scope[hook.first_seg];
   const uint64_t lo = first.lo();
   const size_t span = first.size();
   if (acc_.size() < span) acc_.resize(span);
 
-  const SegState& up = dyn[hook.upstream_seg];
+  const SegState& up = scope[hook.upstream_seg];
   const HookTables& in = up.hooks[static_cast<size_t>(hook.upstream_hook)];
   const uint64_t* mult = up.counts.back().data();
   const uint64_t* cells = in.cells.data();
@@ -322,9 +239,9 @@ uint64_t ChopConnectEngine::NonzeroCounts(const uint64_t* cells, size_t n,
 }
 
 uint64_t ChopConnectEngine::QueryTotal(size_t qi,
-                                       const std::vector<SegState>& dyn) {
+                                       const Scope& scope) {
   const std::vector<size_t>& segs = plan_.query_segments[qi];
-  const SegState& last = dyn[segs.back()];
+  const SegState& last = scope[segs.back()];
   const uint64_t* tail = last.counts.back().data();
   uint64_t total = 0;
   if (segs.size() == 1) {
@@ -333,7 +250,7 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi,
   }
   // A suffix table's live total is its cell at the first live tag.
   const HookTables& fin = last.hooks[static_cast<size_t>(final_hook_[qi])];
-  const uint64_t lo = dyn[segs.front()].lo();
+  const uint64_t lo = scope[segs.front()].lo();
   const uint64_t* cells = fin.cells.data();
   stats_.work_units += last.size();
   for (size_t i = 0; i < last.size(); ++i) {
@@ -345,93 +262,8 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi,
   return total;
 }
 
-void ChopConnectEngine::OnBatch(std::span<const Event> batch,
-                                std::vector<MultiOutput>* out) {
-  if (batch.empty()) return;
-  if (grouped_) {
-    // Purging is partition-local (no global sweep to hoist); the clock
-    // already makes trigger-time expiry amortized O(expired entries).
-    for (const Event& e : batch) ProcessGroupedEvent(e, out);
-    stats_.NoteBatch(batch.size());
-    return;
-  }
-  for (const Event& e : batch) {
-    if (e.ts() >= next_expiry_) Purge(e.ts());
-    ProcessEvent(e, out);
-    // New segment entries expire at e.ts() + window; keep the bound valid.
-    next_expiry_ = std::min(next_expiry_, e.ts() + window_ms_);
-  }
-  stats_.NoteBatch(batch.size());
-}
-
-void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
-                                            std::vector<MultiOutput>* out) {
-  ++stats_.events_processed;
-  if (e.type() >= type_relevant_.size() || !type_relevant_[e.type()]) return;
-  // Route by the shared GROUP BY attribute; an event without it matches no
-  // sequence of any query (the group part covers every element).
-  const Value* gv = e.FindAttr(group_attr_);
-  if (gv == nullptr) return;
-  const uint32_t gid = part_store_.interner().Intern(*gv);
-  container::InternedKey key;
-  key.ids[0] = gid;
-  const uint64_t hash = container::InternedKeyHash{}(key);
-
-  // Does this type start a segment (i.e. create entries)? Only then is an
-  // absent partition materialized — mirroring HpcEngine, where only START
-  // roles create partitions.
-  bool creates = false;
-  if (e.type() < update_index_.size()) {
-    for (const auto& [s, pos] : update_index_[e.type()]) {
-      if (pos == 0) creates = true;
-    }
-  }
-
-  uint32_t slot = part_store_.Lookup(hash, key);
-  if (slot == state::kNoSlot && creates) {
-    auto [slot_ref, inserted] = part_store_.Upsert(hash, key);
-    *slot_ref = part_store_.Emplace(key, hash, segments_);
-    slot = *slot_ref;
-  }
-  if (slot != state::kNoSlot) {
-    PartState& part = part_store_.at(slot);
-    // HPC-style partition-local purge: only the partition this event's
-    // key owns is purged here; the rest purge lazily at trigger time via
-    // the clock. (A trigger event purges its own partition here too, so
-    // the later clock advance sees it already clean.)
-    for (SegState& st : part.segs) PurgeSegment(&st, e.ts());
-    const bool was_empty = PartNextExpiry(part) == state::WindowClock::kNever;
-    ApplyUpdates(e, part.segs);
-    // An entry landing in an empty partition establishes a new earliest
-    // expiration; put it on the clock *before* any trigger advance below
-    // (non-empty partitions already have a clock entry at or before their
-    // true next expiry — the clock invariant).
-    if (was_empty) clock_.Schedule(PartNextExpiry(part), hash, key);
-  }
-
-  // Grouped trigger: the serial engine purges *every* partition here (the
-  // clock makes that amortized O(expired entries)), then reports from the
-  // trigger's own group alone. The advance can erase partitions — this
-  // event's included, if it left its group empty — so the scope is
-  // re-resolved afterwards (absent partition counts zero).
-  const std::vector<size_t>& trigs =
-      e.type() < trigger_index_.size() ? trigger_index_[e.type()] : kNoTriggers;
-  if (trigs.empty()) return;
-  AdvanceClock(e.ts());
-  slot = part_store_.Lookup(hash, key);
-  PartState* part = slot == state::kNoSlot ? nullptr : &part_store_.at(slot);
-  for (size_t qi : trigs) {
-    const uint64_t total =
-        part == nullptr ? 0 : QueryTotal(qi, part->segs);
-    out->push_back(MultiOutput{
-        qi, Output{e.ts(), e.seq(), part_store_.interner().ValueOf(gid),
-                   Value(static_cast<int64_t>(total))}});
-    ++stats_.outputs;
-  }
-}
-
 void ChopConnectEngine::ApplyUpdates(const Event& e,
-                                     std::vector<SegState>& dyn) {
+                                     Scope& scope) {
   const EventTypeId type = e.type();
   if (type >= update_index_.size()) return;
   const std::vector<std::pair<size_t, size_t>>& updates = update_index_[type];
@@ -442,13 +274,13 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
     if (pos != 0) continue;
     const std::vector<Hook>& hooks = segments_[s].hooks;
     for (size_t h = 0; h < hooks.size(); ++h) {
-      ComputeSnapshot(hooks[h], dyn, &dyn[s].hooks[h]);
+      ComputeSnapshot(hooks[h], scope, &scope[s].hooks[h]);
     }
   }
 
   // Apply updates / create counters.
   for (const auto& [s, pos] : updates) {
-    SegState& st = dyn[s];
+    SegState& st = scope[s];
     if (pos == 0) {
       if (!grouped_ && st.exps.empty()) {
         due_.emplace_back(e.ts() + window_ms_, s);
@@ -473,81 +305,23 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
   }
 }
 
-void ChopConnectEngine::ProcessEvent(const Event& e,
-                                     std::vector<MultiOutput>* out) {
-  ++stats_.events_processed;
-  // Type-level early-out via the compiled programs: a type outside every
-  // query's pattern is CNET/UPD/TRIG for no segment.
-  if (e.type() >= type_relevant_.size() || !type_relevant_[e.type()]) return;
-
-  ApplyUpdates(e, dyn_);
-
-  // Triggers.
-  const std::vector<size_t>& trigs =
-      e.type() < trigger_index_.size() ? trigger_index_[e.type()] : kNoTriggers;
-  for (size_t qi : trigs) {
-    // Aggregate-initialize (GCC 12 raises a spurious -Wmaybe-uninitialized
-    // on the variant move-assignment the field-wise form compiles to).
-    out->push_back(MultiOutput{
-        qi, Output{e.ts(), e.seq(), std::nullopt,
-                   Value(static_cast<int64_t>(QueryTotal(qi, dyn_)))}});
-    ++stats_.outputs;
-  }
-}
-
-std::vector<MultiOutput> ChopConnectEngine::Poll(Timestamp now) {
-  std::vector<MultiOutput> outputs;
-  if (!grouped_) {
-    Purge(now);
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      outputs.push_back(MultiOutput{
-          qi, Output{now, 0, std::nullopt,
-                     Value(static_cast<int64_t>(QueryTotal(qi, dyn_)))}});
+Status ChopConnectEngine::CheckpointScope(const Scope& scope,
+                                          ckpt::Writer* writer) const {
+  for (const SegState& st : scope) {
+    writer->WriteU64(st.next_id);
+    writer->WriteU64(st.size());
+    for (size_t i = 0; i < st.size(); ++i) writer->WriteI64(st.exps[i]);
+    for (const chop::FlatFifo<uint64_t>& column : st.counts) {
+      for (size_t i = 0; i < st.size(); ++i) writer->WriteU64(column[i]);
     }
-    return outputs;
-  }
-  // Grouped: purge everything due, then report per query per live group in
-  // slab-slot order — a pure function of engine state, so a restored (or
-  // shard-merged) engine polls identically.
-  AdvanceClock(now);
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    for (uint32_t s = 0; s < part_store_.end(); ++s) {
-      if (!part_store_.live(s)) continue;
-      PartState& part = part_store_.at(s);
-      outputs.push_back(MultiOutput{
-          qi,
-          Output{now, 0,
-                 part_store_.interner().ValueOf(part.key.ids[0]),
-                 Value(static_cast<int64_t>(QueryTotal(qi, part.segs)))}});
-    }
-  }
-  return outputs;
-}
-
-void ChopConnectEngine::SyncPurgeTo(Timestamp now,
-                                    std::span<const size_t> trigger_queries) {
-  // Every triggered query shares this engine's one clock, so which of them
-  // triggered is immaterial — the purge happens once.
-  (void)trigger_queries;
-  if (!grouped_) return;
-  AdvanceClock(now);
-}
-
-Status ChopConnectEngine::CheckpointSegState(const SegState& st,
-                                             ckpt::Writer* writer) const {
-  writer->WriteU64(st.next_id);
-  writer->WriteU64(st.size());
-  for (size_t i = 0; i < st.size(); ++i) writer->WriteI64(st.exps[i]);
-  for (const FlatFifo<uint64_t>& column : st.counts) {
-    for (size_t i = 0; i < st.size(); ++i) writer->WriteU64(column[i]);
-  }
-  for (const HookTables& hook : st.hooks) {
-    const uint64_t* cells = hook.cells.data();
-    for (size_t i = 0; i < st.size(); ++i) {
-      const Table& table = hook.tables[i];
-      writer->WriteU64(table.first);
-      writer->WriteU64(table.size);
-      for (uint64_t k = 0; k < table.size; ++k) writer->WriteU64(*cells++);
+    for (const HookTables& hook : st.hooks) {
+      const uint64_t* cells = hook.cells.data();
+      for (size_t i = 0; i < st.size(); ++i) {
+        const Table& table = hook.tables[i];
+        writer->WriteU64(table.first);
+        writer->WriteU64(table.size);
+        for (uint64_t k = 0; k < table.size; ++k) writer->WriteU64(*cells++);
+      }
     }
   }
   return Status::OK();
@@ -578,7 +352,7 @@ Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
     }
     st->exps.push_back(exp);
   }
-  for (FlatFifo<uint64_t>& column : st->counts) {
+  for (chop::FlatFifo<uint64_t>& column : st->counts) {
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t count = 0;
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&count, "entry count"));
@@ -608,18 +382,18 @@ Status ChopConnectEngine::RestoreSegState(SegState* st, const Segment& seg,
   return Status::OK();
 }
 
-Status ChopConnectEngine::RestoreScope(std::vector<SegState>* dyn,
+Status ChopConnectEngine::RestoreScope(Scope* scope,
                                        ckpt::Reader* reader) {
   for (size_t s = 0; s < segments_.size(); ++s) {
-    ASEQ_RETURN_NOT_OK(RestoreSegState(&(*dyn)[s], segments_[s], reader));
+    ASEQ_RETURN_NOT_OK(RestoreSegState(&(*scope)[s], segments_[s], reader));
   }
   // A hook's tags are entry ids of the query's first segment, so each lies
   // below that segment's next id.
   for (size_t s = 0; s < segments_.size(); ++s) {
-    const SegState& st = (*dyn)[s];
+    const SegState& st = (*scope)[s];
     const std::vector<Hook>& hooks = segments_[s].hooks;
     for (size_t h = 0; h < hooks.size(); ++h) {
-      const uint64_t next_id = (*dyn)[hooks[h].first_seg].next_id;
+      const uint64_t next_id = (*scope)[hooks[h].first_seg].next_id;
       for (size_t i = 0; i < st.size(); ++i) {
         const Table& table = st.hooks[h].tables[i];
         if (table.first > next_id || table.size > next_id - table.first) {
@@ -632,61 +406,6 @@ Status ChopConnectEngine::RestoreScope(std::vector<SegState>* dyn,
       }
     }
   }
-  return Status::OK();
-}
-
-Status ChopConnectEngine::Checkpoint(ckpt::Writer* writer) const {
-  ckpt::WriteStats(writer, stats_);
-  writer->WriteI64(next_expiry_);
-  if (grouped_) {
-    // Structural spine via the store; each partition's payload is its
-    // per-segment state in plan order. The clock rides verbatim.
-    ASEQ_RETURN_NOT_OK(part_store_.Checkpoint(
-        writer, [this](const PartState& part, ckpt::Writer* w) -> Status {
-          for (size_t s = 0; s < segments_.size(); ++s) {
-            ASEQ_RETURN_NOT_OK(CheckpointSegState(part.segs[s], w));
-          }
-          return Status::OK();
-        }));
-    clock_.Checkpoint(writer);
-    return Status::OK();
-  }
-  writer->WriteU64(dyn_.size());
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    ASEQ_RETURN_NOT_OK(CheckpointSegState(dyn_[s], writer));
-  }
-  return Status::OK();
-}
-
-Status ChopConnectEngine::Restore(ckpt::Reader* reader) {
-  EngineStats stats;
-  ASEQ_RETURN_NOT_OK(ckpt::ReadStats(reader, &stats));
-  ASEQ_RETURN_NOT_OK(reader->ReadI64(&next_expiry_, "chop next expiry"));
-  if (grouped_) {
-    ASEQ_RETURN_NOT_OK(part_store_.Restore(
-        reader, [&](uint32_t slot, const container::InternedKey& key,
-                    uint64_t hash, ckpt::Reader* r) -> Status {
-          PartState& part =
-              part_store_.RestoreEmplaceAt(slot, key, hash, segments_);
-          return RestoreScope(&part.segs, r);
-        }));
-    ASEQ_RETURN_NOT_OK(clock_.Restore(reader, part_store_.interner().size()));
-    ASEQ_RETURN_NOT_OK(
-        ckpt::CheckLiveObjects(stats, stats_.objects.current()));
-    stats_ = stats;
-    return Status::OK();
-  }
-  uint64_t n_segments = 0;
-  ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_segments, 16, "segments"));
-  if (n_segments != segments_.size()) {
-    return Status::ParseError(
-        "snapshot corrupt: " + std::to_string(n_segments) +
-        " segments but the plan builds " + std::to_string(segments_.size()));
-  }
-  ASEQ_RETURN_NOT_OK(RestoreScope(&dyn_, reader));
-  RebuildDue();
-  ASEQ_RETURN_NOT_OK(ckpt::CheckLiveObjects(stats, stats_.objects.current()));
-  stats_ = stats;
   return Status::OK();
 }
 

@@ -1,21 +1,111 @@
 #ifndef ASEQ_MULTI_CHOP_CONNECT_ENGINE_H_
 #define ASEQ_MULTI_CHOP_CONNECT_ENGINE_H_
 
-#include <limits>
 #include <memory>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "engine/engine.h"
 #include "multi/chop_plan.h"
-#include "plan/admission.h"
+#include "multi/shared_count_engine.h"
 #include "query/compiled_query.h"
-#include "state/partition_store.h"
-#include "state/window_clock.h"
 
 namespace aseq {
+
+namespace chop {
+
+/// A connection point: segment `seg` is the `junction`-th (>= 1) segment
+/// of query `query`; `upstream_seg` precedes it; `upstream_hook` is the
+/// hook index of junction-1 within the upstream segment (-1 when the
+/// upstream is the query's first segment). Every cell tag of the hook's
+/// tables is an entry id of `first_seg`, the query's first segment.
+/// Tables at the query's final junction (`suffix`) hold suffix sums, read
+/// by QueryTotal; the others hold counts, read by the next junction's
+/// multi-connect.
+struct Hook {
+  size_t query;
+  size_t junction;
+  size_t upstream_seg;
+  int upstream_hook;
+  size_t first_seg;
+  bool suffix;
+};
+
+/// The static shape of a shared segment (one per plan segment, identical
+/// across group partitions).
+struct Segment {
+  std::vector<EventTypeId> types;
+  std::vector<Hook> hooks;
+};
+
+/// A FIFO of records in one flat vector: appended at the back, popped
+/// from the front, and compacted in place once the popped prefix is as
+/// long as the live part — amortized O(1) per record, and no allocation
+/// once the vector has grown to the live size.
+template <typename T>
+class FlatFifo {
+ public:
+  size_t size() const { return data_.size() - head_; }
+  bool empty() const { return head_ == data_.size(); }
+  T* data() { return data_.data() + head_; }
+  const T* data() const { return data_.data() + head_; }
+  T& operator[](size_t i) { return data_[head_ + i]; }
+  const T& operator[](size_t i) const { return data_[head_ + i]; }
+  const T& back() const { return data_.back(); }
+
+  void push_back(const T& value) { data_.push_back(value); }
+  void append(const T* values, size_t n) {
+    data_.insert(data_.end(), values, values + n);
+  }
+  void pop_front(size_t n) {
+    head_ += n;
+    if (head_ >= data_.size() - head_) {
+      data_.erase(data_.begin(),
+                  data_.begin() + static_cast<ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> data_;
+  size_t head_ = 0;
+};
+
+/// One SnapShot table of Fig. 10: the cells of the consecutive tags
+/// [first, first + size), trimmed to its nonzero ends. `nonzero` is the
+/// number of nonzero counts among them (its live objects).
+struct Table {
+  uint64_t first;
+  uint64_t size;
+  uint64_t nonzero;
+};
+
+/// One hook's tables, one per entry of its segment (oldest first); their
+/// cells follow one another in `cells`.
+struct HookTables {
+  FlatFifo<Table> tables;
+  FlatFifo<uint64_t> cells;
+};
+
+/// The dynamic state of one segment within one counting scope. Live
+/// entries, oldest first, have the consecutive ids [lo(), next_id): entry
+/// i expires at `exps[i]`, holds the count `counts[p][i]` of each segment
+/// position p (position-major, so an update is one contiguous add), and
+/// owns `hooks[h].tables[i]` for each hook of the segment.
+struct SegState {
+  explicit SegState(const Segment& seg)
+      : counts(seg.types.size()), hooks(seg.hooks.size()) {}
+  size_t size() const { return exps.size(); }
+  uint64_t lo() const { return next_id - exps.size(); }
+
+  FlatFifo<Timestamp> exps;
+  std::vector<FlatFifo<uint64_t>> counts;
+  std::vector<HookTables> hooks;
+  uint64_t next_id = 0;
+};
+
+}  // namespace chop
 
 /// \brief Chop-Connect shared multi-query A-Seq (Sec. 4.2).
 ///
@@ -40,238 +130,85 @@ namespace aseq {
 ///    one indexed load — which is how Chop-Connect inherits SEM's
 ///    expiration handling without per-match state.
 ///
-/// Scope (the paper's multi-query experiments): COUNT, positive-only
-/// patterns, no predicates, one common sliding window. Workloads are
-/// either entirely ungrouped, or entirely GROUP BY one shared attribute —
-/// the *grouped* mode, where every group value runs an independent copy of
-/// the segment state in a state::PartitionStore keyed by the group value,
-/// with HPC-style partition-local purging driven by a state::WindowClock.
-/// Grouped instances are shardable: the group key partitions the whole
-/// engine state, and the only cross-partition coupling is the clock
-/// advance at trigger time (ShardableEngine::SyncPurgeTo).
-class ChopConnectEngine : public MultiQueryEngine, public ShardableEngine {
+/// A counting scope (see SharedCountEngine, which owns grouping, expiry,
+/// Poll and the snapshot framing) is one SegState per plan segment. The
+/// workload shape adds one rule: distinct event types per pattern.
+class ChopConnectEngine final
+    : public SharedCountEngine<ChopConnectEngine,
+                               std::vector<chop::SegState>> {
  public:
   /// Validates the plan against the queries and builds the engine.
   static Result<std::unique_ptr<ChopConnectEngine>> Create(
       std::vector<CompiledQuery> queries, ChopPlan plan);
 
-  /// Skips per-segment purge scans that a cached next-expiry lower bound
-  /// proves are no-ops.
-  void OnBatch(std::span<const Event> batch,
-               std::vector<MultiOutput>* out) override;
-  std::vector<MultiOutput> Poll(Timestamp now) override;
-  const EngineStats& stats() const override { return stats_; }
-  Status Checkpoint(ckpt::Writer* writer) const override;
-  Status Restore(ckpt::Reader* reader) override;
   std::string name() const override { return "ChopConnect"; }
 
   /// Number of unique shared segments (testing hook).
   size_t num_segments() const { return segments_.size(); }
-  /// Number of live group partitions (grouped mode; testing hook).
-  size_t num_partitions() const { return part_store_.size(); }
-
-  /// ShardableEngine: grouped workloads shard by the group key.
-  bool shardable() const override { return grouped_; }
-  /// Replays the clock advance a trigger at `now` performs (grouped mode
-  /// only; triggered queries all share this engine's one clock).
-  void SyncPurgeTo(Timestamp now,
-                   std::span<const size_t> trigger_queries) override;
-  EngineStats* shard_mutable_stats() override { return &stats_; }
 
  private:
-  /// A connection point: segment `seg` is the `junction`-th (>= 1) segment
-  /// of query `query`; `upstream_seg` precedes it; `upstream_hook` is the
-  /// hook index of junction-1 within the upstream segment (-1 when the
-  /// upstream is the query's first segment). Every cell tag of the hook's
-  /// tables is an entry id of `first_seg`, the query's first segment.
-  /// Tables at the query's final junction (`suffix`) hold suffix sums, read
-  /// by QueryTotal; the others hold counts, read by the next junction's
-  /// multi-connect.
-  struct Hook {
-    size_t query;
-    size_t junction;
-    size_t upstream_seg;
-    int upstream_hook;
-    size_t first_seg;
-    bool suffix;
-  };
+  using Scope = std::vector<chop::SegState>;
+  using Base = SharedCountEngine<ChopConnectEngine, Scope>;
+  friend Base;
 
-  /// The static shape of a shared segment (one per plan segment,
-  /// identical across group partitions).
-  struct Segment {
-    std::vector<EventTypeId> types;
-    std::vector<Hook> hooks;
-  };
+  static constexpr SharedCountNames kNames{
+      "Chop-Connect", "Chop-Connect", "chop next expiry",
+      "segments",     "plan",         16};
 
-  /// A FIFO of records in one flat vector: appended at the back, popped
-  /// from the front, and compacted in place once the popped prefix is as
-  /// long as the live part — amortized O(1) per record, and no allocation
-  /// once the vector has grown to the live size.
-  template <typename T>
-  class FlatFifo {
-   public:
-    size_t size() const { return data_.size() - head_; }
-    bool empty() const { return head_ == data_.size(); }
-    T* data() { return data_.data() + head_; }
-    const T* data() const { return data_.data() + head_; }
-    T& operator[](size_t i) { return data_[head_ + i]; }
-    const T& operator[](size_t i) const { return data_[head_ + i]; }
-    const T& back() const { return data_.back(); }
-
-    void push_back(const T& value) { data_.push_back(value); }
-    void append(const T* values, size_t n) {
-      data_.insert(data_.end(), values, values + n);
-    }
-    void pop_front(size_t n) {
-      head_ += n;
-      if (head_ >= data_.size() - head_) {
-        data_.erase(data_.begin(),
-                    data_.begin() + static_cast<ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    }
-
-   private:
-    std::vector<T> data_;
-    size_t head_ = 0;
-  };
-
-  /// One SnapShot table of Fig. 10: the cells of the consecutive tags
-  /// [first, first + size), trimmed to its nonzero ends. `nonzero` is the
-  /// number of nonzero counts among them (its live objects).
-  struct Table {
-    uint64_t first;
-    uint64_t size;
-    uint64_t nonzero;
-  };
-
-  /// One hook's tables, one per entry of its segment (oldest first); their
-  /// cells follow one another in `cells`.
-  struct HookTables {
-    FlatFifo<Table> tables;
-    FlatFifo<uint64_t> cells;
-  };
-
-  /// The dynamic state of one segment within one counting scope (the
-  /// whole engine when ungrouped; one group partition when grouped). Live
-  /// entries, oldest first, have the consecutive ids [lo(), next_id): entry
-  /// i expires at `exps[i]`, holds the count `counts[p][i]` of each segment
-  /// position p (position-major, so an update is one contiguous add), and
-  /// owns `hooks[h].tables[i]` for each hook of the segment.
-  struct SegState {
-    explicit SegState(const Segment& seg)
-        : counts(seg.types.size()), hooks(seg.hooks.size()) {}
-    size_t size() const { return exps.size(); }
-    uint64_t lo() const { return next_id - exps.size(); }
-
-    FlatFifo<Timestamp> exps;
-    std::vector<FlatFifo<uint64_t>> counts;
-    std::vector<HookTables> hooks;
-    uint64_t next_id = 0;
-  };
-
-  /// One group partition: its interned key (plus pinned hash; see
-  /// state::PartitionStore) and a full set of segment states.
-  struct PartState {
-    container::InternedKey key;
-    uint64_t hash = 0;
-    std::vector<SegState> segs;
-
-    PartState(const container::InternedKey& k, uint64_t h,
-              const std::vector<Segment>& segments)
-        : key(k), hash(h), segs(segments.begin(), segments.end()) {}
-  };
-
-  ChopConnectEngine(std::vector<CompiledQuery> queries, ChopPlan plan);
+  ChopConnectEngine(std::vector<CompiledQuery> queries, ChopPlan plan)
+      : Base(std::move(queries)), plan_(std::move(plan)) {}
   void Build();
 
+  // SharedCountEngine's sharing logic on one scope.
+  Scope NewScope() const { return Scope(segments_.begin(), segments_.end()); }
+  /// Snapshot pre-pass and counter updates for one event (scope already
+  /// purged).
+  void ApplyUpdates(const Event& e, Scope& scope);
+  /// Query `qi`'s live match count. `scope` must be purged to the report
+  /// time: the liveness rule compares tags with the first segment's `lo`.
+  uint64_t QueryTotal(size_t qi, const Scope& scope);
+  /// Pops every segment's entries due at `now`.
+  Timestamp PurgeScope(Scope& scope, Timestamp now);
+  /// Ungrouped: purges only the segments due_ names.
+  Timestamp PurgeUngrouped(Timestamp now);
+  /// Rebuilds due_ from dyn_.
+  void AfterUngroupedRestore();
+  Status CheckpointScope(const Scope& scope, ckpt::Writer* writer) const;
+  /// Restores the scope's segments, then checks every table's tags against
+  /// its owning first segment's next id.
+  Status RestoreScope(Scope* scope, ckpt::Reader* reader);
+
   /// Pops the segment's entries due at `now`.
-  void PurgeSegment(SegState* st, Timestamp now);
-  /// Purges the segments whose front entry is due and recomputes
-  /// next_expiry_ (ungrouped mode).
-  void Purge(Timestamp now);
-  /// Rebuilds due_ from dyn_ (ungrouped mode, after a restore).
-  void RebuildDue();
-  /// Snapshot pre-pass and counter updates for one event against one
-  /// counting scope (caller already purged `dyn`). No triggers — those are
-  /// mode-specific and owned by the Process*Event callers.
-  void ApplyUpdates(const Event& e, std::vector<SegState>& dyn);
-  /// Ungrouped mode: ApplyUpdates against dyn_ plus the trigger reports.
-  void ProcessEvent(const Event& e, std::vector<MultiOutput>* out);
-  /// Grouped mode: routes the event to its group partition (HPC-style
-  /// partition-local purge), applies updates there, then handles triggers
-  /// (clock advance + per-group report).
-  void ProcessGroupedEvent(const Event& e, std::vector<MultiOutput>* out);
+  void PurgeSegment(chop::SegState* st, Timestamp now);
   /// Appends the hook's snapshot table for an arrival to `*dst`, the
-  /// hook's tables in the segment it belongs to (a member of `dyn` that no
-  /// hook of this arrival reads: types are distinct within a query).
-  void ComputeSnapshot(const Hook& hook, const std::vector<SegState>& dyn,
-                       HookTables* dst);
+  /// hook's tables in the segment it belongs to (a member of `scope` that
+  /// no hook of this arrival reads: types are distinct within a query).
+  void ComputeSnapshot(const chop::Hook& hook, const Scope& scope,
+                       chop::HookTables* dst);
   /// Multi-connect (Fig. 11) half of ComputeSnapshot: sums the upstream
   /// counters times their live cells into acc_, then appends the table.
-  void MultiConnect(const Hook& hook, const std::vector<SegState>& dyn,
-                    HookTables* dst);
+  void MultiConnect(const chop::Hook& hook, const Scope& scope,
+                    chop::HookTables* dst);
   /// Appends the table of the tags [first, first + n) holding `counts`,
   /// trimmed to its nonzero ends, as suffix sums when `suffix`.
   static void AppendTable(const uint64_t* counts, uint64_t first, size_t n,
-                          bool suffix, HookTables* dst);
+                          bool suffix, chop::HookTables* dst);
   /// Number of nonzero counts in a table's `n` cells.
   static uint64_t NonzeroCounts(const uint64_t* cells, size_t n, bool suffix);
-  /// Query `qi`'s live match count. `dyn` must be purged to the report
-  /// time: the liveness rule compares tags with the first segment's `lo`.
-  uint64_t QueryTotal(size_t qi, const std::vector<SegState>& dyn);
-
-  /// Earliest live entry expiration across a partition's segments, or
-  /// WindowClock::kNever when it holds no entries.
-  Timestamp PartNextExpiry(const PartState& part) const;
-  /// Pops every due clock entry, purging (and erasing when emptied) the
-  /// named partitions — the grouped counterpart of the serial trigger's
-  /// full purge sweep.
-  void AdvanceClock(Timestamp now);
-
-  Status CheckpointSegState(const SegState& st, ckpt::Writer* writer) const;
   /// Counts the restored entries into stats_ as creating them does, and
   /// rejects entries that break the FIFO order invariants.
-  Status RestoreSegState(SegState* st, const Segment& seg,
+  Status RestoreSegState(chop::SegState* st, const chop::Segment& seg,
                          ckpt::Reader* reader);
-  /// Restores one counting scope's segments, then checks every table's
-  /// tags against its owning first segment's next id.
-  Status RestoreScope(std::vector<SegState>* dyn, ckpt::Reader* reader);
 
-  std::vector<CompiledQuery> queries_;
-  /// Per-query compiled admission programs (src/plan/); the workload shape
-  /// has no predicates, so they serve as the dense type-relevance test.
-  /// Borrow queries_'s storage — declared after it.
-  std::vector<plan::AdmissionProgram> programs_;
-  /// Union of the programs' relevance, EventTypeId-indexed: an event whose
-  /// type is outside every query's pattern touches no segment.
-  std::vector<uint8_t> type_relevant_;
   ChopPlan plan_;
-  Timestamp window_ms_ = 0;
-  /// GROUP BY mode: every query groups by this one shared attribute.
-  bool grouped_ = false;
-  AttrId group_attr_ = kInvalidAttr;
-  std::vector<Segment> segments_;
-  /// Ungrouped mode: the single shared set of segment states.
-  std::vector<SegState> dyn_;
-  /// Grouped mode: one set of segment states per live group value, plus
-  /// the lazy expiry clock that drives trigger-time purging.
-  state::PartitionStore<PartState> part_store_;
-  state::WindowClock clock_;
+  std::vector<chop::Segment> segments_;
   /// Per type (dense, EventTypeId-indexed): (segment, position) updates,
   /// positions descending per segment; position 0 entries create counters
   /// (and are the CNET instances of the segment's hooks).
   std::vector<std::vector<std::pair<size_t, size_t>>> update_index_;
-  /// Per type (dense): queries it triggers (type == last type of the
-  /// query's last segment).
-  std::vector<std::vector<size_t>> trigger_index_;
   /// Per query: hook index (within the last segment) of the final junction;
   /// -1 for single-segment queries.
   std::vector<int> final_hook_;
-  EngineStats stats_;
-  /// Lower bound on the earliest live entry expiration, ungrouped mode
-  /// (see StackEngine::next_expiry_).
-  Timestamp next_expiry_ = std::numeric_limits<Timestamp>::max();
   /// Ungrouped mode: min-heap of (front entry expiration, segment), one
   /// item per non-empty segment, so a purge visits only due segments.
   std::vector<std::pair<Timestamp, size_t>> due_;

@@ -11,44 +11,9 @@
 #include "multi/chop_connect_engine.h"
 #include "multi/chop_plan.h"
 #include "multi/pretree_engine.h"
+#include "multi/shared_count_engine.h"
 
 namespace aseq {
-
-namespace {
-
-/// The one partitioning shape the sharing engines support: GROUP BY one
-/// attribute. Returns it, or kInvalidAttr when the query is ungrouped.
-AttrId ShareableGroupAttr(const CompiledQuery& q) {
-  if (!q.partitioned()) return kInvalidAttr;
-  const PartitionSpec& spec = q.partition_spec();
-  return spec.per_group_output && spec.parts.size() == 1 &&
-                 spec.group_part == 0
-             ? spec.parts[0].attr
-             : kInvalidAttr;
-}
-
-/// Eligible for the COUNT-sharing engines (PreTree / Chop-Connect)?
-bool Shareable(const CompiledQuery& q) {
-  if (q.agg().func != AggFunc::kCount || q.has_join_predicates() ||
-      q.pattern().has_negation() || q.window_ms() <= 0) {
-    return false;
-  }
-  if (q.partitioned() && ShareableGroupAttr(q) == kInvalidAttr) return false;
-  for (const auto& preds : q.local_predicates()) {
-    if (!preds.empty()) return false;
-  }
-  // Chop-Connect also needs distinct types per pattern; route duplicates
-  // to per-query engines to keep one eligibility rule.
-  const auto& types = q.positive_types();
-  for (size_t i = 0; i < types.size(); ++i) {
-    for (size_t j = i + 1; j < types.size(); ++j) {
-      if (types[i] == types[j]) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 void CompositeEngine::AddShared(std::unique_ptr<MultiQueryEngine> engine,
                                 std::vector<size_t> queries,
@@ -100,11 +65,13 @@ Result<std::unique_ptr<CompositeEngine>> CompositeEngine::CreateHybrid(
 
   // --- Stage 1: shareable queries, grouped by (window, group attribute) ---
   // (the sharing engines require one common window and uniform grouping).
+  // Chop-Connect also needs distinct types per pattern; duplicates go to
+  // per-query engines to keep one eligibility rule.
   std::map<std::pair<Timestamp, AttrId>, std::vector<size_t>> by_window;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (Shareable(queries[qi])) {
-      by_window[{queries[qi].window_ms(), ShareableGroupAttr(queries[qi])}]
-          .push_back(qi);
+    const CompiledQuery& q = queries[qi];
+    if (CheckCountShape(q) == CountShape::kOk && HasDistinctTypes(q)) {
+      by_window[{q.window_ms(), CountShapeGroupAttr(q)}].push_back(qi);
     }
   }
   for (auto& [window_key, members] : by_window) {

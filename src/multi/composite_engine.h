@@ -24,10 +24,11 @@ namespace aseq {
 ///  * CreateHybrid — the multi-query optimizer the paper deploys prefix
 ///    sharing (Sec. 4.1) and Chop-Connect (Sec. 4.2) in, for arbitrary
 ///    workloads:
-///     1. queries eligible for sharing (COUNT, positive-only, no
-///        predicates, windowed; ungrouped or GROUP BY one attribute) are
-///        grouped by (window, group attribute) — the sharing engines
-///        require uniform grouping;
+///     1. queries eligible for sharing (CheckCountShape's COUNT,
+///        positive-only, no predicates, windowed, ungrouped or GROUP BY
+///        one attribute; distinct types per pattern) are grouped by
+///        (window, group attribute) — the sharing engines require uniform
+///        grouping;
 ///        * within such a group, queries that share their START type with
 ///          at least one other query run in a **PreTree** part;
 ///        * the rest of the group runs in a **Chop-Connect** part under
@@ -46,8 +47,8 @@ namespace aseq {
 /// the workload order.
 ///
 /// Admission runs inside the parts: each per-query part carries its own
-/// compiled plan::AdmissionProgram, and the shared parts use the programs'
-/// type-relevance test as their event-level early-out.
+/// compiled plan::AdmissionProgram, and the shared parts skip events of
+/// types outside their queries' patterns.
 ///
 /// Shardability is delegated: the composite shards iff every part does,
 /// and a purge marker forwards to exactly the parts owning triggered
