@@ -15,10 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "aseq/aseq_engine.h"
+#include "baseline/stack_engine.h"
 #include "ckpt/ckpt.h"
 #include "ckpt/snapshot.h"
 #include "common/event.h"
 #include "common/value.h"
+#include "engine/reordering_engine.h"
+#include "query/analyzer.h"
+#include "stream/clickstream.h"
+#include "test_util.h"
 
 namespace aseq {
 namespace {
@@ -383,6 +389,56 @@ TEST(CkptIoTest, Fnv1a64KnownVectors) {
   EXPECT_EQ(ckpt::Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(ckpt::Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(ckpt::Fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot bytes pinned per engine
+// ---------------------------------------------------------------------------
+
+TEST(CkptIoTest, StringKeyedSnapshotBytesArePinned) {
+  // HPC, stack-based and reordering snapshots after a fixed clickstream
+  // grouped by the string attribute `ip`: the partition keys, the stacked
+  // events and the reorder buffer all carry strings. The stack and reorder
+  // payloads hold whole events, every attribute included. A changed hash
+  // means a changed snapshot format (or changed event contents).
+  struct Pin {
+    const char* name;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"hpc", 0x7f1a046478d2c3e9ull},
+      {"stack", 0x944e7c0602d461bfull},
+      {"reorder", 0x3fff29296ed93a62ull},
+  };
+  for (const Pin& pin : pins) {
+    Schema schema;
+    ClickstreamOptions options;
+    options.seed = 11;
+    options.num_events = 3000;
+    std::vector<Event> events = GenerateClickstream(options, &schema);
+    Analyzer analyzer(&schema);
+    auto query = analyzer.AnalyzeText(
+        "PATTERN SEQ(ViewKindle, BuyKindle) GROUP BY ip AGG COUNT "
+        "WITHIN 200ms");
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    std::unique_ptr<QueryEngine> engine;
+    const std::string name = pin.name;
+    if (name == "stack") {
+      engine = std::make_unique<StackEngine>(*query);
+    } else {
+      auto hpc = CreateAseqEngine(*query);
+      ASSERT_TRUE(hpc.ok()) << hpc.status().ToString();
+      engine = std::move(hpc).value();
+      EXPECT_NE(dynamic_cast<HpcEngine*>(engine.get()), nullptr);
+      if (name == "reorder") {
+        engine = std::make_unique<ReorderingEngine>(std::move(engine), 30);
+      }
+    }
+    testing_util::RunPerEvent(events, engine.get());
+    ckpt::Writer writer;
+    ASSERT_TRUE(engine->Checkpoint(&writer).ok()) << pin.name;
+    EXPECT_EQ(ckpt::Fnv1a64(writer.buffer()), pin.hash) << std::hex << pin.name;
+  }
 }
 
 }  // namespace

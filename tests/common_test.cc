@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/event.h"
 #include "common/rng.h"
@@ -137,6 +141,76 @@ TEST(ValueTest, TotalOrderAcrossKinds) {
   EXPECT_FALSE(less(Value(5.0), Value(5)));
 }
 
+TEST(ValueTest, StringCopyMoveAndSelfAssignment) {
+  // Short (in-place for std::string) and long strings alike.
+  for (const std::string& text :
+       {std::string("ip-7"), std::string(100, 'x'), std::string()}) {
+    Value a(text);
+    Value copy = a;
+    EXPECT_EQ(copy.type(), ValueType::kString);
+    EXPECT_EQ(copy.AsString(), text);
+    EXPECT_EQ(a.AsString(), text);
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved.AsString(), text);
+    copy = Value(3);  // a moved-from value is assignable
+    EXPECT_TRUE(copy.Equals(Value(3)));
+    Value& alias = a;
+    a = alias;
+    EXPECT_EQ(a.AsString(), text);
+    // Overwrite a string with a number and back.
+    Value b = a;
+    b = Value(1.5);
+    EXPECT_EQ(b.type(), ValueType::kDouble);
+    EXPECT_EQ(a.AsString(), text);
+    b = a;
+    EXPECT_EQ(b.AsString(), text);
+    a = Value();
+    EXPECT_TRUE(a.is_null());
+    EXPECT_EQ(b.AsString(), text);
+  }
+}
+
+TEST(ValueTest, StringHashEqualsAndToString) {
+  const Value a("10.0.0.7");
+  const Value b(std::string("10.0.0.7"));
+  const Value c("10.0.0.8");
+  EXPECT_TRUE(a.Equals(b));
+  EXPECT_FALSE(a.Equals(c));
+  EXPECT_TRUE(a == Value(a));
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(a.Hash(), Value(a).Hash());
+  EXPECT_EQ(a.Hash(), HashMix64(std::hash<std::string>()("10.0.0.7")));
+  EXPECT_EQ(a.ToString(), "10.0.0.7");
+  EXPECT_TRUE(a.LessThan(c));
+  EXPECT_FALSE(c.LessThan(a));
+  EXPECT_FALSE(a.Equals(Value()));
+  EXPECT_EQ(Value("").ToString(), "");
+  EXPECT_EQ(Value(-7).Hash(), HashMix64(static_cast<uint64_t>(int64_t{-7})));
+  EXPECT_EQ(Value().Hash(), HashMix64(0x9e3779b97f4a7c15ULL));
+}
+
+TEST(ValueTest, StringSharedAcrossThreads) {
+  // Copies of one string value made and destroyed on several threads at
+  // once (parser, coordinator and lane threads do this with event
+  // attributes); ThreadSanitizer runs this case (ctest -L value).
+  const Value shared(std::string(40, 'k'));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared] {
+      std::vector<Value> copies;
+      for (int i = 0; i < 2000; ++i) {
+        copies.push_back(shared);
+        if (copies.size() == 16) copies.clear();
+      }
+      copies.push_back(shared);
+      Value moved = std::move(copies.front());
+      EXPECT_EQ(moved.AsString(), std::string(40, 'k'));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared.AsString(), std::string(40, 'k'));
+}
+
 // --------------------------------------------------------------------------
 // Schema
 // --------------------------------------------------------------------------
@@ -202,6 +276,56 @@ TEST(EventTest, ToStringRendersTypeAndAttrs) {
   Event e(schema.RegisterEventType("DELL"), 7);
   e.SetAttr(schema.RegisterAttribute("v"), Value(3));
   EXPECT_EQ(e.ToString(schema), "DELL@7{v=3}");
+}
+
+TEST(EventTest, ManyAttributesCopyMoveAndClear) {
+  // Enough attributes to outgrow any in-place storage, then shrink.
+  Event e(3, 9);
+  for (AttrId a = 0; a < 12; ++a) {
+    e.SetAttr(a, a % 2 == 0 ? Value(int64_t{a}) : Value("s" + std::to_string(a)));
+    ASSERT_EQ(e.attrs().size(), a + 1u);
+    for (AttrId b = 0; b <= a; ++b) {
+      ASSERT_NE(e.FindAttr(b), nullptr) << a << " " << b;
+      EXPECT_EQ(e.attrs()[b].first, b);
+    }
+  }
+  e.SetAttr(5, Value(2.5));  // overwrite in place
+  EXPECT_EQ(e.attrs().size(), 12u);
+  EXPECT_TRUE(e.GetAttr(5).Equals(Value(2.5)));
+  Event copy = e;
+  EXPECT_EQ(copy.attrs(), e.attrs());
+  EXPECT_EQ(copy.type(), 3u);
+  EXPECT_EQ(copy.ts(), 9);
+  Event moved = std::move(copy);
+  EXPECT_EQ(moved.attrs(), e.attrs());
+  copy = moved;  // assign into a moved-from event
+  EXPECT_EQ(copy.attrs(), e.attrs());
+  Event& alias = copy;
+  copy = alias;
+  EXPECT_EQ(copy.attrs(), e.attrs());
+  size_t seen = 0;
+  for (const auto& [attr, value] : e.attrs()) {
+    EXPECT_TRUE(value.Equals(e.GetAttr(attr)));
+    ++seen;
+  }
+  EXPECT_EQ(seen, 12u);
+  e.ClearAttrs();
+  EXPECT_EQ(e.attrs().size(), 0u);
+  EXPECT_EQ(e.FindAttr(0), nullptr);
+  e.SetAttr(4, Value("again"));
+  EXPECT_EQ(e.attrs().size(), 1u);
+  EXPECT_EQ(e.GetAttr(4).AsString(), "again");
+  EXPECT_FALSE(e.attrs() == copy.attrs());
+  // A small event assigned over a large one and back.
+  Event small(1, 2);
+  small.SetAttr(0, Value(1));
+  copy = small;
+  EXPECT_EQ(copy.attrs(), small.attrs());
+  small = moved;
+  EXPECT_EQ(small.attrs(), moved.attrs());
+  std::swap(small, copy);
+  EXPECT_EQ(copy.attrs(), moved.attrs());
+  EXPECT_EQ(small.attrs().size(), 1u);
 }
 
 // --------------------------------------------------------------------------
