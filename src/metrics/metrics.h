@@ -211,6 +211,10 @@ struct IngestStats {
   /// Chunks whose events carried chunk-local name ids the consumer
   /// rewrote (names first seen before the parsers' name table had them).
   uint64_t remapped_chunks = 0;
+  /// Attribute values converted and stored, and values only validated
+  /// because no query reads them (always 0 without a read set).
+  uint64_t values_parsed = 0;
+  uint64_t values_skipped = 0;
 };
 
 /// \brief Where a sharded run's coordinator thread spent its time: the

@@ -76,7 +76,9 @@ std::string IngestStatsToJson(const IngestStats& ingest) {
      << ",\"chunks\":" << ingest.chunks << ",\"bytes\":" << ingest.bytes
      << ",\"consumer_wait_s\":" << FormatDouble(ingest.consumer_wait_s)
      << ",\"parse_busy_s\":" << FormatDouble(ingest.parse_busy_s)
-     << ",\"remapped_chunks\":" << ingest.remapped_chunks << "}";
+     << ",\"remapped_chunks\":" << ingest.remapped_chunks
+     << ",\"values_parsed\":" << ingest.values_parsed
+     << ",\"values_skipped\":" << ingest.values_skipped << "}";
   return os.str();
 }
 

@@ -23,7 +23,8 @@ std::string EngineStatsToJson(const EngineStats& stats);
 
 /// Renders IngestStats as a JSON object (no trailing newline):
 ///   {"parse_threads":N,"chunks":N,"bytes":N,"consumer_wait_s":S,
-///    "parse_busy_s":S,"remapped_chunks":N}
+///    "parse_busy_s":S,"remapped_chunks":N,"values_parsed":N,
+///    "values_skipped":N}
 std::string IngestStatsToJson(const IngestStats& ingest);
 
 /// Renders CoordinatorStats as a JSON object (no trailing newline):

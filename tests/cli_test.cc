@@ -957,6 +957,13 @@ TEST(CliIngestTest, StatsJsonReportsTheIngestLayer) {
     EXPECT_GT(std::stod(JsonField(doc, "parse_busy_s")), 0.0) << shards;
     EXPECT_GE(std::stod(JsonField(doc, "consumer_wait_s")), 0.0) << shards;
     EXPECT_GE(std::stoul(JsonField(doc, "remapped_chunks")), 1u) << shards;
+    // Every line carries price, volume and traderId; the query reads only
+    // traderId, and only on its own types.
+    const uint64_t parsed = std::stoull(JsonField(doc, "values_parsed"));
+    const uint64_t skipped = std::stoull(JsonField(doc, "values_skipped"));
+    EXPECT_EQ(parsed + skipped, 3u * 20000) << shards;
+    EXPECT_GT(parsed, 0u) << shards;
+    EXPECT_GT(skipped, 2 * parsed) << shards;
     EXPECT_NE(doc.find("\"events_processed\":20000"), std::string::npos);
   }
   // A generated stream has no trace to ingest: the object is all zeros.

@@ -17,6 +17,7 @@
 #include "obs/stats_json.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
+#include "stream/trace_io.h"
 
 namespace aseq {
 namespace obs {
@@ -417,10 +418,13 @@ TEST(StatsJsonTest, IngestObjectCarriesEveryField) {
   ingest.consumer_wait_s = 0.25;
   ingest.parse_busy_s = 1.5;
   ingest.remapped_chunks = 4;
+  ingest.values_parsed = 1000;
+  ingest.values_skipped = 2000;
   EXPECT_EQ(IngestStatsToJson(ingest),
             "{\"parse_threads\":3,\"chunks\":383,\"bytes\":50132993,"
             "\"consumer_wait_s\":0.250000,\"parse_busy_s\":1.500000,"
-            "\"remapped_chunks\":4}");
+            "\"remapped_chunks\":4,\"values_parsed\":1000,"
+            "\"values_skipped\":2000}");
   // The document carries it between the utilization and the queries.
   const std::string path = TempPath("stats_ingest");
   EngineStats stats;
@@ -433,6 +437,36 @@ TEST(StatsJsonTest, IngestObjectCarriesEveryField) {
   ASSERT_NE(at, std::string::npos) << doc;
   EXPECT_LT(doc.find("\"utilization\":"), at);
   EXPECT_GT(doc.find("\"queries\":[{\"label\":\"run\",\"results\":7"), at);
+  std::remove(path.c_str());
+}
+
+TEST(StatsJsonTest, IngestValueCountsFollowTheReadSet) {
+  // Three values per line; a source without a read set converts them all
+  // and skips none, one reading `b` of type B converts one per B line.
+  const std::string path = TempPath("ingest_values.csv");
+  std::ofstream(path) << "A,1,a=1,b=2.5,c=x\nB,2,a=1,b=2.5,c=x\n"
+                         "B,3,a=1,b=2.5,c=x\n";
+  for (const bool with_reads : {false, true}) {
+    Schema schema;
+    TraceReadSet reads;
+    reads.types.resize(2);
+    reads.types[schema.RegisterEventType("B")] = true;
+    reads.attrs.resize(2);
+    reads.attrs[schema.RegisterAttribute("b")] = true;
+    auto source = TraceFileSource::Open(path, &schema, 0, 0,
+                                        with_reads ? &reads : nullptr);
+    ASSERT_TRUE(source.ok());
+    EXPECT_EQ((*source)->BorrowBatch(10).size(), 3u);
+    const std::string json = IngestStatsToJson((*source)->ingest_stats());
+    EXPECT_NE(json.find(with_reads ? "\"values_parsed\":2,"
+                                   : "\"values_parsed\":9,"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find(with_reads ? "\"values_skipped\":7}"
+                                   : "\"values_skipped\":0}"),
+              std::string::npos)
+        << json;
+  }
   std::remove(path.c_str());
 }
 

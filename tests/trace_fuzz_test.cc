@@ -10,14 +10,19 @@
 // and an unterminated last line, and are mutated by seeded byte flips,
 // truncations and insertions; none may crash or hang (CI runs this suite
 // under ASan/UBSan and ThreadSanitizer). An edge-token table pins the
-// value and error each tricky token decodes to.
+// value and error each tricky token decodes to. A source given a read set
+// must agree with one without it on everything but the unread values,
+// which it drops, and must reject exactly the same malformed values.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <fstream>
 #include <random>
 #include <string>
@@ -26,8 +31,32 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "query/analyzer.h"
 #include "stream/trace_io.h"
 #include "tests/fuzz_util.h"
+
+/// Heap allocations made by this process so far: the test binary replaces
+/// the global operator new (the array forms call these).
+std::atomic<uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: the compiler would pair the malloc above with a `delete`
+// it cannot see is a free and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace aseq {
 namespace {
@@ -87,13 +116,17 @@ struct DrainConfig {
   size_t batch = 256;
 };
 
-/// Drains a TraceFileSource over `content` as `config` says. Returns the
-/// source's final status; `*events` gets copies of everything yielded.
-/// Every batch but the last must be full.
+/// Drains a TraceFileSource over `content` as `config` says, storing the
+/// values `reads` names (null: all). Returns the source's final status;
+/// `*events` gets copies of everything yielded, `*stats` (if set) the
+/// ingest counters. Every batch but the last must be full.
 Status DrainSource(const std::string& content, const DrainConfig& config,
-                   Schema* schema, std::vector<Event>* events) {
+                   Schema* schema, std::vector<Event>* events,
+                   const TraceReadSet* reads = nullptr,
+                   IngestStats* stats = nullptr) {
   auto source = TraceFileSource::Open(WriteTemp(content), schema,
-                                      config.threads, config.chunk_bytes);
+                                      config.threads, config.chunk_bytes,
+                                      reads);
   if (!source.ok()) return source.status();
   for (bool short_batch = false;;) {
     std::span<Event> view = (*source)->BorrowBatch(config.batch);
@@ -102,6 +135,7 @@ Status DrainSource(const std::string& content, const DrainConfig& config,
     short_batch = view.size() < config.batch;
     events->insert(events->end(), view.begin(), view.end());
   }
+  if (stats != nullptr) *stats = (*source)->ingest_stats();
   return (*source)->status();
 }
 
@@ -655,6 +689,253 @@ TEST(TraceFuzzTest, EdgeTimestampTokens) {
     }
     ASSERT_TRUE(parsed.ok()) << ctx << ": " << parsed.status().ToString();
     EXPECT_EQ((*parsed)[0].ts(), c.ts) << ctx;
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Read sets: values no query reads are validated, not stored
+// ---------------------------------------------------------------------------
+
+/// The read set of `types` and `attrs`, registered in `*schema` first, as
+/// a compiled query registers its names.
+TraceReadSet ReadSetOf(const std::vector<std::string>& types,
+                       const std::vector<std::string>& attrs,
+                       Schema* schema) {
+  TraceReadSet reads;
+  for (const std::string& t : types) {
+    const EventTypeId id = schema->RegisterEventType(t);
+    reads.types.resize(std::max<size_t>(reads.types.size(), id + 1));
+    reads.types[id] = true;
+  }
+  for (const std::string& a : attrs) {
+    const AttrId id = schema->RegisterAttribute(a);
+    reads.attrs.resize(std::max<size_t>(reads.attrs.size(), id + 1));
+    reads.attrs[id] = true;
+  }
+  return reads;
+}
+
+/// Drains `content` with and without the read set of `types` and `attrs`,
+/// inline and on 3 parser threads, at `small_chunk` and at the default
+/// chunk size. Both must give the same status (error line and text), the
+/// same events (count, types, timestamps) and schema ids; the read
+/// attributes must be identical and in order, the unread ones absent; and
+/// every value must be counted once, as parsed or as skipped.
+void CheckReadSetAgrees(const std::string& content, const std::string& context,
+                        const std::vector<std::string>& types,
+                        const std::vector<std::string>& attrs,
+                        size_t small_chunk = 256) {
+  Schema base;
+  const TraceReadSet reads = ReadSetOf(types, attrs, &base);
+  for (size_t threads : {0, 3}) {
+    for (size_t chunk : {small_chunk, size_t{0}}) {
+      const std::string ctx = context + " threads=" + std::to_string(threads) +
+                              " chunk=" + std::to_string(chunk);
+      Schema full_schema = base;
+      Schema read_schema = base;
+      std::vector<Event> full, read;
+      IngestStats full_stats, read_stats;
+      const Status full_status = DrainSource(
+          content, {threads, chunk, 256}, &full_schema, &full, nullptr,
+          &full_stats);
+      const Status read_status = DrainSource(
+          content, {threads, chunk, 256}, &read_schema, &read, &reads,
+          &read_stats);
+      ASSERT_EQ(read_status.ToString(), full_status.ToString()) << ctx;
+      ASSERT_EQ(read.size(), full.size()) << ctx;
+      ExpectSameIds(read_schema, full_schema, ctx);
+      for (size_t i = 0; i < full.size(); ++i) {
+        Event kept(full[i].type(), full[i].ts());
+        if (reads.ReadsType(kept.type())) {
+          for (const auto& [attr, value] : full[i].attrs()) {
+            if (reads.ReadsAttr(attr)) kept.SetAttr(attr, value);
+          }
+        }
+        ExpectSameEvent(kept, read[i], i, ctx);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      EXPECT_EQ(full_stats.values_skipped, 0u) << ctx;
+      EXPECT_EQ(read_stats.values_parsed + read_stats.values_skipped,
+                full_stats.values_parsed)
+          << ctx;
+    }
+  }
+}
+
+/// Lines `TYPE,ts,price=...,volume=...,traderId=...` (a few with a string
+/// `note`), timestamps non-decreasing; line `at` (if below `lines`) is
+/// replaced by its own type and timestamp followed by `tail`.
+std::string ReadSetTrace(size_t lines, uint64_t seed, size_t at,
+                         const std::string& tail) {
+  static const char* const kTypes[] = {"DELL", "IPIX", "AMAT", "QQQ", "MSFT"};
+  std::mt19937_64 rng(seed);
+  std::string out;
+  int64_t ts = 0;
+  for (size_t i = 0; i < lines; ++i) {
+    ts += static_cast<int64_t>(rng() % 5);
+    const std::string head =
+        std::string(kTypes[rng() % 5]) + "," + std::to_string(ts);
+    if (i == at) {
+      out += head + tail + "\n";
+      continue;
+    }
+    out += head + ",price=" + std::to_string(rng() % 500) + "." +
+           std::to_string(rng() % 100) +
+           ",volume=" + std::to_string(rng() % 10000);
+    if (rng() % 5 == 0) out += ",note=n" + std::to_string(rng() % 9);
+    out += ",traderId=" + std::to_string(rng() % 40) + "\n";
+  }
+  return out;
+}
+
+TEST(TraceReadSetTest, GeneratedTracesWithMalformedLinesAgree) {
+  const std::string nines(400, '9');
+  const std::string tails[] = {
+      "",  // the line as generated, with no fields
+      ",volume=9223372036854775808",
+      ",price=1.5,volume",
+      ",price=" + nines + ".5",
+      ",price=2" + std::string(308, '0') + ".0",  // 2e308: overflows
+      ",price=1" + std::string(308, '0') + ".0",  // 1e308: a value
+      ",price=" + std::string(400, '0') + "1.5",  // leading zeros only
+      ",price=" + std::string(308, '9') + ".9",   // 308 digits: a value
+      ",traderId=99999999999999999999",
+      ",traderId=,volume=-9223372036854775808,note=" + std::string(300, 'z'),
+      "x,bad",
+  };
+  for (size_t k = 0; k < std::size(tails); ++k) {
+    // 6000 lines span several default-size chunks; the altered line sits
+    // in the third.
+    const std::string trace = ReadSetTrace(6000, 30 + k, 5200, tails[k]);
+    ASSERT_GT(trace.size(), 2 * kChunkBytes);
+    const std::string ctx = "tail#" + std::to_string(k);
+    CheckReadSetAgrees(trace, ctx, {"DELL", "IPIX", "AMAT"},
+                       {"traderId", "note"});
+    CheckReadSetAgrees(trace, ctx + " doubles", {"QQQ"}, {"price"});
+    CheckReadSetAgrees(trace, ctx + " nothing", {}, {});
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(TraceReadSetTest, UnreadMalformedValuesFailAsWhenRead) {
+  // Each value sits in an attribute of a type no query reads; the error
+  // (line and text) must be the one a reader of that attribute reports.
+  const std::string huge = std::string(309, '9') + ".5";
+  struct Case {
+    std::string line;
+    std::string error;
+  };
+  const Case cases[] = {
+      {"QQQ,5,volume=9223372036854775808",
+       "trace line 2: integer value '9223372036854775808' overflows 64-bit "
+       "range"},
+      {"QQQ,5,price=1.5,volume",
+       "trace line 2: expected attr=value, got 'volume'"},
+      {"QQQ,5,price=" + huge,
+       "trace line 2: numeric value '" + huge + "' overflows double range"},
+  };
+  for (const Case& c : cases) {
+    const std::string trace = "DELL,1,traderId=3\n" + c.line + "\nDELL,6\n";
+    Schema schema;
+    auto parsed = ParseTrace(trace, &schema);
+    ASSERT_FALSE(parsed.ok()) << c.line;
+    EXPECT_EQ(parsed.status().message(), c.error);
+    CheckReadSetAgrees(trace, c.line.substr(0, 40), {"DELL"}, {"traderId"},
+                       8);
+    CheckReadSetAgrees(trace, c.line.substr(0, 40) + " read", {"QQQ"},
+                       {"volume", "price"}, 8);
+    // Unread on a read type too.
+    std::string on_dell = trace;
+    on_dell.replace(on_dell.find("QQQ"), 3, "DELL");
+    CheckReadSetAgrees(on_dell, c.line.substr(0, 40) + " dell", {"DELL"},
+                       {"traderId"}, 8);
+  }
+}
+
+TEST(TraceReadSetTest, SeededMutationsAgree) {
+  const std::string base =
+      "DELL,1,price=10.5,volume=300,traderId=7\r\n"
+      "QQQ,2,price=+.5,volume=-0,note=abc\n"
+      "AMAT,3,price=5.,volume=00012,traderId=8\n"
+      "IPIX,4, price = 1.25 , traderId=9,note=x\n"
+      "QQQ,4,price=-.5,volume=9223372036854775807";
+  std::mt19937_64 rng(8);
+  for (int i = 0; i < 300; ++i) {
+    const std::string input = Mutate(base, &rng);
+    CheckReadSetAgrees(input, "mutation#" + std::to_string(i),
+                       {"DELL", "AMAT"}, {"traderId", "volume"}, 48);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(TraceReadSetTest, OfNamesWhatTheQueriesRead) {
+  Schema schema;
+  schema.RegisterEventType("Z");
+  schema.RegisterAttribute("unused");
+  Analyzer analyzer(&schema);
+  auto a = analyzer.AnalyzeText(
+      "PATTERN SEQ(A, !B, C) WHERE A.x > 5 AND A.k = C.k AGG SUM(C.v) "
+      "WITHIN 1s");
+  auto b = analyzer.AnalyzeText(
+      "PATTERN SEQ(D, A) GROUP BY g AGG COUNT WITHIN 1s");
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::vector<CompiledQuery> queries = {*a, *b};
+  const TraceReadSet reads = TraceReadSet::Of(queries);
+  for (const char* t : {"A", "B", "C", "D"}) {
+    EXPECT_TRUE(reads.ReadsType(*schema.FindEventType(t))) << t;
+  }
+  EXPECT_FALSE(reads.ReadsType(*schema.FindEventType("Z")));
+  for (const char* attr : {"x", "k", "v", "g"}) {
+    EXPECT_TRUE(reads.ReadsAttr(*schema.FindAttribute(attr))) << attr;
+  }
+  EXPECT_FALSE(reads.ReadsAttr(*schema.FindAttribute("unused")));
+  EXPECT_FALSE(reads.ReadsType(TraceChunk::kLocalId | 1));
+  EXPECT_FALSE(reads.ReadsAttr(1000));
+}
+
+TEST(TraceReadSetTest, InlineEventsParseIntoARecycledChunkWithoutAllocating) {
+  // Every line holds at most Event::kInlineAttrs stored values: all of
+  // them when read whole, the read ones under the read set.
+  Schema names;
+  const TraceReadSet reads = ReadSetOf({"DELL"}, {"a0"}, &names);
+  names.RegisterEventType("QQQ");
+  std::string wide, narrow;
+  for (int i = 0; i < 500; ++i) {
+    const std::string head = (i % 2 ? "DELL," : "QQQ,") + std::to_string(i);
+    narrow += head;
+    for (uint32_t a = 0; a < Event::kInlineAttrs; ++a) {
+      narrow += ",a" + std::to_string(a) + "=" + std::to_string(i) + ".5";
+    }
+    narrow += "\n";
+    wide += head + ",a0=" + std::to_string(i) + ",zz=1.5,yy=2\n";
+  }
+  names.RegisterAttribute("zz");
+  names.RegisterAttribute("yy");
+  for (uint32_t a = 0; a < Event::kInlineAttrs; ++a) {
+    names.RegisterAttribute("a" + std::to_string(a));
+  }
+  struct Case {
+    const std::string* text;
+    const TraceReadSet* reads;
+  };
+  for (const Case& c : {Case{&narrow, nullptr}, Case{&wide, &reads}}) {
+    TraceChunkParser parser(c.reads);
+    TraceChunk chunk;
+    parser.Parse(*c.text, names, &chunk);
+    ASSERT_EQ(chunk.error_line, 0u) << chunk.error;
+    ASSERT_EQ(chunk.num_events, 500u);
+    const uint64_t before = g_allocations.load();
+    parser.Parse(*c.text, names, &chunk);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    ASSERT_EQ(chunk.num_events, 500u);
+    // Copies of such events allocate nothing either.
+    const uint64_t copies_before = g_allocations.load();
+    for (size_t i = 0; i < chunk.num_events; ++i) {
+      Event copy = chunk.events[i];
+      EXPECT_EQ(copy.attrs(), chunk.events[i].attrs());
+    }
+    EXPECT_EQ(g_allocations.load() - copies_before, 0u);
   }
 }
 
