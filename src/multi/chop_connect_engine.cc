@@ -12,16 +12,6 @@ using chop::SegState;
 using chop::Segment;
 using chop::Table;
 
-namespace {
-
-/// Orders ChopConnectEngine::due_ as a min-heap on expiration.
-bool DueLater(const std::pair<Timestamp, size_t>& a,
-              const std::pair<Timestamp, size_t>& b) {
-  return a.first > b.first;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ChopConnectEngine>> ChopConnectEngine::Create(
     std::vector<CompiledQuery> queries, ChopPlan plan) {
   if (!queries.empty() && plan.query_segments.size() != queries.size()) {
@@ -132,27 +122,25 @@ Timestamp ChopConnectEngine::PurgeScope(Scope& scope, Timestamp now) {
 }
 
 Timestamp ChopConnectEngine::PurgeUngrouped(Timestamp now) {
-  while (!due_.empty() && due_.front().first <= now) {
-    std::pop_heap(due_.begin(), due_.end(), DueLater);
-    const size_t s = due_.back().second;
-    SegState& st = dyn_[s];
-    PurgeSegment(&st, now);
-    if (st.exps.empty()) {
-      due_.pop_back();
-    } else {
-      due_.back().first = st.exps[0];
-      std::push_heap(due_.begin(), due_.end(), DueLater);
-    }
+  // The first due record of a segment purges all its due entries; the
+  // segment's later due records find nothing left to pop.
+  size_t n = 0;
+  while (n < expiries_.size() && expiries_[n].first <= now) {
+    PurgeSegment(&dyn_[expiries_[n].second], now);
+    ++n;
   }
-  return due_.empty() ? state::WindowClock::kNever : due_.front().first;
+  expiries_.pop_front(n);
+  return expiries_.empty() ? state::WindowClock::kNever : expiries_[0].first;
 }
 
 void ChopConnectEngine::AfterUngroupedRestore() {
-  due_.clear();
+  expiries_ = {};
   for (size_t s = 0; s < dyn_.size(); ++s) {
-    if (!dyn_[s].exps.empty()) due_.emplace_back(dyn_[s].exps[0], s);
+    for (size_t i = 0; i < dyn_[s].size(); ++i) {
+      expiries_.push_back({dyn_[s].exps[i], s});
+    }
   }
-  std::make_heap(due_.begin(), due_.end(), DueLater);
+  std::sort(expiries_.data(), expiries_.data() + expiries_.size());
 }
 
 void ChopConnectEngine::ComputeSnapshot(const Hook& hook,
@@ -181,33 +169,40 @@ void ChopConnectEngine::MultiConnect(const Hook& hook,
   const size_t span = first.size();
   if (acc_.size() < span) acc_.resize(span);
 
+  // Everything the loop reads is a local: a store through `sum` may alias
+  // any uint64_t or size_t, so members would be reloaded per cell.
   const SegState& up = scope[hook.upstream_seg];
   const HookTables& in = up.hooks[static_cast<size_t>(hook.upstream_hook)];
+  const size_t entries = up.size();
+  const Table* tables = in.tables.data();
   const uint64_t* mult = up.counts.back().data();
   const uint64_t* cells = in.cells.data();
+  uint64_t* const acc = acc_.data();
   size_t used_lo = span;
   size_t used_hi = 0;
-  stats_.work_units += up.size();
-  for (size_t i = 0; i < up.size(); ++i) {
-    const Table& table = in.tables[i];
+  uint64_t work = entries;
+  for (size_t i = 0; i < entries; ++i) {
+    const Table table = tables[i];
+    const uint64_t m = mult[i];
     // Cells below lo are expired; every tag lies below lo + span.
     const uint64_t skip = lo > table.first ? lo - table.first : 0;
-    if (mult[i] != 0 && skip < table.size) {
+    if (m != 0 && skip < table.size) {
       const size_t at = table.first + skip - lo;
       const size_t n = table.size - skip;
       const uint64_t* src = cells + skip;
-      uint64_t* sum = acc_.data() + at;
-      for (size_t k = 0; k < n; ++k) sum[k] += src[k] * mult[i];
+      uint64_t* sum = acc + at;
+      for (size_t k = 0; k < n; ++k) sum[k] += src[k] * m;
       used_lo = std::min(used_lo, at);
       used_hi = std::max(used_hi, at + n);
-      stats_.work_units += n;
+      work += n;
     }
     cells += table.size;
   }
+  stats_.work_units += work;
   if (used_lo > used_hi) used_lo = used_hi;
-  AppendTable(acc_.data() + used_lo, lo + used_lo, used_hi - used_lo,
-              hook.suffix, dst);
-  std::fill(acc_.data() + used_lo, acc_.data() + used_hi, 0);
+  AppendTable(acc + used_lo, lo + used_lo, used_hi - used_lo, hook.suffix,
+              dst);
+  std::fill(acc + used_lo, acc + used_hi, 0);
 }
 
 void ChopConnectEngine::AppendTable(const uint64_t* counts, uint64_t first,
@@ -215,17 +210,20 @@ void ChopConnectEngine::AppendTable(const uint64_t* counts, uint64_t first,
   size_t begin = 0;
   while (begin < n && counts[begin] == 0) ++begin;
   while (n > begin && counts[n - 1] == 0) --n;
-  dst->tables.push_back(Table{first + begin, n - begin,
-                              NonzeroCounts(counts + begin, n - begin, false)});
-  dst->cells.append(counts + begin, n - begin);
-  if (!suffix) return;
-  uint64_t* cell = dst->cells.data() + dst->cells.size();
+  const size_t size = n - begin;
+  dst->cells.append(counts + begin, size);
+  // One pass over the copy counts its nonzero counts and, for a suffix
+  // table, turns it into suffix sums.
+  uint64_t* const cells = dst->cells.data() + dst->cells.size() - size;
+  uint64_t nonzero = 0;
   uint64_t cum = 0;
-  for (size_t k = begin; k < n; ++k) {
-    --cell;
-    cum += *cell;
-    *cell = cum;
+  for (size_t k = size; k-- > 0;) {
+    nonzero += cells[k] != 0;
+    if (!suffix) continue;
+    cum += cells[k];
+    cells[k] = cum;
   }
+  dst->tables.push_back(Table{first + begin, size, nonzero});
 }
 
 uint64_t ChopConnectEngine::NonzeroCounts(const uint64_t* cells, size_t n,
@@ -242,19 +240,21 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi,
                                        const Scope& scope) {
   const std::vector<size_t>& segs = plan_.query_segments[qi];
   const SegState& last = scope[segs.back()];
+  const size_t entries = last.size();
   const uint64_t* tail = last.counts.back().data();
   uint64_t total = 0;
   if (segs.size() == 1) {
-    for (size_t i = 0; i < last.size(); ++i) total += tail[i];
+    for (size_t i = 0; i < entries; ++i) total += tail[i];
     return total;
   }
   // A suffix table's live total is its cell at the first live tag.
   const HookTables& fin = last.hooks[static_cast<size_t>(final_hook_[qi])];
   const uint64_t lo = scope[segs.front()].lo();
+  const Table* tables = fin.tables.data();
   const uint64_t* cells = fin.cells.data();
-  stats_.work_units += last.size();
-  for (size_t i = 0; i < last.size(); ++i) {
-    const Table& table = fin.tables[i];
+  stats_.work_units += entries;
+  for (size_t i = 0; i < entries; ++i) {
+    const Table& table = tables[i];
     const uint64_t skip = lo > table.first ? lo - table.first : 0;
     if (skip < table.size) total += tail[i] * cells[skip];
     cells += table.size;
@@ -282,10 +282,7 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
   for (const auto& [s, pos] : updates) {
     SegState& st = scope[s];
     if (pos == 0) {
-      if (!grouped_ && st.exps.empty()) {
-        due_.emplace_back(e.ts() + window_ms_, s);
-        std::push_heap(due_.begin(), due_.end(), DueLater);
-      }
+      if (!grouped_) expiries_.push_back({e.ts() + window_ms_, s});
       st.exps.push_back(e.ts() + window_ms_);
       ++st.next_id;
       st.counts[0].push_back(1);
@@ -297,10 +294,11 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
       stats_.objects.Add(static_cast<int64_t>(objects));
       ++stats_.work_units;
     } else {
+      const size_t entries = st.size();
       uint64_t* count = st.counts[pos].data();
       const uint64_t* prev = st.counts[pos - 1].data();
-      for (size_t i = 0; i < st.size(); ++i) count[i] += prev[i];
-      stats_.work_units += st.size();
+      for (size_t i = 0; i < entries; ++i) count[i] += prev[i];
+      stats_.work_units += entries;
     }
   }
 }

@@ -169,9 +169,10 @@ class ChopConnectEngine final
   uint64_t QueryTotal(size_t qi, const Scope& scope);
   /// Pops every segment's entries due at `now`.
   Timestamp PurgeScope(Scope& scope, Timestamp now);
-  /// Ungrouped: purges only the segments due_ names.
+  /// Ungrouped: pops the due records of expiries_, purging the segments
+  /// they name.
   Timestamp PurgeUngrouped(Timestamp now);
-  /// Rebuilds due_ from dyn_.
+  /// Rebuilds expiries_ from dyn_'s entries.
   void AfterUngroupedRestore();
   Status CheckpointScope(const Scope& scope, ckpt::Writer* writer) const;
   /// Restores the scope's segments, then checks every table's tags against
@@ -209,9 +210,10 @@ class ChopConnectEngine final
   /// Per query: hook index (within the last segment) of the final junction;
   /// -1 for single-segment queries.
   std::vector<int> final_hook_;
-  /// Ungrouped mode: min-heap of (front entry expiration, segment), one
-  /// item per non-empty segment, so a purge visits only due segments.
-  std::vector<std::pair<Timestamp, size_t>> due_;
+  /// Ungrouped mode: one (expiration, segment) record per live entry, in
+  /// expiration order — entries are created in timestamp order under the
+  /// one shared window — so a purge visits only due segments.
+  chop::FlatFifo<std::pair<Timestamp, size_t>> expiries_;
   /// Reused multi-connect accumulator, indexed by tag minus the lowest
   /// live id of the hook's first segment; all zero between connects.
   std::vector<uint64_t> acc_;

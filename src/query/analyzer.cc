@@ -157,23 +157,26 @@ Result<CompiledQuery> Analyzer::Analyze(const Query& query) {
   };
   std::vector<EquivPair> equiv_pairs;
 
-  for (Comparison cmp : q.where.terms) {
-    bool lref = cmp.lhs.is_attr_ref();
-    bool rref = cmp.rhs.is_attr_ref();
+  // The stored query's terms are resolved in place; the classified
+  // predicates are copies of them.
+  for (Comparison& term : q.where.terms) {
+    bool lref = term.lhs.is_attr_ref();
+    bool rref = term.rhs.is_attr_ref();
     if (!lref && !rref) {
-      if (!EvalCmp(cmp.op, cmp.lhs.literal, cmp.rhs.literal)) {
+      if (!EvalCmp(term.op, term.lhs.literal, term.rhs.literal)) {
         return Status::InvalidArgument("WHERE clause is constantly false: " +
-                                       cmp.ToString());
+                                       term.ToString());
       }
       continue;  // constantly true; drop
     }
     size_t le = 0, re = 0;
     if (lref) {
-      ASEQ_ASSIGN_OR_RETURN(le, resolve_ref(&cmp.lhs));
+      ASEQ_ASSIGN_OR_RETURN(le, resolve_ref(&term.lhs));
     }
     if (rref) {
-      ASEQ_ASSIGN_OR_RETURN(re, resolve_ref(&cmp.rhs));
+      ASEQ_ASSIGN_OR_RETURN(re, resolve_ref(&term.rhs));
     }
+    Comparison cmp = term;
     if (lref && rref && le != re) {
       if (cmp.op == CmpOp::kEq && cmp.lhs.attr == cmp.rhs.attr) {
         equiv_pairs.push_back(EquivPair{cmp.lhs.attr, le, re, cmp});

@@ -145,16 +145,11 @@ TraceReadSet TraceReadSet::Of(std::span<const CompiledQuery> queries) {
     for (const PatternElement& e : q.pattern().elements()) {
       mark(&reads.types, e.type);
     }
-    // The analyzed terms: the query's own WHERE is kept unresolved.
-    auto mark_terms = [&](const std::vector<Comparison>& terms) {
-      for (const Comparison& c : terms) {
-        for (const Operand* op : {&c.lhs, &c.rhs}) {
-          if (op->is_attr_ref()) mark(&reads.attrs, op->attr);
-        }
+    for (const Comparison& c : q.query().where.terms) {
+      for (const Operand* op : {&c.lhs, &c.rhs}) {
+        if (op->is_attr_ref()) mark(&reads.attrs, op->attr);
       }
-    };
-    for (const auto& terms : q.local_predicates()) mark_terms(terms);
-    mark_terms(q.join_predicates());
+    }
     for (const PartitionSpec::Part& part : q.partition_spec().parts) {
       mark(&reads.attrs, part.attr);
     }

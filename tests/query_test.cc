@@ -255,6 +255,48 @@ TEST(AnalyzerTest, ClassifiesLocalPredicates) {
   EXPECT_EQ(result->local_predicates()[1].size(), 1u);
 }
 
+TEST(AnalyzerTest, ResolvesTheStoredWhereTerms) {
+  // Every attribute reference of the compiled query's own WHERE carries
+  // its element index and attribute id, whatever class the term falls in
+  // (local, equivalence, join); the query text is unchanged.
+  const std::string text =
+      "PATTERN SEQ(A, B, C) WHERE A.x > 5 AND A.id = B.id = C.id AND "
+      "B.y < C.z WITHIN 1s";
+  Schema schema;
+  Analyzer analyzer(&schema);
+  auto parsed = ParseQuery(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto result = analyzer.Analyze(*parsed);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<Comparison>& terms = result->query().where.terms;
+  ASSERT_EQ(terms.size(), 4u);
+  struct Ref {
+    int elem_index;
+    const char* attr;
+  };
+  const std::vector<std::pair<Ref, Ref>> want = {
+      {{0, "x"}, {-1, nullptr}},
+      {{0, "id"}, {1, "id"}},
+      {{1, "id"}, {2, "id"}},
+      {{1, "y"}, {2, "z"}},
+  };
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const std::pair<const Operand*, Ref> sides[] = {
+        {&terms[i].lhs, want[i].first}, {&terms[i].rhs, want[i].second}};
+    for (const auto& [op, ref] : sides) {
+      if (ref.attr == nullptr) {
+        EXPECT_FALSE(op->is_attr_ref()) << terms[i].ToString();
+        continue;
+      }
+      ASSERT_TRUE(op->is_attr_ref()) << terms[i].ToString();
+      EXPECT_EQ(op->elem_index, ref.elem_index) << terms[i].ToString();
+      EXPECT_EQ(op->attr, *schema.FindAttribute(ref.attr))
+          << terms[i].ToString();
+    }
+  }
+  EXPECT_EQ(result->query().ToString(), parsed->ToString());
+}
+
 TEST(AnalyzerTest, LocalPredicateFiltersEvents) {
   Schema schema;
   Analyzer analyzer(&schema);
