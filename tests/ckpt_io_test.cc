@@ -158,6 +158,67 @@ TEST(CkptIoTest, ReaderRejectsTruncationEverywhere) {
   }
 }
 
+TEST(CkptIoTest, StatsRoundTripKeepsOnlyTheContract) {
+  const EngineStats in = testing_util::DistinctStats();
+  ckpt::Writer w;
+  ckpt::WriteStats(&w, in);
+  // The contract, in this order, as 8-byte little-endian words.
+  ckpt::Writer expected;
+  for (uint64_t v : {101, 102, 103, 105, 106, 107, 108, 109}) {
+    expected.WriteU64(v);
+  }
+  EXPECT_EQ(w.buffer(), expected.buffer());
+
+  EngineStats out;
+  ckpt::Reader r(w.buffer());
+  ASSERT_TRUE(ckpt::ReadStats(&r, &out).ok());
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(out.events_processed, 101u);
+  EXPECT_EQ(out.outputs, 102u);
+  EXPECT_EQ(out.work_units, 103u);
+  EXPECT_EQ(out.objects.current(), 105);
+  EXPECT_EQ(out.objects.peak(), 106);
+  EXPECT_EQ(out.batches_processed, 107u);
+  EXPECT_EQ(out.max_batch_events, 108u);
+  EXPECT_EQ(out.dropped_events, 109u);
+  // Everything else is transient: it comes back zero.
+  for (uint64_t v :
+       {out.ht_probes, out.ht_probe_steps, out.ht_slots, out.ht_entries,
+        out.adm_admitted, out.adm_rejected_local, out.adm_missing_attr,
+        out.adm_generic_cmps, out.fault_injected, out.fault_restarts,
+        out.fault_replayed_events, out.shed_partitions, out.shed_events,
+        out.overload_stalls, out.pub_batches, out.ring_full_waits,
+        out.ring_spins}) {
+    EXPECT_EQ(v, 0u);
+  }
+
+  // A payload cut before field i names field i.
+  const char* const labels[] = {
+      "stats.events",          "stats.outputs",
+      "stats.work_units",      "stats.objects.current",
+      "stats.objects.peak",    "stats.batches",
+      "stats.max_batch",       "stats.dropped"};
+  for (size_t i = 0; i < 8; ++i) {
+    ckpt::Reader cut(std::string_view(w.buffer()).substr(0, 8 * i));
+    EngineStats s;
+    const Status st = ckpt::ReadStats(&cut, &s);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << i;
+    EXPECT_NE(st.ToString().find(labels[i]), std::string::npos)
+        << st.ToString();
+  }
+
+  // Object counters a live engine cannot hold are refused.
+  ckpt::Writer bad;
+  for (uint64_t v : {1, 2, 3, 9, 8, 4, 5, 6}) bad.WriteU64(v);
+  ckpt::Reader bad_reader(bad.buffer());
+  EngineStats s;
+  const Status st = ckpt::ReadStats(&bad_reader, &s);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.ToString().find("object counters current=9 peak=8"),
+            std::string::npos)
+      << st.ToString();
+}
+
 TEST(CkptIoTest, ReaderRejectsBadBool) {
   ckpt::Writer w;
   w.WriteU8(2);

@@ -18,6 +18,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
 #include "stream/trace_io.h"
+#include "test_util.h"
 
 namespace aseq {
 namespace obs {
@@ -408,6 +409,23 @@ TEST(TraceWriterTest, CloseIsIdempotentAndDropsLateEvents) {
   buf << in.rdbuf();
   EXPECT_EQ(buf.str().find("late"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(StatsJsonTest, EngineStatsKeysAndOrderArePinned) {
+  // Consumers (scripts/check_metrics.py, perfbench) key on these names;
+  // every counter is present, in this order, even when zero.
+  EXPECT_EQ(EngineStatsToJson(testing_util::DistinctStats()),
+            "{\"events_processed\":101,\"outputs\":102,\"work_units\":103,"
+            "\"objects_current\":105,\"objects_peak\":106,"
+            "\"batches_processed\":107,\"max_batch_events\":108,"
+            "\"dropped_events\":109,\"ht_probes\":110,\"ht_probe_steps\":111,"
+            "\"ht_slots\":112,\"ht_entries\":113,\"adm_admitted\":114,"
+            "\"adm_rejected_local\":115,\"adm_missing_attr\":116,"
+            "\"adm_generic_cmps\":117,\"fault_injected\":118,"
+            "\"fault_restarts\":119,\"fault_replayed_events\":120,"
+            "\"shed_partitions\":121,\"shed_events\":122,"
+            "\"overload_stalls\":123,\"pub_batches\":124,"
+            "\"ring_full_waits\":125,\"ring_spins\":126}");
 }
 
 TEST(StatsJsonTest, IngestObjectCarriesEveryField) {

@@ -158,6 +158,39 @@ inline void ExpectStatsEqual(const EngineStats& ref, const EngineStats& got,
   EXPECT_EQ(ref.objects.current(), got.objects.current()) << context;
 }
 
+/// Stats with a distinct value in every counter (101, 102, ... in
+/// declaration order; objects current 105 and peak 106), so a reader or
+/// writer that swaps, drops or duplicates a field shows.
+inline EngineStats DistinctStats() {
+  EngineStats s;
+  s.events_processed = 101;
+  s.outputs = 102;
+  s.work_units = 103;
+  s.objects.Add(106);
+  s.objects.Remove(1);
+  s.batches_processed = 107;
+  s.max_batch_events = 108;
+  s.dropped_events = 109;
+  s.ht_probes = 110;
+  s.ht_probe_steps = 111;
+  s.ht_slots = 112;
+  s.ht_entries = 113;
+  s.adm_admitted = 114;
+  s.adm_rejected_local = 115;
+  s.adm_missing_attr = 116;
+  s.adm_generic_cmps = 117;
+  s.fault_injected = 118;
+  s.fault_restarts = 119;
+  s.fault_replayed_events = 120;
+  s.shed_partitions = 121;
+  s.shed_events = 122;
+  s.overload_stalls = 123;
+  s.pub_batches = 124;
+  s.ring_full_waits = 125;
+  s.ring_spins = 126;
+  return s;
+}
+
 /// Extracts the int64 count of an ungrouped COUNT output.
 inline int64_t CountOf(const Output& output) {
   EXPECT_EQ(output.value.type(), ValueType::kInt64)
