@@ -235,33 +235,31 @@ Status ReadPartitionKey(Reader* r, PartitionKey* key) {
 }
 
 void WriteStats(Writer* w, const EngineStats& s) {
-  w->WriteU64(s.events_processed);
-  w->WriteU64(s.outputs);
-  w->WriteU64(s.work_units);
-  w->WriteI64(s.objects.current());
-  w->WriteI64(s.objects.peak());
-  w->WriteU64(s.batches_processed);
-  w->WriteU64(s.max_batch_events);
-  w->WriteU64(s.dropped_events);
+  for (const StatsField& f : kStatsFields) {
+    if (f.ckpt != nullptr) w->WriteU64(f.Get(s));
+  }
 }
 
 Status ReadStats(Reader* r, EngineStats* s) {
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->events_processed, "stats.events"));
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->outputs, "stats.outputs"));
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->work_units, "stats.work_units"));
   int64_t current = 0;
-  int64_t peak = 0;
-  ASEQ_RETURN_NOT_OK(r->ReadI64(&current, "stats.objects.current"));
-  ASEQ_RETURN_NOT_OK(r->ReadI64(&peak, "stats.objects.peak"));
-  if (current < 0 || peak < current) {
-    return Status::ParseError(
-        "snapshot corrupt: object counters current=" + std::to_string(current) +
-        " peak=" + std::to_string(peak));
+  for (const StatsField& f : kStatsFields) {
+    if (f.ckpt == nullptr) continue;
+    uint64_t v = 0;
+    ASEQ_RETURN_NOT_OK(r->ReadU64(&v, f.ckpt));
+    if (f.field != nullptr) {
+      s->*f.field = v;
+    } else if (f.object == &ObjectCounter::current) {
+      current = static_cast<int64_t>(v);
+    } else {  // the peak row, which follows the current row
+      const int64_t peak = static_cast<int64_t>(v);
+      if (current < 0 || peak < current) {
+        return Status::ParseError("snapshot corrupt: object counters current=" +
+                                  std::to_string(current) +
+                                  " peak=" + std::to_string(peak));
+      }
+      s->objects.RestoreCounts(current, peak);
+    }
   }
-  s->objects.RestoreCounts(current, peak);
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->batches_processed, "stats.batches"));
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->max_batch_events, "stats.max_batch"));
-  ASEQ_RETURN_NOT_OK(r->ReadU64(&s->dropped_events, "stats.dropped"));
   return Status::OK();
 }
 

@@ -89,9 +89,11 @@ Status ReadEvent(Reader* r, Event* e);
 void WritePartitionKey(Writer* w, const PartitionKey& key);
 Status ReadPartitionKey(Reader* r, PartitionKey* key);
 
-/// EngineStats round-trip. Engines write their stats alongside the state
-/// that produced them and restore them wholesale *after* rebuilding the
-/// structures (whose constructors would otherwise double-count objects).
+/// EngineStats round-trip: the checkpointed kStatsFields rows, one 8-byte
+/// word each in table order; a read leaves the transient rows untouched.
+/// Engines write their stats alongside the state that produced them and
+/// restore them wholesale *after* rebuilding the structures (whose
+/// constructors would otherwise double-count objects).
 void WriteStats(Writer* w, const EngineStats& s);
 Status ReadStats(Reader* r, EngineStats* s);
 

@@ -409,9 +409,8 @@ struct Observability {
     if (emitter != nullptr) {
       emitter->Stop();  // final interval rows first, then the summary line
       if (!busy_seconds.empty()) {
-        std::vector<double> busy(busy_seconds.begin(), busy_seconds.end());
         emitter->AppendLine("{\"type\":\"utilization\",\"data\":" +
-                            obs::UtilizationJson(busy) + "}");
+                            obs::UtilizationJson(busy_seconds) + "}");
       }
     }
     if (trace != nullptr) trace->Close();
@@ -515,16 +514,12 @@ void PrintStatsBlock(std::ostream& out, const RunOptions& options,
         << " missing-attr, " << stats.adm_generic_cmps << " generic cmps\n";
   }
   if (result.num_shards > 1 && !busy_seconds.empty()) {
-    const double max_busy =
-        *std::max_element(busy_seconds.begin(), busy_seconds.end());
-    const double min_busy =
-        *std::min_element(busy_seconds.begin(), busy_seconds.end());
-    const double imbalance = min_busy > 0.0 ? max_busy / min_busy : 1.0;
+    const obs::BusySummary busy = obs::SummarizeBusy(busy_seconds);
     char line[160];
     std::snprintf(line, sizeof(line),
                   "utilization:   shard busy %.3fs min / %.3fs max "
                   "(imbalance %.2fx)\n",
-                  min_busy, max_busy, imbalance);
+                  busy.min, busy.max, busy.imbalance);
     out << line;
   }
   if (result.num_shards > 1) {
@@ -543,10 +538,7 @@ void PrintStatsBlock(std::ostream& out, const RunOptions& options,
     out << "overload:      " << stats.overload_stalls << " serial drains\n";
   }
   if (fault::Injector::Global().armed()) {
-    // Serial runs don't fold injector counters into engine stats, so the
-    // process-wide count is the honest number for every policy.
-    out << "faults:        " << fault::Injector::Global().fired_count()
-        << " injected\n";
+    out << "faults:        " << stats.fault_injected << " injected\n";
   }
   if (options.checkpoint_every > 0) {
     out << "checkpoints:   " << result.checkpoints_written;
@@ -567,12 +559,11 @@ void MaybeWriteStatsJson(const Observability& obsv, const std::string& label,
                          const IngestStats& ingest, size_t results_count,
                          std::ostream& err) {
   if (obsv.stats_json_path.empty()) return;
-  std::vector<double> busy(busy_seconds.begin(), busy_seconds.end());
   std::vector<obs::StatsJsonEntry> entries;
   entries.push_back({label, &stats, results_count});
   if (!obs::WriteStatsJson(
           obsv.stats_json_path, engine_name, result.num_shards,
-          result.elapsed_seconds * 1e3, busy, ingest, entries,
+          result.elapsed_seconds * 1e3, busy_seconds, ingest, entries,
           result.num_shards > 1 ? &result.coordinator : nullptr)) {
     err << "warning: failed writing --stats-json file '"
         << obsv.stats_json_path << "'\n";

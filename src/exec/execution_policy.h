@@ -56,7 +56,8 @@ class ExecutionPolicyT {
   }
 
   /// The logical engine's stats: the engine's own for serial, the exact
-  /// merged view for sharded.
+  /// merged view for sharded; either way with the executor's
+  /// coordinator-owned rows (kStatsFields) folded in.
   virtual const EngineStats& stats() const = 0;
 
   /// Per-shard busy seconds of the last run — wall time spent executing

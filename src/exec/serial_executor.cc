@@ -5,6 +5,7 @@
 
 #include "ckpt/snapshot.h"
 #include "exec/checkpoint_cadence.h"
+#include "fault/fault.h"
 #include "metrics/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
@@ -117,8 +118,11 @@ SerialExecutorT<EngineT>::SerialExecutorT(const RunOptions& options,
 template <class EngineT>
 typename SerialExecutorT<EngineT>::RunResultT SerialExecutorT<EngineT>::Run(
     StreamSource* source) {
+  const uint64_t fired_at_start = fault::Injector::Global().fired_count();
   RunResultT result = RunSerial(options_, source, engine_.get(), &buffers_);
   busy_seconds_ = result.elapsed_seconds;
+  coord_counts_.fault_injected =
+      fault::Injector::Global().fired_count() - fired_at_start;
   return result;
 }
 

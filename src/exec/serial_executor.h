@@ -51,7 +51,12 @@ class SerialExecutorT : public ExecutionPolicyT<EngineT> {
 
   RunResultT Run(StreamSource* source) override;
 
-  const EngineStats& stats() const override { return engine_->stats(); }
+  /// The engine's stats with this executor's own rows folded in.
+  const EngineStats& stats() const override {
+    stats_ = engine_->stats();
+    FoldCoordinatorStats(coord_counts_, &stats_);
+    return stats_;
+  }
   std::span<const double> shard_busy_seconds() const override {
     return {&busy_seconds_, 1};
   }
@@ -65,6 +70,11 @@ class SerialExecutorT : public ExecutionPolicyT<EngineT> {
   std::unique_ptr<EngineT> engine_;
   SerialBuffers buffers_;
   double busy_seconds_ = 0;  // == elapsed_seconds of the last run
+  /// The coordinator-owned kStatsFields rows of the last run: only
+  /// fault_injected is counted serially.
+  EngineStats coord_counts_;
+  /// stats()'s composed view; mutable because stats() is const.
+  mutable EngineStats stats_;
 };
 
 extern template class SerialExecutorT<QueryEngine>;

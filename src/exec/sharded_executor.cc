@@ -178,7 +178,7 @@ Status ShardedExecutorT<Engine>::FlushPending(size_t shard,
                                               bool sample_occupancy) {
   std::vector<uint32_t>& pending = pending_[shard];
   if (pending.empty()) return Status::OK();
-  ++counters_.pub_batches;
+  ++coord_counts_.pub_batches;
   if (options_.supervise) supervisor_.Log(shard, batch, pending, end_seq);
   SharedBatchPool::Ref(batch);
   LaneItem item{.batch = batch, .ops = std::move(pending)};
@@ -404,7 +404,7 @@ Status ShardedExecutorT<Engine>::CaptureRecoveryPoints(SeqNum seq) {
 template <class Engine>
 EngineStats ShardedExecutorT<Engine>::ComputeMergedStats() const {
   EngineStats merged;
-  for (const auto& e : engines_) MergeBulkStats(e->stats(), &merged);
+  for (const auto& e : engines_) MergeShardStats(e->stats(), &merged);
   // An unshipped event is what a shard's batch-of-one OnEvent would have
   // charged for it: one event, one batch of one.
   merged.events_processed += unshipped_;
@@ -414,6 +414,7 @@ EngineStats ShardedExecutorT<Engine>::ComputeMergedStats() const {
   }
   merged.objects.RestoreCounts(merger_.merged_current(),
                                merger_.merged_peak());
+  FoldCoordinatorStats(coord_counts_, &merged);
   return merged;
 }
 
@@ -455,7 +456,7 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
     ledger.records.clear();
   }
   merged_upto_ = options_.start_offset;
-  counters_ = Counters{};
+  coord_counts_ = EngineStats{};
   shed_keys_.clear();
   const uint64_t fired_at_start = fault::Injector::Global().fired_count();
   {
@@ -536,13 +537,13 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
           // Events of other keys never read a shed partition's state (the
           // GROUP BY key scopes all reads), so survivors stay exact.
           if (shed_keys_.count(route.key_id) != 0) {
-            ++counters_.shed_events;
+            ++coord_counts_.shed_events;
             continue;
           }
           if (overloaded) {
             shed_keys_.insert(route.key_id);
-            ++counters_.shed_partitions;
-            ++counters_.shed_events;
+            ++coord_counts_.shed_partitions;
+            ++coord_counts_.shed_events;
             if (trace != nullptr) {
               trace->Instant("shed", obs::TraceWriter::kCoordTid,
                              obs::MonotonicNanos(),
@@ -623,7 +624,7 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
     if (!result.fault_status.ok()) break;
     if (overload_hit &&
         options_.overload_policy == OverloadPolicy::kDegradeSerial) {
-      ++counters_.overload_stalls;
+      ++coord_counts_.overload_stalls;
       if (trace != nullptr) {
         trace->Instant("overload-degrade", obs::TraceWriter::kCoordTid,
                        obs::MonotonicNanos(),
@@ -678,18 +679,14 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
   MergeBelow(std::numeric_limits<SeqNum>::max(), &result);
   coord.merge_s += Seconds(merge_begin, obs::MonotonicNanos());
   supervisor_.ClearLogs();
-  merged_ = ComputeMergedStats();
-  merged_.fault_injected =
+  coord_counts_.fault_injected =
       fault::Injector::Global().fired_count() - fired_at_start;
-  merged_.fault_restarts = supervisor_.restarts();
-  merged_.fault_replayed_events = supervisor_.replayed_events();
-  merged_.shed_partitions = counters_.shed_partitions;
-  merged_.shed_events = counters_.shed_events;
-  merged_.overload_stalls = counters_.overload_stalls;
-  merged_.pub_batches = counters_.pub_batches;
-  merged_.ring_full_waits = lanes_.full_waits();
+  coord_counts_.fault_restarts = supervisor_.restarts();
+  coord_counts_.fault_replayed_events = supervisor_.replayed_events();
+  coord_counts_.ring_full_waits = lanes_.full_waits();
   // Workers are joined, so their plain spin counters are visible.
-  merged_.ring_spins = lanes_.spins();
+  coord_counts_.ring_spins = lanes_.spins();
+  merged_ = ComputeMergedStats();
   for (size_t s = 0; s < n; ++s) busy_view_[s] = states_[s].busy_seconds;
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq - options_.start_offset;

@@ -145,15 +145,6 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
     std::vector<Record> records;
   };
 
-  /// Coordinator-owned counters, folded into the merged stats at the end
-  /// of the run.
-  struct Counters {
-    uint64_t pub_batches = 0;
-    uint64_t shed_partitions = 0;
-    uint64_t shed_events = 0;
-    uint64_t overload_stalls = 0;
-  };
-
   /// Workers keep outputs for the merge, which fills the result or feeds
   /// the output sink.
   bool CollectsOutputs() const {
@@ -193,7 +184,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   /// engine rebuild from the lane's recovery point, respawn, replay.
   Status RestartShard(size_t shard);
   Status CaptureRecoveryPoints(SeqNum seq);
-  /// Bulk-sums engine stats + unshipped events + the merger's object view.
+  /// The shards' stats merged by kStatsFields's rules, plus unshipped
+  /// events, the merger's object view and the coordinator's own rows.
   EngineStats ComputeMergedStats() const;
   /// Writes the multi-shard snapshot container at `seq` (workers parked).
   Status SaveSnapshotAt(uint64_t seq);
@@ -221,7 +213,8 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   ShardSupervisor supervisor_;
   ShardLanes lanes_;
 
-  Counters counters_;
+  /// The coordinator-owned kStatsFields rows of this run.
+  EngineStats coord_counts_;
   std::unordered_set<uint32_t> shed_keys_;
   StatsTimelineMerger merger_;
   std::vector<std::span<const Record>> record_spans_;

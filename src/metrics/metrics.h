@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 
 namespace aseq {
 
@@ -40,12 +41,6 @@ class ObjectCounter {
   void BeginPeakWindow() { window_peak_ = current_; }
   int64_t window_peak() const { return window_peak_; }
 
-  void Reset() {
-    current_ = 0;
-    peak_ = 0;
-    window_peak_ = 0;
-  }
-
   /// Overwrites both counters from a checkpoint. Engines restore stats
   /// wholesale after rebuilding their state structures, whose constructors
   /// would otherwise have double-counted the rebuilt objects.
@@ -66,6 +61,17 @@ class ObjectCounter {
 };
 
 /// \brief Per-engine execution statistics.
+///
+/// Two kinds of counter live here side by side. The first eight values
+/// (events, outputs, work units, live and peak objects, batches, largest
+/// batch, drops) are the paper's run metrics (Sec. 6.1) and the
+/// checkpointed equivalence contract. Every other counter is a transient
+/// diagnostic. kStatsFields below is the one place a counter is declared:
+/// its row gives the --stats-json key, the shard-merge rule, the
+/// composite-part rule and whether it is checkpointed, and the shard
+/// merge, the composite fold, the JSON dump and the snapshot codec all
+/// read that row. A new counter is a member here, a row there, and the
+/// code that counts it.
 struct EngineStats {
   /// Events consumed (== window slides, since the window slides on every
   /// arrival per the paper's window semantics).
@@ -90,11 +96,9 @@ struct EngineStats {
 
   // ---- Flat partition-store diagnostics (src/container/) ----
   //
-  // Transient performance counters, like ObjectCounter::window_peak: they
-  // are not checkpointed and are NOT part of the equivalence contract —
-  // probe lengths depend on the physical table layout, which a restore
-  // rebuilds from the canonical snapshot order rather than replaying the
-  // original insert/erase history.
+  // Transient: probe lengths depend on the physical table layout, which a
+  // restore rebuilds from the canonical snapshot order rather than
+  // replaying the original insert/erase history.
   /// Lookups issued against the engine's open-addressing tables.
   uint64_t ht_probes = 0;
   /// Total probe steps across those lookups (1 step = a direct hit; the
@@ -107,10 +111,6 @@ struct EngineStats {
   uint64_t ht_entries = 0;
 
   // ---- Admission diagnostics (src/plan/) ----
-  //
-  // Transient like the ht_* gauges above: not checkpointed, not part of
-  // the equivalence contract, summed additively across shards (each event
-  // is admitted on exactly one owner shard).
   /// (event, role) pairs admitted: qualified, carrier-valid, and with a
   /// complete partition key.
   uint64_t adm_admitted = 0;
@@ -126,12 +126,10 @@ struct EngineStats {
 
   // ---- Supervised-runtime fault/overload counters (src/fault/, exec/) ----
   //
-  // Transient like the diagnostics above: not checkpointed and outside the
-  // equivalence contract. The sharded coordinator owns them (workers never
-  // touch them); serial runs leave them zero. shed_events is deliberately
-  // separate from dropped_events: dropped_events is part of the durable
-  // equivalence contract, while shedding is a live-overload response whose
-  // accounting must not perturb checkpointed state.
+  // The executor owns them, engines never touch them. shed_events is
+  // deliberately separate from dropped_events: dropped_events is part of
+  // the durable equivalence contract, while shedding is a live-overload
+  // response whose accounting must not perturb checkpointed state.
   /// Faults fired by the process-wide fault::Injector during the run.
   uint64_t fault_injected = 0;
   /// Shard workers restarted by the supervisor after a crash or stall.
@@ -147,10 +145,8 @@ struct EngineStats {
 
   // ---- Sharded dataplane counters (src/exec/, docs/internals.md §16) ----
   //
-  // Transient diagnostics like the groups above: not checkpointed, outside
-  // the equivalence contract, owned by the sharded coordinator/workers and
-  // folded into the merged view at the end of the run (serial runs leave
-  // them zero).
+  // Counted by the sharded coordinator and its lanes; serial runs leave
+  // them zero.
   /// Chunked route publications: one per shard per batch that had ops for
   /// that shard (the unit of coordinator→worker synchronization).
   uint64_t pub_batches = 0;
@@ -166,34 +162,105 @@ struct EngineStats {
     ++batches_processed;
     if (n > max_batch_events) max_batch_events = n;
   }
+};
 
-  void Reset() {
-    events_processed = 0;
-    outputs = 0;
-    work_units = 0;
-    objects.Reset();
-    batches_processed = 0;
-    max_batch_events = 0;
-    dropped_events = 0;
-    ht_probes = 0;
-    ht_probe_steps = 0;
-    ht_slots = 0;
-    ht_entries = 0;
-    adm_admitted = 0;
-    adm_rejected_local = 0;
-    adm_missing_attr = 0;
-    adm_generic_cmps = 0;
-    fault_injected = 0;
-    fault_restarts = 0;
-    fault_replayed_events = 0;
-    shed_partitions = 0;
-    shed_events = 0;
-    overload_stalls = 0;
-    pub_batches = 0;
-    ring_full_waits = 0;
-    ring_spins = 0;
+/// How a counter combines across the shards of a sharded run:
+///  * kShardSum — summed. Each serial event is charged on exactly one
+///    shard (purge markers never reach admission), or the count does not
+///    depend on purge timing (work units: a counter mutation always
+///    follows a purge to the event's timestamp), so the sum is the serial
+///    value. The ht_* rows sum each shard's own tables, whose probe
+///    lengths may differ from a serial run's;
+///  * kShardMax — the largest shard value (a high-water mark);
+///  * kCoordinatorOwned — the executor's own count, which engines never
+///    write; FoldCoordinatorStats sets it, serial or sharded alike;
+///  * kObjectTimeline — live and peak objects: a sum of per-shard peaks
+///    overestimates the serial peak, so StatsTimelineMerger
+///    (shard_stats.h) replays them.
+enum StatsShardRule : uint8_t {
+  kShardSum,
+  kShardMax,
+  kCoordinatorOwned,
+  kObjectTimeline,
+};
+
+/// How a composite engine's counter (src/multi/composite_engine.h)
+/// relates to its parts': kSumOfParts is the sum of the parts' counts;
+/// kCompositeOwn is the composite's own count (it sees each event once,
+/// samples the parts' combined live objects per event, owns its batches).
+enum StatsPartRule : uint8_t { kSumOfParts, kCompositeOwn };
+
+/// \brief One EngineStats counter's row in kStatsFields.
+struct StatsField {
+  /// The --stats-json key: the member's name, or objects_current/_peak.
+  const char* key;
+  /// The counter; null for the objects rows, which read `object`.
+  uint64_t EngineStats::*field;
+  StatsShardRule shard;
+  StatsPartRule part;
+  /// The counter's name in snapshot decode errors; null for a transient
+  /// counter. A checkpointed counter is part of the equivalence contract.
+  const char* ckpt;
+  int64_t (ObjectCounter::*object)() const = nullptr;
+
+  uint64_t Get(const EngineStats& s) const {
+    return field != nullptr ? s.*field
+                            : static_cast<uint64_t>((s.objects.*object)());
   }
 };
+
+/// A row whose --stats-json key is the member's name.
+#define ASEQ_STAT(member, shard, part, ckpt) \
+  StatsField { #member, &EngineStats::member, shard, part, ckpt }
+
+/// Every EngineStats counter, once, in --stats-json and snapshot order. The
+/// checkpointed rows are written as 8-byte words in this order (the
+/// objects current row before the peak row).
+inline constexpr StatsField kStatsFields[] = {
+    ASEQ_STAT(events_processed, kShardSum, kCompositeOwn, "stats.events"),
+    ASEQ_STAT(outputs, kShardSum, kCompositeOwn, "stats.outputs"),
+    ASEQ_STAT(work_units, kShardSum, kSumOfParts, "stats.work_units"),
+    {"objects_current", nullptr, kObjectTimeline, kCompositeOwn,
+     "stats.objects.current", &ObjectCounter::current},
+    {"objects_peak", nullptr, kObjectTimeline, kCompositeOwn,
+     "stats.objects.peak", &ObjectCounter::peak},
+    ASEQ_STAT(batches_processed, kShardSum, kCompositeOwn, "stats.batches"),
+    ASEQ_STAT(max_batch_events, kShardMax, kCompositeOwn, "stats.max_batch"),
+    ASEQ_STAT(dropped_events, kShardSum, kCompositeOwn, "stats.dropped"),
+    ASEQ_STAT(ht_probes, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(ht_probe_steps, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(ht_slots, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(ht_entries, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(adm_admitted, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(adm_rejected_local, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(adm_missing_attr, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(adm_generic_cmps, kShardSum, kSumOfParts, nullptr),
+    ASEQ_STAT(fault_injected, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(fault_restarts, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(fault_replayed_events, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(shed_partitions, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(shed_events, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(overload_stalls, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(pub_batches, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(ring_full_waits, kCoordinatorOwned, kCompositeOwn, nullptr),
+    ASEQ_STAT(ring_spins, kCoordinatorOwned, kCompositeOwn, nullptr),
+};
+
+#undef ASEQ_STAT
+
+// A member without a row (or a row too many) fails here.
+static_assert(sizeof(EngineStats) ==
+              sizeof(ObjectCounter) +
+                  (std::size(kStatsFields) - 2) * sizeof(uint64_t));
+
+/// Sets the coordinator-owned rows of `merged` from `coordinator`, the
+/// executor's own counts for the run.
+inline void FoldCoordinatorStats(const EngineStats& coordinator,
+                                 EngineStats* merged) {
+  for (const StatsField& f : kStatsFields) {
+    if (f.shard == kCoordinatorOwned) merged->*f.field = coordinator.*f.field;
+  }
+}
 
 /// \brief What a trace source's ingest layer did in a run (src/stream/
 /// trace_io.h): the `ingest` object of --stats-json. Observe-only.

@@ -1,6 +1,7 @@
 #ifndef ASEQ_METRICS_SHARD_STATS_H_
 #define ASEQ_METRICS_SHARD_STATS_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -10,43 +11,18 @@
 
 namespace aseq {
 
-/// \brief Folds the additive EngineStats fields of `shard` into `merged`.
-///
-/// Every bulk counter is charged on exactly one shard per serial event
-/// (events_processed, outputs, dropped) or is purge-timing-independent
-/// (work_units: counter mutations are always preceded by a purge to the
-/// event's timestamp, so the live-entry counts they observe match the
-/// serial engine's), so plain sums reproduce the serial values exactly.
-/// The object counters are NOT summed here — live/peak object accounting
-/// needs the seq-ordered timeline merge below, because the sum of
-/// per-shard peaks overestimates the serial global peak (shards do not
-/// peak at the same instant). The fault_*, shed_*, overload_stalls,
-/// pub_batches and ring_* counters are not summed either: shard engines
-/// never write them, and the sharded coordinator sets them on the merged
-/// view after the merge.
-inline void MergeBulkStats(const EngineStats& shard, EngineStats* merged) {
-  merged->events_processed += shard.events_processed;
-  merged->outputs += shard.outputs;
-  merged->work_units += shard.work_units;
-  merged->batches_processed += shard.batches_processed;
-  if (shard.max_batch_events > merged->max_batch_events) {
-    merged->max_batch_events = shard.max_batch_events;
+/// \brief Folds one shard's stats into `merged` by each kStatsFields
+/// row's shard rule: kShardSum rows add, kShardMax rows keep the larger
+/// value. The coordinator-owned rows are FoldCoordinatorStats's, and the
+/// objects rows StatsTimelineMerger's.
+inline void MergeShardStats(const EngineStats& shard, EngineStats* merged) {
+  for (const StatsField& f : kStatsFields) {
+    if (f.shard == kShardSum) {
+      merged->*f.field += shard.*f.field;
+    } else if (f.shard == kShardMax) {
+      merged->*f.field = std::max(merged->*f.field, shard.*f.field);
+    }
   }
-  merged->dropped_events += shard.dropped_events;
-  // Flat-store diagnostics: sums over shards (each shard owns its own
-  // tables). Diagnostic-only — per-shard probe lengths legitimately differ
-  // from a serial run's, so these are outside the equivalence contract.
-  merged->ht_probes += shard.ht_probes;
-  merged->ht_probe_steps += shard.ht_probe_steps;
-  merged->ht_slots += shard.ht_slots;
-  merged->ht_entries += shard.ht_entries;
-  // Admission counters: each serial event is admitted on exactly one owner
-  // shard (the router's purge markers never reach admission), so sums
-  // reproduce the serial engine's admission counts exactly.
-  merged->adm_admitted += shard.adm_admitted;
-  merged->adm_rejected_local += shard.adm_rejected_local;
-  merged->adm_missing_attr += shard.adm_missing_attr;
-  merged->adm_generic_cmps += shard.adm_generic_cmps;
 }
 
 /// \brief Reconstructs the serial engine's global live/peak object counts

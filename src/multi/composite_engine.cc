@@ -173,19 +173,11 @@ void CompositeEngine::SampleObjects() {
   last_objects_ = objects;
 }
 
-void CompositeEngine::SumWorkUnits() {
-  stats_.work_units = 0;
-  stats_.adm_admitted = 0;
-  stats_.adm_rejected_local = 0;
-  stats_.adm_missing_attr = 0;
-  stats_.adm_generic_cmps = 0;
-  for (const Part& part : parts_) {
-    const EngineStats& s = part.stats();
-    stats_.work_units += s.work_units;
-    stats_.adm_admitted += s.adm_admitted;
-    stats_.adm_rejected_local += s.adm_rejected_local;
-    stats_.adm_missing_attr += s.adm_missing_attr;
-    stats_.adm_generic_cmps += s.adm_generic_cmps;
+void CompositeEngine::SumParts() {
+  for (const StatsField& f : kStatsFields) {
+    if (f.part != kSumOfParts) continue;
+    stats_.*f.field = 0;
+    for (const Part& part : parts_) stats_.*f.field += part.stats().*f.field;
   }
 }
 
@@ -194,10 +186,10 @@ void CompositeEngine::OnBatch(std::span<const Event> batch,
   if (batch.empty()) return;
   // Parts see events one at a time: the combined live-object peak is
   // sampled after every event and outputs interleave across parts per
-  // arrival. Only the work-unit summation is hoisted to batch end (the
-  // intermediate sums are unobservable; the final value is identical).
+  // arrival. Only the sums of the parts' counters are hoisted to batch end
+  // (the intermediate sums are unobservable; the final value is identical).
   for (const Event& e : batch) ProcessEvent(e, out);
-  SumWorkUnits();
+  SumParts();
   stats_.NoteBatch(batch.size());
 }
 

@@ -42,9 +42,9 @@ namespace aseq {
 ///
 /// Every part sees every event, one event at a time, shared parts first:
 /// the combined live-object peak is sampled after every event, and
-/// outputs interleave across parts per arrival. Only the work-unit
-/// summation is hoisted to once per batch. Output `query_index`es refer to
-/// the workload order.
+/// outputs interleave across parts per arrival. Only the sums of the
+/// parts' counters (kStatsFields's kSumOfParts rows) are hoisted to once
+/// per batch. Output `query_index`es refer to the workload order.
 ///
 /// Admission runs inside the parts: each per-query part carries its own
 /// compiled plan::AdmissionProgram, and the shared parts skip events of
@@ -128,15 +128,15 @@ class CompositeEngine : public MultiQueryEngine, public ShardableEngine {
                  std::string route = "");
 
   /// Feeds one event to every part and samples the combined live-object
-  /// total (work-unit summation deferred to SumWorkUnits).
+  /// total (the parts' counter sums deferred to SumParts).
   void ProcessEvent(const Event& e, std::vector<MultiOutput>* out);
   /// The parts' combined live-object count.
   int64_t LiveObjects() const;
   /// Moves stats_.objects to LiveObjects() in one step.
   void SampleObjects();
-  /// Refreshes stats_.work_units and the adm_* admission counters from
-  /// the parts.
-  void SumWorkUnits();
+  /// Refreshes stats_'s kSumOfParts rows (work units, ht_* and adm_*)
+  /// from the parts.
+  void SumParts();
 
   std::string name_;
   std::vector<Part> parts_;

@@ -22,51 +22,37 @@ std::string FormatDouble(double v) {
 
 std::string EngineStatsToJson(const EngineStats& stats) {
   std::ostringstream os;
-  os << "{"
-     << "\"events_processed\":" << stats.events_processed
-     << ",\"outputs\":" << stats.outputs
-     << ",\"work_units\":" << stats.work_units
-     << ",\"objects_current\":" << stats.objects.current()
-     << ",\"objects_peak\":" << stats.objects.peak()
-     << ",\"batches_processed\":" << stats.batches_processed
-     << ",\"max_batch_events\":" << stats.max_batch_events
-     << ",\"dropped_events\":" << stats.dropped_events
-     << ",\"ht_probes\":" << stats.ht_probes
-     << ",\"ht_probe_steps\":" << stats.ht_probe_steps
-     << ",\"ht_slots\":" << stats.ht_slots
-     << ",\"ht_entries\":" << stats.ht_entries
-     << ",\"adm_admitted\":" << stats.adm_admitted
-     << ",\"adm_rejected_local\":" << stats.adm_rejected_local
-     << ",\"adm_missing_attr\":" << stats.adm_missing_attr
-     << ",\"adm_generic_cmps\":" << stats.adm_generic_cmps
-     << ",\"fault_injected\":" << stats.fault_injected
-     << ",\"fault_restarts\":" << stats.fault_restarts
-     << ",\"fault_replayed_events\":" << stats.fault_replayed_events
-     << ",\"shed_partitions\":" << stats.shed_partitions
-     << ",\"shed_events\":" << stats.shed_events
-     << ",\"overload_stalls\":" << stats.overload_stalls
-     << ",\"pub_batches\":" << stats.pub_batches
-     << ",\"ring_full_waits\":" << stats.ring_full_waits
-     << ",\"ring_spins\":" << stats.ring_spins << "}";
+  char sep = '{';
+  for (const StatsField& f : kStatsFields) {
+    os << sep << '"' << f.key << "\":" << f.Get(stats);
+    sep = ',';
+  }
+  os << '}';
   return os.str();
 }
 
-std::string UtilizationJson(const std::vector<double>& busy_seconds) {
+BusySummary SummarizeBusy(std::span<const double> busy_seconds) {
+  BusySummary summary;
+  if (busy_seconds.empty()) return summary;
+  const auto [min, max] = std::minmax_element(busy_seconds.begin(),
+                                              busy_seconds.end());
+  summary.max = *max;
+  summary.min = *min;
+  if (summary.min > 0.0) summary.imbalance = summary.max / summary.min;
+  return summary;
+}
+
+std::string UtilizationJson(std::span<const double> busy_seconds) {
   std::ostringstream os;
   os << "{\"busy_seconds\":[";
   for (size_t i = 0; i < busy_seconds.size(); ++i) {
     if (i) os << ",";
     os << FormatDouble(busy_seconds[i]);
   }
-  double max_busy = 0.0, min_busy = 0.0;
-  if (!busy_seconds.empty()) {
-    max_busy = *std::max_element(busy_seconds.begin(), busy_seconds.end());
-    min_busy = *std::min_element(busy_seconds.begin(), busy_seconds.end());
-  }
-  const double imbalance = min_busy > 0.0 ? max_busy / min_busy : 1.0;
-  os << "],\"max_busy\":" << FormatDouble(max_busy)
-     << ",\"min_busy\":" << FormatDouble(min_busy)
-     << ",\"imbalance\":" << FormatDouble(imbalance) << "}";
+  const BusySummary busy = SummarizeBusy(busy_seconds);
+  os << "],\"max_busy\":" << FormatDouble(busy.max)
+     << ",\"min_busy\":" << FormatDouble(busy.min)
+     << ",\"imbalance\":" << FormatDouble(busy.imbalance) << "}";
   return os.str();
 }
 
@@ -107,7 +93,7 @@ double PeakRssMb() {
 
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
-                    const std::vector<double>& busy_seconds,
+                    std::span<const double> busy_seconds,
                     const IngestStats& ingest,
                     const std::vector<StatsJsonEntry>& entries,
                     const CoordinatorStats* coordinator) {

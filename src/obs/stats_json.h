@@ -1,6 +1,7 @@
 #ifndef ASEQ_OBS_STATS_JSON_H_
 #define ASEQ_OBS_STATS_JSON_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,9 +17,9 @@ struct StatsJsonEntry {
   uint64_t results = 0;
 };
 
-/// Renders EngineStats as a JSON object (no trailing newline). Field names
-/// mirror the struct members; every counter group is present even when
-/// zero so consumers get a stable schema.
+/// Renders EngineStats as a JSON object (no trailing newline): every
+/// kStatsFields row's key and value in table order, zeros included, so
+/// consumers get a stable schema.
 std::string EngineStatsToJson(const EngineStats& stats);
 
 /// Renders IngestStats as a JSON object (no trailing newline):
@@ -45,16 +46,25 @@ double PeakRssMb();
 /// could not be written.
 bool WriteStatsJson(const std::string& path, const std::string& engine,
                     size_t shards, double elapsed_ms,
-                    const std::vector<double>& busy_seconds,
+                    std::span<const double> busy_seconds,
                     const IngestStats& ingest,
                     const std::vector<StatsJsonEntry>& entries,
                     const CoordinatorStats* coordinator = nullptr);
 
+/// \brief The busiest and idlest shard of a run and their ratio.
+struct BusySummary {
+  double max = 0;
+  double min = 0;
+  /// max / min, 1.0 when min is zero (or there are no shards).
+  double imbalance = 1.0;
+};
+BusySummary SummarizeBusy(std::span<const double> busy_seconds);
+
 /// Formats the per-shard utilization object used by both WriteStatsJson and
 /// the metrics emitter's end-of-run summary line:
 ///   {"busy_seconds":[...],"max_busy":...,"min_busy":...,"imbalance":R}
-/// where R = max/min busy (1.0 when min is zero or single-shard).
-std::string UtilizationJson(const std::vector<double>& busy_seconds);
+/// from SummarizeBusy.
+std::string UtilizationJson(std::span<const double> busy_seconds);
 
 }  // namespace obs
 }  // namespace aseq

@@ -973,5 +973,61 @@ TEST(CliIngestTest, StatsJsonReportsTheIngestLayer) {
   EXPECT_EQ(JsonField(ReadFile(stats), "chunks"), "0");
 }
 
+/// The number before " injected" on the stats block's faults line.
+std::string FaultsLine(const std::string& out) {
+  const size_t at = out.find("faults:");
+  if (at == std::string::npos) return "";
+  const size_t begin = out.find_first_not_of(' ', at + 7);
+  return out.substr(begin, out.find(' ', begin) - begin);
+}
+
+TEST(CliStatsTest, FaultCountIsOneSourceSerialAndSharded) {
+  // The text line and --stats-json read the same counter: the faults the
+  // executor saw fire during its run, serial or sharded.
+  const std::string stats = ::testing::TempDir() + "/aseq_cli_faults.json";
+  const std::vector<std::vector<std::string>> runs = {
+      {"--batch-size", "64", "--fault-spec", "admit.batch:3:slow"},
+      {"--shards", "2", "--supervise", "--fault-spec",
+       "worker.op@0:100:crash"}};
+  for (const auto& extra : runs) {
+    std::vector<std::string> args = {"run",     "--query",      kGroupedQuery,
+                                     "--stock", "2000",         "--quiet",
+                                     "--stats-json", stats};
+    args.insert(args.end(), extra.begin(), extra.end());
+    CliResult r = RunTool(args);
+    ASSERT_EQ(r.code, 0) << r.err;
+    const std::string fired = FaultsLine(r.out);
+    EXPECT_NE(fired, "") << r.out;
+    EXPECT_NE(fired, "0") << r.out;
+    EXPECT_EQ(JsonField(ReadFile(stats), "fault_injected"), fired) << r.out;
+  }
+}
+
+TEST(CliStatsTest, OneQueryNonShareWorkloadMatchesRun) {
+  // A composite of one A-Seq part reports that part's table, admission and
+  // work counters: the same numbers `run` reports for the query.
+  const std::string trace = StockTrace("aseq_cli_nonshare.csv", 20000);
+  const std::string queries = ::testing::TempDir() + "/aseq_cli_one.txt";
+  std::ofstream(queries) << kGroupedQuery << "\n";
+  const std::string run_json = ::testing::TempDir() + "/aseq_cli_run.json";
+  const std::string wl_json = ::testing::TempDir() + "/aseq_cli_wl.json";
+  CliResult run = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                           "--quiet", "--stats-json", run_json});
+  ASSERT_EQ(run.code, 0) << run.err;
+  CliResult wl = RunTool({"workload", "--queries", queries, "--trace", trace,
+                          "--strategy", "nonshare", "--stats-json", wl_json});
+  ASSERT_EQ(wl.code, 0) << wl.err;
+  const std::string a = ReadFile(run_json);
+  const std::string b = ReadFile(wl_json);
+  for (const char* key :
+       {"ht_probes", "ht_probe_steps", "ht_slots", "ht_entries",
+        "adm_admitted", "adm_rejected_local", "adm_missing_attr",
+        "adm_generic_cmps", "work_units"}) {
+    EXPECT_EQ(JsonField(a, key), JsonField(b, key)) << key;
+  }
+  EXPECT_NE(JsonField(a, "ht_probes"), "0") << a;
+  EXPECT_NE(JsonField(a, "ht_slots"), "0") << a;
+}
+
 }  // namespace
 }  // namespace aseq
