@@ -21,19 +21,13 @@
 //                    live hot path hits when --metrics-out is given
 //                    (obs::ShardCell/CoordCell counters, gauges, and
 //                    histograms; docs/internals.md §17)
-//   sharded_e2e    — the real 8-shard executor end-to-end on the grouped
-//                    workload (wall + critical-path throughput). On a
-//                    single-core host wall time measures coordination
-//                    overhead, so this entry is informative, not gated.
 //
 // Gates (CI perf smoke, --check): dispatch_ring_metrics must stay >= 0.97x
 // dispatch_ring_clock (PR 9's <= 3% telemetry-overhead acceptance), and
 // the dispatch_* entries must not regress more than --tolerance vs the
-// committed BENCH_dataplane.json. sharded_e2e is written but never
-// checked — its wall time on a shared single-core runner is scheduler
-// noise. Whether the sharded dataplane pays end to end is measured by
-// perfbench's stock_grouped_shard2 workload (process wall, trace in,
-// results out), not here.
+// committed BENCH_dataplane.json. Whether the sharded dataplane pays end
+// to end is measured by perfbench's stock_grouped_shard2 workload
+// (process wall, trace in, results out), not here.
 //
 // Flags, --out and --check are the shared gate harness (bench_util.h);
 // "events_per_sec" counts dispatched ops.
@@ -46,13 +40,10 @@
 #include <string>
 #include <vector>
 
-#include "aseq/aseq_engine.h"
 #include "bench/bench_util.h"
-#include "exec/execution_policy.h"
 #include "exec/spsc_ring.h"
 #include "metrics/metrics.h"
 #include "obs/telemetry.h"
-#include "query/analyzer.h"
 
 namespace aseq {
 namespace bench {
@@ -282,9 +273,6 @@ struct Measurement {
   double min_seconds = 0;
   double max_seconds = 0;
   uint64_t events = 0;
-  /// sharded_e2e only: throughput by critical path (max shard busy time —
-  /// the wall rate a machine with >= 8 idle cores would see).
-  double critical_path_events_per_sec = 0;
 };
 
 /// Paired overhead measurement: the total work is cut into short chunks
@@ -371,72 +359,15 @@ Measurement MeasureDispatch(PassFn pass, size_t rounds, int warmup,
   return m;
 }
 
-Measurement MeasureShardedE2e(bool quick, int warmup, int reps) {
-  const size_t num_events = quick ? 40000 : 120000;
-  auto stream = MakeStockStream(num_events, /*max_gap_ms=*/2, /*seed=*/42,
-                                /*num_traders=*/1000);
-  Schema schema = stream->schema;
-  Analyzer analyzer(&schema);
-  CompiledQuery cq = std::move(analyzer.AnalyzeText(
-                                   "PATTERN SEQ(DELL, IPIX, AMAT) "
-                                   "GROUP BY traderId AGG COUNT WITHIN 2s"))
-                         .value();
-  RunOptions options;
-  options.collect_outputs = false;
-  options.num_shards = kLanes;
-
-  auto one_pass = [&](double* busy_max) {
-    std::string reason;
-    auto policy = exec::MakePolicy(
-        cq, [&cq] { return CreateAseqEngine(cq); }, options, &reason);
-    if (!policy.ok() || !reason.empty()) {
-      std::fprintf(stderr, "sharded_e2e: policy unavailable (%s)\n",
-                   reason.c_str());
-      std::exit(1);
-    }
-    RunResult result = (*policy)->RunEvents(stream->events);
-    for (double busy : (*policy)->shard_busy_seconds()) {
-      *busy_max = std::max(*busy_max, busy);
-    }
-    return result.elapsed_seconds;
-  };
-
-  double ignored = 0;
-  for (int i = 0; i < warmup; ++i) one_pass(&ignored);
-  std::vector<double> seconds;
-  double busy_max = 0;
-  for (int i = 0; i < reps; ++i) {
-    double pass_busy = 0;
-    seconds.push_back(one_pass(&pass_busy));
-    busy_max = busy_max == 0 ? pass_busy : std::min(busy_max, pass_busy);
-  }
-  std::sort(seconds.begin(), seconds.end());
-  Measurement m;
-  m.median_seconds = seconds[seconds.size() / 2];
-  m.min_seconds = seconds.front();
-  m.max_seconds = seconds.back();
-  m.events = num_events;
-  m.events_per_sec = m.median_seconds == 0
-                         ? 0
-                         : static_cast<double>(num_events) / m.median_seconds;
-  m.critical_path_events_per_sec =
-      busy_max == 0 ? 0 : static_cast<double>(num_events) / busy_max;
-  return m;
-}
-
 GateEntry Entry(const std::string& name, const Measurement& m) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "\"events_per_sec\": %.1f, \"median_seconds\": %.6f, "
-      "\"min_seconds\": %.6f, \"max_seconds\": %.6f, \"events\": %llu, "
-      "\"critical_path_events_per_sec\": %.1f",
+      "\"min_seconds\": %.6f, \"max_seconds\": %.6f, \"events\": %llu",
       m.events_per_sec, m.median_seconds, m.min_seconds, m.max_seconds,
-      static_cast<unsigned long long>(m.events),
-      m.critical_path_events_per_sec);
-  // sharded_e2e is written but never checked: its wall time on a shared
-  // runner is scheduler noise.
-  return {name, buf, m.events_per_sec, name != "sharded_e2e"};
+      static_cast<unsigned long long>(m.events));
+  return {name, buf, m.events_per_sec};
 }
 
 }  // namespace
@@ -478,19 +409,10 @@ int main(int argc, char** argv) {
         "dispatch_ring_metrics",
         MeasureDispatch(RingMetricsPass, rounds, warmup, reps));
   }
-  if (flags.Wants("sharded_e2e")) {
-    results.emplace_back("sharded_e2e",
-                         MeasureShardedE2e(flags.quick, warmup, reps));
-  }
   std::vector<GateEntry> entries;
   for (const auto& [name, m] : results) {
-    std::printf("  %-14s median %9.6f s  %12.0f ev/s", name.c_str(),
+    std::printf("  %-14s median %9.6f s  %12.0f ev/s\n", name.c_str(),
                 m.median_seconds, m.events_per_sec);
-    if (m.critical_path_events_per_sec > 0) {
-      std::printf("  critical-path %12.0f ev/s",
-                  m.critical_path_events_per_sec);
-    }
-    std::printf("\n");
     entries.push_back(Entry(name, m));
   }
 

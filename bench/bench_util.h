@@ -240,7 +240,6 @@ struct GateEntry {
   std::string name;
   std::string fields;   // the JSON object's body, fields in output order
   double gated = 0;     // the value --check compares
-  bool checked = true;  // false: written by --out, never checked
 };
 
 /// Reads the flat JSON written by --out: key -> the value of `field`.
@@ -263,7 +262,7 @@ inline std::map<std::string, double> ReadCommitted(const std::string& path,
 }
 
 /// Writes --out, then runs --check against `field` of the committed
-/// entries: each checked entry's gated value must reach
+/// entries: each entry's gated value must reach
 /// committed * (1 - tolerance), or `absolute_floor` when it is positive.
 /// Returns false on any failure.
 inline bool FinishGate(const GateFlags& flags,
@@ -286,7 +285,6 @@ inline bool FinishGate(const GateFlags& flags,
   const auto committed = ReadCommitted(flags.check_path, field);
   bool ok = true;
   for (const GateEntry& e : entries) {
-    if (!e.checked) continue;
     const std::string key = mode + "/current/" + e.name;
     auto it = committed.find(key);
     if (it == committed.end()) {

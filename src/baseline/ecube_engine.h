@@ -40,6 +40,8 @@ class EcubeEngine : public MultiQueryEngine {
   /// proves are no-ops.
   void OnBatch(std::span<const Event> batch,
                std::vector<MultiOutput>* out) override;
+  /// ECube has no poll surface: it reports nothing.
+  std::vector<MultiOutput> Poll(Timestamp) override { return {}; }
   const EngineStats& stats() const override { return stats_; }
   Status Checkpoint(ckpt::Writer* writer) const override;
   Status Restore(ckpt::Reader* reader) override;

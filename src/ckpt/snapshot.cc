@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 #ifndef _WIN32
@@ -62,36 +61,7 @@ std::string ParentDir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Status PayloadToEngine(const std::string& path, const std::string& name,
-                       const std::function<Status(Reader*)>& restore,
-                       uint64_t* stream_offset) {
-  SnapshotInfo info;
-  std::string payload;
-  ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
-  if (info.engine_name != name) {
-    return Status::InvalidArgument(
-        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
-        "' but is being restored into '" + name + "'");
-  }
-  Reader reader(payload);
-  ASEQ_RETURN_NOT_OK(restore(&reader));
-  ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
-  *stream_offset = info.stream_offset;
-  return Status::OK();
-}
-
 }  // namespace
-
-namespace {
-/// See SetSnapshotWriteObserver: registered before a run, read on the
-/// (single) checkpointing thread during it.
-std::function<void(const std::string&, uint64_t)> g_write_observer;
-}  // namespace
-
-void SetSnapshotWriteObserver(
-    std::function<void(const std::string&, uint64_t)> observer) {
-  g_write_observer = std::move(observer);
-}
 
 uint64_t Fnv1a64(std::string_view data) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -159,9 +129,7 @@ Status WriteSnapshotFile(const std::string& path,
     std::remove(tmp.c_str());
     return st;
   }
-  Status st = SyncPath(ParentDir(path), /*directory=*/true);
-  if (st.ok() && g_write_observer) g_write_observer(path, stream_offset);
-  return st;
+  return SyncPath(ParentDir(path), /*directory=*/true);
 }
 
 Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
@@ -230,16 +198,9 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
   return Status::OK();
 }
 
-Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
-                          uint64_t stream_offset) {
-  Writer payload;
-  ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
-  return WriteSnapshotFile(path, engine.name(), stream_offset,
-                           payload.buffer());
-}
-
+template <class OutputT>
 Status SaveEngineSnapshot(const std::string& path,
-                          const MultiQueryEngine& engine,
+                          const BasicEngine<OutputT>& engine,
                           uint64_t stream_offset) {
   Writer payload;
   ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
@@ -247,33 +208,30 @@ Status SaveEngineSnapshot(const std::string& path,
                            payload.buffer());
 }
 
-Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
-                             uint64_t* stream_offset) {
-  return PayloadToEngine(
-      path, engine->name(),
-      [engine](Reader* r) { return engine->Restore(r); }, stream_offset);
-}
-
+template <class OutputT>
 Status RestoreEngineSnapshot(const std::string& path,
-                             MultiQueryEngine* engine,
+                             BasicEngine<OutputT>* engine,
                              uint64_t* stream_offset) {
-  return PayloadToEngine(
-      path, engine->name(),
-      [engine](Reader* r) { return engine->Restore(r); }, stream_offset);
+  SnapshotInfo info;
+  std::string payload;
+  ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
+  if (info.engine_name != engine->name()) {
+    return Status::InvalidArgument(
+        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
+        "' but is being restored into '" + engine->name() + "'");
+  }
+  Reader reader(payload);
+  ASEQ_RETURN_NOT_OK(engine->Restore(&reader));
+  ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
+  *stream_offset = info.stream_offset;
+  return Status::OK();
 }
 
-namespace {
-
-/// Shared container writer/reader behind both the single- and multi-query
-/// SaveShardedSnapshot / RestoreShardedSnapshot overloads: the layout is
-/// identical, only the engine type the shard payloads round-trip through
-/// differs (the engine name in the header separates the two families).
-template <typename EngineT>
-Status SaveShardedSnapshotImpl(const std::string& path,
-                               std::span<const EngineT* const> shards,
-                               uint64_t stream_offset,
-                               const EngineStats& merged,
-                               std::string_view router_state) {
+template <class OutputT>
+Status SaveShardedSnapshot(const std::string& path,
+                           std::span<const BasicEngine<OutputT>* const> shards,
+                           uint64_t stream_offset, const EngineStats& merged,
+                           std::string_view router_state) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -282,7 +240,7 @@ Status SaveShardedSnapshotImpl(const std::string& path,
   payload.WriteU32(static_cast<uint32_t>(shards.size()));
   WriteStats(&payload, merged);
   payload.WriteString(router_state);
-  for (const EngineT* shard : shards) {
+  for (const BasicEngine<OutputT>* shard : shards) {
     Writer sub;
     ASEQ_RETURN_NOT_OK(shard->Checkpoint(&sub));
     payload.WriteString(sub.buffer());
@@ -291,11 +249,11 @@ Status SaveShardedSnapshotImpl(const std::string& path,
                            stream_offset, payload.buffer());
 }
 
-template <typename EngineT>
-Status RestoreShardedSnapshotImpl(const std::string& path,
-                                  std::span<EngineT* const> shards,
-                                  uint64_t* stream_offset, EngineStats* merged,
-                                  std::string* router_state) {
+template <class OutputT>
+Status RestoreShardedSnapshot(const std::string& path,
+                              std::span<BasicEngine<OutputT>* const> shards,
+                              uint64_t* stream_offset, EngineStats* merged,
+                              std::string* router_state) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -333,39 +291,28 @@ Status RestoreShardedSnapshotImpl(const std::string& path,
   return Status::OK();
 }
 
-}  // namespace
-
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const QueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state) {
-  return SaveShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                 router_state);
-}
-
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<QueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state) {
-  return RestoreShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                    router_state);
-}
-
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const MultiQueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state) {
-  return SaveShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                 router_state);
-}
-
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<MultiQueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state) {
-  return RestoreShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                    router_state);
-}
+template Status SaveEngineSnapshot(const std::string&, const QueryEngine&,
+                                   uint64_t);
+template Status SaveEngineSnapshot(const std::string&,
+                                   const MultiQueryEngine&, uint64_t);
+template Status RestoreEngineSnapshot(const std::string&, QueryEngine*,
+                                      uint64_t*);
+template Status RestoreEngineSnapshot(const std::string&, MultiQueryEngine*,
+                                      uint64_t*);
+template Status SaveShardedSnapshot(const std::string&,
+                                    std::span<const QueryEngine* const>,
+                                    uint64_t, const EngineStats&,
+                                    std::string_view);
+template Status SaveShardedSnapshot(const std::string&,
+                                    std::span<const MultiQueryEngine* const>,
+                                    uint64_t, const EngineStats&,
+                                    std::string_view);
+template Status RestoreShardedSnapshot(const std::string&,
+                                       std::span<QueryEngine* const>,
+                                       uint64_t*, EngineStats*, std::string*);
+template Status RestoreShardedSnapshot(const std::string&,
+                                       std::span<MultiQueryEngine* const>,
+                                       uint64_t*, EngineStats*, std::string*);
 
 std::string SnapshotPathForOffset(const std::string& dir, uint64_t offset) {
   std::string digits = std::to_string(offset);

@@ -2,7 +2,6 @@
 #define ASEQ_CKPT_SNAPSHOT_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 
@@ -53,17 +52,6 @@ Status WriteSnapshotFile(const std::string& path,
                          const std::string& engine_name,
                          uint64_t stream_offset, std::string_view payload);
 
-/// Process-wide observer invoked with (path, stream_offset) after every
-/// successful WriteSnapshotFile — i.e. after the rename published the
-/// snapshot. The telemetry layer registers one to flush the metrics
-/// emitter and stamp a trace instant at each durability point, so the
-/// observability files on disk always cover at least as much of the run
-/// as the newest checkpoint. Pass an empty function to clear. Not
-/// thread-safe against concurrent snapshot writes: register before the
-/// run starts (the CLI does this during flag setup).
-void SetSnapshotWriteObserver(
-    std::function<void(const std::string&, uint64_t)> observer);
-
 /// Reads and validates a snapshot file: magic, version, body length, and
 /// checksum. On success `*info` holds the header and `*payload` the engine
 /// payload bytes. Corrupt, truncated, or version-skewed files fail with a
@@ -72,19 +60,19 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
                         std::string* payload);
 
 /// Checkpoints `engine` (plus the stream offset) into a snapshot file.
-Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
-                          uint64_t stream_offset);
+/// Defined for both output types (single-query and workload engines), as
+/// are the three functions below.
+template <class OutputT>
 Status SaveEngineSnapshot(const std::string& path,
-                          const MultiQueryEngine& engine,
+                          const BasicEngine<OutputT>& engine,
                           uint64_t stream_offset);
 
 /// Restores a snapshot into a freshly constructed engine for the same
 /// query. Fails without modifying `engine` if the file is invalid or was
 /// taken by a different engine (name mismatch).
-Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
-                             uint64_t* stream_offset);
+template <class OutputT>
 Status RestoreEngineSnapshot(const std::string& path,
-                             MultiQueryEngine* engine,
+                             BasicEngine<OutputT>* engine,
                              uint64_t* stream_offset);
 
 /// \brief Multi-shard snapshot container (sharded execution).
@@ -106,26 +94,18 @@ Status RestoreEngineSnapshot(const std::string& path,
 ///
 /// Restore validates the shard count against the engines supplied, so a
 /// run restored with a different --shards N fails with a clear message
-/// instead of scrambling partition ownership.
+/// instead of scrambling partition ownership. Single-query and workload
+/// containers share the layout; the engine name check keeps the two
+/// families from restoring into each other (a workload engine's name never
+/// equals a single-query engine's).
+template <class OutputT>
 Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const QueryEngine* const> shards,
+                           std::span<const BasicEngine<OutputT>* const> shards,
                            uint64_t stream_offset, const EngineStats& merged,
                            std::string_view router_state);
+template <class OutputT>
 Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<QueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state);
-
-/// Multi-query variants: identical container layout, the shard payloads
-/// are MultiQueryEngine checkpoints (the engine name check keeps the two
-/// container families from restoring into each other — a multi-query
-/// engine's name never equals a single-query engine's).
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const MultiQueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state);
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<MultiQueryEngine* const> shards,
+                              std::span<BasicEngine<OutputT>* const> shards,
                               uint64_t* stream_offset, EngineStats* merged,
                               std::string* router_state);
 

@@ -11,7 +11,6 @@
 
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
-#include "ckpt/snapshot.h"
 #include "common/string_util.h"
 #include "common/version.h"
 #include "multi/chop_plan.h"
@@ -380,24 +379,21 @@ Result<std::unique_ptr<QueryEngine>> MakeEngine(const FlagSet& flags,
 }
 
 /// Per-run observability objects behind --metrics-out / --trace-out /
-/// --stats-json, plus the process-global observer registrations
-/// (checkpoint writes, fault fires). The destructor stops the emitter,
-/// closes the trace, and clears the observers, so every exit path —
-/// including aborted runs — leaves valid files and no dangling globals.
+/// --stats-json, plus the process-global fault-fire observer. The
+/// destructor stops the emitter, closes the trace, and clears the
+/// observer, so every exit path — including aborted runs — leaves valid
+/// files and no dangling globals.
 struct Observability {
   std::unique_ptr<obs::Telemetry> telemetry;
   std::unique_ptr<obs::TraceWriter> trace;
   std::unique_ptr<obs::MetricsEmitter> emitter;
   std::string stats_json_path;
-  bool observers_registered = false;
+  bool fire_observer_registered = false;
   bool finished = false;
 
   ~Observability() {
     Finish();
-    if (observers_registered) {
-      ckpt::SetSnapshotWriteObserver({});
-      fault::Injector::Global().SetFireObserver({});
-    }
+    if (fire_observer_registered) fault::Injector::Global().SetFireObserver({});
   }
 
   /// Final flush: one last metrics interval, the utilization summary line
@@ -450,20 +446,7 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
     o->telemetry->set_emitter(o->emitter.get());
   }
 
-  // Durability hook: every successful snapshot write flushes the metrics
-  // file and stamps a trace instant, so the observability files on disk
-  // cover at least as much of the run as the newest checkpoint.
   obs::Telemetry* tel = o->telemetry.get();
-  ckpt::SetSnapshotWriteObserver(
-      [tel](const std::string& /*path*/, uint64_t offset) {
-        if (tel->trace() != nullptr) {
-          tel->trace()->Instant("checkpoint", obs::TraceWriter::kCoordTid,
-                                obs::MonotonicNanos(),
-                                {obs::TraceWriter::NumArg("offset", offset)});
-          tel->trace()->Flush();
-        }
-        if (tel->emitter() != nullptr) tel->emitter()->Flush();
-      });
   fault::Injector::Global().SetFireObserver(
       [tel](fault::Point point, fault::Kind kind, size_t lane) {
         if (tel->trace() == nullptr) return;
@@ -478,7 +461,7 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
              {"kind", fault::KindName(kind)},
              obs::TraceWriter::NumArg("lane", lane)});
       });
-  o->observers_registered = true;
+  o->fire_observer_registered = true;
   return Status::OK();
 }
 
@@ -710,7 +693,8 @@ template <class EngineT, class MakePolicyFn>
 std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
     const FlagSet& flags, Schema* schema,
     std::span<const CompiledQuery> queries, RunSetup* setup,
-    const MakePolicyFn& make_policy, RunResultOf<EngineT>* result,
+    const MakePolicyFn& make_policy,
+    BasicRunResult<typename EngineT::OutputT>* result,
     std::ostream& out, std::ostream& err) {
   // Unshardable queries and workloads fall back to serial with a note.
   std::string fallback_reason;
@@ -859,11 +843,12 @@ int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
       << (cq.has_window() ? std::to_string(cq.window_ms()) + " ms"
                           : std::string("unbounded"))
       << "\n";
-  const char* engine = cq.has_join_predicates() ? "StackBased (join predicates)"
-                       : cq.partitioned()       ? "A-Seq(HPC)"
-                       : cq.has_window()        ? "A-Seq(SEM)"
-                                                : "A-Seq(DPC)";
-  out << "engine:     " << engine << "\n";
+  // The engine `run` builds by default; A-Seq refuses join predicates.
+  auto engine = CreateAseqEngine(cq);
+  out << "engine:     "
+      << (engine.ok() ? (*engine)->name()
+                      : "StackBased (join predicates); run with --engine stack")
+      << "\n";
   return 0;
 }
 

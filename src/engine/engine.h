@@ -35,49 +35,57 @@ struct Output {
   std::string ToString() const;
 };
 
-/// \brief Single-query evaluation engine interface.
-///
-/// Implemented by the A-Seq engines (DPC / SEM / HPC) and by the
-/// stack-based baseline. The window slides on every arrival (the paper's
-/// window semantics), so OnBatch both expires state and processes each
-/// event in turn; TRIG arrivals append results to `out`.
-class QueryEngine {
- public:
-  using OutputT = Output;
+/// \brief An Output attributed to one query of a multi-query workload.
+struct MultiOutput {
+  size_t query_index = 0;
+  Output output;
+};
 
-  virtual ~QueryEngine() = default;
+/// \brief The evaluation engine interface, for one query (`OutputType` =
+/// Output: the A-Seq engines DPC / SEM / HPC and the stack-based baseline)
+/// or a whole workload (`OutputType` = MultiOutput: every query against
+/// the shared stream in one pass, Sec. 4). The window slides on every
+/// arrival (the paper's window semantics), so OnBatch both expires state
+/// and processes each event in turn; TRIG arrivals append results to `out`.
+template <class OutputType>
+class BasicEngine {
+ public:
+  using OutputT = OutputType;
+
+  virtual ~BasicEngine() = default;
 
   /// Processes a batch of events in arrival order; appends any results to
   /// `out` (left untouched otherwise). Events must have non-decreasing
   /// timestamps and strictly increasing sequence numbers. The only entry
   /// point: every batching of a stream — one event per call included —
-  /// yields byte-identical Output sequences and identical EngineStats
+  /// yields byte-identical output sequences and identical EngineStats
   /// (modulo the batch counters). Engines amortize per-event overheads
   /// across the batch: window-expiry checks, role/hash lookups, and
   /// (HpcEngine) software-prefetched partition probes.
   virtual void OnBatch(std::span<const Event> batch,
-                       std::vector<Output>* out) = 0;
+                       std::vector<OutputT>* out) = 0;
 
   /// A batch of one event.
-  void OnEvent(const Event& e, std::vector<Output>* out) {
+  void OnEvent(const Event& e, std::vector<OutputT>* out) {
     OnBatch(std::span<const Event>(&e, 1), out);
   }
 
   /// Reports the current aggregation value(s) as of time `now` (expired
   /// state excluded), without consuming an event — SEM step (4): "if an
   /// output result were to be required at this time". Grouped queries
-  /// report one Output per group with a non-zero/defined value.
-  virtual std::vector<Output> Poll(Timestamp now) = 0;
+  /// report one output per group with a non-zero/defined value; a workload
+  /// orders its outputs by query index.
+  virtual std::vector<OutputT> Poll(Timestamp now) = 0;
 
   /// Execution statistics (object accounting per DESIGN.md).
   virtual const EngineStats& stats() const = 0;
 
   /// Serializes the engine's complete dynamic state — everything that is
-  /// not rebuilt by constructing the engine for the same query — so that
-  /// Restore() on a freshly constructed twin reproduces byte-identical
-  /// outputs and stats for the remainder of the stream. Engines write only
-  /// fixed-width, length-prefixed primitives through the Writer (see
-  /// docs/internals.md §10 for the per-engine payloads).
+  /// not rebuilt by constructing the engine for the same query or
+  /// workload — so that Restore() on a freshly constructed twin reproduces
+  /// byte-identical outputs and stats for the remainder of the stream.
+  /// Engines write only fixed-width, length-prefixed primitives through
+  /// the Writer (see docs/internals.md §10 for the per-engine payloads).
   virtual Status Checkpoint(ckpt::Writer* writer) const {
     (void)writer;
     return Status::Unsupported(name() + " does not support checkpointing");
@@ -95,6 +103,11 @@ class QueryEngine {
   /// Human-readable engine name ("A-Seq(SEM)", "StackBased", ...).
   virtual std::string name() const = 0;
 };
+
+/// Single-query engines.
+using QueryEngine = BasicEngine<Output>;
+/// Multi-query (workload) engines.
+using MultiQueryEngine = BasicEngine<MultiOutput>;
 
 /// \brief Optional capability interface for engines whose grouped state
 /// can be hash-partitioned across independent twin instances (see
@@ -139,55 +152,6 @@ class ShardableEngine {
   /// windows (ObjectCounter::BeginPeakWindow) — the merge needs mid-event
   /// maxima, which const stats() cannot expose.
   virtual EngineStats* shard_mutable_stats() = 0;
-};
-
-/// \brief An Output attributed to one query of a multi-query workload.
-struct MultiOutput {
-  size_t query_index = 0;
-  Output output;
-};
-
-/// \brief Multi-query evaluation engine interface (Sec. 4): processes every
-/// workload query against the shared stream in one pass.
-class MultiQueryEngine {
- public:
-  using OutputT = MultiOutput;
-
-  virtual ~MultiQueryEngine() = default;
-
-  /// Processes a batch of events for all queries; appends results to
-  /// `out`. Same contract as QueryEngine::OnBatch.
-  virtual void OnBatch(std::span<const Event> batch,
-                       std::vector<MultiOutput>* out) = 0;
-
-  /// A batch of one event.
-  void OnEvent(const Event& e, std::vector<MultiOutput>* out) {
-    OnBatch(std::span<const Event>(&e, 1), out);
-  }
-
-  /// Reports the current aggregation value(s) of every query as of time
-  /// `now` without consuming an event (see QueryEngine::Poll). Outputs are
-  /// ordered by query index, grouped queries reporting one Output per live
-  /// group. Engines without a poll surface report nothing.
-  virtual std::vector<MultiOutput> Poll(Timestamp now) {
-    (void)now;
-    return {};
-  }
-
-  /// Per-workload statistics.
-  virtual const EngineStats& stats() const = 0;
-
-  /// See QueryEngine::Checkpoint / QueryEngine::Restore.
-  virtual Status Checkpoint(ckpt::Writer* writer) const {
-    (void)writer;
-    return Status::Unsupported(name() + " does not support checkpointing");
-  }
-  virtual Status Restore(ckpt::Reader* reader) {
-    (void)reader;
-    return Status::Unsupported(name() + " does not support checkpointing");
-  }
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace aseq

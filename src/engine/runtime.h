@@ -5,7 +5,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <type_traits>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -188,31 +188,25 @@ struct RunResultBase {
   }
 };
 
-/// \brief Result of driving a stream through an engine.
-struct RunResult : RunResultBase {
-  std::vector<Output> outputs;
+/// \brief Result of driving a stream through an engine: the run's fields
+/// plus the outputs, of the engine's output type.
+template <class OutputT>
+struct BasicRunResult : RunResultBase {
+  std::vector<OutputT> outputs;
 };
 
+/// Result of a single-query run.
+using RunResult = BasicRunResult<Output>;
 /// Result of a multi-query run.
-struct MultiRunResult : RunResultBase {
-  std::vector<MultiOutput> outputs;
-};
-
-/// The run result of an engine (QueryEngine, MultiQueryEngine, or any
-/// engine deriving from one), for code generic over single- vs multi-query
-/// execution.
-template <class EngineT>
-using RunResultOf =
-    std::conditional_t<std::is_base_of_v<MultiQueryEngine, EngineT>,
-                       MultiRunResult, RunResult>;
+using MultiRunResult = BasicRunResult<MultiOutput>;
 
 /// \brief Reusable output scratch of the serial execution core
 /// (exec::RunSerial), owned by the caller and reused clear-not-shrink
 /// across batches and across runs — a harness that loops a run per
-/// benchmark iteration allocates only on the first pass.
+/// benchmark iteration allocates only on the first pass. One vector per
+/// output type; a run uses the one of its engine's.
 struct SerialBuffers {
-  std::vector<Output> scratch;
-  std::vector<MultiOutput> multi_scratch;
+  std::tuple<std::vector<Output>, std::vector<MultiOutput>> scratch;
 };
 
 /// Assigns strictly increasing sequence numbers (0, 1, ...) to events in

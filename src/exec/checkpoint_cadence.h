@@ -7,7 +7,9 @@
 
 #include "common/status.h"
 #include "engine/runtime.h"
+#include "obs/emitter.h"
 #include "obs/telemetry.h"
+#include "obs/trace_writer.h"
 
 namespace aseq {
 namespace exec {
@@ -47,12 +49,25 @@ class CheckpointCadence {
   }
 
   /// Records one snapshot attempt at `offset` on `result` (count and last
-  /// offset, or the latched failure) and advances past it.
+  /// offset, or the latched failure) and advances past it. A written
+  /// snapshot is a durability point: the trace gets a `checkpoint` instant
+  /// and the trace and metrics files are flushed, so the observability
+  /// files on disk cover at least as much of the run as the newest
+  /// snapshot.
   void Record(uint64_t offset, Status status, RunResultBase* result) {
     if (status.ok()) {
       ++result->checkpoints_written;
       result->last_checkpoint_offset = offset;
-      if (telemetry_ != nullptr) telemetry_->coord().checkpoints.Add(1);
+      if (telemetry_ != nullptr) {
+        if (obs::TraceWriter* trace = telemetry_->trace()) {
+          trace->Instant("checkpoint", obs::TraceWriter::kCoordTid,
+                         obs::MonotonicNanos(),
+                         {obs::TraceWriter::NumArg("offset", offset)});
+          trace->Flush();
+        }
+        if (telemetry_->emitter() != nullptr) telemetry_->emitter()->Flush();
+        telemetry_->coord().checkpoints.Add(1);
+      }
       Advance(offset);
     } else {
       result->checkpoint_status = std::move(status);

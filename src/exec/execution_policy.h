@@ -36,7 +36,7 @@ using MultiEngineFactory = EngineFactoryT<MultiQueryEngine>;
 template <class EngineT>
 class ExecutionPolicyT {
  public:
-  using RunResultT = RunResultOf<EngineT>;
+  using RunResultT = BasicRunResult<typename EngineT::OutputT>;
 
   virtual ~ExecutionPolicyT() = default;
 

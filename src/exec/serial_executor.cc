@@ -1,6 +1,7 @@
 #include "exec/serial_executor.h"
 
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "ckpt/snapshot.h"
@@ -13,17 +14,18 @@
 namespace aseq {
 namespace exec {
 
-namespace {
-
-/// The serial loop, shared by single- and multi-query runs. The loop
-/// stamps sequence numbers straight into the borrowed batch, so a source
-/// that lends its own storage (VectorSource) feeds the engine with zero
-/// per-batch copies. `scratch` holds the engine's Output type.
-template <typename EngineT, typename ScratchT>
-RunResultOf<EngineT> RunSerialLoop(const RunOptions& options,
-                                   StreamSource* source, EngineT* engine,
-                                   ScratchT* scratch) {
-  RunResultOf<EngineT> result;
+/// The serial loop. It stamps sequence numbers straight into the borrowed
+/// batch, so a source that lends its own storage (VectorSource) feeds the
+/// engine with zero per-batch copies.
+template <class OutputT>
+BasicRunResult<OutputT> RunSerial(const RunOptions& options,
+                                  StreamSource* source,
+                                  BasicEngine<OutputT>* engine,
+                                  SerialBuffers* buffers) {
+  SerialBuffers local;
+  std::vector<OutputT>* scratch = &std::get<std::vector<OutputT>>(
+      (buffers != nullptr ? buffers : &local)->scratch);
+  BasicRunResult<OutputT> result;
   result.batch_size = options.batch_size;
   SeqNum seq = options.start_offset;
   CheckpointCadence ckpt(options, options.checkpoint_every);
@@ -75,8 +77,7 @@ RunResultOf<EngineT> RunSerialLoop(const RunOptions& options,
       }
     }
     if (options.output_sink != nullptr) {
-      options.output_sink->Take(std::span<const typename ScratchT::value_type>(
-          *scratch));
+      options.output_sink->Take(std::span<const OutputT>(*scratch));
     } else if (options.collect_outputs) {
       result.outputs.insert(result.outputs.end(), scratch->begin(),
                             scratch->end());
@@ -91,22 +92,10 @@ RunResultOf<EngineT> RunSerialLoop(const RunOptions& options,
   return result;
 }
 
-}  // namespace
-
-RunResult RunSerial(const RunOptions& options, StreamSource* source,
-                    QueryEngine* engine, SerialBuffers* buffers) {
-  SerialBuffers local;
-  return RunSerialLoop(options, source, engine,
-                       &(buffers != nullptr ? buffers : &local)->scratch);
-}
-
-MultiRunResult RunSerial(const RunOptions& options, StreamSource* source,
-                         MultiQueryEngine* engine, SerialBuffers* buffers) {
-  SerialBuffers local;
-  return RunSerialLoop(
-      options, source, engine,
-      &(buffers != nullptr ? buffers : &local)->multi_scratch);
-}
+template RunResult RunSerial(const RunOptions&, StreamSource*, QueryEngine*,
+                             SerialBuffers*);
+template MultiRunResult RunSerial(const RunOptions&, StreamSource*,
+                                  MultiQueryEngine*, SerialBuffers*);
 
 template <class EngineT>
 SerialExecutorT<EngineT>::SerialExecutorT(const RunOptions& options,

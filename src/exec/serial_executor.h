@@ -18,20 +18,24 @@ namespace exec {
 // checkpoint at due batch boundaries. SerialExecutorT, the CLI, the
 // benches and the examples all drive engines through it. `buffers`
 // (optional) is caller-owned output scratch reused clear-not-shrink
-// across runs; null uses per-run scratch.
+// across runs; null uses per-run scratch. `engine` may point to any
+// engine class: the output type is deduced from its BasicEngine base.
+// Defined for the two output types, Output and MultiOutput.
 
-RunResult RunSerial(const RunOptions& options, StreamSource* source,
-                    QueryEngine* engine, SerialBuffers* buffers = nullptr);
-MultiRunResult RunSerial(const RunOptions& options, StreamSource* source,
-                         MultiQueryEngine* engine,
-                         SerialBuffers* buffers = nullptr);
+template <class OutputT>
+BasicRunResult<OutputT> RunSerial(const RunOptions& options,
+                                  StreamSource* source,
+                                  BasicEngine<OutputT>* engine,
+                                  SerialBuffers* buffers = nullptr);
 
 /// Runs pre-built events through the serial core; each batch is a copy of
 /// its slice (ConstVectorSource), so the caller's events are never
 /// restamped and a vector can be replayed into any number of runs.
-template <class EngineT>
-auto RunSerial(const RunOptions& options, const std::vector<Event>& events,
-               EngineT* engine, SerialBuffers* buffers = nullptr) {
+template <class OutputT>
+BasicRunResult<OutputT> RunSerial(const RunOptions& options,
+                                  const std::vector<Event>& events,
+                                  BasicEngine<OutputT>* engine,
+                                  SerialBuffers* buffers = nullptr) {
   ConstVectorSource source(&events);
   return RunSerial(options, &source, engine, buffers);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "ckpt/snapshot.h"
@@ -429,7 +428,7 @@ Status ShardedExecutorT<Engine>::SaveSnapshotAt(uint64_t seq) {
   // interner table is captured consistently with shard state.
   ckpt::Writer router_state;
   router_.Checkpoint(&router_state);
-  return ckpt::SaveShardedSnapshot(
+  return ckpt::SaveShardedSnapshot<OutputT>(
       ckpt::SnapshotPathForOffset(options_.checkpoint_dir, seq), shards, seq,
       merged_now, router_state.buffer());
 }
@@ -568,12 +567,8 @@ typename ShardedExecutorT<Engine>::RunResultT ShardedExecutorT<Engine>::Run(
         // keeping their state and object counts in lockstep. Unbounded
         // queries never trigger markers: nothing of theirs expires, so the
         // router leaves them out of trigger_queries.
-        // A single query's marker carries no payload.
-        const std::span<const size_t> payload =
-            std::is_same_v<Engine, MultiQueryEngine>
-                ? std::span<const size_t>(route.trigger_queries)
-                : std::span<const size_t>();
-        const uint32_t marker = shared->AddTrigger(index, payload);
+        const uint32_t marker =
+            shared->AddTrigger(index, route.trigger_queries);
         for (size_t s = 0; s < n; ++s) {
           if (s != route.shard) pending_[s].push_back(marker);
         }
@@ -701,8 +696,8 @@ Status ShardedExecutorT<Engine>::Restore(const std::string& path,
   for (auto& e : engines_) shards.push_back(e.get());
   EngineStats merged;
   std::string router_state;
-  ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot(path, shards, stream_offset,
-                                                  &merged, &router_state));
+  ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot<OutputT>(
+      path, shards, stream_offset, &merged, &router_state));
   ckpt::Reader router_reader(router_state);
   ASEQ_RETURN_NOT_OK(router_.Restore(&router_reader));
   ASEQ_RETURN_NOT_OK(router_reader.ExpectEnd());

@@ -81,7 +81,9 @@ TEST(FlatMapTest, EraseLeavesProbeChainsIntact) {
   map.TryEmplace(100, 100);
   ASSERT_NE(map.Find(100), nullptr);
   for (uint64_t i = 1; i < 8; ++i) {
-    if (i != 3) ASSERT_NE(map.Find(i), nullptr) << i;
+    if (i != 3) {
+      ASSERT_NE(map.Find(i), nullptr) << i;
+    }
   }
 }
 
@@ -249,7 +251,9 @@ TEST(SlabPoolTest, GeometryRestoreRoundTrip) {
   EXPECT_EQ(restored.size(), pool.size());
   for (uint32_t s = 0; s < end; ++s) {
     ASSERT_EQ(restored.live(s), pool.live(s)) << s;
-    if (pool.live(s)) EXPECT_EQ(restored.at(s).value, pool.at(s).value);
+    if (pool.live(s)) {
+      EXPECT_EQ(restored.at(s).value, pool.at(s).value);
+    }
   }
   // Identical future slot assignment: freelist LIFO, then append.
   EXPECT_EQ(pool.Emplace(100), restored.Emplace(100));

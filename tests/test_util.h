@@ -52,7 +52,7 @@ class StreamBuilder {
 /// exec::RunSerial.
 template <class EngineT>
 auto RunPerEvent(const std::vector<Event>& events, EngineT* engine) {
-  RunResultOf<EngineT> result;
+  BasicRunResult<typename EngineT::OutputT> result;
   decltype(result.outputs) scratch;
   for (const Event& e : events) {
     Event copy = e;
