@@ -141,13 +141,6 @@ class ShardableEngine {
   virtual void SyncPurgeTo(Timestamp now,
                            std::span<const size_t> trigger_queries) = 0;
 
-  /// True when this engine's object counter advances once per event (a
-  /// single Add of the combined delta, as the composite engine does), so
-  /// its window_peak never carries a real intra-event maximum. The sharded
-  /// executor then merges boundary totals only — a per-shard mid-event
-  /// high would be a point the serial engine never observed.
-  virtual bool objects_sampled_at_boundaries() const { return false; }
-
   /// Mutable stats access for the executor's per-event object-peak
   /// windows (ObjectCounter::BeginPeakWindow) — the merge needs mid-event
   /// maxima, which const stats() cannot expose.

@@ -107,7 +107,7 @@ void ShardLanes::ResetAfterJoin(size_t shard) {
   // protocol does not cover concurrent Clears.
   Lane& lane = lanes_[shard];
   ReleaseQueued(shard);
-  lane.done.Clear();
+  lane.finished.store(0, std::memory_order_relaxed);
   lane.consumer_parked.store(false, std::memory_order_relaxed);
   lane.producer_parked.store(false, std::memory_order_relaxed);
   lane.idle.store(false, std::memory_order_relaxed);
@@ -320,15 +320,6 @@ bool ShardLanes::Pop(size_t shard, LaneItem* item) {
     });
     lane.at_barrier.store(false, std::memory_order_release);
   }
-}
-
-bool ShardLanes::Finish(size_t shard, LaneItem& item) {
-  Lane& lane = lanes_[shard];
-  while (!lane.done.TryPush(item)) {
-    if (lane.quarantine.load(std::memory_order_relaxed)) return false;
-    CpuRelax();
-  }
-  return true;
 }
 
 bool ShardLanes::HitWorkerFault(size_t shard) {

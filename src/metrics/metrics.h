@@ -30,6 +30,16 @@ class ObjectCounter {
            "ObjectCounter::Remove drove the live count negative");
   }
 
+  /// Moves the live count to `current` in one step, for an engine that
+  /// samples its live state once per event instead of counting each Add.
+  /// The peak follows; the window peak does not, since a sample is a
+  /// boundary value, never a mid-event maximum.
+  void Sample(int64_t current) {
+    assert(current >= 0 && "ObjectCounter::Sample of a negative count");
+    current_ = current;
+    if (current_ > peak_) peak_ = current_;
+  }
+
   int64_t current() const { return current_; }
   int64_t peak() const { return peak_; }
 
