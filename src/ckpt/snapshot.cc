@@ -54,6 +54,24 @@ Status SyncPath(const std::string& path, bool directory) {
   return Status::OK();
 }
 
+/// The engine-name mismatch error; `note` (if any) says what the two
+/// runs differ in.
+Status EngineMismatch(const std::string& path, const std::string& stored,
+                      const std::string& expected, const std::string& note) {
+  return Status::InvalidArgument("snapshot '" + path +
+                                 "' was taken by engine '" + stored +
+                                 "' but is being restored into '" + expected +
+                                 "'" + note);
+}
+
+/// The engine name a sharded snapshot stores for its shards' engine.
+std::string ShardedName(const std::string& engine) {
+  return "Sharded[" + engine + "]";
+}
+bool IsShardedName(const std::string& name) {
+  return name.starts_with("Sharded[");
+}
+
 std::string ParentDir(const std::string& path) {
   const size_t slash = path.rfind('/');
   if (slash == std::string::npos) return ".";
@@ -215,12 +233,23 @@ Status RestoreEngineSnapshot(const std::string& path,
   SnapshotInfo info;
   std::string payload;
   ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
-  if (info.engine_name != engine->name()) {
-    return Status::InvalidArgument(
-        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
-        "' but is being restored into '" + engine->name() + "'");
-  }
   Reader reader(payload);
+  if (info.engine_name != engine->name()) {
+    std::string note;
+    uint32_t shards = 0;
+    if (IsShardedName(info.engine_name) &&
+        reader.ReadU32(&shards, "shard count").ok()) {
+      const std::string n = std::to_string(shards);
+      note = " (a sharded snapshot of " + n +
+             " shard(s) cannot seed a serial run";
+      // The advice only where it helps: the shards run this engine.
+      if (info.engine_name == ShardedName(engine->name())) {
+        note += "; rerun with --shards " + n;
+      }
+      note += ")";
+    }
+    return EngineMismatch(path, info.engine_name, engine->name(), note);
+  }
   ASEQ_RETURN_NOT_OK(engine->Restore(&reader));
   ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
   *stream_offset = info.stream_offset;
@@ -245,7 +274,7 @@ Status SaveShardedSnapshot(const std::string& path,
     ASEQ_RETURN_NOT_OK(shard->Checkpoint(&sub));
     payload.WriteString(sub.buffer());
   }
-  return WriteSnapshotFile(path, "Sharded[" + shards[0]->name() + "]",
+  return WriteSnapshotFile(path, ShardedName(shards[0]->name()),
                            stream_offset, payload.buffer());
 }
 
@@ -261,12 +290,13 @@ Status RestoreShardedSnapshot(const std::string& path,
   SnapshotInfo info;
   std::string payload;
   ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
-  const std::string expected = "Sharded[" + shards[0]->name() + "]";
+  const std::string expected = ShardedName(shards[0]->name());
   if (info.engine_name != expected) {
-    return Status::InvalidArgument(
-        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
-        "' but is being restored into '" + expected +
-        "' (a non-sharded snapshot cannot seed a sharded run)");
+    return EngineMismatch(
+        path, info.engine_name, expected,
+        IsShardedName(info.engine_name)
+            ? ""
+            : " (a non-sharded snapshot cannot seed a sharded run)");
   }
   Reader reader(payload);
   uint32_t count = 0;

@@ -719,6 +719,54 @@ TEST(CliStreamingTest, RestorePastTraceEndIsRejected) {
   EXPECT_TRUE(ResultLines(r.out).empty());
 }
 
+TEST(CliStreamingTest, SnapshotMismatchNamesWhatDiffers) {
+  const std::string trace = StockTrace("aseq_cli_mismatch.csv", 3000);
+  const std::string queries = ::testing::TempDir() + "/aseq_cli_mismatch.txt";
+  std::ofstream(queries) << kGroupedQuery << "\n";
+  const std::string sharded_dir = FreshDir("aseq_cli_mismatch_sharded");
+  const std::string serial_dir = FreshDir("aseq_cli_mismatch_serial");
+  for (const auto& [shards, dir] :
+       {std::pair{"2", sharded_dir}, std::pair{"1", serial_dir}}) {
+    CliResult r = RunTool({"run", "--query", kGroupedQuery, "--trace", trace,
+                           "--quiet", "--shards", shards, "--checkpoint-every",
+                           "1024", "--checkpoint-dir", dir});
+    ASSERT_EQ(r.code, 0) << shards << ": " << r.err;
+  }
+  const std::string file = "/ckpt-00000000000000002048.aseqckpt";
+  const std::string sharded = sharded_dir + file;
+  const std::string serial = serial_dir + file;
+  auto expect_refused = [&](std::vector<std::string> args,
+                            const std::string& snap, const std::string& want) {
+    args.insert(args.end(), {"--trace", trace, "--restore-from", snap});
+    CliResult r = RunTool(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_EQ(r.err, "InvalidArgument: snapshot '" + snap + "' " + want + "\n");
+    EXPECT_TRUE(ResultLines(r.out).empty());
+  };
+  // Sharded into serial: the note names the shard count to rerun with.
+  expect_refused({"run", "--query", kGroupedQuery}, sharded,
+                 "was taken by engine 'Sharded[A-Seq(HPC)]' but is being "
+                 "restored into 'A-Seq(HPC)' (a sharded snapshot of 2 "
+                 "shard(s) cannot seed a serial run; rerun with --shards 2)");
+  // ... and into another serial engine, where --shards alone cannot help.
+  expect_refused({"workload", "--queries", queries, "--strategy", "nonshare"},
+                 sharded,
+                 "was taken by engine 'Sharded[A-Seq(HPC)]' but is being "
+                 "restored into 'NonShare(A-Seq)' (a sharded snapshot of 2 "
+                 "shard(s) cannot seed a serial run)");
+  // Sharded into another sharded engine: only the engines differ.
+  expect_refused({"workload", "--queries", queries, "--strategy", "nonshare",
+                  "--shards", "2"},
+                 sharded,
+                 "was taken by engine 'Sharded[A-Seq(HPC)]' but is being "
+                 "restored into 'Sharded[NonShare(A-Seq)]'");
+  // Serial into sharded.
+  expect_refused({"run", "--query", kGroupedQuery, "--shards", "2"}, serial,
+                 "was taken by engine 'A-Seq(HPC)' but is being restored into "
+                 "'Sharded[A-Seq(HPC)]' (a non-sharded snapshot cannot seed a "
+                 "sharded run)");
+}
+
 TEST(CliStreamingTest, ResumedRunIsSuffixOfUninterruptedRun) {
   const std::string trace = StockTrace("aseq_cli_resume.csv", 6000);
   for (const char* shards : {"1", "2"}) {
