@@ -392,8 +392,9 @@ TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   options.batch_size = 8;
   std::atomic<bool> stop{false};
   options.stop_requested = &stop;
-  // Telemetry only observes: shard 0's worker publishes its ring occupancy
-  // into its cell every WorkerTally::kFlushItems drained items.
+  // Telemetry only observes: the coordinator records a lane's ring
+  // occupancy at the publication itself, before the push, so a push that
+  // finds shard 0's ring full shows in its histogram's max at once.
   obs::Telemetry telemetry(kShards);
   options.telemetry = &telemetry;
   auto policy = MustMakeSharded(cq, options);
@@ -409,10 +410,14 @@ TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   std::thread stopper([&] {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!finished.load() &&
-           telemetry.shard(0).ring_occupancy.value() <
-               exec::ShardLanes::kMaxQueuedItems &&
-           std::chrono::steady_clock::now() < deadline) {
+    obs::LogHistogram::Snapshot occupancy;
+    for (;;) {
+      telemetry.coord().ring_occupancy.SnapshotInto(&occupancy);
+      if (finished.load() ||
+          occupancy.max >= exec::ShardLanes::kMaxQueuedItems ||
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     stop.store(true);
