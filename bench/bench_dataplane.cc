@@ -6,12 +6,13 @@
 // would only measure the scheduler. Instead the gauge replays the exact
 // per-publication synchronization sequence of the dataplane single-
 // threaded and deterministic — same item payloads, same burst/drain
-// cadence, same recycling of drained op storage — so the measured number
-// is purely the protocol cost (two acquire-release atomics per hop):
+// cadence, same result-slot handback — so the measured number is purely
+// the protocol cost (acquire-release atomics per hop):
 //
-//   dispatch_ring  — the live protocol: SpscRing TryPush/TryPop plus the
-//                    parked-flag wake check, drained op storage recycled
-//                    over the reverse ring
+//   dispatch_ring  — the live protocol: op words swapped into the lane's
+//                    next result slot, SpscRing TryPush/TryPop plus the
+//                    parked-flag wake check, and the slot handed back by
+//                    the lane's finished count
 //   dispatch_ring_clock
 //                  — the ring protocol plus the per-item busy-time
 //                    StopWatch the live worker has had since PR 8
@@ -49,28 +50,52 @@ namespace aseq {
 namespace bench {
 namespace {
 
-/// Mirrors the executor's LaneItem: a tag plus a batch of ops (the op
-/// payload is a stand-in of the same shape; the protocols move it, never
-/// copy it).
+/// Mirrors the executor's LaneItem: a tag plus the result slot that holds
+/// the item's ops.
 struct Item {
   uint64_t tag = 0;
-  std::vector<uint64_t> ops;
+  uint32_t slot = 0;
 };
 
 constexpr size_t kLanes = 8;          // the acceptance point: 8 shards
 constexpr size_t kCapacity = 64;      // ShardLanes::kMaxQueuedItems
+constexpr size_t kSlots = 2 * kCapacity;  // ShardLanes::kDoneSlots
 constexpr size_t kBurst = 12;         // the default overload watermark
 constexpr size_t kOpsPerItem = 8;     // ops per publication
 
 /// The live protocol: ring push/pop plus the parked-flag wake check
-/// (nobody is ever parked here, which is also the live fast path).
+/// (nobody is ever parked here, which is also the live fast path), and
+/// the result slots with their finished count. The op payload is a
+/// stand-in of the same shape as the executor's op words.
 struct RingLane {
   exec::SpscRing<Item> ring{kCapacity};
-  exec::SpscRing<std::vector<uint64_t>> free_ring{kCapacity};
+  std::vector<std::vector<uint64_t>> slots =
+      std::vector<std::vector<uint64_t>>(kSlots);
+  std::atomic<uint64_t> finished{0};
   std::mutex mu;
   std::condition_variable cv;
   std::atomic<bool> consumer_parked{false};
   std::atomic<bool> producer_parked{false};
+  // Coordinator side: the routed ops and the lane's ledger.
+  std::vector<uint64_t> pending;
+  uint64_t published = 0;
+  uint64_t collected = 0;
+
+  /// The coordinator's publication up to the push: collect the finished
+  /// slots, then swap the routed ops into the next slot (FlushPending).
+  void FillNextSlot(Item* item, uint64_t round) {
+    collected = finished.load(std::memory_order_acquire);
+    item->slot = static_cast<uint32_t>(published % kSlots);
+    pending.resize(kOpsPerItem, round);
+    slots[item->slot].swap(pending);
+    pending.clear();
+  }
+  /// The worker's handback once the slot's ops ran
+  /// (ShardLanes::Lane::CountFinished).
+  void CountFinished() {
+    finished.store(finished.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
+  }
 };
 
 double RingPass(size_t rounds) {
@@ -81,11 +106,11 @@ double RingPass(size_t rounds) {
     for (auto& lane : lanes) {
       for (size_t b = 0; b < kBurst; ++b) {
         item.tag = r;
-        lane.free_ring.TryPop(&item.ops);
-        item.ops.resize(kOpsPerItem, r);
+        lane.FillNextSlot(&item, r);
         while (!lane.ring.TryPush(item)) {
           exec::CpuRelax();  // never taken: burst <= capacity
         }
+        ++lane.published;
         if (lane.consumer_parked.load(std::memory_order_acquire)) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
@@ -101,8 +126,7 @@ double RingPass(size_t rounds) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
         }
-        item.ops.clear();
-        lane.free_ring.TryPush(item.ops);
+        lane.CountFinished();
       }
     }
   }
@@ -152,12 +176,12 @@ double RingClockPass(size_t rounds) {
     for (size_t b = 0; b < kBurst; ++b) {
       for (auto& lane : lanes) {
         item.tag = r;
-        lane.free_ring.TryPop(&item.ops);
-        item.ops.resize(kOpsPerItem, r);
-        sink ^= ExecuteOps<kProducerOpIters>(item.ops, r);  // admission
+        lane.FillNextSlot(&item, r);
+        sink ^= ExecuteOps<kProducerOpIters>(lane.slots[item.slot], r);
         while (!lane.ring.TryPush(item)) {
           exec::CpuRelax();
         }
+        ++lane.published;
         if (lane.consumer_parked.load(std::memory_order_acquire)) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
@@ -174,9 +198,8 @@ double RingClockPass(size_t rounds) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
         }
-        sink ^= ExecuteOps<kConsumerOpIters>(item.ops, r);
-        item.ops.clear();
-        lane.free_ring.TryPush(item.ops);
+        sink ^= ExecuteOps<kConsumerOpIters>(lane.slots[item.slot], r);
+        lane.CountFinished();
         busy_acc += static_cast<double>(item_watch.ElapsedNanos()) * 1e-9;
       }
     }
@@ -207,12 +230,12 @@ double RingMetricsPass(size_t rounds) {
         tel.coord().publications.Add(1);
         if (l == occ_lane) tel.coord().ring_occupancy.Record(lane.ring.size());
         item.tag = publish_ns;
-        lane.free_ring.TryPop(&item.ops);
-        item.ops.resize(kOpsPerItem, r);
-        sink ^= ExecuteOps<kProducerOpIters>(item.ops, r);  // admission
+        lane.FillNextSlot(&item, r);
+        sink ^= ExecuteOps<kProducerOpIters>(lane.slots[item.slot], r);
         while (!lane.ring.TryPush(item)) {
           exec::CpuRelax();
         }
+        ++lane.published;
         if (lane.consumer_parked.load(std::memory_order_acquire)) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
@@ -236,9 +259,8 @@ double RingMetricsPass(size_t rounds) {
           { std::lock_guard<std::mutex> lk(lane.mu); }
           lane.cv.notify_all();
         }
-        sink ^= ExecuteOps<kConsumerOpIters>(item.ops, r);
-        item.ops.clear();
-        lane.free_ring.TryPush(item.ops);
+        sink ^= ExecuteOps<kConsumerOpIters>(lane.slots[item.slot], r);
+        lane.CountFinished();
         const uint64_t busy = item_watch.ElapsedNanos();
         busy_acc += static_cast<double>(busy) * 1e-9;
         ++acc_items;

@@ -70,9 +70,10 @@ struct RunOptions {
   bool collect_outputs = true;
   /// When set (it must outlive the run), outputs go to the sink instead of
   /// into the result, and collect_outputs is ignored. A serial run hands
-  /// over each batch's outputs as the batch completes, so it holds none
-  /// of them; a sharded run hands over the merged sequence at its end.
-  /// The CLI keeps only the lines it prints this way.
+  /// over each batch's outputs as the batch completes; a sharded run
+  /// hands over, once per batch, the merged outputs below the lowest seq
+  /// every shard has finished. Neither holds the run's outputs. The CLI
+  /// keeps only the lines it prints this way.
   OutputSink* output_sink = nullptr;
   /// Events pulled from the source and handed to OnBatch per refill.
   /// A batch size of 1 degenerates to the per-event path (one OnBatch
