@@ -18,7 +18,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -936,6 +939,328 @@ TEST(TraceReadSetTest, InlineEventsParseIntoARecycledChunkWithoutAllocating) {
       EXPECT_EQ(copy.attrs(), chunk.events[i].attrs());
     }
     EXPECT_EQ(g_allocations.load() - copies_before, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A deliberately naive reference parser: split on '\n', ',' and '=', trim
+// with the "C" locale's isspace, classify through strtoll/strtod. The
+// kernel must agree with it on every event, name order, value count and
+// error.
+// ---------------------------------------------------------------------------
+
+/// What the reference makes of a trace: the events (values the read set
+/// does not name dropped), the schema its names went into in first-seen
+/// order, the values it stored and dropped, and the first error.
+struct Reference {
+  std::vector<Event> events;
+  Schema schema;
+  uint64_t parsed = 0;
+  uint64_t skipped = 0;
+  Status status;
+};
+
+std::string RefTrim(const std::string& s) {
+  auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && space(s[b])) ++b;
+  while (e > b && space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+std::vector<std::string> RefSplit(const std::string& s, char sep) {
+  std::vector<std::string> parts(1);
+  for (char c : s) {
+    if (c == sep) {
+      parts.emplace_back();
+    } else {
+      parts.back() += c;
+    }
+  }
+  return parts;
+}
+
+bool RefDigits(const std::string& s, size_t from, size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    if (s[i] < '0' || s[i] > '9') return false;
+  }
+  return true;
+}
+
+/// `[+-]?[0-9]+`.
+bool RefIsInt(const std::string& t) {
+  const size_t b = !t.empty() && (t[0] == '+' || t[0] == '-') ? 1 : 0;
+  return t.size() > b && RefDigits(t, b, t.size());
+}
+
+/// `[+-]?[0-9]*\.[0-9]*` with at least one digit.
+bool RefIsDouble(const std::string& t) {
+  const size_t b = !t.empty() && (t[0] == '+' || t[0] == '-') ? 1 : 0;
+  const size_t dot = t.find('.', b);
+  return dot != std::string::npos && t.size() - b > 1 &&
+         RefDigits(t, b, dot) && RefDigits(t, dot + 1, t.size());
+}
+
+/// strtoll over a RefIsInt token; false when it is out of range.
+bool RefInt(const std::string& t, int64_t* out) {
+  errno = 0;
+  *out = std::strtoll(t.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
+Reference RefParse(const std::string& content, const Schema& base,
+                   const TraceReadSet* reads) {
+  Reference ref;
+  ref.schema = base;
+  std::vector<std::string> lines = RefSplit(content, '\n');
+  if (lines.back().empty()) lines.pop_back();  // after the last '\n'
+  Timestamp prev = INT64_MIN;
+  for (size_t n = 0; n < lines.size(); ++n) {
+    auto fail = [&](const std::string& what) {
+      ref.status = Status::ParseError("trace line " + std::to_string(n + 1) +
+                                      ": " + what);
+    };
+    const std::string line = RefTrim(lines[n]);
+    if (line.empty() || line[0] == '#') continue;
+    const std::vector<std::string> fields = RefSplit(line, ',');
+    if (fields.size() < 2) {
+      fail("expected 'type,timestamp[,attr=value]...'");
+      return ref;
+    }
+    const EventTypeId type = ref.schema.RegisterEventType(RefTrim(fields[0]));
+    const std::string ts_token = RefTrim(fields[1]);
+    int64_t ts = 0;
+    if (!RefIsInt(ts_token)) {
+      fail("bad timestamp '" + ts_token + "'");
+      return ref;
+    }
+    if (!RefInt(ts_token, &ts)) {
+      fail("timestamp '" + ts_token + "' overflows 64-bit range");
+      return ref;
+    }
+    if (ts < prev) {
+      fail("out-of-order timestamp (the stream must be in arrival order)");
+      return ref;
+    }
+    prev = ts;
+    Event event(type, ts);
+    for (size_t f = 2; f < fields.size(); ++f) {
+      const std::string field = RefTrim(fields[f]);
+      if (field.empty()) continue;
+      const size_t eq = field.find('=');
+      if (eq == std::string::npos) {
+        fail("expected attr=value, got '" + field + "'");
+        return ref;
+      }
+      const AttrId attr =
+          ref.schema.RegisterAttribute(RefTrim(field.substr(0, eq)));
+      const bool read = reads == nullptr ||
+                        (reads->ReadsType(type) && reads->ReadsAttr(attr));
+      ++(read ? ref.parsed : ref.skipped);
+      const std::string token = RefTrim(field.substr(eq + 1));
+      Value value;
+      if (RefIsInt(token)) {
+        int64_t v = 0;
+        if (!RefInt(token, &v)) {
+          fail("integer value '" + token + "' overflows 64-bit range");
+          return ref;
+        }
+        value = Value(v);
+      } else if (RefIsDouble(token)) {
+        const double v = std::strtod(token.c_str(), nullptr);
+        if (std::isinf(v)) {
+          fail("numeric value '" + token + "' overflows double range");
+          return ref;
+        }
+        value = Value(v);
+      } else if (!token.empty()) {
+        value = Value(token);
+      }
+      if (read) event.SetAttr(attr, value);
+    }
+    ref.events.push_back(event);
+  }
+  return ref;
+}
+
+/// The kernel against the reference on `content`, through ParseTrace
+/// (without a read set) and through TraceFileSource inline and on parser
+/// threads, at the default and at `small_chunk`-byte chunks. The names,
+/// types and attributes of `reads_of` are registered first and, when
+/// `use_reads`, form the read set. Errors must match in text and line,
+/// the events before them too; a clean trace must give the same events,
+/// schema ids and parsed/skipped counts.
+void CheckAgainstReference(const std::string& content,
+                           const std::string& context, size_t small_chunk,
+                           bool use_reads) {
+  Schema base;
+  const TraceReadSet reads = ReadSetOf({"DELL", "IPIX", "N3"},
+                                       {"traderId", "price", "x2"}, &base);
+  const TraceReadSet* r = use_reads ? &reads : nullptr;
+  const Reference ref = RefParse(content, base, r);
+  if (!use_reads) {
+    Schema schema = base;
+    auto parsed = ParseTrace(content, &schema);
+    ASSERT_EQ(parsed.status().ToString(), ref.status.ToString()) << context;
+    if (parsed.ok()) {
+      ASSERT_EQ(parsed->size(), ref.events.size()) << context;
+      for (size_t i = 0; i < ref.events.size(); ++i) {
+        ExpectSameEvent(ref.events[i], (*parsed)[i], i, context);
+      }
+      ExpectSameIds(schema, ref.schema, context);
+    }
+  }
+  const DrainConfig configs[] = {{0, 0, 256},
+                                 {0, small_chunk, 7},
+                                 {1, small_chunk, 1},
+                                 {3, small_chunk, 256}};
+  for (const DrainConfig& config : configs) {
+    const std::string ctx = context + " threads=" +
+                            std::to_string(config.threads) + " chunk=" +
+                            std::to_string(config.chunk_bytes) +
+                            (use_reads ? " reads" : "");
+    Schema schema = base;
+    std::vector<Event> events;
+    IngestStats stats;
+    const Status status =
+        DrainSource(content, config, &schema, &events, r, &stats);
+    ASSERT_EQ(status.ToString(), ref.status.ToString()) << ctx;
+    ASSERT_EQ(events.size(), ref.events.size()) << ctx;
+    for (size_t i = 0; i < events.size(); ++i) {
+      ExpectSameEvent(ref.events[i], events[i], i, ctx);
+    }
+    if (!status.ok()) continue;
+    ExpectSameIds(schema, ref.schema, ctx);
+    EXPECT_EQ(stats.values_parsed, ref.parsed) << ctx;
+    EXPECT_EQ(stats.values_skipped, ref.skipped) << ctx;
+  }
+}
+
+/// Whitespace the reference trims: every "C"-locale space but '\n'.
+std::string RefPad(std::mt19937_64* rng) {
+  static const char* const kPads[] = {"", "", "",   "",   " ",  "\t",
+                                      "\r", " \t", "\v", "\f", "  \r"};
+  return kPads[(*rng)() % std::size(kPads)];
+}
+
+/// A trace of `lines` lines for the reference check: whitespace around
+/// every token, CRLF and LF ends, comments, blank lines, empty fields,
+/// tokens of 18, 19 and 20 bytes, and new type and attribute names that
+/// keep appearing to the end. With `bad` > 0, about one line in `bad`
+/// carries a fault: an overflowing int64 or double, a field without '=',
+/// a bad or out-of-order timestamp, or a line without a comma.
+std::string RefTrace(size_t lines, uint64_t seed, size_t bad = 0) {
+  static const char* const kTypes[] = {"DELL", "IPIX", "AMAT", "QQQ"};
+  static const char* const kAttrs[] = {"price", "volume", "traderId", "note"};
+  static const char* const kValues[] = {
+      "24.5", "300", "7", "-0", ".5", "5.", "", "00012", "abc", "1.2.3",
+      "+-5", "x=y", "-.5", "+7",
+      "123456789012345678",    // 18 bytes, int64
+      "1234567890123456789",   // 19, int64
+      "9223372036854775807",   // 19, INT64_MAX
+      "-922337203685477580",   // 19
+      "-9223372036854775808",  // 20, INT64_MIN
+      "+9223372036854775807",  // 20
+      "1234567890123456.7",    // 18, double
+      "12345678901234567.8",   // 19
+      "-1234567890123456.78",  // 20
+      "0.000000000000000001",  // 20
+      "abcdefghijklmnopqr",    // 18, string
+      "abcdefghijklmnopqrs",   // 19
+      "abcdefghijklmnopqrst",  // 20
+      "99999999999999999x",    // 18
+      "999999999999999999.",   // 19
+  };
+  static const std::string kHuge = "1" + std::string(309, '0') + ".5";
+  std::mt19937_64 rng(seed);
+  std::string out;
+  int64_t ts = 100;
+  size_t new_types = 0;
+  size_t new_attrs = 0;
+  for (size_t i = 0; i < lines; ++i) {
+    switch (rng() % 25) {
+      case 0:
+        out += RefPad(&rng) + "# comment, a=b\n";
+        continue;
+      case 1:
+        out += RefPad(&rng) + (rng() % 2 ? "\r\n" : "\n");
+        continue;
+      default:
+        break;
+    }
+    const size_t fault = bad > 0 && rng() % bad == 0 ? 1 + rng() % 8 : 0;
+    std::string type = kTypes[rng() % std::size(kTypes)];
+    if (rng() % 30 == 0) type = "N" + std::to_string(new_types++);
+    ts += static_cast<int64_t>(rng() % 4);
+    std::string ts_token = std::to_string(ts);
+    if (fault == 1) ts_token = std::to_string(ts - 50);
+    if (fault == 2) ts_token += "x";
+    if (fault == 3) ts_token = "99999999999999999999";
+    out += RefPad(&rng) + type + RefPad(&rng);
+    if (fault == 4) {
+      out += "\n";
+      continue;
+    }
+    out += "," + RefPad(&rng) + ts_token + RefPad(&rng);
+    const size_t fields = rng() % 6;
+    const size_t faulty = fault >= 5 && fields > 0 ? rng() % fields : fields;
+    for (size_t f = 0; f < fields; ++f) {
+      out += ",";
+      if (rng() % 12 == 0) continue;  // an empty field
+      std::string name = kAttrs[rng() % std::size(kAttrs)];
+      if (rng() % 40 == 0) name = "x" + std::to_string(new_attrs++);
+      std::string value = kValues[rng() % std::size(kValues)];
+      if (f == faulty) {
+        if (fault == 5) value = "9999999999999999999";
+        if (fault == 6) value = "-9223372036854775809";
+        if (fault == 7) value = kHuge;
+        if (fault == 8) {
+          out += RefPad(&rng) + name + RefPad(&rng);
+          continue;
+        }
+      }
+      out += RefPad(&rng) + name + RefPad(&rng) + "=" + RefPad(&rng) + value +
+             RefPad(&rng);
+    }
+    out += rng() % 3 == 0 ? "\r\n" : "\n";
+  }
+  return out;
+}
+
+TEST(TraceReferenceTest, GeneratedTracesAgreeWithTheReference) {
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    // Clean traces, then traces that fail somewhere along the way.
+    const std::string trace = RefTrace(400, seed, seed < 8 ? 0 : 60);
+    for (bool use_reads : {false, true}) {
+      CheckAgainstReference(trace, "seed " + std::to_string(seed), 160,
+                            use_reads);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Several default-size chunks, names still new in the last of them.
+  const std::string big = RefTrace(12000, 99);
+  ASSERT_GT(big.size(), 2 * kChunkBytes);
+  CheckAgainstReference(big, "multi-chunk", 4096, false);
+  CheckAgainstReference(big, "multi-chunk", 4096, true);
+  // No final newline.
+  CheckAgainstReference(big.substr(0, big.size() - 1), "unterminated", 4096,
+                        true);
+}
+
+TEST(TraceReferenceTest, SeededMutationsAgreeWithTheReference) {
+  static constexpr std::string_view kInsert[] = {
+      ",", "=", "+", "-", ".", "\r", "\n", "#", "\t", "\v", " ", ",,", "0",
+      "9", "99999999999", "x"};
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 300; ++i) {
+    const std::string base = RefTrace(12, 1000 + i % 40);
+    const std::string input = testing_util::Mutate(base, &rng, kInsert);
+    CheckAgainstReference(input, "mutation#" + std::to_string(i), 64,
+                          i % 2 == 1);
+    if (HasFatalFailure()) return;
   }
 }
 
