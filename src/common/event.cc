@@ -43,11 +43,6 @@ Event& Event::operator=(Event&& other) noexcept {
 
 Event::~Event() { Release(); }
 
-void Event::ClearAttrs() {
-  std::destroy_n(data(), size());
-  count_ &= kOnHeap;
-}
-
 void Event::Release() {
   ClearAttrs();
   if (on_heap()) {
@@ -56,8 +51,7 @@ void Event::Release() {
   }
 }
 
-void Event::Reserve(uint32_t n) {
-  if (n <= capacity()) return;
+void Event::Grow(uint32_t n) {
   const uint32_t cap = std::max(n, 2 * capacity());
   Attr* block = static_cast<Attr*>(::operator new(cap * sizeof(Attr)));
   const uint32_t size = this->size();
@@ -65,20 +59,6 @@ void Event::Reserve(uint32_t n) {
   Release();
   heap_ = {block, cap};
   count_ = kOnHeap | size;
-}
-
-void Event::SetAttr(AttrId attr, Value value) {
-  Attr* a = data();
-  const uint32_t n = size();
-  for (uint32_t i = 0; i < n; ++i) {
-    if (a[i].first == attr) {
-      a[i].second = std::move(value);
-      return;
-    }
-  }
-  Reserve(n + 1);
-  new (data() + n) Attr(attr, std::move(value));
-  ++count_;
 }
 
 std::string Event::ToString(const Schema& schema) const {

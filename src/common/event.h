@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -74,12 +76,28 @@ class Event {
   void set_ts(Timestamp ts) { ts_ = ts; }
   void set_seq(SeqNum seq) { seq_ = seq; }
 
-  /// Sets (or overwrites) an attribute value.
-  void SetAttr(AttrId attr, Value value);
+  /// Sets (or overwrites) an attribute value. Inline, as ClearAttrs: the
+  /// trace parser calls both for every line.
+  void SetAttr(AttrId attr, Value value) {
+    Attr* a = data();
+    const uint32_t n = size();
+    for (uint32_t i = 0; i < n; ++i) {
+      if (a[i].first == attr) {
+        a[i].second = std::move(value);
+        return;
+      }
+    }
+    Reserve(n + 1);
+    new (data() + n) Attr(attr, std::move(value));
+    ++count_;
+  }
 
   /// Removes every attribute but keeps the storage, so an event recycled
   /// through a parser allocates nothing for numeric attributes.
-  void ClearAttrs();
+  void ClearAttrs() {
+    std::destroy_n(data(), size());
+    count_ &= kOnHeap;
+  }
 
   /// Returns the attribute value, or nullptr if absent. Inline: this is
   /// the single hottest call of the admission path (a few compares over a
@@ -116,7 +134,10 @@ class Event {
   Attr* data() { return on_heap() ? heap_.data : inline_; }
   const Attr* data() const { return on_heap() ? heap_.data : inline_; }
   /// Makes room for `n` pairs, moving the present ones.
-  void Reserve(uint32_t n);
+  void Reserve(uint32_t n) {
+    if (n > capacity()) Grow(n);
+  }
+  void Grow(uint32_t n);
   /// Destroys the pairs and frees a heap block (the event is then empty).
   void Release();
 

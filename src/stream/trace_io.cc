@@ -1,6 +1,7 @@
 #include "stream/trace_io.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -34,16 +35,117 @@ inline bool IsSpace(char c) {
   return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-inline std::string_view Trim(const char* b, const char* e) {
-  while (b < e && IsSpace(*b)) ++b;
-  while (e > b && IsSpace(e[-1])) --e;
-  return {b, static_cast<size_t>(e - b)};
+/// Skips the spaces at `p` up to the line's '\n'.
+inline const char* SkipBlanks(const char* p, const char* end) {
+  while (p < end && *p != '\n' && IsSpace(*p)) ++p;
+  return p;
 }
 
 /// The first `c` in [p, end), or `end`.
 inline const char* Find(const char* p, const char* end, char c) {
   const void* at = std::memchr(p, c, static_cast<size_t>(end - p));
   return at != nullptr ? static_cast<const char*>(at) : end;
+}
+
+constexpr uint64_t kOnes = 0x0101010101010101;
+
+/// The 8 bytes at `p` (p <= end) as a word, first byte lowest; bytes from
+/// `end` on read as '\n', so a scan stops at the text's end as at a line
+/// end and never reads past it.
+inline uint64_t Load8(const char* p, const char* end) {
+  uint64_t w = kOnes * '\n';
+  if (end - p >= 8) {
+    std::memcpy(&w, p, 8);
+  } else {
+    std::memcpy(&w, p, static_cast<size_t>(end - p));
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+/// The high bit of each byte of `w` equal to `c`; exact up to the first
+/// match, which is all a scan uses.
+inline uint64_t BytesEqual(uint64_t w, char c) {
+  const uint64_t x = w ^ (kOnes * static_cast<unsigned char>(c));
+  return (x - kOnes) & ~x & (kOnes << 7);
+}
+
+/// A token as one forward scan yields it: its bytes with trailing spaces
+/// trimmed, the delimiter that ended it (or the text's end), and its
+/// first 16 bytes as two words, zero past its size (the name caches
+/// compare these).
+struct Token {
+  const char* data;
+  size_t size;
+  const char* stop;
+  uint64_t w0 = 0;
+  uint64_t w1 = 0;
+
+  std::string_view view() const { return {data, size}; }
+  bool stopped_at(const char* end, char c) const {
+    return stop != end && *stop == c;
+  }
+};
+
+/// The low `n` bytes of a word (n <= 8) set.
+inline uint64_t LowBytes(size_t n) {
+  return n >= 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * n)) - 1;
+}
+
+/// The ',' and '\n' bytes of `w`.
+inline uint64_t Stops(uint64_t w) {
+  return BytesEqual(w, ',') | BytesEqual(w, '\n');
+}
+
+/// Scans from `p` (past the token's leading spaces) to the first ',' or
+/// '\n' — or '=', for an attribute name — eight bytes at a time.
+inline Token ScanToken(const char* p, const char* end, bool name) {
+  Token t{p, 0, end};
+  uint64_t words[2] = {0, 0};
+  for (const char* q = p;; q += 8) {
+    const uint64_t w = Load8(q, end);
+    const uint64_t stops = Stops(w) | (name ? BytesEqual(w, '=') : 0);
+    if (q - p < 16) words[(q - p) / 8] = w;
+    if (stops != 0) {
+      t.stop = q + std::countr_zero(stops) / 8;
+      break;
+    }
+  }
+  const char* e = t.stop;
+  while (e > p && IsSpace(e[-1])) --e;
+  t.size = static_cast<size_t>(e - p);
+  t.w0 = words[0] & LowBytes(t.size);
+  t.w1 = t.size > 8 ? words[1] & LowBytes(t.size - 8) : 0;
+  return t;
+}
+
+/// The bytes of `w` that are not decimal digits, as high-nibble bits;
+/// exact up to the first (a carry only runs up from a non-digit).
+inline uint64_t NonDigits(uint64_t w) {
+  const uint64_t x = w ^ (kOnes * '0');
+  return (x | (x + kOnes * 6)) & (kOnes * 0xF0);
+}
+
+/// A bare run of 1-7 digits at `p` followed by ',' or '\n' (or the end),
+/// read from one word: the common timestamp and integer. Sets `*value`
+/// and `*stop`; false for anything else, which the caller scans in full.
+inline bool ShortDigits(const char* p, const char* end, uint64_t* value,
+                        const char** stop) {
+  const uint64_t w = Load8(p, end);
+  const unsigned n = std::countr_zero(NonDigits(w)) / 8;
+  if (n == 0 || n == 8) return false;
+  const char next = static_cast<char>(w >> (8 * n));
+  if (next != ',' && next != '\n') return false;
+  // Digits into the top n bytes (zeros below read as leading zeros), then
+  // pairs, quads and the eight combine in three multiplies.
+  uint64_t v = (w ^ (kOnes * '0')) << (8 * (8 - n));
+  v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF;
+  v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF;
+  *value = (v * 10000 + (v >> 32)) & 0xFFFFFFFF;
+  *stop = p + n;
+  return true;
 }
 
 /// Accumulates the decimal digits at `*p` into `*acc` and advances `*p`
@@ -260,13 +362,11 @@ void TraceChunkParser::Parse(std::string_view text, const Schema& names,
   const char* p = text.data();
   const char* const end = p + text.size();
   while (p < end) {
-    const char* nl = Find(p, end, '\n');
     ++lineno_;
     if (out->num_events == out->events.size()) out->events.emplace_back();
-    const Line kind = ParseLine(p, nl, &out->events[out->num_events]);
+    const Line kind = ParseLine(&p, end, &out->events[out->num_events]);
     if (kind == Line::kError) break;
     if (kind == Line::kEvent) ++out->num_events;
-    p = nl == end ? end : nl + 1;
   }
   out->lines = lineno_;
 }
@@ -293,62 +393,85 @@ uint32_t TraceChunkParser::Resolve(bool is_type, std::string_view name) {
   return it->second;
 }
 
-uint32_t TraceChunkParser::TypeIdFor(std::string_view name) {
-  // Direct-mapped on an FNV-1a hash of the name: a trace's handful of type
-  // names rarely collide, so nearly every line skips the table lookups.
-  uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-  NameSlot& slot = type_cache_[h % type_cache_.size()];
-  if (slot.id == UINT32_MAX || (slot.epoch != 0 && slot.epoch != epoch_) ||
-      slot.name != name) {
-    slot.id = Resolve(true, name);
-    slot.epoch = (slot.id & TraceChunk::kLocalId) ? epoch_ : 0;
-    slot.name.assign(name);
-  }
-  return slot.id;
+bool TraceChunkParser::Reads(bool is_type, uint32_t id) const {
+  return reads_ == nullptr ||
+         (is_type ? reads_->ReadsType(id) : reads_->ReadsAttr(id));
 }
 
-uint32_t TraceChunkParser::AttrIdAt(size_t position, std::string_view name) {
-  // Real traces carry a handful of attributes; a hostile line with
-  // thousands of fields must not grow the cache with it.
-  if (position >= kCachedAttrPositions) return Resolve(false, name);
-  if (position >= attr_cache_.size()) attr_cache_.resize(position + 1);
-  NameSlot& slot = attr_cache_[position];
-  if (slot.id == UINT32_MAX || (slot.epoch != 0 && slot.epoch != epoch_) ||
-      slot.name != name) {
-    slot.id = Resolve(false, name);
-    slot.epoch = (slot.id & TraceChunk::kLocalId) ? epoch_ : 0;
-    slot.name.assign(name);
+const TraceChunkParser::NameSlot& TraceChunkParser::Lookup(
+    NameSlot* slot, bool is_type, std::string_view name, uint64_t w0,
+    uint64_t w1) {
+  // A hit compares the size and two words; only a name longer than 16
+  // bytes compares its bytes.
+  if (slot->id == UINT32_MAX || (slot->epoch != 0 && slot->epoch != epoch_) ||
+      slot->size != name.size() || slot->w0 != w0 || slot->w1 != w1 ||
+      (name.size() > 16 && slot->name != name)) {
+    slot->id = Resolve(is_type, name);
+    slot->read = Reads(is_type, slot->id);
+    slot->epoch = (slot->id & TraceChunk::kLocalId) ? epoch_ : 0;
+    slot->size = name.size();
+    slot->w0 = w0;
+    slot->w1 = w1;
+    slot->name.assign(name);
   }
-  return slot.id;
+  return *slot;
 }
 
-TraceChunkParser::Line TraceChunkParser::ParseLine(const char* p,
+bool TraceChunkParser::Holds(const NameSlot& slot, const char* p,
+                             const char* end) const {
+  // The slot's name and a '=' right after it: a scan would stop there and
+  // trim nothing (a cached name holds no delimiter and no trailing space).
+  const size_t n = slot.size;
+  if (slot.id == UINT32_MAX || (slot.epoch != 0 && slot.epoch != epoch_) ||
+      n >= 16 || static_cast<size_t>(end - p) <= n || p[n] != '=') {
+    return false;
+  }
+  if ((Load8(p, end) & LowBytes(n)) != slot.w0) return false;
+  return n <= 8 || (Load8(p + 8, end) & LowBytes(n - 8)) == slot.w1;
+}
+
+TraceChunkParser::Line TraceChunkParser::ParseLine(const char** at,
                                                    const char* end,
                                                    Event* out) {
-  const std::string_view line = Trim(p, end);
-  if (line.empty() || line[0] == '#') return Line::kSkip;
-  p = line.data();
-  end = p + line.size();
-  const char* comma = Find(p, end, ',');
-  if (comma == end) {
+  // One forward scan: each token is found, trimmed and, when read,
+  // classified as the scan passes it; `*at` ends past the line's '\n'.
+  const char* p = SkipBlanks(*at, end);
+  if (p == end || *p == '\n' || *p == '#') {
+    const char* nl = Find(p, end, '\n');
+    *at = nl == end ? end : nl + 1;
+    return Line::kSkip;
+  }
+  const Token type = ScanToken(p, end, false);
+  if (!type.stopped_at(end, ',')) {
     return Fail("expected 'type,timestamp[,attr=value]...'");
   }
   // The type registers before the timestamp is read, as a one-line reader
-  // registers it.
-  out->set_type(TypeIdFor(Trim(p, comma)));
-  p = comma + 1;
-  comma = Find(p, end, ',');
-  const std::string_view ts_token = Trim(p, comma);
+  // registers it. Its cache is direct-mapped on a hash of the two words.
+  const uint64_t h = (type.w0 ^ (type.w1 * 31) ^ type.size) *
+                     uint64_t{0x9E3779B97F4A7C15};
+  const NameSlot& type_slot =
+      Lookup(&type_cache_[h >> 56], true, type.view(), type.w0, type.w1);
+  out->set_type(type_slot.id);
+  const bool read_type = type_slot.read;
+  // The common timestamp is a short run of digits; anything else is
+  // trimmed and checked whole.
+  const char* stop = nullptr;
+  uint64_t digits = 0;
   int64_t ts = 0;
-  switch (ParseTimestamp(ts_token, &ts)) {
-    case IntToken::kBad:
-      return Fail("bad timestamp '" + std::string(ts_token) + "'");
-    case IntToken::kOverflow:
-      return Fail("timestamp '" + std::string(ts_token) +
-                  "' overflows 64-bit range");
-    case IntToken::kOk:
-      break;
+  if (ShortDigits(type.stop + 1, end, &digits, &stop)) {
+    ts = static_cast<int64_t>(digits);
+  } else {
+    const Token token = ScanToken(SkipBlanks(type.stop + 1, end), end, false);
+    stop = token.stop;
+    switch (ParseTimestamp(token.view(), &ts)) {
+      case IntToken::kBad:
+        return Fail("bad timestamp '" + std::string(token.view()) + "'");
+      case IntToken::kOverflow:
+        return Fail("timestamp '" + std::string(token.view()) +
+                    "' overflows 64-bit range");
+      case IntToken::kOk:
+        break;
+    }
   }
   if (chunk_->first_ts_line == 0) {
     chunk_->first_ts_line = lineno_;
@@ -360,70 +483,114 @@ TraceChunkParser::Line TraceChunkParser::ParseLine(const char* p,
   out->set_ts(ts);
   out->set_seq(0);
   out->ClearAttrs();
-  const bool read_type = reads_ == nullptr || reads_->ReadsType(out->type());
-  for (size_t position = 0; comma != end; ++position) {
-    p = comma + 1;
-    comma = Find(p, end, ',');
-    const std::string_view field = Trim(p, comma);
-    if (field.empty()) continue;
-    const char* f = field.data();
-    const char* f_end = f + field.size();
-    const char* eq = Find(f, f_end, '=');
-    if (eq == f_end) {
-      return Fail("expected attr=value, got '" + std::string(field) + "'");
+  for (size_t position = 0; stop != end && *stop == ','; ++position) {
+    p = SkipBlanks(stop + 1, end);
+    // Real traces carry a handful of attributes, each mostly at the same
+    // position: the name cached there is checked in place, with no scan.
+    // A hostile line with thousands of fields must not grow the cache.
+    NameSlot* slot = nullptr;
+    if (position < kCachedAttrPositions) {
+      if (position >= attr_cache_.size()) attr_cache_.resize(position + 1);
+      slot = &attr_cache_[position];
     }
-    const AttrId attr = AttrIdAt(position, Trim(f, eq));
-    const bool read =
-        read_type && (reads_ == nullptr || reads_->ReadsAttr(attr));
+    AttrId attr;
+    bool read;
+    if (slot != nullptr && Holds(*slot, p, end)) {
+      stop = p + slot->size;
+      attr = slot->id;
+      read = slot->read;
+    } else {
+      const Token name = ScanToken(p, end, true);
+      stop = name.stop;
+      if (!name.stopped_at(end, '=')) {
+        if (name.size == 0) continue;  // an empty field
+        return Fail("expected attr=value, got '" +
+                    std::string(name.view()) + "'");
+      }
+      if (slot != nullptr) {
+        const NameSlot& found =
+            Lookup(slot, false, name.view(), name.w0, name.w1);
+        attr = found.id;
+        read = found.read;
+      } else {
+        attr = Resolve(false, name.view());
+        read = Reads(false, attr);
+      }
+    }
+    read = read && read_type;
     ++(read ? chunk_->values_parsed : chunk_->values_skipped);
-    const std::string_view token = Trim(eq + 1, f_end);
+    p = SkipBlanks(stop + 1, end);
+    if (read && ShortDigits(p, end, &digits, &stop)) {
+      out->SetAttr(attr, Value(static_cast<int64_t>(digits)));
+      continue;
+    }
     // An unread value only has to be valid, and a token shorter than 19
-    // bytes overflows neither an int64 nor a double; a longer one is
-    // parsed like a read one, then dropped.
-    if (!read && token.size() < 19) continue;
-    if (token.empty()) {
-      out->SetAttr(attr, Value());
+    // bytes overflows neither an int64 nor a double: one ending within a
+    // word is passed over, a longer one is parsed like a read one, then
+    // dropped.
+    if (const uint64_t stops = Stops(Load8(p, end)); !read && stops != 0) {
+      stop = p + std::countr_zero(stops) / 8;
       continue;
     }
-    // One pass classifies the token and accumulates its integer digits:
-    // [sign]digits is an int64, [sign]digits.digits (either side may be
-    // empty, not both) a double, anything else a string.
-    const char* q = token.data();
-    const char* const t_end = q + token.size();
-    const bool negative = *q == '-';
-    if (negative || *q == '+') ++q;
-    const char* const int_begin = q;
-    uint64_t magnitude = 0;
-    bool overflow = false;
-    ScanDigits(&q, t_end, MagnitudeLimit(negative), &magnitude, &overflow);
-    bool digits = q > int_begin;
-    if (q == t_end && digits) {
-      if (overflow) {
-        return Fail("integer value '" + std::string(token) +
-                    "' overflows 64-bit range");
-      }
-      if (read) out->SetAttr(attr, Value(Signed(magnitude, negative)));
-      continue;
+    const Token value = ScanToken(p, end, false);
+    stop = value.stop;
+    if (!read && value.size < 19) continue;
+    if (!StoreValue(value.view(), read ? attr : kInvalidAttr, out)) {
+      return Line::kError;
     }
-    if (q < t_end && *q == '.') {
-      const char* const frac_begin = ++q;
-      while (q < t_end && static_cast<unsigned char>(*q) - unsigned{'0'} <= 9) {
-        ++q;
-      }
-      digits = digits || q > frac_begin;
-      if (q == t_end && digits) {
-        double v = 0;
-        if (!ParseDouble(token, &v)) {
-          return Fail("numeric value '" + std::string(token) +
-                      "' overflows double range");
-        }
-        if (read) out->SetAttr(attr, Value(v));
-        continue;
-      }
-    }
-    if (read) out->SetAttr(attr, Value(std::string(token)));
   }
+  *at = stop == end ? end : stop + 1;
   return Line::kEvent;
+}
+
+bool TraceChunkParser::StoreValue(std::string_view token, AttrId attr,
+                                  Event* out) {
+  if (token.empty()) {
+    if (attr != kInvalidAttr) out->SetAttr(attr, Value());
+    return true;
+  }
+  // One pass classifies the token and accumulates its integer digits:
+  // [sign]digits is an int64, [sign]digits.digits (either side may be
+  // empty, not both) a double, anything else a string.
+  const char* q = token.data();
+  const char* const t_end = q + token.size();
+  const bool negative = *q == '-';
+  if (negative || *q == '+') ++q;
+  const char* const int_begin = q;
+  uint64_t magnitude = 0;
+  bool overflow = false;
+  ScanDigits(&q, t_end, MagnitudeLimit(negative), &magnitude, &overflow);
+  bool digits = q > int_begin;
+  if (q == t_end && digits) {
+    if (overflow) {
+      Fail("integer value '" + std::string(token) +
+           "' overflows 64-bit range");
+      return false;
+    }
+    if (attr != kInvalidAttr) {
+      out->SetAttr(attr, Value(Signed(magnitude, negative)));
+    }
+    return true;
+  }
+  if (q < t_end && *q == '.') {
+    const char* const frac_begin = ++q;
+    while (q < t_end && static_cast<unsigned char>(*q) - unsigned{'0'} <= 9) {
+      ++q;
+    }
+    digits = digits || q > frac_begin;
+    if (q == t_end && digits) {
+      double v = 0;
+      if (!ParseDouble(token, &v)) {
+        Fail("numeric value '" + std::string(token) +
+             "' overflows double range");
+        return false;
+      }
+      if (attr != kInvalidAttr) out->SetAttr(attr, Value(v));
+      return true;
+    }
+  }
+  if (attr != kInvalidAttr) out->SetAttr(attr, Value(std::string(token)));
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -183,15 +183,28 @@ class TraceChunkParser {
  private:
   struct NameSlot {
     std::string name;
+    size_t size = 0;
+    uint64_t w0 = 0;  // the name's first 16 bytes, zero past its size
+    uint64_t w1 = 0;
     uint32_t id = UINT32_MAX;
+    bool read = false;   // under the read set
     uint64_t epoch = 0;  // Parse call a local id belongs to; 0: final id
   };
 
   enum class Line { kSkip, kEvent, kError };
 
-  Line ParseLine(const char* p, const char* end, Event* out);
-  uint32_t TypeIdFor(std::string_view name);
-  uint32_t AttrIdAt(size_t position, std::string_view name);
+  /// Parses the line at `*at` and moves `*at` past it (not on an error).
+  Line ParseLine(const char** at, const char* end, Event* out);
+  /// Validates a trimmed value token and, unless `attr` is kInvalidAttr,
+  /// stores it; false (after Fail) when it is malformed.
+  bool StoreValue(std::string_view token, AttrId attr, Event* out);
+  /// `*slot` holding `name` (words: its first 16 bytes, zero past its
+  /// size), resolved again when it held another name.
+  const NameSlot& Lookup(NameSlot* slot, bool is_type, std::string_view name,
+                         uint64_t w0, uint64_t w1);
+  /// Whether the attribute name `slot` caches, then '=', starts at `p`.
+  bool Holds(const NameSlot& slot, const char* p, const char* end) const;
+  bool Reads(bool is_type, uint32_t id) const;
   uint32_t Resolve(bool is_type, std::string_view name);
   Line Fail(std::string message);
 
