@@ -64,6 +64,31 @@ Status EngineMismatch(const std::string& path, const std::string& stored,
                                  "'" + note);
 }
 
+/// Refuses a snapshot taken for other queries than `expected`, naming
+/// both hash lists.
+Status CheckQueries(const std::string& path, const SnapshotInfo& info,
+                    std::span<const uint64_t> expected) {
+  if (std::equal(info.queries.begin(), info.queries.end(), expected.begin(),
+                 expected.end())) {
+    return Status::OK();
+  }
+  auto list = [](std::span<const uint64_t> hashes) {
+    std::string out = std::to_string(hashes.size()) + " quer" +
+                      (hashes.size() == 1 ? "y" : "ies") + " [";
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      char hex[20];
+      std::snprintf(hex, sizeof hex, "%s%016llx", i > 0 ? " " : "",
+                    static_cast<unsigned long long>(hashes[i]));
+      out += hex;
+    }
+    return out + "]";
+  };
+  return Status::InvalidArgument(
+      "snapshot '" + path + "' was taken for " + list(info.queries) +
+      " but is being restored into a run of " + list(expected) +
+      " (query hashes differ: another query or workload)");
+}
+
 /// The engine name a sharded snapshot stores for its shards' engine.
 std::string ShardedName(const std::string& engine) {
   return "Sharded[" + engine + "]";
@@ -92,7 +117,8 @@ uint64_t Fnv1a64(std::string_view data) {
 
 Status WriteSnapshotFile(const std::string& path,
                          const std::string& engine_name,
-                         uint64_t stream_offset, std::string_view payload) {
+                         uint64_t stream_offset, std::string_view payload,
+                         std::span<const uint64_t> queries) {
   if (fault::Injector::Global().armed()) {
     if (auto fired = fault::Injector::Global().Hit(fault::Point::kCkptWrite)) {
       if (fired->kind == fault::Kind::kIoError) {
@@ -106,6 +132,8 @@ Status WriteSnapshotFile(const std::string& path,
   }
   Writer body;
   body.WriteString(engine_name);
+  body.WriteU32(static_cast<uint32_t>(queries.size()));
+  for (uint64_t q : queries) body.WriteU64(q);
   body.WriteU64(stream_offset);
 
   std::string out;
@@ -210,6 +238,15 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
   Reader body_reader(body);
   ASEQ_RETURN_NOT_OK(
       body_reader.ReadString(&info->engine_name, "snapshot engine name"));
+  uint32_t num_queries = 0;
+  ASEQ_RETURN_NOT_OK(
+      body_reader.ReadU32(&num_queries, "snapshot query count"));
+  info->queries.clear();
+  for (uint32_t i = 0; i < num_queries; ++i) {
+    uint64_t hash = 0;
+    ASEQ_RETURN_NOT_OK(body_reader.ReadU64(&hash, "snapshot query hash"));
+    info->queries.push_back(hash);
+  }
   ASEQ_RETURN_NOT_OK(
       body_reader.ReadU64(&info->stream_offset, "snapshot stream offset"));
   payload->assign(body.substr(body_reader.position()));
@@ -219,17 +256,19 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
 template <class OutputT>
 Status SaveEngineSnapshot(const std::string& path,
                           const BasicEngine<OutputT>& engine,
-                          uint64_t stream_offset) {
+                          uint64_t stream_offset,
+                          std::span<const uint64_t> queries) {
   Writer payload;
   ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
   return WriteSnapshotFile(path, engine.name(), stream_offset,
-                           payload.buffer());
+                           payload.buffer(), queries);
 }
 
 template <class OutputT>
 Status RestoreEngineSnapshot(const std::string& path,
                              BasicEngine<OutputT>* engine,
-                             uint64_t* stream_offset) {
+                             uint64_t* stream_offset,
+                             std::span<const uint64_t> queries) {
   SnapshotInfo info;
   std::string payload;
   ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
@@ -250,6 +289,7 @@ Status RestoreEngineSnapshot(const std::string& path,
     }
     return EngineMismatch(path, info.engine_name, engine->name(), note);
   }
+  ASEQ_RETURN_NOT_OK(CheckQueries(path, info, queries));
   ASEQ_RETURN_NOT_OK(engine->Restore(&reader));
   ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
   *stream_offset = info.stream_offset;
@@ -260,7 +300,8 @@ template <class OutputT>
 Status SaveShardedSnapshot(const std::string& path,
                            std::span<const BasicEngine<OutputT>* const> shards,
                            uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state) {
+                           std::string_view router_state,
+                           std::span<const uint64_t> queries) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -275,14 +316,15 @@ Status SaveShardedSnapshot(const std::string& path,
     payload.WriteString(sub.buffer());
   }
   return WriteSnapshotFile(path, ShardedName(shards[0]->name()),
-                           stream_offset, payload.buffer());
+                           stream_offset, payload.buffer(), queries);
 }
 
 template <class OutputT>
 Status RestoreShardedSnapshot(const std::string& path,
                               std::span<BasicEngine<OutputT>* const> shards,
                               uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state) {
+                              std::string* router_state,
+                              std::span<const uint64_t> queries) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -298,6 +340,7 @@ Status RestoreShardedSnapshot(const std::string& path,
             ? ""
             : " (a non-sharded snapshot cannot seed a sharded run)");
   }
+  ASEQ_RETURN_NOT_OK(CheckQueries(path, info, queries));
   Reader reader(payload);
   uint32_t count = 0;
   ASEQ_RETURN_NOT_OK(reader.ReadU32(&count, "shard count"));
@@ -321,28 +364,31 @@ Status RestoreShardedSnapshot(const std::string& path,
   return Status::OK();
 }
 
+using Hashes = std::span<const uint64_t>;
 template Status SaveEngineSnapshot(const std::string&, const QueryEngine&,
-                                   uint64_t);
+                                   uint64_t, Hashes);
 template Status SaveEngineSnapshot(const std::string&,
-                                   const MultiQueryEngine&, uint64_t);
+                                   const MultiQueryEngine&, uint64_t, Hashes);
 template Status RestoreEngineSnapshot(const std::string&, QueryEngine*,
-                                      uint64_t*);
+                                      uint64_t*, Hashes);
 template Status RestoreEngineSnapshot(const std::string&, MultiQueryEngine*,
-                                      uint64_t*);
+                                      uint64_t*, Hashes);
 template Status SaveShardedSnapshot(const std::string&,
                                     std::span<const QueryEngine* const>,
                                     uint64_t, const EngineStats&,
-                                    std::string_view);
+                                    std::string_view, Hashes);
 template Status SaveShardedSnapshot(const std::string&,
                                     std::span<const MultiQueryEngine* const>,
                                     uint64_t, const EngineStats&,
-                                    std::string_view);
+                                    std::string_view, Hashes);
 template Status RestoreShardedSnapshot(const std::string&,
                                        std::span<QueryEngine* const>,
-                                       uint64_t*, EngineStats*, std::string*);
+                                       uint64_t*, EngineStats*, std::string*,
+                                       Hashes);
 template Status RestoreShardedSnapshot(const std::string&,
                                        std::span<MultiQueryEngine* const>,
-                                       uint64_t*, EngineStats*, std::string*);
+                                       uint64_t*, EngineStats*, std::string*,
+                                       Hashes);
 
 std::string SnapshotPathForOffset(const std::string& dir, uint64_t offset) {
   std::string digits = std::to_string(offset);

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ckpt/ckpt.h"
 #include "common/status.h"
@@ -17,8 +19,9 @@ namespace ckpt {
 ///   [8]  magic "ASEQCKPT"
 ///   [4]  u32 format version (kSnapshotFormatVersion)
 ///   [8]  u64 body length B
-///   [B]  body: engine name (length-prefixed) + u64 stream offset +
-///        the engine's Checkpoint() payload
+///   [B]  body: engine name (length-prefixed) + u32 query count Q +
+///        Q x u64 query hash + u64 stream offset + the engine's
+///        Checkpoint() payload
 ///   [8]  u64 FNV-1a checksum of the body
 ///
 /// Writes are atomic: the file is written to `<path>.tmp` and renamed over
@@ -33,12 +36,17 @@ namespace ckpt {
 ///      count, cells) and position-major segment counts
 ///   4  one composite payload for nonshare, sase and hybrid: the parts in
 ///      one counted list (hybrid wrote shared and per-query parts as two)
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+///   5  the run's query hashes after the engine name, so a restore into
+///      other queries is refused before any state is read
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.
 struct SnapshotInfo {
   std::string engine_name;
+  /// QueryHash of each query the run executed, in workload order (empty
+  /// when the writer named none).
+  std::vector<uint64_t> queries;
   /// Number of stream events the engine had consumed when the snapshot was
   /// taken; resuming replays the trace from this offset.
   uint64_t stream_offset = 0;
@@ -47,10 +55,18 @@ struct SnapshotInfo {
 /// FNV-1a 64-bit over `data` (the body checksum).
 uint64_t Fnv1a64(std::string_view data);
 
+/// The hash a snapshot records for a query: Fnv1a64 of its canonical text
+/// (Query::ToString).
+inline uint64_t QueryHash(std::string_view canonical_text) {
+  return Fnv1a64(canonical_text);
+}
+
 /// Writes a complete snapshot file atomically (temp file + rename).
+/// `queries` are the run's QueryHash values, in workload order.
 Status WriteSnapshotFile(const std::string& path,
                          const std::string& engine_name,
-                         uint64_t stream_offset, std::string_view payload);
+                         uint64_t stream_offset, std::string_view payload,
+                         std::span<const uint64_t> queries = {});
 
 /// Reads and validates a snapshot file: magic, version, body length, and
 /// checksum. On success `*info` holds the header and `*payload` the engine
@@ -59,21 +75,24 @@ Status WriteSnapshotFile(const std::string& path,
 Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
                         std::string* payload);
 
-/// Checkpoints `engine` (plus the stream offset) into a snapshot file.
-/// Defined for both output types (single-query and workload engines), as
-/// are the three functions below.
+/// Checkpoints `engine` (plus the stream offset and the run's query
+/// hashes) into a snapshot file. Defined for both output types
+/// (single-query and workload engines), as are the three functions below.
 template <class OutputT>
 Status SaveEngineSnapshot(const std::string& path,
                           const BasicEngine<OutputT>& engine,
-                          uint64_t stream_offset);
+                          uint64_t stream_offset,
+                          std::span<const uint64_t> queries = {});
 
 /// Restores a snapshot into a freshly constructed engine for the same
-/// query. Fails without modifying `engine` if the file is invalid or was
-/// taken by a different engine (name mismatch).
+/// queries. Fails without modifying `engine` if the file is invalid, was
+/// taken by a different engine (name mismatch) or for other queries (the
+/// recorded hashes differ from `queries`).
 template <class OutputT>
 Status RestoreEngineSnapshot(const std::string& path,
                              BasicEngine<OutputT>* engine,
-                             uint64_t* stream_offset);
+                             uint64_t* stream_offset,
+                             std::span<const uint64_t> queries = {});
 
 /// \brief Multi-shard snapshot container (sharded execution).
 ///
@@ -102,12 +121,14 @@ template <class OutputT>
 Status SaveShardedSnapshot(const std::string& path,
                            std::span<const BasicEngine<OutputT>* const> shards,
                            uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state);
+                           std::string_view router_state,
+                           std::span<const uint64_t> queries = {});
 template <class OutputT>
 Status RestoreShardedSnapshot(const std::string& path,
                               std::span<BasicEngine<OutputT>* const> shards,
                               uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state);
+                              std::string* router_state,
+                              std::span<const uint64_t> queries = {});
 
 /// Canonical snapshot filename for a stream offset: `<dir>/ckpt-<offset
 /// zero-padded to 20>.aseqckpt` — zero-padding makes lexicographic order

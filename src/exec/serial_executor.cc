@@ -32,7 +32,7 @@ BasicRunResult<OutputT> RunSerial(const RunOptions& options,
   const auto save = [&] {
     return ckpt::SaveEngineSnapshot(
         ckpt::SnapshotPathForOffset(options.checkpoint_dir, seq), *engine,
-        seq);
+        seq, options.query_hashes);
   };
   StopWatch watch;
   for (;;) {
@@ -119,7 +119,8 @@ template <class EngineT>
 Status SerialExecutorT<EngineT>::Restore(const std::string& path,
                                          uint64_t* stream_offset) {
   ASEQ_RETURN_NOT_OK(
-      ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset));
+      ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset,
+                                  options_.query_hashes));
   options_.start_offset = *stream_offset;
   return Status::OK();
 }

@@ -412,7 +412,7 @@ Status ShardedExecutorT<Engine>::SaveSnapshotAt(uint64_t seq) {
   router_.Checkpoint(&router_state);
   return ckpt::SaveShardedSnapshot<OutputT>(
       ckpt::SnapshotPathForOffset(options_.checkpoint_dir, seq), shards, seq,
-      merged_now, router_state.buffer());
+      merged_now, router_state.buffer(), options_.query_hashes);
 }
 
 template <class Engine>
@@ -679,7 +679,8 @@ Status ShardedExecutorT<Engine>::Restore(const std::string& path,
   EngineStats merged;
   std::string router_state;
   ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot<OutputT>(
-      path, shards, stream_offset, &merged, &router_state));
+      path, shards, stream_offset, &merged, &router_state,
+      options_.query_hashes));
   ckpt::Reader router_reader(router_state);
   ASEQ_RETURN_NOT_OK(router_.Restore(&router_reader));
   ASEQ_RETURN_NOT_OK(router_reader.ExpectEnd());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "aseq/aseq_engine.h"
+#include "ckpt/snapshot.h"
 #include "cli/cli.h"
 #include "cli/flags.h"
 #include "exec/execution_policy.h"
@@ -942,6 +943,7 @@ TEST(CliIngestTest, CheckpointsMatchAnInlineParse) {
     options.checkpoint_every = 1024;
     options.checkpoint_dir = inline_dir;
     options.collect_outputs = false;
+    options.query_hashes = {ckpt::QueryHash(query->query().ToString())};
     auto policy = exec::MakePolicy(
         *query, [&] { return CreateAseqEngine(*query); }, options);
     ASSERT_TRUE(policy.ok()) << policy.status().ToString();
