@@ -130,6 +130,9 @@ PushResult ShardLanes::Push(size_t shard, LaneItem& item) {
     return PushResult::kPushed;
   }
   ++full_waits_;
+  if (options_.telemetry != nullptr) {
+    options_.telemetry->coord().ring_full_waits.Add(1);
+  }
   for (size_t spin = 0;;) {
     if (lane.ring.TryPush(item)) {
       Wake(lane, lane.consumer_parked);
@@ -337,12 +340,17 @@ bool ShardLanes::HitWorkerFault(size_t shard) {
     coord_cv_.notify_all();
     lane.cv.notify_all();
     return true;
-  } else if (supervised && fired->kind == fault::Kind::kStall) {
-    // Hang without heartbeating until the watchdog quarantines us.
+  } else if (fired->kind == fault::Kind::kStall) {
+    // Hang without heartbeating until quarantined: by the watchdog when
+    // supervised, else by the teardown of a stopped run (an unsupervised
+    // stall also ends at the stop request itself, so a stream that ends
+    // before the ring fills does not join a parked worker forever).
     std::unique_lock<std::mutex> lk(lane.mu);
-    lane.cv.wait(lk, [&] {
-      return lane.quarantine.load(std::memory_order_relaxed);
-    });
+    while (!lane.cv.wait_for(lk, kParkPoll, [&] {
+      return lane.quarantine.load(std::memory_order_relaxed) ||
+             (!supervised && options_.StopRequested());
+    })) {
+    }
     return true;
   }
   // Other kinds are not meaningful at this point; ignore.

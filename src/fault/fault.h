@@ -23,8 +23,10 @@ enum class Kind : uint8_t {
   /// (recovery is then the --restore-from path).
   kCrash,
   /// The component hangs: a shard worker parks indefinitely and stops
-  /// heartbeating until the supervisor quarantines it. Coordinator points
-  /// ignore stall (a stalled coordinator would hang the test harness).
+  /// heartbeating until it is quarantined — by the supervisor, or, in an
+  /// unsupervised run, by the teardown after a stop request (until then
+  /// its ring fills and the run waits). Coordinator points ignore stall (a
+  /// stalled coordinator would hang the test harness).
   kStall,
   /// The component runs, but each faulted step takes an injected,
   /// seed-deterministic delay — the knob for forcing queue backlog and

@@ -205,6 +205,9 @@ struct alignas(64) CoordCell {
   Counter events;
   /// Publications pushed (one per shard per batch with ops).
   Counter publications;
+  /// Pushes that found a lane's ring full and waited (counted as the wait
+  /// begins, so a reader sees a coordinator parked on backpressure).
+  Counter ring_full_waits;
   /// Barriers completed (checkpoints + recovery points).
   Counter barriers;
   /// Checkpoints flushed through the snapshot layer.
