@@ -768,6 +768,65 @@ TEST(CliStreamingTest, SnapshotMismatchNamesWhatDiffers) {
                  "sharded run)");
 }
 
+/// How a snapshot refusal names a run's one query: its count and hash.
+std::string OneQueryHash(const std::string& text) {
+  Schema schema;
+  Analyzer analyzer(&schema);
+  auto query = analyzer.AnalyzeText(text);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    ckpt::QueryHash(query->query().ToString())));
+  return std::string("1 query [") + hex + "]";
+}
+
+TEST(CliStreamingTest, SnapshotOfOtherQueriesIsRefused) {
+  // The engine and its state shape match in each case; only the query
+  // differs, which the snapshot's recorded hashes reveal before any state
+  // is read.
+  const std::string trace = StockTrace("aseq_cli_other_query.csv", 3000);
+  const char* const kOthers[] = {
+      "PATTERN SEQ(IPIX, DELL) GROUP BY traderId AGG COUNT WITHIN 800ms",
+      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 2s",
+      "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT WITHIN "
+      "800ms",
+  };
+  for (const char* shards : {"1", "2"}) {
+    const std::string dir =
+        FreshDir(std::string("aseq_cli_other_query_") + shards);
+    CliResult full = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                              trace, "--limit", "1000000", "--shards", shards,
+                              "--checkpoint-every", "1024", "--checkpoint-dir",
+                              dir});
+    ASSERT_EQ(full.code, 0) << shards << ": " << full.err;
+    const std::string snap = dir + "/ckpt-00000000000000002048.aseqckpt";
+    for (const char* other : kOthers) {
+      CliResult r = RunTool({"run", "--query", other, "--trace", trace,
+                             "--shards", shards, "--restore-from", snap});
+      EXPECT_EQ(r.code, 1) << shards << " " << other;
+      EXPECT_EQ(r.err, "InvalidArgument: snapshot '" + snap +
+                           "' was taken for " + OneQueryHash(kGroupedQuery) +
+                           " but is being restored into a run of " +
+                           OneQueryHash(other) +
+                           " (query hashes differ: another query or "
+                           "workload)\n");
+      EXPECT_TRUE(ResultLines(r.out).empty()) << shards << " " << other;
+    }
+    // The same query resumes, bit-exact.
+    CliResult resumed = RunTool({"run", "--query", kGroupedQuery, "--trace",
+                                 trace, "--limit", "1000000", "--shards",
+                                 shards, "--restore-from", snap});
+    ASSERT_EQ(resumed.code, 0) << shards << ": " << resumed.err;
+    const std::vector<std::string> all = ResultLines(full.out);
+    const std::vector<std::string> tail = ResultLines(resumed.out);
+    ASSERT_FALSE(tail.empty()) << shards;
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                           all.end() - static_cast<ptrdiff_t>(tail.size())))
+        << shards;
+  }
+}
+
 TEST(CliStreamingTest, ResumedRunIsSuffixOfUninterruptedRun) {
   const std::string trace = StockTrace("aseq_cli_resume.csv", 6000);
   for (const char* shards : {"1", "2"}) {
