@@ -87,7 +87,9 @@ class Event {
         return;
       }
     }
-    Reserve(n + 1);
+    // Leaving the inline slot, room for a few pairs at once: a parsed
+    // event with three attributes allocates one block, not two.
+    if (n == capacity()) Grow(n + 1 < 4 ? 4 : n + 1);
     new (data() + n) Attr(attr, std::move(value));
     ++count_;
   }

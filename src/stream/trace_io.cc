@@ -18,8 +18,6 @@ namespace {
 
 /// Events per BorrowBatch when ReadTraceFile drains a source.
 constexpr size_t kDrainBatch = 256;
-/// Attribute positions per line whose names TraceChunkParser caches.
-constexpr size_t kCachedAttrPositions = 64;
 
 constexpr char kOutOfOrder[] =
     "out-of-order timestamp (the stream must be in arrival order)";
@@ -393,11 +391,6 @@ uint32_t TraceChunkParser::Resolve(bool is_type, std::string_view name) {
   return it->second;
 }
 
-bool TraceChunkParser::Reads(bool is_type, uint32_t id) const {
-  return reads_ == nullptr ||
-         (is_type ? reads_->ReadsType(id) : reads_->ReadsAttr(id));
-}
-
 const TraceChunkParser::NameSlot& TraceChunkParser::Lookup(
     NameSlot* slot, bool is_type, std::string_view name, uint64_t w0,
     uint64_t w1) {
@@ -407,7 +400,8 @@ const TraceChunkParser::NameSlot& TraceChunkParser::Lookup(
       slot->size != name.size() || slot->w0 != w0 || slot->w1 != w1 ||
       (name.size() > 16 && slot->name != name)) {
     slot->id = Resolve(is_type, name);
-    slot->read = Reads(is_type, slot->id);
+    slot->read = reads_ == nullptr || (is_type ? reads_->ReadsType(slot->id)
+                                               : reads_->ReadsAttr(slot->id));
     slot->epoch = (slot->id & TraceChunk::kLocalId) ? epoch_ : 0;
     slot->size = name.size();
     slot->w0 = w0;
@@ -487,18 +481,10 @@ TraceChunkParser::Line TraceChunkParser::ParseLine(const char** at,
     p = SkipBlanks(stop + 1, end);
     // Real traces carry a handful of attributes, each mostly at the same
     // position: the name cached there is checked in place, with no scan.
-    // A hostile line with thousands of fields must not grow the cache.
-    NameSlot* slot = nullptr;
-    if (position < kCachedAttrPositions) {
-      if (position >= attr_cache_.size()) attr_cache_.resize(position + 1);
-      slot = &attr_cache_[position];
-    }
-    AttrId attr;
-    bool read;
-    if (slot != nullptr && Holds(*slot, p, end)) {
-      stop = p + slot->size;
-      attr = slot->id;
-      read = slot->read;
+    // A hostile line with thousands of fields shares the last slot.
+    NameSlot& slot = attr_cache_[std::min(position, attr_cache_.size() - 1)];
+    if (Holds(slot, p, end)) {
+      stop = p + slot.size;
     } else {
       const Token name = ScanToken(p, end, true);
       stop = name.stop;
@@ -507,17 +493,10 @@ TraceChunkParser::Line TraceChunkParser::ParseLine(const char** at,
         return Fail("expected attr=value, got '" +
                     std::string(name.view()) + "'");
       }
-      if (slot != nullptr) {
-        const NameSlot& found =
-            Lookup(slot, false, name.view(), name.w0, name.w1);
-        attr = found.id;
-        read = found.read;
-      } else {
-        attr = Resolve(false, name.view());
-        read = Reads(false, attr);
-      }
+      Lookup(&slot, false, name.view(), name.w0, name.w1);
     }
-    read = read && read_type;
+    const AttrId attr = slot.id;
+    const bool read = read_type && slot.read;
     ++(read ? chunk_->values_parsed : chunk_->values_skipped);
     p = SkipBlanks(stop + 1, end);
     if (read && ShortDigits(p, end, &digits, &stop)) {
@@ -534,63 +513,52 @@ TraceChunkParser::Line TraceChunkParser::ParseLine(const char** at,
     }
     const Token value = ScanToken(p, end, false);
     stop = value.stop;
-    if (!read && value.size < 19) continue;
-    if (!StoreValue(value.view(), read ? attr : kInvalidAttr, out)) {
-      return Line::kError;
+    const std::string_view token = value.view();
+    if (!read && token.size() < 19) continue;
+    if (token.empty()) {
+      out->SetAttr(attr, Value());
+      continue;
     }
+    // One pass classifies the token and accumulates its integer digits:
+    // [sign]digits is an int64, [sign]digits.digits (either side may be
+    // empty, not both) a double, anything else a string.
+    const char* q = token.data();
+    const char* const t_end = q + token.size();
+    const bool negative = *q == '-';
+    if (negative || *q == '+') ++q;
+    const char* const int_begin = q;
+    uint64_t magnitude = 0;
+    bool overflow = false;
+    ScanDigits(&q, t_end, MagnitudeLimit(negative), &magnitude, &overflow);
+    bool digits = q > int_begin;
+    if (q == t_end && digits) {
+      if (overflow) {
+        return Fail("integer value '" + std::string(token) +
+                    "' overflows 64-bit range");
+      }
+      if (read) out->SetAttr(attr, Value(Signed(magnitude, negative)));
+      continue;
+    }
+    if (q < t_end && *q == '.') {
+      const char* const frac_begin = ++q;
+      while (q < t_end && static_cast<unsigned char>(*q) - unsigned{'0'} <= 9) {
+        ++q;
+      }
+      digits = digits || q > frac_begin;
+      if (q == t_end && digits) {
+        double v = 0;
+        if (!ParseDouble(token, &v)) {
+          return Fail("numeric value '" + std::string(token) +
+                      "' overflows double range");
+        }
+        if (read) out->SetAttr(attr, Value(v));
+        continue;
+      }
+    }
+    if (read) out->SetAttr(attr, Value(std::string(token)));
   }
   *at = stop == end ? end : stop + 1;
   return Line::kEvent;
-}
-
-bool TraceChunkParser::StoreValue(std::string_view token, AttrId attr,
-                                  Event* out) {
-  if (token.empty()) {
-    if (attr != kInvalidAttr) out->SetAttr(attr, Value());
-    return true;
-  }
-  // One pass classifies the token and accumulates its integer digits:
-  // [sign]digits is an int64, [sign]digits.digits (either side may be
-  // empty, not both) a double, anything else a string.
-  const char* q = token.data();
-  const char* const t_end = q + token.size();
-  const bool negative = *q == '-';
-  if (negative || *q == '+') ++q;
-  const char* const int_begin = q;
-  uint64_t magnitude = 0;
-  bool overflow = false;
-  ScanDigits(&q, t_end, MagnitudeLimit(negative), &magnitude, &overflow);
-  bool digits = q > int_begin;
-  if (q == t_end && digits) {
-    if (overflow) {
-      Fail("integer value '" + std::string(token) +
-           "' overflows 64-bit range");
-      return false;
-    }
-    if (attr != kInvalidAttr) {
-      out->SetAttr(attr, Value(Signed(magnitude, negative)));
-    }
-    return true;
-  }
-  if (q < t_end && *q == '.') {
-    const char* const frac_begin = ++q;
-    while (q < t_end && static_cast<unsigned char>(*q) - unsigned{'0'} <= 9) {
-      ++q;
-    }
-    digits = digits || q > frac_begin;
-    if (q == t_end && digits) {
-      double v = 0;
-      if (!ParseDouble(token, &v)) {
-        Fail("numeric value '" + std::string(token) +
-             "' overflows double range");
-        return false;
-      }
-      if (attr != kInvalidAttr) out->SetAttr(attr, Value(v));
-      return true;
-    }
-  }
-  if (attr != kInvalidAttr) out->SetAttr(attr, Value(std::string(token)));
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -889,6 +857,7 @@ Result<std::vector<Event>> ParseTrace(const std::string& content,
   Schema staging = *schema;
   TraceChunkParser parser;
   TraceChunk chunk;
+  chunk.events.reserve(std::count(content.begin(), content.end(), '\n') + 1);
   parser.Parse(content, staging, &chunk);
   if (chunk.error_line != 0) {
     return TraceLineError(chunk.error_line, chunk.error);

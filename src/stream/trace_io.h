@@ -160,12 +160,14 @@ class TraceChunker {
 
 /// \brief The trace parsing kernel: one chunk of text into events.
 ///
-/// A single pass per line: `memchr` finds each `,` and `=`, integers are
-/// parsed by hand with an overflow check, doubles through `from_chars`,
-/// and fields land straight in the chunk's recycled events. Names resolve
-/// through per-parser caches (event types direct-mapped on an FNV-1a hash,
-/// attributes by field position), then through `names`, the published
-/// table of final ids; a name in neither gets a chunk-local id. The
+/// One forward scan per line, eight bytes at a time (docs/internals.md
+/// §18): each token's delimiter and trimmed end come from the scan,
+/// short digit runs convert from one word, doubles go through
+/// `from_chars`, and fields land straight in the chunk's recycled events.
+/// Names resolve through per-parser caches (event types direct-mapped on
+/// a hash of their first 16 bytes, attributes by field position, checked
+/// in place), then through `names`, the published table of final ids; a
+/// name in neither gets a chunk-local id. The
 /// timestamp order is checked within the chunk only. Parsing stops at the
 /// first malformed line. With a read set, values it does not read are
 /// validated in the same pass but not stored; names, errors and line
@@ -195,16 +197,12 @@ class TraceChunkParser {
 
   /// Parses the line at `*at` and moves `*at` past it (not on an error).
   Line ParseLine(const char** at, const char* end, Event* out);
-  /// Validates a trimmed value token and, unless `attr` is kInvalidAttr,
-  /// stores it; false (after Fail) when it is malformed.
-  bool StoreValue(std::string_view token, AttrId attr, Event* out);
   /// `*slot` holding `name` (words: its first 16 bytes, zero past its
   /// size), resolved again when it held another name.
   const NameSlot& Lookup(NameSlot* slot, bool is_type, std::string_view name,
                          uint64_t w0, uint64_t w1);
   /// Whether the attribute name `slot` caches, then '=', starts at `p`.
   bool Holds(const NameSlot& slot, const char* p, const char* end) const;
-  bool Reads(bool is_type, uint32_t id) const;
   uint32_t Resolve(bool is_type, std::string_view name);
   Line Fail(std::string message);
 
@@ -219,7 +217,9 @@ class TraceChunkParser {
   std::unordered_map<std::string, uint32_t> local_attrs_;
   // Caches, kept across Parse calls.
   std::array<NameSlot, 256> type_cache_;
-  std::vector<NameSlot> attr_cache_;  // by attribute position in the line
+  // By attribute position in the line; the last slot serves every later
+  // position.
+  std::array<NameSlot, 65> attr_cache_;
 };
 
 /// \brief A StreamSource that parses a trace file as it is consumed.
