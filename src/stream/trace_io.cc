@@ -427,8 +427,9 @@ bool TraceChunkParser::Holds(const NameSlot& slot, const char* p,
 TraceChunkParser::Line TraceChunkParser::ParseLine(const char** at,
                                                    const char* end,
                                                    Event* out) {
-  // One forward scan: each token is found, trimmed and, when read,
-  // classified as the scan passes it; `*at` ends past the line's '\n'.
+  // One forward scan: each token is found and trimmed as the scan passes
+  // it, a short digit run converted on the way; other read values are
+  // classified from their token. `*at` ends past the line's '\n'.
   const char* p = SkipBlanks(*at, end);
   if (p == end || *p == '\n' || *p == '#') {
     const char* nl = Find(p, end, '\n');
