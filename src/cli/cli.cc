@@ -11,7 +11,6 @@
 
 #include "aseq/aseq_engine.h"
 #include "baseline/stack_engine.h"
-#include "ckpt/snapshot.h"
 #include "common/string_util.h"
 #include "common/version.h"
 #include "multi/chop_plan.h"
@@ -697,11 +696,6 @@ std::unique_ptr<exec::ExecutionPolicyT<EngineT>> RunPolicy(
     const MakePolicyFn& make_policy,
     BasicRunResult<typename EngineT::OutputT>* result,
     std::ostream& out, std::ostream& err) {
-  // Snapshots record the queries, so a restore into others is refused.
-  for (const CompiledQuery& q : queries) {
-    setup->options.query_hashes.push_back(
-        ckpt::QueryHash(q.query().ToString()));
-  }
   // Unshardable queries and workloads fall back to serial with a note.
   std::string fallback_reason;
   auto policy = make_policy(&fallback_reason);

@@ -93,10 +93,6 @@ struct RunOptions {
   /// Directory snapshots are written to; must be set (and exist) when
   /// checkpoint_every > 0.
   std::string checkpoint_dir;
-  /// ckpt::QueryHash of each query's canonical text, in workload order.
-  /// Snapshots record them, and a restore refuses a snapshot taken for
-  /// other queries.
-  std::vector<uint64_t> query_hashes;
   /// Sequence number assigned to the first event fed this run. A restored
   /// run passes the snapshot's stream offset here and feeds only the trace
   /// tail, so replayed events carry the same seq numbers they would have

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ckpt/snapshot.h"
 #include "exec/serial_executor.h"
 #include "exec/shard_router.h"
 #include "exec/sharded_executor.h"
@@ -23,18 +24,24 @@ bool EngineShards(Engine* engine) {
 
 /// Builds the first engine; runs serially for one shard or when sharding
 /// is refused (with the reason); else builds the twins and the sharded
-/// executor.
+/// executor. Either executor's snapshots record the queries' hashes, so
+/// a restore into other queries is refused.
 template <class Engine, class Policy = ExecutionPolicyT<Engine>>
 Result<std::unique_ptr<Policy>> MakePolicyT(
     std::span<const CompiledQuery> queries,
     const EngineFactoryT<Engine>& factory,
     const RunOptions& options, std::string* fallback_reason) {
   if (fallback_reason != nullptr) fallback_reason->clear();
+  std::vector<uint64_t> hashes;
+  hashes.reserve(queries.size());
+  for (const CompiledQuery& q : queries) {
+    hashes.push_back(ckpt::QueryHash(q.query().ToString()));
+  }
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> first, factory());
   const size_t shards = options.num_shards == 0 ? 1 : options.num_shards;
   if (shards == 1) {
-    return std::unique_ptr<Policy>(
-        new SerialExecutorT<Engine>(options, std::move(first)));
+    return std::unique_ptr<Policy>(new SerialExecutorT<Engine>(
+        options, std::move(first), std::move(hashes)));
   }
 
   std::string reason = PlanSharding(queries).reason;
@@ -43,8 +50,8 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
   }
   if (!reason.empty()) {
     if (fallback_reason != nullptr) *fallback_reason = reason;
-    return std::unique_ptr<Policy>(
-        new SerialExecutorT<Engine>(options, std::move(first)));
+    return std::unique_ptr<Policy>(new SerialExecutorT<Engine>(
+        options, std::move(first), std::move(hashes)));
   }
 
   std::vector<std::unique_ptr<Engine>> engines;
@@ -61,7 +68,8 @@ Result<std::unique_ptr<Policy>> MakePolicyT(
     engines.push_back(std::move(twin));
   }
   return std::unique_ptr<Policy>(new ShardedExecutorT<Engine>(
-      options, std::move(engines), ShardRouter(queries, shards), factory));
+      options, std::move(engines), ShardRouter(queries, shards), factory,
+      std::move(hashes)));
 }
 
 }  // namespace

@@ -21,7 +21,8 @@ template <class OutputT>
 BasicRunResult<OutputT> RunSerial(const RunOptions& options,
                                   StreamSource* source,
                                   BasicEngine<OutputT>* engine,
-                                  SerialBuffers* buffers) {
+                                  SerialBuffers* buffers,
+                                  std::span<const uint64_t> query_hashes) {
   SerialBuffers local;
   std::vector<OutputT>* scratch = &std::get<std::vector<OutputT>>(
       (buffers != nullptr ? buffers : &local)->scratch);
@@ -32,7 +33,7 @@ BasicRunResult<OutputT> RunSerial(const RunOptions& options,
   const auto save = [&] {
     return ckpt::SaveEngineSnapshot(
         ckpt::SnapshotPathForOffset(options.checkpoint_dir, seq), *engine,
-        seq, options.query_hashes);
+        seq, query_hashes);
   };
   StopWatch watch;
   for (;;) {
@@ -93,14 +94,18 @@ BasicRunResult<OutputT> RunSerial(const RunOptions& options,
 }
 
 template RunResult RunSerial(const RunOptions&, StreamSource*, QueryEngine*,
-                             SerialBuffers*);
+                             SerialBuffers*, std::span<const uint64_t>);
 template MultiRunResult RunSerial(const RunOptions&, StreamSource*,
-                                  MultiQueryEngine*, SerialBuffers*);
+                                  MultiQueryEngine*, SerialBuffers*,
+                                  std::span<const uint64_t>);
 
 template <class EngineT>
 SerialExecutorT<EngineT>::SerialExecutorT(const RunOptions& options,
-                                          std::unique_ptr<EngineT> engine)
-    : options_(options), engine_(std::move(engine)) {
+                                          std::unique_ptr<EngineT> engine,
+                                          std::vector<uint64_t> query_hashes)
+    : options_(options),
+      engine_(std::move(engine)),
+      query_hashes_(std::move(query_hashes)) {
   options_.num_shards = 1;
 }
 
@@ -108,7 +113,8 @@ template <class EngineT>
 typename SerialExecutorT<EngineT>::RunResultT SerialExecutorT<EngineT>::Run(
     StreamSource* source) {
   const uint64_t fired_at_start = fault::Injector::Global().fired_count();
-  RunResultT result = RunSerial(options_, source, engine_.get(), &buffers_);
+  RunResultT result =
+      RunSerial(options_, source, engine_.get(), &buffers_, query_hashes_);
   busy_seconds_ = result.elapsed_seconds;
   coord_counts_.fault_injected =
       fault::Injector::Global().fired_count() - fired_at_start;
@@ -120,7 +126,7 @@ Status SerialExecutorT<EngineT>::Restore(const std::string& path,
                                          uint64_t* stream_offset) {
   ASEQ_RETURN_NOT_OK(
       ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset,
-                                  options_.query_hashes));
+                                  query_hashes_));
   options_.start_offset = *stream_offset;
   return Status::OK();
 }

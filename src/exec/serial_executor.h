@@ -18,15 +18,18 @@ namespace exec {
 // checkpoint at due batch boundaries. SerialExecutorT, the CLI, the
 // benches and the examples all drive engines through it. `buffers`
 // (optional) is caller-owned output scratch reused clear-not-shrink
-// across runs; null uses per-run scratch. `engine` may point to any
-// engine class: the output type is deduced from its BasicEngine base.
-// Defined for the two output types, Output and MultiOutput.
+// across runs; null uses per-run scratch. Snapshots record
+// `query_hashes` (ckpt::QueryHash of each query, in workload order; a
+// bare engine run names none). `engine` may point to any engine class:
+// the output type is deduced from its BasicEngine base. Defined for the
+// two output types, Output and MultiOutput.
 
 template <class OutputT>
 BasicRunResult<OutputT> RunSerial(const RunOptions& options,
                                   StreamSource* source,
                                   BasicEngine<OutputT>* engine,
-                                  SerialBuffers* buffers = nullptr);
+                                  SerialBuffers* buffers = nullptr,
+                                  std::span<const uint64_t> query_hashes = {});
 
 /// Runs pre-built events through the serial core; each batch is a copy of
 /// its slice (ConstVectorSource), so the caller's events are never
@@ -42,13 +45,14 @@ BasicRunResult<OutputT> RunSerial(const RunOptions& options,
 
 /// \brief The single-threaded policy: owns one engine (QueryEngine or
 /// MultiQueryEngine) and drives it on the calling thread through
-/// RunSerial.
+/// RunSerial. `query_hashes` name the run's queries in its snapshots.
 template <class EngineT>
 class SerialExecutorT : public ExecutionPolicyT<EngineT> {
  public:
   using RunResultT = typename ExecutionPolicyT<EngineT>::RunResultT;
 
-  SerialExecutorT(const RunOptions& options, std::unique_ptr<EngineT> engine);
+  SerialExecutorT(const RunOptions& options, std::unique_ptr<EngineT> engine,
+                  std::vector<uint64_t> query_hashes);
 
   std::string name() const override { return engine_->name(); }
   size_t num_shards() const override { return 1; }
@@ -72,6 +76,7 @@ class SerialExecutorT : public ExecutionPolicyT<EngineT> {
  private:
   RunOptions options_;
   std::unique_ptr<EngineT> engine_;
+  std::vector<uint64_t> query_hashes_;
   SerialBuffers buffers_;
   double busy_seconds_ = 0;  // == elapsed_seconds of the last run
   /// The coordinator-owned kStatsFields rows of the last run: only

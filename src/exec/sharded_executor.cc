@@ -40,11 +40,13 @@ double Seconds(uint64_t begin, uint64_t end) {
 template <class Engine>
 ShardedExecutorT<Engine>::ShardedExecutorT(
     const RunOptions& options, std::vector<std::unique_ptr<Engine>> engines,
-    ShardRouter router, EngineFactoryT<Engine> factory)
+    ShardRouter router, EngineFactoryT<Engine> factory,
+    std::vector<uint64_t> query_hashes)
     : options_(options),
       engines_(std::move(engines)),
       factory_(std::move(factory)),
       router_(std::move(router)),
+      query_hashes_(std::move(query_hashes)),
       states_(engines_.size()),
       ledgers_(engines_.size()),
       pending_(engines_.size()),
@@ -412,7 +414,7 @@ Status ShardedExecutorT<Engine>::SaveSnapshotAt(uint64_t seq) {
   router_.Checkpoint(&router_state);
   return ckpt::SaveShardedSnapshot<OutputT>(
       ckpt::SnapshotPathForOffset(options_.checkpoint_dir, seq), shards, seq,
-      merged_now, router_state.buffer(), options_.query_hashes);
+      merged_now, router_state.buffer(), query_hashes_);
 }
 
 template <class Engine>
@@ -680,7 +682,7 @@ Status ShardedExecutorT<Engine>::Restore(const std::string& path,
   std::string router_state;
   ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot<OutputT>(
       path, shards, stream_offset, &merged, &router_state,
-      options_.query_hashes));
+      query_hashes_));
   ckpt::Reader router_reader(router_state);
   ASEQ_RETURN_NOT_OK(router_.Restore(&router_reader));
   ASEQ_RETURN_NOT_OK(router_reader.ExpectEnd());

@@ -89,10 +89,12 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   /// `engines` must all be freshly constructed shardable twins for the
   /// workload (the policy factory guarantees both). `router` is the
   /// matching pre-built router. `factory` rebuilds a twin after a
-  /// supervised restart.
+  /// supervised restart. `query_hashes` name the run's queries in its
+  /// snapshots.
   ShardedExecutorT(const RunOptions& options,
                    std::vector<std::unique_ptr<Engine>> engines,
-                   ShardRouter router, EngineFactoryT<Engine> factory);
+                   ShardRouter router, EngineFactoryT<Engine> factory,
+                   std::vector<uint64_t> query_hashes);
 
   std::string name() const override {
     return "Sharded[" + engines_[0]->name() + "]";
@@ -208,6 +210,7 @@ class ShardedExecutorT : public ExecutionPolicyT<Engine> {
   std::vector<std::unique_ptr<Engine>> engines_;
   EngineFactoryT<Engine> factory_;
   ShardRouter router_;
+  std::vector<uint64_t> query_hashes_;
 
   std::vector<ShardState> states_;
   std::vector<LaneLedger> ledgers_;

@@ -1002,7 +1002,6 @@ TEST(CliIngestTest, CheckpointsMatchAnInlineParse) {
     options.checkpoint_every = 1024;
     options.checkpoint_dir = inline_dir;
     options.collect_outputs = false;
-    options.query_hashes = {ckpt::QueryHash(query->query().ToString())};
     auto policy = exec::MakePolicy(
         *query, [&] { return CreateAseqEngine(*query); }, options);
     ASSERT_TRUE(policy.ok()) << policy.status().ToString();

@@ -201,7 +201,8 @@ void FuzzSnapshots(const SnapshotCase<Policy>& c,
       stale[24 + b] = static_cast<char>(current >> (8 * b));
     }
     ASSERT_TRUE(ckpt::WriteSnapshotFile(path, info.engine_name,
-                                        info.stream_offset, stale)
+                                        info.stream_offset, stale,
+                                        info.queries)
                     .ok());
     uint64_t offset = 0;
     Status restored = c.make(RunOptions())->Restore(path, &offset);
@@ -216,11 +217,14 @@ void FuzzSnapshots(const SnapshotCase<Policy>& c,
     if (RestoreAndFinish(c, path, events)) ++raw_accepted;
     if (::testing::Test::HasFatalFailure()) return;
   }
+  // Rewrites keep the valid file's query hashes, so every mutated payload
+  // reaches the engine decoders instead of the query check.
   size_t payload_accepted = 0;
   for (int i = 0; i < 300; ++i) {
     const std::string mutated = Mutate(payload, &rng, kSnapshotTokens);
     ASSERT_TRUE(ckpt::WriteSnapshotFile(path, info.engine_name,
-                                        info.stream_offset, mutated)
+                                        info.stream_offset, mutated,
+                                        info.queries)
                     .ok());
     if (RestoreAndFinish(c, path, events)) ++payload_accepted;
     if (::testing::Test::HasFatalFailure()) return;

@@ -2,8 +2,8 @@
 // dies, and is restored into a *freshly built* sharded policy must replay
 // the trace tail to outputs and merged stats byte-identical to both the
 // uninterrupted serial run and the uninterrupted sharded run. The
-// multi-shard snapshot container must also reject mismatched shard counts
-// and non-sharded snapshots up front.
+// multi-shard snapshot container must also reject mismatched shard counts,
+// other queries and non-sharded snapshots up front.
 
 #include <gtest/gtest.h>
 
@@ -366,6 +366,42 @@ TEST(ShardRecoveryTest, ShardCountMismatchRejected) {
   EXPECT_NE(restored.ToString().find("rerun with --shards"),
             std::string::npos)
       << restored.ToString();
+}
+
+TEST(ShardRecoveryTest, OtherQueryRejected) {
+  // A policy built by the factory names its query in every snapshot,
+  // with no option for the caller to set: restored into a policy for
+  // another window, serial or sharded, the snapshot is refused.
+  auto c = MakeStock(324, 1500);
+  CompiledQuery cq = MustCompile(
+      &c->schema,
+      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms");
+  CompiledQuery other = MustCompile(
+      &c->schema,
+      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 2s");
+  for (size_t shards : {size_t{1}, kShards}) {
+    const std::string dir =
+        FreshDir("shard-recovery-other-query-" + std::to_string(shards));
+    RunOptions options;
+    options.num_shards = shards;
+    options.checkpoint_every = 700;
+    options.checkpoint_dir = dir;
+    RunResult run = MustMakeSharded(cq, options)->RunEvents(c->events);
+    ASSERT_GT(run.checkpoints_written, 0u) << shards;
+    const std::string snapshot =
+        ckpt::SnapshotPathForOffset(dir, run.last_checkpoint_offset);
+
+    RunOptions fresh;
+    fresh.num_shards = shards;
+    uint64_t offset = 0;
+    Status restored = MustMakeSharded(other, fresh)->Restore(snapshot, &offset);
+    ASSERT_FALSE(restored.ok()) << shards;
+    EXPECT_NE(restored.ToString().find("query hashes differ"),
+              std::string::npos)
+        << restored.ToString();
+    EXPECT_TRUE(MustMakeSharded(cq, fresh)->Restore(snapshot, &offset).ok())
+        << shards;
+  }
 }
 
 TEST(ShardRecoveryTest, SerialSnapshotRejectedBySharded) {
