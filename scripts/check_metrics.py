@@ -32,8 +32,8 @@ import sys
 
 SHARD_COUNTERS = ("ops", "events", "outputs", "items", "parks", "busy_ns",
                   "park_ns")
-COORD_COUNTERS = ("batches", "events", "publications", "barriers",
-                  "checkpoints")
+COORD_COUNTERS = ("batches", "events", "publications", "ring_full_waits",
+                  "barriers", "checkpoints")
 SHARD_HISTOGRAMS = ("op_service_ns", "park_wait_ns", "trigger_latency_ns")
 COORD_HISTOGRAMS = ("admit_ns", "barrier_ns", "ring_occupancy")
 HIST_FIELDS = ("count", "mean", "p50", "p95", "p99", "max")

@@ -102,6 +102,7 @@ void MetricsEmitter::EmitIntervalLocked() {
        << ",\"batches\":" << c.batches.value()
        << ",\"events\":" << c.events.value()
        << ",\"publications\":" << c.publications.value()
+       << ",\"ring_full_waits\":" << c.ring_full_waits.value()
        << ",\"barriers\":" << c.barriers.value()
        << ",\"checkpoints\":" << c.checkpoints.value() << ",";
   WriteHistogramLocked("admit_ns", c.admit_ns, true);
