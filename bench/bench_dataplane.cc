@@ -1,44 +1,43 @@
-// Dataplane dispatch gauge: the sharded executor's coordinator→worker
+// Dataplane dispatch gate: the sharded executor's coordinator→worker
 // handoff protocol (SPSC ring + parked-flag wake, exec/spsc_ring.h,
 // docs/internals.md §16) and the cost of recording telemetry on it.
 //
-// The container CI runs on has one core, so a threaded throughput number
-// would only measure the scheduler. Instead the gauge replays the exact
-// per-publication synchronization sequence of the dataplane single-
-// threaded and deterministic — same item payloads, same burst/drain
-// cadence, same result-slot handback — so the measured number is purely
-// the protocol cost (acquire-release atomics per hop):
+// A threaded throughput number on a shared host would only measure the
+// scheduler. Instead the gate replays the exact per-publication
+// synchronization sequence of the dataplane single-threaded and
+// deterministic — same item payloads, same burst/drain cadence, same
+// result-slot handback — and times each pass against a reference pass in
+// the same process (MeasurePaired, bench_util.h):
 //
 //   dispatch_ring  — the live protocol: op words swapped into the lane's
 //                    next result slot, SpscRing TryPush/TryPop plus the
 //                    parked-flag wake check, and the slot handed back by
-//                    the lane's finished count
+//                    the lane's finished count; timed against the same
+//                    pass through a plain unsynchronized ring
+//                    (dispatch_plain), so the ratio is the ring's cost
 //   dispatch_ring_clock
-//                  — the ring protocol plus the per-item busy-time
-//                    StopWatch the live worker has had since PR 8
-//                    (telemetry off: elapsed folds into a double)
+//                  — the ring protocol plus synthetic per-op work and the
+//                    per-item busy-time StopWatch the live worker has had
+//                    since PR 8 (telemetry off: elapsed folds into a
+//                    double); timed against the same work through the
+//                    plain ring without the StopWatch (dispatch_work)
 //   dispatch_ring_metrics
-//                  — the same pass recording every telemetry cell site the
+//                  — the clock pass recording every telemetry cell site the
 //                    live hot path hits when --metrics-out is given
 //                    (obs::ShardCell/CoordCell counters, gauges, and
-//                    histograms; docs/internals.md §17)
+//                    histograms; docs/internals.md §17); its throughput
+//                    must stay >= 0.97x dispatch_ring_clock's (PR 9's
+//                    <= 3% telemetry-overhead acceptance)
 //
-// Gates (CI perf smoke, --check): dispatch_ring_metrics must stay >= 0.97x
-// dispatch_ring_clock (PR 9's <= 3% telemetry-overhead acceptance), and
-// the dispatch_* entries must not regress more than --tolerance vs the
-// committed BENCH_dataplane.json. Whether the sharded dataplane pays end
-// to end is measured by perfbench's stock_grouped_shard2 workload
-// (process wall, trace in, results out), not here.
-//
-// Flags, --out and --check are the shared gate harness (bench_util.h);
-// "events_per_sec" counts dispatched ops.
+// Whether the sharded dataplane pays end to end is measured by perfbench's
+// stock_grouped_shard2 workload (process wall, trace in, results out), not
+// here.
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -63,12 +62,36 @@ constexpr size_t kSlots = 2 * kCapacity;  // ShardLanes::kDoneSlots
 constexpr size_t kBurst = 12;         // the default overload watermark
 constexpr size_t kOpsPerItem = 8;     // ops per publication
 
+/// The reference ring: the same slots and indices as SpscRing, with plain
+/// loads and stores in place of its acquire/release pairs.
+class PlainRing {
+ public:
+  explicit PlainRing(size_t capacity) : slots_(capacity) {}
+  bool TryPush(Item& item) {
+    if (tail_ - head_ == slots_.size()) return false;
+    slots_[tail_++ % slots_.size()] = item;
+    return true;
+  }
+  bool TryPop(Item* out) {
+    if (head_ == tail_) return false;
+    *out = slots_[head_++ % slots_.size()];
+    return true;
+  }
+  size_t size() const { return tail_ - head_; }
+
+ private:
+  std::vector<Item> slots_;
+  size_t head_ = 0;
+  size_t tail_ = 0;
+};
+
 /// The live protocol: ring push/pop plus the parked-flag wake check
 /// (nobody is ever parked here, which is also the live fast path), and
 /// the result slots with their finished count. The op payload is a
 /// stand-in of the same shape as the executor's op words.
+template <class Ring>
 struct RingLane {
-  exec::SpscRing<Item> ring{kCapacity};
+  Ring ring{kCapacity};
   std::vector<std::vector<uint64_t>> slots =
       std::vector<std::vector<uint64_t>>(kSlots);
   std::atomic<uint64_t> finished{0};
@@ -90,6 +113,28 @@ struct RingLane {
     slots[item->slot].swap(pending);
     pending.clear();
   }
+  /// The coordinator's push, spinning while the ring is full (never, since
+  /// a burst fits), then the wake check.
+  void Push(Item& item) {
+    while (!ring.TryPush(item)) {
+      exec::CpuRelax();
+    }
+    ++published;
+    if (consumer_parked.load(std::memory_order_acquire)) {
+      { std::lock_guard<std::mutex> lk(mu); }
+      cv.notify_all();
+    }
+  }
+  /// The worker's pop and wake check.
+  void Pop(Item* item) {
+    while (!ring.TryPop(item)) {
+      exec::CpuRelax();
+    }
+    if (producer_parked.load(std::memory_order_acquire)) {
+      { std::lock_guard<std::mutex> lk(mu); }
+      cv.notify_all();
+    }
+  }
   /// The worker's handback once the slot's ops ran
   /// (ShardLanes::Lane::CountFinished).
   void CountFinished() {
@@ -98,8 +143,11 @@ struct RingLane {
   }
 };
 
-double RingPass(size_t rounds) {
-  std::vector<RingLane> lanes(kLanes);
+/// Protocol only: dispatch_ring with the SpscRing, dispatch_plain with the
+/// PlainRing.
+template <class Ring>
+double DispatchPass(size_t rounds) {
+  std::vector<RingLane<Ring>> lanes(kLanes);
   Item item;
   StopWatch watch;
   for (size_t r = 0; r < rounds; ++r) {
@@ -107,25 +155,12 @@ double RingPass(size_t rounds) {
       for (size_t b = 0; b < kBurst; ++b) {
         item.tag = r;
         lane.FillNextSlot(&item, r);
-        while (!lane.ring.TryPush(item)) {
-          exec::CpuRelax();  // never taken: burst <= capacity
-        }
-        ++lane.published;
-        if (lane.consumer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
+        lane.Push(item);
       }
     }
     for (auto& lane : lanes) {
       for (size_t b = 0; b < kBurst; ++b) {
-        while (!lane.ring.TryPop(&item)) {
-          exec::CpuRelax();
-        }
-        if (lane.producer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
+        lane.Pop(&item);
         lane.CountFinished();
       }
     }
@@ -133,24 +168,14 @@ double RingPass(size_t rounds) {
   return watch.ElapsedSeconds();
 }
 
-/// Telemetry overhead gauge (PR 9): the ring protocol with the per-item
-/// busy-time StopWatch the executor has had since PR 8 — once recording
-/// nothing (telemetry off: elapsed folds into a double, exactly the live
-/// null-telemetry branch) and once recording every hot-path cell site the
-/// live worker/coordinator hit when telemetry is on (counters, gauges, two
-/// histograms, plus the trigger-latency clock read on output-producing
-/// items, here every 4th). The clock reads exist in BOTH passes, so the
-/// measured delta is purely the obs::*Cell store cost — the quantity the
-/// <= 3% acceptance gate bounds.
-///
-/// Unlike the protocol-only dispatch_* gauges above, both passes "execute"
-/// work alongside the protocol, calibrated against the live telemetry's
-/// own measurements on the acceptance workload: a dependent-multiply
-/// chain of ~90 ns per op on the consumer side (the engine's measured
-/// mean op service time) and ~23 ns per op on the producer side (the
-/// coordinator's measured admission+routing cost per event). The
-/// telemetry records amortize over real per-item work in production, and
-/// gating the bare protocol would measure a hot path that does not exist.
+/// Both passes below "execute" work alongside the protocol, calibrated
+/// against the live telemetry's own measurements on the acceptance
+/// workload: a dependent-multiply chain of ~90 ns per op on the consumer
+/// side (the engine's measured mean op service time) and ~23 ns per op on
+/// the producer side (the coordinator's measured admission+routing cost
+/// per event). The telemetry records amortize over real per-item work in
+/// production, and gating the bare protocol would measure a hot path that
+/// does not exist.
 template <int kIters>
 uint64_t ExecuteOps(const std::vector<uint64_t>& ops, uint64_t seed) {
   uint64_t x = seed;
@@ -164,8 +189,14 @@ uint64_t ExecuteOps(const std::vector<uint64_t>& ops, uint64_t seed) {
 }
 constexpr int kConsumerOpIters = 64;  // ~90 ns/op on the CI reference host
 constexpr int kProducerOpIters = 16;  // ~23 ns/op admission+routing
-double RingClockPass(size_t rounds) {
-  std::vector<RingLane> lanes(kLanes);
+
+/// The ring protocol with the work above: dispatch_ring_clock (SpscRing,
+/// plus the per-item busy-time StopWatch, recording nothing — telemetry
+/// off: elapsed folds into a double, exactly the live null-telemetry
+/// branch) and its reference dispatch_work (PlainRing, no StopWatch).
+template <class Ring, bool kClock>
+double WorkPass(size_t rounds) {
+  std::vector<RingLane<Ring>> lanes(kLanes);
   Item item;
   double busy_acc = 0;
   uint64_t sink = 0;
@@ -178,29 +209,19 @@ double RingClockPass(size_t rounds) {
         item.tag = r;
         lane.FillNextSlot(&item, r);
         sink ^= ExecuteOps<kProducerOpIters>(lane.slots[item.slot], r);
-        while (!lane.ring.TryPush(item)) {
-          exec::CpuRelax();
-        }
-        ++lane.published;
-        if (lane.consumer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
+        lane.Push(item);
       }
     }
     for (auto& lane : lanes) {
       for (size_t b = 0; b < kBurst; ++b) {
-        while (!lane.ring.TryPop(&item)) {
-          exec::CpuRelax();
-        }
-        StopWatch item_watch;
-        if (lane.producer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
+        lane.Pop(&item);
+        std::optional<StopWatch> item_watch;
+        if constexpr (kClock) item_watch.emplace();
         sink ^= ExecuteOps<kConsumerOpIters>(lane.slots[item.slot], r);
         lane.CountFinished();
-        busy_acc += static_cast<double>(item_watch.ElapsedNanos()) * 1e-9;
+        if constexpr (kClock) {
+          busy_acc += static_cast<double>(item_watch->ElapsedNanos()) * 1e-9;
+        }
       }
     }
   }
@@ -209,8 +230,14 @@ double RingClockPass(size_t rounds) {
   return watch.ElapsedSeconds();
 }
 
-double RingMetricsPass(size_t rounds) {
-  std::vector<RingLane> lanes(kLanes);
+/// dispatch_ring_metrics: the clock pass recording every hot-path cell
+/// site the live worker/coordinator hit when telemetry is on (counters,
+/// gauges, two histograms, plus the trigger-latency clock read on
+/// output-producing items, here every 4th). The clock reads exist in both
+/// passes, so the measured delta is purely the obs::*Cell store cost — the
+/// quantity the <= 3% acceptance gate bounds.
+double MetricsPass(size_t rounds) {
+  std::vector<RingLane<exec::SpscRing<Item>>> lanes(kLanes);
   obs::Telemetry tel(kLanes);
   Item item;
   double busy_acc = 0;
@@ -232,14 +259,7 @@ double RingMetricsPass(size_t rounds) {
         item.tag = publish_ns;
         lane.FillNextSlot(&item, r);
         sink ^= ExecuteOps<kProducerOpIters>(lane.slots[item.slot], r);
-        while (!lane.ring.TryPush(item)) {
-          exec::CpuRelax();
-        }
-        ++lane.published;
-        if (lane.consumer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
+        lane.Push(item);
       }
     }
     for (size_t l = 0; l < kLanes; ++l) {
@@ -251,14 +271,8 @@ double RingMetricsPass(size_t rounds) {
       uint64_t acc_items = 0, acc_ops = 0, acc_events = 0, acc_outputs = 0,
                acc_busy_ns = 0;
       for (size_t b = 0; b < kBurst; ++b) {
-        while (!lane.ring.TryPop(&item)) {
-          exec::CpuRelax();
-        }
+        lane.Pop(&item);
         StopWatch item_watch;
-        if (lane.producer_parked.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(lane.mu); }
-          lane.cv.notify_all();
-        }
         sink ^= ExecuteOps<kConsumerOpIters>(lane.slots[item.slot], r);
         lane.CountFinished();
         const uint64_t busy = item_watch.ElapsedNanos();
@@ -289,108 +303,15 @@ double RingMetricsPass(size_t rounds) {
   return watch.ElapsedSeconds();
 }
 
-struct Measurement {
-  double events_per_sec = 0;  // dispatched ops per second
-  double median_seconds = 0;
-  double min_seconds = 0;
-  double max_seconds = 0;
-  uint64_t events = 0;
-};
+// Rounds per pass: a protocol-only pass is ~3 ms, a pass with work
+// ~30 ms, so a regime shift rarely splits a pair.
+constexpr size_t kDispatchRounds = 2000;
+constexpr size_t kWorkRounds = 400;
 
-/// Paired overhead measurement: the total work is cut into short chunks
-/// (rounds / kPairedChunks rounds per pass) and the clock/metrics passes
-/// alternate chunk by chunk, so each back-to-back pair runs under the
-/// same machine regime — frequency drift, a noisy neighbor, or thermal
-/// throttle slows BOTH sides of a pair equally and cancels out of that
-/// pair's time ratio. The gate uses the MEDIAN of the per-pair ratios:
-/// a preemption landing inside one pass makes that one pair an outlier
-/// (in either direction), and the median discards it. Empirically this
-/// estimator holds a ~0.5% spread on a half-loaded single core where
-/// both a global min-time ratio and a whole-run time ratio swing by
-/// several percent (regimes last seconds, so they do NOT cancel across
-/// long unpaired passes). Returns the per-pass Measurements + the ratio.
-struct PairedResult {
-  Measurement clock;
-  Measurement metrics;
-  double gate_ratio = 0;  // metrics/clock throughput, 1.0 = no overhead
-};
-
-PairedResult MeasurePaired(size_t rounds, int warmup, int reps) {
-  constexpr size_t kPairedChunks = 8;
-  const size_t chunk_rounds = std::max<size_t>(1, rounds / kPairedChunks);
-  // At least 96 pairs regardless of --reps (a pair is ~75ms of work in
-  // quick mode, so the floor costs a few seconds): the median needs
-  // enough samples that outlier pairs — a pass preempted mid-chunk —
-  // stay a minority. At 48 pairs the median still wobbled ~1% on a
-  // half-loaded core; at 96 it holds within ~0.5%.
-  const int n = std::max(reps * static_cast<int>(kPairedChunks), 96);
-  const uint64_t ops = static_cast<uint64_t>(chunk_rounds) * kLanes * kBurst *
-                       kOpsPerItem;
-  for (int i = 0; i < warmup; ++i) {
-    RingClockPass(chunk_rounds);
-    RingMetricsPass(chunk_rounds);
-  }
-  std::vector<double> clock_s, metrics_s;
-  for (int i = 0; i < n; ++i) {
-    clock_s.push_back(RingClockPass(chunk_rounds));
-    metrics_s.push_back(RingMetricsPass(chunk_rounds));
-  }
-  auto to_measurement = [ops](std::vector<double> seconds) {
-    std::sort(seconds.begin(), seconds.end());
-    Measurement m;
-    m.median_seconds = seconds[seconds.size() / 2];
-    m.min_seconds = seconds.front();
-    m.max_seconds = seconds.back();
-    m.events = ops;
-    m.events_per_sec = m.median_seconds == 0
-                           ? 0
-                           : static_cast<double>(ops) / m.median_seconds;
-    return m;
-  };
-  PairedResult r;
-  r.clock = to_measurement(clock_s);
-  r.metrics = to_measurement(metrics_s);
-  // Throughput ratio per pair is time ratio t_clock / t_metrics.
-  std::vector<double> pair_ratios;
-  for (int i = 0; i < n; ++i) {
-    const size_t ui = static_cast<size_t>(i);
-    if (metrics_s[ui] > 0) pair_ratios.push_back(clock_s[ui] / metrics_s[ui]);
-  }
-  std::sort(pair_ratios.begin(), pair_ratios.end());
-  r.gate_ratio = pair_ratios.empty() ? 0 : pair_ratios[pair_ratios.size() / 2];
-  return r;
-}
-
-template <typename PassFn>
-Measurement MeasureDispatch(PassFn pass, size_t rounds, int warmup,
-                            int reps) {
-  const uint64_t ops = static_cast<uint64_t>(rounds) * kLanes * kBurst *
-                       kOpsPerItem;
-  for (int i = 0; i < warmup; ++i) pass(rounds);
-  std::vector<double> seconds;
-  seconds.reserve(static_cast<size_t>(reps));
-  for (int i = 0; i < reps; ++i) seconds.push_back(pass(rounds));
-  std::sort(seconds.begin(), seconds.end());
-  Measurement m;
-  m.median_seconds = seconds[seconds.size() / 2];
-  m.min_seconds = seconds.front();
-  m.max_seconds = seconds.back();
-  m.events = ops;
-  m.events_per_sec =
-      m.median_seconds == 0 ? 0 : static_cast<double>(ops) / m.median_seconds;
-  return m;
-}
-
-GateEntry Entry(const std::string& name, const Measurement& m) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"events_per_sec\": %.1f, \"median_seconds\": %.6f, "
-      "\"min_seconds\": %.6f, \"max_seconds\": %.6f, \"events\": %llu",
-      m.events_per_sec, m.median_seconds, m.min_seconds, m.max_seconds,
-      static_cast<unsigned long long>(m.events));
-  return {name, buf, m.events_per_sec};
-}
+// Bounds on the median per-pair ratios (EXPERIMENTS.md has the readings).
+constexpr double kRingBound = 1.12;  // dispatch_ring / dispatch_plain time
+constexpr double kClockBound = 1.25;  // dispatch_ring_clock / dispatch_work
+constexpr double kMetricsFloor = 0.97;  // metrics / clock throughput
 
 }  // namespace
 }  // namespace bench
@@ -398,62 +319,45 @@ GateEntry Entry(const std::string& name, const Measurement& m) {
 
 int main(int argc, char** argv) {
   using namespace aseq::bench;
-  const GateFlags flags = ParseGateFlags(argc, argv, /*quick_reps=*/3,
-                                         /*full_reps=*/5);
-  const int reps = flags.reps;
-  const int warmup = flags.warmup;
-  const size_t rounds = flags.quick ? 4000 : 16000;
-
-  std::printf("dataplane dispatch gauge: mode=%s reps=%d warmup=%d lanes=%zu "
+  using aseq::exec::SpscRing;
+  // At least 96 pairs by default: the median needs enough samples that
+  // outlier pairs — a pass preempted mid-chunk — stay a minority. At 48
+  // pairs the metrics/clock median still wobbled ~1% on a half-loaded
+  // core; at 96 it holds within ~0.5%.
+  const GateFlags flags = ParseGateFlags(argc, argv, /*default_reps=*/96);
+  std::printf("dataplane dispatch gate: pairs=%d warmup=%d lanes=%zu "
               "burst=%zu ops/item=%zu\n",
-              flags.mode().c_str(), reps, warmup, kLanes, kBurst,
-              kOpsPerItem);
-  std::vector<std::pair<std::string, Measurement>> results;
-  if (flags.Wants("dispatch_ring")) {
-    results.emplace_back("dispatch_ring",
-                         MeasureDispatch(RingPass, rounds, warmup, reps));
+              flags.reps, flags.warmup, kLanes, kBurst, kOpsPerItem);
+  if (!flags.only.empty()) {
+    std::fprintf(stderr, "bench_dataplane times its five passes together "
+                         "and takes no --only\n");
+    return 2;
   }
-  double metrics_ratio = 0;
-  if (flags.Wants("dispatch_ring_clock") &&
-      flags.Wants("dispatch_ring_metrics")) {
-    // The overhead pair always measures together (interleaved) so the
-    // gate ratio is immune to frequency drift between the two sides.
-    PairedResult paired = MeasurePaired(rounds, warmup, reps);
-    results.emplace_back("dispatch_ring_clock", paired.clock);
-    results.emplace_back("dispatch_ring_metrics", paired.metrics);
-    metrics_ratio = paired.gate_ratio;
-  } else if (flags.Wants("dispatch_ring_clock")) {
-    results.emplace_back(
-        "dispatch_ring_clock",
-        MeasureDispatch(RingClockPass, rounds, warmup, reps));
-  } else if (flags.Wants("dispatch_ring_metrics")) {
-    results.emplace_back(
-        "dispatch_ring_metrics",
-        MeasureDispatch(RingMetricsPass, rounds, warmup, reps));
+  // One round runs the five passes in this order.
+  enum { kRing, kPlain, kClock, kWork, kMetrics };
+  const char* const names[] = {"dispatch_ring", "dispatch_plain",
+                               "dispatch_ring_clock", "dispatch_work",
+                               "dispatch_ring_metrics"};
+  const PairedRun run = MeasurePaired(
+      {[] { return DispatchPass<SpscRing<Item>>(kDispatchRounds); },
+       [] { return DispatchPass<PlainRing>(kDispatchRounds); },
+       [] { return WorkPass<SpscRing<Item>, true>(kWorkRounds); },
+       [] { return WorkPass<PlainRing, false>(kWorkRounds); },
+       [] { return MetricsPass(kWorkRounds); }},
+      flags.warmup, flags.reps);
+  for (int p = kRing; p <= kMetrics; ++p) {
+    std::printf("  %-22s median %9.6f s\n", names[p], run.MedianSeconds(p));
   }
-  std::vector<GateEntry> entries;
-  for (const auto& [name, m] : results) {
-    std::printf("  %-14s median %9.6f s  %12.0f ev/s\n", name.c_str(),
-                m.median_seconds, m.events_per_sec);
-    entries.push_back(Entry(name, m));
-  }
-
-  // Telemetry overhead: metrics-on must keep >= 97% of the
-  // metrics-off throughput (<= 3% overhead), median of paired reps.
-  if (metrics_ratio > 0) {
-    std::printf("  metrics/clock dispatch ratio: %.3fx (gate >= 0.970x, "
-                "overhead %.1f%%)\n",
-                metrics_ratio, (1.0 - metrics_ratio) * 100.0);
-  }
-
-  bool ok = FinishGate(flags, entries);
-  if (!flags.check_path.empty() && metrics_ratio > 0 &&
-      metrics_ratio < 0.97) {
-    std::fprintf(stderr,
-                 "FAIL: metrics/clock dispatch ratio %.3fx is below the "
-                 "0.970x acceptance gate (telemetry overhead > 3%%)\n",
-                 metrics_ratio);
-    ok = false;
-  }
+  bool ok = CheckRatio("dispatch_ring/dispatch_plain time",
+                       run.Ratio(kRing, kPlain), kRingBound,
+                       /*floor=*/false);
+  ok = CheckRatio("dispatch_ring_clock/dispatch_work time",
+                  run.Ratio(kClock, kWork), kClockBound, /*floor=*/false) &&
+       ok;
+  // Throughput ratio metrics/clock is the time ratio clock/metrics.
+  ok = CheckRatio("dispatch_ring_metrics/clock throughput",
+                  run.Ratio(kClock, kMetrics), kMetricsFloor,
+                  /*floor=*/true) &&
+       ok;
   return ok ? 0 : 1;
 }

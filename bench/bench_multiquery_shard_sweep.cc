@@ -9,19 +9,15 @@
 // but busy time still splits), and the acceptance gate is >= 1.3x for
 // every sharing strategy.
 //
-// Flags, --out and --check are the shared gate harness (bench_util.h).
-// --check fails if any strategy's speedup_at_8 falls below the 1.3x
-// acceptance floor, or has no committed "<mode>/current/<strategy>" entry
-// in BENCH_multiquery.json — the CI perf smoke gate for the sharded
-// multi-query runtime. Unlike the throughput gates, the floor is
-// absolute, not committed-relative: critical-path speedup is a busy-time
-// ratio, hardware-independent but noisy enough on shared CI boxes that a
-// tight relative floor would flake (the committed number is printed for
-// comparison). --tolerance widens nothing here.
+// Each strategy's serial run and its 2-, 4- and 8-shard runs alternate in
+// interleaved rounds (MeasurePaired, bench_util.h), and speedup_at_N is the
+// median of the per-round ratios serial busy / max-shard busy at N shards.
+// The gate fails if any strategy's speedup_at_8 falls below the 1.3x
+// acceptance floor, or if a sharded run's outputs drift from serial's.
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,13 +35,11 @@ namespace {
 /// critical path by at least this factor at 8 shards.
 constexpr double kSpeedupFloor = 1.3;
 
-const size_t kShardCounts[] = {2, 4, 8};
-
-size_t g_num_events = 0;
+constexpr size_t kEvents = 60000;
 
 const BenchStream& Stream() {
   static const BenchStream* stream =
-      MakeStockStream(g_num_events, /*max_gap_ms=*/2, /*seed=*/42,
+      MakeStockStream(kEvents, /*max_gap_ms=*/2, /*seed=*/42,
                       /*num_traders=*/2000)
           .release();
   return *stream;
@@ -64,29 +58,15 @@ std::vector<std::string> WorkloadTexts() {
   };
 }
 
-struct Measurement {
-  double serial_busy_seconds = 0;   // best serial elapsed (== busy)
-  double serial_ms_per_slide = 0;
-  double events_per_sec = 0;        // serial, from the best pass
-  std::map<size_t, double> busy_by_shards;  // best max-shard busy
-  std::map<size_t, double> speedup_by_shards;
-  uint64_t events = 0;
-  uint64_t outputs = 0;
-};
-
-/// Min across repetitions: the least-interference estimate. Workers on a
-/// time-sliced container inflate busy time whenever the scheduler parks
-/// them mid-batch, so medians stay noisy where minima converge.
-double Best(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
-/// One policy run; returns the critical path (max shard busy) and fills
-/// outputs on the first call.
+/// One policy run; returns the critical path (max shard busy; a serial
+/// run's elapsed is its busy) and exits 1 if the outputs drift from
+/// `*outputs` once that is set.
 double RunOnce(const std::vector<CompiledQuery>& queries,
-               const exec::MultiEngineFactory& factory,
-               const RunOptions& options, uint64_t* events,
+               const exec::MultiEngineFactory& factory, size_t shards,
                uint64_t* outputs) {
+  RunOptions options;
+  options.collect_outputs = false;
+  options.num_shards = shards;
   std::string reason;
   auto policy = exec::MakeMultiPolicy(queries, factory, options, &reason);
   if (!policy.ok() || !reason.empty()) {
@@ -95,88 +75,25 @@ double RunOnce(const std::vector<CompiledQuery>& queries,
                  reason.c_str());
     std::exit(1);
   }
-  if ((*policy)->num_shards() != options.num_shards) {
-    std::fprintf(stderr, "FAIL: wanted %zu shards, got %zu\n",
-                 options.num_shards, (*policy)->num_shards());
+  if ((*policy)->num_shards() != shards) {
+    std::fprintf(stderr, "FAIL: wanted %zu shards, got %zu\n", shards,
+                 (*policy)->num_shards());
     std::exit(1);
   }
   MultiRunResult result = (*policy)->RunEvents(Stream().events);
-  *events = result.events;
-  *outputs = (*policy)->stats().outputs;
+  const uint64_t got = (*policy)->stats().outputs;
+  if (*outputs == 0) *outputs = got;
+  if (got != *outputs || result.events != Stream().events.size()) {
+    std::fprintf(stderr, "FAIL: %zu shards drifted: %llu outputs vs serial "
+                 "%llu\n", shards, static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(*outputs));
+    std::exit(1);
+  }
   double busy_max = 0;
   for (double busy : (*policy)->shard_busy_seconds()) {
     busy_max = std::max(busy_max, busy);
   }
   return busy_max;
-}
-
-Measurement RunStrategy(const std::string& strategy,
-                        const std::vector<CompiledQuery>& queries, int warmup,
-                        int reps) {
-  exec::MultiEngineFactory factory =
-      std::move(MakeStrategyFactory(strategy, queries)).value();
-  Measurement m;
-
-  RunOptions serial_options;
-  serial_options.collect_outputs = false;
-  serial_options.num_shards = 1;
-  std::vector<double> serial_busy;
-  for (int r = 0; r < warmup + reps; ++r) {
-    const double busy =
-        RunOnce(queries, factory, serial_options, &m.events, &m.outputs);
-    if (r >= warmup) serial_busy.push_back(busy);
-  }
-  m.serial_busy_seconds = Best(serial_busy);
-  m.serial_ms_per_slide = m.events == 0 ? 0
-                                        : m.serial_busy_seconds * 1e3 /
-                                              static_cast<double>(m.events);
-  m.events_per_sec = m.serial_busy_seconds == 0
-                         ? 0
-                         : static_cast<double>(m.events) /
-                               m.serial_busy_seconds;
-
-  for (size_t shards : kShardCounts) {
-    RunOptions options;
-    options.collect_outputs = false;
-    options.num_shards = shards;
-    std::vector<double> busy;
-    uint64_t events = 0;
-    uint64_t outputs = 0;
-    for (int r = 0; r < warmup + reps; ++r) {
-      const double b = RunOnce(queries, factory, options, &events, &outputs);
-      if (r >= warmup) busy.push_back(b);
-    }
-    if (outputs != m.outputs || events != m.events) {
-      std::fprintf(stderr,
-                   "FAIL: %s at %zu shards drifted: %llu outputs vs serial "
-                   "%llu\n",
-                   strategy.c_str(), shards,
-                   static_cast<unsigned long long>(outputs),
-                   static_cast<unsigned long long>(m.outputs));
-      std::exit(1);
-    }
-    const double best = Best(busy);
-    m.busy_by_shards[shards] = best;
-    m.speedup_by_shards[shards] =
-        best == 0 ? 0 : m.serial_busy_seconds / best;
-  }
-  return m;
-}
-
-GateEntry Entry(const std::string& name, const Measurement& m) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"serial_busy_seconds\": %.4f, \"serial_ms_per_slide\": %.6f, "
-      "\"events_per_sec\": %.1f, \"busy_at_8\": %.4f, \"speedup_at_2\": "
-      "%.3f, \"speedup_at_4\": %.3f, \"speedup_at_8\": %.3f, \"events\": "
-      "%llu, \"outputs\": %llu",
-      m.serial_busy_seconds, m.serial_ms_per_slide, m.events_per_sec,
-      m.busy_by_shards.at(8), m.speedup_by_shards.at(2),
-      m.speedup_by_shards.at(4), m.speedup_by_shards.at(8),
-      static_cast<unsigned long long>(m.events),
-      static_cast<unsigned long long>(m.outputs));
-  return {name, buf, m.speedup_by_shards.at(8)};
 }
 
 }  // namespace
@@ -185,11 +102,9 @@ GateEntry Entry(const std::string& name, const Measurement& m) {
 
 int main(int argc, char** argv) {
   using namespace aseq::bench;
-  const GateFlags flags = ParseGateFlags(argc, argv, /*quick_reps=*/3,
-                                         /*full_reps=*/4);
-  g_num_events = flags.quick ? 60000 : 150000;
-  std::printf("multi-query shard sweep: mode=%s reps=%d warmup=%d\n",
-              flags.mode().c_str(), flags.reps, flags.warmup);
+  const GateFlags flags = ParseGateFlags(argc, argv, /*default_reps=*/9);
+  std::printf("multi-query shard sweep: events=%zu rounds=%d warmup=%d\n",
+              kEvents, flags.reps, flags.warmup);
 
   aseq::Schema schema = Stream().schema;
   aseq::Analyzer analyzer(&schema);
@@ -198,19 +113,29 @@ int main(int argc, char** argv) {
     queries.push_back(std::move(analyzer.AnalyzeText(text)).value());
   }
 
-  std::vector<GateEntry> entries;
+  bool ok = true;
   for (const char* strategy : {"nonshare", "pretree", "cc", "hybrid"}) {
     if (!flags.Wants(strategy)) continue;
-    Measurement m = RunStrategy(strategy, queries, flags.warmup, flags.reps);
-    std::printf(
-        "  %-9s serial %7.4fs (%8.0f ev/s)  x2 %.2f  x4 %.2f  x8 %.2f  "
-        "outputs=%llu\n",
-        strategy, m.serial_busy_seconds, m.events_per_sec,
-        m.speedup_by_shards.at(2), m.speedup_by_shards.at(4),
-        m.speedup_by_shards.at(8),
-        static_cast<unsigned long long>(m.outputs));
-    entries.push_back(Entry(strategy, m));
+    const aseq::exec::MultiEngineFactory factory =
+        std::move(aseq::MakeStrategyFactory(strategy, queries)).value();
+    uint64_t outputs = 0;
+    std::vector<std::function<double()>> passes;
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      passes.push_back([&, shards] {
+        return RunOnce(queries, factory, shards, &outputs);
+      });
+    }
+    const PairedRun run = MeasurePaired(passes, flags.warmup, flags.reps);
+    const double serial = run.MedianSeconds(0);
+    std::printf("  %-9s serial %7.4fs (%8.0f ev/s)  x2 %.2f  x4 %.2f  "
+                "outputs=%llu\n",
+                strategy, serial,
+                serial == 0 ? 0 : static_cast<double>(kEvents) / serial,
+                run.Ratio(0, 1), run.Ratio(0, 2),
+                static_cast<unsigned long long>(outputs));
+    ok = CheckRatio(std::string(strategy) + " speedup_at_8", run.Ratio(0, 3),
+                    kSpeedupFloor, /*floor=*/true) &&
+         ok;
   }
-  // The floor is absolute: --tolerance widens nothing here.
-  return FinishGate(flags, entries, "speedup_at_8", kSpeedupFloor) ? 0 : 1;
+  return ok ? 0 : 1;
 }

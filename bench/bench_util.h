@@ -4,10 +4,10 @@
 #include <ctime>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,16 +73,18 @@ inline SerialBuffers& SharedBuffers() {
   return buffers;
 }
 
-// ---- Noise control: warm-up passes + median-of-N reporting. -------------
+// ---- Perf gates: a path timed against a reference in the same process. --
 //
-// Engines are stateful, so repetitions must not re-feed a stream into the
-// engine that already consumed it (windowed state would never expire and
-// the second pass would measure different work). RunStable therefore
-// builds a *fresh* engine per pass via a caller factory, discards warm-up
-// passes (page-cache, allocator, and branch-predictor warming), and hands
-// back every timed pass so callers can report the median — the estimator
-// that before/after comparisons (BENCH_partition_store.json) rely on,
-// since it shrugs off the occasional descheduled pass that poisons a mean.
+// The CI perf-smoke binaries share this harness:
+//
+//   BIN [--reps N] [--warmup N] [--only NAME]
+//
+// A gate never reads a number from another run or another host. Each gated
+// path is timed against a reference that does nearly the same work, in the
+// same process, and the gate bounds the median of the per-pair time ratios
+// by a constant in its source. --reps sets the timed pairs, --warmup the
+// untimed ones, and --only runs one workload (a profiling aid; a gate whose
+// ratios pair passes of several workloads refuses it).
 
 /// Median of `samples` (middle pair averaged for even counts).
 inline double Median(std::vector<double> samples) {
@@ -93,33 +95,7 @@ inline double Median(std::vector<double> samples) {
                     : (samples[n / 2 - 1] + samples[n / 2]) / 2;
 }
 
-/// One multi-pass measurement: per-pass engine seconds plus the final
-/// pass's engine-side stats.
-struct StableRun {
-  std::vector<double> seconds;  // timed passes only (warm-ups discarded)
-  uint64_t events_per_pass = 0;
-  uint64_t outputs = 0;        // last pass
-  int64_t peak_objects = 0;    // last pass
-  uint64_t ht_probes = 0;      // last pass (flat-store diagnostics)
-  uint64_t ht_probe_steps = 0;
-  uint64_t ht_slots = 0;
-  uint64_t ht_entries = 0;
-
-  double MedianSeconds() const {
-    return Median(std::vector<double>(seconds));
-  }
-  double MedianMsPerSlide() const {
-    return events_per_pass == 0 ? 0
-                                : MedianSeconds() * 1e3 /
-                                      static_cast<double>(events_per_pass);
-  }
-  double MedianEventsPerSec() const {
-    const double s = MedianSeconds();
-    return s == 0 ? 0 : static_cast<double>(events_per_pass) / s;
-  }
-};
-
-/// Process CPU time. A gate that times its passes on this clock measures
+/// Process CPU time. A single-threaded pass timed on this clock measures
 /// the work under test instead of the scheduler: on a contended host the
 /// wall clock swings ±15% run-to-run on an identical binary.
 inline double CpuSeconds() {
@@ -129,78 +105,71 @@ inline double CpuSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Feeds `events` through `warmup + reps` freshly built engines (one per
-/// pass, from `make_engine`) and times the `reps` post-warm-up passes, on
-/// the serial core's wall clock or, with `cpu_time`, on CpuSeconds around
-/// the run loop. The stream is staged into a VectorSource once, so each
-/// timed pass borrows batches straight out of the source's storage
-/// (StreamSource::BorrowBatch) — the run loop never copies an event.
-template <typename MakeEngine>
-inline StableRun RunStable(const std::vector<Event>& events,
-                           MakeEngine&& make_engine, size_t batch_size,
-                           int warmup, int reps, bool cpu_time = false) {
-  RunOptions options;
-  options.collect_outputs = false;
-  options.batch_size = batch_size;
-  VectorSource source(events);
-  StableRun out;
-  for (int pass = 0; pass < warmup + reps; ++pass) {
-    auto engine = make_engine();
-    source.Reset();
-    const double cpu0 = cpu_time ? CpuSeconds() : 0;
-    RunResult result =
-        exec::RunSerial(options, &source, engine.get(), &SharedBuffers());
-    const double seconds =
-        cpu_time ? CpuSeconds() - cpu0 : result.elapsed_seconds;
-    if (pass < warmup) continue;
-    out.seconds.push_back(seconds);
-    out.events_per_pass = result.events;
-    const EngineStats& stats = engine->stats();
-    out.outputs = stats.outputs;
-    out.peak_objects = stats.objects.peak();
-    out.ht_probes = stats.ht_probes;
-    out.ht_probe_steps = stats.ht_probe_steps;
-    out.ht_slots = stats.ht_slots;
-    out.ht_entries = stats.ht_entries;
+/// The timed passes of MeasurePaired: `seconds[p][r]` is pass p of round r.
+struct PairedRun {
+  std::vector<std::vector<double>> seconds;
+
+  double MedianSeconds(size_t pass) const { return Median(seconds[pass]); }
+  /// Median over rounds of seconds[path][r] / seconds[reference][r].
+  double Ratio(size_t path, size_t reference) const {
+    std::vector<double> ratios;
+    for (size_t r = 0; r < seconds[path].size(); ++r) {
+      if (seconds[reference][r] > 0) {
+        ratios.push_back(seconds[path][r] / seconds[reference][r]);
+      }
+    }
+    return Median(std::move(ratios));
   }
-  return out;
+};
+
+/// Runs each of `passes` once per round, in order: `warmup` untimed rounds,
+/// then `rounds` timed ones. A pass returns the seconds it measured.
+/// Passes of one round run back to back, under the same machine regime
+/// (frequency drift, a noisy neighbour, a throttle), which then slows both
+/// sides of a pair and cancels out of the pair's ratio; a preemption inside
+/// one pass makes that one pair an outlier, which PairedRun::Ratio's median
+/// discards. Regimes last seconds, so they do NOT cancel across long
+/// unpaired passes or between processes.
+inline PairedRun MeasurePaired(
+    const std::vector<std::function<double()>>& passes, int warmup,
+    int rounds) {
+  PairedRun run;
+  run.seconds.resize(passes.size());
+  for (int r = 0; r < warmup + rounds; ++r) {
+    for (size_t p = 0; p < passes.size(); ++p) {
+      const double seconds = passes[p]();
+      if (r >= warmup) run.seconds[p].push_back(seconds);
+    }
+  }
+  return run;
 }
 
-// ---- Perf gates: one command line, one --out writer, one --check. -----
-//
-// The CI perf-smoke binaries share this harness:
-//
-//   BIN [--quick] [--reps N] [--warmup N] [--only NAME] [--out FILE]
-//       [--label NAME] [--check FILE] [--tolerance F]
-//
-// --out writes flat JSON, one `"<mode>/<label>/<name>": {...}` entry per
-// line. --check compares each entry's gated value with the committed
-// "<mode>/current/<name>" entry of FILE and fails (exit 1) when it is
-// missing or below its floor: committed * (1 - tolerance), or a gate's
-// own absolute floor.
+/// Prints one gate line and returns whether `ratio` keeps its bound:
+/// ratio <= bound for a ceiling, ratio >= bound for a floor.
+inline bool CheckRatio(const std::string& what, double ratio, double bound,
+                       bool floor) {
+  const bool ok = floor ? ratio >= bound : ratio <= bound;
+  std::printf("  gate %-44s %.3f (%s %.3f): %s\n", what.c_str(), ratio,
+              floor ? ">=" : "<=", bound, ok ? "ok" : "REGRESSED");
+  return ok;
+}
 
 struct GateFlags {
-  bool quick = false;
-  int reps = 0;
-  int warmup = 1;
-  double tolerance = 0.2;
-  std::string out_path;
-  std::string check_path;
-  std::string label = "current";
-  std::string only;  // run just this workload (profiling aid)
+  int reps = 0;    // timed pairs
+  int warmup = 1;  // untimed pairs
+  std::string only;
 
-  std::string mode() const { return quick ? "quick" : "full"; }
   bool Wants(const std::string& name) const {
     return only.empty() || only == name;
   }
 };
 
-/// Parses the gate command line; exits 2 on an unknown flag or a missing
-/// value. Without --reps, reps is `quick_reps` under --quick, else
-/// `full_reps`.
-inline GateFlags ParseGateFlags(int argc, char** argv, int quick_reps,
-                                int full_reps) {
+/// Parses the gate command line; exits 2 on an unknown flag, a missing or
+/// non-numeric value, --reps below 1 or --warmup below 0. Without --reps,
+/// reps is `default_reps`.
+inline GateFlags ParseGateFlags(int argc, char** argv, int default_reps) {
   GateFlags f;
+  f.reps = default_reps;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -210,20 +179,24 @@ inline GateFlags ParseGateFlags(int argc, char** argv, int quick_reps,
       }
       return argv[++i];
     };
-    if (arg == "--quick") {
-      f.quick = true;
-    } else if (arg == "--reps") {
-      f.reps = std::atoi(next());
+    auto count = [&](long min) {
+      const char* value = next();
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || errno != 0 || n < min ||
+          n > 1000000) {
+        std::fprintf(stderr,
+                     "%s takes an integer in [%ld, 1000000], got '%s'\n",
+                     arg.c_str(), min, value);
+        std::exit(2);
+      }
+      return static_cast<int>(n);
+    };
+    if (arg == "--reps") {
+      f.reps = count(1);
     } else if (arg == "--warmup") {
-      f.warmup = std::atoi(next());
-    } else if (arg == "--out") {
-      f.out_path = next();
-    } else if (arg == "--check") {
-      f.check_path = next();
-    } else if (arg == "--label") {
-      f.label = next();
-    } else if (arg == "--tolerance") {
-      f.tolerance = std::strtod(next(), nullptr);
+      f.warmup = count(0);
     } else if (arg == "--only") {
       f.only = next();
     } else {
@@ -231,78 +204,7 @@ inline GateFlags ParseGateFlags(int argc, char** argv, int quick_reps,
       std::exit(2);
     }
   }
-  if (f.reps == 0) f.reps = f.quick ? quick_reps : full_reps;
   return f;
-}
-
-/// One gate result.
-struct GateEntry {
-  std::string name;
-  std::string fields;   // the JSON object's body, fields in output order
-  double gated = 0;     // the value --check compares
-};
-
-/// Reads the flat JSON written by --out: key -> the value of `field`.
-inline std::map<std::string, double> ReadCommitted(const std::string& path,
-                                                   const std::string& field) {
-  std::map<std::string, double> out;
-  std::ifstream f(path);
-  const std::string tag = "\"" + field + "\": ";
-  std::string line;
-  while (std::getline(f, line)) {
-    const size_t kq0 = line.find('"');
-    if (kq0 == std::string::npos) continue;
-    const size_t kq1 = line.find('"', kq0 + 1);
-    const size_t vp = line.find(tag);
-    if (kq1 == std::string::npos || vp == std::string::npos) continue;
-    out[line.substr(kq0 + 1, kq1 - kq0 - 1)] =
-        std::strtod(line.c_str() + vp + tag.size(), nullptr);
-  }
-  return out;
-}
-
-/// Writes --out, then runs --check against `field` of the committed
-/// entries: each entry's gated value must reach
-/// committed * (1 - tolerance), or `absolute_floor` when it is positive.
-/// Returns false on any failure.
-inline bool FinishGate(const GateFlags& flags,
-                       const std::vector<GateEntry>& entries,
-                       const std::string& field = "events_per_sec",
-                       double absolute_floor = 0) {
-  const std::string mode = flags.mode();
-  if (!flags.out_path.empty()) {
-    std::ofstream f(flags.out_path, std::ios::trunc);
-    f << "{\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      f << "  \"" << mode << "/" << flags.label << "/" << entries[i].name
-        << "\": {" << entries[i].fields << "}"
-        << (i + 1 < entries.size() ? ",\n" : "\n");
-    }
-    f << "}\n";
-    std::printf("wrote %s\n", flags.out_path.c_str());
-  }
-  if (flags.check_path.empty()) return true;
-  const auto committed = ReadCommitted(flags.check_path, field);
-  bool ok = true;
-  for (const GateEntry& e : entries) {
-    const std::string key = mode + "/current/" + e.name;
-    auto it = committed.find(key);
-    if (it == committed.end()) {
-      std::fprintf(stderr, "FAIL: %s has no committed entry %s\n",
-                   flags.check_path.c_str(), key.c_str());
-      ok = false;
-      continue;
-    }
-    const double floor = absolute_floor > 0
-                             ? absolute_floor
-                             : it->second * (1.0 - flags.tolerance);
-    const bool pass = e.gated >= floor;
-    std::printf("  check %-38s %s %.4g vs committed %.4g (floor %.4g): %s\n",
-                key.c_str(), field.c_str(), e.gated, it->second, floor,
-                pass ? "ok" : "REGRESSED");
-    ok = ok && pass;
-  }
-  return ok;
 }
 
 /// Builds a COUNT query over the first `length` stock tickers.

@@ -131,7 +131,12 @@ PushResult ShardLanes::Push(size_t shard, LaneItem& item) {
   }
   ++full_waits_;
   if (options_.telemetry != nullptr) {
-    options_.telemetry->coord().ring_full_waits.Add(1);
+    obs::CoordCell& cc = options_.telemetry->coord();
+    cc.ring_full_waits.Add(1);
+    // A push that finds the ring full records the depth it waits behind,
+    // so a coordinator parked on any lane shows in the occupancy profile,
+    // not only when the per-batch sample lands on that lane.
+    cc.ring_occupancy.Record(lane.ring.size());
   }
   for (size_t spin = 0;;) {
     if (lane.ring.TryPush(item)) {

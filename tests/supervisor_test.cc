@@ -20,6 +20,7 @@
 #include "aseq/aseq_engine.h"
 #include "engine/runtime.h"
 #include "exec/execution_policy.h"
+#include "exec/shard_lanes.h"
 #include "exec/shard_router.h"
 #include "fault/fault.h"
 #include "obs/telemetry.h"
@@ -435,6 +436,51 @@ TEST_P(SupervisorStopTest, StopDuringFullRingStallExitsPromptly) {
   // A stalled lane never drains; a prompt stop is comfortably inside
   // this bound.
   EXPECT_LT(elapsed, 10.0);
+}
+
+TEST_P(SupervisorStopTest, FullRingWaitRecordsFullOccupancy) {
+  // A coordinator parked on a full ring records that ring's depth in its
+  // occupancy histogram whichever lane the per-batch sample points at:
+  // with shard 0 stalled, the histogram's max reaches the ring capacity.
+  auto c = MakeStock(785, 3000);
+  CompiledQuery cq = MustCompile(&c->schema, kQuery);
+
+  RunOptions options;
+  options.num_shards = kShards;
+  options.supervise = GetParam();
+  options.batch_size = 8;
+  std::atomic<bool> stop{false};
+  options.stop_requested = &stop;
+  obs::Telemetry telemetry(kShards);
+  options.telemetry = &telemetry;
+  options.watchdog_timeout_ms = 60000;
+  auto policy = MustMakeSharded(cq, options);
+  ASSERT_TRUE(fault::Injector::Global().Arm("worker.op@0:1:stall", 7).ok());
+  std::atomic<bool> finished{false};
+  std::thread stopper([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    obs::LogHistogram::Snapshot snap;
+    for (;;) {
+      telemetry.coord().ring_occupancy.SnapshotInto(&snap);
+      if (finished.load() || snap.max >= exec::ShardLanes::kMaxQueuedItems ||
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    stop.store(true);
+  });
+  RunResult run = policy->RunEvents(c->events);
+  finished.store(true);
+  stopper.join();
+  fault::Injector::Global().Disarm();
+
+  ASSERT_TRUE(run.fault_status.ok()) << run.fault_status.ToString();
+  EXPECT_TRUE(run.interrupted);
+  obs::LogHistogram::Snapshot snap;
+  telemetry.coord().ring_occupancy.SnapshotInto(&snap);
+  EXPECT_EQ(snap.max, exec::ShardLanes::kMaxQueuedItems);
 }
 
 TEST_P(SupervisorStopTest, StopDuringDegradeDrainExitsPromptly) {
