@@ -328,11 +328,6 @@ int main(int argc, char** argv) {
   std::printf("dataplane dispatch gate: pairs=%d warmup=%d lanes=%zu "
               "burst=%zu ops/item=%zu\n",
               flags.reps, flags.warmup, kLanes, kBurst, kOpsPerItem);
-  if (!flags.only.empty()) {
-    std::fprintf(stderr, "bench_dataplane times its five passes together "
-                         "and takes no --only\n");
-    return 2;
-  }
   // One round runs the five passes in this order.
   enum { kRing, kPlain, kClock, kWork, kMetrics };
   const char* const names[] = {"dispatch_ring", "dispatch_plain",

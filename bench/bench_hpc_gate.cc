@@ -24,13 +24,14 @@
 //               dependent random lookup into a store that grows to ~6,000
 //               live partitions (the paper's Fig. 14 regime), against the
 //               same query run over a store of plain std containers
-//               (Side::PlainStorePass): the same counters and the same
-//               sweep, with a std::unordered_map index into a std::vector
-//               in place of interner, slot index and slab.
+//               (Side::PlainStorePass): the same counters, with a
+//               std::unordered_map index into a std::vector in place of
+//               interner, slot index and slab.
 //                 grouped_count  GROUP BY COUNT, the O(1)-trigger hot path
 //                 equiv_count    equivalence-only partitioning
-//                 grouped_sum    every trigger runs ScanTotal's purge-and-
-//                                erase sweep over the slab
+//                 grouped_sum    GROUP BY SUM: the same window-clock
+//                                expiry, and a trigger reads its group's
+//                                partition total
 //
 // The bounds sit above the ratios this code reads (EXPERIMENTS.md) and
 // below what a ~25% slowdown of the gated path reads.
@@ -83,7 +84,7 @@ const Workload kWorkloads[] = {
      "GROUP BY traderId AGG SUM(IPIX.volume) WITHIN 2s",
      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG SUM(IPIX.volume) "
      "WITHIN 2s",
-     2000, 0.39},
+     2000, 0.76},
     {"pred_mixed_fallback",
      "PATTERN SEQ(DELL, IPIX) "
      "WHERE DELL.volume >= 2000.5 AND DELL.volume <= 9000.5 AND "
@@ -102,7 +103,7 @@ const Workload kWorkloads[] = {
     {"grouped_sum",
      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG SUM(IPIX.volume) "
      "WITHIN 100s",
-     nullptr, 10000, 2.85},
+     nullptr, 10000, 1.33},
 };
 
 /// The stock stream with `traders` traders, built once per process.
@@ -145,13 +146,8 @@ struct Side {
   /// map the flat store replaced) maps the trader Value to a position in a
   /// std::vector of the engine's own CounterSets. A start upserts its
   /// partition, an update probes it, and a trigger reads its partition's
-  /// total, after purging every partition in vector order when the
-  /// aggregate needs ScanTotal's sweep. The counters are shared with the
-  /// engine and the store is not, so a slower store, per probe or per
-  /// sweep step, moves only the path side of the ratio. The sweep walks a
-  /// vector, as the engine's walks its slab: a sweep over the map's nodes
-  /// is a chain of dependent loads, which a busy host slowed far less than
-  /// the slab walk, and the ratio rose by up to 45% under load.
+  /// total. The counters are shared with the engine and the store is not,
+  /// so a slower store probe moves only the path side of the ratio.
   double PlainStorePass() {
     const std::vector<EventTypeId>& types = query.positive_types();
     const size_t length = types.size();
@@ -186,9 +182,6 @@ struct Side {
       }
       if (pos < length) continue;
       ++outputs;
-      if (func != AggFunc::kCount) {
-        for (CounterSet& p : parts) p.Purge(e.ts());
-      }
       if (part != nullptr) total.Merge(part->Total(), func);
     }
     const double seconds = CpuSeconds() - cpu0;
@@ -221,11 +214,11 @@ int main(int argc, char** argv) {
   // Pin glibc's mmap threshold at its default (128 KiB). Left dynamic, it
   // rises whenever a large block is freed, so where an engine's arrays
   // land, and what a pass costs, depended on the workloads that ran before:
-  // one full run read grouped_sum half again as high as runs with --only.
+  // grouped_sum once read half again as high after the other workloads as
+  // it did alone.
   mallopt(M_MMAP_THRESHOLD, 128 << 10);
   bool ok = true;
   for (const Workload& w : kWorkloads) {
-    if (!flags.Wants(w.name)) continue;
     auto path = MakeSide(w.path, w.traders, /*plain_store=*/false);
     auto reference =
         w.reference != nullptr

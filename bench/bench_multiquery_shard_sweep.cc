@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const char* strategy : {"nonshare", "pretree", "cc", "hybrid"}) {
-    if (!flags.Wants(strategy)) continue;
     const aseq::exec::MultiEngineFactory factory =
         std::move(aseq::MakeStrategyFactory(strategy, queries)).value();
     uint64_t outputs = 0;

@@ -77,14 +77,14 @@ inline SerialBuffers& SharedBuffers() {
 //
 // The CI perf-smoke binaries share this harness:
 //
-//   BIN [--reps N] [--warmup N] [--only NAME]
+//   BIN [--reps N] [--warmup N]
 //
 // A gate never reads a number from another run or another host. Each gated
 // path is timed against a reference that does nearly the same work, in the
 // same process, and the gate bounds the median of the per-pair time ratios
 // by a constant in its source. --reps sets the timed pairs, --warmup the
-// untimed ones, and --only runs one workload (a profiling aid; a gate whose
-// ratios pair passes of several workloads refuses it).
+// untimed ones. A gate always runs every workload: one run alone reads
+// different ratios than it does after the others, and CI judges full runs.
 
 /// Median of `samples` (middle pair averaged for even counts).
 inline double Median(std::vector<double> samples) {
@@ -157,11 +157,6 @@ inline bool CheckRatio(const std::string& what, double ratio, double bound,
 struct GateFlags {
   int reps = 0;    // timed pairs
   int warmup = 1;  // untimed pairs
-  std::string only;
-
-  bool Wants(const std::string& name) const {
-    return only.empty() || only == name;
-  }
 };
 
 /// Parses the gate command line; exits 2 on an unknown flag, a missing or
@@ -197,8 +192,6 @@ inline GateFlags ParseGateFlags(int argc, char** argv, int default_reps) {
       f.reps = count(1);
     } else if (arg == "--warmup") {
       f.warmup = count(0);
-    } else if (arg == "--only") {
-      f.only = next();
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       std::exit(2);

@@ -131,38 +131,13 @@ HpcEngine::HpcEngine(CompiledQuery query)
          "CreateAseqEngine rejects wider keys");
 }
 
-void HpcEngine::PrefetchIndex() const {
-  for (const plan::AdmissionRecord& rec : admitter_.records()) {
-    // Partial-coverage negation scans every partition; nothing to target.
-    if (rec.role->role.negated && !rec.role->fully_covered) continue;
-    store_.PrefetchLookup(rec.key_hash, rec.key);
-    if (per_group_ && count_fast_path()) {
-      // The COUNT fast path folds counter deltas into group_counts_; warm
-      // that cell too while the batch pipeline has distance to spare.
-      const uint32_t idx = DenseIdx(rec.key.ids[group_part_]);
-      if (idx < group_counts_.size()) {
-        __builtin_prefetch(&group_counts_[idx], /*rw=*/1, /*locality=*/3);
-      }
-    }
-  }
-}
-
-void HpcEngine::PrefetchPartitions() const {
-  for (const plan::AdmissionRecord& rec : admitter_.records()) {
-    // Partial-coverage negation scans every partition; nothing to target.
-    if (rec.role->role.negated && !rec.role->fully_covered) continue;
-    // The index lines are warm from staging (see store_.PrefetchEntry for
-    // why the resolved slot is deliberately discarded).
-    store_.PrefetchEntry(rec.key_hash, rec.key);
-  }
-}
-
 void HpcEngine::ExecuteEvent(const Event& e,
                              std::span<const plan::AdmissionRecord> records,
                              std::vector<Output>* out) {
   ++stats_.events_processed;
   bool trigger = false;
   container::InternedKey trigger_key;
+  uint64_t trigger_hash = 0;
 
   for (const plan::AdmissionRecord& rec : records) {
     const Role& role = rec.role->role;
@@ -222,6 +197,7 @@ void HpcEngine::ExecuteEvent(const Event& e,
       if (role.position == length_) {
         trigger = true;
         trigger_key = part.key;
+        trigger_hash = part.hash;
       }
     } else {
       const uint32_t found = store_.Lookup(rec.key_hash, rec.key);
@@ -237,37 +213,32 @@ void HpcEngine::ExecuteEvent(const Event& e,
         // Triggers fire even into an absent partition (the total is then
         // whatever the other live partitions hold).
         trigger_key = rec.key;
+        trigger_hash = rec.key_hash;
       }
     }
   }
 
   if (trigger) {
+    // Purge only what is due (amortized O(expired counters)), then read
+    // the trigger's total.
+    AdvanceExpiry(e.ts());
     Output output;
     output.ts = e.ts();
     output.seq = e.seq();
-    if (count_fast_path()) {
-      // O(1) trigger: purge what is due, then read the running totals —
-      // integer-exact, so identical to the full partition scan.
-      AdvanceExpiry(e.ts());
-      AggAccum acc;
-      if (per_group_) {
-        const uint32_t gid = trigger_key.ids[group_part_];
-        output.group = store_.interner().ValueOf(gid);
-        const uint32_t idx = DenseIdx(gid);
-        acc.count = idx < group_counts_.size() ? group_counts_[idx] : 0;
-      } else {
-        acc.count = running_count_;
-      }
-      output.value = acc.Finalize(AggFunc::kCount);
-    } else if (per_group_) {
-      const uint32_t gid = trigger_key.ids[group_part_];
-      output.group = store_.interner().ValueOf(gid);
-      output.value = ScanTotal(e.ts(), /*match_group=*/true, gid)
-                         .Finalize(query_.agg().func);
-    } else {
-      output.value = ScanTotal(e.ts(), /*match_group=*/false, 0)
-                         .Finalize(query_.agg().func);
+    if (per_group_) {
+      output.group = store_.interner().ValueOf(trigger_key.ids[group_part_]);
     }
+    AggAccum acc;
+    if (!count_fast_path()) {
+      acc = ScanTotal(trigger_key, trigger_hash);
+    } else if (per_group_) {
+      // The running totals are integer-exact, so identical to a scan.
+      const uint32_t idx = DenseIdx(trigger_key.ids[group_part_]);
+      acc.count = idx < group_counts_.size() ? group_counts_[idx] : 0;
+    } else {
+      acc.count = running_count_;
+    }
+    output.value = acc.Finalize(query_.agg().func);
     out->push_back(std::move(output));
     ++stats_.outputs;
   }
@@ -277,8 +248,6 @@ void HpcEngine::OnBatch(std::span<const Event> batch,
                         std::vector<Output>* out) {
   if (batch.empty()) return;
   admitter_.AdmitBatch(program_, batch, &store_.interner(), &stats_);
-  PrefetchIndex();
-  PrefetchPartitions();
   for (size_t i = 0; i < batch.size(); ++i) {
     ExecuteEvent(batch[i], admitter_.RecordsFor(i), out);
   }
@@ -295,50 +264,36 @@ void HpcEngine::UpdateHtStats() {
   stats_.ht_entries = store_.table_entries();
 }
 
-AggAccum HpcEngine::ScanTotal(Timestamp now, bool match_group, uint32_t gid) {
+AggAccum HpcEngine::ScanTotal(const container::InternedKey& key,
+                              uint64_t hash) const {
   AggAccum acc;
+  if (per_group_ && single_part_) {
+    const uint32_t slot = store_.Lookup(hash, key);
+    if (slot != kNoSlot) {
+      acc.Merge(store_.at(slot).counters.Total(), query_.agg().func);
+    }
+    return acc;
+  }
   // Slab slot order is the engine's observable iteration order: the
   // floating-point merge order below (SUM/AVG) must survive
   // checkpoint/restore byte-identically, and the checkpointed slab
   // geometry guarantees exactly that.
+  const uint32_t gid = key.ids[group_part_];
   for (uint32_t s = 0; s < store_.end(); ++s) {
     if (!store_.live(s)) continue;
-    Partition& part = store_.at(s);
-    MutatePartition(part, [&] { part.counters.Purge(now); });
-    if (part.counters.windowed() && part.counters.num_counters() == 0) {
-      ErasePartition(s);
-      continue;
-    }
-    if (!match_group || part.key.ids[group_part_] == gid) {
+    const Partition& part = store_.at(s);
+    if (!per_group_ || part.key.ids[group_part_] == gid) {
       acc.Merge(part.counters.Total(), query_.agg().func);
     }
   }
   return acc;
 }
 
-void HpcEngine::ErasePartition(uint32_t slot) { store_.Erase(slot); }
-
 void HpcEngine::SyncPurgeTo(Timestamp now, std::span<const size_t>) {
-  if (!query_.has_window()) return;  // nothing ever expires
-  if (count_fast_path()) {
-    AdvanceExpiry(now);
-    return;
-  }
-  // Mirror ScanTotal's purge-and-erase sweep exactly, minus the
-  // accumulation: the serial trigger purges *every* partition as it scans,
-  // and erases the ones left empty.
-  for (uint32_t s = 0; s < store_.end(); ++s) {
-    if (!store_.live(s)) continue;
-    Partition& part = store_.at(s);
-    part.counters.Purge(now);
-    if (part.counters.windowed() && part.counters.num_counters() == 0) {
-      ErasePartition(s);
-    }
-  }
+  AdvanceExpiry(now);
 }
 
 void HpcEngine::EnqueueExpiry(const Partition& part) {
-  if (!count_fast_path()) return;  // triggers re-scan; no clock needed
   clock_.Schedule(part.counters.next_expiry(), part.hash, part.key);
 }
 
@@ -354,7 +309,7 @@ void HpcEngine::AdvanceExpiry(Timestamp now) {
         const Timestamp next = part.counters.next_expiry();
         if (next == state::WindowClock::kNever) {
           if (part.counters.windowed() && part.counters.num_counters() == 0) {
-            ErasePartition(slot);
+            store_.Erase(slot);
           }
           return state::WindowClock::kNever;
         }
@@ -364,25 +319,23 @@ void HpcEngine::AdvanceExpiry(Timestamp now) {
 }
 
 std::vector<Output> HpcEngine::Poll(Timestamp now) {
-  std::vector<Output> outputs;
-  if (!per_group_) {
-    Output output;
-    output.ts = now;
-    output.value = ScanTotal(now, /*match_group=*/false, 0)
-                       .Finalize(query_.agg().func);
-    outputs.push_back(std::move(output));
-    return outputs;
-  }
-  // One output per live group, in first-seen slab-slot order — a pure
-  // function of engine state, so a restored engine polls byte-identically.
+  // One output per live group, in first-seen slab-slot order (one output
+  // in all without GROUP BY) — a pure function of engine state, so a
+  // restored engine polls byte-identically. The walk purges every
+  // partition and erases the ones left empty.
   std::vector<std::pair<uint32_t, AggAccum>> groups;
+  if (!per_group_) groups.emplace_back(0, AggAccum());
   container::FlatMap<uint32_t, uint32_t, container::IdHash> group_pos;
   for (uint32_t s = 0; s < store_.end(); ++s) {
     if (!store_.live(s)) continue;
     Partition& part = store_.at(s);
     MutatePartition(part, [&] { part.counters.Purge(now); });
     if (part.counters.windowed() && part.counters.num_counters() == 0) {
-      ErasePartition(s);
+      store_.Erase(s);
+      continue;
+    }
+    if (!per_group_) {
+      groups[0].second.Merge(part.counters.Total(), query_.agg().func);
       continue;
     }
     const uint32_t gid = part.key.ids[group_part_];
@@ -391,10 +344,11 @@ std::vector<Output> HpcEngine::Poll(Timestamp now) {
     if (inserted) groups.emplace_back(gid, AggAccum());
     groups[*pos].second.Merge(part.counters.Total(), query_.agg().func);
   }
+  std::vector<Output> outputs;
   for (const auto& [gid, acc] : groups) {
     Output output;
     output.ts = now;
-    output.group = store_.interner().ValueOf(gid);
+    if (per_group_) output.group = store_.interner().ValueOf(gid);
     output.value = acc.Finalize(query_.agg().func);
     outputs.push_back(std::move(output));
   }

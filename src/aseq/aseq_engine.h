@@ -75,19 +75,19 @@ class AseqEngine : public QueryEngine {
 /// plan::BatchAdmitter::AdmitBatch qualifies, extracts, and *interns*
 /// every partition key of a batch up front (each distinct key Value maps
 /// to a dense uint32_t id, so a staged key is a fixed-size id array — no
-/// Value copies or allocations), PrefetchIndex/PrefetchPartitions issue
-/// DRAMHiT-style software prefetches for the flat-table slots the batch
-/// will probe, and ExecuteEvent replays the staged records in arrival
-/// order.
+/// Value copies or allocations), and ExecuteEvent replays the staged
+/// records in arrival order.
 ///
 /// State lives in the partition-state spine (src/state/): a
 /// state::PartitionStore of Partition entries (interned keys, slab slots
 /// as the observable iteration order, dense single-part index) and a
-/// state::WindowClock driving lazy window expiry on the COUNT fast path.
-/// Every observable sweep (ScanTotal's SUM/AVG merge order, Poll's
-/// per-group output order, partial-negation scans) walks ascending slot
-/// order, and checkpoints carry the exact slab geometry so restores
-/// reproduce it byte-for-byte.
+/// state::WindowClock driving lazy window expiry for every aggregate: a
+/// trigger purges only the partitions whose earliest expiration is due,
+/// then reads its total without sweeping the store. Every observable
+/// sweep (ScanTotal's SUM/AVG merge order, Poll's per-group output order,
+/// partial-negation scans) walks ascending slot order, and checkpoints
+/// carry the exact slab geometry and clock heap so restores reproduce it
+/// byte-for-byte.
 ///
 /// Each partition key owns disjoint state, so the executor can split the
 /// partition store across N twin instances by GROUP BY key (the grouped
@@ -117,14 +117,12 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
 
   size_t num_partitions() const { return store_.size(); }
 
-  /// Entries on the COUNT fast path's expiry clock: at most one per live
-  /// partition (a Poll's erasing scan can leave extra ones behind).
+  /// Entries on the expiry clock: one per live windowed partition (a
+  /// Poll's erasing scan can leave extra ones behind).
   size_t clock_size() const { return clock_.size(); }
 
   /// ShardableEngine: replays the cross-partition purge a trigger at `now`
-  /// performs — AdvanceExpiry on the COUNT fast path, ScanTotal's
-  /// purge-and-erase sweep (without the aggregation) otherwise. The query
-  /// list is always {0}.
+  /// performs, AdvanceExpiry(now). The query list is always {0}.
   void SyncPurgeTo(Timestamp now, std::span<const size_t>) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
 
@@ -156,40 +154,27 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
     return state::DenseIdx(id);
   }
 
-  /// Prefetch pass after admission: warms the partition-index (and
-  /// group-count) slots each staged record will probe. The interner slots
-  /// were already prefetched during admission's extraction pass.
-  void PrefetchIndex() const;
-
-  /// Resolves each staged record against the partition index and issues
-  /// software prefetches for the slab lines ExecuteEvent will touch (read
-  /// intent, high temporal locality). Purely a cache warmer: results are
-  /// deliberately not reused, since executing earlier batch events can
-  /// create or erase partitions and stale slots must never be trusted.
-  void PrefetchPartitions() const;
-
   /// Replays one event's staged admission records against the partition
   /// store.
   void ExecuteEvent(const Event& e,
                     std::span<const plan::AdmissionRecord> records,
                     std::vector<Output>* out);
 
-  /// Sums live counters of partitions whose group id equals `gid`; with
-  /// `match_group == false`, sums every partition. Walks the slab in slot
-  /// order (the engine's observable iteration order), purging as it goes
-  /// and erasing partitions left empty.
-  AggAccum ScanTotal(Timestamp now, bool match_group, uint32_t gid);
-
-  /// Removes the partition at `slot` from the index and the slab.
-  void ErasePartition(uint32_t slot);
+  /// The total a non-COUNT trigger reads once AdvanceExpiry has purged
+  /// what is due: under GROUP BY, the live counters of the partitions in
+  /// `key`'s group; otherwise every partition's. A single-part key is its
+  /// group, so that read is one Lookup; any other read walks the slab in
+  /// slot order (the engine's observable iteration order). Purges and
+  /// erases nothing.
+  AggAccum ScanTotal(const container::InternedKey& key, uint64_t hash) const;
 
   /// True when triggers read the O(1) running COUNT totals instead of
-  /// scanning every partition.
+  /// ScanTotal.
   bool count_fast_path() const { return query_.agg().func == AggFunc::kCount; }
 
   /// Runs `mutate` against `part` and folds the resulting change of its
   /// full-match count into the running totals (COUNT fast path only;
-  /// other aggregates still scan at trigger time).
+  /// other aggregates read their totals through ScanTotal).
   template <typename Fn>
   void MutatePartition(Partition& part, Fn&& mutate) {
     if (!count_fast_path()) {
@@ -217,16 +202,16 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
     }
   }
 
-  /// Pushes `part`'s next expiration onto the clock (windowed mode, COUNT
-  /// fast path; a no-op when nothing can expire). Called once, when the
-  /// partition is inserted: its entry then stays queued, rescheduled by
-  /// each revisit, until a revisit finds it empty and erases it.
+  /// Pushes `part`'s next expiration onto the clock (a no-op when nothing
+  /// can expire). Called once, when the partition is inserted: its entry
+  /// then stays queued, rescheduled by each revisit, until a revisit finds
+  /// it empty and erases it.
   void EnqueueExpiry(const Partition& part);
 
   /// Purges every partition whose earliest expiration is due at `now`,
   /// keeping the running totals exact; erases partitions left empty. The
-  /// lazy heap makes this amortized O(expired counters), so COUNT triggers
-  /// are O(1) instead of O(partitions).
+  /// lazy heap makes this amortized O(expired counters), so a trigger's
+  /// expiry costs O(1) instead of O(partitions), whatever the aggregate.
   void AdvanceExpiry(Timestamp now);
 
   /// Refreshes the transient EngineStats::ht_* probe/occupancy gauges
@@ -250,14 +235,15 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   plan::AdmissionProgram program_;
   /// Batched admission scratch, reused (clear-not-shrink) across batches.
   plan::BatchAdmitter admitter_;
-  // COUNT fast path: running full-match totals (global, or per group id)
-  // and the window clock that keeps them exact under lazy purging. Group
-  // totals live in a flat array indexed by DenseIdx(gid) — interned group
-  // ids are dense, so a trigger reads its total with one array access and
-  // zero means "no full matches", exactly as an absent hash-table entry
-  // used to.
+  // COUNT fast path: running full-match totals (global, or per group id),
+  // kept exact under lazy purging by the window clock. Group totals live
+  // in a flat array indexed by DenseIdx(gid) — interned group ids are
+  // dense, so a trigger reads its total with one array access and zero
+  // means "no full matches", exactly as an absent hash-table entry used
+  // to.
   uint64_t running_count_ = 0;
   std::vector<uint64_t> group_counts_;
+  // Lazy window expiry for every aggregate (see AdvanceExpiry).
   state::WindowClock clock_;
 };
 

@@ -38,7 +38,10 @@ namespace ckpt {
 ///      one counted list (hybrid wrote shared and per-query parts as two)
 ///   5  the run's query hashes after the engine name, so a restore into
 ///      other queries is refused before any state is read
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+///   6  HPC SUM/AVG/MIN/MAX payloads carry a populated expiry clock (every
+///      aggregate expires through it); a v5 one holds an empty clock, and
+///      restoring it would leave its partitions never expiring
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.

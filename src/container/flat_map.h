@@ -24,9 +24,9 @@ namespace container {
 /// Deliberate differences from a general-purpose table, matching how the
 /// engine uses it:
 ///  - All hot-path entry points take a precomputed hash (*Hashed): the
-///    batched engine hashes keys once at staging time, prefetches with
-///    PrefetchSlot, and probes later. The Hash functor is only invoked on
-///    rehash and in the hashless convenience wrappers.
+///    batched engine hashes keys once at staging time and probes later.
+///    The Hash functor is only invoked on rehash and in the hashless
+///    convenience wrappers.
 ///  - Keys and values must be default-constructible and assignable; empty
 ///    slots hold default-constructed elements (no raw-storage juggling).
 ///    Erase re-assigns a default element so owned heap memory is released
@@ -60,15 +60,6 @@ class FlatMap {
 
   uint64_t probes() const { return probes_; }
   uint64_t probe_steps() const { return probe_steps_; }
-
-  /// Prefetches the control byte and slot a probe for `hash` will touch
-  /// first. Issued at staging time, one batch ahead of the probe itself.
-  void PrefetchSlot(uint64_t hash) const {
-    if (ctrl_.empty()) return;
-    const size_t pos = H1(hash) & (ctrl_.size() - 1);
-    __builtin_prefetch(ctrl_.data() + pos, /*rw=*/0, /*locality=*/3);
-    __builtin_prefetch(slots_.data() + pos, /*rw=*/0, /*locality=*/3);
-  }
 
   V* FindHashed(uint64_t hash, const K& key) {
     if (ctrl_.empty()) return nullptr;

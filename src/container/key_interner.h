@@ -43,8 +43,7 @@ class KeyInterner {
   uint32_t Intern(const Value& v) { return InternHashed(ValueHash{}(v), v); }
 
   /// Intern with a precomputed ValueHash — the staged hot path hashes at
-  /// extraction time, prefetches with PrefetchSlot, and interns a batch
-  /// later against warm cache lines.
+  /// extraction time and interns each record right after.
   uint32_t InternHashed(uint64_t hash, const Value& v) {
     auto [id, inserted] = index_.TryEmplaceHashed(
         hash, v, static_cast<uint32_t>(values_.size()));
@@ -63,9 +62,6 @@ class KeyInterner {
     const uint32_t* id = index_.FindHashed(hash, v);
     return id == nullptr ? kNoId : *id;
   }
-
-  /// Warms the cache lines an Intern/Lookup for this hash will touch.
-  void PrefetchSlot(uint64_t hash) const { index_.PrefetchSlot(hash); }
 
   const Value& ValueOf(uint32_t id) const {
     assert(id < values_.size());

@@ -60,8 +60,7 @@ class BasicEngine {
   /// point: every batching of a stream — one event per call included —
   /// yields byte-identical output sequences and identical EngineStats
   /// (modulo the batch counters). Engines amortize per-event overheads
-  /// across the batch: window-expiry checks, role/hash lookups, and
-  /// (HpcEngine) software-prefetched partition probes.
+  /// across the batch: window-expiry checks and role/hash lookups.
   virtual void OnBatch(std::span<const Event> batch,
                        std::vector<OutputT>* out) = 0;
 

@@ -19,16 +19,18 @@ namespace exec {
 
 /// \brief The partition-parallel policy, for one query (QueryEngine) or a
 /// whole workload (MultiQueryEngine): N engine twins, each owning the
-/// partitions whose GROUP BY key hashes to it, each pumped by one worker
-/// over its lane of the dataplane (exec/shard_lanes.h). This class is the
-/// coordinator: it routes, runs each worker's per-op engine loop, merges
-/// outputs and stats exactly, and saves and restores snapshots.
+/// partitions whose GROUP BY key the router assigns to it, each pumped by
+/// one worker over its lane of the dataplane (exec/shard_lanes.h). This
+/// class is the coordinator: it routes, runs each worker's per-op engine
+/// loop, merges outputs and stats exactly, and saves and restores
+/// snapshots.
 ///
 /// Serial equivalence, piece by piece:
-///  - Routing: events go to hash(GROUP BY key) % N — all partitions a
-///    trigger reads share that key (PlanSharding guarantees it), so every
-///    output is computed from exactly the state the serial engine would
-///    read. The router admits each borrowed batch in one pass and routes
+///  - Routing: ShardRouter interns each GROUP BY value and sends its
+///    events to shard `id % N`; ids are dense, in first-routed order. All
+///    partitions a trigger reads share that key (PlanSharding guarantees
+///    it), so every output is computed from exactly the state the serial
+///    engine would read. The router admits each borrowed batch in one pass and routes
 ///    only events some query's pattern names.
 ///  - Shared batches: each routed event is copied once (the batch may be
 ///    borrowed source storage; lanes and replay logs outlive the loan)

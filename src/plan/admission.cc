@@ -199,8 +199,8 @@ void AdmissionProgram::CompileRole(const Role& role) {
 }
 
 bool AdmissionProgram::AdmitRole(const Event& e, const RoleProgram& rp,
-                                 AdmissionRecord* rec, EngineStats* stats,
-                                 const container::KeyInterner* interner) const {
+                                 AdmissionRecord* rec,
+                                 EngineStats* stats) const {
   // Qualify: typed opcodes over the element's local predicates. The
   // attribute lookup is cached across consecutive insns on the same attr
   // (range predicates on one attribute are the common shape).
@@ -267,8 +267,7 @@ bool AdmissionProgram::AdmitRole(const Event& e, const RoleProgram& rp,
     carrier = v->ToDouble();
   }
   // Partition-key extraction: borrowed values + ValueHashes
-  // (PartitionKeyFor semantics minus the Value copies), prefetching the
-  // interner slots the hashes will probe.
+  // (PartitionKeyFor semantics minus the Value copies).
   const size_t n = part_attrs_.size();
   for (size_t p = 0; p < n; ++p) {
     if (((rp.covered_mask >> p) & 1) == 0) {
@@ -280,10 +279,8 @@ bool AdmissionProgram::AdmitRole(const Event& e, const RoleProgram& rp,
       if (stats != nullptr) ++stats->adm_missing_attr;
       return false;
     }
-    const uint64_t vh = ValueHash{}(*v);
     rec->part_vals[p] = v;
-    rec->part_hashes[p] = vh;
-    if (interner != nullptr) interner->PrefetchSlot(vh);
+    rec->part_hashes[p] = ValueHash{}(*v);
   }
   rec->role = &rp;
   rec->carrier = carrier;
@@ -315,8 +312,7 @@ namespace {
 
 /// Interns one freshly admitted record's borrowed parts and seals its key
 /// hash. Runs immediately after the record's AdmitRole, while the record
-/// is still in L1 and the prefetches AdmitRole issued for its interner
-/// slots are in flight — and in record (= arrival/probe) order, so id
+/// is still in L1 — and in record (= arrival/probe) order, so id
 /// assignment stays a pure function of the event stream.
 inline void InternRecord(size_t num_parts, container::KeyInterner* interner,
                          AdmissionRecord* rec) {
@@ -389,7 +385,7 @@ void BatchAdmitter::AdmitBatch(const AdmissionProgram& program,
       const Event& e = batch[i];
       for (const RoleProgram& rp : program.RolesFor(e.type())) {
         if (used_ == records_.size()) records_.emplace_back();
-        if (program.AdmitRole(e, rp, &records_[used_], stats, interner)) {
+        if (program.AdmitRole(e, rp, &records_[used_], stats)) {
           if (interner != nullptr) InternRecord(n, interner, &records_[used_]);
           ++used_;
         }

@@ -166,13 +166,12 @@ class AdmissionProgram {
 
   /// Admits `e` for one role in a single fused pass: typed predicate
   /// evaluation, carrier validation + load, and partition-key extraction
-  /// (borrowed values + ValueHashes into `rec`; `interner`, if given, is
-  /// only prefetched — interning is the caller's batch pass). Returns
-  /// false when the event does not qualify or a covering part's attribute
-  /// is missing/null. Counters accrue on `stats` when non-null.
+  /// (borrowed values + ValueHashes into `rec`; interning is the caller's
+  /// batch pass). Returns false when the event does not qualify or a
+  /// covering part's attribute is missing/null. Counters accrue on `stats`
+  /// when non-null.
   bool AdmitRole(const Event& e, const RoleProgram& rp, AdmissionRecord* rec,
-                 EngineStats* stats,
-                 const container::KeyInterner* interner = nullptr) const;
+                 EngineStats* stats) const;
 
   /// Materializes a record's borrowed parts into a PartitionKey (+ optional
   /// per-part coverage flags), reusing the scratch's existing capacity —
@@ -242,9 +241,8 @@ struct EventAdmission {
 /// event span and emits compact per-event admission records.
 ///
 /// Per (event, role): fused qualify + extract + carrier load, with the
-/// key-part ValueHashes prefetching the interner slots they will probe;
-/// each admitted record is then interned on the spot, while it is still
-/// hot and the prefetches are in flight. Interning runs in record
+/// key-part ValueHashes computed once; each admitted record is then
+/// interned on the spot, while it is still hot. Interning runs in record
 /// (= arrival/probe) order: positive roles intern unseen values (they may
 /// create partitions), negated roles use non-mutating lookups (a miss
 /// yields kNoId, which matches no live partition) — id assignment stays a

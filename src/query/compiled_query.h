@@ -37,20 +37,7 @@ struct PartitionKey {
   }
 };
 
-/// \brief A partition key paired with its precomputed hash.
-///
-/// The batched HpcEngine hashes every key in a batch up front (so the
-/// partition-map buckets can be software-prefetched) and then probes with
-/// this reference type via C++20 heterogeneous lookup — no rehash, no key
-/// copy on the hit path.
-struct HashedPartitionKeyRef {
-  const PartitionKey* key = nullptr;
-  size_t hash = 0;
-};
-
 struct PartitionKeyHash {
-  using is_transparent = void;
-
   size_t operator()(const PartitionKey& k) const {
     // HashCombine64 re-avalanches after every part: the old xor-shift fold
     // let a part cancel another and left the low bits weak, which the
@@ -60,24 +47,6 @@ struct PartitionKeyHash {
       h = HashCombine64(h, v.Hash());
     }
     return h;
-  }
-
-  size_t operator()(const HashedPartitionKeyRef& ref) const {
-    return ref.hash;
-  }
-};
-
-struct PartitionKeyEq {
-  using is_transparent = void;
-
-  bool operator()(const PartitionKey& a, const PartitionKey& b) const {
-    return a == b;
-  }
-  bool operator()(const HashedPartitionKeyRef& a, const PartitionKey& b) const {
-    return *a.key == b;
-  }
-  bool operator()(const PartitionKey& a, const HashedPartitionKeyRef& b) const {
-    return a == *b.key;
   }
 };
 

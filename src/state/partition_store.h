@@ -114,30 +114,6 @@ class PartitionStore {
     slab_.Free(slot);
   }
 
-  /// Warms the index (or dense-array) line a Lookup for this key will
-  /// touch.
-  void PrefetchLookup(uint64_t hash, const container::InternedKey& key) const {
-    if (single_part_) {
-      const uint32_t idx = DenseIdx(key.ids[0]);
-      if (idx < slot_by_id_.size()) {
-        __builtin_prefetch(&slot_by_id_[idx], /*rw=*/0, /*locality=*/3);
-      }
-    } else {
-      index_.PrefetchSlot(hash);
-    }
-  }
-
-  /// Resolves the key now and pulls the slab entry itself into cache
-  /// (DRAMHiT-style). Purely a cache warmer: the result is deliberately
-  /// not returned, since executing earlier batch events can create or
-  /// erase partitions and a cached slot must never be trusted.
-  void PrefetchEntry(uint64_t hash, const container::InternedKey& key) const {
-    const uint32_t slot = Lookup(hash, key);
-    if (slot != kNoSlot) {
-      __builtin_prefetch(&slab_.at(slot), /*rw=*/0, /*locality=*/3);
-    }
-  }
-
   // ---- Probe accounting + occupancy (EngineStats::ht_* gauges). ----
   uint64_t probes() const { return index_.probes() + interner_.probes(); }
   uint64_t probe_steps() const {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "aseq/aseq_engine.h"
 #include "engine/runtime.h"
 #include "tests/test_util.h"
@@ -462,6 +465,49 @@ TEST(HpcEngineTest, ExpiryClockStaysBoundedWithoutTriggers) {
   }
   EXPECT_TRUE(outputs.empty());
   EXPECT_EQ(hpc->num_partitions(), 4u);
+}
+
+// Every aggregate expires through the window clock: a windowed SUM, AVG,
+// MIN or MAX engine queues each live partition on it, and a trigger past
+// the window erases exactly the partitions the same COUNT query erases.
+TEST(HpcEngineTest, EveryAggregateExpiresLikeCount) {
+  for (const std::string shape : {"GROUP BY k", "WHERE A.k = B.k"}) {
+    for (const std::string agg : {"SUM(B.w)", "AVG(B.w)", "MIN(B.w)",
+                                  "MAX(B.w)"}) {
+      const std::string context = shape + " / " + agg;
+      auto text = [&](const std::string& a) {
+        return "PATTERN SEQ(A, B) " + shape + " AGG " + a + " WITHIN 1s";
+      };
+      Schema schema;
+      auto engine = CreateAseqEngine(MustCompile(&schema, text(agg)));
+      auto count = CreateAseqEngine(MustCompile(&schema, text("COUNT")));
+      ASSERT_TRUE(engine.ok() && count.ok()) << context;
+      HpcEngine* hpc = static_cast<HpcEngine*>(engine->get());
+      HpcEngine* hpc_count = static_cast<HpcEngine*>(count->get());
+      StreamBuilder builder(&schema);
+      for (int i = 0; i < 300; ++i) {
+        builder.Add(i % 3 == 2 ? "B" : "A", 100 * i,
+                    {{"k", Value(i % 7)}, {"w", Value(static_cast<double>(i % 11))}});
+      }
+      // Past every window: the trigger's expiry erases every partition.
+      builder.Add("B", 100 * 300 + 5000, {{"k", Value(0)}, {"w", Value(1.0)}});
+      std::vector<Output> outputs;
+      std::vector<Output> count_outputs;
+      size_t peak = 0;
+      for (const Event& e : builder.Build()) {
+        hpc->OnEvent(e, &outputs);
+        hpc_count->OnEvent(e, &count_outputs);
+        ASSERT_GE(hpc->clock_size(), hpc->num_partitions())
+            << context << " at t=" << e.ts();
+        ASSERT_EQ(hpc->num_partitions(), hpc_count->num_partitions())
+            << context << " at t=" << e.ts();
+        peak = std::max(peak, hpc->num_partitions());
+      }
+      EXPECT_GT(peak, 1u) << context;  // the checks above saw live state
+      EXPECT_EQ(outputs.size(), count_outputs.size()) << context;
+      EXPECT_EQ(hpc->num_partitions(), 0u) << context;
+    }
+  }
 }
 
 TEST(HpcEngineTest, PollReportsGroups) {

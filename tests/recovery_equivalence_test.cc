@@ -300,6 +300,26 @@ TEST(RecoveryEquivalenceTest, HpcGroupBySumHighCardinality) {
                 "hpc-groupby-sum-hicard");
 }
 
+// Equivalence-only partitioning (no GROUP BY): every trigger merges every
+// live partition's float AVG state in slab slot order, and the slots are
+// recycled in the order the restored expiry clock erases partitions.
+TEST(RecoveryEquivalenceTest, HpcEquivalenceAvgHighCardinality) {
+  auto c = std::make_unique<StockCase>();
+  StockStreamOptions options;
+  options.seed = 70;
+  options.num_events = 2000;
+  options.max_gap_ms = 8;
+  options.num_traders = 400;
+  c->events = GenerateStockStream(options, &c->schema);
+  AssignSeqNums(&c->events);
+  CompiledQuery cq = MustCompile(
+      &c->schema,
+      "PATTERN SEQ(DELL, IPIX) WHERE DELL.traderId = IPIX.traderId "
+      "AGG AVG(IPIX.price) WITHIN 200ms");
+  CheckRecovery([&] { return MustCreateAseq(cq); }, c->events,
+                "hpc-equiv-avg-hicard");
+}
+
 TEST(RecoveryEquivalenceTest, HpcEquivalencePredicate) {
   auto c = MakeStock(67, 1200);
   CompiledQuery cq = MustCompile(
